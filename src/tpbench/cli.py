@@ -24,6 +24,7 @@ from tpbench.features import (
     stack_series,
 )
 from tpbench.harness import (
+    ClassifierSpec,
     ConfigError,
     TransformSpec,
     emit_report,
@@ -164,20 +165,19 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    series_list = load_features_csv(args.features)
-    X, y = stack_series(series_list)
     try:
         params = json.loads(args.params)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"--params: {exc.msg}") from exc
-    if "hidden" in params:
-        params["hidden"] = tuple(params["hidden"])
+        if not isinstance(params, dict):
+            raise ValueError(f"expected a JSON object, got {args.params!r}")
+        clf = ClassifierSpec.from_params(args.classifier, params)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"--params: {exc}") from exc
+    series_list = load_features_csv(args.features)
+    X, y = stack_series(series_list)
     train_idx, test_idx = attackers.split(
         y, SplitSpec(args.train_fraction, derive_seed(args.seed, "split"))
     )
-    if args.classifier in ("forest", "mlp"):
-        params.setdefault("seed", derive_seed(args.seed, "train"))
-    model = attackers.train(args.classifier, X[train_idx], y[train_idx], **params)
+    model = clf.train(X[train_idx], y[train_idx], derive_seed(args.seed, "train"))
     accuracy = attackers.evaluate(model, X[test_idx], y[test_idx])
     if args.save_model:
         attackers.save_model(model, args.save_model)

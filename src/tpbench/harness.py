@@ -5,15 +5,14 @@ adversarial grid and the classifier suite. Every grid cell is evaluated on a
 transform of the full concatenated window dataset (transforms run before the
 train/test split: the attacker trains after the defense is already deployed)
 and gets its own seed derived from the master seed and the cell coordinates,
-so cells can run in any order or in parallel without changing the report.
+so cells can run in any order without changing the report.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,8 +58,24 @@ REPORT_COLUMNS = (
 )
 
 
+_ROOT_KEYS = frozenset({
+    "scenario", "profiles", "pcap_dir", "pcap_labels", "burst_sizes", "timespans",
+    "transforms", "classifiers", "traces_per_class", "duration", "train_fraction",
+    "seed", "output_dir",
+})
+_TRANSFORM_KEYS = frozenset({"mode", "window", "degree", "nu", "clamp_counts"})
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
+
+
+def _check_keys(doc: dict, allowed, where: str) -> None:
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown key(s) {unknown}; expected some of {sorted(allowed)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -111,13 +126,19 @@ class ClassifierSpec:
                 f"classifier kind {self.kind!r} unknown; expected one of "
                 f"{attackers.CLASSIFIER_KINDS}"
             )
+        accepted = inspect.signature(attackers._TRAINERS[self.kind]).parameters.keys() - {"X", "y"}
+        _check_keys(dict(self.params), accepted, f"classifier {self.kind!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ClassifierSpec":
         params = {k: v for k, v in doc.items() if k != "kind"}
+        return cls.from_params(doc.get("kind", ""), params)
+
+    @classmethod
+    def from_params(cls, kind: str, params: dict) -> "ClassifierSpec":
         if "hidden" in params:
-            params["hidden"] = tuple(params["hidden"])
-        return cls(kind=doc.get("kind", ""), params=tuple(sorted(params.items())))
+            params = {**params, "hidden": tuple(params["hidden"])}
+        return cls(kind=kind, params=tuple(sorted(params.items())))
 
     def params_repr(self) -> str:
         return ",".join(f"{k}={v}" for k, v in self.params)
@@ -167,6 +188,7 @@ def _parse_profile(doc: dict, where: str) -> ClassProfile:
     missing = required - set(doc)
     if missing:
         raise ConfigError(f"{where}: missing profile fields {sorted(missing)}")
+    _check_keys(doc, required | {"jitter_std"}, where)
     try:
         profile = ClassProfile(
             label=str(doc["label"]),
@@ -189,6 +211,7 @@ def _parse_profile(doc: dict, where: str) -> ClassProfile:
 def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
+    _check_keys(doc, _ROOT_KEYS, "config")
 
     scenario = doc.get("scenario", "custom")
     profiles: list[ClassProfile] = []
@@ -230,6 +253,9 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
 
     transforms = []
     for i, tdoc in enumerate(doc.get("transforms", [{"mode": "none"}])):
+        if not isinstance(tdoc, dict):
+            raise ConfigError(f"transforms[{i}]: must be an object with a mode")
+        _check_keys(tdoc, _TRANSFORM_KEYS, f"transforms[{i}]")
         try:
             transforms.append(
                 TransformSpec(
@@ -351,16 +377,6 @@ def _load_traces(config: ExperimentConfig) -> list[Trace]:
     )
 
 
-def _worker_count() -> int:
-    env = os.environ.get("TPB_WORKERS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"TPB_WORKERS must be an integer, got {env!r}") from exc
-    return min(4, os.cpu_count() or 1)
-
-
 def run_cell(
     X: np.ndarray,
     y: np.ndarray,
@@ -382,7 +398,6 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
     traces = _load_traces(config)
 
     rows: list[SweepRow] = []
-    jobs = []  # (row_index, Xt, y, clf, fraction, cell_seed) per trainable cell
     for wspec in config.window_specs:
         series_list = []
         dropped = 0
@@ -433,35 +448,14 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
                     row.status = "skipped"
                     row.reason = skip_reason
                 else:
-                    jobs.append(
-                        (len(rows), Xt, y, clf, config.train_fraction, cell_seed)
-                    )
+                    try:
+                        row.accuracy, row.n_train, row.n_test = run_cell(
+                            Xt, y, clf, config.train_fraction, cell_seed
+                        )
+                    except Exception as exc:  # captured per cell, sweep continues
+                        row.status = "skipped"
+                        row.reason = f"{type(exc).__name__}: {exc}"
                 rows.append(row)
-
-    def run_job(job):
-        index, Xt, y, clf, fraction, cell_seed = job
-        try:
-            accuracy, n_train, n_test = run_cell(Xt, y, clf, fraction, cell_seed)
-            return index, accuracy, n_train, n_test, ""
-        except Exception as exc:  # captured per cell, sweep continues
-            return index, None, 0, 0, f"{type(exc).__name__}: {exc}"
-
-    workers = _worker_count()
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_job, jobs))
-    else:
-        results = [run_job(job) for job in jobs]
-
-    for index, accuracy, n_train, n_test, reason in results:
-        row = rows[index]
-        if accuracy is None:
-            row.status = "skipped"
-            row.reason = reason
-        else:
-            row.accuracy = accuracy
-            row.n_train = n_train
-            row.n_test = n_test
     return SweepReport(rows=rows)
 
 

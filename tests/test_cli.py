@@ -48,6 +48,20 @@ def test_extract_from_traces_then_attack(tmp_path, capsys):
     assert "accuracy=" in out and "n_train=" in out
 
 
+def test_attack_bad_params_exit_two(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--scenario", "mic_onoff", "--traces-per-class", "2",
+          "--duration", "8.0", "--seed", "3", "--out", str(data)])
+    csv_path = tmp_path / "f.csv"
+    main(["extract", "--traces", str(data), "--burst", "200", "--out", str(csv_path)])
+    for params, named in (('{"epochs": 5}', "epochs"), ("[1]", "JSON object")):
+        code = main(["attack", "--features", str(csv_path), "--classifier", "knn",
+                     "--params", params])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--params" in err and named in err
+
+
 def test_extract_missing_pcap_exits_two(tmp_path, capsys):
     code = main(["extract", "--pcap", str(tmp_path / "missing.pcap"),
                  "--label", "x", "--burst", "100", "--out", str(tmp_path / "o.csv")])
@@ -117,6 +131,7 @@ def test_sweep_and_selftest(tmp_path, capsys):
     assert (tmp_path / "out" / "sweep.csv").exists()
 
     assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
+    assert main(["selftest"]) == 0
 
 
 def test_attack_save_model(tmp_path):

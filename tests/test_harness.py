@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -135,6 +136,20 @@ def test_config_field_errors_are_named():
             "transforms": [{"mode": "none"}],
             "burst_sizes": [100],
         })
+    with pytest.raises(ConfigError, match=r"classifiers\[0\].*'kk'"):
+        config_from_dict({**base, "classifiers": [{"kind": "knn", "kk": 3}]})
+    with pytest.raises(ConfigError, match=r"transforms\[0\].*'windw'"):
+        config_from_dict({**base, "classifiers": [{"kind": "knn"}],
+                          "transforms": [{"mode": "smooth", "windw": 21}]})
+    with pytest.raises(ConfigError, match=r"config.*'seeed'"):
+        config_from_dict({**base, "classifiers": [{"kind": "knn"}], "seeed": 1})
+    with pytest.raises(ConfigError, match=r"transforms\[0\]: must be an object"):
+        config_from_dict({**base, "classifiers": [{"kind": "knn"}],
+                          "transforms": ["none"]})
+    profile = asdict(builtin_profiles(Scenario.MIC_ONOFF)[0])
+    with pytest.raises(ConfigError, match=r"profiles\[0\].*'jiter_std'"):
+        config_from_dict({**base, "classifiers": [{"kind": "knn"}],
+                          "profiles": [{**profile, "jiter_std": 0.1}]})
 
 
 def test_config_missing_pcap_file_fails_at_load(tmp_path):
@@ -206,17 +221,3 @@ def test_emit_report_unwritable_path_fails(tmp_path):
     )])
     with pytest.raises(OSError):
         emit_report(report, blocker / "sub")
-
-
-def test_workers_env_does_not_change_results(tmp_path, monkeypatch):
-    path = small_config(
-        tmp_path,
-        burst_sizes=[150, 300],
-        transforms=[{"mode": "none"}, {"mode": "awgn", "nu": 2.0}],
-        classifiers=[{"kind": "knn"}, {"kind": "tree"}],
-    )
-    monkeypatch.setenv("TPB_WORKERS", "1")
-    serial = run_experiment(load_config(path))
-    monkeypatch.setenv("TPB_WORKERS", "4")
-    parallel = run_experiment(load_config(path))
-    assert [r.as_record() for r in serial.rows] == [r.as_record() for r in parallel.rows]
