@@ -16,7 +16,6 @@ from pathlib import Path
 from tpbench import attackers
 from tpbench.attackers import SplitSpec
 from tpbench.features import (
-    EmptySeriesError,
     WindowSpec,
     extract_series,
     load_features_csv,
@@ -25,13 +24,12 @@ from tpbench.features import (
 )
 from tpbench.harness import (
     ClassifierSpec,
-    ConfigError,
     TransformSpec,
     emit_report,
     load_config,
     run_experiment,
 )
-from tpbench.pcap import PcapFormatError, load_pcap
+from tpbench.pcap import load_pcap
 from tpbench.seeding import derive_seed
 from tpbench.selftest import run_selftest
 from tpbench.traffic import (
@@ -215,10 +213,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "selftest":
             return 0 if run_selftest() else DATA_ERROR
         return handlers[args.command](args)
-    except (ConfigError, PcapFormatError, EmptySeriesError) as exc:
-        print(f"tpbench {args.command}: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, attackers.TrainingDivergedError) as exc:
         print(f"tpbench {args.command}: {exc}", file=sys.stderr)
         return DATA_ERROR
 

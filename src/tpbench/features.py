@@ -11,6 +11,7 @@ subsets are well defined and oracle tests can agree bit-for-bit.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -18,6 +19,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from tpbench.traffic import Protocol, Trace
+
+_TCP, _UDP, _ICMP = Protocol.TCP.code, Protocol.UDP.code, Protocol.ICMP.code
 
 FEATURE_NAMES: tuple[str, ...] = (
     "n_ip_unique",
@@ -134,45 +137,6 @@ class FeatureSeries:
         return replace(self, values=values, transform=transform or self.transform)
 
 
-@dataclass
-class _PacketColumns:
-    """Column view of a trace for vectorized window statistics."""
-
-    timestamps: np.ndarray
-    lengths: np.ndarray
-    protocols: np.ndarray  # codes: 0 TCP, 1 UDP, 2 ICMP, 3 OTHER
-    src_ip: np.ndarray
-    dst_ip: np.ndarray
-    src_port: np.ndarray
-    dst_port: np.ndarray
-    tcp_window: np.ndarray
-
-
-_PROTO_CODE = {Protocol.TCP: 0, Protocol.UDP: 1, Protocol.ICMP: 2, Protocol.OTHER: 3}
-
-
-def _columns(trace: Trace) -> _PacketColumns:
-    n = len(trace.packets)
-    ts = np.empty(n, dtype=np.float64)
-    ln = np.empty(n, dtype=np.float64)
-    pc = np.empty(n, dtype=np.int8)
-    si = np.empty(n, dtype=np.int64)
-    di = np.empty(n, dtype=np.int64)
-    sp = np.empty(n, dtype=np.int64)
-    dp = np.empty(n, dtype=np.int64)
-    tw = np.empty(n, dtype=np.float64)
-    for i, p in enumerate(trace.packets):
-        ts[i] = p.timestamp
-        ln[i] = p.length
-        pc[i] = _PROTO_CODE[p.protocol]
-        si[i] = p.src_ip
-        di[i] = p.dst_ip
-        sp[i] = p.src_port
-        dp[i] = p.dst_port
-        tw[i] = p.tcp_window
-    return _PacketColumns(ts, ln, pc, si, di, sp, dp, tw)
-
-
 def window_packets(trace: Trace, spec: WindowSpec) -> list[tuple[int, int]]:
     """Half-open packet-index ranges for each non-empty window.
 
@@ -181,46 +145,47 @@ def window_packets(trace: Trace, spec: WindowSpec) -> list[tuple[int, int]]:
     discards empty ones (windows with a single packet are kept here; the
     extractor drops them with its dropped-window counter).
     """
-    if not trace.packets:
+    times = trace.timestamps
+    if times.size == 0:
         raise ValueError("cannot window an empty trace")
-    n = len(trace.packets)
     if spec.mode == "burst":
         size = spec.burst_size
-        return [(i * size, (i + 1) * size) for i in range(n // size)]
-    times = np.array([p.timestamp for p in trace.packets], dtype=np.float64)
+        return [(i * size, (i + 1) * size) for i in range(times.size // size)]
     n_intervals = int(times[-1] // spec.timespan) + 1
     bounds = np.arange(n_intervals + 1, dtype=np.float64) * spec.timespan
     cuts = np.searchsorted(times, bounds, side="left")
     return [(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
 
 
-def _features_from_columns(cols: _PacketColumns, start: int, stop: int) -> FeatureVector:
-    ts = cols.timestamps[start:stop]
-    proto = cols.protocols[start:stop]
+def _window_features(trace: Trace, start: int, stop: int) -> FeatureVector:
+    ts = trace.timestamps[start:stop]
+    proto = trace.protocols[start:stop]
+    tcp = proto == _TCP
+    udp = proto == _UDP
 
-    ips = np.union1d(cols.src_ip[start:stop], cols.dst_ip[start:stop])
-    ported = proto <= 1  # TCP or UDP only; port 0 means "no port"
-    sport = cols.src_port[start:stop][ported]
-    dport = cols.dst_port[start:stop][ported]
+    ips = np.union1d(trace.src_ip[start:stop], trace.dst_ip[start:stop])
+    ported = tcp | udp  # port 0 means "no port"
+    sport = trace.src_port[start:stop][ported]
+    dport = trace.dst_port[start:stop][ported]
     ports = np.union1d(sport, dport)
     n_ports = int(np.count_nonzero(ports))  # drop port 0 if present
 
-    n_tcp = int(np.count_nonzero(proto == 0))
-    n_udp = int(np.count_nonzero(proto == 1))
-    n_icmp = int(np.count_nonzero(proto == 2))
+    n_tcp = int(np.count_nonzero(tcp))
+    n_udp = int(np.count_nonzero(udp))
+    n_icmp = int(np.count_nonzero(proto == _ICMP))
 
     gaps = np.diff(ts)
     if gaps.size == 0:
         raise ValueError("window must contain at least 2 packets")
 
-    tcp_windows = cols.tcp_window[start:stop][proto == 0]
+    tcp_windows = trace.tcp_window[start:stop][tcp]
     if tcp_windows.size:
         mean_window = float(np.mean(tcp_windows))
         std_window = float(np.std(tcp_windows))
     else:
         mean_window = std_window = 0.0
 
-    lengths = cols.lengths[start:stop]
+    lengths = trace.lengths[start:stop]
     return FeatureVector(
         n_ip_unique=float(ips.size),
         n_port_unique=float(n_ports),
@@ -242,7 +207,7 @@ def compute_features(trace: Trace, index_range: tuple[int, int]) -> FeatureVecto
     start, stop = index_range
     if stop - start < 2:
         raise ValueError("window must contain at least 2 packets")
-    return _features_from_columns(_columns(trace), start, stop)
+    return _window_features(trace, start, stop)
 
 
 def extract_series(
@@ -254,14 +219,13 @@ def extract_series(
     EmptySeriesError when no window survives.
     """
     ranges = window_packets(trace, spec)
-    cols = _columns(trace)
     rows = []
     dropped = 0
     for start, stop in ranges:
         if stop - start < 2:
             dropped += 1
             continue
-        rows.append(_features_from_columns(cols, start, stop))
+        rows.append(_window_features(trace, start, stop))
     if not rows:
         raise EmptySeriesError(
             f"trace {trace.trace_id or trace.label!r}: no window with >= 2 packets "
@@ -319,6 +283,9 @@ def load_features_csv(path: str | Path) -> list[FeatureSeries]:
                 vec = [float(row[name]) for name in FEATURE_NAMES]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            for name, value in zip(FEATURE_NAMES, vec):
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno}: {name} is {row[name]!r}, not finite")
             group = groups.setdefault(
                 row["trace_id"],
                 {"label": row["label"], "rows": [], "transform": row.get("transform")},

@@ -127,7 +127,14 @@ class ClassifierSpec:
                 f"{attackers.CLASSIFIER_KINDS}"
             )
         accepted = inspect.signature(attackers._TRAINERS[self.kind]).parameters.keys() - {"X", "y"}
-        _check_keys(dict(self.params), accepted, f"classifier {self.kind!r}")
+        params = dict(self.params)
+        _check_keys(params, accepted, f"classifier {self.kind!r}")
+        hidden = params.get("hidden", ())
+        if not (isinstance(hidden, tuple) and all(type(w) is int and w > 0 for w in hidden)):
+            raise ConfigError(
+                f"classifier {self.kind!r}: hidden must be a list of positive layer "
+                f"widths, got {hidden!r}"
+            )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ClassifierSpec":
@@ -136,7 +143,7 @@ class ClassifierSpec:
 
     @classmethod
     def from_params(cls, kind: str, params: dict) -> "ClassifierSpec":
-        if "hidden" in params:
+        if isinstance(params.get("hidden"), list):
             params = {**params, "hidden": tuple(params["hidden"])}
         return cls(kind=kind, params=tuple(sorted(params.items())))
 

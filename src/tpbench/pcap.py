@@ -2,8 +2,8 @@
 
 Supports the classic (non-pcapng) format only: 24-byte global header, 16-byte
 per-record headers, both byte orders, microsecond and nanosecond timestamp
-magics, Ethernet link type. IPv4 TCP/UDP/ICMP packets are decoded into full
-PacketRecords; 802.1Q VLAN tags are skipped transparently; anything else
+magics, Ethernet link type. IPv4 TCP/UDP/ICMP packets are decoded into all
+trace columns; 802.1Q VLAN tags are skipped transparently; anything else
 (IPv6, ARP, non-first IP fragments, L4 headers cut off by the snap length)
 falls back to protocol OTHER / zeroed ports and window. Packet length comes
 from the record's original (un-snapped) length field.
@@ -15,7 +15,9 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
-from tpbench.traffic import PacketRecord, Protocol, Scenario, Trace
+import numpy as np
+
+from tpbench.traffic import Protocol, Scenario, Trace
 
 MAGIC_MICROS_BE = 0xA1B2C3D4
 MAGIC_NANOS_BE = 0xA1B23C4D
@@ -139,7 +141,7 @@ def parse_pcap_with_stats(
     subsec_unit = 1_000_000_000 if header.nanosecond else 1_000_000
     record_fmt = header.byte_order + "IIII"
 
-    raw: list[tuple[int, int, int, Protocol, int, int, int, int, int]] = []
+    raw: list[tuple[int, int, int, int, int, int, int, int, int]] = []
     pos = _GLOBAL_HEADER_LEN
     while pos < len(data):
         if pos + _RECORD_HEADER_LEN > len(data):
@@ -158,7 +160,7 @@ def parse_pcap_with_stats(
         if proto is Protocol.OTHER:
             stats.unrecognized_packets += 1
         raw.append(
-            (ts_sec, ts_sub, orig_len, proto, src_ip, dst_ip, src_port, dst_port, window)
+            (ts_sec, ts_sub, orig_len, proto.code, src_ip, dst_ip, src_port, dst_port, window)
         )
 
     if not raw:
@@ -173,24 +175,14 @@ def parse_pcap_with_stats(
             max_seen = key
     raw.sort(key=lambda rec: (rec[0], rec[1]))  # stable: equal stamps keep order
 
-    base_sec, base_sub = raw[0][0], raw[0][1]
-    packets = []
-    for ts_sec, ts_sub, orig_len, proto, src_ip, dst_ip, src_port, dst_port, window in raw:
-        rel = (ts_sec - base_sec) + (ts_sub - base_sub) / subsec_unit
-        packets.append(
-            PacketRecord(
-                timestamp=round(rel, 9 if header.nanosecond else 6),
-                length=orig_len,
-                protocol=proto,
-                src_ip=src_ip,
-                dst_ip=dst_ip,
-                src_port=src_port,
-                dst_port=dst_port,
-                tcp_window=window,
-            )
-        )
-    stats.packets = len(packets)
-    trace = Trace(packets=packets, label=label, scenario=scenario, trace_id=trace_id)
+    ts_sec, ts_sub, *columns = (np.array(column, dtype=np.int64) for column in zip(*raw))
+    rel = (ts_sec - ts_sec[0]) + (ts_sub - ts_sub[0]) / subsec_unit
+    digits = 9 if header.nanosecond else 6
+    # round(), not np.round: np.round scales by 10**digits first, which can
+    # land one ulp away from the correctly rounded value.
+    timestamps = [round(t, digits) for t in rel.tolist()]
+    stats.packets = len(raw)
+    trace = Trace(timestamps, *columns, label=label, scenario=scenario, trace_id=trace_id)
     return trace, stats
 
 

@@ -142,7 +142,7 @@ def _check_features() -> str:
     for _ in range(100):
         n = int(rng.integers(2, 51))
         packets = _random_packets(rng, n)
-        trace = Trace(packets, label="x")
+        trace = Trace.from_packets(packets, label="x")
         got = compute_features(trace, (0, n))
         want = _loop_features(packets)
         for name in FEATURE_NAMES:

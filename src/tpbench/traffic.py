@@ -1,15 +1,18 @@
 """Packet-level domain types and the synthetic labeled-trace generator.
 
-Traces are ordered lists of PacketRecord. The generator draws inter-packet
-gaps from an exponential distribution (plus optional Gaussian jitter, floored
-at 1 microsecond) and per-packet fields from per-class distributions, so
-classes can be separated in any chosen subset of the windowed features
-downstream. Everything is a pure function of (profile, duration, seed).
+A Trace holds its packets as numpy columns, one array per packet field, so
+windowing and feature extraction read them without a per-packet loop.
+PacketRecord is the row view of one packet, used to build small traces by
+hand and to inspect them. The generator draws inter-packet gaps from an
+exponential distribution (plus optional Gaussian jitter, floored at 1
+microsecond) and per-packet fields from per-class distributions, so classes
+can be separated in any chosen subset of the windowed features downstream.
+Everything is a pure function of (profile, duration, seed).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -29,6 +32,14 @@ class Protocol(Enum):
     ICMP = "ICMP"
     OTHER = "OTHER"
 
+    @property
+    def code(self) -> int:
+        """This protocol's value in `Trace.protocols`: its index in Protocol."""
+        return PROTOCOLS.index(self)
+
+
+PROTOCOLS = tuple(Protocol)
+
 
 class Scenario(Enum):
     MIC_ONOFF = "mic_onoff"
@@ -39,7 +50,7 @@ class Scenario(Enum):
 
 @dataclass(frozen=True, slots=True)
 class PacketRecord:
-    """One captured packet. IPs are opaque 32-bit tokens, not dotted quads."""
+    """Row view of one packet. IPs are opaque 32-bit tokens, not dotted quads."""
 
     timestamp: float  # seconds since trace start, microsecond precision
     length: int  # bytes on wire
@@ -50,41 +61,93 @@ class PacketRecord:
     dst_port: int = 0
     tcp_window: int = 0  # 0 for non-TCP
 
-    def validate(self) -> None:
-        if self.timestamp < 0:
-            raise ValueError(f"negative timestamp {self.timestamp}")
-        if self.length < 0:
-            raise ValueError(f"negative length {self.length}")
-        if not 0 <= self.src_port <= 65535 or not 0 <= self.dst_port <= 65535:
-            raise ValueError("port out of range")
-        if not 0 <= self.tcp_window <= MAX_TCP_WINDOW:
-            raise ValueError("tcp_window out of range")
-        if self.protocol is not Protocol.TCP and self.tcp_window != 0:
-            raise ValueError("tcp_window must be 0 for non-TCP packets")
-        if self.protocol in (Protocol.ICMP, Protocol.OTHER) and (
-            self.src_port != 0 or self.dst_port != 0
-        ):
-            raise ValueError(f"{self.protocol.value} packets carry no ports")
+
+# Trace column -> dtype, in PacketRecord field order.
+_COLUMN_DTYPES = {
+    "timestamps": np.float64,
+    "lengths": np.int64,
+    "protocols": np.int8,  # Protocol.code
+    "src_ip": np.int64,
+    "dst_ip": np.int64,
+    "src_port": np.int64,
+    "dst_port": np.int64,
+    "tcp_window": np.int64,
+}
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
-    """An ordered, labeled packet capture."""
+    """An ordered, labeled packet capture: element i of each column is packet i.
 
-    packets: list[PacketRecord]
+    `timestamps` are float64 seconds since trace start, `protocols` int8
+    `Protocol.code`s and the other columns int64. The constructor coerces
+    each column to its dtype; all columns must have the same length.
+    """
+
+    timestamps: np.ndarray
+    lengths: np.ndarray
+    protocols: np.ndarray
+    src_ip: np.ndarray
+    dst_ip: np.ndarray
+    src_port: np.ndarray
+    dst_port: np.ndarray
+    tcp_window: np.ndarray
     label: str
     scenario: Scenario = Scenario.CUSTOM
     trace_id: str = ""
 
+    def __post_init__(self):
+        for name, dtype in _COLUMN_DTYPES.items():
+            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=dtype))
+        if self.timestamps.ndim != 1 or len({getattr(self, n).shape for n in _COLUMN_DTYPES}) > 1:
+            raise ValueError("trace columns must be 1-D and of equal length")
+
+    @classmethod
+    def from_packets(
+        cls,
+        packets: list[PacketRecord],
+        label: str,
+        scenario: Scenario = Scenario.CUSTOM,
+        trace_id: str = "",
+    ) -> "Trace":
+        columns = {
+            name: [getattr(p, field.name) for p in packets]
+            for name, field in zip(_COLUMN_DTYPES, fields(PacketRecord))
+        }
+        columns["protocols"] = [protocol.code for protocol in columns["protocols"]]
+        return cls(**columns, label=label, scenario=scenario, trace_id=trace_id)
+
+    @property
+    def packets(self) -> list[PacketRecord]:
+        """The packets as PacketRecord rows of Python scalars, built per call."""
+        columns = [getattr(self, name).tolist() for name in _COLUMN_DTYPES]
+        columns[2] = [PROTOCOLS[code] for code in columns[2]]
+        return [PacketRecord(*row) for row in zip(*columns)]
+
     def validate(self) -> None:
-        if not self.packets:
+        if self.timestamps.size == 0:
             raise ValueError("trace must contain at least one packet")
-        prev = 0.0
-        for pkt in self.packets:
-            pkt.validate()
-            if pkt.timestamp < prev:
-                raise ValueError("packet timestamps must be non-decreasing")
-            prev = pkt.timestamp
+        ts, proto, window = self.timestamps, self.protocols, self.tcp_window
+        sport, dport, sip, dip = self.src_port, self.dst_port, self.src_ip, self.dst_ip
+        checks = (
+            (~np.isfinite(ts), "timestamp is not finite"),
+            (ts < 0, "negative timestamp"),
+            (np.diff(ts, prepend=ts[0]) < 0, "packet timestamps must be non-decreasing"),
+            (self.lengths < 0, "negative length"),
+            ((proto < 0) | (proto >= len(PROTOCOLS)), "unknown protocol code"),
+            ((np.minimum(sip, dip) < 0) | (np.maximum(sip, dip) >= 2**32),
+             "IP token outside [0, 2**32)"),
+            ((np.minimum(sport, dport) < 0) | (np.maximum(sport, dport) > 65535),
+             "port out of range"),
+            ((window < 0) | (window > MAX_TCP_WINDOW), "tcp_window out of range"),
+            ((proto != Protocol.TCP.code) & (window != 0),
+             "tcp_window must be 0 for non-TCP packets"),
+            ((proto >= Protocol.ICMP.code) & ((sport != 0) | (dport != 0)),
+             "ICMP and OTHER packets carry no ports"),
+        )
+        for bad, message in checks:
+            if bad.any():
+                raise ValueError(f"packet {int(np.argmax(bad))}: {message}")
 
 
 @dataclass(frozen=True)
@@ -157,6 +220,7 @@ def generate_trace(profile: ClassProfile, duration: float, seed: int) -> Trace:
     if n == 0:
         raise ValueError("profile rate too low for the requested duration: empty trace")
 
+    # Protocol codes: the mix is ordered TCP, UDP, ICMP, as PROTOCOLS is.
     proto_codes = rng.choice(3, size=n, p=np.asarray(profile.protocol_mix, dtype=float))
     lengths = np.clip(
         np.rint(rng.normal(profile.length_mean, profile.length_std, size=n)),
@@ -178,21 +242,8 @@ def generate_trace(profile: ClassProfile, duration: float, seed: int) -> Trace:
     src_port = np.where(has_ports, src_port, 0)
     dst_port = np.where(has_ports, dst_port, 0)
 
-    proto_table = (Protocol.TCP, Protocol.UDP, Protocol.ICMP)
-    packets = [
-        PacketRecord(t, ln, proto_table[pc], si, di, sp, dp, wn)
-        for t, ln, pc, si, di, sp, dp, wn in zip(
-            times.tolist(),
-            lengths.tolist(),
-            proto_codes.tolist(),
-            src_ip.tolist(),
-            dst_ip.tolist(),
-            src_port.tolist(),
-            dst_port.tolist(),
-            windows.tolist(),
-        )
-    ]
-    return Trace(packets=packets, label=profile.label, trace_id=f"{profile.label}-0")
+    return Trace(times, lengths, proto_codes, src_ip, dst_ip, src_port, dst_port, windows,
+                 label=profile.label, trace_id=f"{profile.label}-0")
 
 
 def generate_dataset(
@@ -271,24 +322,6 @@ def builtin_profiles(scenario: Scenario) -> list[ClassProfile]:
     raise ValueError(f"no built-in profiles for scenario {scenario.value!r}")
 
 
-def shift_trace(trace: Trace, offset: float) -> Trace:
-    """Copy of `trace` with all timestamps shifted by `offset` seconds."""
-    moved = [replace(p, timestamp=round(p.timestamp + offset, 6)) for p in trace.packets]
-    return Trace(moved, trace.label, trace.scenario, trace.trace_id)
-
-
-def concat_traces(traces: list[Trace], gap: float = MIN_GAP_SECONDS) -> Trace:
-    """Splice traces end-to-end in time. Label/scenario taken from the first."""
-    if not traces:
-        raise ValueError("nothing to concatenate")
-    packets: list[PacketRecord] = []
-    offset = 0.0
-    for trace in traces:
-        packets.extend(shift_trace(trace, offset).packets)
-        offset = packets[-1].timestamp + gap
-    return Trace(packets, traces[0].label, traces[0].scenario, traces[0].trace_id)
-
-
 # --- line-delimited trace serialization (test fixtures, CLI datasets) ------
 
 _TRACE_FIELDS = "timestamp,length,protocol,src_ip,dst_ip,src_port,dst_port,tcp_window"
@@ -299,17 +332,16 @@ def save_trace(trace: Trace, path: str | Path) -> None:
     if trace.trace_id:
         lines.append(f"# trace_id: {trace.trace_id}")
     lines.append(f"# fields: {_TRACE_FIELDS}")
-    for p in trace.packets:
-        lines.append(
-            f"{p.timestamp!r},{p.length},{p.protocol.value},{p.src_ip},"
-            f"{p.dst_ip},{p.src_port},{p.dst_port},{p.tcp_window}"
-        )
+    columns = [getattr(trace, name).tolist() for name in _COLUMN_DTYPES]
+    columns[0] = [repr(t) for t in columns[0]]
+    columns[2] = [PROTOCOLS[code].value for code in columns[2]]
+    lines.extend(",".join(map(str, row)) for row in zip(*columns))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_trace(path: str | Path, label: str | None = None) -> Trace:
     meta = {"label": "", "scenario": Scenario.CUSTOM.value, "trace_id": ""}
-    packets = []
+    rows = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -324,27 +356,22 @@ def load_trace(path: str | Path, label: str | None = None) -> Trace:
         if len(parts) != 8:
             raise ValueError(f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
         try:
-            packets.append(
-                PacketRecord(
-                    timestamp=float(parts[0]),
-                    length=int(parts[1]),
-                    protocol=Protocol(parts[2]),
-                    src_ip=int(parts[3]),
-                    dst_ip=int(parts[4]),
-                    src_port=int(parts[5]),
-                    dst_port=int(parts[6]),
-                    tcp_window=int(parts[7]),
-                )
+            rows.append(
+                (float(parts[0]), int(parts[1]), Protocol(parts[2]).code,
+                 *(int(part) for part in parts[3:]))
             )
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    trace = Trace(
-        packets=packets,
-        label=label if label is not None else meta["label"],
-        scenario=Scenario(meta["scenario"]),
-        trace_id=meta["trace_id"],
-    )
-    trace.validate()
+    try:
+        trace = Trace(
+            *(zip(*rows) if rows else [()] * len(_COLUMN_DTYPES)),
+            label=label if label is not None else meta["label"],
+            scenario=Scenario(meta["scenario"]),
+            trace_id=meta["trace_id"],
+        )
+        trace.validate()
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return trace
 
 

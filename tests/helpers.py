@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -112,7 +113,7 @@ def random_small_trace(
                 tcp_window=int(rng.integers(0, 65536)) if proto is Protocol.TCP else 0,
             )
         )
-    return Trace(packets=packets, label="rand")
+    return Trace.from_packets(packets, label="rand")
 
 
 # --- exhaustive kNN oracle ---------------------------------------------------
@@ -153,7 +154,9 @@ def exact_count_trace(profile: ClassProfile, n_packets: int, seed: int) -> Trace
     while len(trace.packets) < n_packets:
         duration *= 1.5
         trace = generate_trace(profile, duration, seed)
-    return Trace(trace.packets[:n_packets], profile.label, trace.scenario, trace.trace_id)
+    return Trace.from_packets(
+        trace.packets[:n_packets], profile.label, trace.scenario, trace.trace_id
+    )
 
 
 def apply_alternation(
@@ -163,20 +166,16 @@ def apply_alternation(
 
     field is "length", "window", or None (control class, unmodified stream).
     """
-    from dataclasses import replace as dc_replace
-
-    packets = []
-    for i, p in enumerate(base.packets):
-        sign = 1.0 if (i // seg_packets) % 2 == 0 else -1.0
-        if field == "length":
-            new_len = int(min(max(p.length + sign * delta, 40), 1514))
-            packets.append(dc_replace(p, length=new_len))
-        elif field == "window" and p.protocol is Protocol.TCP:
-            new_win = int(min(max(p.tcp_window + sign * delta, 0), 65535))
-            packets.append(dc_replace(p, tcp_window=new_win))
-        else:
-            packets.append(p)
-    return Trace(packets, label=label, scenario=base.scenario, trace_id=f"{label}-{base.trace_id}")
+    n = base.timestamps.size
+    sign = np.where((np.arange(n) // seg_packets) % 2 == 0, 1.0, -1.0)
+    lengths, windows = base.lengths, base.tcp_window
+    if field == "length":
+        lengths = np.clip(lengths + sign * delta, 40, 1514).astype(np.int64)
+    elif field == "window":
+        shifted = np.clip(windows + sign * delta, 0, 65535).astype(np.int64)
+        windows = np.where(base.protocols == Protocol.TCP.code, shifted, windows)
+    return replace(base, lengths=lengths, tcp_window=windows, label=label,
+                   trace_id=f"{label}-{base.trace_id}")
 
 
 def alternating_burst_dataset(

@@ -54,12 +54,48 @@ def test_attack_bad_params_exit_two(tmp_path, capsys):
           "--duration", "8.0", "--seed", "3", "--out", str(data)])
     csv_path = tmp_path / "f.csv"
     main(["extract", "--traces", str(data), "--burst", "200", "--out", str(csv_path)])
-    for params, named in (('{"epochs": 5}', "epochs"), ("[1]", "JSON object")):
-        code = main(["attack", "--features", str(csv_path), "--classifier", "knn",
+    for classifier, params, named in (
+        ("knn", '{"epochs": 5}', "epochs"),
+        ("knn", "[1]", "JSON object"),
+        ("knn", '{"hidden": 5}', "unknown key(s) ['hidden']"),
+        ("mlp", '{"hidden": 5}', "hidden must be a list"),
+        ("mlp", '{"hidden": ["64"]}', "hidden must be a list"),
+    ):
+        code = main(["attack", "--features", str(csv_path), "--classifier", classifier,
                      "--params", params])
         assert code == 2
         err = capsys.readouterr().err
         assert "--params" in err and named in err
+
+
+def test_attack_diverged_mlp_exits_two(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--scenario", "mic_onoff", "--traces-per-class", "2",
+          "--duration", "8.0", "--seed", "3", "--out", str(data)])
+    csv_path = tmp_path / "f.csv"
+    main(["extract", "--traces", str(data), "--burst", "200", "--out", str(csv_path)])
+    code = main(["attack", "--features", str(csv_path), "--classifier", "mlp",
+                 "--params", '{"epochs": 3, "learning_rate": 1e300}'])
+    assert code == 2
+    assert "non-finite training loss" in capsys.readouterr().err
+
+
+def test_non_finite_feature_csv_exits_two(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--scenario", "mic_onoff", "--traces-per-class", "2",
+          "--duration", "8.0", "--seed", "3", "--out", str(data)])
+    csv_path = tmp_path / "f.csv"
+    main(["extract", "--traces", str(data), "--burst", "200", "--out", str(csv_path)])
+    lines = csv_path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[FEATURE_NAMES.index("std_ipt")] = "nan"
+    lines[3] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n")
+    for argv in (["attack", "--features", str(csv_path), "--classifier", "knn"],
+                 ["perturb", "--in", str(csv_path), "--mode", "awgn",
+                  "--out", str(tmp_path / "g.csv")]):
+        assert main(argv) == 2
+        assert f"f.csv:4: std_ipt is 'nan'" in capsys.readouterr().err
 
 
 def test_extract_missing_pcap_exits_two(tmp_path, capsys):

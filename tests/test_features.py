@@ -41,7 +41,7 @@ def packet(t, proto=Protocol.TCP, length=100, src=1, dst=2, sport=1000, dport=80
 
 
 def uniform_trace(n, spacing=0.1):
-    return Trace([packet(round(i * spacing, 6)) for i in range(n)], label="u")
+    return Trace.from_packets([packet(round(i * spacing, 6)) for i in range(n)], label="u")
 
 
 # --- windowing ---------------------------------------------------------------
@@ -56,13 +56,13 @@ def test_burst_exact_fit():
 
 
 def test_timespan_discards_empty_intervals():
-    trace = Trace([packet(0.1), packet(0.2), packet(5.1)], label="t")
+    trace = Trace.from_packets([packet(0.1), packet(0.2), packet(5.1)], label="t")
     ranges = window_packets(trace, WindowSpec.time_span(1.0))
     assert ranges == [(0, 2), (2, 3)]  # [1,5) intervals are empty and dropped
 
 
 def test_timespan_boundaries_are_half_open():
-    trace = Trace([packet(0.0), packet(1.0), packet(1.5)], label="t")
+    trace = Trace.from_packets([packet(0.0), packet(1.0), packet(1.5)], label="t")
     ranges = window_packets(trace, WindowSpec.time_span(1.0))
     assert ranges == [(0, 1), (1, 3)]  # t=1.0 belongs to the second interval
 
@@ -79,7 +79,7 @@ def test_window_spec_validation():
 # --- the worked three-packet example -----------------------------------------
 
 def test_three_packet_example():
-    trace = Trace(
+    trace = Trace.from_packets(
         [
             packet(0.0, Protocol.TCP, length=100, src=1, dst=2, sport=4000,
                    dport=443, window=512),
@@ -116,7 +116,7 @@ def test_identical_packets_zero_stds():
 
 
 def test_no_tcp_window_stats_zero():
-    trace = Trace(
+    trace = Trace.from_packets(
         [packet(0.0, Protocol.UDP), packet(0.2, Protocol.ICMP)], label="n"
     )
     got = compute_features(trace, (0, 2))
@@ -126,7 +126,7 @@ def test_no_tcp_window_stats_zero():
 
 
 def test_port_zero_and_icmp_ports_excluded():
-    trace = Trace(
+    trace = Trace.from_packets(
         [
             packet(0.0, Protocol.TCP, sport=1000, dport=80),
             packet(0.1, Protocol.ICMP),  # no ports at all
@@ -155,7 +155,7 @@ def test_series_length_and_composition():
 
 
 def test_dropped_single_packet_windows_counted():
-    trace = Trace(
+    trace = Trace.from_packets(
         [packet(0.0), packet(0.1), packet(1.05), packet(2.0), packet(2.2)],
         label="d",
     )
@@ -167,7 +167,7 @@ def test_dropped_single_packet_windows_counted():
 def test_empty_series_raises():
     with pytest.raises(EmptySeriesError):
         extract_series(uniform_trace(3), WindowSpec.burst(5))
-    lonely = Trace([packet(0.0), packet(5.0)], label="l")
+    lonely = Trace.from_packets([packet(0.0), packet(5.0)], label="l")
     with pytest.raises(EmptySeriesError):
         extract_series(lonely, WindowSpec.time_span(1.0))
 
@@ -208,7 +208,7 @@ def test_features_invariant_under_ip_port_relabeling():
         port_map = {old: int(new) for old, new in
                     zip(ports, rng.permutation(len(ports)) + 10000)}
         port_map[0] = 0  # "no port" stays the sentinel
-        relabeled = Trace(
+        relabeled = Trace.from_packets(
             [
                 PacketRecord(
                     p.timestamp, p.length, p.protocol,
@@ -288,3 +288,15 @@ def test_csv_rejects_conflicting_labels(tmp_path):
     path.write_text(f"{header}\n{row},a,0,t\n{row},b,1,t\n")
     with pytest.raises(ValueError, match="conflicting labels"):
         load_features_csv(path)
+
+
+def test_csv_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "bad.csv"
+    header = ",".join(list(FEATURE_NAMES) + ["label", "window_index", "trace_id"])
+    row = ",".join(["1.0"] * 12)
+    for bad in ("nan", "inf", "-inf"):
+        cells = ["1.0"] * 12
+        cells[FEATURE_NAMES.index("mean_ipt")] = bad
+        path.write_text(f"{header}\n{row},a,0,t\n{','.join(cells)},a,1,t\n")
+        with pytest.raises(ValueError, match=f"bad.csv:3: mean_ipt is '{bad}'"):
+            load_features_csv(path)

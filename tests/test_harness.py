@@ -138,6 +138,8 @@ def test_config_field_errors_are_named():
         })
     with pytest.raises(ConfigError, match=r"classifiers\[0\].*'kk'"):
         config_from_dict({**base, "classifiers": [{"kind": "knn", "kk": 3}]})
+    with pytest.raises(ConfigError, match=r"classifiers\[0\].*hidden must be a list"):
+        config_from_dict({**base, "classifiers": [{"kind": "mlp", "hidden": 5}]})
     with pytest.raises(ConfigError, match=r"transforms\[0\].*'windw'"):
         config_from_dict({**base, "classifiers": [{"kind": "knn"}],
                           "transforms": [{"mode": "smooth", "windw": 21}]})

@@ -1,6 +1,11 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from helpers import build_pcap, ipv4_frame, raw_frame
+from tpbench.pcap import parse_pcap
 from tpbench.traffic import (
     ClassProfile,
     PacketRecord,
@@ -8,7 +13,6 @@ from tpbench.traffic import (
     Scenario,
     Trace,
     builtin_profiles,
-    concat_traces,
     generate_dataset,
     generate_trace,
     load_trace,
@@ -147,19 +151,56 @@ def test_load_trace_reports_bad_line(tmp_path):
         load_trace(path)
 
 
-def test_concat_traces_keeps_order_and_shifts_time():
-    a = generate_trace(profile(), 1.0, seed=1)
-    b = generate_trace(profile(), 1.0, seed=2)
-    joined = concat_traces([a, b])
-    joined.validate()
-    assert len(joined.packets) == len(a.packets) + len(b.packets)
-    assert joined.packets[len(a.packets)].timestamp > a.packets[-1].timestamp
-
-
 def test_packet_record_invariants():
+    bad_rows = [
+        (PacketRecord(0.0, 100, Protocol.UDP, 1, 2, 5, 6, tcp_window=9), "non-TCP"),
+        (PacketRecord(0.0, 100, Protocol.ICMP, 1, 2, src_port=5), "carry no ports"),
+        (PacketRecord(-1.0, 100, Protocol.TCP, 1, 2), "negative timestamp"),
+        (PacketRecord(0.0, -1, Protocol.TCP, 1, 2), "negative length"),
+        (PacketRecord(0.0, 100, Protocol.TCP, 1, 2, src_port=65536), "port out of range"),
+        (PacketRecord(0.0, 100, Protocol.TCP, 1, 2, tcp_window=65536), "tcp_window out"),
+        (PacketRecord(math.nan, 100, Protocol.TCP, 1, 2), "not finite"),
+        (PacketRecord(math.inf, 100, Protocol.TCP, 1, 2), "not finite"),
+        (PacketRecord(0.0, 100, Protocol.TCP, -7, 2), "IP token"),
+        (PacketRecord(0.0, 100, Protocol.TCP, 1, 2**32), "IP token"),
+    ]
+    good = PacketRecord(0.0, 100, Protocol.TCP, 1, 2, 5, 6, tcp_window=9)
+    for row, message in bad_rows:
+        with pytest.raises(ValueError, match=f"packet 1: .*{message}"):
+            Trace.from_packets([good, row], label="x").validate()
+    with pytest.raises(ValueError, match="non-decreasing"):
+        Trace.from_packets([replace(good, timestamp=1.0), good], label="x").validate()
     with pytest.raises(ValueError):
-        PacketRecord(0.0, 100, Protocol.UDP, 1, 2, 5, 6, tcp_window=9).validate()
-    with pytest.raises(ValueError):
-        PacketRecord(0.0, 100, Protocol.ICMP, 1, 2, src_port=5).validate()
-    with pytest.raises(ValueError):
-        Trace([], label="x").validate()
+        Trace.from_packets([], label="x").validate()
+
+
+@pytest.mark.parametrize("row, message", [
+    ("nan,100,TCP,1,2,5,6,9", "packet 1: timestamp is not finite"),
+    ("inf,100,TCP,1,2,5,6,9", "packet 1: timestamp is not finite"),
+    ("0.5,100,TCP,-7,2,5,6,9", "packet 1: IP token outside"),
+    (f"0.5,100,TCP,{2**70},2,5,6,9", ""),  # overflows int64; wording is numpy's
+    ("0.1,100,TCP,1,2,5,6,9", "packet 1: packet timestamps must be non-decreasing"),
+])
+def test_load_trace_validation_names_file(tmp_path, row, message):
+    path = tmp_path / "bad.trace"
+    path.write_text(f"0.2,100,TCP,1,2,5,6,9\n{row}\n")
+    with pytest.raises(ValueError, match=f"bad.trace: {message}"):
+        load_trace(path)
+
+
+def test_row_view_round_trip():
+    pcap = build_pcap([
+        (0.0, ipv4_frame(Protocol.TCP, 11, 22, 1234, 443, tcp_window=4096)),
+        (0.25, ipv4_frame(Protocol.UDP, 11, 33, 5353, 53)),
+        (1.75, ipv4_frame(Protocol.ICMP, 11, 44)),
+        (2.0, raw_frame(0x86DD)),
+    ])
+    for trace in (generate_trace(profile(), 2.0, seed=5), parse_pcap(pcap, label="q")):
+        back = Trace.from_packets(trace.packets, trace.label, trace.scenario, trace.trace_id)
+        for name in ("timestamps", "lengths", "protocols", "src_ip", "dst_ip",
+                     "src_port", "dst_port", "tcp_window"):
+            column, again = getattr(trace, name), getattr(back, name)
+            assert column.dtype == again.dtype and np.array_equal(column, again), name
+        row = trace.packets[-1]
+        assert type(row.timestamp) is float and type(row.tcp_window) is int
+        assert isinstance(row.protocol, Protocol)
