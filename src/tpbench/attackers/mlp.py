@@ -97,34 +97,37 @@ def fit_mlp(
     v_b = [np.zeros_like(b) for b in biases]
     step = 0
     curve = []
-    for epoch in range(1, epochs + 1):
-        perm = rng.permutation(y.size)
-        epoch_loss = 0.0
-        for start in range(0, y.size, batch_size):
-            rows = perm[start : start + batch_size]
-            loss, grad_w, grad_b = loss_and_gradients(
-                weights, biases, X[rows], onehot[rows]
-            )
-            epoch_loss += loss * rows.size
-            step += 1
-            correction1 = 1.0 - ADAM_BETA1**step
-            correction2 = 1.0 - ADAM_BETA2**step
-            for layer in range(len(weights)):
-                for param, grad, m, v in (
-                    (weights[layer], grad_w[layer], m_w[layer], v_w[layer]),
-                    (biases[layer], grad_b[layer], m_b[layer], v_b[layer]),
-                ):
-                    m *= ADAM_BETA1
-                    m += (1.0 - ADAM_BETA1) * grad
-                    v *= ADAM_BETA2
-                    v += (1.0 - ADAM_BETA2) * grad**2
-                    param -= learning_rate * (m / correction1) / (
-                        np.sqrt(v / correction2) + ADAM_EPS
-                    )
-        epoch_loss /= y.size
-        if not np.isfinite(epoch_loss):
-            raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
-        curve.append(epoch_loss)
+    # a diverging run overflows before its loss turns non-finite; the loss
+    # check below reports it, so numpy's warnings would only add noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, epochs + 1):
+            perm = rng.permutation(y.size)
+            epoch_loss = 0.0
+            for start in range(0, y.size, batch_size):
+                rows = perm[start : start + batch_size]
+                loss, grad_w, grad_b = loss_and_gradients(
+                    weights, biases, X[rows], onehot[rows]
+                )
+                epoch_loss += loss * rows.size
+                step += 1
+                correction1 = 1.0 - ADAM_BETA1**step
+                correction2 = 1.0 - ADAM_BETA2**step
+                for layer in range(len(weights)):
+                    for param, grad, m, v in (
+                        (weights[layer], grad_w[layer], m_w[layer], v_w[layer]),
+                        (biases[layer], grad_b[layer], m_b[layer], v_b[layer]),
+                    ):
+                        m *= ADAM_BETA1
+                        m += (1.0 - ADAM_BETA1) * grad
+                        v *= ADAM_BETA2
+                        v += (1.0 - ADAM_BETA2) * grad**2
+                        param -= learning_rate * (m / correction1) / (
+                            np.sqrt(v / correction2) + ADAM_EPS
+                        )
+            epoch_loss /= y.size
+            if not np.isfinite(epoch_loss):
+                raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
+            curve.append(epoch_loss)
     return MlpParams(weights=weights, biases=biases, loss_curve=curve)
 
 

@@ -33,42 +33,46 @@ class TreeParams:
     n_classes: int
 
 
-def _best_split(X, y, parent_counts, feature_ids, min_leaf):
-    """Best (gain, feature, threshold) over the candidate features, or None."""
-    n = y.size
-    n_classes = parent_counts.size
-    parent_gini = 1.0 - float(np.sum((parent_counts / n) ** 2))
-    best_gain = _MIN_GAIN
-    best = None
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
-    for f in feature_ids:
-        x = X[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        positions = np.nonzero(xs[1:] > xs[:-1])[0] + 1
-        positions = positions[(positions >= min_leaf) & (n - positions >= min_leaf)]
-        if positions.size == 0:
-            continue
-        cum = np.cumsum(onehot[order], axis=0)
-        left_counts = cum[positions - 1]
-        n_left = positions.astype(np.float64)
-        n_right = n - n_left
-        gini_left = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=1)
-        gini_right = 1.0 - np.sum(
-            ((parent_counts - left_counts) / n_right[:, None]) ** 2, axis=1
-        )
-        gains = parent_gini - (n_left * gini_left + n_right * gini_right) / n
-        j = int(np.argmax(gains))  # first max = lowest threshold
-        if gains[j] > best_gain:
-            low = xs[positions[j] - 1]
-            high = xs[positions[j]]
-            threshold = (low + high) / 2.0
-            if threshold >= high:  # float midpoint collapsed onto the upper value
-                threshold = low
-            best_gain = float(gains[j])
-            best = (best_gain, int(f), float(threshold))
-    return best
+def _best_split(XT, idx, onehot, counts, feature_ids, min_leaf):
+    """Best split of the rows `idx`, or None.
+
+    One pass over all candidate features: a stable sort of the (k, n)
+    candidate matrix and one cumulative sum of the one-hot labels taken in
+    that order give the left class counts at every cut. Gains are evaluated
+    only where the sorted value steps up and both sides keep min_leaf rows.
+    Returns (feature, threshold, left rows, right rows, left class counts).
+    """
+    n = idx.size
+    parent_gini = 1.0 - float(np.add.reduce((counts / n) ** 2))
+    features = feature_ids[:, None]
+    rows = idx[XT[features, idx].argsort(axis=1, kind="stable")]
+    xs = XT[features, rows]
+    valid = xs[:, 1:] > xs[:, :-1]  # column p-1 is the cut before sorted row p
+    valid[:, : min_leaf - 1] = False
+    valid[:, n - min_leaf :] = False
+    col, row = np.nonzero(valid)  # feature-major, positions ascending
+    if col.size == 0:
+        return None
+    left_counts = onehot[rows].cumsum(axis=1)[col, row]
+    n_left = row + 1.0
+    n_right = n - n_left
+    gini_left = 1.0 - np.add.reduce((left_counts / n_left[:, None]) ** 2, axis=1)
+    gini_right = 1.0 - np.add.reduce(
+        ((counts - left_counts) / n_right[:, None]) ** 2, axis=1
+    )
+    gains = parent_gini - (n_left * gini_left + n_right * gini_right) / n
+    j = gains.argmax()  # first max = lowest feature, then lowest threshold
+    if gains[j] <= _MIN_GAIN:
+        return None
+    f, p = col[j], row[j] + 1
+    low, high = xs[f, p - 1], xs[f, p]
+    threshold = (low + high) / 2.0
+    if threshold >= high:  # float midpoint collapsed onto the upper value
+        threshold = low
+    # low <= threshold < high, so the left child is exactly the first p rows.
+    # Row order inside a node does not matter: the class counts at a cut
+    # between distinct values are the same for any order of tied rows.
+    return int(feature_ids[f]), float(threshold), rows[f, :p], rows[f, p:], left_counts[j]
 
 
 def fit_tree(
@@ -87,12 +91,16 @@ def fit_tree(
     if y.size == 0:
         raise ValueError("training set must be non-empty")
     n_features = X.shape[1]
+    XT = np.ascontiguousarray(X.T)
+    onehot = np.zeros((y.size, n_classes))
+    onehot[np.arange(y.size), y] = 1.0
+    all_features = np.arange(n_features)
     root = TreeNode()
-    stack = [(root, np.arange(y.size), 0)]
+    counts = np.bincount(y, minlength=n_classes).astype(np.float64)
+    stack = [(root, np.arange(y.size), counts, 0)]
     while stack:
-        node, idx, depth = stack.pop()
-        counts = np.bincount(y[idx], minlength=n_classes)
-        majority = int(np.argmax(counts))
+        node, idx, counts, depth = stack.pop()
+        majority = int(counts.argmax())
         if (
             counts[majority] == idx.size  # pure
             or (max_depth is not None and depth >= max_depth)
@@ -101,21 +109,21 @@ def fit_tree(
             node.klass = majority
             continue
         if rng is not None and features_per_split and features_per_split < n_features:
-            feature_ids = np.sort(rng.choice(n_features, size=features_per_split, replace=False))
+            feature_ids = rng.choice(n_features, size=features_per_split, replace=False)
+            feature_ids.sort()
         else:
-            feature_ids = np.arange(n_features)
-        found = _best_split(X[idx], y[idx], counts.astype(np.float64), feature_ids, min_leaf)
+            feature_ids = all_features
+        found = _best_split(XT, idx, onehot, counts, feature_ids, min_leaf)
         if found is None:
             node.klass = majority
             continue
-        _, node.feature, node.threshold = found
-        goes_left = X[idx, node.feature] <= node.threshold
+        node.feature, node.threshold, left, right, left_counts = found
         node.left = TreeNode()
         node.right = TreeNode()
         # push right first so the left child is expanded first (keeps the
         # rng consumption order deterministic for forest trees)
-        stack.append((node.right, idx[~goes_left], depth + 1))
-        stack.append((node.left, idx[goes_left], depth + 1))
+        stack.append((node.right, right, counts - left_counts, depth + 1))
+        stack.append((node.left, left, left_counts, depth + 1))
     return TreeParams(root=root, n_classes=n_classes)
 
 

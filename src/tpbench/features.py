@@ -203,8 +203,14 @@ def _window_features(trace: Trace, start: int, stop: int) -> FeatureVector:
 
 
 def compute_features(trace: Trace, index_range: tuple[int, int]) -> FeatureVector:
-    """The 12 indicators over packets[start:stop]. Needs >= 2 packets."""
+    """The 12 indicators over packets[start:stop]. Needs >= 2 packets, all
+    inside the trace."""
     start, stop = index_range
+    n_packets = trace.timestamps.size
+    if start < 0 or stop > n_packets:
+        raise ValueError(
+            f"window range ({start}, {stop}) lies outside the trace of {n_packets} packets"
+        )
     if stop - start < 2:
         raise ValueError("window must contain at least 2 packets")
     return _window_features(trace, start, stop)

@@ -106,13 +106,21 @@ class TransformSpec:
         return f"{self.mode}({self.params_repr()})"
 
     def apply(self, X: np.ndarray, seed: int) -> np.ndarray:
+        """The transformed copy of X. Raises ValueError naming the transform
+        if any value is not finite (e.g. noise scaled by a huge nu)."""
         if self.mode == "none":
-            return np.array(X, dtype=np.float64, copy=True)
-        if self.mode == "smooth":
-            return smooth_columns(X, SavGolSpec(self.window, self.degree))
-        if self.mode == "awgn":
-            return inject_awgn_columns(X, self.nu, seed, clamp_counts=self.clamp_counts)
-        return apply_realistic_columns(X, RealisticSpec(self.nu, seed, self.clamp_counts))
+            out = np.array(X, dtype=np.float64, copy=True)
+        elif self.mode == "smooth":
+            out = smooth_columns(X, SavGolSpec(self.window, self.degree))
+        elif self.mode == "awgn":
+            out = inject_awgn_columns(X, self.nu, seed, clamp_counts=self.clamp_counts)
+        else:
+            out = apply_realistic_columns(X, RealisticSpec(self.nu, seed, self.clamp_counts))
+        # min and max propagate NaN, so both are finite only if every value is;
+        # unlike isfinite(out) this allocates no matrix-sized temporary
+        if out.size and not np.isfinite([out.min(), out.max()]).all():
+            raise ValueError(f"transform {self.key()} produced non-finite values")
+        return out
 
 
 @dataclass(frozen=True)

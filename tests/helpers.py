@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the library's code paths: smoothing
 weights come from exact rational arithmetic on the normal equations, feature
-statistics from plain Python loops, and nearest-neighbor votes from an
-exhaustive scan.
+statistics from plain Python loops, nearest-neighbor votes from an
+exhaustive scan, and tree splits from a search over one feature at a time.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from tpbench.attackers.tree import TreeNode
 from tpbench.seeding import derive_seed
 from tpbench.traffic import ClassProfile, PacketRecord, Protocol, Trace, generate_trace
 
@@ -136,6 +137,96 @@ def knn_oracle(train_x, train_labels, classes, k, query) -> str:
     top = max(votes.values())
     tied = [c for c in classes if votes.get(c, 0) == top]
     return min(tied, key=lambda c: (sums[c], classes.index(c)))
+
+
+# --- per-feature CART oracle -------------------------------------------------
+
+def reference_best_split(X, y, parent_counts, feature_ids, min_leaf):
+    """The split search one feature at a time: sort, cumulative class counts,
+    Gini gain at every cut between distinct values. Ties go to the first
+    feature searched, then the lowest threshold."""
+    n = y.size
+    n_classes = parent_counts.size
+    parent_gini = 1.0 - float(np.sum((parent_counts / n) ** 2))
+    best_gain = 1e-12
+    best = None
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y] = 1.0
+    for f in feature_ids:
+        x = X[:, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        positions = np.nonzero(xs[1:] > xs[:-1])[0] + 1
+        positions = positions[(positions >= min_leaf) & (n - positions >= min_leaf)]
+        if positions.size == 0:
+            continue
+        cum = np.cumsum(onehot[order], axis=0)
+        left_counts = cum[positions - 1]
+        n_left = positions.astype(np.float64)
+        n_right = n - n_left
+        gini_left = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=1)
+        gini_right = 1.0 - np.sum(
+            ((parent_counts - left_counts) / n_right[:, None]) ** 2, axis=1
+        )
+        gains = parent_gini - (n_left * gini_left + n_right * gini_right) / n
+        j = int(np.argmax(gains))
+        if gains[j] > best_gain:
+            low = xs[positions[j] - 1]
+            high = xs[positions[j]]
+            threshold = (low + high) / 2.0
+            if threshold >= high:
+                threshold = low
+            best_gain = float(gains[j])
+            best = (best_gain, int(f), float(threshold))
+    return best
+
+
+def reference_fit_tree(
+    X, y, n_classes, max_depth=None, min_leaf=1, rng=None, features_per_split=None
+) -> TreeNode:
+    """Depth-first CART growth that recounts classes at every node and draws
+    the forest's feature subset (if any) before each split search."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n_features = X.shape[1]
+    root = TreeNode()
+    stack = [(root, np.arange(y.size), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        counts = np.bincount(y[idx], minlength=n_classes)
+        majority = int(np.argmax(counts))
+        if (
+            counts[majority] == idx.size
+            or (max_depth is not None and depth >= max_depth)
+            or idx.size < 2 * min_leaf
+        ):
+            node.klass = majority
+            continue
+        if rng is not None and features_per_split and features_per_split < n_features:
+            feature_ids = np.sort(rng.choice(n_features, size=features_per_split, replace=False))
+        else:
+            feature_ids = np.arange(n_features)
+        found = reference_best_split(
+            X[idx], y[idx], counts.astype(np.float64), feature_ids, min_leaf
+        )
+        if found is None:
+            node.klass = majority
+            continue
+        _, node.feature, node.threshold = found
+        goes_left = X[idx, node.feature] <= node.threshold
+        node.left = TreeNode()
+        node.right = TreeNode()
+        stack.append((node.right, idx[~goes_left], depth + 1))
+        stack.append((node.left, idx[goes_left], depth + 1))
+    return root
+
+
+def tree_nodes(node: TreeNode) -> list[tuple]:
+    """Preorder (feature, threshold, class) of every node."""
+    out = [(node.feature, node.threshold, node.klass)]
+    if not node.is_leaf:
+        out += tree_nodes(node.left) + tree_nodes(node.right)
+    return out
 
 
 # --- alternating-burst traces -------------------------------------------------

@@ -4,11 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import knn_oracle
+from helpers import knn_oracle, reference_fit_tree, tree_nodes
 from tpbench import attackers
 from tpbench.attackers import SplitSpec, split
 from tpbench.attackers.adaboost import fit_adaboost
+from tpbench.attackers.forest import fit_forest
 from tpbench.attackers.mlp import TrainingDivergedError, _init_params, loss_and_gradients
+from tpbench.attackers.tree import fit_tree
+from tpbench.seeding import derive_seed
 
 
 def blobs(rng, n_per_class, centers, spread=1.0, dims=12):
@@ -152,6 +155,49 @@ def test_tree_max_depth_and_min_leaf_limit_growth():
     assert min(sizes) >= 25
 
 
+def _oracle_case(rng):
+    """Random rows with continuous, heavily tied integer, constant and
+    adjacent-float columns (whose midpoint rounds onto the upper value)."""
+    n = int(rng.integers(2, 70))
+    columns = {
+        "continuous": lambda: rng.normal(size=n),
+        "tied": lambda: rng.integers(0, 3, size=n).astype(np.float64),
+        "constant": lambda: np.full(n, 1.5),
+        "adjacent": lambda: 1.0 + np.spacing(1.0) * rng.integers(1, 3, size=n),
+    }
+    kinds = rng.choice(list(columns), size=int(rng.integers(1, 6)))
+    X = np.column_stack([columns[kind]() for kind in kinds])
+    n_classes = int(rng.integers(2, 5))
+    return X, rng.integers(0, n_classes, size=n), n_classes
+
+
+def test_tree_split_search_matches_per_feature_oracle():
+    rng = np.random.default_rng(40)
+    for case in range(240):
+        X, y, n_classes = _oracle_case(rng)
+        kwargs = {
+            "max_depth": [None, 2, 5][case % 3],
+            "min_leaf": int(rng.integers(1, 4)),
+            "features_per_split": [None, 2, 3][(case // 3) % 3],
+        }
+        seed = int(rng.integers(2**32))
+        got = fit_tree(X, y, n_classes, rng=np.random.default_rng(seed), **kwargs)
+        want = reference_fit_tree(X, y, n_classes, rng=np.random.default_rng(seed), **kwargs)
+        assert tree_nodes(got.root) == tree_nodes(want), (case, kwargs)
+
+
+def test_forest_matches_per_feature_oracle():
+    rng = np.random.default_rng(41)
+    X = np.column_stack([rng.normal(size=90), rng.integers(0, 4, size=90), rng.normal(size=90)])
+    y = rng.integers(0, 3, size=90)
+    forest = fit_forest(X, y, 3, n_trees=12, features_per_split=2, seed=5)
+    for t, tree in enumerate(forest.trees):
+        tree_rng = np.random.default_rng(derive_seed(5, "tree", t))
+        rows = tree_rng.integers(0, y.size, size=y.size)
+        want = reference_fit_tree(X[rows], y[rows], 3, rng=tree_rng, features_per_split=2)
+        assert tree_nodes(tree.root) == tree_nodes(want), t
+
+
 # --- random forest ----------------------------------------------------------------
 
 def test_forest_single_tree_no_bootstrap_reduces_to_cart():
@@ -291,7 +337,7 @@ def test_mlp_divergence_names_epoch():
     rng = np.random.default_rng(16)
     X, y = blobs(rng, 10, [("a", 0.0), ("b", 1.0)])
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")  # divergence is reported by the error alone
         with pytest.raises(TrainingDivergedError, match="epoch"):
             attackers.train_mlp(X, y, epochs=5, learning_rate=1e200, seed=1)
 

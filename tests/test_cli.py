@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 
@@ -74,9 +75,12 @@ def test_attack_diverged_mlp_exits_two(tmp_path, capsys):
           "--duration", "8.0", "--seed", "3", "--out", str(data)])
     csv_path = tmp_path / "f.csv"
     main(["extract", "--traces", str(data), "--burst", "200", "--out", str(csv_path)])
-    code = main(["attack", "--features", str(csv_path), "--classifier", "mlp",
-                 "--params", '{"epochs": 3, "learning_rate": 1e300}'])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["attack", "--features", str(csv_path), "--classifier", "mlp",
+                     "--params", '{"epochs": 3, "learning_rate": 1e300}'])
     assert code == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "non-finite training loss" in capsys.readouterr().err
 
 
@@ -86,6 +90,11 @@ def test_non_finite_feature_csv_exits_two(tmp_path, capsys):
           "--duration", "8.0", "--seed", "3", "--out", str(data)])
     csv_path = tmp_path / "f.csv"
     main(["extract", "--traces", str(data), "--burst", "200", "--out", str(csv_path)])
+    # a transform that overflows fails before anything is written
+    assert main(["perturb", "--in", str(csv_path), "--mode", "awgn", "--nu", "1e308",
+                 "--out", str(tmp_path / "g.csv")]) == 2
+    assert "transform awgn(nu=1e+308) produced non-finite values" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
     lines = csv_path.read_text().splitlines()
     cells = lines[3].split(",")
     cells[FEATURE_NAMES.index("std_ipt")] = "nan"

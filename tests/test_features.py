@@ -143,6 +143,13 @@ def test_single_packet_window_rejected():
         compute_features(uniform_trace(5), (2, 3))
 
 
+@pytest.mark.parametrize("index_range", [(0, 1000), (3, 6), (-1, 3)])
+def test_window_range_outside_trace_rejected(index_range):
+    pattern = rf"window range \({index_range[0]}, {index_range[1]}\) .* trace of 5 packets"
+    with pytest.raises(ValueError, match=pattern):
+        compute_features(uniform_trace(5), index_range)
+
+
 # --- series extraction --------------------------------------------------------
 
 def test_series_length_and_composition():

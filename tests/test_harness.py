@@ -1,6 +1,7 @@
 import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from tpbench.features import WindowSpec, extract_series, stack_series
@@ -77,6 +78,21 @@ def test_grid_accounting_with_smoothing_skips(tmp_path):
         assert row.window_size == 2000
         assert row.transform == "smooth"
         assert "window_length" in row.reason or "usable window" in row.reason
+
+
+def test_non_finite_transform_output_skips_cell(tmp_path):
+    path = small_config(
+        tmp_path,
+        transforms=[{"mode": "none"}, {"mode": "awgn", "nu": 1e308}],
+        classifiers=[{"kind": "knn"}, {"kind": "tree"}],
+    )
+    report = run_experiment(load_config(path))
+    assert [row.status for row in report.rows] == ["ok", "ok", "skipped", "skipped"]
+    for row in report.skipped_rows():
+        assert row.reason == "transform awgn(nu=1e+308) produced non-finite values"
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match=r"transform none\(\) produced non-finite"):
+            TransformSpec("none").apply(np.array([[1.0, bad], [2.0, 3.0]]), 0)
 
 
 def test_pivot_smoothing_columns_per_degree(tmp_path):
