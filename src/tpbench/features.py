@@ -6,6 +6,8 @@ computes endpoint/port uniqueness counts, protocol counts, inter-packet-time
 statistics, TCP window statistics and packet length statistics. All standard
 deviations use the population convention (divide by count), so single-value
 subsets are well defined and oracle tests can agree bit-for-bit.
+`extract_series` computes a block of equal-sized windows at a time;
+`compute_features` computes one window on its own and is its test oracle.
 """
 
 from __future__ import annotations
@@ -145,16 +147,23 @@ def window_packets(trace: Trace, spec: WindowSpec) -> list[tuple[int, int]]:
     discards empty ones (windows with a single packet are kept here; the
     extractor drops them with its dropped-window counter).
     """
+    starts, stops = _window_bounds(trace, spec)
+    return list(zip(starts.tolist(), stops.tolist()))
+
+
+def _window_bounds(trace: Trace, spec: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop index arrays of the ranges `window_packets` lists."""
     times = trace.timestamps
     if times.size == 0:
         raise ValueError("cannot window an empty trace")
     if spec.mode == "burst":
-        size = spec.burst_size
-        return [(i * size, (i + 1) * size) for i in range(times.size // size)]
+        starts = np.arange(times.size // spec.burst_size, dtype=np.int64) * spec.burst_size
+        return starts, starts + spec.burst_size
     n_intervals = int(times[-1] // spec.timespan) + 1
     bounds = np.arange(n_intervals + 1, dtype=np.float64) * spec.timespan
     cuts = np.searchsorted(times, bounds, side="left")
-    return [(int(a), int(b)) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+    nonempty = cuts[1:] > cuts[:-1]
+    return cuts[:-1][nonempty], cuts[1:][nonempty]
 
 
 def _window_features(trace: Trace, start: int, stop: int) -> FeatureVector:
@@ -224,26 +233,85 @@ def extract_series(
     Windows with fewer than 2 packets are dropped and counted. Raises
     EmptySeriesError when no window survives.
     """
-    ranges = window_packets(trace, spec)
-    rows = []
-    dropped = 0
-    for start, stop in ranges:
-        if stop - start < 2:
-            dropped += 1
-            continue
-        rows.append(_window_features(trace, start, stop))
-    if not rows:
+    starts, stops = _window_bounds(trace, spec)
+    kept = stops - starts >= 2
+    if not kept.any():
         raise EmptySeriesError(
             f"trace {trace.trace_id or trace.label!r}: no window with >= 2 packets "
             f"under {spec.key()}"
         )
     return FeatureSeries(
-        values=np.array(rows, dtype=np.float64),
+        values=_window_matrix(trace, starts[kept], stops[kept]),
         label=trace.label,
         window_spec=spec,
         trace_id=trace_id if trace_id is not None else trace.trace_id,
-        dropped_windows=dropped,
+        dropped_windows=int(np.count_nonzero(~kept)),
     )
+
+
+# Element budget of one gathered (windows, packets) block of a column in
+# `_window_matrix`: 64 KiB of int64 or float64.
+BLOCK_ELEMENTS = 1 << 13
+
+
+def _blocks(sizes: np.ndarray):
+    """(rows, size): indices of windows that share one size, in window order,
+    at most BLOCK_ELEMENTS // size of them at a time."""
+    order = np.argsort(sizes, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
+        size = int(sizes[rows[0]])
+        step = max(1, BLOCK_ELEMENTS // max(1, size))
+        for lo in range(0, rows.size, step):
+            yield rows[lo : lo + step], size
+
+
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """Distinct values per row of a row-wise sorted matrix."""
+    return 1 + np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
+
+
+def _window_matrix(trace: Trace, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The `_window_features` rows of windows [starts[i], stops[i]) (each of
+    >= 2 packets), one block of equal-sized windows at a time. Each feature is
+    the same reduction over the same values in the same order as the
+    per-window code, taken along axis 1 of a (windows, packets) matrix, so
+    the results agree bit for bit."""
+    out = np.zeros((starts.size, N_FEATURES))
+    f = FEATURE_INDEX
+    for rows, size in _blocks(stops - starts):
+        packets = starts[rows, None] + np.arange(size)
+        proto = trace.protocols[packets]
+        tcp, udp = proto == _TCP, proto == _UDP
+        ips = np.concatenate([trace.src_ip[packets], trace.dst_ip[packets]], axis=1)
+        ips.sort(axis=1)
+        ports = np.concatenate([trace.src_port[packets], trace.dst_port[packets]], axis=1)
+        ports[~np.tile(tcp | udp, 2)] = 0  # port 0 means "no port"
+        ports.sort(axis=1)
+        gaps = np.diff(trace.timestamps[packets], axis=1)
+        lengths = trace.lengths[packets]
+        out[rows, f["n_ip_unique"]] = _distinct(ips)
+        out[rows, f["n_port_unique"]] = _distinct(ports) - (ports == 0).any(axis=1)
+        out[rows, f["n_pack_tcp"]] = np.count_nonzero(tcp, axis=1)
+        out[rows, f["n_pack_udp"]] = np.count_nonzero(udp, axis=1)
+        out[rows, f["n_pack_icmp"]] = np.count_nonzero(proto == _ICMP, axis=1)
+        out[rows, f["max_diff_time"]] = gaps.max(axis=1)
+        out[rows, f["mean_ipt"]] = np.mean(gaps, axis=1)
+        out[rows, f["std_ipt"]] = np.std(gaps, axis=1)
+        out[rows, f["mean_len_pack"]] = np.mean(lengths, axis=1)
+        out[rows, f["std_len_pack"]] = np.std(lengths, axis=1)
+
+    # TCP window statistics: each window's TCP packets, in packet order, are
+    # a contiguous run of the TCP-only column.
+    tcp_at = np.flatnonzero(trace.protocols == _TCP)
+    tcp_windows = trace.tcp_window[tcp_at]
+    first_tcp = np.searchsorted(tcp_at, starts)
+    for rows, size in _blocks(np.searchsorted(tcp_at, stops) - first_tcp):
+        if size == 0:
+            continue  # no TCP packet: mean and std stay 0.0
+        windows = tcp_windows[first_tcp[rows, None] + np.arange(size)]
+        out[rows, f["mean_window"]] = np.mean(windows, axis=1)
+        out[rows, f["std_window"]] = np.std(windows, axis=1)
+    return out
 
 
 # --- CSV interchange --------------------------------------------------------
@@ -285,6 +353,12 @@ def load_features_csv(path: str | Path) -> list[FeatureSeries]:
         ):
             raise ValueError(f"{path}: missing feature CSV columns")
         for lineno, row in enumerate(reader, 2):
+            if None in row or None in row.values():  # DictReader's marks of a ragged row
+                side = "many" if None in row else "few"
+                raise ValueError(
+                    f"{path}:{lineno}: too {side} fields for the "
+                    f"{len(reader.fieldnames)}-column header"
+                )
             try:
                 vec = [float(row[name]) for name in FEATURE_NAMES]
             except ValueError as exc:

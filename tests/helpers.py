@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's code paths: smoothing
 weights come from exact rational arithmetic on the normal equations, feature
 statistics from plain Python loops, nearest-neighbor votes from an
-exhaustive scan, and tree splits from a search over one feature at a time.
+exhaustive scan or one query at a time, and tree splits from a search over
+one feature at a time.
 """
 
 from __future__ import annotations
@@ -137,6 +138,29 @@ def knn_oracle(train_x, train_labels, classes, k, query) -> str:
     top = max(votes.values())
     tied = [c for c in classes if votes.get(c, 0) == top]
     return min(tied, key=lambda c: (sums[c], classes.index(c)))
+
+
+def reference_predict_knn(params, X, n_classes) -> np.ndarray:
+    """kNN predict one query at a time: full stable argsort of its squared
+    distances, majority of the first k, vote ties by smaller summed distance,
+    then lowest class index."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty(X.shape[0], dtype=np.int64)
+    for row, query in enumerate(X):
+        sq = np.sum((params.train_x - query) ** 2, axis=1)
+        nearest = np.argsort(sq, kind="stable")[: params.k]
+        votes = np.bincount(params.train_y[nearest], minlength=n_classes)
+        top = votes.max()
+        tied = np.nonzero(votes == top)[0]
+        if tied.size == 1:
+            out[row] = tied[0]
+            continue
+        dists = np.sqrt(sq[nearest])
+        sums = np.full(n_classes, np.inf)
+        for cls in tied:
+            sums[cls] = float(np.sum(dists[params.train_y[nearest] == cls]))
+        out[row] = int(np.argmin(sums))  # first min = lowest class index
+    return out
 
 
 # --- per-feature CART oracle -------------------------------------------------

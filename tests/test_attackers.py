@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import knn_oracle, reference_fit_tree, tree_nodes
+from helpers import knn_oracle, reference_fit_tree, reference_predict_knn, tree_nodes
 from tpbench import attackers
 from tpbench.attackers import SplitSpec, split
 from tpbench.attackers.adaboost import fit_adaboost
 from tpbench.attackers.forest import fit_forest
+from tpbench.attackers.knn import block_rows, fit_knn, predict_knn
 from tpbench.attackers.mlp import TrainingDivergedError, _init_params, loss_and_gradients
 from tpbench.attackers.tree import fit_tree
 from tpbench.seeding import derive_seed
@@ -91,6 +92,49 @@ def test_knn_matches_exhaustive_oracle():
     Qs = model.standardizer.transform(queries_full)
     for q, predicted in zip(Qs, got):
         assert predicted == knn_oracle(Xs, y, model.classes, 5, q)
+
+
+def _knn_case(rng, n_classes):
+    """Integer-valued (heavily tied) columns, sometimes one coarsely rounded
+    continuous column, duplicated training rows and queries that partly copy
+    training rows, so distance ties at the k-th neighbour are common. Returns
+    the training set and a query generator."""
+    n_features = int(rng.integers(4, 13))
+    continuous = rng.random() < 0.5
+
+    def rows(n):
+        R = rng.integers(0, 3, size=(n, n_features)).astype(np.float64)
+        if continuous:
+            R[:, 0] = np.round(rng.normal(size=n), 1)
+        return R
+
+    n_train = int(rng.integers(200, 1200))
+    X = rows(n_train)
+    dup = int(rng.integers(1, n_train // 2 + 1))
+    X[-dup:] = X[:dup]
+
+    def queries(n):
+        Q = rows(n)
+        copies = rng.random(n) < 0.3
+        Q[copies] = X[rng.integers(0, n_train, size=int(copies.sum()))]
+        return Q
+
+    return X, rng.integers(0, n_classes, size=n_train), queries
+
+
+def test_knn_batched_predict_matches_per_row_reference():
+    rng = np.random.default_rng(41)
+    for case in range(12):
+        n_classes = 2 + case % 3
+        X, y, queries = _knn_case(rng, n_classes)
+        block = block_rows(*X.shape)
+        for n_test in (1, block - 1, block, block + 1):
+            Q = queries(n_test)
+            for k in (1, 2, 4, 5, X.shape[0]):
+                params = fit_knn(X, y, k)
+                got = predict_knn(params, Q, n_classes)
+                want = reference_predict_knn(params, Q, n_classes)
+                assert np.array_equal(got, want), (case, k, n_test)
 
 
 def test_knn_rejects_bad_k():
@@ -219,9 +263,14 @@ def test_forest_deterministic_per_seed():
     b = attackers.train_forest(X, y, n_trees=15, seed=21)
     c = attackers.train_forest(X, y, n_trees=15, seed=22)
     assert np.array_equal(attackers.predict(a, queries), attackers.predict(b, queries))
-    assert not np.array_equal(
-        attackers.predict(a, queries), attackers.predict(c, queries)
-    ) or True  # different seed may coincide; only the equality above is required
+
+    def nodes(model):
+        return [tree_nodes(tree.root) for tree in model.params.trees]
+
+    assert nodes(a) == nodes(b)
+    # every tree differs: each one draws its bootstrap and feature subsets
+    # from its own seed
+    assert all(ta != tc for ta, tc in zip(nodes(a), nodes(c)))
 
 
 def test_forest_separable_accuracy():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_features, random_small_trace
+from helpers import build_pcap, brute_force_features, ipv4_frame, random_small_trace, raw_frame
 from tpbench.features import (
     FEATURE_NAMES,
     EmptySeriesError,
@@ -16,11 +16,14 @@ from tpbench.features import (
     stack_series,
     window_packets,
 )
+from tpbench.pcap import parse_pcap
 from tpbench.traffic import (
     ClassProfile,
     PacketRecord,
     Protocol,
+    Scenario,
     Trace,
+    builtin_profiles,
     generate_dataset,
 )
 
@@ -257,6 +260,101 @@ def test_oracle_equivalence_small_traces():
             ), name
 
 
+# --- batched extraction against the per-window oracle -----------------------
+
+def assert_series_matches_oracle(trace, spec):
+    """extract_series equals compute_features on every retained window, bit
+    for bit, and counts the windows of fewer than 2 packets as dropped."""
+    ranges = window_packets(trace, spec)
+    kept = [r for r in ranges if r[1] - r[0] >= 2]
+    series = extract_series(trace, spec)
+    want = np.array([compute_features(trace, r).as_array() for r in kept])
+    assert series.values.shape == want.shape, spec.key()
+    assert np.array_equal(series.values.view(np.int64), want.view(np.int64)), spec.key()
+    assert series.dropped_windows == len(ranges) - len(kept), spec.key()
+
+
+ORACLE_SPECS = (
+    WindowSpec.burst(2),
+    WindowSpec.burst(7),
+    WindowSpec.burst(250),
+    WindowSpec.time_span(0.002),
+    WindowSpec.time_span(0.05),
+    WindowSpec.time_span(1.0),
+)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [Scenario.MIC_ONOFF, Scenario.MIC_ON_NOISE, Scenario.UTILITY_MEDIA_TRAVEL],
+)
+def test_extract_series_matches_oracle_on_generated_traces(scenario):
+    traces = generate_dataset(builtin_profiles(scenario), 1, 2.5, seed=17, scenario=scenario)
+    for trace in traces:
+        for spec in ORACLE_SPECS:
+            assert_series_matches_oracle(trace, spec)
+
+
+def test_extract_series_matches_oracle_on_parsed_pcap():
+    """A capture with an all-ICMP stretch, an all-UDP stretch (no TCP
+    packet), TCP and UDP packets on port 0, undecodable frames and isolated
+    packets that make 1-packet time-span windows."""
+    def tcp(src, sport, dport, window):
+        return ipv4_frame(Protocol.TCP, src, 0x0A000009, sport, dport, window)
+
+    def udp(src, sport, dport):
+        return ipv4_frame(Protocol.UDP, src, 0x0A000009, sport, dport, payload=b"u" * 9)
+
+    icmp = ipv4_frame(Protocol.ICMP, 0x0A000001, 0x0A000002)
+    frames = [
+        tcp(1, 4000, 443, 512), tcp(2, 0, 443, 1024), udp(3, 53, 0), raw_frame(0x0806),
+        icmp, icmp, icmp, icmp, icmp,
+        udp(4, 5000, 53), udp(5, 5001, 53), udp(4, 0, 0), udp(6, 5000, 53),
+        tcp(7, 0, 0, 0), tcp(1, 4000, 443, 65535), raw_frame(0x86DD), tcp(2, 4001, 80, 7),
+    ]
+    gaps = [0.01, 0.2, 0.3, 0.05, 1.7, 0.01, 0.02, 0.03, 0.04, 2.1, 0.1, 0.1,
+            0.1, 1.3, 0.4, 0.2, 0.9]
+    times = np.cumsum(gaps) + 1_000.0
+    trace = parse_pcap(build_pcap(list(zip(times.tolist(), frames))), label="p")
+    assert (trace.protocols == Protocol.ICMP.code).sum() == 5
+    specs = [WindowSpec.burst(n) for n in (2, 3, 4, 5, 17)]
+    specs += [WindowSpec.time_span(dt) for dt in (0.1, 0.25, 0.5, 1.0, 2.0, 50.0)]
+    for spec in specs:
+        assert_series_matches_oracle(trace, spec)
+
+
+def test_extract_series_matches_oracle_on_edge_windows():
+    """All-ICMP windows, windows without TCP packets, port-0 packets, and
+    random small traces with every protocol."""
+    icmp = [packet(0.1 * i, Protocol.ICMP) for i in range(6)]
+    udp_only = [packet(1.0 + 0.1 * i, Protocol.UDP, sport=0 if i % 2 else 53) for i in range(6)]
+    port0 = [packet(2.0 + 0.1 * i, sport=0, dport=0 if i % 3 else 80) for i in range(6)]
+    trace = Trace.from_packets(icmp + udp_only + port0 + [packet(9.5)], label="e")
+    for spec in (WindowSpec.burst(2), WindowSpec.burst(3), WindowSpec.burst(6),
+                 WindowSpec.time_span(0.25), WindowSpec.time_span(1.0)):
+        assert_series_matches_oracle(trace, spec)
+    # Not a valid trace: its ICMP and OTHER packets carry ports (and TCP
+    # windows), which the port count and the window statistics must ignore.
+    codes = [p.code for p in (Protocol.ICMP, Protocol.OTHER, Protocol.TCP, Protocol.UDP)]
+    n = 24
+    odd = Trace(
+        timestamps=np.arange(n) * 0.1, lengths=np.full(n, 60), protocols=codes * (n // 4),
+        src_ip=np.arange(n) % 3, dst_ip=np.ones(n), src_port=np.arange(n) + 7,
+        dst_port=np.arange(n) % 4, tcp_window=np.arange(n) * 11, label="odd",
+    )
+    for spec in (WindowSpec.burst(2), WindowSpec.burst(5), WindowSpec.time_span(0.45)):
+        assert_series_matches_oracle(odd, spec)
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        trace = random_small_trace(rng, max_packets=80)
+        for spec in (WindowSpec.burst(2), WindowSpec.burst(5), WindowSpec.time_span(0.7),
+                     WindowSpec.time_span(3.0)):
+            try:
+                assert_series_matches_oracle(trace, spec)
+            except EmptySeriesError:
+                assert all(b - a < 2 for a, b in window_packets(trace, spec))
+
+
 # --- CSV interchange ------------------------------------------------------------
 
 def test_csv_round_trip(tmp_path):
@@ -295,6 +393,16 @@ def test_csv_rejects_conflicting_labels(tmp_path):
     path.write_text(f"{header}\n{row},a,0,t\n{row},b,1,t\n")
     with pytest.raises(ValueError, match="conflicting labels"):
         load_features_csv(path)
+
+
+def test_csv_rejects_ragged_rows(tmp_path):
+    header = ",".join(list(FEATURE_NAMES) + ["label", "window_index", "trace_id"])
+    full = ",".join(["1.0"] * len(FEATURE_NAMES) + ["a", "0", "t0"])
+    for row, side in ((full.rsplit(",", 1)[0], "few"), (full + ",9", "many")):
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"{header}\n{full}\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"ragged.csv:3: too {side} fields"):
+            load_features_csv(path)
 
 
 def test_csv_rejects_non_finite_values(tmp_path):

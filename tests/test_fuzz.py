@@ -1,0 +1,168 @@
+"""Property-based fuzzing of the three input readers.
+
+Whatever the input, `parse_pcap_with_stats`, `load_trace` and
+`load_features_csv` either return a result or raise `PcapFormatError` or
+`ValueError` (`PcapFormatError` is a `ValueError`). Any other exception is a
+crash on bad input. Examples are derandomized and few, so the suite stays
+deterministic and quick.
+"""
+
+import struct
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from helpers import MAGIC_MICROS, MAGIC_NANOS, ipv4_frame, raw_frame  # noqa: E402
+from tpbench.features import FEATURE_NAMES, load_features_csv  # noqa: E402
+from tpbench.pcap import parse_pcap_with_stats  # noqa: E402
+from tpbench.traffic import PROTOCOLS, Protocol, load_trace  # noqa: E402
+
+FUZZ = settings(
+    derandomize=True,
+    max_examples=80,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+u32 = st.integers(0, 2**32 - 1)
+u16 = st.integers(0, 2**16 - 1)
+
+
+@st.composite
+def frames(draw):
+    """Ethernet frames: decodable IPv4 ones, other ethertypes and raw bytes,
+    then maybe truncated or with one byte overwritten."""
+    kind = draw(st.sampled_from(["ip", "ip", "raw", "bytes"]))
+    if kind == "ip":
+        frame = ipv4_frame(
+            draw(st.sampled_from([Protocol.TCP, Protocol.UDP, Protocol.ICMP])),
+            draw(u32), draw(u32), draw(u16), draw(u16), draw(u16),
+            payload=draw(st.binary(max_size=12)), vlan=draw(st.booleans()),
+        )
+    elif kind == "raw":
+        frame = raw_frame(draw(u16), draw(st.binary(max_size=30)))
+    else:
+        frame = draw(st.binary(max_size=60))
+    if frame and draw(st.booleans()):
+        at = draw(st.integers(0, len(frame) - 1))
+        frame = frame[:at] + bytes([draw(st.integers(0, 255))]) + frame[at + 1 :]
+    if draw(st.booleans()):
+        frame = frame[: draw(st.integers(0, len(frame)))]
+    return frame
+
+
+@st.composite
+def pcap_bytes(draw):
+    """A classic pcap header (sometimes with a bad magic or link type) and a
+    few records whose timestamps and lengths are drawn freely, sometimes cut
+    short."""
+    order = draw(st.sampled_from("<>"))
+    magic = draw(st.sampled_from([MAGIC_MICROS, MAGIC_NANOS, MAGIC_MICROS, 0xDEADBEEF]))
+    linktype = draw(st.sampled_from([1, 1, 1, 101]))
+    blob = struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535, linktype)
+    for _ in range(draw(st.integers(0, 6))):
+        frame = draw(frames())
+        incl = len(frame) if draw(st.integers(0, 4)) else draw(u32)
+        blob += struct.pack(order + "IIII", draw(u32), draw(u32), incl, draw(u32)) + frame
+    if draw(st.booleans()):
+        blob = blob[: draw(st.integers(0, len(blob)))]
+    return blob
+
+
+@FUZZ
+@given(pcap_bytes())
+def test_parse_pcap_fuzz(data):
+    try:
+        trace, stats = parse_pcap_with_stats(data, label="fuzz")
+    except ValueError:
+        return
+    assert stats.packets == trace.timestamps.size > 0
+    assert trace.timestamps[0] == 0.0
+
+
+# Cell values: well-formed numbers next to the kinds of token that have
+# broken readers (non-finite, huge, negative, empty, text). A row draws all
+# its cells from `clean` or all from `numbers`, so rows that get past the
+# number parsing are common.
+clean = st.one_of(st.integers(0, 70000).map(str), st.floats(0, 1e6).map(repr))
+numbers = st.one_of(
+    clean,
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", " ", "nan", "-inf", "1e999", "0x10", "1_0", "७", "--1"]),
+    st.text(max_size=6),
+)
+text_lines = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"), max_size=40
+)
+
+
+@st.composite
+def trace_text(draw):
+    """The `save_trace` layout with header lines and rows of fuzzed fields."""
+    lines = []
+    for key in draw(st.lists(st.sampled_from(["label", "scenario", "trace_id", "x"]), max_size=3)):
+        value = draw(st.one_of(st.sampled_from(["mic_onoff", "custom", "a"]), text_lines))
+        lines.append(f"# {key}: {value}")
+    protocols = st.one_of(st.sampled_from([p.value for p in PROTOCOLS]), text_lines)
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(text_lines))
+            continue
+        cell = draw(st.sampled_from([clean, numbers]))
+        fields = [draw(cell), draw(cell), draw(protocols)]
+        fields += [draw(cell) for _ in range(draw(st.sampled_from([5, 5, 5, 4, 6])))]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+@FUZZ
+@given(trace_text())
+def test_load_trace_fuzz(tmp_path, text):
+    path = tmp_path / "fuzz.trace"
+    path.write_text(text, encoding="utf-8")
+    try:
+        trace = load_trace(path)
+    except ValueError:
+        return
+    trace.validate()
+
+
+_CSV_COLUMNS = list(FEATURE_NAMES) + ["label", "window_index", "trace_id", "transform"]
+
+
+@st.composite
+def features_csv_text(draw):
+    """A feature CSV header (sometimes missing or shuffled columns) and rows
+    of fuzzed cells, some with too few or too many of them, some quoted."""
+    columns = list(_CSV_COLUMNS[:-1]) if draw(st.booleans()) else list(_CSV_COLUMNS)
+    if draw(st.integers(0, 4)) == 0:
+        columns = draw(st.permutations(columns))[: draw(st.integers(0, len(columns)))]
+    lines = [",".join(columns)]
+    for _ in range(draw(st.integers(0, 5))):
+        n_cells = len(columns) + draw(st.sampled_from([0, 0, 0, -1, -5, 1]))
+        cell = draw(st.sampled_from([clean, numbers]))
+        cells = [draw(cell) for _ in range(max(0, n_cells))]
+        for i, name in enumerate(columns[: len(cells)]):
+            if name in ("label", "trace_id", "transform"):
+                cells[i] = draw(st.sampled_from(["a", "b", "t0", "none", cells[i]]))
+        if cells and draw(st.integers(0, 5)) == 0:
+            cells[0] = '"' + cells[0]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@FUZZ
+@given(features_csv_text())
+def test_load_features_csv_fuzz(tmp_path, text):
+    path = tmp_path / "fuzz.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        series = load_features_csv(path)
+    except ValueError:
+        return
+    assert series and all(len(s) > 0 for s in series)
