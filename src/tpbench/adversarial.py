@@ -88,6 +88,20 @@ class RealisticSpec:
             raise ValueError("variance multiplier must be positive")
 
 
+class NonFiniteOutputError(ValueError):
+    """A transform's output holds NaN or +-inf, e.g. noise scaled by a huge nu."""
+
+
+def check_finite(out: np.ndarray, transform: str) -> np.ndarray:
+    """out itself; raises NonFiniteOutputError naming the transform if any
+    value is not finite."""
+    # min and max propagate NaN, so both are finite only if every value is;
+    # unlike isfinite(out) this allocates no matrix-sized temporary
+    if out.size and not np.isfinite([out.min(), out.max()]).all():
+        raise NonFiniteOutputError(f"transform {transform} produced non-finite values")
+    return out
+
+
 def savgol_coefficients(spec: SavGolSpec) -> np.ndarray:
     """Central-point convolution weights of the smoothing window.
 
@@ -125,7 +139,7 @@ def smooth_columns(X: np.ndarray, spec: SavGolSpec) -> np.ndarray:
     for col in range(X.shape[1]):
         padded = np.pad(X[:, col], m, mode="reflect")
         out[:, col] = np.correlate(padded, weights, mode="valid")
-    return out
+    return check_finite(out, f"smooth(w={spec.window_length},d={spec.poly_degree})")
 
 
 def smooth_series(series: FeatureSeries, spec: SavGolSpec) -> FeatureSeries:
@@ -155,6 +169,12 @@ def inject_awgn_columns(
     transformed. Zero-variance columns are left unchanged: no noise can be
     proportional to a variance of zero.
     """
+    return check_finite(_add_noise(X, nu, seed, feature_mask, clamp_counts), f"awgn(nu={nu})")
+
+
+def _add_noise(
+    X: np.ndarray, nu: float, seed: int, feature_mask: tuple[str, ...], clamp_counts: bool
+) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] < 2:
         raise ValueError("need at least 2 rows to scale noise to the signal")
@@ -199,7 +219,7 @@ def apply_realistic_columns(X: np.ndarray, spec: RealisticSpec) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] < 2:
         raise ValueError("need at least 2 rows to scale noise to the signal")
-    out = inject_awgn_columns(
+    out = _add_noise(
         X,
         spec.variance_multiplier,
         spec.seed,
@@ -209,7 +229,7 @@ def apply_realistic_columns(X: np.ndarray, spec: RealisticSpec) -> np.ndarray:
     pad_idx = FEATURE_INDEX[REALISTIC_PADDED_FEATURE]
     out[:, pad_idx] = np.max(X[:, pad_idx])
     out[:, FEATURE_INDEX[REALISTIC_ZEROED_FEATURE]] = 0.0
-    return out
+    return check_finite(out, f"realistic(nu={spec.variance_multiplier})")
 
 
 def apply_realistic(series: FeatureSeries, spec: RealisticSpec) -> FeatureSeries:

@@ -39,43 +39,67 @@ def _predict_stump(stump: Stump, X: np.ndarray) -> np.ndarray:
     return np.where(goes_left, stump.left_class, stump.right_class).astype(np.int64)
 
 
-def _best_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray, n_classes: int) -> Stump:
+@dataclass
+class _Cuts:
+    """What the stump search needs of the fixed training set, found once per
+    fit: each feature's stable order, the labels in that order, and every cut
+    between distinct sorted values, listed feature by feature in ascending
+    threshold order."""
+
+    orders: np.ndarray  # (features, rows) stable argsort of each column
+    sorted_onehot: np.ndarray  # (K, features, rows) one-hot labels in each order
+    left_rows: np.ndarray  # (cuts,) flat (feature, rows) index of a cut's last left row
+    thresholds: np.ndarray  # (cuts,)
+    features: np.ndarray  # (cuts,)
+    bounds: list[int]  # cuts of feature f are bounds[f]:bounds[f + 1]
+
+    @classmethod
+    def of(cls, X: np.ndarray, y: np.ndarray, n_classes: int) -> "_Cuts":
+        n, n_features = X.shape
+        orders = np.argsort(X.T, axis=1, kind="stable")
+        xs = np.take_along_axis(X.T, orders, axis=1)
+        features, positions = np.nonzero(xs[:, 1:] > xs[:, :-1])
+        low, high = xs[features, positions], xs[features, positions + 1]
+        thresholds = (low + high) / 2.0
+        thresholds = np.where(thresholds >= high, low, thresholds)
+        sorted_y = y[orders]
+        return cls(
+            orders=orders,
+            sorted_onehot=np.stack([sorted_y == k for k in range(n_classes)]).astype(np.float64),
+            left_rows=features * n + positions,
+            thresholds=thresholds,
+            features=features,
+            bounds=np.searchsorted(features, np.arange(n_features + 1)).tolist(),
+        )
+
+
+def _best_stump(cuts: _Cuts, y: np.ndarray, w: np.ndarray, n_classes: int) -> Stump:
     """Stump minimizing weighted 0-1 error; ties break on lowest feature
     index, then lowest threshold. Leaf classes are weighted majorities."""
-    n = y.size
     totals = np.bincount(y, weights=w, minlength=n_classes)
+    # per class and feature, the running weight of the rows in sorted order
+    cum = np.cumsum(cuts.sorted_onehot * w[cuts.orders], axis=2)
+    left = np.take(cum.reshape(n_classes, -1), cuts.left_rows, axis=1)  # (K, cuts)
+    right = totals[:, None] - left
+    err = totals.sum() - left.max(axis=0) - right.max(axis=0)
     best_err = np.inf
-    best: Stump | None = None
-    weighted = np.zeros((n, n_classes))
-    weighted[np.arange(n), y] = w
-    for f in range(X.shape[1]):
-        x = X[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        positions = np.nonzero(xs[1:] > xs[:-1])[0] + 1
-        if positions.size == 0:
+    best = -1
+    for lo, hi in zip(cuts.bounds[:-1], cuts.bounds[1:]):
+        if lo == hi:
             continue
-        cum = np.cumsum(weighted[order], axis=0)
-        left = cum[positions - 1]  # (P, K)
-        right = totals - left
-        err = totals.sum() - left.max(axis=1) - right.max(axis=1)
-        j = int(np.argmin(err))  # first min = lowest threshold
+        j = lo + int(np.argmin(err[lo:hi]))  # first min = lowest threshold
         if err[j] < best_err - 1e-15:
-            low, high = xs[positions[j] - 1], xs[positions[j]]
-            threshold = (low + high) / 2.0
-            if threshold >= high:
-                threshold = low
             best_err = float(err[j])
-            best = Stump(
-                feature=f,
-                threshold=float(threshold),
-                left_class=int(np.argmax(left[j])),
-                right_class=int(np.argmax(right[j])),
-            )
-    if best is None:  # every feature constant: predict the weighted majority
+            best = j
+    if best < 0:  # every feature constant: predict the weighted majority
         majority = int(np.argmax(totals))
-        best = Stump(feature=-1, threshold=0.0, left_class=majority, right_class=majority)
-    return best
+        return Stump(feature=-1, threshold=0.0, left_class=majority, right_class=majority)
+    return Stump(
+        feature=int(cuts.features[best]),
+        threshold=float(cuts.thresholds[best]),
+        left_class=int(np.argmax(left[:, best])),
+        right_class=int(np.argmax(right[:, best])),
+    )
 
 
 def fit_adaboost(
@@ -97,8 +121,9 @@ def fit_adaboost(
         stumps=[], alphas=[], fallback_class=fallback, n_classes=n_classes
     )
     scores = np.zeros((n, n_classes))
+    cuts = _Cuts.of(X, y, n_classes)  # X is fixed across rounds; only the weights change
     for _ in range(rounds):
-        stump = _best_stump(X, y, w, n_classes)
+        stump = _best_stump(cuts, y, w, n_classes)
         pred = _predict_stump(stump, X)
         incorrect = pred != y
         eps = float(w @ incorrect)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import inspect
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,9 +21,11 @@ import numpy as np
 
 from tpbench import attackers
 from tpbench.adversarial import (
+    NonFiniteOutputError,
     RealisticSpec,
     SavGolSpec,
     apply_realistic_columns,
+    check_finite,
     inject_awgn_columns,
     smooth_columns,
 )
@@ -64,6 +67,9 @@ _ROOT_KEYS = frozenset({
     "seed", "output_dir",
 })
 _TRANSFORM_KEYS = frozenset({"mode", "window", "degree", "nu", "clamp_counts"})
+# classifier hyperparameters that count something: an int >= 1, or also null
+_COUNT_PARAMS = frozenset({"epochs", "batch_size", "k", "n_trees", "rounds", "min_leaf"})
+_OPTIONAL_COUNT_PARAMS = frozenset({"max_depth", "features_per_split"})
 
 
 class ConfigError(ValueError):
@@ -107,20 +113,17 @@ class TransformSpec:
 
     def apply(self, X: np.ndarray, seed: int) -> np.ndarray:
         """The transformed copy of X. Raises ValueError naming the transform
-        if any value is not finite (e.g. noise scaled by a huge nu)."""
-        if self.mode == "none":
-            out = np.array(X, dtype=np.float64, copy=True)
-        elif self.mode == "smooth":
-            out = smooth_columns(X, SavGolSpec(self.window, self.degree))
-        elif self.mode == "awgn":
-            out = inject_awgn_columns(X, self.nu, seed, clamp_counts=self.clamp_counts)
-        else:
-            out = apply_realistic_columns(X, RealisticSpec(self.nu, seed, self.clamp_counts))
-        # min and max propagate NaN, so both are finite only if every value is;
-        # unlike isfinite(out) this allocates no matrix-sized temporary
-        if out.size and not np.isfinite([out.min(), out.max()]).all():
-            raise ValueError(f"transform {self.key()} produced non-finite values")
-        return out
+        key if any value is not finite (e.g. noise scaled by a huge nu)."""
+        try:
+            if self.mode == "none":
+                return check_finite(np.array(X, dtype=np.float64, copy=True), self.key())
+            if self.mode == "smooth":
+                return smooth_columns(X, SavGolSpec(self.window, self.degree))
+            if self.mode == "awgn":
+                return inject_awgn_columns(X, self.nu, seed, clamp_counts=self.clamp_counts)
+            return apply_realistic_columns(X, RealisticSpec(self.nu, seed, self.clamp_counts))
+        except NonFiniteOutputError:
+            raise ValueError(f"transform {self.key()} produced non-finite values") from None
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,21 @@ class ClassifierSpec:
                 f"classifier {self.kind!r}: hidden must be a list of positive layer "
                 f"widths, got {hidden!r}"
             )
+        for name, value in params.items():
+            if name in _COUNT_PARAMS or (name in _OPTIONAL_COUNT_PARAMS and value is not None):
+                if type(value) is not int or value < 1:
+                    null = " or null" if name in _OPTIONAL_COUNT_PARAMS else ""
+                    raise ConfigError(
+                        f"classifier {self.kind!r}: {name} must be an integer >= 1{null}, "
+                        f"got {value!r}"
+                    )
+            if name == "learning_rate" and (
+                type(value) not in (int, float) or not (math.isfinite(value) and value > 0)
+            ):
+                raise ConfigError(
+                    f"classifier {self.kind!r}: learning_rate must be a finite number > 0, "
+                    f"got {value!r}"
+                )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ClassifierSpec":

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's code paths: smoothing
 weights come from exact rational arithmetic on the normal equations, feature
 statistics from plain Python loops, nearest-neighbor votes from an
-exhaustive scan or one query at a time, and tree splits from a search over
-one feature at a time.
+exhaustive scan or one query at a time, tree splits and boosting stumps from
+a search over one feature at a time, and MLP training from a loop that
+allocates every array and updates each weight and bias array on its own.
 """
 
 from __future__ import annotations
@@ -16,6 +17,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from tpbench.attackers.adaboost import Stump
+from tpbench.attackers.mlp import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    MlpParams,
+    TrainingDivergedError,
+    _init_params,
+)
 from tpbench.attackers.tree import TreeNode
 from tpbench.seeding import derive_seed
 from tpbench.traffic import ClassProfile, PacketRecord, Protocol, Trace, generate_trace
@@ -251,6 +261,119 @@ def tree_nodes(node: TreeNode) -> list[tuple]:
     if not node.is_leaf:
         out += tree_nodes(node.left) + tree_nodes(node.right)
     return out
+
+
+# --- per-feature boosting stump oracle ---------------------------------------
+
+def reference_best_stump(X, y, w, n_classes) -> Stump:
+    """Stump minimizing weighted 0-1 error, sorting each feature on every
+    call; ties break on lowest feature index, then lowest threshold."""
+    n = y.size
+    totals = np.bincount(y, weights=w, minlength=n_classes)
+    best_err = np.inf
+    best = None
+    weighted = np.zeros((n, n_classes))
+    weighted[np.arange(n), y] = w
+    for f in range(X.shape[1]):
+        x = X[:, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        positions = np.nonzero(xs[1:] > xs[:-1])[0] + 1
+        if positions.size == 0:
+            continue
+        cum = np.cumsum(weighted[order], axis=0)
+        left = cum[positions - 1]
+        right = totals - left
+        err = totals.sum() - left.max(axis=1) - right.max(axis=1)
+        j = int(np.argmin(err))
+        if err[j] < best_err - 1e-15:
+            low, high = xs[positions[j] - 1], xs[positions[j]]
+            threshold = (low + high) / 2.0
+            if threshold >= high:
+                threshold = low
+            best_err = float(err[j])
+            best = Stump(
+                feature=f,
+                threshold=float(threshold),
+                left_class=int(np.argmax(left[j])),
+                right_class=int(np.argmax(right[j])),
+            )
+    if best is None:
+        majority = int(np.argmax(totals))
+        best = Stump(feature=-1, threshold=0.0, left_class=majority, right_class=majority)
+    return best
+
+
+# --- per-array MLP training oracle -------------------------------------------
+
+def _reference_loss_and_gradients(weights, biases, X, targets_onehot):
+    activations = [X]
+    for W, b in zip(weights[:-1], biases[:-1]):
+        X = np.maximum(X @ W + b, 0.0)
+        activations.append(X)
+    logits = X @ weights[-1] + biases[-1]
+    n = activations[0].shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    loss = -float(np.sum(targets_onehot * log_probs)) / n
+    delta = (np.exp(log_probs) - targets_onehot) / n
+    grad_w = [None] * len(weights)
+    grad_b = [None] * len(biases)
+    for layer in range(len(weights) - 1, -1, -1):
+        grad_w[layer] = activations[layer].T @ delta
+        grad_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ weights[layer].T) * (activations[layer] > 0.0)
+    return loss, grad_w, grad_b
+
+
+def reference_fit_mlp(
+    X, y, n_classes, hidden=(64, 64), epochs=200, batch_size=32, learning_rate=1e-3, seed=0
+) -> MlpParams:
+    """Mini-batch Adam with a fresh gather per batch and one m/v/parameter
+    update per weight and bias array."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    weights, biases = _init_params(rng, [X.shape[1], *hidden, n_classes])
+    onehot = np.zeros((y.size, n_classes))
+    onehot[np.arange(y.size), y] = 1.0
+    m_w = [np.zeros_like(w) for w in weights]
+    v_w = [np.zeros_like(w) for w in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
+    step = 0
+    curve = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, epochs + 1):
+            perm = rng.permutation(y.size)
+            epoch_loss = 0.0
+            for start in range(0, y.size, batch_size):
+                rows = perm[start : start + batch_size]
+                loss, grad_w, grad_b = _reference_loss_and_gradients(
+                    weights, biases, X[rows], onehot[rows]
+                )
+                epoch_loss += loss * rows.size
+                step += 1
+                correction1 = 1.0 - ADAM_BETA1**step
+                correction2 = 1.0 - ADAM_BETA2**step
+                for layer in range(len(weights)):
+                    for param, grad, m, v in (
+                        (weights[layer], grad_w[layer], m_w[layer], v_w[layer]),
+                        (biases[layer], grad_b[layer], m_b[layer], v_b[layer]),
+                    ):
+                        m *= ADAM_BETA1
+                        m += (1.0 - ADAM_BETA1) * grad
+                        v *= ADAM_BETA2
+                        v += (1.0 - ADAM_BETA2) * grad**2
+                        param -= learning_rate * (m / correction1) / (
+                            np.sqrt(v / correction2) + ADAM_EPS
+                        )
+            epoch_loss /= y.size
+            if not np.isfinite(epoch_loss):
+                raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
+            curve.append(epoch_loss)
+    return MlpParams(weights=weights, biases=biases, loss_curve=curve)
 
 
 # --- alternating-burst traces -------------------------------------------------

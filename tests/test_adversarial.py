@@ -8,10 +8,13 @@ from tpbench.adversarial import (
     REALISTIC_UNTOUCHED_FEATURES,
     REALISTIC_ZEROED_FEATURE,
     AwgnSpec,
+    NonFiniteOutputError,
     RealisticSpec,
     SavGolSpec,
     apply_realistic,
+    apply_realistic_columns,
     inject_awgn,
+    inject_awgn_columns,
     savgol_coefficients,
     smooth_columns,
     smooth_series,
@@ -60,6 +63,18 @@ def test_weights_match_exact_rational_oracle():
             got = savgol_coefficients(SavGolSpec(window, degree))
             want = np.array(exact_savgol_weights(window, degree))
             assert np.max(np.abs(got - want)) < 1e-10, (window, degree)
+
+
+def test_weights_match_scipy_savgol_coeffs():
+    # scipy fits in unscaled offsets, so its own weights drift from the exact
+    # ones as the degree grows (at window 51, degree 10 they are 3e-4 off,
+    # these 1e-14); below degree 9 the two agree on every window
+    signal = pytest.importorskip("scipy.signal")
+    for window in range(3, 52, 2):
+        for degree in range(min(window, 9)):
+            got = savgol_coefficients(SavGolSpec(window, degree))
+            want = signal.savgol_coeffs(window, degree)
+            assert np.allclose(got, want, atol=1e-10), (window, degree)
 
 
 def test_spec_validation():
@@ -255,3 +270,24 @@ def test_realistic_untouched_holds_at_huge_nu():
     for name in REALISTIC_UNTOUCHED_FEATURES:
         idx = FEATURE_INDEX[name]
         assert np.array_equal(out.values[:, idx], series.values[:, idx])
+
+
+def test_library_transforms_reject_non_finite_output():
+    rng = np.random.default_rng(24)
+    X = rng.normal(50.0, 12.0, size=(60, len(FEATURE_NAMES)))
+    with pytest.raises(NonFiniteOutputError, match=r"awgn\(nu=1e\+308\) produced non-finite"):
+        inject_awgn_columns(X, 1e308, 1)
+    with pytest.raises(NonFiniteOutputError, match=r"awgn\(nu=1e\+308\)"):
+        inject_awgn(make_series(X), AwgnSpec(1e308, seed=1))
+    with pytest.raises(NonFiniteOutputError, match=r"realistic\(nu=1e\+308\) produced"):
+        apply_realistic_columns(X, RealisticSpec(1e308, seed=1))
+    for bad in (np.nan, np.inf, -np.inf):
+        Xbad = X.copy()
+        Xbad[7, FEATURE_INDEX["mean_ipt"]] = bad  # a column the realistic mode leaves alone
+        with pytest.raises(NonFiniteOutputError, match=r"smooth\(w=5,d=2\) produced"):
+            smooth_columns(Xbad, SavGolSpec(5, 2))
+        with pytest.raises(NonFiniteOutputError, match=r"realistic\(nu=0.5\)"):
+            apply_realistic_columns(Xbad, RealisticSpec(0.5, seed=1))
+        with pytest.raises(NonFiniteOutputError, match=r"awgn\(nu=0.5\)"):
+            inject_awgn_columns(Xbad, 0.5, 1, feature_mask=("n_pack_tcp",))
+    assert np.isfinite(inject_awgn_columns(X, 1e9, 1)).all()

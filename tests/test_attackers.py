@@ -4,13 +4,25 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import knn_oracle, reference_fit_tree, reference_predict_knn, tree_nodes
+from helpers import (
+    knn_oracle,
+    reference_best_stump,
+    reference_fit_mlp,
+    reference_fit_tree,
+    reference_predict_knn,
+    tree_nodes,
+)
 from tpbench import attackers
-from tpbench.attackers import SplitSpec, split
+from tpbench.attackers import SplitSpec, adaboost, split
 from tpbench.attackers.adaboost import fit_adaboost
 from tpbench.attackers.forest import fit_forest
 from tpbench.attackers.knn import block_rows, fit_knn, predict_knn
-from tpbench.attackers.mlp import TrainingDivergedError, _init_params, loss_and_gradients
+from tpbench.attackers.mlp import (
+    TrainingDivergedError,
+    _init_params,
+    fit_mlp,
+    loss_and_gradients,
+)
 from tpbench.attackers.tree import fit_tree
 from tpbench.seeding import derive_seed
 
@@ -334,6 +346,37 @@ def test_adaboost_requires_two_classes():
         fit_adaboost(np.zeros((3, 2)), np.zeros(3, dtype=int), n_classes=1)
 
 
+def test_adaboost_presorted_search_matches_per_feature_reference(monkeypatch):
+    rng = np.random.default_rng(31)
+    cases = []
+    for n_classes in (2, 3, 4):
+        n = 40 * n_classes
+        y = rng.integers(0, n_classes, n)
+        continuous = rng.normal(size=(n, 6)) + 0.4 * y[:, None]
+        tied = rng.integers(0, 4, size=(n, 6)).astype(np.float64)  # heavily tied
+        tied[:, 2] = 7.0  # constant column
+        cases += [(continuous, y, n_classes, 25), (tied, y, n_classes, 25)]
+    separable = np.zeros((20, 3))
+    separable[:, 1] = np.arange(20)
+    cases.append((separable, (np.arange(20) >= 10).astype(np.int64), 2, 10))  # perfect stump
+    cases.append((np.ones((20, 3)), np.arange(20) % 2, 2, 10))  # all constant: coin toss
+    halted = 0
+    for X, y, n_classes, rounds in cases:
+        got = fit_adaboost(X, y, n_classes, rounds)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                adaboost,
+                "_best_stump",
+                lambda cuts, y, w, n_classes, X=X: reference_best_stump(X, y, w, n_classes),
+            )
+            want = fit_adaboost(X, y, n_classes, rounds)
+        assert got.stumps == want.stumps
+        assert got.alphas == want.alphas
+        assert got.train_errors == want.train_errors
+        halted += len(got.stumps) < rounds
+    assert halted >= 2
+
+
 # --- MLP -----------------------------------------------------------------------------
 
 def test_mlp_separable_blobs_high_train_accuracy():
@@ -380,6 +423,43 @@ def test_mlp_loss_curve_deterministic():
     a = attackers.train_mlp(X, y, epochs=20, seed=7)
     b = attackers.train_mlp(X, y, epochs=20, seed=7)
     assert a.params.loss_curve == b.params.loss_curve
+
+
+def test_fit_mlp_matches_reference_loop():
+    cases = [  # (rows, batch_size, hidden, classes, epochs)
+        (7, 32, (5,), 2, 30),  # fewer rows than one batch
+        (45, 7, (8, 8, 8), 3, 10),  # partial last batch
+        (13, 1, (), 4, 5),  # one-row batches, no hidden layer
+        (130, 32, (64, 64), 3, 12),  # the sweep's default net
+        (1433, 32, (64, 64), 3, 1),
+    ]
+    for rows, batch_size, hidden, n_classes, epochs in cases:
+        rng = np.random.default_rng(rows)
+        y = np.arange(rows) % n_classes
+        X = rng.normal(size=(rows, 12)) + y[:, None]
+        kwargs = dict(hidden=hidden, epochs=epochs, batch_size=batch_size,
+                      learning_rate=1e-2, seed=rows)
+        got = fit_mlp(X, y, n_classes, **kwargs)
+        want = reference_fit_mlp(X, y, n_classes, **kwargs)
+        assert len(got.weights) == len(want.weights) == len(hidden) + 1
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
+        assert got.loss_curve == want.loss_curve
+    y = np.arange(20) % 2
+    X = np.random.default_rng(5).normal(size=(20, 12)) + y[:, None]
+    with pytest.raises(TrainingDivergedError) as got:
+        fit_mlp(X, y, 2, hidden=(8,), epochs=5, batch_size=6, learning_rate=1e200)
+    with pytest.raises(TrainingDivergedError) as want:
+        reference_fit_mlp(X, y, 2, hidden=(8,), epochs=5, batch_size=6, learning_rate=1e200)
+    assert str(got.value) == str(want.value)
+
+
+def test_fit_mlp_rejects_bad_learning_rate():
+    X = np.random.default_rng(6).normal(size=(10, 12))
+    y = np.arange(10) % 2
+    for rate in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning_rate"):
+            fit_mlp(X, y, 2, epochs=1, learning_rate=rate)
 
 
 def test_mlp_divergence_names_epoch():

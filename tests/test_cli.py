@@ -61,6 +61,9 @@ def test_attack_bad_params_exit_two(tmp_path, capsys):
         ("knn", '{"hidden": 5}', "unknown key(s) ['hidden']"),
         ("mlp", '{"hidden": 5}', "hidden must be a list"),
         ("mlp", '{"hidden": ["64"]}', "hidden must be a list"),
+        ("mlp", '{"epochs": 0}', "epochs must be an integer >= 1"),
+        ("mlp", '{"learning_rate": -1}', "learning_rate must be a finite number > 0"),
+        ("knn", '{"k": 0}', "k must be an integer >= 1"),
     ):
         code = main(["attack", "--features", str(csv_path), "--classifier", classifier,
                      "--params", params])

@@ -168,6 +168,27 @@ def test_config_field_errors_are_named():
     with pytest.raises(ConfigError, match=r"profiles\[0\].*'jiter_std'"):
         config_from_dict({**base, "classifiers": [{"kind": "knn"}],
                           "profiles": [{**profile, "jiter_std": 0.1}]})
+    for classifier, named in (
+        ({"kind": "mlp", "epochs": 0}, "epochs must be an integer >= 1"),
+        ({"kind": "mlp", "batch_size": 0}, "batch_size must be an integer >= 1"),
+        ({"kind": "mlp", "epochs": 2.5}, "epochs must be an integer >= 1"),
+        ({"kind": "knn", "k": 0}, "k must be an integer >= 1"),
+        ({"kind": "knn", "k": True}, "k must be an integer >= 1"),
+        ({"kind": "forest", "n_trees": 0}, "n_trees must be an integer >= 1"),
+        ({"kind": "adaboost", "rounds": "50"}, "rounds must be an integer >= 1"),
+        ({"kind": "tree", "min_leaf": 0}, "min_leaf must be an integer >= 1"),
+        ({"kind": "tree", "max_depth": 0}, "max_depth must be an integer >= 1 or null"),
+        ({"kind": "forest", "features_per_split": 1.5}, "features_per_split must be"),
+        ({"kind": "mlp", "learning_rate": -1}, "learning_rate must be a finite number > 0"),
+        ({"kind": "mlp", "learning_rate": 0}, "learning_rate must be a finite number > 0"),
+        ({"kind": "mlp", "learning_rate": float("inf")}, "learning_rate must be"),
+        ({"kind": "mlp", "learning_rate": True}, "learning_rate must be"),
+    ):
+        with pytest.raises(ConfigError, match=rf"classifiers\[0\]: classifier '{classifier['kind']}': {named}"):
+            config_from_dict({**base, "transforms": [{"mode": "none"}],
+                              "classifiers": [classifier]})
+    config_from_dict({**base, "transforms": [{"mode": "none"}],
+                      "classifiers": [{"kind": "tree", "max_depth": None}]})
 
 
 def test_config_missing_pcap_file_fails_at_load(tmp_path):
