@@ -3,10 +3,16 @@
 Supports the classic (non-pcapng) format only: 24-byte global header, 16-byte
 per-record headers, both byte orders, microsecond and nanosecond timestamp
 magics, Ethernet link type. IPv4 TCP/UDP/ICMP packets are decoded into all
-trace columns; 802.1Q VLAN tags are skipped transparently; anything else
-(IPv6, ARP, non-first IP fragments, L4 headers cut off by the snap length)
-falls back to protocol OTHER / zeroed ports and window. Packet length comes
-from the record's original (un-snapped) length field.
+trace columns; stacks of 802.1Q/802.1ad VLAN tags are skipped transparently;
+anything else (IPv6, ARP, non-first IP fragments, L4 headers cut off by the
+snap length) falls back to protocol OTHER / zeroed ports and window. Packet
+length comes from the record's original (un-snapped) length field. A record
+whose sub-second field is a whole second or more is a format error.
+
+Decoding is vectorised: one Python loop reads only each record header's
+`incl_len` to find where the frames start (and whether the stream is cut
+short); every other field of every record is then gathered from one numpy
+view of the bytes, a frame field only where that frame's length allows it.
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ _RECORD_HEADER_LEN = 16
 _ETHERTYPE_IPV4 = 0x0800
 _VLAN_ETHERTYPES = (0x8100, 0x88A8)
 
-_IP_PROTO = {6: Protocol.TCP, 17: Protocol.UDP, 1: Protocol.ICMP}
+# IP protocol number -> Protocol.code; OTHER for numbers not decoded
+_IP_PROTO_CODES = np.full(256, Protocol.OTHER.code, dtype=np.int64)
+_IP_PROTO_CODES[[6, 17, 1]] = [Protocol.TCP.code, Protocol.UDP.code, Protocol.ICMP.code]
 
 
 class PcapFormatError(ValueError):
@@ -78,51 +86,78 @@ def parse_global_header(data: bytes) -> PcapHeader:
     raise PcapFormatError(f"bad pcap magic 0x{data[:4].hex()}")
 
 
-def _decode_frame(frame: bytes) -> tuple[Protocol, int, int, int, int, int]:
-    """(protocol, src_ip, dst_ip, src_port, dst_port, tcp_window) from one
-    Ethernet frame; OTHER with zeroed fields when not decodable IPv4."""
-    other = (Protocol.OTHER, 0, 0, 0, 0, 0)
-    if len(frame) < 14:
-        return other
-    ethertype = struct.unpack(">H", frame[12:14])[0]
-    offset = 14
-    while ethertype in _VLAN_ETHERTYPES:
-        if len(frame) < offset + 4:
-            return other
-        ethertype = struct.unpack(">H", frame[offset + 2 : offset + 4])[0]
-        offset += 4
-    if ethertype != _ETHERTYPE_IPV4 or len(frame) < offset + 20:
-        return other
+def _gather(buf: np.ndarray, at: np.ndarray, dtype: str) -> np.ndarray:
+    """The `dtype` integer stored at each byte offset in `at`, as int64."""
+    width = np.dtype(dtype).itemsize
+    return buf[at[:, None] + np.arange(width)].view(dtype)[:, 0].astype(np.int64)
 
-    ip = frame[offset:]
-    version_ihl = ip[0]
-    if version_ihl >> 4 != 4:
-        return other
+
+def _record_starts(data: bytes, byte_order: str) -> tuple[list[int], bool]:
+    """Byte offset of every complete record's frame, and whether the stream
+    ends inside a record. Reads only `incl_len` from each record header."""
+    incl_len_at = struct.Struct(byte_order + "I").unpack_from
+    size = len(data)
+    starts = []
+    pos = _GLOBAL_HEADER_LEN
+    while pos + _RECORD_HEADER_LEN <= size:
+        frame_start = pos + _RECORD_HEADER_LEN
+        pos = frame_start + incl_len_at(data, pos + 8)[0]
+        if pos > size:
+            break
+        starts.append(frame_start)
+    return starts, pos != size
+
+
+def _decode_frames(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(protocol code, src_ip, dst_ip, src_port, dst_port, tcp_window) columns
+    for the Ethernet frames at buf[start:end]; OTHER with zeroed fields where
+    a frame is not decodable IPv4. Every gather reads only bytes its frame's
+    length check has shown to be inside that frame."""
+    n = start.size
+    proto = np.full(n, Protocol.OTHER.code, dtype=np.int64)
+    src_ip, dst_ip, src_port, dst_port, window = (np.zeros(n, dtype=np.int64) for _ in range(5))
+
+    # `pos` is each frame's current ethertype field; every VLAN tag moves it
+    # on by 4 bytes, to the ethertype the tag carries in its last two.
+    live = end - start >= 14
+    pos = start + 12
+    ethertype = np.zeros(n, dtype=np.int64)
+    ethertype[live] = _gather(buf, pos[live], ">u2")
+    tagged = live & np.isin(ethertype, _VLAN_ETHERTYPES)
+    while tagged.any():
+        cut = tagged & (end < pos + 6)  # the tag is cut short
+        live &= ~cut
+        tagged &= ~cut
+        pos[tagged] += 4
+        ethertype[tagged] = _gather(buf, pos[tagged], ">u2")
+        tagged &= np.isin(ethertype, _VLAN_ETHERTYPES)
+
+    ip = pos + 2
+    i = np.flatnonzero(live & (ethertype == _ETHERTYPE_IPV4) & (end - ip >= 20))
+    ip = ip[i]
+    version_ihl = buf[ip].astype(np.int64)
     header_len = (version_ihl & 0x0F) * 4
-    if header_len < 20 or len(ip) < header_len:
-        return other
-    proto = _IP_PROTO.get(ip[9])
-    if proto is None:
-        return other
-    src_ip = struct.unpack(">I", ip[12:16])[0]
-    dst_ip = struct.unpack(">I", ip[16:20])[0]
-    frag_offset = struct.unpack(">H", ip[6:8])[0] & 0x1FFF
-    if frag_offset != 0:  # non-first fragment: no L4 header present
-        return (proto, src_ip, dst_ip, 0, 0, 0)
+    code = _IP_PROTO_CODES[buf[ip + 9]]
+    ok = (
+        (version_ihl >> 4 == 4) & (header_len >= 20) & (end[i] - ip >= header_len)
+        & (code != Protocol.OTHER.code)
+    )
+    i, ip, header_len, code = i[ok], ip[ok], header_len[ok], code[ok]
+    proto[i] = code
+    src_ip[i] = _gather(buf, ip + 12, ">u4")
+    dst_ip[i] = _gather(buf, ip + 16, ">u4")
 
-    l4 = ip[header_len:]
-    if proto is Protocol.ICMP:
-        return (proto, src_ip, dst_ip, 0, 0, 0)
-    if proto is Protocol.TCP:
-        if len(l4) < 16:  # window field needs the first 16 bytes
-            return (proto, src_ip, dst_ip, 0, 0, 0)
-        src_port, dst_port = struct.unpack(">HH", l4[0:4])
-        window = struct.unpack(">H", l4[14:16])[0]
-        return (proto, src_ip, dst_ip, src_port, dst_port, window)
-    if len(l4) < 4:
-        return (proto, src_ip, dst_ip, 0, 0, 0)
-    src_port, dst_port = struct.unpack(">HH", l4[0:4])
-    return (proto, src_ip, dst_ip, src_port, dst_port, 0)
+    # Non-first fragments carry no L4 header; TCP needs 16 L4 bytes to
+    # reach the window field, UDP 4 for the ports. ICMP has no ports.
+    first = _gather(buf, ip + 6, ">u2") & 0x1FFF == 0
+    l4 = ip + header_len
+    room = end[i] - l4
+    tcp = first & (code == Protocol.TCP.code) & (room >= 16)
+    ported = tcp | (first & (code == Protocol.UDP.code) & (room >= 4))
+    src_port[i[ported]] = _gather(buf, l4[ported], ">u2")
+    dst_port[i[ported]] = _gather(buf, l4[ported] + 2, ">u2")
+    window[i[tcp]] = _gather(buf, l4[tcp] + 14, ">u2")
+    return proto, src_ip, dst_ip, src_port, dst_port, window
 
 
 def parse_pcap_with_stats(
@@ -134,55 +169,50 @@ def parse_pcap_with_stats(
     records are tolerated: packets are stable-sorted by timestamp and each
     packet arriving earlier than a predecessor bumps the reorder counter.
     A truncated record stops parsing; packets decoded so far are returned
-    with the truncation counted in the stats.
+    with the truncation counted in the stats. A sub-second field of a
+    whole second or more is a format error.
     """
     header = parse_global_header(data)
-    stats = PcapStats()
-    subsec_unit = 1_000_000_000 if header.nanosecond else 1_000_000
-    record_fmt = header.byte_order + "IIII"
-
-    raw: list[tuple[int, int, int, int, int, int, int, int, int]] = []
-    pos = _GLOBAL_HEADER_LEN
-    while pos < len(data):
-        if pos + _RECORD_HEADER_LEN > len(data):
-            stats.truncated_records += 1
-            break
-        ts_sec, ts_sub, incl_len, orig_len = struct.unpack(
-            record_fmt, data[pos : pos + _RECORD_HEADER_LEN]
-        )
-        pos += _RECORD_HEADER_LEN
-        if pos + incl_len > len(data):
-            stats.truncated_records += 1
-            break
-        frame = data[pos : pos + incl_len]
-        pos += incl_len
-        proto, src_ip, dst_ip, src_port, dst_port, window = _decode_frame(frame)
-        if proto is Protocol.OTHER:
-            stats.unrecognized_packets += 1
-        raw.append(
-            (ts_sec, ts_sub, orig_len, proto.code, src_ip, dst_ip, src_port, dst_port, window)
-        )
-
-    if not raw:
+    starts, truncated = _record_starts(data, header.byte_order)
+    if not starts:
         raise PcapFormatError("capture contains no decodable packets")
 
-    max_seen = None
-    for ts_sec, ts_sub, *_ in raw:
-        key = (ts_sec, ts_sub)
-        if max_seen is not None and key < max_seen:
-            stats.reordered_packets += 1
-        elif max_seen is None or key > max_seen:
-            max_seen = key
-    raw.sort(key=lambda rec: (rec[0], rec[1]))  # stable: equal stamps keep order
+    buf = np.frombuffer(data, dtype=np.uint8)
+    start = np.array(starts, dtype=np.int64)
+    ts_sec, ts_sub, incl_len, orig_len = (
+        _gather(buf, start - _RECORD_HEADER_LEN + 4 * k, header.byte_order + "u4")
+        for k in range(4)
+    )
+    subsec_unit = 1_000_000_000 if header.nanosecond else 1_000_000
+    bad = np.flatnonzero(ts_sub >= subsec_unit)
+    if bad.size:
+        k = int(bad[0])
+        field = "ts_nsec" if header.nanosecond else "ts_usec"
+        raise PcapFormatError(
+            f"record {k} (byte offset {starts[k] - _RECORD_HEADER_LEN}): "
+            f"{field} {ts_sub[k]} is not below {subsec_unit}"
+        )
+    columns = _decode_frames(buf, start, start + incl_len)
 
-    ts_sec, ts_sub, *columns = (np.array(column, dtype=np.int64) for column in zip(*raw))
+    key = ts_sec * subsec_unit + ts_sub  # orders as (ts_sec, ts_sub); below 2**63
+    reordered = np.count_nonzero(key[1:] < np.maximum.accumulate(key)[:-1])
+    order = np.argsort(key, kind="stable")  # equal stamps keep capture order
+    ts_sec, ts_sub = ts_sec[order], ts_sub[order]
     rel = (ts_sec - ts_sec[0]) + (ts_sub - ts_sub[0]) / subsec_unit
     digits = 9 if header.nanosecond else 6
     # round(), not np.round: np.round scales by 10**digits first, which can
     # land one ulp away from the correctly rounded value.
     timestamps = [round(t, digits) for t in rel.tolist()]
-    stats.packets = len(raw)
-    trace = Trace(timestamps, *columns, label=label, scenario=scenario, trace_id=trace_id)
+    stats = PcapStats(
+        packets=len(starts),
+        truncated_records=int(truncated),
+        reordered_packets=int(reordered),
+        unrecognized_packets=int(np.count_nonzero(columns[0] == Protocol.OTHER.code)),
+    )
+    trace = Trace(
+        timestamps, orig_len[order], *(column[order] for column in columns),
+        label=label, scenario=scenario, trace_id=trace_id,
+    )
     return trace, stats
 
 
@@ -194,5 +224,9 @@ def parse_pcap(
 
 
 def load_pcap(path: str | Path, label: str, scenario: Scenario = Scenario.CUSTOM) -> Trace:
+    """Parse the capture at `path`; format errors name the file."""
     path = Path(path)
-    return parse_pcap(path.read_bytes(), label, scenario, trace_id=path.stem)
+    try:
+        return parse_pcap(path.read_bytes(), label, scenario, trace_id=path.stem)
+    except PcapFormatError as exc:
+        raise PcapFormatError(f"{path}: {exc}") from exc

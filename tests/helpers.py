@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's code paths: smoothing
 weights come from exact rational arithmetic on the normal equations, feature
 statistics from plain Python loops, nearest-neighbor votes from an
 exhaustive scan or one query at a time, tree splits and boosting stumps from
-a search over one feature at a time, and MLP training from a loop that
-allocates every array and updates each weight and bias array on its own.
+a search over one feature at a time, MLP training from a loop that
+allocates every array and updates each weight and bias array on its own, and
+pcap parsing from a loop that decodes one record at a time.
 """
 
 from __future__ import annotations
@@ -27,8 +28,17 @@ from tpbench.attackers.mlp import (
     _init_params,
 )
 from tpbench.attackers.tree import TreeNode
+from tpbench.pcap import PcapFormatError, PcapStats, parse_global_header
 from tpbench.seeding import derive_seed
-from tpbench.traffic import ClassProfile, PacketRecord, Protocol, Trace, generate_trace
+from tpbench.traffic import (
+    _COLUMN_DTYPES,
+    ClassProfile,
+    PacketRecord,
+    Protocol,
+    Scenario,
+    Trace,
+    generate_trace,
+)
 
 
 # --- exact Savitzky-Golay oracle -------------------------------------------
@@ -436,6 +446,131 @@ def alternating_burst_dataset(
     return traces
 
 
+# --- per-record pcap oracle --------------------------------------------------
+
+_GLOBAL_HEADER_LEN = 24
+_RECORD_HEADER_LEN = 16
+_ETHERTYPE_IPV4 = 0x0800
+_VLAN_ETHERTYPES = (0x8100, 0x88A8)
+_IP_PROTO = {6: Protocol.TCP, 17: Protocol.UDP, 1: Protocol.ICMP}
+
+
+def _decode_frame(frame: bytes) -> tuple[Protocol, int, int, int, int, int]:
+    """(protocol, src_ip, dst_ip, src_port, dst_port, tcp_window) from one
+    Ethernet frame; OTHER with zeroed fields when not decodable IPv4."""
+    other = (Protocol.OTHER, 0, 0, 0, 0, 0)
+    if len(frame) < 14:
+        return other
+    ethertype = struct.unpack(">H", frame[12:14])[0]
+    offset = 14
+    while ethertype in _VLAN_ETHERTYPES:
+        if len(frame) < offset + 4:
+            return other
+        ethertype = struct.unpack(">H", frame[offset + 2 : offset + 4])[0]
+        offset += 4
+    if ethertype != _ETHERTYPE_IPV4 or len(frame) < offset + 20:
+        return other
+
+    ip = frame[offset:]
+    version_ihl = ip[0]
+    if version_ihl >> 4 != 4:
+        return other
+    header_len = (version_ihl & 0x0F) * 4
+    if header_len < 20 or len(ip) < header_len:
+        return other
+    proto = _IP_PROTO.get(ip[9])
+    if proto is None:
+        return other
+    src_ip = struct.unpack(">I", ip[12:16])[0]
+    dst_ip = struct.unpack(">I", ip[16:20])[0]
+    frag_offset = struct.unpack(">H", ip[6:8])[0] & 0x1FFF
+    if frag_offset != 0:  # non-first fragment: no L4 header present
+        return (proto, src_ip, dst_ip, 0, 0, 0)
+
+    l4 = ip[header_len:]
+    if proto is Protocol.ICMP:
+        return (proto, src_ip, dst_ip, 0, 0, 0)
+    if proto is Protocol.TCP:
+        if len(l4) < 16:  # window field needs the first 16 bytes
+            return (proto, src_ip, dst_ip, 0, 0, 0)
+        src_port, dst_port = struct.unpack(">HH", l4[0:4])
+        window = struct.unpack(">H", l4[14:16])[0]
+        return (proto, src_ip, dst_ip, src_port, dst_port, window)
+    if len(l4) < 4:
+        return (proto, src_ip, dst_ip, 0, 0, 0)
+    src_port, dst_port = struct.unpack(">HH", l4[0:4])
+    return (proto, src_ip, dst_ip, src_port, dst_port, 0)
+
+
+def reference_parse_pcap_with_stats(
+    data: bytes, label: str, scenario: Scenario = Scenario.CUSTOM, trace_id: str = ""
+) -> tuple[Trace, PcapStats]:
+    """`parse_pcap_with_stats` one record at a time: each record header is
+    unpacked, each frame sliced and decoded field by field, and the packets
+    are sorted as Python tuples. It does not check sub-second fields."""
+    header = parse_global_header(data)
+    stats = PcapStats()
+    subsec_unit = 1_000_000_000 if header.nanosecond else 1_000_000
+    record_fmt = header.byte_order + "IIII"
+
+    raw: list[tuple[int, int, int, int, int, int, int, int, int]] = []
+    pos = _GLOBAL_HEADER_LEN
+    while pos < len(data):
+        if pos + _RECORD_HEADER_LEN > len(data):
+            stats.truncated_records += 1
+            break
+        ts_sec, ts_sub, incl_len, orig_len = struct.unpack(
+            record_fmt, data[pos : pos + _RECORD_HEADER_LEN]
+        )
+        pos += _RECORD_HEADER_LEN
+        if pos + incl_len > len(data):
+            stats.truncated_records += 1
+            break
+        frame = data[pos : pos + incl_len]
+        pos += incl_len
+        proto, src_ip, dst_ip, src_port, dst_port, window = _decode_frame(frame)
+        if proto is Protocol.OTHER:
+            stats.unrecognized_packets += 1
+        raw.append(
+            (ts_sec, ts_sub, orig_len, proto.code, src_ip, dst_ip, src_port, dst_port, window)
+        )
+
+    if not raw:
+        raise PcapFormatError("capture contains no decodable packets")
+
+    max_seen = None
+    for ts_sec, ts_sub, *_ in raw:
+        key = (ts_sec, ts_sub)
+        if max_seen is not None and key < max_seen:
+            stats.reordered_packets += 1
+        elif max_seen is None or key > max_seen:
+            max_seen = key
+    raw.sort(key=lambda rec: (rec[0], rec[1]))  # stable: equal stamps keep order
+
+    ts_sec, ts_sub, *columns = (np.array(column, dtype=np.int64) for column in zip(*raw))
+    rel = (ts_sec - ts_sec[0]) + (ts_sub - ts_sub[0]) / subsec_unit
+    digits = 9 if header.nanosecond else 6
+    # round(), not np.round: np.round scales by 10**digits first, which can
+    # land one ulp away from the correctly rounded value.
+    timestamps = [round(t, digits) for t in rel.tolist()]
+    stats.packets = len(raw)
+    trace = Trace(timestamps, *columns, label=label, scenario=scenario, trace_id=trace_id)
+    return trace, stats
+
+
+def assert_same_parse(got: tuple[Trace, PcapStats], expected: tuple[Trace, PcapStats]) -> None:
+    """Equal stats, trace metadata and every column in dtype and bytes."""
+    (trace, stats), (want, want_stats) = got, expected
+    assert stats == want_stats
+    assert (trace.label, trace.scenario, trace.trace_id) == (
+        want.label, want.scenario, want.trace_id
+    )
+    for name in _COLUMN_DTYPES:
+        column, want_column = getattr(trace, name), getattr(want, name)
+        assert column.dtype == want_column.dtype, name
+        assert column.tobytes() == want_column.tobytes(), name
+
+
 # --- pcap fixture builders ---------------------------------------------------
 
 MAGIC_MICROS = 0xA1B2C3D4
@@ -493,6 +628,7 @@ def build_pcap(
     for idx, (ts, frame) in enumerate(records):
         sec = int(ts)
         sub = int(round((ts - sec) * unit))
+        sec, sub = sec + sub // unit, sub % unit  # rounding can reach a whole second
         orig = orig_lengths[idx] if orig_lengths else len(frame)
         blob += struct.pack(byte_order + "IIII", sec, sub, len(frame), orig)
         blob += frame

@@ -117,6 +117,15 @@ def test_extract_missing_pcap_exits_two(tmp_path, capsys):
     assert "missing.pcap" in capsys.readouterr().err
 
 
+def test_extract_bad_pcap_exits_two_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.pcap"
+    bad.write_bytes(b"garbage" * 8)
+    code = main(["extract", "--pcap", str(bad), "--label", "x", "--burst", "100",
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert f"{bad}: bad pcap magic" in capsys.readouterr().err
+
+
 def test_extract_pcap_roundtrip(tmp_path):
     frame = ipv4_frame(Protocol.TCP, 1, 2, 80, 81, tcp_window=100)
     records = [(i * 0.25, frame) for i in range(10)]

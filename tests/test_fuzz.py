@@ -3,8 +3,10 @@
 Whatever the input, `parse_pcap_with_stats`, `load_trace` and
 `load_features_csv` either return a result or raise `PcapFormatError` or
 `ValueError` (`PcapFormatError` is a `ValueError`). Any other exception is a
-crash on bad input. Examples are derandomized and few, so the suite stays
-deterministic and quick.
+crash on bad input. A returned trace must pass `Trace.validate`, and on
+captures with in-range sub-second fields the pcap parser must agree with the
+per-record reference parser bit for bit. Examples are derandomized and few,
+so the suite stays deterministic and quick.
 """
 
 import struct
@@ -12,12 +14,19 @@ import struct
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from helpers import MAGIC_MICROS, MAGIC_NANOS, ipv4_frame, raw_frame  # noqa: E402
+from helpers import (  # noqa: E402
+    MAGIC_MICROS,
+    MAGIC_NANOS,
+    assert_same_parse,
+    ipv4_frame,
+    raw_frame,
+    reference_parse_pcap_with_stats,
+)
 from tpbench.features import FEATURE_NAMES, load_features_csv  # noqa: E402
-from tpbench.pcap import parse_pcap_with_stats  # noqa: E402
+from tpbench.pcap import PcapFormatError, parse_pcap_with_stats  # noqa: E402
 from tpbench.traffic import PROTOCOLS, Protocol, load_trace  # noqa: E402
 
 FUZZ = settings(
@@ -73,8 +82,19 @@ def pcap_bytes(draw):
     return blob
 
 
+_TCP = ipv4_frame(Protocol.TCP, 1, 2, 80, 81, tcp_window=100)
+# Stamps (0 s, 0), (0 s, 1.5 s in microseconds), (1 s, 0): the middle
+# record's ts_usec is a whole second or more, so the records sort into
+# timestamps 0, 1.5, 1.0 unless the parser rejects it.
+_SUB_SECOND_OVERFLOW = struct.pack("<IHHiIII", MAGIC_MICROS, 2, 4, 0, 0, 65535, 1) + b"".join(
+    struct.pack("<IIII", sec, sub, len(_TCP), len(_TCP)) + _TCP
+    for sec, sub in [(0, 0), (0, 1_500_000), (1, 0)]
+)
+
+
 @FUZZ
 @given(pcap_bytes())
+@example(_SUB_SECOND_OVERFLOW)
 def test_parse_pcap_fuzz(data):
     try:
         trace, stats = parse_pcap_with_stats(data, label="fuzz")
@@ -82,6 +102,43 @@ def test_parse_pcap_fuzz(data):
         return
     assert stats.packets == trace.timestamps.size > 0
     assert trace.timestamps[0] == 0.0
+    trace.validate()
+
+
+@st.composite
+def stamped_pcap_bytes(draw):
+    """A valid classic pcap header and records with in-range sub-second
+    fields, seconds often equal, frames from `frames()` behind up to two
+    more VLAN tags; sometimes cut short."""
+    order = draw(st.sampled_from("<>"))
+    nanos = draw(st.booleans())
+    unit = 10**9 if nanos else 10**6
+    magic = MAGIC_NANOS if nanos else MAGIC_MICROS
+    blob = struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)
+    for _ in range(draw(st.integers(0, 8))):
+        frame = draw(frames())
+        for _ in range(draw(st.integers(0, 2))):
+            tag = struct.pack(">HH", draw(st.sampled_from([0x8100, 0x88A8])), draw(u16))
+            frame = frame[:12] + tag + frame[12:]
+        sec = draw(st.one_of(st.integers(0, 2), u32))
+        sub = draw(st.one_of(st.sampled_from([0, unit - 1]), st.integers(0, unit - 1)))
+        blob += struct.pack(order + "IIII", sec, sub, len(frame), draw(u32)) + frame
+    if draw(st.booleans()):
+        blob = blob[: draw(st.integers(0, len(blob)))]
+    return blob
+
+
+@FUZZ
+@given(stamped_pcap_bytes())
+def test_parse_pcap_matches_reference_fuzz(data):
+    try:
+        expected = reference_parse_pcap_with_stats(data, label="fuzz")
+    except PcapFormatError as exc:
+        with pytest.raises(PcapFormatError) as caught:
+            parse_pcap_with_stats(data, label="fuzz")
+        assert str(caught.value) == str(exc)
+        return
+    assert_same_parse(parse_pcap_with_stats(data, label="fuzz"), expected)
 
 
 # Cell values: well-formed numbers next to the kinds of token that have
