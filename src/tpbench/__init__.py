@@ -7,13 +7,13 @@ sweep reports.
 """
 
 from tpbench.adversarial import (
-    AwgnSpec,
     RealisticSpec,
     SavGolSpec,
-    apply_realistic,
-    inject_awgn,
+    TransformSpec,
+    apply_realistic_columns,
+    inject_awgn_columns,
     savgol_coefficients,
-    smooth_series,
+    smooth_columns,
 )
 from tpbench.features import (
     FEATURE_NAMES,

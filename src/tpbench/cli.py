@@ -1,9 +1,10 @@
-"""Command-line pipeline: synth, extract, perturb, attack, sweep, selftest.
+"""Command-line pipeline: synth, extract, perturb, attack, sweep.
 
 Exit codes: 0 success, 1 usage error, 2 data error. The stages share the
 feature-CSV interchange format, so `sweep` can be reproduced by chaining
 `synth` / `extract` / `perturb` / `attack` with the seeds printed in the
-sweep report.
+sweep report. The invariant checks live in the test suite:
+`pytest tests/test_acceptance.py` runs one check per acceptance criterion.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from tpbench.harness import (
 )
 from tpbench.pcap import load_pcap
 from tpbench.seeding import derive_seed
-from tpbench.selftest import run_selftest
 from tpbench.traffic import (
     Scenario,
     builtin_profiles,
@@ -97,8 +97,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="run the full experiment grid from a config")
     p.add_argument("--config", required=True)
-
-    sub.add_parser("selftest", help="run the built-in invariant battery")
     return parser
 
 
@@ -210,8 +208,6 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": _cmd_sweep,
     }
     try:
-        if args.command == "selftest":
-            return 0 if run_selftest() else DATA_ERROR
         return handlers[args.command](args)
     except (ValueError, OSError, attackers.TrainingDivergedError) as exc:
         print(f"tpbench {args.command}: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -67,11 +68,15 @@ class WindowSpec:
 
     def __post_init__(self):
         if self.mode == "burst":
-            if self.burst_size < 2:
-                raise ValueError("burst size must be >= 2")
+            n = self.burst_size
+            if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 2:
+                raise ValueError(f"burst size must be an integer >= 2, got {n!r}")
         elif self.mode == "timespan":
-            if self.timespan <= 0:
-                raise ValueError("timespan must be positive")
+            dt = self.timespan
+            if not (isinstance(dt, numbers.Real) and not isinstance(dt, bool)
+                    and math.isfinite(dt) and dt > 0):
+                raise ValueError(f"timespan must be a finite number > 0, got {dt!r}")
+            object.__setattr__(self, "timespan", float(dt))
         else:
             raise ValueError(f"unknown window mode {self.mode!r}")
 
@@ -87,10 +92,12 @@ class WindowSpec:
     def size(self) -> float:
         return self.burst_size if self.mode == "burst" else self.timespan
 
+    def size_repr(self) -> str:
+        """The window size as keys and report CSVs print it."""
+        return str(self.burst_size) if self.mode == "burst" else repr(self.timespan)
+
     def key(self) -> str:
-        if self.mode == "burst":
-            return f"burst:{self.burst_size}"
-        return f"timespan:{self.timespan!r}"
+        return f"{self.mode}:{self.size_repr()}"
 
 
 class FeatureVector(NamedTuple):

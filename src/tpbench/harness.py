@@ -20,15 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from tpbench import attackers
-from tpbench.adversarial import (
-    NonFiniteOutputError,
-    RealisticSpec,
-    SavGolSpec,
-    apply_realistic_columns,
-    check_finite,
-    inject_awgn_columns,
-    smooth_columns,
-)
+from tpbench.adversarial import TRANSFORM_PARAMS, TransformSpec
 from tpbench.attackers import SplitSpec
 from tpbench.features import EmptySeriesError, WindowSpec, extract_series, stack_series
 from tpbench.pcap import load_pcap
@@ -66,7 +58,7 @@ _ROOT_KEYS = frozenset({
     "transforms", "classifiers", "traces_per_class", "duration", "train_fraction",
     "seed", "output_dir",
 })
-_TRANSFORM_KEYS = frozenset({"mode", "window", "degree", "nu", "clamp_counts"})
+_TRANSFORM_KEYS = frozenset({"mode"}.union(*TRANSFORM_PARAMS.values()))
 # classifier hyperparameters that count something: an int >= 1, or also null
 _COUNT_PARAMS = frozenset({"epochs", "batch_size", "k", "n_trees", "rounds", "min_leaf"})
 _OPTIONAL_COUNT_PARAMS = frozenset({"max_depth", "features_per_split"})
@@ -82,48 +74,6 @@ def _check_keys(doc: dict, allowed, where: str) -> None:
         raise ConfigError(
             f"{where}: unknown key(s) {unknown}; expected some of {sorted(allowed)}"
         )
-
-
-@dataclass(frozen=True)
-class TransformSpec:
-    mode: str  # none | smooth | awgn | realistic
-    window: int = 51
-    degree: int = 1
-    nu: float = 0.0
-    clamp_counts: bool = False
-
-    def __post_init__(self):
-        if self.mode not in ("none", "smooth", "awgn", "realistic"):
-            raise ConfigError(f"transform mode {self.mode!r} unknown")
-        if self.mode == "smooth":
-            SavGolSpec(self.window, self.degree)  # reuse its validation
-        if self.mode in ("awgn", "realistic") and self.nu <= 0:
-            raise ConfigError(f"transform {self.mode!r} needs nu > 0")
-
-    def params_repr(self) -> str:
-        if self.mode == "smooth":
-            return f"window={self.window},degree={self.degree}"
-        if self.mode in ("awgn", "realistic"):
-            extra = ",clamp_counts=true" if self.clamp_counts else ""
-            return f"nu={self.nu!r}{extra}"
-        return ""
-
-    def key(self) -> str:
-        return f"{self.mode}({self.params_repr()})"
-
-    def apply(self, X: np.ndarray, seed: int) -> np.ndarray:
-        """The transformed copy of X. Raises ValueError naming the transform
-        key if any value is not finite (e.g. noise scaled by a huge nu)."""
-        try:
-            if self.mode == "none":
-                return check_finite(np.array(X, dtype=np.float64, copy=True), self.key())
-            if self.mode == "smooth":
-                return smooth_columns(X, SavGolSpec(self.window, self.degree))
-            if self.mode == "awgn":
-                return inject_awgn_columns(X, self.nu, seed, clamp_counts=self.clamp_counts)
-            return apply_realistic_columns(X, RealisticSpec(self.nu, seed, self.clamp_counts))
-        except NonFiniteOutputError:
-            raise ValueError(f"transform {self.key()} produced non-finite values") from None
 
 
 @dataclass(frozen=True)
@@ -272,35 +222,34 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
                 raise ConfigError(f"pcap_labels: file not found: {path}")
             pcap_files.append((path, str(label)))
 
+    bursts = doc.get("burst_sizes")
+    if bursts is None and "timespans" not in doc:
+        bursts = list(DEFAULT_BURST_SIZES)
     window_specs: list[WindowSpec] = []
-    try:
-        bursts = doc.get("burst_sizes")
-        if bursts is None and "timespans" not in doc:
-            bursts = list(DEFAULT_BURST_SIZES)
-        for n in bursts or []:
-            window_specs.append(WindowSpec.burst(int(n)))
-        for dt in doc.get("timespans") or []:
-            window_specs.append(WindowSpec.time_span(float(dt)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"window sweep: {exc}") from exc
+    for name, sizes, make in (
+        ("burst_sizes", bursts, WindowSpec.burst),
+        ("timespans", doc.get("timespans"), WindowSpec.time_span),
+    ):
+        if sizes is not None and not isinstance(sizes, list):
+            raise ConfigError(f"{name}: must be a list of window sizes")
+        for i, size in enumerate(sizes or []):
+            try:
+                window_specs.append(make(size))
+            except ValueError as exc:
+                raise ConfigError(f"{name}[{i}]: {exc}") from exc
 
     transforms = []
     for i, tdoc in enumerate(doc.get("transforms", [{"mode": "none"}])):
+        where = f"transforms[{i}]"
         if not isinstance(tdoc, dict):
-            raise ConfigError(f"transforms[{i}]: must be an object with a mode")
-        _check_keys(tdoc, _TRANSFORM_KEYS, f"transforms[{i}]")
+            raise ConfigError(f"{where}: must be an object with a mode")
+        _check_keys(tdoc, _TRANSFORM_KEYS, where)
         try:
-            transforms.append(
-                TransformSpec(
-                    mode=tdoc.get("mode", "none"),
-                    window=int(tdoc.get("window", 51)),
-                    degree=int(tdoc.get("degree", 1)),
-                    nu=float(tdoc.get("nu", 0.0)),
-                    clamp_counts=bool(tdoc.get("clamp_counts", False)),
-                )
-            )
+            spec = TransformSpec(**{"mode": "none", **tdoc})
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"transforms[{i}]: {exc}") from exc
+            raise ConfigError(f"{where}: {exc}") from exc
+        _check_keys(tdoc, {"mode", *TRANSFORM_PARAMS[spec.mode]}, f"{where} (mode {spec.mode!r})")
+        transforms.append(spec)
 
     classifiers = []
     for i, cdoc in enumerate(doc.get("classifiers", [])):
@@ -346,13 +295,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 @dataclass
 class SweepRow:
+    """One grid cell: its coordinates as spec objects, then its outcome."""
+
     scenario: str
-    classifier: str
-    classifier_params: str
-    window_mode: str
-    window_size: float
-    transform: str
-    transform_params: str
+    classifier: ClassifierSpec
+    window: WindowSpec
+    transform: TransformSpec
     accuracy: float | None
     n_train: int
     n_test: int
@@ -364,12 +312,12 @@ class SweepRow:
     def as_record(self) -> list[str]:
         return [
             self.scenario,
-            self.classifier,
-            self.classifier_params,
-            self.window_mode,
-            repr(float(self.window_size)) if self.window_mode == "timespan" else str(int(self.window_size)),
-            self.transform,
-            self.transform_params,
+            self.classifier.kind,
+            self.classifier.params_repr(),
+            self.window.mode,
+            self.window.size_repr(),
+            self.transform.mode,
+            self.transform.params_repr(),
             "" if self.accuracy is None else repr(self.accuracy),
             str(self.n_train),
             str(self.n_test),
@@ -465,12 +413,9 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
                 )
                 row = SweepRow(
                     scenario=config.scenario,
-                    classifier=clf.kind,
-                    classifier_params=clf.params_repr(),
-                    window_mode=wspec.mode,
-                    window_size=wspec.size,
-                    transform=tspec.mode,
-                    transform_params=tspec.params_repr(),
+                    classifier=clf,
+                    window=wspec,
+                    transform=tspec,
                     accuracy=None,
                     n_train=0,
                     n_test=0,
@@ -499,12 +444,21 @@ def _write_csv(path: Path, header: list[str], records: list[list[str]]) -> None:
         writer.writerows(records)
 
 
+def _distinct(specs) -> list:
+    """One spec per key, in order of first appearance."""
+    seen = {}
+    for spec in specs:
+        seen.setdefault(spec.key(), spec)
+    return list(seen.values())
+
+
 def emit_report(report: SweepReport, directory: str | Path) -> list[Path]:
     """Write sweep.csv plus one plot-ready pivot per transform mode.
 
     Pivot files have one row per window size; columns are classifiers for the
-    untransformed runs and parameter values (per classifier, when several ran)
-    for parameterized transforms.
+    untransformed runs and transform labels (per classifier, when several
+    ran) for parameterized transforms. A classifier column is named by its
+    kind, or by its key when specs of one kind differ.
     """
     if not report.rows:
         raise ValueError("report is empty; nothing to write")
@@ -516,49 +470,31 @@ def emit_report(report: SweepReport, directory: str | Path) -> list[Path]:
     _write_csv(sweep_path, list(REPORT_COLUMNS), [r.as_record() for r in report.rows])
     paths.append(sweep_path)
 
-    modes = []
-    for row in report.rows:
-        if row.transform not in modes:
-            modes.append(row.transform)
-    classifiers = []
-    for row in report.rows:
-        if row.classifier not in classifiers:
-            classifiers.append(row.classifier)
+    classifiers = _distinct(r.classifier for r in report.rows)
+    kinds = [clf.kind for clf in classifiers]
+    clf_names = {
+        clf.key(): clf.kind if kinds.count(clf.kind) == 1 else clf.key() for clf in classifiers
+    }
+    cells = {
+        (r.window.key(), r.classifier.key(), r.transform.key()): r for r in report.rows
+    }
 
-    for mode in modes:
-        mode_rows = [r for r in report.rows if r.transform == mode]
-        param_labels = []
-        for r in mode_rows:
-            label = _param_label(r)
-            if label not in param_labels:
-                param_labels.append(label)
-        if mode == "none" or param_labels == [""]:
-            columns = [(clf, "") for clf in classifiers]
-            names = list(classifiers)
-        elif len(classifiers) == 1:
-            columns = [(classifiers[0], p) for p in param_labels]
-            names = list(param_labels)
-        else:
-            columns = [(clf, p) for clf in classifiers for p in param_labels]
-            names = [f"{clf}:{p}" for clf, p in columns]
-
-        sizes = []
-        for r in mode_rows:
-            key = (r.window_mode, r.window_size)
-            if key not in sizes:
-                sizes.append(key)
-        sizes.sort(key=lambda k: (k[0], k[1]))
-
-        lookup = {}
-        for r in mode_rows:
-            lookup[(r.window_mode, r.window_size, r.classifier, _param_label(r))] = r
+    for mode in dict.fromkeys(r.transform.mode for r in report.rows):
+        mode_rows = [r for r in report.rows if r.transform.mode == mode]
+        transforms = _distinct(r.transform for r in mode_rows)
+        columns = [(clf, t) for clf in classifiers for t in transforms]
+        names = [
+            clf_names[clf.key()] if mode == "none"
+            else t.label() if len(classifiers) == 1
+            else f"{clf_names[clf.key()]}:{t.label()}"
+            for clf, t in columns
+        ]
+        windows = sorted(_distinct(r.window for r in mode_rows), key=lambda w: (w.mode, w.size))
         records = []
-        for wmode, wsize in sizes:
-            record = [
-                repr(float(wsize)) if wmode == "timespan" else str(int(wsize))
-            ]
-            for clf, p in columns:
-                row = lookup.get((wmode, wsize, clf, p))
+        for w in windows:
+            record = [w.size_repr()]
+            for clf, t in columns:
+                row = cells.get((w.key(), clf.key(), t.key()))
                 record.append(
                     "" if row is None or row.accuracy is None else repr(row.accuracy)
                 )
@@ -567,19 +503,3 @@ def emit_report(report: SweepReport, directory: str | Path) -> list[Path]:
         _write_csv(pivot_path, ["window_size", *names], records)
         paths.append(pivot_path)
     return paths
-
-
-def _param_label(row: SweepRow) -> str:
-    if row.transform == "smooth":
-        parts = dict(p.split("=") for p in row.transform_params.split(",") if p)
-        if parts.get("window", "51") == "51":
-            return f"deg{parts.get('degree', '')}"
-        return f"w{parts.get('window')}deg{parts.get('degree')}"
-    if row.transform in ("awgn", "realistic"):
-        parts = dict(p.split("=") for p in row.transform_params.split(",") if "=" in p)
-        nu = parts.get("nu", "")
-        try:
-            return f"nu{float(nu):g}"
-        except ValueError:
-            return f"nu{nu}"
-    return ""

@@ -1,34 +1,29 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from helpers import exact_savgol_weights
+from tpbench import harness
 from tpbench.adversarial import (
     REALISTIC_AWGN_FEATURES,
     REALISTIC_PADDED_FEATURE,
     REALISTIC_UNTOUCHED_FEATURES,
     REALISTIC_ZEROED_FEATURE,
-    AwgnSpec,
     NonFiniteOutputError,
     RealisticSpec,
     SavGolSpec,
-    apply_realistic,
+    TransformSpec,
     apply_realistic_columns,
-    inject_awgn,
     inject_awgn_columns,
     savgol_coefficients,
     smooth_columns,
-    smooth_series,
 )
-from tpbench.features import FEATURE_INDEX, FEATURE_NAMES, FeatureSeries, WindowSpec
+from tpbench.features import FEATURE_INDEX, FEATURE_NAMES
 
 
-def make_series(values, label="x") -> FeatureSeries:
-    return FeatureSeries(np.asarray(values, dtype=float), label=label,
-                         window_spec=WindowSpec.burst(500), trace_id="t-0")
-
-
-def random_series(rng, n=300) -> FeatureSeries:
-    return make_series(rng.normal(50.0, 12.0, size=(n, len(FEATURE_NAMES))))
+def random_matrix(rng, n=300) -> np.ndarray:
+    return rng.normal(50.0, 12.0, size=(n, len(FEATURE_NAMES)))
 
 
 # --- coefficients -------------------------------------------------------------
@@ -78,16 +73,61 @@ def test_weights_match_scipy_savgol_coeffs():
 
 
 def test_spec_validation():
+    X = random_matrix(np.random.default_rng(1), n=20)
     with pytest.raises(ValueError):
         SavGolSpec(4, 1)  # even window
     with pytest.raises(ValueError):
         SavGolSpec(5, 5)  # degree >= window
     with pytest.raises(ValueError):
-        AwgnSpec(0.0)
+        inject_awgn_columns(X, 0.0, 1)
     with pytest.raises(ValueError):
-        AwgnSpec(1.0, feature_mask=("no_such_feature",))
+        inject_awgn_columns(X, 1.0, 1, feature_mask=("no_such_feature",))
     with pytest.raises(ValueError):
         RealisticSpec(-1.0)
+
+
+def test_kernels_check_their_arguments_through_the_spec():
+    X = random_matrix(np.random.default_rng(2), n=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning before the error
+        for nu in (0.0, -1, float("nan"), float("inf"), "2", True):
+            with pytest.raises(ValueError, match=r"transform awgn: nu must be a finite number > 0"):
+                inject_awgn_columns(X, nu, 1)
+    with pytest.raises(ValueError, match=r"awgn\(nu=1.0\): unknown features in mask: \['no_such'\]"):
+        inject_awgn_columns(X, 1.0, 1, feature_mask=("no_such",))
+    with pytest.raises(ValueError, match="clamp_counts must be true or false"):
+        inject_awgn_columns(X, 1.0, 1, clamp_counts="false")
+    with pytest.raises(ValueError, match="transform realistic: nu must be"):
+        RealisticSpec(-1.0)
+    for window, degree in ((4, 1), (1, 0), (51.0, 1), (True, 0), (5, 5), (5, -1), (5, 1.5)):
+        with pytest.raises(ValueError, match="transform smooth: (window|degree) must be"):
+            SavGolSpec(window, degree)
+    # a kernel given another mode's spec refuses it instead of reading defaults
+    with pytest.raises(ValueError, match=r"smooth kernel was given transform awgn\(nu=2.0\)"):
+        smooth_columns(X, TransformSpec("awgn", nu=2.0))
+    with pytest.raises(ValueError, match=r"realistic kernel was given transform smooth"):
+        apply_realistic_columns(X, SavGolSpec(5, 1))
+
+
+def test_one_spec_class_with_stable_keys_and_distinct_labels():
+    assert harness.TransformSpec is TransformSpec
+    assert SavGolSpec(31, 2) == TransformSpec("smooth", window=31, degree=2)
+    assert RealisticSpec(2, seed=5) == TransformSpec("realistic", nu=2.0, seed=5)
+    # cell seeds derive from key(), so these bytes are pinned
+    keys = {
+        TransformSpec("none"): ("none()", ""),
+        SavGolSpec(): ("smooth(window=51,degree=1)", "deg1"),
+        SavGolSpec(31, 3): ("smooth(window=31,degree=3)", "w31deg3"),
+        TransformSpec("awgn", nu=2): ("awgn(nu=2.0)", "nu2"),
+        TransformSpec("awgn", nu=2.0, clamp_counts=True):
+            ("awgn(nu=2.0,clamp_counts=true)", "nu2+clamp"),
+        TransformSpec("awgn", nu=0.1234567): ("awgn(nu=0.1234567)", "nu0.1234567"),
+        TransformSpec("awgn", nu=0.12345678): ("awgn(nu=0.12345678)", "nu0.12345678"),
+        RealisticSpec(1e308, seed=9): ("realistic(nu=1e+308)", "nu1e+308"),
+        TransformSpec("realistic", nu=np.float64(0.2)): ("realistic(nu=0.2)", "nu0.2"),
+    }
+    for spec, (key, label) in keys.items():
+        assert (spec.key(), spec.label()) == (key, label)
 
 
 # --- smoothing ----------------------------------------------------------------
@@ -133,21 +173,9 @@ def test_cubic_smoothed_by_degree_one_loses_variance():
     assert np.var(out[interior]) < np.var(column[interior])
 
 
-def test_smooth_series_keeps_length_and_metadata():
-    rng = np.random.default_rng(9)
-    series = random_series(rng, n=120)
-    out = smooth_series(series, SavGolSpec(51, 1))
-    assert len(out) == len(series)
-    assert out.label == series.label
-    assert out.trace_id == series.trace_id
-    assert out.window_spec == series.window_spec
-    assert out.transform == "smooth(w=51,d=1)"
-
-
 def test_short_series_rejected_with_guidance():
-    series = make_series(np.zeros((20, 12)))
     with pytest.raises(ValueError, match="window_length"):
-        smooth_series(series, SavGolSpec(51, 1))
+        smooth_columns(np.zeros((20, 12)), SavGolSpec(51, 1))
 
 
 # --- noise injection ------------------------------------------------------------
@@ -156,20 +184,19 @@ def test_constant_column_skipped():
     rng = np.random.default_rng(2)
     values = rng.normal(size=(100, 12))
     values[:, 3] = 42.0
-    series = make_series(values)
-    out = inject_awgn(series, AwgnSpec(0.2, seed=8))
-    assert np.array_equal(out.values[:, 3], values[:, 3])
-    assert not np.array_equal(out.values[:, 0], values[:, 0])
+    out = inject_awgn_columns(values, 0.2, 8)
+    assert np.array_equal(out[:, 3], values[:, 3])
+    assert not np.array_equal(out[:, 0], values[:, 0])
 
 
 def test_awgn_deterministic_per_seed():
     rng = np.random.default_rng(3)
-    series = random_series(rng)
-    a = inject_awgn(series, AwgnSpec(1.0, seed=77))
-    b = inject_awgn(series, AwgnSpec(1.0, seed=77))
-    c = inject_awgn(series, AwgnSpec(1.0, seed=78))
-    assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
+    X = random_matrix(rng)
+    a = inject_awgn_columns(X, 1.0, 77)
+    b = TransformSpec("awgn", nu=1.0).apply(X, 77)
+    c = inject_awgn_columns(X, 1.0, 78)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_awgn_statistics_match_request():
@@ -177,46 +204,42 @@ def test_awgn_statistics_match_request():
     n = 20_000
     values = np.zeros((n, 12))
     values[:, 0] = rng.normal(0.0, 2.0, size=n)
-    series = make_series(values)
     sigma2 = float(np.var(values[:, 0]))
     nu = 2.0
-    out = inject_awgn(series, AwgnSpec(nu, seed=4))
-    noise = out.values[:, 0] - values[:, 0]
+    out = inject_awgn_columns(values, nu, 4)
+    noise = out[:, 0] - values[:, 0]
     assert abs(noise.mean()) < 4 * np.sqrt(nu * sigma2 / n)
     assert abs(np.var(noise) / (nu * sigma2) - 1.0) < 0.05
 
 
 def test_awgn_respects_feature_mask():
     rng = np.random.default_rng(6)
-    series = random_series(rng)
+    X = random_matrix(rng)
     mask = ("mean_ipt", "std_ipt")
-    out = inject_awgn(series, AwgnSpec(1.0, seed=5, feature_mask=mask))
+    out = inject_awgn_columns(X, 1.0, 5, feature_mask=mask)
     for name in FEATURE_NAMES:
         idx = FEATURE_INDEX[name]
-        same = np.array_equal(out.values[:, idx], series.values[:, idx])
+        same = np.array_equal(out[:, idx], X[:, idx])
         assert same == (name not in mask)
 
 
 def test_clamp_counts_floors_only_count_features():
     values = np.full((50, 12), 0.5)
     values[:, :] += np.linspace(0, 1, 50)[:, None]  # give every column variance
-    series = make_series(values)
-    out = inject_awgn(series, AwgnSpec(500.0, seed=1, clamp_counts=True))
+    out = inject_awgn_columns(values, 500.0, 1, clamp_counts=True)
     for name in ("n_ip_unique", "n_port_unique", "n_pack_tcp", "n_pack_udp",
                  "n_pack_icmp"):
-        assert out.values[:, FEATURE_INDEX[name]].min() >= 0.0
+        assert out[:, FEATURE_INDEX[name]].min() >= 0.0
     # non-count columns are allowed to go negative
     rest = [FEATURE_INDEX[n] for n in FEATURE_NAMES
             if n not in ("n_ip_unique", "n_port_unique", "n_pack_tcp",
                          "n_pack_udp", "n_pack_icmp")]
-    assert out.values[:, rest].min() < 0.0
+    assert out[:, rest].min() < 0.0
 
 
 def test_awgn_needs_two_rows():
-    series = make_series(np.ones((2, 12)))
-    inject_awgn(series, AwgnSpec(1.0, seed=0))  # fine
+    inject_awgn_columns(np.ones((2, 12)), 1.0, 0)  # fine
     with pytest.raises(ValueError):
-        from tpbench.adversarial import inject_awgn_columns
         inject_awgn_columns(np.ones((1, 12)), 1.0, 0)
 
 
@@ -241,21 +264,20 @@ def test_treatment_map_is_the_documented_table():
 
 def test_realistic_contract():
     rng = np.random.default_rng(21)
-    series = random_series(rng)
-    out = apply_realistic(series, RealisticSpec(2.0, seed=9))
-    assert len(out) == len(series)
+    X = random_matrix(rng)
+    out = apply_realistic_columns(X, RealisticSpec(2.0, seed=9))
+    assert out.shape == X.shape
+    assert np.array_equal(out, TransformSpec("realistic", nu=2.0).apply(X, 9))
     for name in REALISTIC_UNTOUCHED_FEATURES:
         idx = FEATURE_INDEX[name]
-        assert np.array_equal(out.values[:, idx], series.values[:, idx]), name
+        assert np.array_equal(out[:, idx], X[:, idx]), name
     pad_idx = FEATURE_INDEX[REALISTIC_PADDED_FEATURE]
-    assert np.all(out.values[:, pad_idx] == series.values[:, pad_idx].max())
-    assert np.all(out.values[:, FEATURE_INDEX[REALISTIC_ZEROED_FEATURE]] == 0.0)
+    assert np.all(out[:, pad_idx] == X[:, pad_idx].max())
+    assert np.all(out[:, FEATURE_INDEX[REALISTIC_ZEROED_FEATURE]] == 0.0)
     changed = {
         name
         for name in FEATURE_NAMES
-        if not np.array_equal(
-            out.values[:, FEATURE_INDEX[name]], series.values[:, FEATURE_INDEX[name]]
-        )
+        if not np.array_equal(out[:, FEATURE_INDEX[name]], X[:, FEATURE_INDEX[name]])
     }
     assert changed == set(REALISTIC_AWGN_FEATURES) | {
         REALISTIC_PADDED_FEATURE,
@@ -265,11 +287,11 @@ def test_realistic_contract():
 
 def test_realistic_untouched_holds_at_huge_nu():
     rng = np.random.default_rng(23)
-    series = random_series(rng)
-    out = apply_realistic(series, RealisticSpec(1e9, seed=9))
+    X = random_matrix(rng)
+    out = apply_realistic_columns(X, RealisticSpec(1e9, seed=9))
     for name in REALISTIC_UNTOUCHED_FEATURES:
         idx = FEATURE_INDEX[name]
-        assert np.array_equal(out.values[:, idx], series.values[:, idx])
+        assert np.array_equal(out[:, idx], X[:, idx])
 
 
 def test_library_transforms_reject_non_finite_output():
@@ -277,14 +299,14 @@ def test_library_transforms_reject_non_finite_output():
     X = rng.normal(50.0, 12.0, size=(60, len(FEATURE_NAMES)))
     with pytest.raises(NonFiniteOutputError, match=r"awgn\(nu=1e\+308\) produced non-finite"):
         inject_awgn_columns(X, 1e308, 1)
-    with pytest.raises(NonFiniteOutputError, match=r"awgn\(nu=1e\+308\)"):
-        inject_awgn(make_series(X), AwgnSpec(1e308, seed=1))
+    with pytest.raises(NonFiniteOutputError, match=r"awgn\(nu=1e\+308,clamp_counts=true\) produced"):
+        TransformSpec("awgn", nu=1e308, clamp_counts=True).apply(X, 1)
     with pytest.raises(NonFiniteOutputError, match=r"realistic\(nu=1e\+308\) produced"):
         apply_realistic_columns(X, RealisticSpec(1e308, seed=1))
     for bad in (np.nan, np.inf, -np.inf):
         Xbad = X.copy()
         Xbad[7, FEATURE_INDEX["mean_ipt"]] = bad  # a column the realistic mode leaves alone
-        with pytest.raises(NonFiniteOutputError, match=r"smooth\(w=5,d=2\) produced"):
+        with pytest.raises(NonFiniteOutputError, match=r"smooth\(window=5,degree=2\) produced"):
             smooth_columns(Xbad, SavGolSpec(5, 2))
         with pytest.raises(NonFiniteOutputError, match=r"realistic\(nu=0.5\)"):
             apply_realistic_columns(Xbad, RealisticSpec(0.5, seed=1))

@@ -188,7 +188,7 @@ def test_sweep_and_selftest(tmp_path, capsys):
     assert (tmp_path / "out" / "sweep.csv").exists()
 
     assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
-    assert main(["selftest"]) == 0
+    assert main(["selftest"]) == 1  # removed; the acceptance suite is the check battery
 
 
 def test_attack_save_model(tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import asdict
 
@@ -75,8 +76,8 @@ def test_grid_accounting_with_smoothing_skips(tmp_path):
     skipped = report.skipped_rows()
     assert len(skipped) == 2  # smooth cells at burst 2000, one per classifier
     for row in skipped:
-        assert row.window_size == 2000
-        assert row.transform == "smooth"
+        assert row.window == WindowSpec.burst(2000)
+        assert row.transform.mode == "smooth"
         assert "window_length" in row.reason or "usable window" in row.reason
 
 
@@ -123,6 +124,43 @@ def test_pivot_none_columns_per_classifier(tmp_path):
     assert header == ["window_size", "knn", "tree", "adaboost"]
 
 
+def test_pivot_columns_keep_distinct_specs_apart(tmp_path):
+    def pivot(path, mode):
+        lines = (path / f"accuracy_vs_window_{mode}.csv").read_text().splitlines()
+        return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+    def cells(path):
+        with open(path / "sweep.csv", newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    transforms = [{"mode": "awgn", "nu": 2.0},
+                  {"mode": "awgn", "nu": 2.0, "clamp_counts": True},
+                  {"mode": "awgn", "nu": 0.1234567},
+                  {"mode": "awgn", "nu": 0.12345678}]
+    config = load_config(small_config(tmp_path, burst_sizes=[150, 300], transforms=transforms,
+                                      classifiers=[{"kind": "tree"}]))
+    emit_report(run_experiment(config), tmp_path / "nu")
+    header, records = pivot(tmp_path / "nu", "awgn")
+    assert header == ["window_size", "nu2", "nu2+clamp", "nu0.1234567", "nu0.12345678"]
+    rows = cells(tmp_path / "nu")
+    assert len(rows) == 8 and all(r["status"] == "ok" for r in rows)
+    for record in records:
+        for params, value in zip(
+            ("nu=2.0", "nu=2.0,clamp_counts=true", "nu=0.1234567", "nu=0.12345678"), record[1:]
+        ):
+            want = [r["accuracy"] for r in rows
+                    if r["window_size"] == record[0] and r["transform_params"] == params]
+            assert want == [value]
+
+    config = load_config(small_config(
+        tmp_path, classifiers=[{"kind": "knn", "k": 1}, {"kind": "knn", "k": 15},
+                               {"kind": "tree"}]))
+    emit_report(run_experiment(config), tmp_path / "knn")
+    header, [record] = pivot(tmp_path / "knn", "none")
+    assert header == ["window_size", "knn(k=1)", "knn(k=15)", "tree"]
+    assert record[1:] == [r["accuracy"] for r in cells(tmp_path / "knn")]
+
+
 def test_config_json_error_reports_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"scenario": "mic_onoff",\n  "seed": }')
@@ -164,6 +202,41 @@ def test_config_field_errors_are_named():
     with pytest.raises(ConfigError, match=r"transforms\[0\]: must be an object"):
         config_from_dict({**base, "classifiers": [{"kind": "knn"}],
                           "transforms": ["none"]})
+    for transform, named in (
+        ({"mode": "smooth", "window": 51.9}, r"window must be an odd integer >= 3, got 51\.9"),
+        ({"mode": "smooth", "degree": "3"}, r"degree must be an integer in \[0, window - 1\]"),
+        ({"mode": "awgn", "nu": 2.0, "clamp_counts": "false"},
+         "clamp_counts must be true or false, got 'false'"),
+        ({"mode": "awgn", "nu": "nan"}, "nu must be a finite number > 0, got 'nan'"),
+        ({"mode": "awgn", "nu": float("nan")}, "nu must be a finite number > 0, got nan"),
+        ({"mode": "realistic", "nu": float("inf")}, "nu must be a finite number > 0, got inf"),
+        ({"mode": "awgn", "nu": 0}, "nu must be a finite number > 0, got 0"),
+        ({"mode": "awgn"}, "nu must be a finite number > 0"),
+        ({"mode": "none", "nu": 2.0}, r"\(mode 'none'\): unknown key\(s\) \['nu'\]"),
+        ({"mode": "smooth", "nu": 2.0}, r"\(mode 'smooth'\): unknown key\(s\) \['nu'\]"),
+        ({"mode": "smooth", "clamp_counts": True}, r"unknown key\(s\) \['clamp_counts'\]"),
+        ({"mode": "awgn", "nu": 2.0, "window": 51}, r"\(mode 'awgn'\): unknown key\(s\) \['window'\]"),
+        ({"mode": "realistic", "nu": 2.0, "degree": 1}, r"unknown key\(s\) \['degree'\]"),
+    ):
+        with pytest.raises(ConfigError, match=rf"transforms\[1\].*{named}"):
+            config_from_dict({**base, "classifiers": [{"kind": "knn"}],
+                              "transforms": [{"mode": "none"}, transform]})
+    config = config_from_dict({**base, "classifiers": [{"kind": "knn"}],
+                               "transforms": [{"mode": "awgn", "nu": 2}]})
+    assert config.transforms[0].key() == "awgn(nu=2.0)"
+    for windows, named in (
+        ({"timespans": ["nan"]}, r"timespans\[0\]: timespan must be a finite number > 0, got 'nan'"),
+        ({"timespans": [0.5, float("inf")]}, r"timespans\[1\]: timespan must be .* got inf"),
+        ({"timespans": [True]}, r"timespans\[0\]: timespan must be"),
+        ({"burst_sizes": [250.7]}, r"burst_sizes\[0\]: burst size must be an integer >= 2, got 250\.7"),
+        ({"burst_sizes": [100, "250"]}, r"burst_sizes\[1\]: burst size must be an integer"),
+        ({"burst_sizes": 250}, r"burst_sizes: must be a list"),
+    ):
+        with pytest.raises(ConfigError, match=named):
+            config_from_dict({**base, **windows, "classifiers": [{"kind": "knn"}]})
+    config = config_from_dict({**base, "burst_sizes": [], "timespans": [1],
+                               "classifiers": [{"kind": "knn"}]})
+    assert config.window_specs[0].key() == "timespan:1.0"
     profile = asdict(builtin_profiles(Scenario.MIC_ONOFF)[0])
     with pytest.raises(ConfigError, match=r"profiles\[0\].*'jiter_std'"):
         config_from_dict({**base, "classifiers": [{"kind": "knn"}],
@@ -209,7 +282,7 @@ def test_timespan_windows_run(tmp_path):
     path = small_config(tmp_path, burst_sizes=[], timespans=[0.5])
     report = run_experiment(load_config(path))
     assert len(report.rows) == 1
-    assert report.rows[0].window_mode == "timespan"
+    assert report.rows[0].window.mode == "timespan"
     assert report.rows[0].status == "ok"
 
 
@@ -254,8 +327,8 @@ def test_emit_report_unwritable_path_fails(tmp_path):
     blocker.write_text("x")
     from tpbench.harness import SweepReport, SweepRow
     report = SweepReport(rows=[SweepRow(
-        scenario="s", classifier="knn", classifier_params="", window_mode="burst",
-        window_size=100, transform="none", transform_params="", accuracy=1.0,
+        scenario="s", classifier=ClassifierSpec("knn"), window=WindowSpec.burst(100),
+        transform=TransformSpec("none"), accuracy=1.0,
         n_train=1, n_test=1, seed=0, dropped_windows=0,
     )])
     with pytest.raises(OSError):
