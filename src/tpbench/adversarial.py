@@ -205,8 +205,8 @@ def smooth_columns(X: np.ndarray, spec: TransformSpec) -> np.ndarray:
     n = X.shape[0]
     if n < spec.window:
         raise ValueError(
-            f"series length {n} < window_length {spec.window}; "
-            "reduce window_length or skip this configuration"
+            f"series length {n} < window {spec.window}; "
+            "reduce window or skip this configuration"
         )
     m = (spec.window - 1) // 2
     out = np.empty_like(X)

@@ -122,7 +122,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    spec = WindowSpec.burst(args.burst) if args.burst else WindowSpec.time_span(args.timespan)
+    if args.burst is not None:
+        spec = WindowSpec.burst(args.burst)
+    else:
+        spec = WindowSpec.time_span(args.timespan)
     if args.pcap:
         if not args.label:
             raise ValueError("--label is required with --pcap")

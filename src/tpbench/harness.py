@@ -5,7 +5,8 @@ adversarial grid and the classifier suite. Every grid cell is evaluated on a
 transform of the full concatenated window dataset (transforms run before the
 train/test split: the attacker trains after the defense is already deployed)
 and gets its own seed derived from the master seed and the cell coordinates,
-so cells can run in any order without changing the report.
+so cells can run in any order without changing the report. `run_experiment`
+therefore runs them on a fork process pool; `_worker_count` gives its size.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import inspect
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,6 +68,16 @@ _OPTIONAL_COUNT_PARAMS = frozenset({"max_depth", "features_per_split"})
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
+
+
+def _reject_duplicates(name: str, specs) -> None:
+    """A grid entry whose key an earlier one has would rerun its cells with
+    the same seeds and write the same rows again."""
+    first: dict[str, int] = {}
+    for i, spec in enumerate(specs):
+        j = first.setdefault(spec.key(), i)
+        if j != i:
+            raise ConfigError(f"{name}[{i}]: duplicates {name}[{j}] ({spec.key()})")
 
 
 def _check_keys(doc: dict, allowed, where: str) -> None:
@@ -232,11 +244,14 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
     ):
         if sizes is not None and not isinstance(sizes, list):
             raise ConfigError(f"{name}: must be a list of window sizes")
+        specs = []
         for i, size in enumerate(sizes or []):
             try:
-                window_specs.append(make(size))
+                specs.append(make(size))
             except ValueError as exc:
                 raise ConfigError(f"{name}[{i}]: {exc}") from exc
+        _reject_duplicates(name, specs)
+        window_specs.extend(specs)
 
     transforms = []
     for i, tdoc in enumerate(doc.get("transforms", [{"mode": "none"}])):
@@ -250,6 +265,7 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
             raise ConfigError(f"{where}: {exc}") from exc
         _check_keys(tdoc, {"mode", *TRANSFORM_PARAMS[spec.mode]}, f"{where} (mode {spec.mode!r})")
         transforms.append(spec)
+    _reject_duplicates("transforms", transforms)
 
     classifiers = []
     for i, cdoc in enumerate(doc.get("classifiers", [])):
@@ -259,6 +275,7 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
             classifiers.append(ClassifierSpec.from_dict(cdoc))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"classifiers[{i}]: {exc}") from exc
+    _reject_duplicates("classifiers", classifiers)
 
     try:
         config = ExperimentConfig(
@@ -374,11 +391,65 @@ def run_cell(
     return accuracy, train_idx.size, test_idx.size
 
 
+# (Xt, y, classifier, train_fraction, cell_seed) of every runnable cell of the
+# sweep in progress. Filled before the pool forks, so its workers inherit the
+# matrices and are sent only indices.
+_JOBS: list[tuple[np.ndarray, np.ndarray, ClassifierSpec, float, int]] = []
+
+
+def _run_job(i: int) -> tuple[int, tuple[float, int, int] | None, str]:
+    """Run cell `_JOBS[i]`: (i, (accuracy, n_train, n_test), "") or, when it
+    raised, (i, None, reason)."""
+    Xt, y, clf, train_fraction, cell_seed = _JOBS[i]
+    try:
+        return i, run_cell(Xt, y, clf, train_fraction, cell_seed), ""
+    except Exception as exc:  # captured per cell, sweep continues
+        return i, None, f"{type(exc).__name__}: {exc}"
+
+
+def _worker_count() -> int:
+    """Processes for a sweep's cells: `TPB_WORKERS` when set, else every CPU
+    in this process's affinity mask, or 1 where `fork` is not available."""
+    value = os.environ.get("TPB_WORKERS")
+    if value is not None:
+        try:
+            workers = int(value)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ConfigError(f"TPB_WORKERS must be an integer >= 1, got {value!r}")
+        return workers
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods() or not hasattr(
+        os, "sched_getaffinity"
+    ):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_jobs(workers: int) -> list[tuple[int, tuple[float, int, int] | None, str]]:
+    """Every `_run_job` result in job order, on at most `workers` forked
+    processes; in this process when one would do. A worker that dies raises
+    `BrokenProcessPool`."""
+    workers = min(workers, len(_JOBS))
+    if workers <= 1:
+        return [_run_job(i) for i in range(len(_JOBS))]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_run_job, range(len(_JOBS)), chunksize=1))
+
+
 def run_experiment(config: ExperimentConfig) -> SweepReport:
     config.validate()
+    workers = _worker_count()
     traces = _load_traces(config)
 
     rows: list[SweepRow] = []
+    jobs = []
+    cells: list[SweepRow] = []  # the row of each job
     for wspec in config.window_specs:
         series_list = []
         dropped = 0
@@ -426,14 +497,22 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
                     row.status = "skipped"
                     row.reason = skip_reason
                 else:
-                    try:
-                        row.accuracy, row.n_train, row.n_test = run_cell(
-                            Xt, y, clf, config.train_fraction, cell_seed
-                        )
-                    except Exception as exc:  # captured per cell, sweep continues
-                        row.status = "skipped"
-                        row.reason = f"{type(exc).__name__}: {exc}"
+                    jobs.append((Xt, y, clf, config.train_fraction, cell_seed))
+                    cells.append(row)
                 rows.append(row)
+
+    _JOBS.extend(jobs)
+    try:
+        results = _run_jobs(workers)
+    finally:
+        _JOBS.clear()
+    for i, result, reason in results:
+        row = cells[i]
+        if result is None:
+            row.status = "skipped"
+            row.reason = reason
+        else:
+            row.accuracy, row.n_train, row.n_test = result
     return SweepReport(rows=rows)
 
 

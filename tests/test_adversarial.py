@@ -174,7 +174,7 @@ def test_cubic_smoothed_by_degree_one_loses_variance():
 
 
 def test_short_series_rejected_with_guidance():
-    with pytest.raises(ValueError, match="window_length"):
+    with pytest.raises(ValueError, match="series length 20 < window 51; reduce window"):
         smooth_columns(np.zeros((20, 12)), SavGolSpec(51, 1))
 
 

@@ -117,6 +117,13 @@ def test_extract_missing_pcap_exits_two(tmp_path, capsys):
     assert "missing.pcap" in capsys.readouterr().err
 
 
+def test_extract_burst_zero_names_the_burst_size(tmp_path, capsys):
+    code = main(["extract", "--pcap", str(tmp_path / "any.pcap"), "--label", "x",
+                 "--burst", "0", "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert "burst size must be an integer >= 2, got 0" in capsys.readouterr().err
+
+
 def test_extract_bad_pcap_exits_two_naming_the_file(tmp_path, capsys):
     bad = tmp_path / "bad.pcap"
     bad.write_bytes(b"garbage" * 8)
@@ -168,10 +175,10 @@ def test_perturb_smooth_too_short_exits_two(tmp_path, capsys):
     code = main(["perturb", "--in", str(plain), "--mode", "smooth",
                  "--window", "51", "--degree", "1", "--out", str(tmp_path / "g.csv")])
     assert code == 2
-    assert "window_length" in capsys.readouterr().err
+    assert "< window 51; reduce window" in capsys.readouterr().err
 
 
-def test_sweep_and_selftest(tmp_path, capsys):
+def test_sweep_and_selftest(tmp_path, capsys, monkeypatch):
     config = {
         "scenario": "mic_onoff",
         "traces_per_class": 2,
@@ -188,6 +195,10 @@ def test_sweep_and_selftest(tmp_path, capsys):
     assert (tmp_path / "out" / "sweep.csv").exists()
 
     assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
+    monkeypatch.setenv("TPB_WORKERS", "0")
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert "TPB_WORKERS must be an integer >= 1, got '0'" in capsys.readouterr().err
     assert main(["selftest"]) == 1  # removed; the acceptance suite is the check battery
 
 

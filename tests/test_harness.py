@@ -1,10 +1,14 @@
+import concurrent.futures
 import csv
 import json
+import multiprocessing
+import os
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from tpbench import harness
 from tpbench.features import WindowSpec, extract_series, stack_series
 from tpbench.harness import (
     ConfigError,
@@ -62,6 +66,139 @@ def test_sweep_csv_byte_identical_across_runs(tmp_path):
     ).read_bytes()
 
 
+def record_pools(monkeypatch, fork: bool):
+    """Patch the process pool to note each pool's (max_workers, start method).
+    With fork=False the pool forks nothing and runs its jobs in this process."""
+    made = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Recording(real):
+        def __init__(self, max_workers, mp_context):
+            made.append((max_workers, mp_context.get_start_method()))
+            super().__init__(max_workers, mp_context=mp_context)
+
+    class InProcess:
+        def __init__(self, max_workers, mp_context):
+            made.append((max_workers, mp_context.get_start_method()))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        Recording if fork else InProcess)
+    return made
+
+
+def test_worker_count_rule(monkeypatch):
+    for value, workers in (("1", 1), ("3", 3), ("64", 64)):
+        monkeypatch.setenv("TPB_WORKERS", value)
+        assert harness._worker_count() == workers
+    for value in ("0", "-1", "two", "1.5", ""):
+        monkeypatch.setenv("TPB_WORKERS", value)
+        with pytest.raises(ConfigError, match=rf"TPB_WORKERS must be an integer >= 1, got '{value}'"):
+            harness._worker_count()
+    monkeypatch.delenv("TPB_WORKERS")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert harness._worker_count() == 3
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert harness._worker_count() == 1
+
+
+def test_pool_never_outnumbers_runnable_cells(monkeypatch):
+    made = record_pools(monkeypatch, fork=False)
+    X = np.arange(40.0).reshape(20, 2)
+    y = np.repeat(["a", "b"], 10)
+    monkeypatch.setattr(harness, "_JOBS", [(X, y, ClassifierSpec("knn"), 0.7, s) for s in (1, 2, 3)])
+    results = harness._run_jobs(64)
+    assert made == [(3, "fork")]
+    assert [i for i, _, _ in results] == [0, 1, 2]
+    assert all(result is not None and reason == "" for _, result, reason in results)
+
+
+def test_dead_worker_fails_the_sweep(monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    parent = os.getpid()
+
+    def die_in_worker(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        raise AssertionError("the cell ran in the calling process")
+
+    monkeypatch.setattr(harness, "run_cell", die_in_worker)
+    X = np.zeros((4, 2))
+    monkeypatch.setattr(harness, "_JOBS", [(X, X[:, 0], ClassifierSpec("knn"), 0.5, s) for s in (1, 2)])
+    with pytest.raises(BrokenProcessPool):
+        harness._run_jobs(2)
+
+
+def pool_config(tmp_path, name):
+    """All five classifiers, smoothing skipped at burst 2000 (too few rows for
+    its window) and an MLP whose loss diverges."""
+    return small_config(
+        tmp_path / name,
+        burst_sizes=[200, 2000],
+        transforms=[{"mode": "none"}, {"mode": "smooth", "window": 51, "degree": 1}],
+        classifiers=[{"kind": "knn"}, {"kind": "tree"}, {"kind": "forest", "n_trees": 5},
+                     {"kind": "adaboost", "rounds": 5},
+                     {"kind": "mlp", "hidden": [8], "epochs": 5},
+                     {"kind": "mlp", "hidden": [8], "epochs": 5, "learning_rate": 1e300}],
+    )
+
+
+def sweep_bytes(tmp_path, name):
+    (tmp_path / name).mkdir()
+    config = load_config(pool_config(tmp_path, name))
+    report = run_experiment(config)
+    emit_report(report, config.output_dir)
+    return report, (config.output_dir / "sweep.csv").read_bytes()
+
+
+def test_pool_rows_equal_serial_rows_including_captured_failures(tmp_path, monkeypatch):
+    monkeypatch.setenv("TPB_WORKERS", "1")
+    made = record_pools(monkeypatch, fork=True)
+    serial_report, serial = sweep_bytes(tmp_path, "serial")
+    assert made == []
+
+    monkeypatch.delenv("TPB_WORKERS")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pool_report, pool = sweep_bytes(tmp_path, "pool")
+    assert made == [(2, "fork")]
+    assert pool == serial
+
+    reasons = {r.reason for r in pool_report.skipped_rows()}
+    assert {r.reason for r in serial_report.skipped_rows()} == reasons
+    diverged = {r.reason for r in pool_report.skipped_rows()
+                if r.classifier.params_repr().endswith("learning_rate=1e+300")
+                and r.transform.mode == "none"}
+    assert diverged and all(r.startswith("TrainingDivergedError: non-finite training loss")
+                            for r in diverged)
+    assert any(r.startswith("series length") and "< window 51" in r for r in reasons)
+    assert {r.classifier.kind for r in pool_report.ok_rows()} == set(
+        ("knn", "tree", "forest", "adaboost", "mlp"))
+
+
+def test_one_cpu_or_no_fork_runs_serially_without_a_pool(tmp_path, monkeypatch):
+    monkeypatch.setenv("TPB_WORKERS", "1")
+    _, serial = sweep_bytes(tmp_path, "serial")
+    monkeypatch.delenv("TPB_WORKERS")
+    made = record_pools(monkeypatch, fork=True)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert sweep_bytes(tmp_path, "one_cpu")[1] == serial
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        patch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert sweep_bytes(tmp_path, "no_fork")[1] == serial
+    assert made == []
+
+
 def test_grid_accounting_with_smoothing_skips(tmp_path):
     # 2 traces/class x 10 s at ~600-1100 pkt/s; burst 2000 leaves the stacked
     # series well below the 51-row smoothing window
@@ -78,7 +215,7 @@ def test_grid_accounting_with_smoothing_skips(tmp_path):
     for row in skipped:
         assert row.window == WindowSpec.burst(2000)
         assert row.transform.mode == "smooth"
-        assert "window_length" in row.reason or "usable window" in row.reason
+        assert "< window 51" in row.reason or "usable window" in row.reason
 
 
 def test_non_finite_transform_output_skips_cell(tmp_path):
@@ -262,6 +399,24 @@ def test_config_field_errors_are_named():
                               "classifiers": [classifier]})
     config_from_dict({**base, "transforms": [{"mode": "none"}],
                       "classifiers": [{"kind": "tree", "max_depth": None}]})
+    for grid, named in (
+        ({"transforms": [{"mode": "awgn", "nu": 2.0}, {"mode": "awgn", "nu": 2}]},
+         r"transforms\[1\]: duplicates transforms\[0\] \(awgn\(nu=2\.0\)\)"),
+        ({"transforms": [{"mode": "none"}, {"mode": "smooth"},
+                         {"mode": "smooth", "window": 51, "degree": 1}]},
+         r"transforms\[2\]: duplicates transforms\[1\] \(smooth\(window=51,degree=1\)\)"),
+        ({"classifiers": [{"kind": "knn", "k": 5}, {"kind": "tree"}, {"kind": "knn", "k": 5}]},
+         r"classifiers\[2\]: duplicates classifiers\[0\] \(knn\(k=5\)\)"),
+        ({"burst_sizes": [250, 500, 250]},
+         r"burst_sizes\[2\]: duplicates burst_sizes\[0\] \(burst:250\)"),
+        ({"timespans": [0.5, 0.5]}, r"timespans\[1\]: duplicates timespans\[0\] \(timespan:0\.5\)"),
+    ):
+        with pytest.raises(ConfigError, match=named):
+            config_from_dict({**base, "transforms": [{"mode": "none"}],
+                              "classifiers": [{"kind": "knn"}], **grid})
+    config = config_from_dict({**base, "burst_sizes": [250], "timespans": [250],
+                               "classifiers": [{"kind": "knn"}]})
+    assert [w.key() for w in config.window_specs] == ["burst:250", "timespan:250.0"]
 
 
 def test_config_missing_pcap_file_fails_at_load(tmp_path):
