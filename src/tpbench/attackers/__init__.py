@@ -16,6 +16,7 @@ import numpy as np
 from tpbench.attackers.adaboost import AdaBoostParams, Stump, fit_adaboost
 from tpbench.attackers.adaboost import predict_adaboost as _adaboost_codes
 from tpbench.attackers.forest import ForestParams, fit_forest
+from tpbench.attackers.forest import forest_votes as _forest_votes
 from tpbench.attackers.forest import predict_forest as _forest_codes
 from tpbench.attackers.knn import KnnParams, fit_knn
 from tpbench.attackers.knn import predict_knn as _knn_codes
@@ -78,7 +79,11 @@ def train_forest(
     bootstrap: bool = True,
     max_depth: int | None = None,
     min_leaf: int = 1,
+    *,
+    trees: range | None = None,
 ) -> TrainedModel:
+    """`trees`, keyword-only and so no config key, grows only those tree
+    indices (see `fit_forest`)."""
     Xs, codes, classes, std = _prepare(X, y)
     params = fit_forest(
         Xs,
@@ -90,6 +95,7 @@ def train_forest(
         bootstrap=bootstrap,
         max_depth=max_depth,
         min_leaf=min_leaf,
+        trees=trees,
     )
     return TrainedModel("forest", params, std, classes)
 
@@ -179,12 +185,26 @@ predict_adaboost = _kind_predict("adaboost")
 predict_mlp = _kind_predict("mlp")
 
 
+def forest_votes(model: TrainedModel, X) -> np.ndarray:
+    """(rows, classes) int64 tree votes of a forest model on raw feature rows,
+    classes in `model.classes` order; `predict` takes the first-max column."""
+    if model.kind != "forest":
+        raise ValueError(f"expected a forest model, got {model.kind!r}")
+    return _forest_votes(model.params, model.standardizer.transform(X))
+
+
+def accuracy(predicted: np.ndarray, truth: np.ndarray) -> float:
+    """Fraction of `predicted` equal to `truth`, both labels or both class
+    codes: the one scoring rule of `evaluate` and the sweep."""
+    return float(np.mean(predicted == truth))
+
+
 def evaluate(model: TrainedModel, X, y) -> float:
     """Fraction of correct predictions on a non-empty test set."""
     y = np.asarray([str(v) for v in y], dtype=object)
     if y.size == 0:
         raise ValueError("test set must be non-empty")
-    return float(np.mean(predict(model, X) == y))
+    return accuracy(predict(model, X), y)
 
 
 # --- serialization ----------------------------------------------------------

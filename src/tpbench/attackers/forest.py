@@ -26,9 +26,13 @@ def fit_forest(
     bootstrap: bool = True,
     max_depth: int | None = None,
     min_leaf: int = 1,
+    trees: range | None = None,
 ) -> ForestParams:
     """Each tree gets a derived seed for its bootstrap resample and feature
     subsets, so the forest is reproducible and trees are order-independent.
+    `trees` grows only those tree indices of the n_trees (default all); as a
+    forest's votes are the sum of its trees' votes, forests grown on
+    disjoint ranges sum to the whole one (`forest_votes`).
     bootstrap=False is a test hook: one tree on the full sample reduces to
     plain CART."""
     X = np.asarray(X, dtype=np.float64)
@@ -37,16 +41,22 @@ def fit_forest(
         raise ValueError("training set must be non-empty")
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
+    if trees is None:
+        trees = range(n_trees)
+    elif trees.step != 1 or not 0 <= trees.start < trees.stop <= n_trees:
+        raise ValueError(
+            f"trees must be a non-empty contiguous part of range({n_trees}), got {trees}"
+        )
     if features_per_split is None:
         features_per_split = int(np.ceil(np.sqrt(X.shape[1])))
-    trees = []
-    for t in range(n_trees):
+    grown = []
+    for t in trees:
         rng = np.random.default_rng(derive_seed(seed, "tree", t))
         if bootstrap:
             rows = rng.integers(0, y.size, size=y.size)
         else:
             rows = np.arange(y.size)
-        trees.append(
+        grown.append(
             fit_tree(
                 X[rows],
                 y[rows],
@@ -57,13 +67,18 @@ def fit_forest(
                 features_per_split=features_per_split,
             )
         )
-    return ForestParams(trees=trees, n_classes=n_classes)
+    return ForestParams(trees=grown, n_classes=n_classes)
 
 
-def predict_forest(params: ForestParams, X: np.ndarray) -> np.ndarray:
+def forest_votes(params: ForestParams, X: np.ndarray) -> np.ndarray:
+    """(rows, classes) int64 count of the trees that vote for each class."""
     X = np.asarray(X, dtype=np.float64)
     votes = np.zeros((X.shape[0], params.n_classes), dtype=np.int64)
     for tree in params.trees:
         pred = predict_tree(tree, X)
         votes[np.arange(X.shape[0]), pred] += 1
-    return np.argmax(votes, axis=1)  # vote ties go to the lowest class index
+    return votes
+
+
+def predict_forest(params: ForestParams, X: np.ndarray) -> np.ndarray:
+    return np.argmax(forest_votes(params, X), axis=1)  # vote ties go to the lowest class index

@@ -7,6 +7,10 @@ train/test split: the attacker trains after the defense is already deployed)
 and gets its own seed derived from the master seed and the cell coordinates,
 so cells can run in any order without changing the report. `run_experiment`
 therefore runs them on a fork process pool; `_worker_count` gives its size.
+With more than one worker, a forest cell runs as one job per contiguous range
+of its tree indices: each tree draws from its own seed whichever job grows
+it, and a forest's votes are the sum of its trees' votes, so the parent sums
+the ranges' vote matrices and scores them to the bytes one job would give.
 """
 
 from __future__ import annotations
@@ -99,7 +103,12 @@ class ClassifierSpec:
                 f"classifier kind {self.kind!r} unknown; expected one of "
                 f"{attackers.CLASSIFIER_KINDS}"
             )
-        accepted = inspect.signature(attackers._TRAINERS[self.kind]).parameters.keys() - {"X", "y"}
+        # keyword-only trainer parameters are for the harness, not the config
+        accepted = {
+            name
+            for name, p in inspect.signature(attackers._TRAINERS[self.kind]).parameters.items()
+            if p.kind is p.POSITIONAL_OR_KEYWORD
+        } - {"X", "y"}
         params = dict(self.params)
         _check_keys(params, accepted, f"classifier {self.kind!r}")
         hidden = params.get("hidden", ())
@@ -116,6 +125,14 @@ class ClassifierSpec:
                         f"classifier {self.kind!r}: {name} must be an integer >= 1{null}, "
                         f"got {value!r}"
                     )
+            if name == "seed" and (type(value) is not int or value < 0):
+                raise ConfigError(
+                    f"classifier {self.kind!r}: seed must be an integer >= 0, got {value!r}"
+                )
+            if name == "bootstrap" and type(value) is not bool:
+                raise ConfigError(
+                    f"classifier {self.kind!r}: bootstrap must be true or false, got {value!r}"
+                )
             if name == "learning_rate" and (
                 type(value) not in (int, float) or not (math.isfinite(value) and value > 0)
             ):
@@ -141,10 +158,13 @@ class ClassifierSpec:
     def key(self) -> str:
         return f"{self.kind}({self.params_repr()})"
 
-    def train(self, X, y, seed: int) -> attackers.TrainedModel:
+    def train(self, X, y, seed: int, trees: range | None = None) -> attackers.TrainedModel:
+        """`trees`, for a forest, grows only those tree indices."""
         params = dict(self.params)
         if self.kind in ("forest", "mlp"):
             params.setdefault("seed", seed)
+        if trees is not None:
+            params["trees"] = trees
         return attackers.train(self.kind, X, y, **params)
 
 
@@ -375,6 +395,15 @@ def _load_traces(config: ExperimentConfig) -> list[Trace]:
     )
 
 
+def _train_cell(X, y, clf, train_fraction, cell_seed, trees=None):
+    """Split a cell's rows and train its model: (model, test rows, n_train)."""
+    train_idx, test_idx = attackers.split(
+        y, SplitSpec(train_fraction, derive_seed(cell_seed, "split"))
+    )
+    model = clf.train(X[train_idx], y[train_idx], derive_seed(cell_seed, "train"), trees)
+    return model, test_idx, train_idx.size
+
+
 def run_cell(
     X: np.ndarray,
     y: np.ndarray,
@@ -383,26 +412,66 @@ def run_cell(
     cell_seed: int,
 ) -> tuple[float, int, int]:
     """Split, standardize-and-train, evaluate one grid cell."""
-    train_idx, test_idx = attackers.split(
-        y, SplitSpec(train_fraction, derive_seed(cell_seed, "split"))
-    )
-    model = clf.train(X[train_idx], y[train_idx], derive_seed(cell_seed, "train"))
+    model, test_idx, n_train = _train_cell(X, y, clf, train_fraction, cell_seed)
     accuracy = attackers.evaluate(model, X[test_idx], y[test_idx])
-    return accuracy, train_idx.size, test_idx.size
+    return accuracy, n_train, test_idx.size
 
 
-# (Xt, y, classifier, train_fraction, cell_seed) of every runnable cell of the
-# sweep in progress. Filled before the pool forks, so its workers inherit the
+def run_forest_part(
+    X: np.ndarray,
+    y: np.ndarray,
+    clf: ClassifierSpec,
+    train_fraction: float,
+    cell_seed: int,
+    trees: range,
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Trees `trees` of the forest cell `run_cell(X, y, clf, train_fraction,
+    cell_seed)`: their votes on its test rows, its test labels as class codes,
+    n_train and n_test. `_score_parts` of every range gives that cell's result."""
+    model, test_idx, n_train = _train_cell(X, y, clf, train_fraction, cell_seed, trees)
+    truth = attackers.encode_labels(y[test_idx], model.classes)
+    return attackers.forest_votes(model, X[test_idx]), truth, n_train, test_idx.size
+
+
+def _score_parts(parts) -> tuple[float, int, int]:
+    """(accuracy, n_train, n_test) of a forest cell from the `run_forest_part`
+    results of all its tree ranges."""
+    votes = sum(votes for votes, _, _, _ in parts)
+    _, truth, n_train, n_test = parts[0]
+    return attackers.accuracy(np.argmax(votes, axis=1), truth), n_train, n_test
+
+
+_FOREST_TREES = inspect.signature(attackers.train_forest).parameters["n_trees"].default
+
+
+def _tree_ranges(clf: ClassifierSpec, workers: int) -> list[range | None]:
+    """The jobs one cell of `clf` runs as on `workers` processes: a forest's
+    tree indices cut into min(workers, n_trees) contiguous ranges when that
+    is 2 or more, else [None], the whole cell as one job."""
+    if clf.kind != "forest":
+        return [None]
+    n_trees = dict(clf.params).get("n_trees", _FOREST_TREES)
+    parts = min(workers, n_trees)
+    if parts < 2:
+        return [None]
+    return [range(n_trees * p // parts, n_trees * (p + 1) // parts) for p in range(parts)]
+
+
+# (Xt, y, classifier, train_fraction, cell_seed, trees) of every job of the
+# sweep in progress: a whole cell when trees is None, else one tree range of a
+# forest cell. Filled before the pool forks, so its workers inherit the
 # matrices and are sent only indices.
-_JOBS: list[tuple[np.ndarray, np.ndarray, ClassifierSpec, float, int]] = []
+_JOBS: list[tuple[np.ndarray, np.ndarray, ClassifierSpec, float, int, range | None]] = []
 
 
-def _run_job(i: int) -> tuple[int, tuple[float, int, int] | None, str]:
-    """Run cell `_JOBS[i]`: (i, (accuracy, n_train, n_test), "") or, when it
-    raised, (i, None, reason)."""
-    Xt, y, clf, train_fraction, cell_seed = _JOBS[i]
+def _run_job(i: int) -> tuple[int, tuple | None, str]:
+    """Run job `_JOBS[i]`: (i, its `run_cell` or `run_forest_part` result, "")
+    or, when it raised, (i, None, reason)."""
+    Xt, y, clf, train_fraction, cell_seed, trees = _JOBS[i]
     try:
-        return i, run_cell(Xt, y, clf, train_fraction, cell_seed), ""
+        if trees is None:
+            return i, run_cell(Xt, y, clf, train_fraction, cell_seed), ""
+        return i, run_forest_part(Xt, y, clf, train_fraction, cell_seed, trees), ""
     except Exception as exc:  # captured per cell, sweep continues
         return i, None, f"{type(exc).__name__}: {exc}"
 
@@ -428,7 +497,7 @@ def _worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run_jobs(workers: int) -> list[tuple[int, tuple[float, int, int] | None, str]]:
+def _run_jobs(workers: int) -> list[tuple[int, tuple | None, str]]:
     """Every `_run_job` result in job order, on at most `workers` forked
     processes; in this process when one would do. A worker that dies raises
     `BrokenProcessPool`."""
@@ -449,7 +518,7 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
 
     rows: list[SweepRow] = []
     jobs = []
-    cells: list[SweepRow] = []  # the row of each job
+    cells: list[tuple[SweepRow, int]] = []  # each runnable cell's row and job count
     for wspec in config.window_specs:
         series_list = []
         dropped = 0
@@ -497,8 +566,10 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
                     row.status = "skipped"
                     row.reason = skip_reason
                 else:
-                    jobs.append((Xt, y, clf, config.train_fraction, cell_seed))
-                    cells.append(row)
+                    parts = _tree_ranges(clf, workers)
+                    jobs.extend((Xt, y, clf, config.train_fraction, cell_seed, trees)
+                                for trees in parts)
+                    cells.append((row, len(parts)))
                 rows.append(row)
 
     _JOBS.extend(jobs)
@@ -506,13 +577,22 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
         results = _run_jobs(workers)
     finally:
         _JOBS.clear()
-    for i, result, reason in results:
-        row = cells[i]
-        if result is None:
+    start = 0
+    for row, n_parts in cells:
+        outcomes = results[start : start + n_parts]
+        start += n_parts
+        reasons = [reason for _, result, reason in outcomes if result is None]
+        if reasons:
+            # every range splits and trains alike, and the first to fail holds
+            # the first tree a serial fit fails at: its reason is the serial one
             row.status = "skipped"
-            row.reason = reason
+            row.reason = reasons[0]
+        elif n_parts == 1:
+            row.accuracy, row.n_train, row.n_test = outcomes[0][1]
         else:
-            row.accuracy, row.n_train, row.n_test = result
+            row.accuracy, row.n_train, row.n_test = _score_parts(
+                [result for _, result, _ in outcomes]
+            )
     return SweepReport(rows=rows)
 
 

@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from tpbench import harness
+from tpbench import attackers, harness
 from tpbench.features import WindowSpec, extract_series, stack_series
 from tpbench.harness import (
     ConfigError,
@@ -110,32 +110,54 @@ def test_worker_count_rule(monkeypatch):
     assert harness._worker_count() == 1
 
 
-def test_pool_never_outnumbers_runnable_cells(monkeypatch):
+def test_pool_never_outnumbers_runnable_cells(tmp_path, monkeypatch):
+    """The pool is capped at the jobs, counting each tree range of a split
+    forest cell as one job."""
     made = record_pools(monkeypatch, fork=False)
     X = np.arange(40.0).reshape(20, 2)
     y = np.repeat(["a", "b"], 10)
-    monkeypatch.setattr(harness, "_JOBS", [(X, y, ClassifierSpec("knn"), 0.7, s) for s in (1, 2, 3)])
+    monkeypatch.setattr(harness, "_JOBS",
+                        [(X, y, ClassifierSpec("knn"), 0.7, s, None) for s in (1, 2, 3)])
     results = harness._run_jobs(64)
     assert made == [(3, "fork")]
     assert [i for i, _, _ in results] == [0, 1, 2]
     assert all(result is not None and reason == "" for _, result, reason in results)
 
+    monkeypatch.undo()
+    made = record_pools(monkeypatch, fork=False)
+    path = small_config(tmp_path, classifiers=[{"kind": "knn"}, {"kind": "forest", "n_trees": 5}])
+    # 3 workers: 1 + 3 jobs; 64 workers: 1 knn job + one per tree
+    for workers, pool in (("3", 3), ("64", 1 + 5)):
+        monkeypatch.setenv("TPB_WORKERS", workers)
+        assert [r.status for r in run_experiment(load_config(path)).rows] == ["ok", "ok"]
+        assert made.pop() == (pool, "fork")
+
+
+def die_in_worker(*args):
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("the job ran in the calling process")
+    os._exit(1)
+
 
 def test_dead_worker_fails_the_sweep(monkeypatch):
     from concurrent.futures.process import BrokenProcessPool
 
-    parent = os.getpid()
-
-    def die_in_worker(*args):
-        if os.getpid() != parent:
-            os._exit(1)
-        raise AssertionError("the cell ran in the calling process")
-
     monkeypatch.setattr(harness, "run_cell", die_in_worker)
     X = np.zeros((4, 2))
-    monkeypatch.setattr(harness, "_JOBS", [(X, X[:, 0], ClassifierSpec("knn"), 0.5, s) for s in (1, 2)])
+    monkeypatch.setattr(harness, "_JOBS",
+                        [(X, X[:, 0], ClassifierSpec("knn"), 0.5, s, None) for s in (1, 2)])
     with pytest.raises(BrokenProcessPool):
         harness._run_jobs(2)
+
+
+def test_dead_worker_in_a_forest_part_fails_the_sweep(tmp_path, monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    monkeypatch.setattr(harness, "run_forest_part", die_in_worker)
+    monkeypatch.setenv("TPB_WORKERS", "2")
+    config = load_config(small_config(tmp_path, classifiers=[{"kind": "forest", "n_trees": 4}]))
+    with pytest.raises(BrokenProcessPool):
+        run_experiment(config)
 
 
 def pool_config(tmp_path, name):
@@ -161,15 +183,19 @@ def sweep_bytes(tmp_path, name):
 
 
 def test_pool_rows_equal_serial_rows_including_captured_failures(tmp_path, monkeypatch):
+    """The forest cells run as two tree ranges in the pool, at TPB_WORKERS=2
+    and at the default with 2 CPUs, and as one job each serially."""
     monkeypatch.setenv("TPB_WORKERS", "1")
     made = record_pools(monkeypatch, fork=True)
     serial_report, serial = sweep_bytes(tmp_path, "serial")
     assert made == []
 
+    monkeypatch.setenv("TPB_WORKERS", "2")
+    assert sweep_bytes(tmp_path, "two")[1] == serial
     monkeypatch.delenv("TPB_WORKERS")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     pool_report, pool = sweep_bytes(tmp_path, "pool")
-    assert made == [(2, "fork")]
+    assert made == [(2, "fork"), (2, "fork")]
     assert pool == serial
 
     reasons = {r.reason for r in pool_report.skipped_rows()}
@@ -182,6 +208,68 @@ def test_pool_rows_equal_serial_rows_including_captured_failures(tmp_path, monke
     assert any(r.startswith("series length") and "< window 51" in r for r in reasons)
     assert {r.classifier.kind for r in pool_report.ok_rows()} == set(
         ("knn", "tree", "forest", "adaboost", "mlp"))
+
+
+def test_split_forest_equals_unsplit_forest():
+    """Every way the harness cuts a forest's trees gives, range by range, the
+    trees of the unsplit forest, and summed votes score as `run_cell`."""
+    from tpbench.attackers.forest import fit_forest
+
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(90, 4)) + np.repeat(np.arange(3.0), 30)[:, None]
+    y = np.repeat(["a", "b", "c"], 30)
+    codes = np.repeat(np.arange(3), 30)
+    X[:, 0] += rng.normal(scale=2.0, size=90)  # noisy enough that trees disagree
+    for n_trees in (1, 2, 5, 7):
+        clf = ClassifierSpec.from_dict({"kind": "forest", "n_trees": n_trees})
+        whole = fit_forest(X, codes, 3, n_trees=n_trees, seed=11)
+        cell = run_cell(X, y, clf, 0.7, 17)
+        model, test_idx, _ = harness._train_cell(X, y, clf, 0.7, 17)
+        labels = attackers.predict(model, X[test_idx])
+        for parts in range(1, n_trees + 2):
+            ranges = harness._tree_ranges(clf, parts)
+            assert len(ranges) == (1 if min(parts, n_trees) < 2 else min(parts, n_trees))
+            if ranges == [None]:
+                continue
+            assert [t for r in ranges for t in r] == list(range(n_trees))
+            grown = [tree for r in ranges
+                     for tree in fit_forest(X, codes, 3, n_trees=n_trees, seed=11, trees=r).trees]
+            assert grown == whole.trees
+            results = [harness.run_forest_part(X, y, clf, 0.7, 17, r) for r in ranges]
+            votes = sum(votes for votes, _, _, _ in results)
+            assert np.array_equal(np.array(model.classes, dtype=object)[votes.argmax(axis=1)],
+                                  labels)
+            assert harness._score_parts(results) == cell
+
+
+def test_every_part_of_a_split_forest_cell_failing_gives_one_serial_row(tmp_path, monkeypatch):
+    """With one row left in a class, every tree range of the forest cell
+    raises at the split; the cell still gets one row, with the serial reason."""
+    real_stack = harness.stack_series
+
+    def one_row_in_last_class(series):
+        X, y = real_stack(series)
+        keep = np.ones(y.size, dtype=bool)
+        keep[np.flatnonzero(y == y[-1])[1:]] = False
+        return X[keep], y[keep]
+
+    monkeypatch.setattr(harness, "stack_series", one_row_in_last_class)
+    path = small_config(tmp_path, classifiers=[{"kind": "knn"}, {"kind": "forest", "n_trees": 5}])
+    monkeypatch.setenv("TPB_WORKERS", "1")
+    serial = run_experiment(load_config(path)).rows
+
+    ranges = []
+    real_part = harness.run_forest_part
+    monkeypatch.setattr(harness, "run_forest_part",
+                        lambda *args: ranges.append(args[-1]) or real_part(*args))
+    made = record_pools(monkeypatch, fork=False)
+    monkeypatch.setenv("TPB_WORKERS", "2")
+    pooled = run_experiment(load_config(path)).rows
+    assert made == [(2, "fork")] and ranges == [range(0, 2), range(2, 5)]
+    assert [r.as_record() for r in pooled] == [r.as_record() for r in serial]
+    forest = [r for r in pooled if r.classifier.kind == "forest"]
+    assert len(forest) == 1 and forest[0].status == "skipped"
+    assert forest[0].reason.startswith("ValueError: class ")
 
 
 def test_one_cpu_or_no_fork_runs_serially_without_a_pool(tmp_path, monkeypatch):
@@ -393,12 +481,22 @@ def test_config_field_errors_are_named():
         ({"kind": "mlp", "learning_rate": 0}, "learning_rate must be a finite number > 0"),
         ({"kind": "mlp", "learning_rate": float("inf")}, "learning_rate must be"),
         ({"kind": "mlp", "learning_rate": True}, "learning_rate must be"),
+        ({"kind": "forest", "bootstrap": "no"}, "bootstrap must be true or false, got 'no'"),
+        ({"kind": "forest", "bootstrap": 0}, "bootstrap must be true or false, got 0"),
+        ({"kind": "mlp", "seed": 1.5}, r"seed must be an integer >= 0, got 1\.5"),
+        ({"kind": "forest", "seed": 1.5}, r"seed must be an integer >= 0, got 1\.5"),
+        ({"kind": "forest", "seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"kind": "mlp", "seed": True}, "seed must be an integer >= 0, got True"),
+        ({"kind": "forest", "seed": "3"}, "seed must be an integer >= 0, got '3'"),
+        ({"kind": "forest", "trees": [0, 1]}, r"unknown key\(s\) \['trees'\]"),
     ):
         with pytest.raises(ConfigError, match=rf"classifiers\[0\]: classifier '{classifier['kind']}': {named}"):
             config_from_dict({**base, "transforms": [{"mode": "none"}],
                               "classifiers": [classifier]})
     config_from_dict({**base, "transforms": [{"mode": "none"}],
-                      "classifiers": [{"kind": "tree", "max_depth": None}]})
+                      "classifiers": [{"kind": "tree", "max_depth": None},
+                                      {"kind": "forest", "seed": 0, "bootstrap": False},
+                                      {"kind": "mlp", "seed": 2**64}]})
     for grid, named in (
         ({"transforms": [{"mode": "awgn", "nu": 2.0}, {"mode": "awgn", "nu": 2}]},
          r"transforms\[1\]: duplicates transforms\[0\] \(awgn\(nu=2\.0\)\)"),
