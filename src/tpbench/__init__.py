@@ -6,24 +6,8 @@ constrained realistic mode) -> five from-scratch classifiers -> accuracy
 sweep reports.
 """
 
-from tpbench.adversarial import (
-    RealisticSpec,
-    SavGolSpec,
-    TransformSpec,
-    apply_realistic_columns,
-    inject_awgn_columns,
-    savgol_coefficients,
-    smooth_columns,
-)
-from tpbench.features import (
-    FEATURE_NAMES,
-    FeatureSeries,
-    FeatureVector,
-    WindowSpec,
-    compute_features,
-    extract_series,
-    window_packets,
-)
+from tpbench.adversarial import TransformSpec, savgol_coefficients
+from tpbench.features import FEATURE_NAMES, FeatureSeries, WindowSpec, extract_series
 from tpbench.harness import (
     ExperimentConfig,
     SweepReport,
@@ -31,7 +15,7 @@ from tpbench.harness import (
     load_config,
     run_experiment,
 )
-from tpbench.pcap import parse_pcap, parse_pcap_with_stats
+from tpbench.pcap import parse_pcap_with_stats
 from tpbench.traffic import (
     ClassProfile,
     PacketRecord,

@@ -12,18 +12,19 @@ Three operators over a feature matrix, all shape-preserving:
 
 `TransformSpec` is the one description of a transform: it alone checks a
 mode's parameters and formats the key, parameters and pivot label the
-reports print, and `TransformSpec.apply` dispatches to the column kernels.
+reports print, and `TransformSpec.apply(X, seed)` is the one way to run it.
+`savgol_coefficients` exposes the smoothing weights for inspection.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from tpbench.features import COUNT_FEATURES, FEATURE_INDEX, FEATURE_NAMES
+from tpbench.features import COUNT_FEATURES, FEATURE_INDEX, N_FEATURES
 
 # Realistic-mode treatment map: which feature gets which treatment.
 REALISTIC_AWGN_FEATURES: tuple[str, ...] = (
@@ -52,6 +53,10 @@ TRANSFORM_PARAMS: dict[str, tuple[str, ...]] = {
 }
 
 
+class NonFiniteOutputError(ValueError):
+    """A transform's output holds NaN or +-inf, e.g. noise scaled by a huge nu."""
+
+
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
@@ -61,9 +66,8 @@ class TransformSpec:
     """One defense transform: a mode and the parameters it reads.
 
     Parameters a mode does not read are not checked and do not enter its
-    key. `seed` is the noise seed the column kernels draw with; `apply`
-    draws with the seed it is given instead, and `key()` leaves the seed
-    out because the sweep derives each cell's seed from the key.
+    key. The noise seed is an argument of `apply`, not a field: the sweep
+    derives each cell's seed from the key.
     """
 
     mode: str  # none | smooth | awgn | realistic
@@ -71,7 +75,6 @@ class TransformSpec:
     degree: int = 1
     nu: float = 0.0
     clamp_counts: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in TRANSFORM_PARAMS:
@@ -131,59 +134,27 @@ class TransformSpec:
 
     def apply(self, X: np.ndarray, seed: int) -> np.ndarray:
         """The transformed copy of X, noise drawn with `seed`. Raises
-        NonFiniteOutputError naming key() if any value is not finite (e.g.
-        noise scaled by a huge nu)."""
-        if self.mode == "none":
-            return check_finite(np.array(X, dtype=np.float64, copy=True), self.key())
-        if self.mode == "smooth":
-            return smooth_columns(X, self)
-        if self.mode == "awgn":
-            return inject_awgn_columns(X, self.nu, seed, clamp_counts=self.clamp_counts)
-        return apply_realistic_columns(X, replace(self, seed=seed))
-
-
-def SavGolSpec(window_length: int = 51, poly_degree: int = 1) -> TransformSpec:
-    """The smoothing spec of a window length and polynomial degree."""
-    return TransformSpec("smooth", window=window_length, degree=poly_degree)
-
-
-def RealisticSpec(
-    variance_multiplier: float, seed: int = 0, clamp_counts: bool = False
-) -> TransformSpec:
-    """The realistic-mode spec of a noise level, seed and clamp choice."""
-    return TransformSpec(
-        "realistic", nu=variance_multiplier, clamp_counts=clamp_counts, seed=seed
-    )
-
-
-class NonFiniteOutputError(ValueError):
-    """A transform's output holds NaN or +-inf, e.g. noise scaled by a huge nu."""
-
-
-def check_finite(out: np.ndarray, transform: str) -> np.ndarray:
-    """out itself; raises NonFiniteOutputError naming the transform if any
-    value is not finite."""
-    # min and max propagate NaN, so both are finite only if every value is;
-    # unlike isfinite(out) this allocates no matrix-sized temporary
-    if out.size and not np.isfinite([out.min(), out.max()]).all():
-        raise NonFiniteOutputError(f"transform {transform} produced non-finite values")
-    return out
-
-
-def _expect_mode(spec: TransformSpec, mode: str) -> None:
-    if spec.mode != mode:
-        raise ValueError(f"a {mode} kernel was given transform {spec.key()}")
+        ValueError when X is too short for the mode, and NonFiniteOutputError
+        naming key() if any output value is not finite (e.g. noise scaled by
+        a huge nu)."""
+        out = _KERNELS[self.mode](np.asarray(X, dtype=np.float64), self, seed)
+        # min and max propagate NaN, so both are finite only if every value is;
+        # unlike isfinite(out) this allocates no matrix-sized temporary
+        if out.size and not np.isfinite([out.min(), out.max()]).all():
+            raise NonFiniteOutputError(f"transform {self.key()} produced non-finite values")
+        return out
 
 
 def savgol_coefficients(spec: TransformSpec) -> np.ndarray:
-    """Central-point convolution weights of the smoothing window.
+    """Central-point convolution weights of a smoothing spec's window.
 
     Least-squares fit of a degree-d polynomial over offsets [-m, m], evaluated
     at the center. The fit is performed in offset/m units: the weights are
     identical in exact arithmetic and the scaled system is well conditioned.
     Weights sum to 1 and are symmetric about the center.
     """
-    _expect_mode(spec, "smooth")
+    if spec.mode != "smooth":
+        raise ValueError(f"smoothing weights asked of transform {spec.key()}")
     m = (spec.window - 1) // 2
     u = np.arange(-m, m + 1, dtype=np.float64) / max(m, 1)
     design = u[:, None] ** np.arange(spec.degree + 1)[None, :]
@@ -193,91 +164,74 @@ def savgol_coefficients(spec: TransformSpec) -> np.ndarray:
     return weights
 
 
-def smooth_columns(X: np.ndarray, spec: TransformSpec) -> np.ndarray:
+def _smooth_columns(X: np.ndarray, spec: TransformSpec, seed: int) -> np.ndarray:
     """Convolve every column with the smoothing weights.
 
     Interior points use full windows; each end is extended by mirror
     reflection (without repeating the edge sample) so the output has the
     input's length.
     """
-    weights = savgol_coefficients(spec)
-    X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if n < spec.window:
         raise ValueError(
             f"series length {n} < window {spec.window}; "
             "reduce window or skip this configuration"
         )
+    weights = savgol_coefficients(spec)
     m = (spec.window - 1) // 2
     out = np.empty_like(X)
     for col in range(X.shape[1]):
         padded = np.pad(X[:, col], m, mode="reflect")
         out[:, col] = np.correlate(padded, weights, mode="valid")
-    return check_finite(out, spec.key())
+    return out
 
 
-def _clamp_counts(X: np.ndarray, noised: set[str]) -> None:
-    for name in COUNT_FEATURES:
-        if name in noised:
-            idx = FEATURE_INDEX[name]
-            np.maximum(X[:, idx], 0.0, out=X[:, idx])
+_COUNT_COLUMNS = frozenset(FEATURE_INDEX[name] for name in COUNT_FEATURES)
+_REALISTIC_AWGN_COLUMNS = tuple(FEATURE_INDEX[name] for name in REALISTIC_AWGN_FEATURES)
 
 
-def inject_awgn_columns(
-    X: np.ndarray,
-    nu: float,
-    seed: int,
-    feature_mask: tuple[str, ...] = FEATURE_NAMES,
-    clamp_counts: bool = False,
+def _add_noise(
+    X: np.ndarray, spec: TransformSpec, seed: int, columns=range(N_FEATURES)
 ) -> np.ndarray:
-    """Add N(0, nu * var(column)) noise to each masked column.
+    """X with N(0, nu * var(column)) noise added to each of `columns` (all
+    of them for the awgn mode), drawn in ascending column order, and counts
+    floored at 0 if the spec clamps.
 
     Column variance is the population variance over the full series being
     transformed. Zero-variance columns are left unchanged: no noise can be
     proportional to a variance of zero.
     """
-    spec = TransformSpec("awgn", nu=nu, clamp_counts=clamp_counts, seed=seed)
-    unknown = [f for f in feature_mask if f not in FEATURE_INDEX]
-    if unknown:
-        raise ValueError(f"transform {spec.key()}: unknown features in mask: {unknown}")
-    return check_finite(_add_noise(X, spec, feature_mask), spec.key())
-
-
-def _add_noise(X: np.ndarray, spec: TransformSpec, feature_mask: tuple[str, ...]) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
     if X.shape[0] < 2:
         raise ValueError("need at least 2 rows to scale noise to the signal")
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     out = X.copy()
-    noised: set[str] = set()
-    # one draw pass per feature in canonical order keeps the stream layout
-    # independent of the mask ordering
-    mask = set(feature_mask)
-    for name in FEATURE_NAMES:
-        if name not in mask:
-            continue
-        idx = FEATURE_INDEX[name]
+    for idx in sorted(columns):
         sigma2 = float(np.var(X[:, idx]))
         if sigma2 == 0.0:
             continue
         out[:, idx] += rng.normal(0.0, np.sqrt(spec.nu * sigma2), size=X.shape[0])
-        noised.add(name)
-    if spec.clamp_counts:
-        _clamp_counts(out, noised)
+        if spec.clamp_counts and idx in _COUNT_COLUMNS:
+            np.maximum(out[:, idx], 0.0, out=out[:, idx])
     return out
 
 
-def apply_realistic_columns(X: np.ndarray, spec: TransformSpec) -> np.ndarray:
+def _realistic_columns(X: np.ndarray, spec: TransformSpec, seed: int) -> np.ndarray:
     """Constrained defense on a raw feature matrix.
 
     mean_len_pack is padded to its column max, std_len_pack zeroed, AWGN
     applied to the five falsifiable features, and the untouched set is
     bit-identical to the input.
     """
-    _expect_mode(spec, "realistic")
-    X = np.asarray(X, dtype=np.float64)
-    out = _add_noise(X, spec, REALISTIC_AWGN_FEATURES)
+    out = _add_noise(X, spec, seed, _REALISTIC_AWGN_COLUMNS)
     pad_idx = FEATURE_INDEX[REALISTIC_PADDED_FEATURE]
     out[:, pad_idx] = np.max(X[:, pad_idx])
     out[:, FEATURE_INDEX[REALISTIC_ZEROED_FEATURE]] = 0.0
-    return check_finite(out, spec.key())
+    return out
+
+
+_KERNELS = {
+    "none": lambda X, spec, seed: X.copy(),
+    "smooth": _smooth_columns,
+    "awgn": _add_noise,
+    "realistic": _realistic_columns,
+}

@@ -167,24 +167,6 @@ def predict(model: TrainedModel, X) -> np.ndarray:
     return labels[0] if single else labels
 
 
-def _kind_predict(kind: str):
-    def predictor(model: TrainedModel, X):
-        if model.kind != kind:
-            raise ValueError(f"expected a {kind} model, got {model.kind!r}")
-        return predict(model, X)
-
-    predictor.__name__ = f"predict_{kind}"
-    predictor.__doc__ = f"Predict labels with a trained {kind} model."
-    return predictor
-
-
-predict_knn = _kind_predict("knn")
-predict_tree = _kind_predict("tree")
-predict_forest = _kind_predict("forest")
-predict_adaboost = _kind_predict("adaboost")
-predict_mlp = _kind_predict("mlp")
-
-
 def forest_votes(model: TrainedModel, X) -> np.ndarray:
     """(rows, classes) int64 tree votes of a forest model on raw feature rows,
     classes in `model.classes` order; `predict` takes the first-max column."""

@@ -6,8 +6,9 @@ computes endpoint/port uniqueness counts, protocol counts, inter-packet-time
 statistics, TCP window statistics and packet length statistics. All standard
 deviations use the population convention (divide by count), so single-value
 subsets are well defined and oracle tests can agree bit-for-bit.
-`extract_series` computes a block of equal-sized windows at a time;
-`compute_features` computes one window on its own and is its test oracle.
+`extract_series` is the one extractor: it computes a block of equal-sized
+windows at a time, each feature as the same reduction in the same order as
+a one-window-at-a-time loop would take it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -100,31 +101,12 @@ class WindowSpec:
         return f"{self.mode}:{self.size_repr()}"
 
 
-class FeatureVector(NamedTuple):
-    n_ip_unique: float
-    n_port_unique: float
-    n_pack_tcp: float
-    n_pack_udp: float
-    n_pack_icmp: float
-    max_diff_time: float
-    mean_window: float
-    std_window: float
-    mean_ipt: float
-    std_ipt: float
-    mean_len_pack: float
-    std_len_pack: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=np.float64)
-
-
 @dataclass
 class FeatureSeries:
     """Per-trace feature time series: one row per retained window."""
 
     values: np.ndarray  # shape (n_windows, 12), float64
     label: str
-    window_spec: WindowSpec | None
     trace_id: str = ""
     dropped_windows: int = 0
     transform: str | None = None
@@ -139,27 +121,18 @@ class FeatureSeries:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, FEATURE_INDEX[name]]
-
     def with_values(self, values: np.ndarray, transform: str | None = None) -> "FeatureSeries":
         return replace(self, values=values, transform=transform or self.transform)
 
 
-def window_packets(trace: Trace, spec: WindowSpec) -> list[tuple[int, int]]:
-    """Half-open packet-index ranges for each non-empty window.
+def _window_bounds(trace: Trace, spec: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop packet indices of each non-empty window, half open.
 
     Burst mode yields consecutive ranges of exactly N packets and discards the
     trailing partial group. Time-span mode cuts [k*dt, (k+1)*dt) intervals and
     discards empty ones (windows with a single packet are kept here; the
     extractor drops them with its dropped-window counter).
     """
-    starts, stops = _window_bounds(trace, spec)
-    return list(zip(starts.tolist(), stops.tolist()))
-
-
-def _window_bounds(trace: Trace, spec: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Start and stop index arrays of the ranges `window_packets` lists."""
     times = trace.timestamps
     if times.size == 0:
         raise ValueError("cannot window an empty trace")
@@ -173,69 +146,10 @@ def _window_bounds(trace: Trace, spec: WindowSpec) -> tuple[np.ndarray, np.ndarr
     return cuts[:-1][nonempty], cuts[1:][nonempty]
 
 
-def _window_features(trace: Trace, start: int, stop: int) -> FeatureVector:
-    ts = trace.timestamps[start:stop]
-    proto = trace.protocols[start:stop]
-    tcp = proto == _TCP
-    udp = proto == _UDP
-
-    ips = np.union1d(trace.src_ip[start:stop], trace.dst_ip[start:stop])
-    ported = tcp | udp  # port 0 means "no port"
-    sport = trace.src_port[start:stop][ported]
-    dport = trace.dst_port[start:stop][ported]
-    ports = np.union1d(sport, dport)
-    n_ports = int(np.count_nonzero(ports))  # drop port 0 if present
-
-    n_tcp = int(np.count_nonzero(tcp))
-    n_udp = int(np.count_nonzero(udp))
-    n_icmp = int(np.count_nonzero(proto == _ICMP))
-
-    gaps = np.diff(ts)
-    if gaps.size == 0:
-        raise ValueError("window must contain at least 2 packets")
-
-    tcp_windows = trace.tcp_window[start:stop][tcp]
-    if tcp_windows.size:
-        mean_window = float(np.mean(tcp_windows))
-        std_window = float(np.std(tcp_windows))
-    else:
-        mean_window = std_window = 0.0
-
-    lengths = trace.lengths[start:stop]
-    return FeatureVector(
-        n_ip_unique=float(ips.size),
-        n_port_unique=float(n_ports),
-        n_pack_tcp=float(n_tcp),
-        n_pack_udp=float(n_udp),
-        n_pack_icmp=float(n_icmp),
-        max_diff_time=float(np.max(gaps)),
-        mean_window=mean_window,
-        std_window=std_window,
-        mean_ipt=float(np.mean(gaps)),
-        std_ipt=float(np.std(gaps)),
-        mean_len_pack=float(np.mean(lengths)),
-        std_len_pack=float(np.std(lengths)),
-    )
-
-
-def compute_features(trace: Trace, index_range: tuple[int, int]) -> FeatureVector:
-    """The 12 indicators over packets[start:stop]. Needs >= 2 packets, all
-    inside the trace."""
-    start, stop = index_range
-    n_packets = trace.timestamps.size
-    if start < 0 or stop > n_packets:
-        raise ValueError(
-            f"window range ({start}, {stop}) lies outside the trace of {n_packets} packets"
-        )
-    if stop - start < 2:
-        raise ValueError("window must contain at least 2 packets")
-    return _window_features(trace, start, stop)
-
-
 def extract_series(
     trace: Trace, spec: WindowSpec, trace_id: str | None = None
 ) -> FeatureSeries:
-    """One FeatureVector per retained window, in window order.
+    """One row of the 12 features per retained window, in window order.
 
     Windows with fewer than 2 packets are dropped and counted. Raises
     EmptySeriesError when no window survives.
@@ -250,7 +164,6 @@ def extract_series(
     return FeatureSeries(
         values=_window_matrix(trace, starts[kept], stops[kept]),
         label=trace.label,
-        window_spec=spec,
         trace_id=trace_id if trace_id is not None else trace.trace_id,
         dropped_windows=int(np.count_nonzero(~kept)),
     )
@@ -278,11 +191,11 @@ def _distinct(rows: np.ndarray) -> np.ndarray:
 
 
 def _window_matrix(trace: Trace, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """The `_window_features` rows of windows [starts[i], stops[i]) (each of
-    >= 2 packets), one block of equal-sized windows at a time. Each feature is
-    the same reduction over the same values in the same order as the
-    per-window code, taken along axis 1 of a (windows, packets) matrix, so
-    the results agree bit for bit."""
+    """The feature rows of windows [starts[i], stops[i]) (each of >= 2
+    packets), one block of equal-sized windows at a time. Each feature is the
+    same reduction over the same values in the same order as a per-window
+    computation, taken along axis 1 of a (windows, packets) matrix, so the
+    two agree bit for bit."""
     out = np.zeros((starts.size, N_FEATURES))
     f = FEATURE_INDEX
     for rows, size in _blocks(stops - starts):
@@ -347,11 +260,7 @@ def save_features_csv(series_list: Iterable[FeatureSeries], path: str | Path) ->
 
 
 def load_features_csv(path: str | Path) -> list[FeatureSeries]:
-    """Read back one FeatureSeries per trace_id, in first-appearance order.
-
-    The CSV does not carry the window spec, so loaded series have
-    window_spec=None.
-    """
+    """Read back one FeatureSeries per trace_id, in first-appearance order."""
     groups: dict[str, dict] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -388,7 +297,6 @@ def load_features_csv(path: str | Path) -> list[FeatureSeries]:
         FeatureSeries(
             values=np.array(g["rows"], dtype=np.float64),
             label=g["label"],
-            window_spec=None,
             trace_id=tid,
             transform=g["transform"] if g["transform"] not in (None, "none") else None,
         )

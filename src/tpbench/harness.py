@@ -65,13 +65,62 @@ _ROOT_KEYS = frozenset({
     "seed", "output_dir",
 })
 _TRANSFORM_KEYS = frozenset({"mode"}.union(*TRANSFORM_PARAMS.values()))
-# classifier hyperparameters that count something: an int >= 1, or also null
-_COUNT_PARAMS = frozenset({"epochs", "batch_size", "k", "n_trees", "rounds", "min_leaf"})
-_OPTIONAL_COUNT_PARAMS = frozenset({"max_depth", "features_per_split"})
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
+
+
+def _is_number(value) -> bool:
+    """A finite int or float: JSON gives no other numeric types, and a bool
+    or a numeric string is not a number here."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+# Config field rules: (test, what a valid value is). No value is coerced.
+_COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
+_OPTIONAL_COUNT = (lambda v: v is None or _COUNT[0](v), "an integer >= 1 or null")
+_SEED = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a finite number > 0")
+_NUMBER = (_is_number, "a finite number")
+_FRACTION = (lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)")
+_BOOL = (lambda v: type(v) is bool, "true or false")
+_STRING = (lambda v: type(v) is str, "a string")
+
+_CLASSIFIER_RULES = {
+    **dict.fromkeys(("epochs", "batch_size", "k", "n_trees", "rounds", "min_leaf"), _COUNT),
+    **dict.fromkeys(("max_depth", "features_per_split"), _OPTIONAL_COUNT),
+    "seed": _SEED,
+    "bootstrap": _BOOL,
+    "learning_rate": _POSITIVE,
+}
+_ROOT_RULES = {
+    "traces_per_class": _COUNT,
+    "duration": _POSITIVE,
+    "train_fraction": _FRACTION,
+    "seed": _SEED,
+    "output_dir": _STRING,
+    "pcap_dir": _STRING,
+}
+_PROFILE_RULES = {
+    "label": _STRING,
+    "protocol_mix": (lambda v: type(v) in (list, tuple) and all(map(_is_number, v)),
+                     "a list of finite numbers"),
+    **dict.fromkeys(("rate", "length_mean", "length_std", "window_mean", "window_std",
+                     "jitter_std"), _NUMBER),
+    **dict.fromkeys(("ip_pool_size", "port_pool_size"), _COUNT),
+}
+
+
+def _check(value, rule, field: str) -> None:
+    """Raise a ConfigError naming `field` unless `rule` holds for value."""
+    test, described = rule
+    try:
+        valid = test(value)
+    except OverflowError:  # an integer too large to be a float
+        valid = False
+    if not valid:
+        raise ConfigError(f"{field} must be {described}, got {value!r}")
 
 
 def _reject_duplicates(name: str, specs) -> None:
@@ -118,28 +167,8 @@ class ClassifierSpec:
                 f"widths, got {hidden!r}"
             )
         for name, value in params.items():
-            if name in _COUNT_PARAMS or (name in _OPTIONAL_COUNT_PARAMS and value is not None):
-                if type(value) is not int or value < 1:
-                    null = " or null" if name in _OPTIONAL_COUNT_PARAMS else ""
-                    raise ConfigError(
-                        f"classifier {self.kind!r}: {name} must be an integer >= 1{null}, "
-                        f"got {value!r}"
-                    )
-            if name == "seed" and (type(value) is not int or value < 0):
-                raise ConfigError(
-                    f"classifier {self.kind!r}: seed must be an integer >= 0, got {value!r}"
-                )
-            if name == "bootstrap" and type(value) is not bool:
-                raise ConfigError(
-                    f"classifier {self.kind!r}: bootstrap must be true or false, got {value!r}"
-                )
-            if name == "learning_rate" and (
-                type(value) not in (int, float) or not (math.isfinite(value) and value > 0)
-            ):
-                raise ConfigError(
-                    f"classifier {self.kind!r}: learning_rate must be a finite number > 0, "
-                    f"got {value!r}"
-                )
+            if name in _CLASSIFIER_RULES:
+                _check(value, _CLASSIFIER_RULES[name], f"classifier {self.kind!r}: {name}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ClassifierSpec":
@@ -200,25 +229,29 @@ def _parse_profile(doc: dict, where: str) -> ClassProfile:
         "label", "rate", "protocol_mix", "length_mean", "length_std",
         "window_mean", "window_std", "ip_pool_size", "port_pool_size",
     }
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: must be a profile object")
     missing = required - set(doc)
     if missing:
         raise ConfigError(f"{where}: missing profile fields {sorted(missing)}")
     _check_keys(doc, required | {"jitter_std"}, where)
+    for name, value in doc.items():
+        _check(value, _PROFILE_RULES[name], f"{where}: {name}")
     try:
         profile = ClassProfile(
-            label=str(doc["label"]),
+            label=doc["label"],
             rate=float(doc["rate"]),
             protocol_mix=tuple(float(p) for p in doc["protocol_mix"]),
             length_mean=float(doc["length_mean"]),
             length_std=float(doc["length_std"]),
             window_mean=float(doc["window_mean"]),
             window_std=float(doc["window_std"]),
-            ip_pool_size=int(doc["ip_pool_size"]),
-            port_pool_size=int(doc["port_pool_size"]),
+            ip_pool_size=doc["ip_pool_size"],
+            port_pool_size=doc["port_pool_size"],
             jitter_std=float(doc.get("jitter_std", 0.0)),
         )
         profile.validate()
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return profile
 
@@ -227,6 +260,9 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     _check_keys(doc, _ROOT_KEYS, "config")
+    for name, rule in _ROOT_RULES.items():
+        if name in doc:
+            _check(doc[name], rule, name)
 
     scenario = doc.get("scenario", "custom")
     profiles: list[ClassProfile] = []
@@ -297,22 +333,19 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
             raise ConfigError(f"classifiers[{i}]: {exc}") from exc
     _reject_duplicates("classifiers", classifiers)
 
-    try:
-        config = ExperimentConfig(
-            scenario=str(scenario),
-            profiles=profiles,
-            traces_per_class=int(doc.get("traces_per_class", 3)),
-            duration=float(doc.get("duration", 60.0)),
-            pcap_files=pcap_files,
-            window_specs=window_specs,
-            transforms=transforms,
-            classifiers=classifiers,
-            train_fraction=float(doc.get("train_fraction", 0.7)),
-            seed=int(doc.get("seed", 0)),
-            output_dir=base_dir / doc.get("output_dir", "out"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    config = ExperimentConfig(
+        scenario=str(scenario),
+        profiles=profiles,
+        traces_per_class=doc.get("traces_per_class", 3),
+        duration=float(doc.get("duration", 60.0)),
+        pcap_files=pcap_files,
+        window_specs=window_specs,
+        transforms=transforms,
+        classifiers=classifiers,
+        train_fraction=float(doc.get("train_fraction", 0.7)),
+        seed=doc.get("seed", 0),
+        output_dir=base_dir / doc.get("output_dir", "out"),
+    )
     config.validate()
     return config
 

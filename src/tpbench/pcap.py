@@ -216,17 +216,11 @@ def parse_pcap_with_stats(
     return trace, stats
 
 
-def parse_pcap(
-    data: bytes, label: str, scenario: Scenario = Scenario.CUSTOM, trace_id: str = ""
-) -> Trace:
-    trace, _stats = parse_pcap_with_stats(data, label, scenario, trace_id)
-    return trace
-
-
 def load_pcap(path: str | Path, label: str, scenario: Scenario = Scenario.CUSTOM) -> Trace:
-    """Parse the capture at `path`; format errors name the file."""
+    """The trace of the capture at `path`; format errors name the file."""
     path = Path(path)
     try:
-        return parse_pcap(path.read_bytes(), label, scenario, trace_id=path.stem)
+        trace, _stats = parse_pcap_with_stats(path.read_bytes(), label, scenario, path.stem)
     except PcapFormatError as exc:
         raise PcapFormatError(f"{path}: {exc}") from exc
+    return trace

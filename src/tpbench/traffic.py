@@ -12,6 +12,7 @@ Everything is a pure function of (profile, duration, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -166,16 +167,27 @@ class ClassProfile:
     jitter_std: float = 0.0  # Gaussian jitter on inter-packet gaps, seconds
 
     def validate(self) -> None:
+        for name in ("rate", "length_mean", "length_std", "window_mean", "window_std",
+                     "jitter_std"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.rate <= 0:
             raise ValueError("rate must be positive")
-        if len(self.protocol_mix) != 3 or any(p < 0 for p in self.protocol_mix):
+        if self.length_mean <= 0:
+            raise ValueError("length_mean must be positive")
+        if len(self.protocol_mix) != 3 or not all(
+            math.isfinite(p) and p >= 0 for p in self.protocol_mix
+        ):
             raise ValueError("protocol_mix must be three non-negative probabilities")
         if abs(sum(self.protocol_mix) - 1.0) > 1e-9:
             raise ValueError("protocol_mix must sum to 1")
         if self.ip_pool_size < 1 or self.port_pool_size < 1:
             raise ValueError("pool sizes must be >= 1")
-        if min(self.length_std, self.window_std, self.jitter_std) < 0:
-            raise ValueError("standard deviations must be >= 0")
+        if self.port_pool_size > 65535:  # more would never fill with distinct ports
+            raise ValueError("port_pool_size must be <= 65535")
+        if min(self.length_std, self.window_mean, self.window_std, self.jitter_std) < 0:
+            raise ValueError("window_mean and standard deviations must be >= 0")
 
 
 def _distinct_tokens(rng: np.random.Generator, count: int, high: int) -> np.ndarray:
@@ -207,8 +219,8 @@ def _draw_gaps(rng: np.random.Generator, profile: ClassProfile, duration: float)
 
 def generate_trace(profile: ClassProfile, duration: float, seed: int) -> Trace:
     """Generate one synthetic trace. Fully determined by (profile, duration, seed)."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be a finite number > 0, got {duration!r}")
     profile.validate()
 
     rng = np.random.default_rng(seed)

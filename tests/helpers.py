@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's code paths: smoothing
 weights come from exact rational arithmetic on the normal equations, feature
-statistics from plain Python loops, nearest-neighbor votes from an
+statistics from plain Python loops or from one window at a time (the
+bit-exact oracle of the blocked extractor), nearest-neighbor votes from an
 exhaustive scan or one query at a time, tree splits and boosting stumps from
 a search over one feature at a time, MLP training from a loop that
 allocates every array and updates each weight and bias array on its own, and
@@ -15,6 +16,7 @@ import math
 import struct
 from dataclasses import replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from tpbench.attackers.mlp import (
     _init_params,
 )
 from tpbench.attackers.tree import TreeNode
+from tpbench.features import WindowSpec, _window_bounds
 from tpbench.pcap import PcapFormatError, PcapStats, parse_global_header
 from tpbench.seeding import derive_seed
 from tpbench.traffic import (
@@ -108,6 +111,80 @@ def brute_force_features(packets: list[PacketRecord]) -> dict[str, float]:
         "mean_len_pack": mean(lengths),
         "std_len_pack": population_std(lengths),
     }
+
+
+class FeatureVector(NamedTuple):
+    n_ip_unique: float
+    n_port_unique: float
+    n_pack_tcp: float
+    n_pack_udp: float
+    n_pack_icmp: float
+    max_diff_time: float
+    mean_window: float
+    std_window: float
+    mean_ipt: float
+    std_ipt: float
+    mean_len_pack: float
+    std_len_pack: float
+
+    def as_array(self) -> np.ndarray:
+        return np.array(self, dtype=np.float64)
+
+
+def window_packets(trace: Trace, spec: WindowSpec) -> list[tuple[int, int]]:
+    """The (start, stop) packet ranges `extract_series` windows a trace into,
+    before it drops the windows of fewer than 2 packets."""
+    starts, stops = _window_bounds(trace, spec)
+    return list(zip(starts.tolist(), stops.tolist()))
+
+
+def compute_features(trace: Trace, index_range: tuple[int, int]) -> FeatureVector:
+    """The 12 indicators over packets[start:stop], one numpy reduction per
+    feature: the per-window computation `extract_series` must match bit for
+    bit. The range must hold >= 2 packets, all inside the trace: numpy would
+    silently clip a range that runs past the end."""
+    start, stop = index_range
+    n_packets = trace.timestamps.size
+    if start < 0 or stop > n_packets:
+        raise ValueError(
+            f"window range ({start}, {stop}) lies outside the trace of {n_packets} packets"
+        )
+    if stop - start < 2:
+        raise ValueError("window must contain at least 2 packets")
+    ts = trace.timestamps[start:stop]
+    proto = trace.protocols[start:stop]
+    tcp = proto == Protocol.TCP.code
+    udp = proto == Protocol.UDP.code
+
+    ips = np.union1d(trace.src_ip[start:stop], trace.dst_ip[start:stop])
+    ported = tcp | udp  # port 0 means "no port"
+    sport = trace.src_port[start:stop][ported]
+    dport = trace.dst_port[start:stop][ported]
+    ports = np.union1d(sport, dport)
+
+    gaps = np.diff(ts)
+    tcp_windows = trace.tcp_window[start:stop][tcp]
+    if tcp_windows.size:
+        mean_window = float(np.mean(tcp_windows))
+        std_window = float(np.std(tcp_windows))
+    else:
+        mean_window = std_window = 0.0
+
+    lengths = trace.lengths[start:stop]
+    return FeatureVector(
+        n_ip_unique=float(ips.size),
+        n_port_unique=float(np.count_nonzero(ports)),  # drop port 0 if present
+        n_pack_tcp=float(np.count_nonzero(tcp)),
+        n_pack_udp=float(np.count_nonzero(udp)),
+        n_pack_icmp=float(np.count_nonzero(proto == Protocol.ICMP.code)),
+        max_diff_time=float(np.max(gaps)),
+        mean_window=mean_window,
+        std_window=std_window,
+        mean_ipt=float(np.mean(gaps)),
+        std_ipt=float(np.std(gaps)),
+        mean_len_pack=float(np.mean(lengths)),
+        std_len_pack=float(np.std(lengths)),
+    )
 
 
 def random_small_trace(

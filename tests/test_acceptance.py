@@ -14,6 +14,7 @@ from helpers import (
     alternating_burst_dataset,
     brute_force_features,
     build_pcap,
+    compute_features,
     exact_savgol_weights,
     ipv4_frame,
     knn_oracle,
@@ -25,12 +26,8 @@ from tpbench.adversarial import (
     REALISTIC_PADDED_FEATURE,
     REALISTIC_UNTOUCHED_FEATURES,
     REALISTIC_ZEROED_FEATURE,
-    RealisticSpec,
-    SavGolSpec,
-    apply_realistic_columns,
-    inject_awgn_columns,
+    TransformSpec,
     savgol_coefficients,
-    smooth_columns,
 )
 from tpbench.attackers import SplitSpec
 from tpbench.attackers.mlp import _init_params, loss_and_gradients
@@ -38,12 +35,11 @@ from tpbench.features import (
     FEATURE_INDEX,
     FEATURE_NAMES,
     WindowSpec,
-    compute_features,
     extract_series,
     stack_series,
 )
 from tpbench.harness import config_from_dict, emit_report, run_experiment
-from tpbench.pcap import parse_pcap, parse_pcap_with_stats
+from tpbench.pcap import parse_pcap_with_stats
 from tpbench.seeding import derive_seed
 from tpbench.traffic import (
     ClassProfile,
@@ -64,7 +60,7 @@ def _report(criterion: str, detail: str, budget: float, elapsed: float) -> None:
 def test_criterion_1_savgol_correctness():
     start = time.perf_counter()
     classic = np.array([-3.0, 12.0, 17.0, 12.0, -3.0]) / 35.0
-    got = savgol_coefficients(SavGolSpec(5, 2))
+    got = savgol_coefficients(TransformSpec("smooth", window=5, degree=2))
     assert np.max(np.abs(got - classic)) < 1e-12
 
     pairs = 0
@@ -73,7 +69,8 @@ def test_criterion_1_savgol_correctness():
             if degree > window - 1:
                 continue
             pairs += 1
-            weights = savgol_coefficients(SavGolSpec(window, degree))
+            spec = TransformSpec("smooth", window=window, degree=degree)
+            weights = savgol_coefficients(spec)
             oracle = np.array(exact_savgol_weights(window, degree))
             assert np.max(np.abs(weights - oracle)) < 1e-10, (window, degree)
 
@@ -81,7 +78,7 @@ def test_criterion_1_savgol_correctness():
             n = 3 * window
             t = np.arange(n, dtype=float) / n
             column = sum(((-1) ** j) * (j + 1) * t**j for j in range(degree + 1))
-            smoothed = smooth_columns(column[:, None], SavGolSpec(window, degree))[:, 0]
+            smoothed = spec.apply(column[:, None], 0)[:, 0]
             half = (window - 1) // 2
             interior = slice(half, n - half)
             err = np.max(np.abs(smoothed[interior] - column[interior]))
@@ -106,7 +103,7 @@ def test_criterion_2_awgn_statistics():
     X = np.zeros((n, len(FEATURE_NAMES)))
     X[:, 0] = base
     for nu in (0.2, 2.0, 64.0):
-        noised = inject_awgn_columns(X, nu, seed=derive_seed(2, "awgn", nu))
+        noised = TransformSpec("awgn", nu=nu).apply(X, derive_seed(2, "awgn", nu))
         noise = noised[:, 0] - base
         standard_error = math.sqrt(nu * sigma2 / n)
         assert abs(noise.mean()) < 3.0 * standard_error, f"nu={nu} mean"
@@ -128,7 +125,7 @@ def test_criterion_3_realistic_contract():
     start = time.perf_counter()
     rng = np.random.default_rng(31337)
     X = rng.normal(100.0, 25.0, size=(400, len(FEATURE_NAMES)))
-    out = apply_realistic_columns(X, RealisticSpec(2.0, seed=17))
+    out = TransformSpec("realistic", nu=2.0).apply(X, 17)
 
     untouched = set()
     changed = set()
@@ -314,7 +311,7 @@ def _smoothing_attack(class_fields, tag):
         n_segments=120, seg_packets=500, seed=777,
     )
     X, y = stack_series([extract_series(t, WindowSpec.burst(500)) for t in traces])
-    smoothed = smooth_columns(X, SavGolSpec(51, 1))
+    smoothed = TransformSpec("smooth", window=51, degree=1).apply(X, 0)
     train_idx, test_idx = attackers.split(
         y, SplitSpec(0.7, derive_seed(1, tag, "post", "split"))
     )
@@ -354,7 +351,7 @@ def test_criterion_6c_awgn_dose_response(baseline_3class):
     X, y = baseline_3class[500]
     accuracy = {}
     for nu in (2.0, 64.0):
-        noised = inject_awgn_columns(X, nu, derive_seed(9, "6c", nu))
+        noised = TransformSpec("awgn", nu=nu).apply(X, derive_seed(9, "6c", nu))
         train_idx, test_idx = attackers.split(
             y, SplitSpec(0.7, derive_seed(9, "6c", nu, "split"))
         )
@@ -391,7 +388,7 @@ def test_criterion_6d_realistic_preserves_untouched_signal():
     X, y = stack_series([extract_series(t, WindowSpec.burst(500)) for t in traces])
     accuracy = {}
     for nu in (2.0, 64.0):
-        transformed = apply_realistic_columns(X, RealisticSpec(nu, derive_seed(13, "6d", nu)))
+        transformed = TransformSpec("realistic", nu=nu).apply(X, derive_seed(13, "6d", nu))
         train_idx, test_idx = attackers.split(
             y, SplitSpec(0.7, derive_seed(13, "6d", nu, "split"))
         )
@@ -471,7 +468,7 @@ def test_criterion_8_pcap_round_trip():
     ]
     for byte_order in ("<", ">"):
         for nanos in (False, True):
-            trace = parse_pcap(
+            trace, _ = parse_pcap_with_stats(
                 build_pcap(records, byte_order=byte_order, nanos=nanos), label="rt"
             )
             assert len(trace.packets) == len(specs)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -11,13 +12,8 @@ from tpbench.adversarial import (
     REALISTIC_UNTOUCHED_FEATURES,
     REALISTIC_ZEROED_FEATURE,
     NonFiniteOutputError,
-    RealisticSpec,
-    SavGolSpec,
     TransformSpec,
-    apply_realistic_columns,
-    inject_awgn_columns,
     savgol_coefficients,
-    smooth_columns,
 )
 from tpbench.features import FEATURE_INDEX, FEATURE_NAMES
 
@@ -26,17 +22,21 @@ def random_matrix(rng, n=300) -> np.ndarray:
     return rng.normal(50.0, 12.0, size=(n, len(FEATURE_NAMES)))
 
 
+def smooth(window: int = 51, degree: int = 1) -> TransformSpec:
+    return TransformSpec("smooth", window=window, degree=degree)
+
+
 # --- coefficients -------------------------------------------------------------
 
 def test_window5_degree2_classic_weights():
-    weights = savgol_coefficients(SavGolSpec(5, 2))
+    weights = savgol_coefficients(smooth(5, 2))
     expected = np.array([-3.0, 12.0, 17.0, 12.0, -3.0]) / 35.0
     assert np.max(np.abs(weights - expected)) < 1e-14
 
 
 def test_degree_zero_is_moving_average():
     for window in (3, 7, 51):
-        weights = savgol_coefficients(SavGolSpec(window, 0))
+        weights = savgol_coefficients(smooth(window, 0))
         assert np.allclose(weights, np.full(window, 1.0 / window), atol=1e-15)
 
 
@@ -45,7 +45,7 @@ def test_weights_sum_to_one_and_symmetric():
         for degree in (0, 1, 2, 3, 5, 7, 9):
             if degree > window - 1:
                 continue
-            weights = savgol_coefficients(SavGolSpec(window, degree))
+            weights = savgol_coefficients(smooth(window, degree))
             assert abs(weights.sum() - 1.0) < 1e-12
             assert np.max(np.abs(weights - weights[::-1])) < 1e-12
 
@@ -55,7 +55,7 @@ def test_weights_match_exact_rational_oracle():
         for degree in (0, 1, 4, 9):
             if degree > window - 1:
                 continue
-            got = savgol_coefficients(SavGolSpec(window, degree))
+            got = savgol_coefficients(smooth(window, degree))
             want = np.array(exact_savgol_weights(window, degree))
             assert np.max(np.abs(got - want)) < 1e-10, (window, degree)
 
@@ -67,63 +67,59 @@ def test_weights_match_scipy_savgol_coeffs():
     signal = pytest.importorskip("scipy.signal")
     for window in range(3, 52, 2):
         for degree in range(min(window, 9)):
-            got = savgol_coefficients(SavGolSpec(window, degree))
+            got = savgol_coefficients(smooth(window, degree))
             want = signal.savgol_coeffs(window, degree)
             assert np.allclose(got, want, atol=1e-10), (window, degree)
 
 
 def test_spec_validation():
-    X = random_matrix(np.random.default_rng(1), n=20)
     with pytest.raises(ValueError):
-        SavGolSpec(4, 1)  # even window
+        smooth(4, 1)  # even window
     with pytest.raises(ValueError):
-        SavGolSpec(5, 5)  # degree >= window
+        smooth(5, 5)  # degree >= window
     with pytest.raises(ValueError):
-        inject_awgn_columns(X, 0.0, 1)
+        TransformSpec("awgn", nu=0.0)
     with pytest.raises(ValueError):
-        inject_awgn_columns(X, 1.0, 1, feature_mask=("no_such_feature",))
-    with pytest.raises(ValueError):
-        RealisticSpec(-1.0)
+        TransformSpec("realistic", nu=-1.0)
+    with pytest.raises(ValueError, match="transform mode 'blur' unknown"):
+        TransformSpec("blur")
 
 
 def test_kernels_check_their_arguments_through_the_spec():
-    X = random_matrix(np.random.default_rng(2), n=20)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy RuntimeWarning before the error
         for nu in (0.0, -1, float("nan"), float("inf"), "2", True):
             with pytest.raises(ValueError, match=r"transform awgn: nu must be a finite number > 0"):
-                inject_awgn_columns(X, nu, 1)
-    with pytest.raises(ValueError, match=r"awgn\(nu=1.0\): unknown features in mask: \['no_such'\]"):
-        inject_awgn_columns(X, 1.0, 1, feature_mask=("no_such",))
+                TransformSpec("awgn", nu=nu)
     with pytest.raises(ValueError, match="clamp_counts must be true or false"):
-        inject_awgn_columns(X, 1.0, 1, clamp_counts="false")
+        TransformSpec("awgn", nu=1.0, clamp_counts="false")
     with pytest.raises(ValueError, match="transform realistic: nu must be"):
-        RealisticSpec(-1.0)
+        TransformSpec("realistic", nu=-1.0)
     for window, degree in ((4, 1), (1, 0), (51.0, 1), (True, 0), (5, 5), (5, -1), (5, 1.5)):
         with pytest.raises(ValueError, match="transform smooth: (window|degree) must be"):
-            SavGolSpec(window, degree)
-    # a kernel given another mode's spec refuses it instead of reading defaults
-    with pytest.raises(ValueError, match=r"smooth kernel was given transform awgn\(nu=2.0\)"):
-        smooth_columns(X, TransformSpec("awgn", nu=2.0))
-    with pytest.raises(ValueError, match=r"realistic kernel was given transform smooth"):
-        apply_realistic_columns(X, SavGolSpec(5, 1))
+            smooth(window, degree)
+    # the weights of another mode's spec are refused instead of read from defaults
+    with pytest.raises(ValueError, match=r"smoothing weights asked of transform awgn\(nu=2.0\)"):
+        savgol_coefficients(TransformSpec("awgn", nu=2.0))
+    # the noise seed is an argument of apply, not a spec field
+    with pytest.raises(TypeError):
+        TransformSpec("awgn", nu=2.0, seed=5)
 
 
 def test_one_spec_class_with_stable_keys_and_distinct_labels():
     assert harness.TransformSpec is TransformSpec
-    assert SavGolSpec(31, 2) == TransformSpec("smooth", window=31, degree=2)
-    assert RealisticSpec(2, seed=5) == TransformSpec("realistic", nu=2.0, seed=5)
+    assert TransformSpec("realistic", nu=2) == TransformSpec("realistic", nu=2.0)
     # cell seeds derive from key(), so these bytes are pinned
     keys = {
         TransformSpec("none"): ("none()", ""),
-        SavGolSpec(): ("smooth(window=51,degree=1)", "deg1"),
-        SavGolSpec(31, 3): ("smooth(window=31,degree=3)", "w31deg3"),
+        smooth(): ("smooth(window=51,degree=1)", "deg1"),
+        smooth(31, 3): ("smooth(window=31,degree=3)", "w31deg3"),
         TransformSpec("awgn", nu=2): ("awgn(nu=2.0)", "nu2"),
         TransformSpec("awgn", nu=2.0, clamp_counts=True):
             ("awgn(nu=2.0,clamp_counts=true)", "nu2+clamp"),
         TransformSpec("awgn", nu=0.1234567): ("awgn(nu=0.1234567)", "nu0.1234567"),
         TransformSpec("awgn", nu=0.12345678): ("awgn(nu=0.12345678)", "nu0.12345678"),
-        RealisticSpec(1e308, seed=9): ("realistic(nu=1e+308)", "nu1e+308"),
+        TransformSpec("realistic", nu=1e308): ("realistic(nu=1e+308)", "nu1e+308"),
         TransformSpec("realistic", nu=np.float64(0.2)): ("realistic(nu=0.2)", "nu0.2"),
     }
     for spec, (key, label) in keys.items():
@@ -136,9 +132,9 @@ def test_polynomial_reproduced_on_interior():
     n = 200
     t = np.arange(n, dtype=float) / n
     for degree in (1, 3, 5):
-        spec = SavGolSpec(51, degree)
+        spec = smooth(51, degree)
         column = 2.0 - t + 3.0 * t**degree
-        out = smooth_columns(column[:, None], spec)[:, 0]
+        out = spec.apply(column[:, None], 0)[:, 0]
         m = 25
         interior_err = np.max(np.abs(out[m : n - m] - column[m : n - m]))
         scale = np.max(np.abs(column))
@@ -147,7 +143,7 @@ def test_polynomial_reproduced_on_interior():
 
 def test_constant_column_preserved_everywhere():
     column = np.full(120, 7.25)
-    out = smooth_columns(column[:, None], SavGolSpec(51, 3))[:, 0]
+    out = smooth(51, 3).apply(column[:, None], 0)[:, 0]
     assert np.max(np.abs(out - 7.25)) < 1e-12
 
 
@@ -155,9 +151,9 @@ def test_smoothing_is_linear():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(150, 1))
     y = rng.normal(size=(150, 1))
-    spec = SavGolSpec(31, 2)
-    lhs = smooth_columns(2.5 * x - 1.5 * y, spec)
-    rhs = 2.5 * smooth_columns(x, spec) - 1.5 * smooth_columns(y, spec)
+    spec = smooth(31, 2)
+    lhs = spec.apply(2.5 * x - 1.5 * y, 0)
+    rhs = 2.5 * spec.apply(x, 0) - 1.5 * spec.apply(y, 0)
     assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
@@ -166,7 +162,7 @@ def test_cubic_smoothed_by_degree_one_loses_variance():
     n = 300
     t = np.linspace(-2.0, 2.0, n)
     column = t**3 - 3.0 * t
-    out = smooth_columns(column[:, None], SavGolSpec(51, 1))[:, 0]
+    out = smooth(51, 1).apply(column[:, None], 0)[:, 0]
     interior = slice(25, n - 25)
     residual = np.abs(out[interior] - column[interior])
     assert residual.max() > 0.0  # a cubic is not degree-1 reproducible
@@ -175,7 +171,7 @@ def test_cubic_smoothed_by_degree_one_loses_variance():
 
 def test_short_series_rejected_with_guidance():
     with pytest.raises(ValueError, match="series length 20 < window 51; reduce window"):
-        smooth_columns(np.zeros((20, 12)), SavGolSpec(51, 1))
+        smooth(51, 1).apply(np.zeros((20, 12)), 0)
 
 
 # --- noise injection ------------------------------------------------------------
@@ -184,7 +180,7 @@ def test_constant_column_skipped():
     rng = np.random.default_rng(2)
     values = rng.normal(size=(100, 12))
     values[:, 3] = 42.0
-    out = inject_awgn_columns(values, 0.2, 8)
+    out = TransformSpec("awgn", nu=0.2).apply(values, 8)
     assert np.array_equal(out[:, 3], values[:, 3])
     assert not np.array_equal(out[:, 0], values[:, 0])
 
@@ -192,9 +188,10 @@ def test_constant_column_skipped():
 def test_awgn_deterministic_per_seed():
     rng = np.random.default_rng(3)
     X = random_matrix(rng)
-    a = inject_awgn_columns(X, 1.0, 77)
-    b = TransformSpec("awgn", nu=1.0).apply(X, 77)
-    c = inject_awgn_columns(X, 1.0, 78)
+    spec = TransformSpec("awgn", nu=1.0)
+    a = spec.apply(X, 77)
+    b = spec.apply(X.copy(), 77)
+    c = spec.apply(X, 78)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -206,27 +203,16 @@ def test_awgn_statistics_match_request():
     values[:, 0] = rng.normal(0.0, 2.0, size=n)
     sigma2 = float(np.var(values[:, 0]))
     nu = 2.0
-    out = inject_awgn_columns(values, nu, 4)
+    out = TransformSpec("awgn", nu=nu).apply(values, 4)
     noise = out[:, 0] - values[:, 0]
     assert abs(noise.mean()) < 4 * np.sqrt(nu * sigma2 / n)
     assert abs(np.var(noise) / (nu * sigma2) - 1.0) < 0.05
 
 
-def test_awgn_respects_feature_mask():
-    rng = np.random.default_rng(6)
-    X = random_matrix(rng)
-    mask = ("mean_ipt", "std_ipt")
-    out = inject_awgn_columns(X, 1.0, 5, feature_mask=mask)
-    for name in FEATURE_NAMES:
-        idx = FEATURE_INDEX[name]
-        same = np.array_equal(out[:, idx], X[:, idx])
-        assert same == (name not in mask)
-
-
 def test_clamp_counts_floors_only_count_features():
     values = np.full((50, 12), 0.5)
     values[:, :] += np.linspace(0, 1, 50)[:, None]  # give every column variance
-    out = inject_awgn_columns(values, 500.0, 1, clamp_counts=True)
+    out = TransformSpec("awgn", nu=500.0, clamp_counts=True).apply(values, 1)
     for name in ("n_ip_unique", "n_port_unique", "n_pack_tcp", "n_pack_udp",
                  "n_pack_icmp"):
         assert out[:, FEATURE_INDEX[name]].min() >= 0.0
@@ -238,9 +224,11 @@ def test_clamp_counts_floors_only_count_features():
 
 
 def test_awgn_needs_two_rows():
-    inject_awgn_columns(np.ones((2, 12)), 1.0, 0)  # fine
-    with pytest.raises(ValueError):
-        inject_awgn_columns(np.ones((1, 12)), 1.0, 0)
+    for mode in ("awgn", "realistic"):
+        spec = TransformSpec(mode, nu=1.0)
+        spec.apply(np.ones((2, 12)), 0)  # fine
+        with pytest.raises(ValueError, match="need at least 2 rows to scale noise"):
+            spec.apply(np.ones((1, 12)), 0)
 
 
 # --- realistic mode --------------------------------------------------------------
@@ -265,9 +253,8 @@ def test_treatment_map_is_the_documented_table():
 def test_realistic_contract():
     rng = np.random.default_rng(21)
     X = random_matrix(rng)
-    out = apply_realistic_columns(X, RealisticSpec(2.0, seed=9))
+    out = TransformSpec("realistic", nu=2.0).apply(X, 9)
     assert out.shape == X.shape
-    assert np.array_equal(out, TransformSpec("realistic", nu=2.0).apply(X, 9))
     for name in REALISTIC_UNTOUCHED_FEATURES:
         idx = FEATURE_INDEX[name]
         assert np.array_equal(out[:, idx], X[:, idx]), name
@@ -288,7 +275,7 @@ def test_realistic_contract():
 def test_realistic_untouched_holds_at_huge_nu():
     rng = np.random.default_rng(23)
     X = random_matrix(rng)
-    out = apply_realistic_columns(X, RealisticSpec(1e9, seed=9))
+    out = TransformSpec("realistic", nu=1e9).apply(X, 9)
     for name in REALISTIC_UNTOUCHED_FEATURES:
         idx = FEATURE_INDEX[name]
         assert np.array_equal(out[:, idx], X[:, idx])
@@ -298,18 +285,19 @@ def test_library_transforms_reject_non_finite_output():
     rng = np.random.default_rng(24)
     X = rng.normal(50.0, 12.0, size=(60, len(FEATURE_NAMES)))
     with pytest.raises(NonFiniteOutputError, match=r"awgn\(nu=1e\+308\) produced non-finite"):
-        inject_awgn_columns(X, 1e308, 1)
+        TransformSpec("awgn", nu=1e308).apply(X, 1)
     with pytest.raises(NonFiniteOutputError, match=r"awgn\(nu=1e\+308,clamp_counts=true\) produced"):
         TransformSpec("awgn", nu=1e308, clamp_counts=True).apply(X, 1)
     with pytest.raises(NonFiniteOutputError, match=r"realistic\(nu=1e\+308\) produced"):
-        apply_realistic_columns(X, RealisticSpec(1e308, seed=1))
+        TransformSpec("realistic", nu=1e308).apply(X, 1)
     for bad in (np.nan, np.inf, -np.inf):
         Xbad = X.copy()
         Xbad[7, FEATURE_INDEX["mean_ipt"]] = bad  # a column the realistic mode leaves alone
-        with pytest.raises(NonFiniteOutputError, match=r"smooth\(window=5,degree=2\) produced"):
-            smooth_columns(Xbad, SavGolSpec(5, 2))
-        with pytest.raises(NonFiniteOutputError, match=r"realistic\(nu=0.5\)"):
-            apply_realistic_columns(Xbad, RealisticSpec(0.5, seed=1))
-        with pytest.raises(NonFiniteOutputError, match=r"awgn\(nu=0.5\)"):
-            inject_awgn_columns(Xbad, 0.5, 1, feature_mask=("n_pack_tcp",))
-    assert np.isfinite(inject_awgn_columns(X, 1e9, 1)).all()
+        for spec in (TransformSpec("none"), smooth(5, 2), TransformSpec("realistic", nu=0.5)):
+            with pytest.raises(NonFiniteOutputError, match=rf"transform {re.escape(spec.key())} produced"):
+                spec.apply(Xbad, 1)
+    # np.var of a column holding inf warns, so the awgn mode sees only NaN here
+    Xbad[7, FEATURE_INDEX["mean_ipt"]] = np.nan
+    with pytest.raises(NonFiniteOutputError, match=r"awgn\(nu=0.5\)"):
+        TransformSpec("awgn", nu=0.5).apply(Xbad, 1)
+    assert np.isfinite(TransformSpec("awgn", nu=1e9).apply(X, 1)).all()

@@ -555,12 +555,3 @@ def test_model_json_rejects_unknown_version():
 def test_train_dispatch_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown classifier kind"):
         attackers.train("svm", np.zeros((4, 12)), ["a", "a", "b", "b"])
-
-
-def test_per_kind_predictors_check_model_kind():
-    rng = np.random.default_rng(21)
-    X, y = blobs(rng, 10, [("a", 0.0), ("b", 4.0)], spread=0.5)
-    knn = attackers.train_knn(X, y, k=1)
-    assert attackers.predict_knn(knn, X[0]) == y[0]
-    with pytest.raises(ValueError, match="expected a tree model"):
-        attackers.predict_tree(knn, X[0])

@@ -32,6 +32,15 @@ def test_synth_writes_dataset(tmp_path, capsys):
     assert manifest["labels"] == ["mic_off", "mic_on"]
 
 
+def test_synth_non_finite_duration_exits_two(tmp_path, capsys):
+    for duration in ("inf", "nan"):
+        code = main(["synth", "--duration", duration, "--out", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"duration must be a finite number > 0, got {duration}" in err
+        assert "Traceback" not in err
+
+
 def test_extract_from_traces_then_attack(tmp_path, capsys):
     data = tmp_path / "data"
     main(["synth", "--scenario", "mic_onoff", "--traces-per-class", "2",

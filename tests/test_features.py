@@ -3,20 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from helpers import build_pcap, brute_force_features, ipv4_frame, random_small_trace, raw_frame
+from helpers import (
+    brute_force_features,
+    build_pcap,
+    compute_features,
+    ipv4_frame,
+    random_small_trace,
+    raw_frame,
+    window_packets,
+)
 from tpbench.features import (
     FEATURE_NAMES,
     EmptySeriesError,
     FeatureSeries,
     WindowSpec,
-    compute_features,
     extract_series,
     load_features_csv,
     save_features_csv,
     stack_series,
-    window_packets,
 )
-from tpbench.pcap import parse_pcap
+from tpbench.pcap import parse_pcap_with_stats
 from tpbench.traffic import (
     ClassProfile,
     PacketRecord,
@@ -315,7 +321,7 @@ def test_extract_series_matches_oracle_on_parsed_pcap():
     gaps = [0.01, 0.2, 0.3, 0.05, 1.7, 0.01, 0.02, 0.03, 0.04, 2.1, 0.1, 0.1,
             0.1, 1.3, 0.4, 0.2, 0.9]
     times = np.cumsum(gaps) + 1_000.0
-    trace = parse_pcap(build_pcap(list(zip(times.tolist(), frames))), label="p")
+    trace, _ = parse_pcap_with_stats(build_pcap(list(zip(times.tolist(), frames))), label="p")
     assert (trace.protocols == Protocol.ICMP.code).sum() == 5
     specs = [WindowSpec.burst(n) for n in (2, 3, 4, 5, 17)]
     specs += [WindowSpec.time_span(dt) for dt in (0.1, 0.25, 0.5, 1.0, 2.0, 50.0)]
@@ -376,8 +382,7 @@ def test_csv_round_trip(tmp_path):
 
 def test_csv_transform_column(tmp_path):
     values = np.arange(24, dtype=float).reshape(2, 12)
-    series = FeatureSeries(values, label="x", window_spec=None, trace_id="t",
-                           transform="awgn(nu=2.0)")
+    series = FeatureSeries(values, label="x", trace_id="t", transform="awgn(nu=2.0)")
     path = tmp_path / "t.csv"
     save_features_csv([series], path)
     header = path.read_text().splitlines()[0]

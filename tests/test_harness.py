@@ -466,6 +466,46 @@ def test_config_field_errors_are_named():
     with pytest.raises(ConfigError, match=r"profiles\[0\].*'jiter_std'"):
         config_from_dict({**base, "classifiers": [{"kind": "knn"}],
                           "profiles": [{**profile, "jiter_std": 0.1}]})
+    for field, named in (
+        ({"ip_pool_size": 2.9}, r"ip_pool_size must be an integer >= 1, got 2\.9"),
+        ({"port_pool_size": 0}, "port_pool_size must be an integer >= 1, got 0"),
+        ({"port_pool_size": 70000}, "port_pool_size must be <= 65535"),
+        ({"label": 5}, "label must be a string, got 5"),
+        ({"rate": "600"}, "rate must be a finite number, got '600'"),
+        ({"rate": float("inf")}, "rate must be a finite number, got inf"),
+        ({"rate": float("nan")}, "rate must be a finite number, got nan"),
+        ({"rate": 0}, "rate must be positive"),
+        ({"length_mean": float("nan")}, "length_mean must be a finite number, got nan"),
+        ({"length_mean": -5.0}, "length_mean must be positive"),
+        ({"window_std": True}, "window_std must be a finite number, got True"),
+        ({"jitter_std": -0.1}, "standard deviations must be >= 0"),
+        ({"protocol_mix": [0.5, "0.5", 0.0]}, "protocol_mix must be a list of finite numbers"),
+        ({"protocol_mix": [0.5, float("nan"), 0.5]}, "protocol_mix must be a list of finite"),
+    ):
+        profiles = [{**profile, **field}, asdict(builtin_profiles(Scenario.MIC_ONOFF)[1])]
+        with pytest.raises(ConfigError, match=rf"profiles\[0\]: .*{named}"):
+            config_from_dict({**base, "classifiers": [{"kind": "knn"}], "profiles": profiles})
+    with pytest.raises(ConfigError, match=r"profiles\[0\]: must be a profile object"):
+        config_from_dict({**base, "classifiers": [{"kind": "knn"}], "profiles": [3]})
+    for root, named in (
+        ({"seed": 1.5}, r"seed must be an integer >= 0, got 1\.5"),
+        ({"seed": True}, "seed must be an integer >= 0, got True"),
+        ({"seed": -3}, "seed must be an integer >= 0, got -3"),
+        ({"traces_per_class": 2.9}, r"traces_per_class must be an integer >= 1, got 2\.9"),
+        ({"traces_per_class": 0}, "traces_per_class must be an integer >= 1, got 0"),
+        ({"train_fraction": "0.7"}, r"train_fraction must be a number in \(0, 1\), got '0\.7'"),
+        ({"train_fraction": True}, r"train_fraction must be a number in \(0, 1\), got True"),
+        ({"train_fraction": 1.0}, r"train_fraction must be a number in \(0, 1\), got 1\.0"),
+        ({"duration": "nan"}, "duration must be a finite number > 0, got 'nan'"),
+        ({"duration": float("nan")}, "duration must be a finite number > 0, got nan"),
+        ({"duration": -1}, "duration must be a finite number > 0, got -1"),
+        ({"duration": 1e400}, "duration must be a finite number > 0, got inf"),
+        ({"duration": 10**400}, "duration must be a finite number > 0, got 1000"),
+        ({"output_dir": 3}, "output_dir must be a string, got 3"),
+        ({"pcap_dir": ["."]}, r"pcap_dir must be a string, got \['\.'\]"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{named}"):
+            config_from_dict({**base, "classifiers": [{"kind": "knn"}], **root})
     for classifier, named in (
         ({"kind": "mlp", "epochs": 0}, "epochs must be an integer >= 1"),
         ({"kind": "mlp", "batch_size": 0}, "batch_size must be an integer >= 1"),

@@ -12,7 +12,7 @@ from helpers import (
     raw_frame,
     reference_parse_pcap_with_stats,
 )
-from tpbench.pcap import PcapFormatError, parse_pcap, parse_pcap_with_stats
+from tpbench.pcap import PcapFormatError, parse_pcap_with_stats
 from tpbench.traffic import Protocol
 
 
@@ -26,7 +26,7 @@ def two_packet_records():
 
 def test_hand_crafted_fixture_fields():
     records = two_packet_records()
-    trace = parse_pcap(build_pcap(records, orig_lengths=[60, 80]), label="q")
+    trace, _ = parse_pcap_with_stats(build_pcap(records, orig_lengths=[60, 80]), label="q")
     assert len(trace.packets) == 2
     first, second = trace.packets
     assert first.timestamp == 0.0  # rebased
@@ -44,25 +44,26 @@ def test_hand_crafted_fixture_fields():
 @pytest.mark.parametrize("nanos", [False, True])
 def test_all_magic_variants_parse_identically(byte_order, nanos):
     records = two_packet_records()
-    reference = parse_pcap(build_pcap(records), label="q")
-    variant = parse_pcap(build_pcap(records, byte_order=byte_order, nanos=nanos), label="q")
+    reference, _ = parse_pcap_with_stats(build_pcap(records), label="q")
+    blob = build_pcap(records, byte_order=byte_order, nanos=nanos)
+    variant, _ = parse_pcap_with_stats(blob, label="q")
     assert variant.packets == reference.packets
 
 
 def test_empty_file_is_fatal():
     with pytest.raises(PcapFormatError):
-        parse_pcap(b"", label="q")
+        parse_pcap_with_stats(b"", label="q")
 
 
 def test_bad_magic_is_fatal():
     with pytest.raises(PcapFormatError, match="magic"):
-        parse_pcap(b"\x00" * 64, label="q")
+        parse_pcap_with_stats(b"\x00" * 64, label="q")
 
 
 def test_unsupported_linktype_is_fatal():
     blob = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101)  # raw IP
     with pytest.raises(PcapFormatError, match="link type"):
-        parse_pcap(blob, label="q")
+        parse_pcap_with_stats(blob, label="q")
 
 
 def test_truncated_record_returns_partial_trace():
@@ -86,7 +87,7 @@ def test_truncated_record_header_counts_too():
 def test_zero_packet_capture_is_fatal():
     blob = build_pcap([])
     with pytest.raises(PcapFormatError, match="no decodable packets"):
-        parse_pcap(blob, label="q")
+        parse_pcap_with_stats(blob, label="q")
 
 
 def test_out_of_order_records_sorted_and_counted():
@@ -100,7 +101,7 @@ def test_out_of_order_records_sorted_and_counted():
 
 def test_vlan_tag_skipped():
     frame = ipv4_frame(Protocol.TCP, 7, 8, 1000, 2000, tcp_window=333, vlan=True)
-    trace = parse_pcap(build_pcap([(0.0, frame), (0.1, frame)]), label="q")
+    trace, _ = parse_pcap_with_stats(build_pcap([(0.0, frame), (0.1, frame)]), label="q")
     assert trace.packets[0].protocol is Protocol.TCP
     assert trace.packets[0].tcp_window == 333
 
@@ -108,7 +109,7 @@ def test_vlan_tag_skipped():
 def test_non_ipv4_maps_to_other():
     arp = raw_frame(0x0806)
     ipv6 = raw_frame(0x86DD)
-    trace = parse_pcap(build_pcap([(0.0, arp), (0.5, ipv6)]), label="q")
+    trace, _ = parse_pcap_with_stats(build_pcap([(0.0, arp), (0.5, ipv6)]), label="q")
     for packet in trace.packets:
         assert packet.protocol is Protocol.OTHER
         assert packet.src_port == packet.dst_port == packet.tcp_window == 0
@@ -118,7 +119,7 @@ def test_snapped_tcp_header_zeroes_l4_fields():
     frame = ipv4_frame(Protocol.TCP, 1, 2, 80, 81, tcp_window=100)
     cut = frame[: 14 + 20 + 4]  # ports visible, window snapped off
     blob = build_pcap([(0.0, cut), (0.1, cut)], orig_lengths=[len(frame), len(frame)])
-    trace = parse_pcap(blob, label="q")
+    trace, _ = parse_pcap_with_stats(blob, label="q")
     p = trace.packets[0]
     assert p.protocol is Protocol.TCP
     assert p.length == len(frame)  # original length, not captured length
@@ -135,7 +136,7 @@ def test_round_trip_matches_writer():
     records = []
     for ts, proto, src, dst, sport, dport, window in specs:
         records.append((ts, ipv4_frame(proto, src, dst, sport, dport, window)))
-    trace = parse_pcap(build_pcap(records, byte_order=">"), label="rt")
+    trace, _ = parse_pcap_with_stats(build_pcap(records, byte_order=">"), label="rt")
     assert len(trace.packets) == len(specs)
     for packet, (ts, proto, src, dst, sport, dport, window) in zip(trace.packets, specs):
         assert packet.timestamp == pytest.approx(ts, abs=1e-9)

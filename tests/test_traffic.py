@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import build_pcap, ipv4_frame, raw_frame
-from tpbench.pcap import parse_pcap
+from tpbench.pcap import parse_pcap_with_stats
 from tpbench.traffic import (
     ClassProfile,
     PacketRecord,
@@ -68,6 +68,17 @@ def test_rejects_bad_inputs():
         generate_trace(profile(rate=-1.0), 5.0, seed=1)
     with pytest.raises(ValueError):
         generate_trace(profile(ip_pool_size=0), 5.0, seed=1)
+    for duration in (float("inf"), float("nan"), -1.0):
+        with pytest.raises(ValueError, match=f"duration must be a finite number > 0, got {duration}"):
+            generate_trace(profile(), duration, seed=1)
+    for field, named in (
+        ({"length_mean": float("nan")}, "length_mean must be finite, got nan"),
+        ({"rate": float("inf")}, "rate must be finite, got inf"),
+        ({"protocol_mix": (0.5, float("nan"), 0.5)}, "protocol_mix must be three non-negative"),
+        ({"port_pool_size": 65536}, "port_pool_size must be <= 65535"),
+    ):
+        with pytest.raises(ValueError, match=named):
+            generate_trace(profile(**field), 5.0, seed=1)
 
 
 def test_dataset_cardinality_two_classes():
@@ -195,7 +206,8 @@ def test_row_view_round_trip():
         (1.75, ipv4_frame(Protocol.ICMP, 11, 44)),
         (2.0, raw_frame(0x86DD)),
     ])
-    for trace in (generate_trace(profile(), 2.0, seed=5), parse_pcap(pcap, label="q")):
+    parsed, _ = parse_pcap_with_stats(pcap, label="q")
+    for trace in (generate_trace(profile(), 2.0, seed=5), parsed):
         back = Trace.from_packets(trace.packets, trace.label, trace.scenario, trace.trace_id)
         for name in ("timestamps", "lengths", "protocols", "src_ip", "dst_ip",
                      "src_port", "dst_port", "tcp_window"):
