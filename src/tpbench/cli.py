@@ -1,9 +1,9 @@
 """Command-line pipeline: synth, extract, perturb, attack, sweep.
 
 Exit codes: 0 success, 1 usage error, 2 data error. The stages share the
-feature-CSV interchange format, so `sweep` can be reproduced by chaining
-`synth` / `extract` / `perturb` / `attack` with the seeds printed in the
-sweep report. The invariant checks live in the test suite:
+feature-CSV interchange format, so a sweep cell can be rerun by chaining
+`synth` / `extract` / `perturb` / `attack` with the seeds and trace order the
+README names. The invariant checks live in the test suite:
 `pytest tests/test_acceptance.py` runs one check per acceptance criterion.
 """
 
@@ -26,12 +26,12 @@ from tpbench.features import (
 from tpbench.harness import (
     ClassifierSpec,
     TransformSpec,
+    cell_seeds,
     emit_report,
     load_config,
     run_experiment,
 )
 from tpbench.pcap import load_pcap
-from tpbench.seeding import derive_seed
 from tpbench.traffic import (
     Scenario,
     builtin_profiles,
@@ -173,10 +173,9 @@ def _cmd_attack(args) -> int:
         raise ValueError(f"--params: {exc}") from exc
     series_list = load_features_csv(args.features)
     X, y = stack_series(series_list)
-    train_idx, test_idx = attackers.split(
-        y, SplitSpec(args.train_fraction, derive_seed(args.seed, "split"))
-    )
-    model = clf.train(X[train_idx], y[train_idx], derive_seed(args.seed, "train"))
+    split_seed, train_seed = cell_seeds(args.seed)
+    train_idx, test_idx = attackers.split(y, SplitSpec(args.train_fraction, split_seed))
+    model = clf.train(X[train_idx], y[train_idx], train_seed)
     accuracy = attackers.evaluate(model, X[test_idx], y[test_idx])
     if args.save_model:
         attackers.save_model(model, args.save_model)

@@ -6,11 +6,12 @@ transform of the full concatenated window dataset (transforms run before the
 train/test split: the attacker trains after the defense is already deployed)
 and gets its own seed derived from the master seed and the cell coordinates,
 so cells can run in any order without changing the report. `run_experiment`
-therefore runs them on a fork process pool; `_worker_count` gives its size.
-With more than one worker, a forest cell runs as one job per contiguous range
-of its tree indices: each tree draws from its own seed whichever job grows
-it, and a forest's votes are the sum of its trees' votes, so the parent sums
-the ranges' vote matrices and scores them to the bytes one job would give.
+draws each cell's split itself and trains the cells on a fork process pool of
+`_worker_count` workers. With more than one worker, a forest cell runs as one
+job per contiguous range of its tree indices: each tree draws from its own
+seed whichever job grows it, and a forest's votes are the sum of its trees'
+votes, so the parent sums the ranges' vote matrices and scores them to the
+bytes one job would give.
 """
 
 from __future__ import annotations
@@ -95,6 +96,7 @@ _CLASSIFIER_RULES = {
     "learning_rate": _POSITIVE,
 }
 _ROOT_RULES = {
+    "scenario": _STRING,
     "traces_per_class": _COUNT,
     "duration": _POSITIVE,
     "train_fraction": _FRACTION,
@@ -285,10 +287,11 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
         if not isinstance(labels, dict) or not labels:
             raise ConfigError("pcap_labels: required with pcap_dir (file -> label)")
         for name, label in labels.items():
+            _check(label, _STRING, f"pcap_labels[{name}]")
             path = pcap_dir / name
             if not path.is_file():
                 raise ConfigError(f"pcap_labels: file not found: {path}")
-            pcap_files.append((path, str(label)))
+            pcap_files.append((path, label))
 
     bursts = doc.get("burst_sizes")
     if bursts is None and "timespans" not in doc:
@@ -334,7 +337,7 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
     _reject_duplicates("classifiers", classifiers)
 
     config = ExperimentConfig(
-        scenario=str(scenario),
+        scenario=scenario,
         profiles=profiles,
         traces_per_class=doc.get("traces_per_class", 3),
         duration=float(doc.get("duration", 60.0)),
@@ -428,13 +431,19 @@ def _load_traces(config: ExperimentConfig) -> list[Trace]:
     )
 
 
-def _train_cell(X, y, clf, train_fraction, cell_seed, trees=None):
-    """Split a cell's rows and train its model: (model, test rows, n_train)."""
-    train_idx, test_idx = attackers.split(
-        y, SplitSpec(train_fraction, derive_seed(cell_seed, "split"))
-    )
-    model = clf.train(X[train_idx], y[train_idx], derive_seed(cell_seed, "train"), trees)
-    return model, test_idx, train_idx.size
+def cell_seeds(cell_seed: int) -> tuple[int, int]:
+    """(split seed, train seed) of a cell; the sweep and `attack` derive both here."""
+    return derive_seed(cell_seed, "split"), derive_seed(cell_seed, "train")
+
+
+def _fit_job(Xt, y, clf, train_idx, test_idx, cell_seed, trees):
+    """Train a cell's model on its train rows. Return its accuracy on the
+    test rows for a whole cell (`trees` None), else the vote matrix of trees
+    `trees` of its forest on the test rows."""
+    model = clf.train(Xt[train_idx], y[train_idx], cell_seeds(cell_seed)[1], trees)
+    if trees is None:
+        return attackers.evaluate(model, Xt[test_idx], y[test_idx])
+    return attackers.forest_votes(model, Xt[test_idx])
 
 
 def run_cell(
@@ -444,34 +453,10 @@ def run_cell(
     train_fraction: float,
     cell_seed: int,
 ) -> tuple[float, int, int]:
-    """Split, standardize-and-train, evaluate one grid cell."""
-    model, test_idx, n_train = _train_cell(X, y, clf, train_fraction, cell_seed)
-    accuracy = attackers.evaluate(model, X[test_idx], y[test_idx])
-    return accuracy, n_train, test_idx.size
-
-
-def run_forest_part(
-    X: np.ndarray,
-    y: np.ndarray,
-    clf: ClassifierSpec,
-    train_fraction: float,
-    cell_seed: int,
-    trees: range,
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Trees `trees` of the forest cell `run_cell(X, y, clf, train_fraction,
-    cell_seed)`: their votes on its test rows, its test labels as class codes,
-    n_train and n_test. `_score_parts` of every range gives that cell's result."""
-    model, test_idx, n_train = _train_cell(X, y, clf, train_fraction, cell_seed, trees)
-    truth = attackers.encode_labels(y[test_idx], model.classes)
-    return attackers.forest_votes(model, X[test_idx]), truth, n_train, test_idx.size
-
-
-def _score_parts(parts) -> tuple[float, int, int]:
-    """(accuracy, n_train, n_test) of a forest cell from the `run_forest_part`
-    results of all its tree ranges."""
-    votes = sum(votes for votes, _, _, _ in parts)
-    _, truth, n_train, n_test = parts[0]
-    return attackers.accuracy(np.argmax(votes, axis=1), truth), n_train, n_test
+    """Split, train and evaluate one grid cell: (accuracy, n_train, n_test)."""
+    train_idx, test_idx = attackers.split(y, SplitSpec(train_fraction, cell_seeds(cell_seed)[0]))
+    accuracy = _fit_job(X, y, clf, train_idx, test_idx, cell_seed, None)
+    return accuracy, train_idx.size, test_idx.size
 
 
 _FOREST_TREES = inspect.signature(attackers.train_forest).parameters["n_trees"].default
@@ -490,23 +475,19 @@ def _tree_ranges(clf: ClassifierSpec, workers: int) -> list[range | None]:
     return [range(n_trees * p // parts, n_trees * (p + 1) // parts) for p in range(parts)]
 
 
-# (Xt, y, classifier, train_fraction, cell_seed, trees) of every job of the
-# sweep in progress: a whole cell when trees is None, else one tree range of a
-# forest cell. Filled before the pool forks, so its workers inherit the
-# matrices and are sent only indices.
-_JOBS: list[tuple[np.ndarray, np.ndarray, ClassifierSpec, float, int, range | None]] = []
+# The `_fit_job` arguments (Xt, y, classifier, train_idx, test_idx, cell_seed,
+# trees) of every job of the sweep in progress: a whole cell when trees is
+# None, else one tree range of a forest cell. Filled before the pool forks, so
+# its workers inherit the matrices and are sent only indices.
+_JOBS: list[tuple] = []
 
 
-def _run_job(i: int) -> tuple[int, tuple | None, str]:
-    """Run job `_JOBS[i]`: (i, its `run_cell` or `run_forest_part` result, "")
-    or, when it raised, (i, None, reason)."""
-    Xt, y, clf, train_fraction, cell_seed, trees = _JOBS[i]
+def _run_job(i: int) -> tuple[object, str]:
+    """(`_fit_job(*_JOBS[i])`, "") or, when it raised, (None, the skip reason)."""
     try:
-        if trees is None:
-            return i, run_cell(Xt, y, clf, train_fraction, cell_seed), ""
-        return i, run_forest_part(Xt, y, clf, train_fraction, cell_seed, trees), ""
+        return _fit_job(*_JOBS[i]), ""
     except Exception as exc:  # captured per cell, sweep continues
-        return i, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def _worker_count() -> int:
@@ -530,7 +511,7 @@ def _worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run_jobs(workers: int) -> list[tuple[int, tuple | None, str]]:
+def _run_jobs(workers: int) -> list[tuple[object, str]]:
     """Every `_run_job` result in job order, on at most `workers` forked
     processes; in this process when one would do. A worker that dies raises
     `BrokenProcessPool`."""
@@ -551,7 +532,8 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
 
     rows: list[SweepRow] = []
     jobs = []
-    cells: list[tuple[SweepRow, int]] = []  # each runnable cell's row and job count
+    # each queued cell's row, n_train, test rows' class codes and job indices
+    cells: list[tuple[SweepRow, int, np.ndarray, slice]] = []
     for wspec in config.window_specs:
         series_list = []
         dropped = 0
@@ -565,6 +547,7 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
             dropped += series.dropped_windows
         if series_list:
             X, y = stack_series(series_list)
+            codes = attackers.encode_labels(y, attackers.class_order(y))
         else:
             X = y = None
 
@@ -595,37 +578,43 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
                     seed=cell_seed,
                     dropped_windows=dropped,
                 )
-                if skip_reason:
-                    row.status = "skipped"
-                    row.reason = skip_reason
-                else:
-                    parts = _tree_ranges(clf, workers)
-                    jobs.extend((Xt, y, clf, config.train_fraction, cell_seed, trees)
-                                for trees in parts)
-                    cells.append((row, len(parts)))
                 rows.append(row)
+                reason = skip_reason
+                if not reason:
+                    split = SplitSpec(config.train_fraction, cell_seeds(cell_seed)[0])
+                    try:
+                        train_idx, test_idx = attackers.split(y, split)
+                    except ValueError as exc:  # a class with one row, as a job reports it
+                        reason = f"{type(exc).__name__}: {exc}"
+                if reason:
+                    row.status = "skipped"
+                    row.reason = reason
+                    continue
+                first = len(jobs)
+                jobs.extend((Xt, y, clf, train_idx, test_idx, cell_seed, trees)
+                            for trees in _tree_ranges(clf, workers))
+                cells.append((row, train_idx.size, codes[test_idx], slice(first, len(jobs))))
 
     _JOBS.extend(jobs)
     try:
         results = _run_jobs(workers)
     finally:
         _JOBS.clear()
-    start = 0
-    for row, n_parts in cells:
-        outcomes = results[start : start + n_parts]
-        start += n_parts
-        reasons = [reason for _, result, reason in outcomes if result is None]
+    for row, n_train, truth, cell_jobs in cells:
+        outcomes = results[cell_jobs]
+        reasons = [reason for _, reason in outcomes if reason]
         if reasons:
-            # every range splits and trains alike, and the first to fail holds
-            # the first tree a serial fit fails at: its reason is the serial one
+            # every range trains alike, and the first to fail holds the
+            # first tree a serial fit fails at: its reason is the serial one
             row.status = "skipped"
             row.reason = reasons[0]
-        elif n_parts == 1:
-            row.accuracy, row.n_train, row.n_test = outcomes[0][1]
+            continue
+        if len(outcomes) == 1:
+            row.accuracy = outcomes[0][0]
         else:
-            row.accuracy, row.n_train, row.n_test = _score_parts(
-                [result for _, result, _ in outcomes]
-            )
+            votes = sum(votes for votes, _ in outcomes)
+            row.accuracy = attackers.accuracy(np.argmax(votes, axis=1), truth)
+        row.n_train, row.n_test = n_train, truth.size
     return SweepReport(rows=rows)
 
 

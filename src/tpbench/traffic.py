@@ -25,6 +25,9 @@ MIN_PACKET_LEN = 40
 MAX_PACKET_LEN = 1514
 MAX_TCP_WINDOW = 65535
 MIN_GAP_SECONDS = 1e-6  # floor for inter-packet gaps
+# Most packets a synthetic trace may expect (duration * rate): 220 times the
+# largest shipped trace (60 s at 1250 pkt/s), about 1 GB of packet columns.
+MAX_TRACE_PACKETS = 2**24
 
 
 class Protocol(Enum):
@@ -222,6 +225,11 @@ def generate_trace(profile: ClassProfile, duration: float, seed: int) -> Trace:
     if not (math.isfinite(duration) and duration > 0):
         raise ValueError(f"duration must be a finite number > 0, got {duration!r}")
     profile.validate()
+    if duration * profile.rate > MAX_TRACE_PACKETS:
+        raise ValueError(
+            f"profile {profile.label!r}: duration {duration!r} s at rate {profile.rate!r} pkt/s "
+            f"expects {duration * profile.rate:.3g} packets, more than {MAX_TRACE_PACKETS}"
+        )
 
     rng = np.random.default_rng(seed)
     ip_pool = _distinct_tokens(rng, profile.ip_pool_size, 2**32)

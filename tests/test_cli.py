@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -33,11 +34,17 @@ def test_synth_writes_dataset(tmp_path, capsys):
 
 
 def test_synth_non_finite_duration_exits_two(tmp_path, capsys):
-    for duration in ("inf", "nan"):
+    too_many = r"profile 'mic_off': duration {} s at rate 600\.0 pkt/s expects .* packets"
+    for duration, named in (
+        ("inf", "duration must be a finite number > 0, got inf"),
+        ("nan", "duration must be a finite number > 0, got nan"),
+        ("1e12", too_many.format(r"1000000000000\.0")),
+        ("1e300", too_many.format(r"1e\+300")),
+    ):
         code = main(["synth", "--duration", duration, "--out", str(tmp_path / "d")])
         err = capsys.readouterr().err
         assert code == 2
-        assert f"duration must be a finite number > 0, got {duration}" in err
+        assert re.search(named, err)
         assert "Traceback" not in err
 
 

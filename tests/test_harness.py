@@ -116,12 +116,12 @@ def test_pool_never_outnumbers_runnable_cells(tmp_path, monkeypatch):
     made = record_pools(monkeypatch, fork=False)
     X = np.arange(40.0).reshape(20, 2)
     y = np.repeat(["a", "b"], 10)
-    monkeypatch.setattr(harness, "_JOBS",
-                        [(X, y, ClassifierSpec("knn"), 0.7, s, None) for s in (1, 2, 3)])
+    jobs = [(X, y, ClassifierSpec("knn"), *attackers.split(y, attackers.SplitSpec(0.7, s)),
+             s, None) for s in (1, 2, 3)]
+    monkeypatch.setattr(harness, "_JOBS", jobs)
     results = harness._run_jobs(64)
     assert made == [(3, "fork")]
-    assert [i for i, _, _ in results] == [0, 1, 2]
-    assert all(result is not None and reason == "" for _, result, reason in results)
+    assert results == [(harness._fit_job(*job), "") for job in jobs]
 
     monkeypatch.undo()
     made = record_pools(monkeypatch, fork=False)
@@ -142,10 +142,12 @@ def die_in_worker(*args):
 def test_dead_worker_fails_the_sweep(monkeypatch):
     from concurrent.futures.process import BrokenProcessPool
 
-    monkeypatch.setattr(harness, "run_cell", die_in_worker)
+    monkeypatch.setattr(harness, "_fit_job", die_in_worker)
     X = np.zeros((4, 2))
+    rows = np.arange(4)
     monkeypatch.setattr(harness, "_JOBS",
-                        [(X, X[:, 0], ClassifierSpec("knn"), 0.5, s, None) for s in (1, 2)])
+                        [(X, X[:, 0], ClassifierSpec("knn"), rows[:2], rows[2:], s, None)
+                         for s in (1, 2)])
     with pytest.raises(BrokenProcessPool):
         harness._run_jobs(2)
 
@@ -153,9 +155,12 @@ def test_dead_worker_fails_the_sweep(monkeypatch):
 def test_dead_worker_in_a_forest_part_fails_the_sweep(tmp_path, monkeypatch):
     from concurrent.futures.process import BrokenProcessPool
 
-    monkeypatch.setattr(harness, "run_forest_part", die_in_worker)
+    real_job = harness._fit_job
+    monkeypatch.setattr(harness, "_fit_job",
+                        lambda *job: real_job(*job) if job[-1] is None else die_in_worker())
     monkeypatch.setenv("TPB_WORKERS", "2")
-    config = load_config(small_config(tmp_path, classifiers=[{"kind": "forest", "n_trees": 4}]))
+    config = load_config(small_config(
+        tmp_path, classifiers=[{"kind": "knn"}, {"kind": "forest", "n_trees": 4}]))
     with pytest.raises(BrokenProcessPool):
         run_experiment(config)
 
@@ -224,7 +229,9 @@ def test_split_forest_equals_unsplit_forest():
         clf = ClassifierSpec.from_dict({"kind": "forest", "n_trees": n_trees})
         whole = fit_forest(X, codes, 3, n_trees=n_trees, seed=11)
         cell = run_cell(X, y, clf, 0.7, 17)
-        model, test_idx, _ = harness._train_cell(X, y, clf, 0.7, 17)
+        split_seed, train_seed = harness.cell_seeds(17)
+        train_idx, test_idx = attackers.split(y, attackers.SplitSpec(0.7, split_seed))
+        model = clf.train(X[train_idx], y[train_idx], train_seed)
         labels = attackers.predict(model, X[test_idx])
         for parts in range(1, n_trees + 2):
             ranges = harness._tree_ranges(clf, parts)
@@ -235,16 +242,17 @@ def test_split_forest_equals_unsplit_forest():
             grown = [tree for r in ranges
                      for tree in fit_forest(X, codes, 3, n_trees=n_trees, seed=11, trees=r).trees]
             assert grown == whole.trees
-            results = [harness.run_forest_part(X, y, clf, 0.7, 17, r) for r in ranges]
-            votes = sum(votes for votes, _, _, _ in results)
+            votes = sum(harness._fit_job(X, y, clf, train_idx, test_idx, 17, r) for r in ranges)
             assert np.array_equal(np.array(model.classes, dtype=object)[votes.argmax(axis=1)],
                                   labels)
-            assert harness._score_parts(results) == cell
+            truth = attackers.encode_labels(y, attackers.class_order(y))[test_idx]
+            assert (attackers.accuracy(votes.argmax(axis=1), truth),
+                    train_idx.size, test_idx.size) == cell
 
 
-def test_every_part_of_a_split_forest_cell_failing_gives_one_serial_row(tmp_path, monkeypatch):
-    """With one row left in a class, every tree range of the forest cell
-    raises at the split; the cell still gets one row, with the serial reason."""
+def test_a_cell_whose_split_fails_gets_the_serial_row_and_no_job(tmp_path, monkeypatch):
+    """With one row left in a class, every cell's split raises in the parent:
+    each cell gets one row with the serial reason, and no job is queued."""
     real_stack = harness.stack_series
 
     def one_row_in_last_class(series):
@@ -258,18 +266,37 @@ def test_every_part_of_a_split_forest_cell_failing_gives_one_serial_row(tmp_path
     monkeypatch.setenv("TPB_WORKERS", "1")
     serial = run_experiment(load_config(path)).rows
 
-    ranges = []
-    real_part = harness.run_forest_part
-    monkeypatch.setattr(harness, "run_forest_part",
-                        lambda *args: ranges.append(args[-1]) or real_part(*args))
+    jobs = []
+    real_job = harness._fit_job
+    monkeypatch.setattr(harness, "_fit_job", lambda *job: jobs.append(job) or real_job(*job))
     made = record_pools(monkeypatch, fork=False)
     monkeypatch.setenv("TPB_WORKERS", "2")
     pooled = run_experiment(load_config(path)).rows
-    assert made == [(2, "fork")] and ranges == [range(0, 2), range(2, 5)]
+    assert made == [] and jobs == []
     assert [r.as_record() for r in pooled] == [r.as_record() for r in serial]
-    forest = [r for r in pooled if r.classifier.kind == "forest"]
-    assert len(forest) == 1 and forest[0].status == "skipped"
-    assert forest[0].reason.startswith("ValueError: class ")
+    assert [r.status for r in pooled] == ["skipped", "skipped"]
+    for row in pooled:
+        assert row.reason.startswith("ValueError: class ") and row.reason.endswith(
+            "has 1 row(s); need at least 2")
+        assert (row.n_train, row.n_test) == (0, 0)
+
+
+def test_split_runs_once_per_runnable_cell(tmp_path, monkeypatch):
+    """The parent draws each cell's split once, however many tree ranges its
+    forest runs as; a cell skipped before its split draws none."""
+    calls = []
+    real_split = attackers.split
+    monkeypatch.setattr(attackers, "split", lambda *a: calls.append(a) or real_split(*a))
+    made = record_pools(monkeypatch, fork=False)
+    monkeypatch.setenv("TPB_WORKERS", "2")
+    path = small_config(
+        tmp_path, burst_sizes=[200, 2000],
+        transforms=[{"mode": "none"}, {"mode": "smooth", "window": 51, "degree": 1}],
+        classifiers=[{"kind": "knn"}, {"kind": "forest", "n_trees": 5}])
+    report = run_experiment(load_config(path))
+    assert made == [(2, "fork")]
+    assert len(report.skipped_rows()) == 2  # smoothing at burst 2000
+    assert len(calls) == len(report.ok_rows()) == 6
 
 
 def test_one_cpu_or_no_fork_runs_serially_without_a_pool(tmp_path, monkeypatch):
@@ -503,6 +530,9 @@ def test_config_field_errors_are_named():
         ({"duration": 10**400}, "duration must be a finite number > 0, got 1000"),
         ({"output_dir": 3}, "output_dir must be a string, got 3"),
         ({"pcap_dir": ["."]}, r"pcap_dir must be a string, got \['\.'\]"),
+        ({"scenario": 7}, "scenario must be a string, got 7"),
+        ({"pcap_dir": ".", "pcap_labels": {"a.pcap": 5}},
+         r"pcap_labels\[a\.pcap\] must be a string, got 5"),
     ):
         with pytest.raises(ConfigError, match=f"^{named}"):
             config_from_dict({**base, "classifiers": [{"kind": "knn"}], **root})

@@ -7,6 +7,7 @@ import pytest
 from helpers import build_pcap, ipv4_frame, raw_frame
 from tpbench.pcap import parse_pcap_with_stats
 from tpbench.traffic import (
+    MAX_TRACE_PACKETS,
     ClassProfile,
     PacketRecord,
     Protocol,
@@ -79,6 +80,9 @@ def test_rejects_bad_inputs():
     ):
         with pytest.raises(ValueError, match=named):
             generate_trace(profile(**field), 5.0, seed=1)
+    busy = profile(label="busy")
+    with pytest.raises(ValueError, match=r"profile 'busy': duration .* s at rate .* pkt/s expects"):
+        generate_trace(busy, 1.01 * MAX_TRACE_PACKETS / busy.rate, seed=1)
 
 
 def test_dataset_cardinality_two_classes():
