@@ -1,45 +1,60 @@
 """Five from-scratch classifiers behind one train/predict/evaluate contract.
 
-Every trainer fits a Standardizer on its training rows, encodes labels in
-sorted class order, and returns a TrainedModel that predicts raw (unscaled)
-feature rows. Models serialize to a versioned JSON document.
+`train(kind, X, y, **params)` fits a Standardizer on the training rows,
+encodes the labels as codes into their sorted distinct values
+(`np.unique(y, return_inverse=True)`), and fits the kind's model on the
+codes; `HYPERPARAMETERS` lists each kind's parameters and defaults. The
+returned TrainedModel predicts raw (unscaled) feature rows as labels.
+Models serialize to a versioned JSON document.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from tpbench.attackers.adaboost import AdaBoostParams, Stump, fit_adaboost
-from tpbench.attackers.adaboost import predict_adaboost as _adaboost_codes
-from tpbench.attackers.forest import ForestParams, fit_forest
+from tpbench.attackers.adaboost import AdaBoostParams, Stump, fit_adaboost, predict_adaboost
+from tpbench.attackers.forest import ForestParams, fit_forest, predict_forest
 from tpbench.attackers.forest import forest_votes as _forest_votes
-from tpbench.attackers.forest import predict_forest as _forest_codes
-from tpbench.attackers.knn import KnnParams, fit_knn
-from tpbench.attackers.knn import predict_knn as _knn_codes
+from tpbench.attackers.knn import KnnParams, fit_knn, predict_knn
 from tpbench.attackers.mlp import (
     MlpParams,
     TrainingDivergedError,
     fit_mlp,
     loss_and_gradients,
+    predict_mlp,
 )
-from tpbench.attackers.mlp import predict_mlp as _mlp_codes
-from tpbench.attackers.prep import (
-    SplitSpec,
-    Standardizer,
-    class_order,
-    encode_labels,
-    split,
-)
-from tpbench.attackers.tree import TreeNode, TreeParams, fit_tree
-from tpbench.attackers.tree import predict_tree as _tree_codes
+from tpbench.attackers.prep import SplitSpec, Standardizer, split
+from tpbench.attackers.tree import TreeNode, TreeParams, fit_tree, predict_tree
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
-CLASSIFIER_KINDS = ("knn", "tree", "forest", "adaboost", "mlp")
+# kind -> (fit(Xs, codes, n_classes, **params), predict(params, Xs) -> codes)
+_KINDS = {
+    "knn": (fit_knn, predict_knn),
+    "tree": (fit_tree, predict_tree),
+    "forest": (fit_forest, predict_forest),
+    "adaboost": (fit_adaboost, predict_adaboost),
+    "mlp": (fit_mlp, predict_mlp),
+}
+
+CLASSIFIER_KINDS = tuple(_KINDS)
+
+# kind -> {hyperparameter: default}: the fit's parameters after the class
+# count that are not keyword-only. Keyword-only ones (a forest's `trees`, a
+# tree's `rng`) are hooks for callers in the package, not config keys.
+HYPERPARAMETERS = {
+    kind: {
+        name: p.default
+        for name, p in list(inspect.signature(fit).parameters.items())[3:]
+        if p.kind is p.POSITIONAL_OR_KEYWORD
+    }
+    for kind, (fit, _) in _KINDS.items()
+}
 
 
 @dataclass
@@ -47,123 +62,33 @@ class TrainedModel:
     kind: str
     params: object
     standardizer: Standardizer
-    classes: list[str]
+    classes: list  # sorted distinct training labels; code i predicts classes[i]
 
 
-def _prepare(X, y):
-    X = np.asarray(X, dtype=np.float64)
-    classes = class_order(y)
-    codes = encode_labels(y, classes)
-    standardizer = Standardizer.fit(X)
-    return standardizer.transform(X), codes, classes, standardizer
-
-
-def train_knn(X, y, k: int = 5) -> TrainedModel:
-    Xs, codes, classes, std = _prepare(X, y)
-    return TrainedModel("knn", fit_knn(Xs, codes, k), std, classes)
-
-
-def train_tree(X, y, max_depth: int | None = None, min_leaf: int = 1) -> TrainedModel:
-    Xs, codes, classes, std = _prepare(X, y)
-    return TrainedModel(
-        "tree", fit_tree(Xs, codes, len(classes), max_depth, min_leaf), std, classes
-    )
-
-
-def train_forest(
-    X,
-    y,
-    n_trees: int = 100,
-    features_per_split: int | None = None,
-    seed: int = 0,
-    bootstrap: bool = True,
-    max_depth: int | None = None,
-    min_leaf: int = 1,
-    *,
-    trees: range | None = None,
-) -> TrainedModel:
-    """`trees`, keyword-only and so no config key, grows only those tree
-    indices (see `fit_forest`)."""
-    Xs, codes, classes, std = _prepare(X, y)
-    params = fit_forest(
-        Xs,
-        codes,
-        len(classes),
-        n_trees=n_trees,
-        features_per_split=features_per_split,
-        seed=seed,
-        bootstrap=bootstrap,
-        max_depth=max_depth,
-        min_leaf=min_leaf,
-        trees=trees,
-    )
-    return TrainedModel("forest", params, std, classes)
-
-
-def train_adaboost(X, y, rounds: int = 50) -> TrainedModel:
-    Xs, codes, classes, std = _prepare(X, y)
-    return TrainedModel("adaboost", fit_adaboost(Xs, codes, len(classes), rounds), std, classes)
-
-
-def train_mlp(
-    X,
-    y,
-    hidden: tuple[int, ...] = (64, 64),
-    epochs: int = 200,
-    batch_size: int = 32,
-    learning_rate: float = 1e-3,
-    seed: int = 0,
-) -> TrainedModel:
-    Xs, codes, classes, std = _prepare(X, y)
-    params = fit_mlp(
-        Xs,
-        codes,
-        len(classes),
-        hidden=tuple(hidden),
-        epochs=epochs,
-        batch_size=batch_size,
-        learning_rate=learning_rate,
-        seed=seed,
-    )
-    return TrainedModel("mlp", params, std, classes)
-
-
-_TRAINERS = {
-    "knn": train_knn,
-    "tree": train_tree,
-    "forest": train_forest,
-    "adaboost": train_adaboost,
-    "mlp": train_mlp,
-}
-
-
-def train(kind: str, X, y, **hyperparams) -> TrainedModel:
-    """Config-driven dispatch used by the sweep harness."""
-    if kind not in _TRAINERS:
+def train(kind: str, X, y, **params) -> TrainedModel:
+    """Fit a `kind` model on raw rows X and labels y (strings, integers or
+    any sortable values) with `params` from HYPERPARAMETERS[kind]."""
+    if kind not in _KINDS:
         raise ValueError(f"unknown classifier kind {kind!r}; expected one of {CLASSIFIER_KINDS}")
-    return _TRAINERS[kind](X, y, **hyperparams)
+    fit, _ = _KINDS[kind]
+    classes, codes = np.unique(y, return_inverse=True)
+    standardizer = Standardizer.fit(X)
+    fitted = fit(standardizer.transform(X), codes, len(classes), **params)
+    return TrainedModel(kind, fitted, standardizer, classes.tolist())
 
 
 def predict(model: TrainedModel, X) -> np.ndarray:
     """Predicted labels for raw feature rows (single row or matrix)."""
+    if model.kind not in _KINDS:
+        raise ValueError(f"unknown classifier kind {model.kind!r}")
     X = np.asarray(X, dtype=np.float64)
     single = X.ndim == 1
     if single:
         X = X[None, :]
-    Xs = model.standardizer.transform(X)
-    if model.kind == "knn":
-        codes = _knn_codes(model.params, Xs, len(model.classes))
-    elif model.kind == "tree":
-        codes = _tree_codes(model.params, Xs)
-    elif model.kind == "forest":
-        codes = _forest_codes(model.params, Xs)
-    elif model.kind == "adaboost":
-        codes = _adaboost_codes(model.params, Xs)
-    elif model.kind == "mlp":
-        codes = _mlp_codes(model.params, Xs)
-    else:
-        raise ValueError(f"unknown classifier kind {model.kind!r}")
-    labels = np.array(model.classes, dtype=object)[codes]
+    _, predict_codes = _KINDS[model.kind]
+    labels = np.array(model.classes, dtype=object)[
+        predict_codes(model.params, model.standardizer.transform(X))
+    ]
     return labels[0] if single else labels
 
 
@@ -183,7 +108,7 @@ def accuracy(predicted: np.ndarray, truth: np.ndarray) -> float:
 
 def evaluate(model: TrainedModel, X, y) -> float:
     """Fraction of correct predictions on a non-empty test set."""
-    y = np.asarray([str(v) for v in y], dtype=object)
+    y = np.asarray(y)
     if y.size == 0:
         raise ValueError("test set must be non-empty")
     return accuracy(predict(model, X), y)
@@ -220,6 +145,7 @@ def _params_to_dict(kind: str, params) -> dict:
             "train_x": params.train_x.tolist(),
             "train_y": params.train_y.tolist(),
             "k": params.k,
+            "n_classes": params.n_classes,
         }
     if kind == "tree":
         return {"root": _node_to_dict(params.root), "n_classes": params.n_classes}
@@ -259,6 +185,7 @@ def _params_from_dict(kind: str, doc: dict):
             train_x=np.array(doc["train_x"], dtype=np.float64),
             train_y=np.array(doc["train_y"], dtype=np.int64),
             k=doc["k"],
+            n_classes=doc["n_classes"],
         )
     if kind == "tree":
         return TreeParams(root=_node_from_dict(doc["root"]), n_classes=doc["n_classes"])

@@ -26,13 +26,15 @@ def fit_forest(
     bootstrap: bool = True,
     max_depth: int | None = None,
     min_leaf: int = 1,
+    *,
     trees: range | None = None,
 ) -> ForestParams:
     """Each tree gets a derived seed for its bootstrap resample and feature
     subsets, so the forest is reproducible and trees are order-independent.
-    `trees` grows only those tree indices of the n_trees (default all); as a
-    forest's votes are the sum of its trees' votes, forests grown on
-    disjoint ranges sum to the whole one (`forest_votes`).
+    `trees`, keyword-only and so no config key, grows only those tree
+    indices of the n_trees (default all); as a forest's votes are the sum of
+    its trees' votes, forests grown on disjoint ranges sum to the whole one
+    (`forest_votes`).
     bootstrap=False is a test hook: one tree on the full sample reduces to
     plain CART."""
     X = np.asarray(X, dtype=np.float64)

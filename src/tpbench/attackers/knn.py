@@ -18,9 +18,10 @@ class KnnParams:
     train_x: np.ndarray
     train_y: np.ndarray
     k: int
+    n_classes: int
 
 
-def fit_knn(X: np.ndarray, y: np.ndarray, k: int) -> KnnParams:
+def fit_knn(X: np.ndarray, y: np.ndarray, n_classes: int, k: int = 5) -> KnnParams:
     if k <= 0:
         raise ValueError("k must be positive")
     if k > X.shape[0]:
@@ -29,6 +30,7 @@ def fit_knn(X: np.ndarray, y: np.ndarray, k: int) -> KnnParams:
         train_x=np.asarray(X, dtype=np.float64),
         train_y=np.asarray(y, dtype=np.int64),
         k=k,
+        n_classes=n_classes,
     )
 
 
@@ -42,13 +44,13 @@ def block_rows(n_train: int, n_features: int) -> int:
     return max(1, BLOCK_ELEMENTS // max(1, n_train * n_features))
 
 
-def predict_knn(params: KnnParams, X: np.ndarray, n_classes: int) -> np.ndarray:
+def predict_knn(params: KnnParams, X: np.ndarray) -> np.ndarray:
     """Predicts a block of queries at a time. A row keeps the block's one-hot
     vote only when exactly k training rows lie at or below its k-th distance
     and one class leads; every other row is decided by `_vote`."""
     X = np.asarray(X, dtype=np.float64)
     train_x, k = params.train_x, params.k
-    onehot = np.eye(n_classes, dtype=np.int64)[params.train_y]
+    onehot = np.eye(params.n_classes, dtype=np.int64)[params.train_y]
     out = np.empty(X.shape[0], dtype=np.int64)
     step = block_rows(*train_x.shape)
     for lo in range(0, X.shape[0], step):
@@ -63,20 +65,20 @@ def predict_knn(params: KnnParams, X: np.ndarray, n_classes: int) -> np.ndarray:
         )
         block = votes.argmax(axis=1)
         for row in np.flatnonzero(~exact):
-            block[row] = _vote(params, sq[row], n_classes)
+            block[row] = _vote(params, sq[row])
         out[lo : lo + step] = block
     return out
 
 
-def _vote(params: KnnParams, sq: np.ndarray, n_classes: int) -> int:
+def _vote(params: KnnParams, sq: np.ndarray) -> int:
     """One query's class from its squared distances to every training row."""
     nearest = np.argsort(sq, kind="stable")[: params.k]
-    votes = np.bincount(params.train_y[nearest], minlength=n_classes)
+    votes = np.bincount(params.train_y[nearest], minlength=params.n_classes)
     tied = np.nonzero(votes == votes.max())[0]
     if tied.size == 1:
         return int(tied[0])
     dists = np.sqrt(sq[nearest])
-    sums = np.full(n_classes, np.inf)
+    sums = np.full(params.n_classes, np.inf)
     for cls in tied:
         sums[cls] = float(np.sum(dists[params.train_y[nearest] == cls]))
     return int(np.argmin(sums))  # first min = lowest class index

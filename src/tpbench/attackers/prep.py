@@ -1,4 +1,4 @@
-"""Shared training plumbing: class ordering, standardization, stratified split."""
+"""Shared training plumbing: standardization and the stratified split."""
 
 from __future__ import annotations
 
@@ -7,16 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 STD_FLOOR = 1e-9
-
-
-def class_order(y) -> list[str]:
-    """Canonical class list: sorted unique labels. Used for every tie-break."""
-    return sorted(set(str(v) for v in y))
-
-
-def encode_labels(y, classes: list[str]) -> np.ndarray:
-    lookup = {c: i for i, c in enumerate(classes)}
-    return np.array([lookup[str(v)] for v in y], dtype=np.int64)
 
 
 @dataclass
@@ -52,14 +42,15 @@ def split(y, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
     """Stratified train/test row indices.
 
     Per class, round(fraction * n) rows go to train (clamped so both splits
-    stay non-empty); the per-class shuffle is drawn from the spec seed in
-    class order, so the split is a pure function of (labels, spec).
+    stay non-empty); the per-class shuffle is drawn from the spec seed with
+    the classes in value order, so the split is a pure function of (labels,
+    spec), and labels and their `np.unique` codes split alike.
     """
-    y = np.asarray([str(v) for v in y], dtype=object)
+    classes, codes = np.unique(y, return_inverse=True)
     rng = np.random.default_rng(spec.seed)
     train_parts, test_parts = [], []
-    for cls in class_order(y):
-        idx = np.nonzero(y == cls)[0]
+    for c, cls in enumerate(classes.tolist()):
+        idx = np.flatnonzero(codes == c)
         if idx.size < 2:
             raise ValueError(f"class {cls!r} has {idx.size} row(s); need at least 2")
         perm = idx[rng.permutation(idx.size)]

@@ -81,11 +81,13 @@ def fit_tree(
     n_classes: int,
     max_depth: int | None = None,
     min_leaf: int = 1,
+    *,
     rng: np.random.Generator | None = None,
     features_per_split: int | None = None,
 ) -> TreeParams:
-    """Grow a tree on encoded labels. rng/features_per_split enable the
-    per-split random feature subsets used by the forest."""
+    """Grow a tree on encoded labels. The keyword-only rng and
+    features_per_split, no config keys, enable the per-split random feature
+    subsets used by the forest."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if y.size == 0:

@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error. The stages share the
 feature-CSV interchange format, so a sweep cell can be rerun by chaining
-`synth` / `extract` / `perturb` / `attack` with the seeds and trace order the
-README names. The invariant checks live in the test suite:
+`synth` / `extract` / `perturb` / `attack` with the seeds the README names. The invariant checks live in the test suite:
 `pytest tests/test_acceptance.py` runs one check per acceptance criterion.
 """
 

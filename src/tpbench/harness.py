@@ -6,6 +6,7 @@ transform of the full concatenated window dataset (transforms run before the
 train/test split: the attacker trains after the defense is already deployed)
 and gets its own seed derived from the master seed and the cell coordinates,
 so cells can run in any order without changing the report. `run_experiment`
+encodes each window's labels once as class codes (the labels' sorted order),
 draws each cell's split itself and trains the cells on a fork process pool of
 `_worker_count` workers. With more than one worker, a forest cell runs as one
 job per contiguous range of its tree indices: each tree draws from its own
@@ -17,7 +18,6 @@ bytes one job would give.
 from __future__ import annotations
 
 import csv
-import inspect
 import json
 import math
 import os
@@ -154,14 +154,8 @@ class ClassifierSpec:
                 f"classifier kind {self.kind!r} unknown; expected one of "
                 f"{attackers.CLASSIFIER_KINDS}"
             )
-        # keyword-only trainer parameters are for the harness, not the config
-        accepted = {
-            name
-            for name, p in inspect.signature(attackers._TRAINERS[self.kind]).parameters.items()
-            if p.kind is p.POSITIONAL_OR_KEYWORD
-        } - {"X", "y"}
         params = dict(self.params)
-        _check_keys(params, accepted, f"classifier {self.kind!r}")
+        _check_keys(params, attackers.HYPERPARAMETERS[self.kind], f"classifier {self.kind!r}")
         hidden = params.get("hidden", ())
         if not (isinstance(hidden, tuple) and all(type(w) is int and w > 0 for w in hidden)):
             raise ConfigError(
@@ -459,16 +453,13 @@ def run_cell(
     return accuracy, train_idx.size, test_idx.size
 
 
-_FOREST_TREES = inspect.signature(attackers.train_forest).parameters["n_trees"].default
-
-
 def _tree_ranges(clf: ClassifierSpec, workers: int) -> list[range | None]:
     """The jobs one cell of `clf` runs as on `workers` processes: a forest's
     tree indices cut into min(workers, n_trees) contiguous ranges when that
     is 2 or more, else [None], the whole cell as one job."""
     if clf.kind != "forest":
         return [None]
-    n_trees = dict(clf.params).get("n_trees", _FOREST_TREES)
+    n_trees = dict(clf.params).get("n_trees", attackers.HYPERPARAMETERS["forest"]["n_trees"])
     parts = min(workers, n_trees)
     if parts < 2:
         return [None]
@@ -546,8 +537,8 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
             series_list.append(series)
             dropped += series.dropped_windows
         if series_list:
-            X, y = stack_series(series_list)
-            codes = attackers.encode_labels(y, attackers.class_order(y))
+            X, labels = stack_series(series_list)
+            y = np.unique(labels, return_inverse=True)[1]  # class codes, labels in sorted order
         else:
             X = y = None
 
@@ -593,7 +584,7 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
                 first = len(jobs)
                 jobs.extend((Xt, y, clf, train_idx, test_idx, cell_seed, trees)
                             for trees in _tree_ranges(clf, workers))
-                cells.append((row, train_idx.size, codes[test_idx], slice(first, len(jobs))))
+                cells.append((row, train_idx.size, y[test_idx], slice(first, len(jobs))))
 
     _JOBS.extend(jobs)
     try:

@@ -396,19 +396,22 @@ def load_trace(path: str | Path, label: str | None = None) -> Trace:
 
 
 def save_dataset(traces: list[Trace], directory: str | Path) -> list[Path]:
-    """One .trace file per trace, named after its trace_id."""
+    """One .trace file per trace, named by its zero-padded position in
+    `traces` and its trace_id (`03-media-0.trace`), so that file-name order,
+    which `load_dataset` reads, is the order given here."""
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
+    width = len(str(len(traces) - 1))
     paths = []
     for k, trace in enumerate(traces):
-        name = trace.trace_id or f"trace-{k}"
-        path = out / f"{name}.trace"
+        path = out / f"{k:0{width}d}-{trace.trace_id or 'trace'}.trace"
         save_trace(trace, path)
         paths.append(path)
     return paths
 
 
 def load_dataset(directory: str | Path) -> list[Trace]:
+    """Every .trace file of `directory`, in file-name order."""
     paths = sorted(Path(directory).glob("*.trace"))
     if not paths:
         raise ValueError(f"no .trace files in {directory}")

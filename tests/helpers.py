@@ -237,7 +237,7 @@ def knn_oracle(train_x, train_labels, classes, k, query) -> str:
     return min(tied, key=lambda c: (sums[c], classes.index(c)))
 
 
-def reference_predict_knn(params, X, n_classes) -> np.ndarray:
+def reference_predict_knn(params, X) -> np.ndarray:
     """kNN predict one query at a time: full stable argsort of its squared
     distances, majority of the first k, vote ties by smaller summed distance,
     then lowest class index."""
@@ -246,14 +246,14 @@ def reference_predict_knn(params, X, n_classes) -> np.ndarray:
     for row, query in enumerate(X):
         sq = np.sum((params.train_x - query) ** 2, axis=1)
         nearest = np.argsort(sq, kind="stable")[: params.k]
-        votes = np.bincount(params.train_y[nearest], minlength=n_classes)
+        votes = np.bincount(params.train_y[nearest], minlength=params.n_classes)
         top = votes.max()
         tied = np.nonzero(votes == top)[0]
         if tied.size == 1:
             out[row] = tied[0]
             continue
         dists = np.sqrt(sq[nearest])
-        sums = np.full(n_classes, np.inf)
+        sums = np.full(params.n_classes, np.inf)
         for cls in tied:
             sums[cls] = float(np.sum(dists[params.train_y[nearest] == cls]))
         out[row] = int(np.argmin(sums))  # first min = lowest class index

@@ -183,7 +183,7 @@ def test_criterion_5_classifier_sanity():
     rng = np.random.default_rng(555)
     X = rng.normal(size=(200, 12))
     y = np.array(list("abc"), dtype=object)[rng.integers(0, 3, size=200)]
-    model = attackers.train_knn(X, y, k=5)
+    model = attackers.train("knn", X, y, k=5)
     queries = rng.normal(size=(60, 12))
     predictions = attackers.predict(model, queries)
     Xs = model.standardizer.transform(X)
@@ -228,14 +228,14 @@ def test_criterion_5_classifier_sanity():
     train_idx, test_idx = attackers.split(y5, SplitSpec(0.7, derive_seed(5, "split")))
     scores = {}
     trainers = {
-        "knn": lambda: attackers.train_knn(X5[train_idx], y5[train_idx]),
-        "tree": lambda: attackers.train_tree(X5[train_idx], y5[train_idx]),
-        "forest": lambda: attackers.train_forest(
-            X5[train_idx], y5[train_idx], seed=derive_seed(5, "forest")
+        "knn": lambda: attackers.train("knn", X5[train_idx], y5[train_idx]),
+        "tree": lambda: attackers.train("tree", X5[train_idx], y5[train_idx]),
+        "forest": lambda: attackers.train(
+            "forest", X5[train_idx], y5[train_idx], seed=derive_seed(5, "forest")
         ),
-        "adaboost": lambda: attackers.train_adaboost(X5[train_idx], y5[train_idx]),
-        "mlp": lambda: attackers.train_mlp(
-            X5[train_idx], y5[train_idx], seed=derive_seed(5, "mlp")
+        "adaboost": lambda: attackers.train("adaboost", X5[train_idx], y5[train_idx]),
+        "mlp": lambda: attackers.train(
+            "mlp", X5[train_idx], y5[train_idx], seed=derive_seed(5, "mlp")
         ),
     }
     for kind, make in trainers.items():
@@ -276,11 +276,11 @@ def test_criterion_6a_baseline_accuracy(baseline_3class):
         )
         Xtr, ytr = X[train_idx], y[train_idx]
         models = [
-            attackers.train_knn(Xtr, ytr),
-            attackers.train_tree(Xtr, ytr),
-            attackers.train_forest(Xtr, ytr, seed=derive_seed(5, "6a", n, "rf")),
-            attackers.train_adaboost(Xtr, ytr),
-            attackers.train_mlp(Xtr, ytr, seed=derive_seed(5, "6a", n, "mlp")),
+            attackers.train("knn", Xtr, ytr),
+            attackers.train("tree", Xtr, ytr),
+            attackers.train("forest", Xtr, ytr, seed=derive_seed(5, "6a", n, "rf")),
+            attackers.train("adaboost", Xtr, ytr),
+            attackers.train("mlp", Xtr, ytr, seed=derive_seed(5, "6a", n, "mlp")),
         ]
         accs = [attackers.evaluate(m, X[test_idx], y[test_idx]) for m in models]
         floors[n] = min(accs)
@@ -315,11 +315,11 @@ def _smoothing_attack(class_fields, tag):
     train_idx, test_idx = attackers.split(
         y, SplitSpec(0.7, derive_seed(1, tag, "post", "split"))
     )
-    nn = attackers.train_mlp(
-        smoothed[train_idx], y[train_idx], seed=derive_seed(1, tag, "post")
+    nn = attackers.train(
+        "mlp", smoothed[train_idx], y[train_idx], seed=derive_seed(1, tag, "post")
     )
-    rf = attackers.train_forest(
-        smoothed[train_idx], y[train_idx], seed=derive_seed(1, tag, "post")
+    rf = attackers.train(
+        "forest", smoothed[train_idx], y[train_idx], seed=derive_seed(1, tag, "post")
     )
     return (
         attackers.evaluate(nn, smoothed[test_idx], y[test_idx]),
@@ -355,8 +355,8 @@ def test_criterion_6c_awgn_dose_response(baseline_3class):
         train_idx, test_idx = attackers.split(
             y, SplitSpec(0.7, derive_seed(9, "6c", nu, "split"))
         )
-        model = attackers.train_mlp(
-            noised[train_idx], y[train_idx], seed=derive_seed(9, "6c", nu, "train")
+        model = attackers.train(
+            "mlp", noised[train_idx], y[train_idx], seed=derive_seed(9, "6c", nu, "train")
         )
         accuracy[nu] = attackers.evaluate(model, noised[test_idx], y[test_idx])
     assert accuracy[64.0] <= accuracy[2.0] - 0.15, accuracy
@@ -392,8 +392,8 @@ def test_criterion_6d_realistic_preserves_untouched_signal():
         train_idx, test_idx = attackers.split(
             y, SplitSpec(0.7, derive_seed(13, "6d", nu, "split"))
         )
-        model = attackers.train_mlp(
-            transformed[train_idx], y[train_idx], seed=derive_seed(13, "6d", nu, "train")
+        model = attackers.train(
+            "mlp", transformed[train_idx], y[train_idx], seed=derive_seed(13, "6d", nu, "train")
         )
         accuracy[nu] = attackers.evaluate(model, transformed[test_idx], y[test_idx])
         assert accuracy[nu] >= 0.90, f"nu={nu}: {accuracy[nu]}"

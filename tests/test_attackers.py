@@ -81,14 +81,14 @@ def test_split_keeps_every_class_in_both_sides():
 def test_knn_training_row_is_its_own_neighbor():
     rng = np.random.default_rng(1)
     X, y = blobs(rng, 10, [("a", 0.0), ("b", 5.0)])
-    model = attackers.train_knn(X, y, k=1)
+    model = attackers.train("knn", X, y, k=1)
     assert attackers.predict(model, X[3]) == y[3]
 
 
 def test_knn_two_clusters():
     rng = np.random.default_rng(2)
     X, y = blobs(rng, 20, [("origin", 0.0), ("far", 10.0)], spread=0.5)
-    model = attackers.train_knn(X, y, k=5)
+    model = attackers.train("knn", X, y, k=5)
     assert attackers.predict(model, np.full(12, 0.2)) == "origin"
 
 
@@ -96,7 +96,7 @@ def test_knn_matches_exhaustive_oracle():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(30, 6))
     y = np.array(list("abc"), dtype=object)[rng.integers(0, 3, size=30)]
-    model = attackers.train_knn(np.hstack([X, np.zeros((30, 6))]), y, k=5)
+    model = attackers.train("knn", np.hstack([X, np.zeros((30, 6))]), y, k=5)
     queries = rng.normal(size=(25, 6))
     queries_full = np.hstack([queries, np.zeros((25, 6))])
     got = attackers.predict(model, queries_full)
@@ -143,9 +143,9 @@ def test_knn_batched_predict_matches_per_row_reference():
         for n_test in (1, block - 1, block, block + 1):
             Q = queries(n_test)
             for k in (1, 2, 4, 5, X.shape[0]):
-                params = fit_knn(X, y, k)
-                got = predict_knn(params, Q, n_classes)
-                want = reference_predict_knn(params, Q, n_classes)
+                params = fit_knn(X, y, n_classes, k)
+                got = predict_knn(params, Q)
+                want = reference_predict_knn(params, Q)
                 assert np.array_equal(got, want), (case, k, n_test)
 
 
@@ -153,9 +153,9 @@ def test_knn_rejects_bad_k():
     rng = np.random.default_rng(4)
     X, y = blobs(rng, 5, [("a", 0.0), ("b", 3.0)])
     with pytest.raises(ValueError):
-        attackers.train_knn(X, y, k=0)
+        attackers.train("knn", X, y, k=0)
     with pytest.raises(ValueError):
-        attackers.train_knn(X, y, k=11)
+        attackers.train("knn", X, y, k=11)
 
 
 # --- decision tree ---------------------------------------------------------------
@@ -163,7 +163,7 @@ def test_knn_rejects_bad_k():
 def test_tree_pure_class_single_leaf():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(12, 12))
-    model = attackers.train_tree(X, ["only"] * 12)
+    model = attackers.train("tree", X, ["only"] * 12)
     assert model.params.root.is_leaf
     assert all(attackers.predict(model, rng.normal(size=(5, 12))) == "only")
 
@@ -172,7 +172,7 @@ def test_tree_separable_1d_threshold():
     X = np.zeros((4, 12))
     X[:, 0] = [0.0, 1.0, 10.0, 11.0]
     y = ["a", "a", "b", "b"]
-    model = attackers.train_tree(X, y)
+    model = attackers.train("tree", X, y)
     root = model.params.root
     assert root.feature == 0
     # threshold lives strictly between the clusters (standardized space)
@@ -186,17 +186,17 @@ def test_tree_unlimited_depth_memorizes_consistent_data():
     X = rng.normal(size=(20, 4))
     y = np.array(list("ab"), dtype=object)[rng.integers(0, 2, size=20)]
     assert len(np.unique(X, axis=0)) == 20  # check label consistency first
-    model = attackers.train_tree(np.hstack([X, np.zeros((20, 8))]), y)
+    model = attackers.train("tree", np.hstack([X, np.zeros((20, 8))]), y)
     assert attackers.evaluate(model, np.hstack([X, np.zeros((20, 8))]), y) == 1.0
 
 
 def test_tree_max_depth_and_min_leaf_limit_growth():
     rng = np.random.default_rng(7)
     X, y = blobs(rng, 30, [("a", 0.0), ("b", 1.0)], spread=2.0)
-    stump = attackers.train_tree(X, y, max_depth=1)
+    stump = attackers.train("tree", X, y, max_depth=1)
     root = stump.params.root
     assert root.left.is_leaf and root.right.is_leaf
-    chunky = attackers.train_tree(X, y, min_leaf=25)
+    chunky = attackers.train("tree", X, y, min_leaf=25)
     # no split may produce a child smaller than min_leaf = 25 of the 60 rows
     def leaf_sizes(node, idx, X):
         if node.is_leaf:
@@ -260,10 +260,10 @@ def test_forest_single_tree_no_bootstrap_reduces_to_cart():
     rng = np.random.default_rng(8)
     X, y = blobs(rng, 25, [("a", 0.0), ("b", 2.0)], spread=1.5)
     queries = rng.normal(1.0, 1.5, size=(40, 12))
-    forest = attackers.train_forest(
-        X, y, n_trees=1, bootstrap=False, features_per_split=12, seed=3
+    forest = attackers.train(
+        "forest", X, y, n_trees=1, bootstrap=False, features_per_split=12, seed=3
     )
-    tree = attackers.train_tree(X, y)
+    tree = attackers.train("tree", X, y)
     assert np.array_equal(attackers.predict(forest, queries), attackers.predict(tree, queries))
 
 
@@ -271,9 +271,9 @@ def test_forest_deterministic_per_seed():
     rng = np.random.default_rng(9)
     X, y = blobs(rng, 30, [("a", 0.0), ("b", 1.5)], spread=1.2)
     queries = rng.normal(0.7, 1.0, size=(50, 12))
-    a = attackers.train_forest(X, y, n_trees=15, seed=21)
-    b = attackers.train_forest(X, y, n_trees=15, seed=21)
-    c = attackers.train_forest(X, y, n_trees=15, seed=22)
+    a = attackers.train("forest", X, y, n_trees=15, seed=21)
+    b = attackers.train("forest", X, y, n_trees=15, seed=21)
+    c = attackers.train("forest", X, y, n_trees=15, seed=22)
     assert np.array_equal(attackers.predict(a, queries), attackers.predict(b, queries))
 
     def nodes(model):
@@ -289,7 +289,7 @@ def test_forest_separable_accuracy():
     rng = np.random.default_rng(10)
     X, y = blobs(rng, 40, [("a", 0.0), ("b", 8.0)], spread=0.8)
     Xt, yt = blobs(np.random.default_rng(11), 20, [("a", 0.0), ("b", 8.0)], spread=0.8)
-    model = attackers.train_forest(X, y, n_trees=30, seed=1)
+    model = attackers.train("forest", X, y, n_trees=30, seed=1)
     assert attackers.evaluate(model, Xt, yt) == 1.0
 
 
@@ -299,7 +299,7 @@ def test_adaboost_perfect_stump_halts_after_one_round():
     X = np.zeros((4, 12))
     X[:, 2] = [0.0, 1.0, 10.0, 11.0]
     y = ["a", "a", "b", "b"]
-    model = attackers.train_adaboost(X, y, rounds=50)
+    model = attackers.train("adaboost", X, y, rounds=50)
     assert len(model.params.stumps) == 1
     assert attackers.evaluate(model, X, y) == 1.0
 
@@ -310,7 +310,7 @@ def test_adaboost_two_class_alpha_reduces_to_classic():
     X = np.zeros((4, 12))
     X[:, 0] = [0.0, 1.0, 2.0, 3.0]
     y = ["a", "b", "a", "a"]
-    model = attackers.train_adaboost(X, y, rounds=1)
+    model = attackers.train("adaboost", X, y, rounds=1)
     assert model.params.alphas[0] == pytest.approx(math.log(3.0), rel=1e-12)
 
 
@@ -318,7 +318,7 @@ def test_adaboost_xor_like_needs_multiple_rounds():
     X = np.zeros((4, 12))
     X[:, 0] = [0.0, 1.0, 2.0, 3.0]
     y = ["a", "b", "b", "a"]  # no single threshold separates this
-    model = attackers.train_adaboost(X, y, rounds=30)
+    model = attackers.train("adaboost", X, y, rounds=30)
     assert len(model.params.stumps) >= 2
     single = model.params.train_errors[0]
     assert single >= 0.25  # one stump must err somewhere
@@ -329,7 +329,7 @@ def test_adaboost_training_error_non_increasing_on_fixed_data():
     X = np.zeros((4, 12))
     X[:, 0] = [0.0, 1.0, 2.0, 3.0]
     y = ["a", "b", "b", "a"]
-    model = attackers.train_adaboost(X, y, rounds=30)
+    model = attackers.train("adaboost", X, y, rounds=30)
     errors = model.params.train_errors
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
 
@@ -337,7 +337,7 @@ def test_adaboost_training_error_non_increasing_on_fixed_data():
 def test_adaboost_three_class_runs():
     rng = np.random.default_rng(13)
     X, y = blobs(rng, 30, [("a", 0.0), ("b", 4.0), ("c", 8.0)], spread=0.8)
-    model = attackers.train_adaboost(X, y, rounds=30)
+    model = attackers.train("adaboost", X, y, rounds=30)
     assert attackers.evaluate(model, X, y) >= 0.95
 
 
@@ -382,7 +382,7 @@ def test_adaboost_presorted_search_matches_per_feature_reference(monkeypatch):
 def test_mlp_separable_blobs_high_train_accuracy():
     rng = np.random.default_rng(14)
     X, y = blobs(rng, 100, [("a", 0.0), ("b", 3.0)], spread=1.0)
-    model = attackers.train_mlp(X, y, epochs=200, seed=0)
+    model = attackers.train("mlp", X, y, epochs=200, seed=0)
     assert attackers.evaluate(model, X, y) >= 0.98
     assert len(model.params.loss_curve) == 200
 
@@ -420,8 +420,8 @@ def test_mlp_gradients_match_finite_differences():
 def test_mlp_loss_curve_deterministic():
     rng = np.random.default_rng(15)
     X, y = blobs(rng, 40, [("a", 0.0), ("b", 2.0)])
-    a = attackers.train_mlp(X, y, epochs=20, seed=7)
-    b = attackers.train_mlp(X, y, epochs=20, seed=7)
+    a = attackers.train("mlp", X, y, epochs=20, seed=7)
+    b = attackers.train("mlp", X, y, epochs=20, seed=7)
     assert a.params.loss_curve == b.params.loss_curve
 
 
@@ -468,14 +468,14 @@ def test_mlp_divergence_names_epoch():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # divergence is reported by the error alone
         with pytest.raises(TrainingDivergedError, match="epoch"):
-            attackers.train_mlp(X, y, epochs=5, learning_rate=1e200, seed=1)
+            attackers.train("mlp", X, y, epochs=5, learning_rate=1e200, seed=1)
 
 
 # --- evaluation and shared contract -------------------------------------------------
 
 def test_evaluate_constant_model_hits_coin_toss_baselines():
     rng = np.random.default_rng(17)
-    single = attackers.train_tree(rng.normal(size=(10, 12)), ["only"] * 10)
+    single = attackers.train("tree", rng.normal(size=(10, 12)), ["only"] * 10)
     test2 = rng.normal(size=(40, 12))
     labels2 = np.array(["only"] * 20 + ["other"] * 20, dtype=object)
     assert attackers.evaluate(single, test2, labels2) == 0.5
@@ -487,7 +487,7 @@ def test_evaluate_constant_model_hits_coin_toss_baselines():
 def test_evaluate_perfect_model():
     rng = np.random.default_rng(18)
     X, y = blobs(rng, 20, [("a", 0.0), ("b", 6.0)], spread=0.5)
-    model = attackers.train_knn(X, y, k=1)
+    model = attackers.train("knn", X, y, k=1)
     assert attackers.evaluate(model, X, y) == 1.0
 
 
@@ -500,8 +500,8 @@ def test_standardization_absorbs_affine_rescaling():
     scaled_X[:, 4] = 1000.0 * scaled_X[:, 4] - 7.0
     scaled_queries[:, 4] = 1000.0 * scaled_queries[:, 4] - 7.0
     for trainer in (
-        lambda X_, y_: attackers.train_knn(X_, y_, k=5),
-        lambda X_, y_: attackers.train_mlp(X_, y_, epochs=30, seed=5),
+        lambda X_, y_: attackers.train("knn", X_, y_, k=5),
+        lambda X_, y_: attackers.train("mlp", X_, y_, epochs=30, seed=5),
     ):
         plain = attackers.predict(trainer(X, y), queries)
         rescaled = attackers.predict(trainer(scaled_X, y), scaled_queries)
@@ -513,11 +513,11 @@ def test_all_classifiers_deterministic():
     X, y = blobs(rng, 30, [("a", 0.0), ("b", 1.2)], spread=1.5)
     queries = rng.normal(0.6, 1.0, size=(40, 12))
     trainers = {
-        "knn": lambda: attackers.train_knn(X, y),
-        "tree": lambda: attackers.train_tree(X, y),
-        "forest": lambda: attackers.train_forest(X, y, n_trees=10, seed=4),
-        "adaboost": lambda: attackers.train_adaboost(X, y, rounds=10),
-        "mlp": lambda: attackers.train_mlp(X, y, epochs=15, seed=4),
+        "knn": lambda: attackers.train("knn", X, y),
+        "tree": lambda: attackers.train("tree", X, y),
+        "forest": lambda: attackers.train("forest", X, y, n_trees=10, seed=4),
+        "adaboost": lambda: attackers.train("adaboost", X, y, rounds=10),
+        "mlp": lambda: attackers.train("mlp", X, y, epochs=15, seed=4),
     }
     for kind, make in trainers.items():
         first = attackers.predict(make(), queries)
@@ -530,11 +530,11 @@ def test_model_json_round_trip_all_kinds(tmp_path):
     X, y = blobs(rng, 25, [("a", 0.0), ("b", 2.0), ("c", 4.0)], spread=1.0)
     queries = rng.normal(2.0, 1.5, size=(30, 12))
     models = [
-        attackers.train_knn(X, y, k=3),
-        attackers.train_tree(X, y, max_depth=4),
-        attackers.train_forest(X, y, n_trees=8, seed=2),
-        attackers.train_adaboost(X, y, rounds=8),
-        attackers.train_mlp(X, y, epochs=10, seed=2),
+        attackers.train("knn", X, y, k=3),
+        attackers.train("tree", X, y, max_depth=4),
+        attackers.train("forest", X, y, n_trees=8, seed=2),
+        attackers.train("adaboost", X, y, rounds=8),
+        attackers.train("mlp", X, y, epochs=10, seed=2),
     ]
     for model in models:
         path = tmp_path / f"{model.kind}.json"
@@ -555,3 +555,32 @@ def test_model_json_rejects_unknown_version():
 def test_train_dispatch_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown classifier kind"):
         attackers.train("svm", np.zeros((4, 12)), ["a", "a", "b", "b"])
+
+
+@pytest.mark.parametrize("n_classes", [3, 12])
+def test_labels_and_their_codes_split_and_train_alike(n_classes):
+    """Class order is the labels' value order, one `np.unique` for split and
+    train: string labels and their codes give the same rows and predictions.
+    With 12 classes `c10` sorts before `c2`, yet code 10 sorts after code 2."""
+    rng = np.random.default_rng(n_classes)
+    labels = np.repeat([f"c{i}" for i in range(n_classes)], 6 + np.arange(n_classes))
+    labels = labels.astype(object)
+    classes, codes = np.unique(labels, return_inverse=True)
+    X = rng.normal(size=(labels.size, 12)) + codes[:, None]
+    spec = SplitSpec(0.7, seed=4)
+    train_idx, test_idx = split(labels, spec)
+    for by_label, by_code in zip((train_idx, test_idx), split(codes, spec)):
+        assert np.array_equal(by_label, by_code)
+    for kind, params in (("knn", {}), ("tree", {}), ("forest", {"n_trees": 5, "seed": 1}),
+                         ("adaboost", {"rounds": 5}), ("mlp", {"epochs": 3, "seed": 1})):
+        by_label = attackers.train(kind, X[train_idx], labels[train_idx], **params)
+        by_code = attackers.train(kind, X[train_idx], codes[train_idx], **params)
+        assert by_label.classes == classes.tolist()
+        assert by_code.classes == list(range(n_classes))
+        predicted = attackers.predict(by_code, X[test_idx])
+        assert list(attackers.predict(by_label, X[test_idx])) == [classes[c] for c in predicted]
+        assert attackers.evaluate(by_label, X[test_idx], labels[test_idx]) == attackers.evaluate(
+            by_code, X[test_idx], codes[test_idx])
+        back = attackers.model_from_json(attackers.model_to_json(by_code))
+        assert back.classes == list(range(n_classes))
+        assert np.array_equal(attackers.predict(back, X), attackers.predict(by_code, X))

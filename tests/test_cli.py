@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import warnings
@@ -6,8 +7,9 @@ import numpy as np
 
 from helpers import build_pcap, ipv4_frame
 from tpbench.cli import main
-from tpbench.features import FEATURE_NAMES, load_features_csv, stack_series
-from tpbench.adversarial import REALISTIC_UNTOUCHED_FEATURES
+from tpbench.features import FEATURE_NAMES, WindowSpec, load_features_csv, stack_series
+from tpbench.adversarial import REALISTIC_UNTOUCHED_FEATURES, TransformSpec
+from tpbench.seeding import derive_seed
 from tpbench.traffic import Protocol
 
 
@@ -63,6 +65,44 @@ def test_extract_from_traces_then_attack(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "accuracy=" in out and "n_train=" in out
+
+
+def test_cli_chain_reproduces_a_sweep_cell(tmp_path, capsys):
+    """synth -> extract --traces -> perturb -> attack, with the seeds the
+    README names, gives the sweep's accuracy for an awgn cell. The profiles
+    (utility, media, travel) are not in name order and each class has 11
+    traces (`-10` sorts before `-2`), so only the stacking order `synth`
+    saved makes the chain draw the sweep's noise for each row."""
+    seed, burst, tspec = 42, 250, TransformSpec("awgn", nu=2.0)
+    config = tmp_path / "umt.json"
+    config.write_text(json.dumps({
+        "scenario": "utility_media_travel", "traces_per_class": 11, "duration": 3.0,
+        "burst_sizes": [burst], "transforms": [{"mode": "awgn", "nu": 2.0}],
+        "classifiers": [{"kind": "knn", "k": 5}], "train_fraction": 0.7,
+        "seed": seed, "output_dir": "out",
+    }))
+    assert main(["sweep", "--config", str(config)]) == 0
+    with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+        (cell,) = csv.DictReader(fh)
+    assert cell["status"] == "ok"
+
+    data, features, noisy = tmp_path / "data", tmp_path / "f.csv", tmp_path / "n.csv"
+    transform_seed = derive_seed(seed, "transform", WindowSpec.burst(burst).key(), tspec.key())
+    for argv in (
+        ["synth", "--scenario", "utility_media_travel", "--traces-per-class", "11",
+         "--duration", "3.0", "--seed", str(derive_seed(seed, "dataset")), "--out", str(data)],
+        ["extract", "--traces", str(data), "--burst", str(burst), "--out", str(features)],
+        ["perturb", "--in", str(features), "--mode", "awgn", "--nu", "2.0",
+         "--seed", str(transform_seed), "--out", str(noisy)],
+    ):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["attack", "--features", str(noisy), "--classifier", "knn",
+                 "--params", '{"k": 5}', "--train-fraction", "0.7",
+                 "--seed", cell["seed"]]) == 0
+    out = capsys.readouterr().out
+    assert f"accuracy={cell['accuracy']} " in out
+    assert f"n_train={cell['n_train']} n_test={cell['n_test']}" in out
 
 
 def test_attack_bad_params_exit_two(tmp_path, capsys):

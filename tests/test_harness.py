@@ -245,8 +245,7 @@ def test_split_forest_equals_unsplit_forest():
             votes = sum(harness._fit_job(X, y, clf, train_idx, test_idx, 17, r) for r in ranges)
             assert np.array_equal(np.array(model.classes, dtype=object)[votes.argmax(axis=1)],
                                   labels)
-            truth = attackers.encode_labels(y, attackers.class_order(y))[test_idx]
-            assert (attackers.accuracy(votes.argmax(axis=1), truth),
+            assert (attackers.accuracy(votes.argmax(axis=1), codes[test_idx]),
                     train_idx.size, test_idx.size) == cell
 
 
@@ -656,3 +655,29 @@ def test_emit_report_unwritable_path_fails(tmp_path):
     )])
     with pytest.raises(OSError):
         emit_report(report, blocker / "sub")
+
+
+@pytest.mark.parametrize("kind, defaults", [
+    ("knn", {"k": 5}),
+    ("tree", {"max_depth": None, "min_leaf": 1}),
+    ("forest", {"n_trees": 100, "features_per_split": None, "seed": 0, "bootstrap": True,
+                "max_depth": None, "min_leaf": 1}),
+    ("adaboost", {"rounds": 50}),
+    ("mlp", {"hidden": (64, 64), "epochs": 200, "batch_size": 32, "learning_rate": 1e-3,
+             "seed": 0}),
+])
+def test_each_kind_accepts_its_hyperparameters_and_defaults(kind, defaults):
+    """A kind's config keys and defaults are its fit's, and nothing else: the
+    class count and the keyword-only hooks (`trees`; a tree's `rng` and
+    `features_per_split`) are no config keys."""
+    assert attackers.HYPERPARAMETERS[kind] == defaults
+    assert dict(ClassifierSpec.from_dict({"kind": kind, **defaults}).params) == defaults
+    hooks = {"n_classes", "trees"} | ({"rng", "features_per_split"} if kind == "tree" else set())
+    for key in hooks:
+        with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['{key}'\]"):
+            ClassifierSpec.from_dict({"kind": kind, key: 1})
+    rng = np.random.default_rng(2)
+    X, y = rng.normal(size=(30, 4)), np.repeat(["a", "b"], 15)
+    implicit = attackers.train(kind, X, y)
+    explicit = attackers.train(kind, X, y, **defaults)
+    assert np.array_equal(attackers.predict(implicit, X), attackers.predict(explicit, X))
