@@ -5,14 +5,18 @@ encodes the labels as codes into their sorted distinct values
 (`np.unique(y, return_inverse=True)`), and fits the kind's model on the
 codes; `HYPERPARAMETERS` lists each kind's parameters and defaults. The
 returned TrainedModel predicts raw (unscaled) feature rows as labels.
-Models serialize to a versioned JSON document.
+
+Models serialize to a versioned JSON document that is the model's
+dataclasses: `_plain` writes every field that differs from its declared
+default, and each kind's row of `_KINDS` holds, beside its fit and predict,
+the decoder that rebuilds its params from that document.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,18 +32,44 @@ from tpbench.attackers.mlp import (
     loss_and_gradients,
     predict_mlp,
 )
-from tpbench.attackers.prep import SplitSpec, Standardizer, split
+from tpbench.attackers.prep import Standardizer, split
 from tpbench.attackers.tree import TreeNode, TreeParams, fit_tree, predict_tree
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
-# kind -> (fit(Xs, codes, n_classes, **params), predict(params, Xs) -> codes)
+
+def _floats(values) -> np.ndarray:
+    return np.array(values, dtype=np.float64)
+
+
+def _tree(doc: dict) -> TreeParams:
+    def node(d: dict) -> TreeNode:
+        return TreeNode(**{**d, **{side: node(d[side]) for side in ("left", "right") if side in d}})
+
+    return TreeParams(node(doc["root"]), doc["n_classes"])
+
+
+# kind -> (fit(Xs, codes, n_classes, **params), predict(params, Xs) -> codes,
+#          decode(the params' JSON document) -> params)
 _KINDS = {
-    "knn": (fit_knn, predict_knn),
-    "tree": (fit_tree, predict_tree),
-    "forest": (fit_forest, predict_forest),
-    "adaboost": (fit_adaboost, predict_adaboost),
-    "mlp": (fit_mlp, predict_mlp),
+    "knn": (fit_knn, predict_knn, lambda d: KnnParams(**{
+        **d,
+        "train_x": _floats(d["train_x"]),
+        "train_y": np.array(d["train_y"], dtype=np.int64),
+    })),
+    "tree": (fit_tree, predict_tree, _tree),
+    "forest": (fit_forest, predict_forest, lambda d: ForestParams(
+        [_tree(t) for t in d["trees"]], d["n_classes"],
+    )),
+    "adaboost": (fit_adaboost, predict_adaboost, lambda d: AdaBoostParams(**{
+        **d,
+        "stumps": [Stump(**stump) for stump in d["stumps"]],
+    })),
+    "mlp": (fit_mlp, predict_mlp, lambda d: MlpParams(**{
+        **d,
+        "weights": [_floats(w) for w in d["weights"]],
+        "biases": [_floats(b) for b in d["biases"]],
+    })),
 }
 
 CLASSIFIER_KINDS = tuple(_KINDS)
@@ -53,7 +83,7 @@ HYPERPARAMETERS = {
         for name, p in list(inspect.signature(fit).parameters.items())[3:]
         if p.kind is p.POSITIONAL_OR_KEYWORD
     }
-    for kind, (fit, _) in _KINDS.items()
+    for kind, (fit, *_) in _KINDS.items()
 }
 
 
@@ -70,7 +100,7 @@ def train(kind: str, X, y, **params) -> TrainedModel:
     any sortable values) with `params` from HYPERPARAMETERS[kind]."""
     if kind not in _KINDS:
         raise ValueError(f"unknown classifier kind {kind!r}; expected one of {CLASSIFIER_KINDS}")
-    fit, _ = _KINDS[kind]
+    fit, *_ = _KINDS[kind]
     classes, codes = np.unique(y, return_inverse=True)
     standardizer = Standardizer.fit(X)
     fitted = fit(standardizer.transform(X), codes, len(classes), **params)
@@ -85,7 +115,7 @@ def predict(model: TrainedModel, X) -> np.ndarray:
     single = X.ndim == 1
     if single:
         X = X[None, :]
-    _, predict_codes = _KINDS[model.kind]
+    _, predict_codes, _ = _KINDS[model.kind]
     labels = np.array(model.classes, dtype=object)[
         predict_codes(model.params, model.standardizer.transform(X))
     ]
@@ -117,132 +147,52 @@ def evaluate(model: TrainedModel, X, y) -> float:
 # --- serialization ----------------------------------------------------------
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"klass": node.klass}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(doc: dict) -> TreeNode:
-    if "klass" in doc:
-        return TreeNode(klass=doc["klass"])
-    return TreeNode(
-        feature=doc["feature"],
-        threshold=doc["threshold"],
-        left=_node_from_dict(doc["left"]),
-        right=_node_from_dict(doc["right"]),
-    )
-
-
-def _params_to_dict(kind: str, params) -> dict:
-    if kind == "knn":
-        return {
-            "train_x": params.train_x.tolist(),
-            "train_y": params.train_y.tolist(),
-            "k": params.k,
-            "n_classes": params.n_classes,
-        }
-    if kind == "tree":
-        return {"root": _node_to_dict(params.root), "n_classes": params.n_classes}
-    if kind == "forest":
-        return {
-            "trees": [_node_to_dict(t.root) for t in params.trees],
-            "n_classes": params.n_classes,
-        }
-    if kind == "adaboost":
-        return {
-            "stumps": [
-                {
-                    "feature": s.feature,
-                    "threshold": s.threshold,
-                    "left_class": s.left_class,
-                    "right_class": s.right_class,
-                }
-                for s in params.stumps
-            ],
-            "alphas": params.alphas,
-            "fallback_class": params.fallback_class,
-            "n_classes": params.n_classes,
-            "train_errors": params.train_errors,
-        }
-    if kind == "mlp":
-        return {
-            "weights": [w.tolist() for w in params.weights],
-            "biases": [b.tolist() for b in params.biases],
-            "loss_curve": params.loss_curve,
-        }
-    raise ValueError(f"unknown classifier kind {kind!r}")
-
-
-def _params_from_dict(kind: str, doc: dict):
-    if kind == "knn":
-        return KnnParams(
-            train_x=np.array(doc["train_x"], dtype=np.float64),
-            train_y=np.array(doc["train_y"], dtype=np.int64),
-            k=doc["k"],
-            n_classes=doc["n_classes"],
-        )
-    if kind == "tree":
-        return TreeParams(root=_node_from_dict(doc["root"]), n_classes=doc["n_classes"])
-    if kind == "forest":
-        return ForestParams(
-            trees=[
-                TreeParams(root=_node_from_dict(t), n_classes=doc["n_classes"])
-                for t in doc["trees"]
-            ],
-            n_classes=doc["n_classes"],
-        )
-    if kind == "adaboost":
-        return AdaBoostParams(
-            stumps=[Stump(**s) for s in doc["stumps"]],
-            alphas=list(doc["alphas"]),
-            fallback_class=doc["fallback_class"],
-            n_classes=doc["n_classes"],
-            train_errors=list(doc["train_errors"]),
-        )
-    if kind == "mlp":
-        return MlpParams(
-            weights=[np.array(w, dtype=np.float64) for w in doc["weights"]],
-            biases=[np.array(b, dtype=np.float64) for b in doc["biases"]],
-            loss_curve=list(doc["loss_curve"]),
-        )
-    raise ValueError(f"unknown classifier kind {kind!r}")
+def _plain(value):
+    """The JSON form of a model: a dataclass is the dict of its fields, less
+    those equal to their declared default (a tree leaf is `{"klass": k}`); a
+    list or tuple is a list; an ndarray is its `tolist()`."""
+    if is_dataclass(value):
+        doc = {}
+        for f in fields(value):
+            field_value = getattr(value, f.name)
+            default = f.default_factory() if f.default_factory is not MISSING else f.default
+            if default is MISSING or field_value != default:
+                doc[f.name] = _plain(field_value)
+        return doc
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
 
 
 def model_to_json(model: TrainedModel) -> str:
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "kind": model.kind,
-        "classes": model.classes,
-        "standardizer": {
-            "mean": model.standardizer.mean.tolist(),
-            "std": model.standardizer.std.tolist(),
-        },
-        "params": _params_to_dict(model.kind, model.params),
-    }
-    return json.dumps(doc)
+    return json.dumps({"format_version": MODEL_FORMAT_VERSION, **_plain(model)})
 
 
 def model_from_json(text: str) -> TrainedModel:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a model document is a JSON object, not {type(doc).__name__}")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version!r}")
-    standardizer = Standardizer(
-        mean=np.array(doc["standardizer"]["mean"], dtype=np.float64),
-        std=np.array(doc["standardizer"]["std"], dtype=np.float64),
-    )
-    return TrainedModel(
-        kind=doc["kind"],
-        params=_params_from_dict(doc["kind"], doc["params"]),
-        standardizer=standardizer,
-        classes=list(doc["classes"]),
-    )
+        raise ValueError(
+            f"unsupported model format version {version!r}; expected {MODEL_FORMAT_VERSION}"
+        )
+    kind = doc.get("kind")
+    if kind not in CLASSIFIER_KINDS:
+        raise ValueError(f"unknown classifier kind {kind!r}")
+    *_, decode = _KINDS[kind]
+    try:
+        standardizer = doc["standardizer"]
+        return TrainedModel(
+            kind=kind,
+            params=decode(doc["params"]),
+            standardizer=Standardizer(_floats(standardizer["mean"]), _floats(standardizer["std"])),
+            classes=list(doc["classes"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {kind} model document: {exc!r}") from exc
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:

@@ -28,33 +28,25 @@ class Standardizer:
         return (np.asarray(X, dtype=np.float64) - self.mean) / self.std
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float = 0.7
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie strictly between 0 and 1")
-
-
-def split(y, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+def split(y, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Stratified train/test row indices.
 
-    Per class, round(fraction * n) rows go to train (clamped so both splits
-    stay non-empty); the per-class shuffle is drawn from the spec seed with
+    Per class, round(train_fraction * n) rows go to train (clamped so both
+    splits stay non-empty); the per-class shuffle is drawn from `seed` with
     the classes in value order, so the split is a pure function of (labels,
-    spec), and labels and their `np.unique` codes split alike.
+    train_fraction, seed), and labels and their `np.unique` codes split alike.
     """
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must lie strictly between 0 and 1")
     classes, codes = np.unique(y, return_inverse=True)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     train_parts, test_parts = [], []
     for c, cls in enumerate(classes.tolist()):
         idx = np.flatnonzero(codes == c)
         if idx.size < 2:
             raise ValueError(f"class {cls!r} has {idx.size} row(s); need at least 2")
         perm = idx[rng.permutation(idx.size)]
-        n_train = int(round(spec.train_fraction * idx.size))
+        n_train = int(round(train_fraction * idx.size))
         n_train = min(max(n_train, 1), idx.size - 1)
         train_parts.append(perm[:n_train])
         test_parts.append(perm[n_train:])

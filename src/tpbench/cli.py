@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from tpbench import attackers
-from tpbench.attackers import SplitSpec
 from tpbench.features import (
     WindowSpec,
     extract_series,
@@ -173,7 +172,7 @@ def _cmd_attack(args) -> int:
     series_list = load_features_csv(args.features)
     X, y = stack_series(series_list)
     split_seed, train_seed = cell_seeds(args.seed)
-    train_idx, test_idx = attackers.split(y, SplitSpec(args.train_fraction, split_seed))
+    train_idx, test_idx = attackers.split(y, args.train_fraction, split_seed)
     model = clf.train(X[train_idx], y[train_idx], train_seed)
     accuracy = attackers.evaluate(model, X[test_idx], y[test_idx])
     if args.save_model:

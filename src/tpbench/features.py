@@ -125,13 +125,21 @@ class FeatureSeries:
         return replace(self, values=values, transform=transform or self.transform)
 
 
+# Time-span windows estimate each packet's interval as floor(t / dt) in
+# float64. Below this many intervals every index is exact and the estimate
+# is off by at most one.
+MAX_INTERVALS = 2.0**52
+
+
 def _window_bounds(trace: Trace, spec: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
     """Start and stop packet indices of each non-empty window, half open.
 
     Burst mode yields consecutive ranges of exactly N packets and discards the
     trailing partial group. Time-span mode cuts [k*dt, (k+1)*dt) intervals and
     discards empty ones (windows with a single packet are kept here; the
-    extractor drops them with its dropped-window counter).
+    extractor drops them with its dropped-window counter). Only the bounds
+    around each packet's interval are made, so memory follows the packets,
+    not the intervals.
     """
     times = trace.timestamps
     if times.size == 0:
@@ -139,9 +147,26 @@ def _window_bounds(trace: Trace, spec: WindowSpec) -> tuple[np.ndarray, np.ndarr
     if spec.mode == "burst":
         starts = np.arange(times.size // spec.burst_size, dtype=np.int64) * spec.burst_size
         return starts, starts + spec.burst_size
-    n_intervals = int(times[-1] // spec.timespan) + 1
-    bounds = np.arange(n_intervals + 1, dtype=np.float64) * spec.timespan
-    cuts = np.searchsorted(times, bounds, side="left")
+    dt = spec.timespan
+    # The last interval cut. A last packet on a bound that rounds down
+    # (t = 1.0 at dt = 0.1, where 1.0 // 0.1 is 9) lies past it, in no window.
+    last = times[-1] // dt
+    if not last < MAX_INTERVALS:
+        raise ValueError(
+            f"trace {trace.trace_id or trace.label!r}: time span {dt!r} cuts its "
+            f"{float(times[-1])!r} s into more than 2**52 intervals, past exact float64 indices"
+        )
+    if last < times.size:  # every interval's bounds, no more than the packets
+        ks = np.arange(last + 2)
+    else:
+        # A packet's interval k, with k*dt <= t < (k+1)*dt as the bounds
+        # round, is at most one below its estimate floor(t / dt), never above
+        # it while k <= last <= t / dt. So the bounds of the estimates and of
+        # their neighbours hold every window's bounds, and split no window.
+        k = np.floor(times / dt)
+        k = k[np.concatenate(([True], k[1:] != k[:-1]))]  # each estimate once; times are sorted
+        ks = np.unique(np.clip((k[:, None] + (-1.0, 0.0, 1.0)).ravel(), 0.0, last + 1))
+    cuts = np.searchsorted(times, ks * dt, side="left")
     nonempty = cuts[1:] > cuts[:-1]
     return cuts[:-1][nonempty], cuts[1:][nonempty]
 

@@ -28,7 +28,6 @@ import numpy as np
 
 from tpbench import attackers
 from tpbench.adversarial import TRANSFORM_PARAMS, TransformSpec
-from tpbench.attackers import SplitSpec
 from tpbench.features import EmptySeriesError, WindowSpec, extract_series, stack_series
 from tpbench.pcap import load_pcap
 from tpbench.seeding import derive_seed
@@ -186,7 +185,7 @@ class ClassifierSpec:
     def train(self, X, y, seed: int, trees: range | None = None) -> attackers.TrainedModel:
         """`trees`, for a forest, grows only those tree indices."""
         params = dict(self.params)
-        if self.kind in ("forest", "mlp"):
+        if "seed" in attackers.HYPERPARAMETERS[self.kind]:
             params.setdefault("seed", seed)
         if trees is not None:
             params["trees"] = trees
@@ -448,7 +447,7 @@ def run_cell(
     cell_seed: int,
 ) -> tuple[float, int, int]:
     """Split, train and evaluate one grid cell: (accuracy, n_train, n_test)."""
-    train_idx, test_idx = attackers.split(y, SplitSpec(train_fraction, cell_seeds(cell_seed)[0]))
+    train_idx, test_idx = attackers.split(y, train_fraction, cell_seeds(cell_seed)[0])
     accuracy = _fit_job(X, y, clf, train_idx, test_idx, cell_seed, None)
     return accuracy, train_idx.size, test_idx.size
 
@@ -572,9 +571,10 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
                 rows.append(row)
                 reason = skip_reason
                 if not reason:
-                    split = SplitSpec(config.train_fraction, cell_seeds(cell_seed)[0])
                     try:
-                        train_idx, test_idx = attackers.split(y, split)
+                        train_idx, test_idx = attackers.split(
+                            y, config.train_fraction, cell_seeds(cell_seed)[0]
+                        )
                     except ValueError as exc:  # a class with one row, as a job reports it
                         reason = f"{type(exc).__name__}: {exc}"
                 if reason:

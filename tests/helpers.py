@@ -131,6 +131,18 @@ class FeatureVector(NamedTuple):
         return np.array(self, dtype=np.float64)
 
 
+def reference_timespan_bounds(trace: Trace, spec: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The (start, stop) packet indices of a time-span spec's non-empty windows,
+    cut with one float64 bound k * dt per interval: the windows
+    `_window_bounds` must match while making bounds only around packets."""
+    times = trace.timestamps
+    n_intervals = int(times[-1] // spec.timespan) + 1
+    bounds = np.arange(n_intervals + 1, dtype=np.float64) * spec.timespan
+    cuts = np.searchsorted(times, bounds, side="left")
+    nonempty = cuts[1:] > cuts[:-1]
+    return cuts[:-1][nonempty], cuts[1:][nonempty]
+
+
 def window_packets(trace: Trace, spec: WindowSpec) -> list[tuple[int, int]]:
     """The (start, stop) packet ranges `extract_series` windows a trace into,
     before it drops the windows of fewer than 2 packets."""

@@ -29,7 +29,6 @@ from tpbench.adversarial import (
     TransformSpec,
     savgol_coefficients,
 )
-from tpbench.attackers import SplitSpec
 from tpbench.attackers.mlp import _init_params, loss_and_gradients
 from tpbench.features import (
     FEATURE_INDEX,
@@ -225,7 +224,7 @@ def test_criterion_5_classifier_sanity():
         derive_seed(5, "dataset"), Scenario.MIC_ONOFF,
     )
     X5, y5 = stack_series([extract_series(t, WindowSpec.burst(500)) for t in traces])
-    train_idx, test_idx = attackers.split(y5, SplitSpec(0.7, derive_seed(5, "split")))
+    train_idx, test_idx = attackers.split(y5, 0.7, derive_seed(5, "split"))
     scores = {}
     trainers = {
         "knn": lambda: attackers.train("knn", X5[train_idx], y5[train_idx]),
@@ -272,7 +271,7 @@ def test_criterion_6a_baseline_accuracy(baseline_3class):
     floors = {}
     for n, (X, y) in baseline_3class.items():
         train_idx, test_idx = attackers.split(
-            y, SplitSpec(0.7, derive_seed(5, "6a", n, "split"))
+            y, 0.7, derive_seed(5, "6a", n, "split")
         )
         Xtr, ytr = X[train_idx], y[train_idx]
         models = [
@@ -313,7 +312,7 @@ def _smoothing_attack(class_fields, tag):
     X, y = stack_series([extract_series(t, WindowSpec.burst(500)) for t in traces])
     smoothed = TransformSpec("smooth", window=51, degree=1).apply(X, 0)
     train_idx, test_idx = attackers.split(
-        y, SplitSpec(0.7, derive_seed(1, tag, "post", "split"))
+        y, 0.7, derive_seed(1, tag, "post", "split")
     )
     nn = attackers.train(
         "mlp", smoothed[train_idx], y[train_idx], seed=derive_seed(1, tag, "post")
@@ -353,7 +352,7 @@ def test_criterion_6c_awgn_dose_response(baseline_3class):
     for nu in (2.0, 64.0):
         noised = TransformSpec("awgn", nu=nu).apply(X, derive_seed(9, "6c", nu))
         train_idx, test_idx = attackers.split(
-            y, SplitSpec(0.7, derive_seed(9, "6c", nu, "split"))
+            y, 0.7, derive_seed(9, "6c", nu, "split")
         )
         model = attackers.train(
             "mlp", noised[train_idx], y[train_idx], seed=derive_seed(9, "6c", nu, "train")
@@ -390,7 +389,7 @@ def test_criterion_6d_realistic_preserves_untouched_signal():
     for nu in (2.0, 64.0):
         transformed = TransformSpec("realistic", nu=nu).apply(X, derive_seed(13, "6d", nu))
         train_idx, test_idx = attackers.split(
-            y, SplitSpec(0.7, derive_seed(13, "6d", nu, "split"))
+            y, 0.7, derive_seed(13, "6d", nu, "split")
         )
         model = attackers.train(
             "mlp", transformed[train_idx], y[train_idx], seed=derive_seed(13, "6d", nu, "train")

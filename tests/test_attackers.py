@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -13,7 +14,7 @@ from helpers import (
     tree_nodes,
 )
 from tpbench import attackers
-from tpbench.attackers import SplitSpec, adaboost, split
+from tpbench.attackers import adaboost, split
 from tpbench.attackers.adaboost import fit_adaboost
 from tpbench.attackers.forest import fit_forest
 from tpbench.attackers.knn import block_rows, fit_knn, predict_knn
@@ -39,7 +40,7 @@ def blobs(rng, n_per_class, centers, spread=1.0, dims=12):
 
 def test_split_balanced_two_class():
     y = ["a"] * 50 + ["b"] * 50
-    train_idx, test_idx = split(y, SplitSpec(0.7, seed=1))
+    train_idx, test_idx = split(y, 0.7, 1)
     labels = np.array(y, dtype=object)
     assert sorted(np.concatenate([train_idx, test_idx])) == list(range(100))
     assert (labels[train_idx] == "a").sum() == 35
@@ -49,7 +50,7 @@ def test_split_balanced_two_class():
 
 def test_split_three_class_arithmetic():
     y = ["a"] * 30 + ["b"] * 30 + ["c"] * 30
-    train_idx, _ = split(y, SplitSpec(0.7, seed=5))
+    train_idx, _ = split(y, 0.7, 5)
     labels = np.array(y, dtype=object)
     for cls in "abc":
         assert (labels[train_idx] == cls).sum() == 21
@@ -57,20 +58,26 @@ def test_split_three_class_arithmetic():
 
 def test_split_deterministic():
     y = ["a"] * 20 + ["b"] * 20
-    first = split(y, SplitSpec(0.7, seed=9))
-    second = split(y, SplitSpec(0.7, seed=9))
+    first = split(y, 0.7, 9)
+    second = split(y, 0.7, 9)
     assert np.array_equal(first[0], second[0])
     assert np.array_equal(first[1], second[1])
 
 
 def test_split_small_class_named_in_error():
     with pytest.raises(ValueError, match="'tiny'"):
-        split(["big"] * 10 + ["tiny"], SplitSpec(0.7, seed=0))
+        split(["big"] * 10 + ["tiny"], 0.7, 0)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, float("nan")])
+def test_split_rejects_a_fraction_outside_the_open_unit_interval(fraction):
+    with pytest.raises(ValueError, match="train_fraction must lie strictly between 0 and 1"):
+        split(["a"] * 5 + ["b"] * 5, fraction, 0)
 
 
 def test_split_keeps_every_class_in_both_sides():
     y = ["a"] * 3 + ["b"] * 97
-    train_idx, test_idx = split(y, SplitSpec(0.9, seed=2))
+    train_idx, test_idx = split(y, 0.9, 2)
     labels = np.array(y, dtype=object)
     for side in (train_idx, test_idx):
         assert {"a", "b"} <= set(labels[side])
@@ -525,31 +532,87 @@ def test_all_classifiers_deterministic():
         assert np.array_equal(first, second), kind
 
 
+ROUND_TRIP_PARAMS = {
+    "knn": {"k": 3},
+    "tree": {"max_depth": 4},
+    "forest": {"n_trees": 8, "seed": 2},
+    "adaboost": {"rounds": 8},
+    "mlp": {"epochs": 10, "seed": 2},
+}
+
+
 def test_model_json_round_trip_all_kinds(tmp_path):
+    """Every kind in the table, so a kind without a decoder fails here."""
     rng = np.random.default_rng(20)
     X, y = blobs(rng, 25, [("a", 0.0), ("b", 2.0), ("c", 4.0)], spread=1.0)
     queries = rng.normal(2.0, 1.5, size=(30, 12))
-    models = [
-        attackers.train("knn", X, y, k=3),
-        attackers.train("tree", X, y, max_depth=4),
-        attackers.train("forest", X, y, n_trees=8, seed=2),
-        attackers.train("adaboost", X, y, rounds=8),
-        attackers.train("mlp", X, y, epochs=10, seed=2),
-    ]
-    for model in models:
-        path = tmp_path / f"{model.kind}.json"
+    for kind in attackers.CLASSIFIER_KINDS:
+        model = attackers.train(kind, X, y, **ROUND_TRIP_PARAMS.get(kind, {}))
+        path = tmp_path / f"{kind}.json"
         attackers.save_model(model, path)
         back = attackers.load_model(path)
         assert back.kind == model.kind
         assert back.classes == model.classes
+        assert attackers.model_to_json(back) == attackers.model_to_json(model), kind
         assert np.array_equal(
             attackers.predict(back, queries), attackers.predict(model, queries)
-        )
+        ), kind
+
+
+def test_model_json_tree_nodes_keep_only_their_own_keys():
+    """Fields equal to their default are left out: a leaf is its class, an
+    internal node its split and children."""
+    rng = np.random.default_rng(21)
+    X, y = blobs(rng, 20, [("a", 0.0), ("b", 3.0)], spread=1.0)
+    doc = json.loads(attackers.model_to_json(attackers.train("tree", X, y)))
+    assert set(doc) == {"format_version", "kind", "params", "standardizer", "classes"}
+    assert doc["format_version"] == attackers.MODEL_FORMAT_VERSION == 3
+    root = doc["params"]["root"]
+    assert set(root) == {"feature", "threshold", "left", "right"}
+    leaves, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if "left" in node:
+            stack += [node["left"], node["right"]]
+        else:
+            leaves.append(node)
+    assert leaves and all(set(leaf) == {"klass"} for leaf in leaves)
+
+
+def test_model_json_forest_trees_are_tree_params():
+    rng = np.random.default_rng(22)
+    X, y = blobs(rng, 20, [("a", 0.0), ("b", 3.0)], spread=1.0)
+    doc = json.loads(attackers.model_to_json(attackers.train("forest", X, y, n_trees=3)))
+    assert [set(tree) for tree in doc["params"]["trees"]] == [{"root", "n_classes"}] * 3
 
 
 def test_model_json_rejects_unknown_version():
     with pytest.raises(ValueError, match="version"):
         attackers.model_from_json('{"format_version": 99}')
+
+
+def test_model_json_refuses_a_version_2_document():
+    rng = np.random.default_rng(23)
+    X, y = blobs(rng, 10, [("a", 0.0), ("b", 3.0)])
+    doc = json.loads(attackers.model_to_json(attackers.train("knn", X, y)))
+    doc["format_version"] = 2
+    with pytest.raises(ValueError, match="unsupported model format version 2; expected 3"):
+        attackers.model_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"format_version": 3, "kind": "svm", "params": {}}', "unknown classifier kind 'svm'"),
+    ('{"format_version": 3, "kind": ["knn"]}', r"unknown classifier kind \['knn'\]"),
+    ('{"format_version": 3}', "unknown classifier kind None"),
+    ('[3, "knn"]', "a model document is a JSON object, not list"),
+    ('"knn"', "a model document is a JSON object, not str"),
+    ('{"format_version": 3, "kind": "tree", "params": {}}', "malformed tree model document"),
+    ('{"format_version": 3, "kind": "mlp", "params": [], "standardizer": {}, "classes": []}',
+     "malformed mlp model document"),
+])
+def test_model_json_rejects_malformed_documents_with_value_error(text, message):
+    with pytest.raises(ValueError, match=message):
+        attackers.model_from_json(text)
 
 
 def test_train_dispatch_rejects_unknown_kind():
@@ -567,9 +630,8 @@ def test_labels_and_their_codes_split_and_train_alike(n_classes):
     labels = labels.astype(object)
     classes, codes = np.unique(labels, return_inverse=True)
     X = rng.normal(size=(labels.size, 12)) + codes[:, None]
-    spec = SplitSpec(0.7, seed=4)
-    train_idx, test_idx = split(labels, spec)
-    for by_label, by_code in zip((train_idx, test_idx), split(codes, spec)):
+    train_idx, test_idx = split(labels, 0.7, 4)
+    for by_label, by_code in zip((train_idx, test_idx), split(codes, 0.7, 4)):
         assert np.array_equal(by_label, by_code)
     for kind, params in (("knn", {}), ("tree", {}), ("forest", {"n_trees": 5, "seed": 1}),
                          ("adaboost", {"rounds": 5}), ("mlp", {"epochs": 3, "seed": 1})):

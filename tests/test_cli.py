@@ -180,6 +180,24 @@ def test_extract_burst_zero_names_the_burst_size(tmp_path, capsys):
     assert "burst size must be an integer >= 2, got 0" in capsys.readouterr().err
 
 
+def test_extract_tiny_timespan_exits_two_naming_trace_and_span(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["synth", "--scenario", "mic_onoff", "--traces-per-class", "1",
+          "--duration", "5.0", "--seed", "3", "--out", str(data)])
+    capsys.readouterr()
+    for timespan, span, message in (
+        ("1e-9", "timespan:1e-09", "no window with >= 2 packets"),
+        ("1e-300", "time span 1e-300", "more than 2**52 intervals"),
+    ):
+        code = main(["extract", "--traces", str(data), "--timespan", timespan,
+                     "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert code == 2, timespan
+        assert re.fullmatch(r"tpbench extract: trace '[^']+'.*\n", err), err
+        assert span in err and message in err, err
+        assert "Traceback" not in err
+
+
 def test_extract_bad_pcap_exits_two_naming_the_file(tmp_path, capsys):
     bad = tmp_path / "bad.pcap"
     bad.write_bytes(b"garbage" * 8)

@@ -10,10 +10,12 @@ from helpers import (
     ipv4_frame,
     random_small_trace,
     raw_frame,
+    reference_timespan_bounds,
     window_packets,
 )
 from tpbench.features import (
     FEATURE_NAMES,
+    MAX_INTERVALS,
     EmptySeriesError,
     FeatureSeries,
     WindowSpec,
@@ -21,6 +23,7 @@ from tpbench.features import (
     load_features_csv,
     save_features_csv,
     stack_series,
+    _window_bounds,
 )
 from tpbench.pcap import parse_pcap_with_stats
 from tpbench.traffic import (
@@ -74,6 +77,61 @@ def test_timespan_boundaries_are_half_open():
     trace = Trace.from_packets([packet(0.0), packet(1.0), packet(1.5)], label="t")
     ranges = window_packets(trace, WindowSpec.time_span(1.0))
     assert ranges == [(0, 1), (1, 3)]  # t=1.0 belongs to the second interval
+
+
+def times_trace(times) -> Trace:
+    times = np.sort(np.asarray(times, dtype=np.float64))
+    ones = np.ones(times.size, dtype=np.int64)
+    return Trace(times, ones * 100, ones * Protocol.TCP.code, ones, ones, ones, ones, ones,
+                 label="t", trace_id="times")
+
+
+def test_timespan_windows_match_the_bound_per_interval_cut():
+    """Bounds made only around the packets give the same windows as one
+    float64 bound per interval, also for times on a bound, one ulp either
+    side of it, and a last packet past the last bound `times[-1] // dt`
+    reaches."""
+    rng = np.random.default_rng(2024)
+    for trial in range(400):
+        dt = float(rng.choice([0.1, 0.3, 1 / 3, 0.7, 1e-3]) if trial % 2
+                   else 10.0 ** rng.uniform(-6, 1))
+        # fewer intervals than packets (every bound is cut) or many more
+        n_intervals = int(rng.integers(1, 20_000 if trial % 4 else 40))
+        ks = rng.integers(0, n_intervals, size=int(rng.integers(1, 60))).astype(np.float64)
+        on_bound = ks * dt
+        times = np.concatenate([
+            on_bound,
+            np.nextafter(on_bound, np.inf),
+            np.nextafter(on_bound, 0.0),
+            rng.uniform(0.0, n_intervals * dt, size=int(rng.integers(0, 60))),
+        ])
+        times = times[rng.random(times.size) < 0.6]
+        if times.size == 0:
+            continue
+        trace = times_trace(times)
+        spec = WindowSpec.time_span(dt)
+        got = _window_bounds(trace, spec)
+        want = reference_timespan_bounds(trace, spec)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), (trial, dt)
+
+
+def test_timespan_last_packet_on_a_rounded_down_bound_is_in_no_window():
+    # 1.0 // 0.1 is 9.0, so the bounds end at 10 * 0.1 == 1.0: the packet at
+    # 1.0 lies past the last interval cut
+    trace = times_trace([0.05, 0.95, 0.97, 1.0])
+    assert window_packets(trace, WindowSpec.time_span(0.1)) == [(0, 1), (1, 3)]
+
+
+def test_tiny_timespan_windows_with_memory_per_packet():
+    # one bound per interval would need 4.9e9 float64 bounds (37 GiB) here
+    trace = times_trace([0.0, 2.5, 2.5, 4.9])
+    assert window_packets(trace, WindowSpec.time_span(1e-9)) == [(0, 1), (1, 3), (3, 4)]
+
+
+@pytest.mark.parametrize("dt", [1e-300, 5.0 / MAX_INTERVALS])
+def test_timespan_past_exact_interval_indices_is_refused(dt):
+    with pytest.raises(ValueError, match=r"trace 'times': time span .* 2\*\*52 intervals"):
+        _window_bounds(times_trace([0.0, 5.0]), WindowSpec.time_span(dt))
 
 
 def test_window_spec_validation():

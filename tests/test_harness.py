@@ -116,7 +116,7 @@ def test_pool_never_outnumbers_runnable_cells(tmp_path, monkeypatch):
     made = record_pools(monkeypatch, fork=False)
     X = np.arange(40.0).reshape(20, 2)
     y = np.repeat(["a", "b"], 10)
-    jobs = [(X, y, ClassifierSpec("knn"), *attackers.split(y, attackers.SplitSpec(0.7, s)),
+    jobs = [(X, y, ClassifierSpec("knn"), *attackers.split(y, 0.7, s),
              s, None) for s in (1, 2, 3)]
     monkeypatch.setattr(harness, "_JOBS", jobs)
     results = harness._run_jobs(64)
@@ -230,7 +230,7 @@ def test_split_forest_equals_unsplit_forest():
         whole = fit_forest(X, codes, 3, n_trees=n_trees, seed=11)
         cell = run_cell(X, y, clf, 0.7, 17)
         split_seed, train_seed = harness.cell_seeds(17)
-        train_idx, test_idx = attackers.split(y, attackers.SplitSpec(0.7, split_seed))
+        train_idx, test_idx = attackers.split(y, 0.7, split_seed)
         model = clf.train(X[train_idx], y[train_idx], train_seed)
         labels = attackers.predict(model, X[test_idx])
         for parts in range(1, n_trees + 2):
