@@ -43,8 +43,12 @@ def _floats(values) -> np.ndarray:
 
 
 def _tree(doc: dict) -> TreeParams:
-    def node(d: dict) -> TreeNode:
-        return TreeNode(**{**d, **{side: node(d[side]) for side in ("left", "right") if side in d}})
+    def node(d: dict) -> TreeNode:  # a node lacking a field raises KeyError
+        if "klass" in d:
+            return TreeNode(klass=d["klass"])
+        return TreeNode(
+            d["feature"], d.get("threshold", 0.0), left=node(d["left"]), right=node(d["right"])
+        )
 
     return TreeParams(node(doc["root"]), doc["n_classes"])
 

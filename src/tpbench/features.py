@@ -156,16 +156,13 @@ def _window_bounds(trace: Trace, spec: WindowSpec) -> tuple[np.ndarray, np.ndarr
             f"trace {trace.trace_id or trace.label!r}: time span {dt!r} cuts its "
             f"{float(times[-1])!r} s into more than 2**52 intervals, past exact float64 indices"
         )
-    if last < times.size:  # every interval's bounds, no more than the packets
-        ks = np.arange(last + 2)
-    else:
-        # A packet's interval k, with k*dt <= t < (k+1)*dt as the bounds
-        # round, is at most one below its estimate floor(t / dt), never above
-        # it while k <= last <= t / dt. So the bounds of the estimates and of
-        # their neighbours hold every window's bounds, and split no window.
-        k = np.floor(times / dt)
-        k = k[np.concatenate(([True], k[1:] != k[:-1]))]  # each estimate once; times are sorted
-        ks = np.unique(np.clip((k[:, None] + (-1.0, 0.0, 1.0)).ravel(), 0.0, last + 1))
+    # A packet's interval k, with k*dt <= t < (k+1)*dt as the bounds round,
+    # is at most one below its estimate floor(t / dt), never above it while
+    # k <= last <= t / dt. So the bounds of the estimates and of their
+    # neighbours hold every window's bounds, and split no window.
+    k = np.floor(times / dt)
+    k = k[np.concatenate(([True], k[1:] != k[:-1]))]  # each estimate once; times are sorted
+    ks = np.unique(np.clip((k[:, None] + (-1.0, 0.0, 1.0)).ravel(), 0.0, last + 1))
     cuts = np.searchsorted(times, ks * dt, side="left")
     nonempty = cuts[1:] > cuts[:-1]
     return cuts[:-1][nonempty], cuts[1:][nonempty]

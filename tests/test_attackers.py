@@ -600,6 +600,11 @@ def test_model_json_refuses_a_version_2_document():
         attackers.model_from_json(json.dumps(doc))
 
 
+def _tree_doc(kind: str, params: str) -> str:
+    return (f'{{"format_version": 3, "kind": "{kind}", "params": {params}, '
+            '"standardizer": {"mean": [0.0], "std": [1.0]}, "classes": ["a", "b"]}')
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"format_version": 3, "kind": "svm", "params": {}}', "unknown classifier kind 'svm'"),
     ('{"format_version": 3, "kind": ["knn"]}', r"unknown classifier kind \['knn'\]"),
@@ -609,6 +614,14 @@ def test_model_json_refuses_a_version_2_document():
     ('{"format_version": 3, "kind": "tree", "params": {}}', "malformed tree model document"),
     ('{"format_version": 3, "kind": "mlp", "params": [], "standardizer": {}, "classes": []}',
      "malformed mlp model document"),
+    # A tree node is a leaf `{"klass"}` or has a feature and both children.
+    (_tree_doc("tree", '{"root": {}, "n_classes": 2}'),
+     r"malformed tree model document: KeyError\('feature'\)"),
+    (_tree_doc("tree", '{"root": {"feature": 0}, "n_classes": 2}'),
+     r"malformed tree model document: KeyError\('left'\)"),
+    (_tree_doc("forest", '{"trees": [{"root": {"feature": 0, "left": {"klass": 0}}, '
+                         '"n_classes": 2}], "n_classes": 2}'),
+     r"malformed forest model document: KeyError\('right'\)"),
 ])
 def test_model_json_rejects_malformed_documents_with_value_error(text, message):
     with pytest.raises(ValueError, match=message):

@@ -198,6 +198,31 @@ def test_extract_tiny_timespan_exits_two_naming_trace_and_span(tmp_path, capsys)
         assert "Traceback" not in err
 
 
+def test_sweep_tiny_timespan_skips_its_cell_or_exits_two_naming_the_trace(tmp_path, capsys):
+    """A span too small for two packets per window skips its cell; one past
+    exact float64 interval indices fails the sweep, naming a trace."""
+    for timespan, out in ((1e-9, "tiny"), (1e-300, "past")):
+        config = tmp_path / f"{out}.json"
+        config.write_text(json.dumps({
+            "scenario": "mic_onoff", "traces_per_class": 2, "duration": 5.0,
+            "timespans": [timespan], "transforms": [{"mode": "none"}],
+            "classifiers": [{"kind": "knn", "k": 3}], "seed": 1, "output_dir": out,
+        }))
+        code = main(["sweep", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if timespan == 1e-9:
+            assert code == 0, err
+            with open(tmp_path / out / "sweep.csv", newline="") as fh:
+                (cell,) = csv.DictReader(fh)
+            assert (cell["window_size"], cell["status"], cell["accuracy"]) == ("1e-09", "skipped", "")
+            assert cell["reason"] == "no trace produced a usable window at this size"
+        else:
+            assert code == 2
+            assert re.fullmatch(r"tpbench sweep: trace 'mic_o[nf]+-\d'.*\n", err), err
+            assert "time span 1e-300" in err and "more than 2**52 intervals" in err, err
+
+
 def test_extract_bad_pcap_exits_two_naming_the_file(tmp_path, capsys):
     bad = tmp_path / "bad.pcap"
     bad.write_bytes(b"garbage" * 8)

@@ -95,7 +95,7 @@ def test_timespan_windows_match_the_bound_per_interval_cut():
     for trial in range(400):
         dt = float(rng.choice([0.1, 0.3, 1 / 3, 0.7, 1e-3]) if trial % 2
                    else 10.0 ** rng.uniform(-6, 1))
-        # fewer intervals than packets (every bound is cut) or many more
+        # few intervals, most holding packets, or many more, most of them empty
         n_intervals = int(rng.integers(1, 20_000 if trial % 4 else 40))
         ks = rng.integers(0, n_intervals, size=int(rng.integers(1, 60))).astype(np.float64)
         on_bound = ks * dt
