@@ -148,21 +148,26 @@ def _window_bounds(trace: Trace, spec: WindowSpec) -> tuple[np.ndarray, np.ndarr
         starts = np.arange(times.size // spec.burst_size, dtype=np.int64) * spec.burst_size
         return starts, starts + spec.burst_size
     dt = spec.timespan
-    # The last interval cut. A last packet on a bound that rounds down
-    # (t = 1.0 at dt = 0.1, where 1.0 // 0.1 is 9) lies past it, in no window.
+    # The last interval cut. `//` rounds a last packet on a bound down (t = 1.0
+    # at dt = 0.1: 1.0 // 0.1 is 9, but 10 * 0.1 is 1.0), so that packet
+    # opens the next interval.
     last = times[-1] // dt
+    if (last + 1) * dt <= times[-1]:
+        last += 1
     if not last < MAX_INTERVALS:
         raise ValueError(
             f"trace {trace.trace_id or trace.label!r}: time span {dt!r} cuts its "
             f"{float(times[-1])!r} s into more than 2**52 intervals, past exact float64 indices"
         )
     # A packet's interval k, with k*dt <= t < (k+1)*dt as the bounds round,
-    # is at most one below its estimate floor(t / dt), never above it while
-    # k <= last <= t / dt. So the bounds of the estimates and of their
-    # neighbours hold every window's bounds, and split no window.
+    # is within one of its estimate floor(t / dt) while k < 2**52. So the
+    # bounds of the estimates and of their neighbours hold the start of every
+    # packet's interval, bound last + 1 ends the last one, and no window is
+    # split or cut short.
     k = np.floor(times / dt)
     k = k[np.concatenate(([True], k[1:] != k[:-1]))]  # each estimate once; times are sorted
-    ks = np.unique(np.clip((k[:, None] + (-1.0, 0.0, 1.0)).ravel(), 0.0, last + 1))
+    ks = np.clip((k[:, None] + (-1.0, 0.0, 1.0)).ravel(), 0.0, last + 1)
+    ks = np.unique(np.append(ks, last + 1))
     cuts = np.searchsorted(times, ks * dt, side="left")
     nonempty = cuts[1:] > cuts[:-1]
     return cuts[:-1][nonempty], cuts[1:][nonempty]

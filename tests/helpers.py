@@ -136,8 +136,10 @@ def reference_timespan_bounds(trace: Trace, spec: WindowSpec) -> tuple[np.ndarra
     cut with one float64 bound k * dt per interval: the windows
     `_window_bounds` must match while making bounds only around packets."""
     times = trace.timestamps
-    n_intervals = int(times[-1] // spec.timespan) + 1
-    bounds = np.arange(n_intervals + 1, dtype=np.float64) * spec.timespan
+    last = int(times[-1] // spec.timespan)
+    if (last + 1) * spec.timespan <= times[-1]:  # a last packet on a bound `//` rounds down
+        last += 1
+    bounds = np.arange(last + 2, dtype=np.float64) * spec.timespan
     cuts = np.searchsorted(times, bounds, side="left")
     nonempty = cuts[1:] > cuts[:-1]
     return cuts[:-1][nonempty], cuts[1:][nonempty]

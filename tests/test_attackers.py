@@ -113,12 +113,11 @@ def test_knn_matches_exhaustive_oracle():
         assert predicted == knn_oracle(Xs, y, model.classes, 5, q)
 
 
-def _knn_case(rng, n_classes):
+def _knn_case(rng, n_classes, n_features):
     """Integer-valued (heavily tied) columns, sometimes one coarsely rounded
     continuous column, duplicated training rows and queries that partly copy
     training rows, so distance ties at the k-th neighbour are common. Returns
     the training set and a query generator."""
-    n_features = int(rng.integers(4, 13))
     continuous = rng.random() < 0.5
 
     def rows(n):
@@ -141,19 +140,66 @@ def _knn_case(rng, n_classes):
     return X, rng.integers(0, n_classes, size=n_train), queries
 
 
+def _assert_knn_matches_reference(X, y, n_classes, k, Q, case):
+    params = fit_knn(X, y, n_classes, k)
+    assert np.array_equal(predict_knn(params, Q), reference_predict_knn(params, Q)), case
+
+
 def test_knn_batched_predict_matches_per_row_reference():
     rng = np.random.default_rng(41)
-    for case in range(12):
-        n_classes = 2 + case % 3
-        X, y, queries = _knn_case(rng, n_classes)
+    for n_features in range(1, 14):
+        n_classes = 2 + n_features % 3
+        X, y, queries = _knn_case(rng, n_classes, n_features)
         block = block_rows(*X.shape)
-        for n_test in (1, block - 1, block, block + 1):
+        for n_test in (1, block - 1, block, block + 1, 2 * block + 1):
             Q = queries(n_test)
             for k in (1, 2, 4, 5, X.shape[0]):
-                params = fit_knn(X, y, n_classes, k)
-                got = predict_knn(params, Q)
-                want = reference_predict_knn(params, Q)
-                assert np.array_equal(got, want), (case, k, n_test)
+                _assert_knn_matches_reference(X, y, n_classes, k, Q, (n_features, k, n_test))
+        # 1e6 from the training cloud the screen's ‖t‖² - 2·x·t cancels about
+        # 12 of its 16 digits, while exact distances still tie.
+        for k in (1, 5, 8):
+            _assert_knn_matches_reference(
+                X, y, n_classes, k, queries(block + 1) + 1e6, (n_features, k, "offset")
+            )
+
+    # Exact duplicate distances at the k-th neighbour: 2·m rows at distance
+    # d around the query (d = 1, or a non-integer d) among farther rows, with
+    # and without a large shared offset.
+    for n_features in (1, 3, 12):
+        for d in (1.0, 0.1 * 3, 1e-3 * 7):
+            for offset in (0.0, 1e6):
+                q = rng.integers(-5, 5, size=n_features).astype(np.float64) + offset
+                ring = q + d * np.vstack([np.eye(n_features), -np.eye(n_features)])
+                far = q + rng.uniform(2.0, 3.0, size=(40, n_features)) * d * 2
+                X = rng.permutation(np.vstack([far, ring, far[:5]]))
+                y = rng.integers(0, 3, size=X.shape[0])
+                for k in range(1, 2 * n_features + 3):
+                    _assert_knn_matches_reference(X, y, 3, k, q[None], (n_features, d, offset, k))
+
+    # A vote tie between two classes of 11 neighbours whose summed distances
+    # n·√2 differ only in rounding: np.sum's pairwise order makes class 1's
+    # sum the smaller, where a running sum would make the two equal.
+    n = np.array([1, 2, 2, 3, 3, 4, 4, 5, 5, 5, 5] + [1, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5] + [9] * 4)
+    X = np.repeat(n[:, None], 2, axis=1).astype(np.float64)
+    y = np.array([1] * 11 + [0] * 11 + [2] * 4)
+    for order in (np.arange(n.size), rng.permutation(n.size)):
+        _assert_knn_matches_reference(X[order], y[order], 3, 22, np.zeros((1, 2)), "rounding tie")
+        assert predict_knn(fit_knn(X[order], y[order], 3, 22), np.zeros((1, 2)))[0] == 1
+
+    # Entries near 1e155 overflow the screen's ‖x‖² but no exact distance:
+    # those queries take every row, and no overflow warning escapes.
+    X = 1e155 + rng.integers(0, 3, size=(300, 12)) * 1e152
+    y = rng.integers(0, 3, size=300)
+    Q = np.vstack([X[:20] + 1e152, 1e155 + rng.integers(-2, 5, size=(20, 12)) * 1e152])
+    for k in (1, 5, 300):
+        _assert_knn_matches_reference(X, y, 3, k, Q, ("1e155", k))
+    # Near 1e200 the exact distances of distinct rows overflow to inf too,
+    # and tie; the vote falls to the reference's tie rule.
+    X = 1e200 * (1 + rng.integers(0, 3, size=(300, 12)))
+    Q = np.vstack([X[:20], 1e200 * (1 + rng.integers(0, 3, size=(20, 12)))])
+    with np.errstate(over="ignore"):
+        for k in (1, 5, 300):
+            _assert_knn_matches_reference(X, y, 3, k, Q, ("1e200", k))
 
 
 def test_knn_rejects_bad_k():

@@ -89,8 +89,8 @@ def times_trace(times) -> Trace:
 def test_timespan_windows_match_the_bound_per_interval_cut():
     """Bounds made only around the packets give the same windows as one
     float64 bound per interval, also for times on a bound, one ulp either
-    side of it, and a last packet past the last bound `times[-1] // dt`
-    reaches."""
+    side of it, and a last packet on a bound `times[-1] // dt` rounds
+    down."""
     rng = np.random.default_rng(2024)
     for trial in range(400):
         dt = float(rng.choice([0.1, 0.3, 1 / 3, 0.7, 1e-3]) if trial % 2
@@ -115,11 +115,11 @@ def test_timespan_windows_match_the_bound_per_interval_cut():
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), (trial, dt)
 
 
-def test_timespan_last_packet_on_a_rounded_down_bound_is_in_no_window():
-    # 1.0 // 0.1 is 9.0, so the bounds end at 10 * 0.1 == 1.0: the packet at
-    # 1.0 lies past the last interval cut
+def test_timespan_last_packet_on_a_rounded_down_bound_is_in_the_last_window():
+    # 1.0 // 0.1 is 9.0, but 10 * 0.1 == 1.0: the packet at 1.0 opens the
+    # interval [1.0, 1.1)
     trace = times_trace([0.05, 0.95, 0.97, 1.0])
-    assert window_packets(trace, WindowSpec.time_span(0.1)) == [(0, 1), (1, 3)]
+    assert window_packets(trace, WindowSpec.time_span(0.1)) == [(0, 1), (1, 3), (3, 4)]
 
 
 def test_tiny_timespan_windows_with_memory_per_packet():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tpbench import attackers, harness
+from tpbench.attackers import knn
 from tpbench.features import WindowSpec, extract_series, stack_series
 from tpbench.harness import (
     ConfigError,
@@ -213,6 +214,30 @@ def test_pool_rows_equal_serial_rows_including_captured_failures(tmp_path, monke
     assert any(r.startswith("series length") and "< window 51" in r for r in reasons)
     assert {r.classifier.kind for r in pool_report.ok_rows()} == set(
         ("knn", "tree", "forest", "adaboost", "mlp"))
+
+
+def test_knn_sweep_over_many_query_blocks_is_byte_identical_in_the_pool(tmp_path, monkeypatch):
+    """kNN cells whose test rows span many screen blocks write the same
+    sweep.csv serially and on two forked workers."""
+    path = small_config(
+        tmp_path,
+        burst_sizes=[20, 40],
+        transforms=[{"mode": "none"}, {"mode": "awgn", "nu": 2.0}],
+        classifiers=[{"kind": "knn", "k": 5}, {"kind": "knn", "k": 1}],
+    )
+    made = record_pools(monkeypatch, fork=True)
+    out = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TPB_WORKERS", workers)
+        report = run_experiment(load_config(path))
+        emit_report(report, tmp_path / workers)
+        out[workers] = (tmp_path / workers / "sweep.csv").read_bytes()
+    assert made == [(2, "fork")]
+    assert out["1"] == out["2"]
+    rows = report.ok_rows()
+    assert len(rows) == 8
+    assert all(r.n_test > 5 * knn.block_rows(r.n_train, 12) for r in rows)
+    assert any(r.accuracy < 1.0 for r in rows)
 
 
 def test_split_forest_equals_unsplit_forest():
