@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error. The stages share the
 feature-CSV interchange format, so a sweep cell can be rerun by chaining
-`synth` / `extract` / `perturb` / `attack` with the seeds the README names. The invariant checks live in the test suite:
-`pytest tests/test_acceptance.py` runs one check per acceptance criterion.
+`synth` / `extract` / `perturb` / `attack` with the seeds the README names.
+The invariant checks live in the test suite: `pytest tests/test_acceptance.py`
+runs one check per acceptance criterion.
 """
 
 from __future__ import annotations
@@ -11,7 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from tpbench import attackers
 from tpbench.features import (
@@ -26,6 +30,7 @@ from tpbench.harness import (
     TransformSpec,
     cell_seeds,
     emit_report,
+    fit_cell,
     load_config,
     run_experiment,
 )
@@ -146,18 +151,15 @@ def _cmd_perturb(args) -> int:
         nu=args.nu,
         clamp_counts=args.clamp_counts,
     )
-    # transform the stacked dataset (like the sweep does), then split the
-    # matrix back into the original per-trace series
-    X, _y = stack_series(series_list)
+    # transform the stacked dataset (like the sweep does), then cut the
+    # matrix back into the per-trace series by each row's trace index
+    X, _, trace = stack_series(series_list)
     Xt = tspec.apply(X, args.seed)
-    out = []
-    offset = 0
-    for series in series_list:
-        n = len(series)
-        out.append(series.with_values(Xt[offset : offset + n], transform=tspec.key()))
-        offset += n
+    parts = np.split(Xt, np.searchsorted(trace, np.arange(1, len(series_list))))
+    out = [replace(series, values=part, transform=tspec.key())
+           for series, part in zip(series_list, parts)]
     save_features_csv(out, args.out)
-    print(f"wrote {offset} transformed windows to {args.out}")
+    print(f"wrote {len(Xt)} transformed windows to {args.out}")
     return 0
 
 
@@ -170,11 +172,10 @@ def _cmd_attack(args) -> int:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"--params: {exc}") from exc
     series_list = load_features_csv(args.features)
-    X, y = stack_series(series_list)
-    split_seed, train_seed = cell_seeds(args.seed)
-    train_idx, test_idx = attackers.split(y, args.train_fraction, split_seed)
-    model = clf.train(X[train_idx], y[train_idx], train_seed)
-    accuracy = attackers.evaluate(model, X[test_idx], y[test_idx])
+    X, y, _ = stack_series(series_list)
+    train_idx, test_idx = attackers.split(y, args.train_fraction, cell_seeds(args.seed)[0])
+    model, predicted = fit_cell(X, y, clf, train_idx, test_idx, args.seed)
+    accuracy = attackers.accuracy(predicted, y[test_idx])
     if args.save_model:
         attackers.save_model(model, args.save_model)
     print(

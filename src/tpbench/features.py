@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -121,9 +121,6 @@ class FeatureSeries:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def with_values(self, values: np.ndarray, transform: str | None = None) -> "FeatureSeries":
-        return replace(self, values=values, transform=transform or self.transform)
-
 
 # Time-span windows estimate each packet's interval as floor(t / dt) in
 # float64. Below this many intervals every index is exact and the estimate
@@ -173,9 +170,7 @@ def _window_bounds(trace: Trace, spec: WindowSpec) -> tuple[np.ndarray, np.ndarr
     return cuts[:-1][nonempty], cuts[1:][nonempty]
 
 
-def extract_series(
-    trace: Trace, spec: WindowSpec, trace_id: str | None = None
-) -> FeatureSeries:
+def extract_series(trace: Trace, spec: WindowSpec) -> FeatureSeries:
     """One row of the 12 features per retained window, in window order.
 
     Windows with fewer than 2 packets are dropped and counted. Raises
@@ -191,7 +186,7 @@ def extract_series(
     return FeatureSeries(
         values=_window_matrix(trace, starts[kept], stops[kept]),
         label=trace.label,
-        trace_id=trace_id if trace_id is not None else trace.trace_id,
+        trace_id=trace.trace_id,
         dropped_windows=int(np.count_nonzero(~kept)),
     )
 
@@ -331,10 +326,12 @@ def load_features_csv(path: str | Path) -> list[FeatureSeries]:
     ]
 
 
-def stack_series(series_list: list[FeatureSeries]) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate series into one (X, labels) dataset, preserving order."""
+def stack_series(series_list: list[FeatureSeries]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenate series into one (X, labels, trace) dataset, preserving
+    order; `trace` holds each row's series position in `series_list` (int64)."""
     if not series_list:
         raise ValueError("no series to stack")
     X = np.concatenate([s.values for s in series_list], axis=0)
     y = np.concatenate([np.full(len(s), s.label, dtype=object) for s in series_list])
-    return X, y
+    trace = np.repeat(np.arange(len(series_list), dtype=np.int64), [len(s) for s in series_list])
+    return X, y, trace

@@ -7,12 +7,12 @@ train/test split: the attacker trains after the defense is already deployed)
 and gets its own seed derived from the master seed and the cell coordinates,
 so cells can run in any order without changing the report. `run_experiment`
 encodes each window's labels once as class codes (the labels' sorted order),
-draws each cell's split itself and trains the cells on a fork process pool of
-`_worker_count` workers. With more than one worker, a forest cell runs as one
-job per contiguous range of its tree indices: each tree draws from its own
-seed whichever job grows it, and a forest's votes are the sum of its trees'
-votes, so the parent sums the ranges' vote matrices and scores them to the
-bytes one job would give.
+draws each cell's split itself and runs `fit_cell` jobs on a fork process
+pool of `_worker_count` workers: a whole cell's job returns its predicted codes
+on the test rows. With more than one worker, a forest cell runs as one job per
+contiguous range of its tree indices, returning its vote matrix: each tree draws
+from its own seed whichever job grows it, so the summed votes' argmax is one
+job's prediction. The parent scores every cell with `attackers.accuracy`.
 """
 
 from __future__ import annotations
@@ -217,6 +217,20 @@ class ExperimentConfig:
             raise ConfigError("no data source: give scenario/profiles or pcap_dir")
         if not 0 < self.train_fraction < 1:
             raise ConfigError("train_fraction must lie strictly between 0 and 1")
+        # With one class every cell scores 1.0 or fails; profiles sharing a
+        # label would run as one class whose traces repeat their ids and seeds.
+        if self.pcap_files:
+            if len({label for _, label in self.pcap_files}) < 2:
+                raise ConfigError(f"pcap_labels: every file has label {self.pcap_files[0][1]!r}; "
+                                  "need at least 2 distinct labels")
+        else:
+            first: dict[str, int] = {}
+            for i, profile in enumerate(self.profiles):
+                if (j := first.setdefault(profile.label, i)) < i:
+                    raise ConfigError(
+                        f"profiles[{i}]: label {profile.label!r} duplicates profiles[{j}]")
+            if len(self.profiles) == 1:
+                raise ConfigError("profiles: need at least 2 class profiles, got 1")
 
 
 def _parse_profile(doc: dict, where: str) -> ClassProfile:
@@ -429,27 +443,14 @@ def cell_seeds(cell_seed: int) -> tuple[int, int]:
     return derive_seed(cell_seed, "split"), derive_seed(cell_seed, "train")
 
 
-def _fit_job(Xt, y, clf, train_idx, test_idx, cell_seed, trees):
-    """Train a cell's model on its train rows. Return its accuracy on the
-    test rows for a whole cell (`trees` None), else the vote matrix of trees
-    `trees` of its forest on the test rows."""
-    model = clf.train(Xt[train_idx], y[train_idx], cell_seeds(cell_seed)[1], trees)
+def fit_cell(X, y, clf, train_idx, test_idx, cell_seed, trees=None):
+    """Train a cell on its train rows with `cell_seeds(cell_seed)[1]`; return (model,
+    outcome): the test rows' predicted labels, in `y`'s dtype, for a whole cell
+    (`trees` None), else the vote matrix of trees `trees` of its forest on them."""
+    model = clf.train(X[train_idx], y[train_idx], cell_seeds(cell_seed)[1], trees)
     if trees is None:
-        return attackers.evaluate(model, Xt[test_idx], y[test_idx])
-    return attackers.forest_votes(model, Xt[test_idx])
-
-
-def run_cell(
-    X: np.ndarray,
-    y: np.ndarray,
-    clf: ClassifierSpec,
-    train_fraction: float,
-    cell_seed: int,
-) -> tuple[float, int, int]:
-    """Split, train and evaluate one grid cell: (accuracy, n_train, n_test)."""
-    train_idx, test_idx = attackers.split(y, train_fraction, cell_seeds(cell_seed)[0])
-    accuracy = _fit_job(X, y, clf, train_idx, test_idx, cell_seed, None)
-    return accuracy, train_idx.size, test_idx.size
+        return model, attackers.predict(model, X[test_idx]).astype(y.dtype)
+    return model, attackers.forest_votes(model, X[test_idx])
 
 
 def _tree_ranges(clf: ClassifierSpec, workers: int) -> list[range | None]:
@@ -465,17 +466,17 @@ def _tree_ranges(clf: ClassifierSpec, workers: int) -> list[range | None]:
     return [range(n_trees * p // parts, n_trees * (p + 1) // parts) for p in range(parts)]
 
 
-# The `_fit_job` arguments (Xt, y, classifier, train_idx, test_idx, cell_seed,
+# The `fit_cell` arguments (Xt, y, classifier, train_idx, test_idx, cell_seed,
 # trees) of every job of the sweep in progress: a whole cell when trees is
 # None, else one tree range of a forest cell. Filled before the pool forks, so
 # its workers inherit the matrices and are sent only indices.
 _JOBS: list[tuple] = []
 
 
-def _run_job(i: int) -> tuple[object, str]:
-    """(`_fit_job(*_JOBS[i])`, "") or, when it raised, (None, the skip reason)."""
+def _run_job(i: int) -> tuple[np.ndarray | None, str]:
+    """(`fit_cell(*_JOBS[i])[1]`, "") or, when it raised, (None, the skip reason)."""
     try:
-        return _fit_job(*_JOBS[i]), ""
+        return fit_cell(*_JOBS[i])[1], ""
     except Exception as exc:  # captured per cell, sweep continues
         return None, f"{type(exc).__name__}: {exc}"
 
@@ -536,7 +537,7 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
             series_list.append(series)
             dropped += series.dropped_windows
         if series_list:
-            X, labels = stack_series(series_list)
+            X, labels, _ = stack_series(series_list)
             y = np.unique(labels, return_inverse=True)[1]  # class codes, labels in sorted order
         else:
             X = y = None
@@ -600,11 +601,10 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
             row.status = "skipped"
             row.reason = reasons[0]
             continue
-        if len(outcomes) == 1:
-            row.accuracy = outcomes[0][0]
-        else:
-            votes = sum(votes for votes, _ in outcomes)
-            row.accuracy = attackers.accuracy(np.argmax(votes, axis=1), truth)
+        predicted = outcomes[0][0]
+        if predicted.ndim == 2:  # a forest's tree ranges: its vote matrices
+            predicted = np.argmax(sum(votes for votes, _ in outcomes), axis=1)
+        row.accuracy = attackers.accuracy(predicted, truth)
         row.n_train, row.n_test = n_train, truth.size
     return SweepReport(rows=rows)
 

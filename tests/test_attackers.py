@@ -25,6 +25,7 @@ from tpbench.attackers.mlp import (
     loss_and_gradients,
 )
 from tpbench.attackers.tree import fit_tree
+from tpbench.harness import ClassifierSpec, fit_cell
 from tpbench.seeding import derive_seed
 
 
@@ -702,6 +703,10 @@ def test_labels_and_their_codes_split_and_train_alike(n_classes):
         assert list(attackers.predict(by_label, X[test_idx])) == [classes[c] for c in predicted]
         assert attackers.evaluate(by_label, X[test_idx], labels[test_idx]) == attackers.evaluate(
             by_code, X[test_idx], codes[test_idx])
+        _, cell_codes = fit_cell(X, codes, ClassifierSpec.from_params(kind, params),
+                                 train_idx, test_idx, 0)
+        assert attackers.accuracy(cell_codes, codes[test_idx]) == attackers.evaluate(
+            by_label, X[test_idx], labels[test_idx])
         back = attackers.model_from_json(attackers.model_to_json(by_code))
         assert back.classes == list(range(n_classes))
         assert np.array_equal(attackers.predict(back, X), attackers.predict(by_code, X))

@@ -6,9 +6,18 @@ import warnings
 import numpy as np
 
 from helpers import build_pcap, ipv4_frame
+from tpbench import attackers
 from tpbench.cli import main
-from tpbench.features import FEATURE_NAMES, WindowSpec, load_features_csv, stack_series
+from tpbench.features import (
+    FEATURE_NAMES,
+    FeatureSeries,
+    WindowSpec,
+    load_features_csv,
+    save_features_csv,
+    stack_series,
+)
 from tpbench.adversarial import REALISTIC_UNTOUCHED_FEATURES, TransformSpec
+from tpbench.harness import cell_seeds
 from tpbench.seeding import derive_seed
 from tpbench.traffic import Protocol
 
@@ -256,13 +265,32 @@ def test_perturb_realistic_keeps_untouched_columns(tmp_path):
     code = main(["perturb", "--in", str(plain), "--mode", "realistic",
                  "--nu", "2", "--seed", "7", "--out", str(shifted)])
     assert code == 0
-    X, _ = stack_series(load_features_csv(plain))
-    Xt, _ = stack_series(load_features_csv(shifted))
+    X, _, _ = stack_series(load_features_csv(plain))
+    Xt, _, _ = stack_series(load_features_csv(shifted))
     for name in REALISTIC_UNTOUCHED_FEATURES:
         idx = FEATURE_NAMES.index(name)
         assert np.array_equal(X[:, idx], Xt[:, idx]), name
     pad_idx = FEATURE_NAMES.index("mean_len_pack")
     assert np.all(Xt[:, pad_idx] == X[:, pad_idx].max())
+
+
+def test_perturb_awgn_keeps_each_trace_of_unequal_length(tmp_path):
+    """`perturb` cuts the transformed stacked matrix back into the traces it
+    read: each keeps its id, label, row count and place, and its rows are
+    those of `TransformSpec.apply` on the stacked matrix."""
+    rng = np.random.default_rng(5)
+    traces = (("z-1", "b", 3), ("a-0", "a", 7), ("m-2", "b", 1))
+    plain, noisy = tmp_path / "f.csv", tmp_path / "n.csv"
+    save_features_csv([FeatureSeries(rng.uniform(0.0, 100.0, size=(n, 12)), label, trace_id)
+                       for trace_id, label, n in traces], plain)
+    assert main(["perturb", "--in", str(plain), "--mode", "awgn", "--nu", "2.0",
+                 "--seed", "4", "--out", str(noisy)]) == 0
+    back = load_features_csv(noisy)
+    assert [(s.trace_id, s.label, len(s)) for s in back] == list(traces)
+    assert {s.transform for s in back} == {"awgn(nu=2.0)"}
+    X, _, _ = stack_series(load_features_csv(plain))
+    expected = TransformSpec("awgn", nu=2.0).apply(X, 4)
+    assert np.array_equal(np.concatenate([s.values for s in back]), expected)
 
 
 def test_perturb_smooth_too_short_exits_two(tmp_path, capsys):
@@ -301,15 +329,37 @@ def test_sweep_and_selftest(tmp_path, capsys, monkeypatch):
     assert main(["selftest"]) == 1  # removed; the acceptance suite is the check battery
 
 
-def test_attack_save_model(tmp_path):
+def test_sweep_with_one_class_exits_two_naming_the_field(tmp_path, capsys):
+    for name in ("a.pcap", "b.pcap"):
+        (tmp_path / name).write_bytes(b"")
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({
+        "pcap_dir": ".", "pcap_labels": {"a.pcap": "x", "b.pcap": "x"},
+        "burst_sizes": [5], "classifiers": [{"kind": "knn"}],
+    }))
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert "pcap_labels: every file has label 'x'" in capsys.readouterr().err
+
+
+def test_attack_save_model(tmp_path, capsys, monkeypatch):
+    """The saved model is the one fit that scored the printed accuracy."""
     data = tmp_path / "data"
     main(["synth", "--scenario", "mic_onoff", "--traces-per-class", "2",
           "--duration", "8.0", "--seed", "3", "--out", str(data)])
     csv_path = tmp_path / "f.csv"
     main(["extract", "--traces", str(data), "--burst", "200", "--out", str(csv_path)])
     model_path = tmp_path / "model.json"
+    fits = []
+    real_train = attackers.train
+    monkeypatch.setattr(attackers, "train", lambda *a, **k: fits.append(a[0]) or real_train(*a, **k))
+    capsys.readouterr()
     code = main(["attack", "--features", str(csv_path), "--classifier", "tree",
                  "--save-model", str(model_path)])
     assert code == 0
+    assert fits == ["tree"]
     doc = json.loads(model_path.read_text())
     assert doc["kind"] == "tree"
+    X, y, _ = stack_series(load_features_csv(csv_path))
+    _, test_idx = attackers.split(y, 0.7, cell_seeds(0)[0])
+    accuracy = attackers.evaluate(attackers.load_model(model_path), X[test_idx], y[test_idx])
+    assert f"accuracy={accuracy!r} " in capsys.readouterr().out

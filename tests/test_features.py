@@ -259,7 +259,9 @@ def test_class_means_differ_on_separated_dimensions():
     )
     traces = generate_dataset([low, high], 2, 20.0, seed=11)
     series = [extract_series(t, WindowSpec.burst(100)) for t in traces]
-    X, y = stack_series(series)
+    X, y, trace = stack_series(series)
+    assert trace.dtype == np.int64
+    assert np.array_equal(trace, np.repeat(np.arange(len(series)), [len(s) for s in series]))
     mean_low = X[y == "low"].mean(axis=0)
     mean_high = X[y == "high"].mean(axis=0)
     for name in ("mean_len_pack", "mean_window", "n_ip_unique"):
@@ -426,7 +428,8 @@ def test_csv_round_trip(tmp_path):
     traces = [random_small_trace(rng, max_packets=30, min_packets=10) for _ in range(3)]
     series = []
     for k, trace in enumerate(traces):
-        s = extract_series(trace, WindowSpec.burst(5), trace_id=f"t-{k}")
+        s = extract_series(trace, WindowSpec.burst(5))
+        s.trace_id = f"t-{k}"
         s.label = f"class{k % 2}"
         series.append(s)
     path = tmp_path / "f.csv"

@@ -17,8 +17,8 @@ from tpbench.harness import (
     TransformSpec,
     config_from_dict,
     emit_report,
+    fit_cell,
     load_config,
-    run_cell,
     run_experiment,
 )
 from tpbench.seeding import derive_seed
@@ -122,7 +122,10 @@ def test_pool_never_outnumbers_runnable_cells(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_JOBS", jobs)
     results = harness._run_jobs(64)
     assert made == [(3, "fork")]
-    assert results == [(harness._fit_job(*job), "") for job in jobs]
+    expected = [fit_cell(*job)[1] for job in jobs]
+    assert len(results) == len(expected)
+    assert all(np.array_equal(got, want) and reason == ""
+               for (got, reason), want in zip(results, expected))
 
     monkeypatch.undo()
     made = record_pools(monkeypatch, fork=False)
@@ -143,7 +146,7 @@ def die_in_worker(*args):
 def test_dead_worker_fails_the_sweep(monkeypatch):
     from concurrent.futures.process import BrokenProcessPool
 
-    monkeypatch.setattr(harness, "_fit_job", die_in_worker)
+    monkeypatch.setattr(harness, "fit_cell", die_in_worker)
     X = np.zeros((4, 2))
     rows = np.arange(4)
     monkeypatch.setattr(harness, "_JOBS",
@@ -156,9 +159,8 @@ def test_dead_worker_fails_the_sweep(monkeypatch):
 def test_dead_worker_in_a_forest_part_fails_the_sweep(tmp_path, monkeypatch):
     from concurrent.futures.process import BrokenProcessPool
 
-    real_job = harness._fit_job
-    monkeypatch.setattr(harness, "_fit_job",
-                        lambda *job: real_job(*job) if job[-1] is None else die_in_worker())
+    monkeypatch.setattr(harness, "fit_cell",
+                        lambda *job: fit_cell(*job) if job[-1] is None else die_in_worker())
     monkeypatch.setenv("TPB_WORKERS", "2")
     config = load_config(small_config(
         tmp_path, classifiers=[{"kind": "knn"}, {"kind": "forest", "n_trees": 4}]))
@@ -242,7 +244,7 @@ def test_knn_sweep_over_many_query_blocks_is_byte_identical_in_the_pool(tmp_path
 
 def test_split_forest_equals_unsplit_forest():
     """Every way the harness cuts a forest's trees gives, range by range, the
-    trees of the unsplit forest, and summed votes score as `run_cell`."""
+    trees of the unsplit forest, and summed votes score as the whole cell."""
     from tpbench.attackers.forest import fit_forest
 
     rng = np.random.default_rng(3)
@@ -253,11 +255,12 @@ def test_split_forest_equals_unsplit_forest():
     for n_trees in (1, 2, 5, 7):
         clf = ClassifierSpec.from_dict({"kind": "forest", "n_trees": n_trees})
         whole = fit_forest(X, codes, 3, n_trees=n_trees, seed=11)
-        cell = run_cell(X, y, clf, 0.7, 17)
         split_seed, train_seed = harness.cell_seeds(17)
         train_idx, test_idx = attackers.split(y, 0.7, split_seed)
         model = clf.train(X[train_idx], y[train_idx], train_seed)
         labels = attackers.predict(model, X[test_idx])
+        assert np.array_equal(fit_cell(X, y, clf, train_idx, test_idx, 17)[1], labels)
+        cell = (attackers.accuracy(labels, y[test_idx]), train_idx.size, test_idx.size)
         for parts in range(1, n_trees + 2):
             ranges = harness._tree_ranges(clf, parts)
             assert len(ranges) == (1 if min(parts, n_trees) < 2 else min(parts, n_trees))
@@ -267,7 +270,7 @@ def test_split_forest_equals_unsplit_forest():
             grown = [tree for r in ranges
                      for tree in fit_forest(X, codes, 3, n_trees=n_trees, seed=11, trees=r).trees]
             assert grown == whole.trees
-            votes = sum(harness._fit_job(X, y, clf, train_idx, test_idx, 17, r) for r in ranges)
+            votes = sum(fit_cell(X, y, clf, train_idx, test_idx, 17, r)[1] for r in ranges)
             assert np.array_equal(np.array(model.classes, dtype=object)[votes.argmax(axis=1)],
                                   labels)
             assert (attackers.accuracy(votes.argmax(axis=1), codes[test_idx]),
@@ -280,10 +283,10 @@ def test_a_cell_whose_split_fails_gets_the_serial_row_and_no_job(tmp_path, monke
     real_stack = harness.stack_series
 
     def one_row_in_last_class(series):
-        X, y = real_stack(series)
+        X, y, trace = real_stack(series)
         keep = np.ones(y.size, dtype=bool)
         keep[np.flatnonzero(y == y[-1])[1:]] = False
-        return X[keep], y[keep]
+        return X[keep], y[keep], trace[keep]
 
     monkeypatch.setattr(harness, "stack_series", one_row_in_last_class)
     path = small_config(tmp_path, classifiers=[{"kind": "knn"}, {"kind": "forest", "n_trees": 5}])
@@ -291,8 +294,7 @@ def test_a_cell_whose_split_fails_gets_the_serial_row_and_no_job(tmp_path, monke
     serial = run_experiment(load_config(path)).rows
 
     jobs = []
-    real_job = harness._fit_job
-    monkeypatch.setattr(harness, "_fit_job", lambda *job: jobs.append(job) or real_job(*job))
+    monkeypatch.setattr(harness, "fit_cell", lambda *job: jobs.append(job) or fit_cell(*job))
     made = record_pools(monkeypatch, fork=False)
     monkeypatch.setenv("TPB_WORKERS", "2")
     pooled = run_experiment(load_config(path)).rows
@@ -444,7 +446,7 @@ def test_config_json_error_reports_position(tmp_path):
         load_config(path)
 
 
-def test_config_field_errors_are_named():
+def test_config_field_errors_are_named(tmp_path):
     base = {"scenario": "mic_onoff", "burst_sizes": [100]}
     with pytest.raises(ConfigError, match="classifiers"):
         config_from_dict({**base, "classifiers": [{"kind": "svm"}],
@@ -538,6 +540,21 @@ def test_config_field_errors_are_named():
             config_from_dict({**base, "classifiers": [{"kind": "knn"}], "profiles": profiles})
     with pytest.raises(ConfigError, match=r"profiles\[0\]: must be a profile object"):
         config_from_dict({**base, "classifiers": [{"kind": "knn"}], "profiles": [3]})
+    for name in ("a.pcap", "b.pcap"):
+        (tmp_path / name).write_bytes(b"")
+    other = asdict(builtin_profiles(Scenario.MIC_ONOFF)[1])
+    for source, named in (  # fewer than two classes
+        ({"profiles": [profile, other, {**other, "label": profile["label"]}]},
+         rf"^profiles\[2\]: label '{profile['label']}' duplicates profiles\[0\]$"),
+        ({"profiles": [profile]}, r"^profiles: need at least 2 class profiles, got 1$"),
+        ({"pcap_dir": str(tmp_path), "pcap_labels": {"a.pcap": "x", "b.pcap": "x"}},
+         r"^pcap_labels: every file has label 'x'; need at least 2 distinct labels$"),
+    ):
+        with pytest.raises(ConfigError, match=named):
+            config_from_dict({**base, "classifiers": [{"kind": "knn"}], **source})
+    config = config_from_dict({**base, "classifiers": [{"kind": "knn"}], "pcap_dir": str(tmp_path),
+                               "pcap_labels": {"a.pcap": "x", "b.pcap": "y"}})
+    assert [label for _, label in config.pcap_files] == ["x", "y"]
     for root, named in (
         ({"seed": 1.5}, r"seed must be an integer >= 0, got 1\.5"),
         ({"seed": True}, "seed must be an integer >= 0, got True"),
@@ -651,12 +668,15 @@ def test_sweep_equals_manual_stage_chain(tmp_path):
         Scenario.MIC_ONOFF,
     )
     wspec = WindowSpec.burst(200)
-    X, y = stack_series([extract_series(t, wspec) for t in traces])
+    X, y, _ = stack_series([extract_series(t, wspec) for t in traces])
     tspec = TransformSpec(mode="realistic", nu=2.0)
     Xt = tspec.apply(X, derive_seed(config.seed, "transform", wspec.key(), tspec.key()))
     clf = ClassifierSpec.from_dict({"kind": "forest", "n_trees": 10})
     cell_seed = derive_seed(config.seed, "cell", wspec.key(), tspec.key(), clf.key())
-    accuracy, n_train, n_test = run_cell(Xt, y, clf, 0.7, cell_seed)
+    train_idx, test_idx = attackers.split(y, 0.7, harness.cell_seeds(cell_seed)[0])
+    _, predicted = fit_cell(Xt, y, clf, train_idx, test_idx, cell_seed)
+    accuracy = attackers.accuracy(predicted, y[test_idx])
+    n_train, n_test = train_idx.size, test_idx.size
 
     assert accuracy == row.accuracy
     assert (n_train, n_test) == (row.n_train, row.n_test)
