@@ -96,7 +96,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--train-fraction", type=float, default=0.7)
     p.add_argument("--seed", type=int, default=0,
                    help="cell seed; split/training seeds are derived from it")
-    p.add_argument("--save-model", help="optional path for the trained model JSON")
 
     p = sub.add_parser("sweep", help="run the full experiment grid from a config")
     p.add_argument("--config", required=True)
@@ -106,9 +105,7 @@ def _build_parser() -> _Parser:
 def _cmd_synth(args) -> int:
     scenario = Scenario(args.scenario)
     profiles = builtin_profiles(scenario)
-    traces = generate_dataset(
-        profiles, args.traces_per_class, args.duration, args.seed, scenario
-    )
+    traces = generate_dataset(profiles, args.traces_per_class, args.duration, args.seed)
     paths = save_dataset(traces, args.out)
     manifest = {
         "scenario": scenario.value,
@@ -174,10 +171,8 @@ def _cmd_attack(args) -> int:
     series_list = load_features_csv(args.features)
     X, y, _ = stack_series(series_list)
     train_idx, test_idx = attackers.split(y, args.train_fraction, cell_seeds(args.seed)[0])
-    model, predicted = fit_cell(X, y, clf, train_idx, test_idx, args.seed)
+    predicted = fit_cell(X, y, clf, train_idx, test_idx, args.seed)
     accuracy = attackers.accuracy(predicted, y[test_idx])
-    if args.save_model:
-        attackers.save_model(model, args.save_model)
     print(
         f"classifier={args.classifier} accuracy={accuracy!r} "
         f"n_train={train_idx.size} n_test={test_idx.size}"

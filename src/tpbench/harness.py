@@ -12,7 +12,8 @@ pool of `_worker_count` workers: a whole cell's job returns its predicted codes
 on the test rows. With more than one worker, a forest cell runs as one job per
 contiguous range of its tree indices, returning its vote matrix: each tree draws
 from its own seed whichever job grows it, so the summed votes' argmax is one
-job's prediction. The parent scores every cell with `attackers.accuracy`.
+job's prediction. No job returns its model: a model lives only in the process
+that fit it. The parent scores every cell with `attackers.accuracy`.
 """
 
 from __future__ import annotations
@@ -215,6 +216,8 @@ class ExperimentConfig:
             raise ConfigError("classifiers list is empty")
         if not self.pcap_files and not self.profiles:
             raise ConfigError("no data source: give scenario/profiles or pcap_dir")
+        if self.pcap_files and self.profiles:  # the sweep would run only the pcaps
+            raise ConfigError("profiles: not allowed with pcap_dir")
         if not 0 < self.train_fraction < 1:
             raise ConfigError("train_fraction must lie strictly between 0 and 1")
         # With one class every cell scores 1.0 or fails; profiles sharing a
@@ -273,22 +276,15 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
         if name in doc:
             _check(doc[name], rule, name)
 
+    # One data source: pcap_dir with pcap_labels, or profiles (given or the
+    # scenario's preset) with traces_per_class and duration.
     scenario = doc.get("scenario", "custom")
     profiles: list[ClassProfile] = []
-    if "profiles" in doc:
-        if not isinstance(doc["profiles"], list):
-            raise ConfigError("profiles: must be a list of profile objects")
-        profiles = [
-            _parse_profile(p, f"profiles[{i}]") for i, p in enumerate(doc["profiles"])
-        ]
-    elif "pcap_dir" not in doc:
-        try:
-            profiles = builtin_profiles(Scenario(scenario))
-        except ValueError as exc:
-            raise ConfigError(f"scenario: {exc}") from exc
-
     pcap_files: list[tuple[Path, str]] = []
     if "pcap_dir" in doc:
+        for name in ("profiles", "traces_per_class", "duration"):
+            if name in doc:
+                raise ConfigError(f"{name}: not allowed with pcap_dir")
         pcap_dir = base_dir / doc["pcap_dir"]
         labels = doc.get("pcap_labels")
         if not isinstance(labels, dict) or not labels:
@@ -299,6 +295,19 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
             if not path.is_file():
                 raise ConfigError(f"pcap_labels: file not found: {path}")
             pcap_files.append((path, label))
+    elif "pcap_labels" in doc:
+        raise ConfigError("pcap_labels: not allowed without pcap_dir")
+    elif "profiles" in doc:
+        if not isinstance(doc["profiles"], list):
+            raise ConfigError("profiles: must be a list of profile objects")
+        profiles = [
+            _parse_profile(p, f"profiles[{i}]") for i, p in enumerate(doc["profiles"])
+        ]
+    else:
+        try:
+            profiles = builtin_profiles(Scenario(scenario))
+        except ValueError as exc:
+            raise ConfigError(f"scenario: {exc}") from exc
 
     bursts = doc.get("burst_sizes")
     if bursts is None and "timespans" not in doc:
@@ -421,20 +430,12 @@ class SweepReport:
 
 def _load_traces(config: ExperimentConfig) -> list[Trace]:
     if config.pcap_files:
-        return [
-            load_pcap(path, label, Scenario.CUSTOM) for path, label in config.pcap_files
-        ]
-    scenario = (
-        Scenario(config.scenario)
-        if config.scenario in {s.value for s in Scenario}
-        else Scenario.CUSTOM
-    )
+        return [load_pcap(path, label) for path, label in config.pcap_files]
     return generate_dataset(
         config.profiles,
         config.traces_per_class,
         config.duration,
         derive_seed(config.seed, "dataset"),
-        scenario,
     )
 
 
@@ -444,13 +445,14 @@ def cell_seeds(cell_seed: int) -> tuple[int, int]:
 
 
 def fit_cell(X, y, clf, train_idx, test_idx, cell_seed, trees=None):
-    """Train a cell on its train rows with `cell_seeds(cell_seed)[1]`; return (model,
-    outcome): the test rows' predicted labels, in `y`'s dtype, for a whole cell
-    (`trees` None), else the vote matrix of trees `trees` of its forest on them."""
+    """Train a cell on its train rows with `cell_seeds(cell_seed)[1]` and return
+    its predictions on the test rows, not the model: their labels, in `y`'s
+    dtype, for a whole cell (`trees` None), else the vote matrix of trees
+    `trees` of its forest on them."""
     model = clf.train(X[train_idx], y[train_idx], cell_seeds(cell_seed)[1], trees)
     if trees is None:
-        return model, attackers.predict(model, X[test_idx]).astype(y.dtype)
-    return model, attackers.forest_votes(model, X[test_idx])
+        return attackers.predict(model, X[test_idx]).astype(y.dtype)
+    return attackers.forest_votes(model, X[test_idx])
 
 
 def _tree_ranges(clf: ClassifierSpec, workers: int) -> list[range | None]:
@@ -474,9 +476,9 @@ _JOBS: list[tuple] = []
 
 
 def _run_job(i: int) -> tuple[np.ndarray | None, str]:
-    """(`fit_cell(*_JOBS[i])[1]`, "") or, when it raised, (None, the skip reason)."""
+    """(`fit_cell(*_JOBS[i])`, "") or, when it raised, (None, the skip reason)."""
     try:
-        return fit_cell(*_JOBS[i])[1], ""
+        return fit_cell(*_JOBS[i]), ""
     except Exception as exc:  # captured per cell, sweep continues
         return None, f"{type(exc).__name__}: {exc}"
 

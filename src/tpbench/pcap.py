@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tpbench.traffic import Protocol, Scenario, Trace
+from tpbench.traffic import Protocol, Trace
 
 MAGIC_MICROS_BE = 0xA1B2C3D4
 MAGIC_NANOS_BE = 0xA1B23C4D
@@ -160,9 +160,7 @@ def _decode_frames(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple
     return proto, src_ip, dst_ip, src_port, dst_port, window
 
 
-def parse_pcap_with_stats(
-    data: bytes, label: str, scenario: Scenario = Scenario.CUSTOM, trace_id: str = ""
-) -> tuple[Trace, PcapStats]:
+def parse_pcap_with_stats(data: bytes, label: str, trace_id: str = "") -> tuple[Trace, PcapStats]:
     """Parse a classic pcap byte stream.
 
     Timestamps are rebased so the first packet is at t = 0. Out-of-order
@@ -211,16 +209,16 @@ def parse_pcap_with_stats(
     )
     trace = Trace(
         timestamps, orig_len[order], *(column[order] for column in columns),
-        label=label, scenario=scenario, trace_id=trace_id,
+        label=label, trace_id=trace_id,
     )
     return trace, stats
 
 
-def load_pcap(path: str | Path, label: str, scenario: Scenario = Scenario.CUSTOM) -> Trace:
+def load_pcap(path: str | Path, label: str) -> Trace:
     """The trace of the capture at `path`; format errors name the file."""
     path = Path(path)
     try:
-        trace, _stats = parse_pcap_with_stats(path.read_bytes(), label, scenario, path.stem)
+        trace, _stats = parse_pcap_with_stats(path.read_bytes(), label, path.stem)
     except PcapFormatError as exc:
         raise PcapFormatError(f"{path}: {exc}") from exc
     return trace

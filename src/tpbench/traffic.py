@@ -97,7 +97,6 @@ class Trace:
     dst_port: np.ndarray
     tcp_window: np.ndarray
     label: str
-    scenario: Scenario = Scenario.CUSTOM
     trace_id: str = ""
 
     def __post_init__(self):
@@ -107,19 +106,13 @@ class Trace:
             raise ValueError("trace columns must be 1-D and of equal length")
 
     @classmethod
-    def from_packets(
-        cls,
-        packets: list[PacketRecord],
-        label: str,
-        scenario: Scenario = Scenario.CUSTOM,
-        trace_id: str = "",
-    ) -> "Trace":
+    def from_packets(cls, packets: list[PacketRecord], label: str, trace_id: str = "") -> "Trace":
         columns = {
             name: [getattr(p, field.name) for p in packets]
             for name, field in zip(_COLUMN_DTYPES, fields(PacketRecord))
         }
         columns["protocols"] = [protocol.code for protocol in columns["protocols"]]
-        return cls(**columns, label=label, scenario=scenario, trace_id=trace_id)
+        return cls(**columns, label=label, trace_id=trace_id)
 
     @property
     def packets(self) -> list[PacketRecord]:
@@ -267,11 +260,7 @@ def generate_trace(profile: ClassProfile, duration: float, seed: int) -> Trace:
 
 
 def generate_dataset(
-    profiles: list[ClassProfile],
-    traces_per_class: int,
-    duration: float,
-    seed: int,
-    scenario: Scenario = Scenario.CUSTOM,
+    profiles: list[ClassProfile], traces_per_class: int, duration: float, seed: int
 ) -> list[Trace]:
     """Balanced labeled corpus; per-trace seeds derived from the master seed."""
     if len(profiles) < 2:
@@ -283,7 +272,6 @@ def generate_dataset(
         for k in range(traces_per_class):
             sub = derive_seed(seed, "trace", profile.label, k)
             trace = generate_trace(profile, duration, sub)
-            trace.scenario = scenario
             trace.trace_id = f"{profile.label}-{k}"
             traces.append(trace)
     return traces
@@ -348,7 +336,7 @@ _TRACE_FIELDS = "timestamp,length,protocol,src_ip,dst_ip,src_port,dst_port,tcp_w
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:
-    lines = [f"# label: {trace.label}", f"# scenario: {trace.scenario.value}"]
+    lines = [f"# label: {trace.label}"]
     if trace.trace_id:
         lines.append(f"# trace_id: {trace.trace_id}")
     lines.append(f"# fields: {_TRACE_FIELDS}")
@@ -360,7 +348,7 @@ def save_trace(trace: Trace, path: str | Path) -> None:
 
 
 def load_trace(path: str | Path, label: str | None = None) -> Trace:
-    meta = {"label": "", "scenario": Scenario.CUSTOM.value, "trace_id": ""}
+    meta = {"label": "", "trace_id": ""}
     rows = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -386,7 +374,6 @@ def load_trace(path: str | Path, label: str | None = None) -> Trace:
         trace = Trace(
             *(zip(*rows) if rows else [()] * len(_COLUMN_DTYPES)),
             label=label if label is not None else meta["label"],
-            scenario=Scenario(meta["scenario"]),
             trace_id=meta["trace_id"],
         )
         trace.validate()

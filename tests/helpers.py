@@ -38,7 +38,6 @@ from tpbench.traffic import (
     ClassProfile,
     PacketRecord,
     Protocol,
-    Scenario,
     Trace,
     generate_trace,
 )
@@ -493,9 +492,7 @@ def exact_count_trace(profile: ClassProfile, n_packets: int, seed: int) -> Trace
     while len(trace.packets) < n_packets:
         duration *= 1.5
         trace = generate_trace(profile, duration, seed)
-    return Trace.from_packets(
-        trace.packets[:n_packets], profile.label, trace.scenario, trace.trace_id
-    )
+    return Trace.from_packets(trace.packets[:n_packets], profile.label, trace.trace_id)
 
 
 def apply_alternation(
@@ -594,7 +591,7 @@ def _decode_frame(frame: bytes) -> tuple[Protocol, int, int, int, int, int]:
 
 
 def reference_parse_pcap_with_stats(
-    data: bytes, label: str, scenario: Scenario = Scenario.CUSTOM, trace_id: str = ""
+    data: bytes, label: str, trace_id: str = ""
 ) -> tuple[Trace, PcapStats]:
     """`parse_pcap_with_stats` one record at a time: each record header is
     unpacked, each frame sliced and decoded field by field, and the packets
@@ -645,7 +642,7 @@ def reference_parse_pcap_with_stats(
     # land one ulp away from the correctly rounded value.
     timestamps = [round(t, digits) for t in rel.tolist()]
     stats.packets = len(raw)
-    trace = Trace(timestamps, *columns, label=label, scenario=scenario, trace_id=trace_id)
+    trace = Trace(timestamps, *columns, label=label, trace_id=trace_id)
     return trace, stats
 
 
@@ -653,9 +650,7 @@ def assert_same_parse(got: tuple[Trace, PcapStats], expected: tuple[Trace, PcapS
     """Equal stats, trace metadata and every column in dtype and bytes."""
     (trace, stats), (want, want_stats) = got, expected
     assert stats == want_stats
-    assert (trace.label, trace.scenario, trace.trace_id) == (
-        want.label, want.scenario, want.trace_id
-    )
+    assert (trace.label, trace.trace_id) == (want.label, want.trace_id)
     for name in _COLUMN_DTYPES:
         column, want_column = getattr(trace, name), getattr(want, name)
         assert column.dtype == want_column.dtype, name

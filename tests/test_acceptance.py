@@ -221,7 +221,7 @@ def test_criterion_5_classifier_sanity():
     # all five classifiers >= 0.95 on separable 2-class data at burst 500
     traces = generate_dataset(
         builtin_profiles(Scenario.MIC_ONOFF), 3, 60.0,
-        derive_seed(5, "dataset"), Scenario.MIC_ONOFF,
+        derive_seed(5, "dataset"),
     )
     X5, y5, _ = stack_series([extract_series(t, WindowSpec.burst(500)) for t in traces])
     train_idx, test_idx = attackers.split(y5, 0.7, derive_seed(5, "split"))
@@ -258,7 +258,7 @@ def baseline_3class():
     features cached per burst size, traces freed on return."""
     traces = generate_dataset(
         builtin_profiles(Scenario.UTILITY_MEDIA_TRAVEL), 3, 60.0,
-        derive_seed(2024, "dataset"), Scenario.UTILITY_MEDIA_TRAVEL,
+        derive_seed(2024, "dataset"),
     )
     return {
         n: stack_series([extract_series(t, WindowSpec.burst(n)) for t in traces])
@@ -383,7 +383,7 @@ def test_criterion_6d_realistic_preserves_untouched_signal():
         window_profile("wmid", 12000.0, 1500.0),
         window_profile("whigh", 24000.0, 3000.0),
     ]
-    traces = generate_dataset(profiles, 3, 60.0, derive_seed(13, "6d"), Scenario.CUSTOM)
+    traces = generate_dataset(profiles, 3, 60.0, derive_seed(13, "6d"))
     X, y, _ = stack_series([extract_series(t, WindowSpec.burst(500)) for t in traces])
     accuracy = {}
     for nu in (2.0, 64.0):

@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -25,7 +24,7 @@ from tpbench.attackers.mlp import (
     loss_and_gradients,
 )
 from tpbench.attackers.tree import fit_tree
-from tpbench.harness import ClassifierSpec, fit_cell
+from tpbench.harness import ClassifierSpec, cell_seeds, fit_cell
 from tpbench.seeding import derive_seed
 
 
@@ -579,102 +578,6 @@ def test_all_classifiers_deterministic():
         assert np.array_equal(first, second), kind
 
 
-ROUND_TRIP_PARAMS = {
-    "knn": {"k": 3},
-    "tree": {"max_depth": 4},
-    "forest": {"n_trees": 8, "seed": 2},
-    "adaboost": {"rounds": 8},
-    "mlp": {"epochs": 10, "seed": 2},
-}
-
-
-def test_model_json_round_trip_all_kinds(tmp_path):
-    """Every kind in the table, so a kind without a decoder fails here."""
-    rng = np.random.default_rng(20)
-    X, y = blobs(rng, 25, [("a", 0.0), ("b", 2.0), ("c", 4.0)], spread=1.0)
-    queries = rng.normal(2.0, 1.5, size=(30, 12))
-    for kind in attackers.CLASSIFIER_KINDS:
-        model = attackers.train(kind, X, y, **ROUND_TRIP_PARAMS.get(kind, {}))
-        path = tmp_path / f"{kind}.json"
-        attackers.save_model(model, path)
-        back = attackers.load_model(path)
-        assert back.kind == model.kind
-        assert back.classes == model.classes
-        assert attackers.model_to_json(back) == attackers.model_to_json(model), kind
-        assert np.array_equal(
-            attackers.predict(back, queries), attackers.predict(model, queries)
-        ), kind
-
-
-def test_model_json_tree_nodes_keep_only_their_own_keys():
-    """Fields equal to their default are left out: a leaf is its class, an
-    internal node its split and children."""
-    rng = np.random.default_rng(21)
-    X, y = blobs(rng, 20, [("a", 0.0), ("b", 3.0)], spread=1.0)
-    doc = json.loads(attackers.model_to_json(attackers.train("tree", X, y)))
-    assert set(doc) == {"format_version", "kind", "params", "standardizer", "classes"}
-    assert doc["format_version"] == attackers.MODEL_FORMAT_VERSION == 3
-    root = doc["params"]["root"]
-    assert set(root) == {"feature", "threshold", "left", "right"}
-    leaves, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        if "left" in node:
-            stack += [node["left"], node["right"]]
-        else:
-            leaves.append(node)
-    assert leaves and all(set(leaf) == {"klass"} for leaf in leaves)
-
-
-def test_model_json_forest_trees_are_tree_params():
-    rng = np.random.default_rng(22)
-    X, y = blobs(rng, 20, [("a", 0.0), ("b", 3.0)], spread=1.0)
-    doc = json.loads(attackers.model_to_json(attackers.train("forest", X, y, n_trees=3)))
-    assert [set(tree) for tree in doc["params"]["trees"]] == [{"root", "n_classes"}] * 3
-
-
-def test_model_json_rejects_unknown_version():
-    with pytest.raises(ValueError, match="version"):
-        attackers.model_from_json('{"format_version": 99}')
-
-
-def test_model_json_refuses_a_version_2_document():
-    rng = np.random.default_rng(23)
-    X, y = blobs(rng, 10, [("a", 0.0), ("b", 3.0)])
-    doc = json.loads(attackers.model_to_json(attackers.train("knn", X, y)))
-    doc["format_version"] = 2
-    with pytest.raises(ValueError, match="unsupported model format version 2; expected 3"):
-        attackers.model_from_json(json.dumps(doc))
-
-
-def _tree_doc(kind: str, params: str) -> str:
-    return (f'{{"format_version": 3, "kind": "{kind}", "params": {params}, '
-            '"standardizer": {"mean": [0.0], "std": [1.0]}, "classes": ["a", "b"]}')
-
-
-@pytest.mark.parametrize("text, message", [
-    ('{"format_version": 3, "kind": "svm", "params": {}}', "unknown classifier kind 'svm'"),
-    ('{"format_version": 3, "kind": ["knn"]}', r"unknown classifier kind \['knn'\]"),
-    ('{"format_version": 3}', "unknown classifier kind None"),
-    ('[3, "knn"]', "a model document is a JSON object, not list"),
-    ('"knn"', "a model document is a JSON object, not str"),
-    ('{"format_version": 3, "kind": "tree", "params": {}}', "malformed tree model document"),
-    ('{"format_version": 3, "kind": "mlp", "params": [], "standardizer": {}, "classes": []}',
-     "malformed mlp model document"),
-    # A tree node is a leaf `{"klass"}` or has a feature and both children.
-    (_tree_doc("tree", '{"root": {}, "n_classes": 2}'),
-     r"malformed tree model document: KeyError\('feature'\)"),
-    (_tree_doc("tree", '{"root": {"feature": 0}, "n_classes": 2}'),
-     r"malformed tree model document: KeyError\('left'\)"),
-    (_tree_doc("forest", '{"trees": [{"root": {"feature": 0, "left": {"klass": 0}}, '
-                         '"n_classes": 2}], "n_classes": 2}'),
-     r"malformed forest model document: KeyError\('right'\)"),
-])
-def test_model_json_rejects_malformed_documents_with_value_error(text, message):
-    with pytest.raises(ValueError, match=message):
-        attackers.model_from_json(text)
-
-
 def test_train_dispatch_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown classifier kind"):
         attackers.train("svm", np.zeros((4, 12)), ["a", "a", "b", "b"])
@@ -703,10 +606,41 @@ def test_labels_and_their_codes_split_and_train_alike(n_classes):
         assert list(attackers.predict(by_label, X[test_idx])) == [classes[c] for c in predicted]
         assert attackers.evaluate(by_label, X[test_idx], labels[test_idx]) == attackers.evaluate(
             by_code, X[test_idx], codes[test_idx])
-        _, cell_codes = fit_cell(X, codes, ClassifierSpec.from_params(kind, params),
-                                 train_idx, test_idx, 0)
+        cell_codes = fit_cell(X, codes, ClassifierSpec.from_params(kind, params),
+                              train_idx, test_idx, 0)
         assert attackers.accuracy(cell_codes, codes[test_idx]) == attackers.evaluate(
             by_label, X[test_idx], labels[test_idx])
-        back = attackers.model_from_json(attackers.model_to_json(by_code))
-        assert back.classes == list(range(n_classes))
-        assert np.array_equal(attackers.predict(back, X), attackers.predict(by_code, X))
+
+
+CELL_PARAMS = {
+    "knn": {"k": 3},
+    "tree": {"max_depth": 4},
+    "forest": {"n_trees": 6},
+    "adaboost": {"rounds": 6},
+    "mlp": {"epochs": 5},
+}
+
+
+@pytest.mark.parametrize("kind", attackers.CLASSIFIER_KINDS)
+def test_fit_cell_returns_the_predictions_of_its_one_fit(kind, monkeypatch):
+    """Every kind in the table: `fit_cell` fits once on the train rows, a
+    seeded kind with `cell_seeds(cell_seed)[1]`, and returns that model's
+    predictions on the test rows in `y`'s dtype, for labels and codes alike."""
+    rng = np.random.default_rng(24)
+    X, labels = blobs(rng, 20, [("a", 0.0), ("b", 1.5), ("c", 3.0)], spread=1.0)
+    codes = np.unique(labels, return_inverse=True)[1].astype(np.int64)
+    spec = ClassifierSpec.from_params(kind, CELL_PARAMS.get(kind, {}))
+    split_seed, train_seed = cell_seeds(31)
+    train_idx, test_idx = split(codes, 0.7, split_seed)
+    real_train = attackers.train
+    for y in (labels, codes):
+        fits = []
+        monkeypatch.setattr(attackers, "train", lambda *a, **k: (
+            fits.append((a[0], k.get("seed"))) or real_train(*a, **k)))
+        got = fit_cell(X, y, spec, train_idx, test_idx, 31)
+        monkeypatch.setattr(attackers, "train", real_train)
+        seeded = "seed" in attackers.HYPERPARAMETERS[kind]
+        assert fits == [(kind, train_seed if seeded else None)]
+        model = spec.train(X[train_idx], y[train_idx], train_seed)
+        assert got.dtype == y.dtype
+        assert np.array_equal(got, attackers.predict(model, X[test_idx]))

@@ -4,6 +4,7 @@ import re
 import warnings
 
 import numpy as np
+import pytest
 
 from helpers import build_pcap, ipv4_frame
 from tpbench import attackers
@@ -17,7 +18,7 @@ from tpbench.features import (
     stack_series,
 )
 from tpbench.adversarial import REALISTIC_UNTOUCHED_FEATURES, TransformSpec
-from tpbench.harness import cell_seeds
+from tpbench.harness import ClassifierSpec, cell_seeds
 from tpbench.seeding import derive_seed
 from tpbench.traffic import Protocol
 
@@ -42,6 +43,7 @@ def test_synth_writes_dataset(tmp_path, capsys):
     assert len(traces) == 4
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["labels"] == ["mic_off", "mic_on"]
+    assert manifest["scenario"] == "mic_onoff"
 
 
 def test_synth_non_finite_duration_exits_two(tmp_path, capsys):
@@ -341,25 +343,81 @@ def test_sweep_with_one_class_exits_two_naming_the_field(tmp_path, capsys):
     assert "pcap_labels: every file has label 'x'" in capsys.readouterr().err
 
 
-def test_attack_save_model(tmp_path, capsys, monkeypatch):
-    """The saved model is the one fit that scored the printed accuracy."""
+PCAPS = {"pcap_dir": ".", "pcap_labels": {"a.pcap": "x", "b.pcap": "y"}}
+
+
+@pytest.mark.parametrize("source, message", [
+    ({**PCAPS, "profiles": [{"label": "x"}, {"label": "y"}]},
+     "profiles: not allowed with pcap_dir"),
+    ({**PCAPS, "traces_per_class": 9, "duration": 5.0},
+     "traces_per_class: not allowed with pcap_dir"),
+    ({**PCAPS, "duration": 5.0}, "duration: not allowed with pcap_dir"),
+    ({"scenario": "mic_onoff", "pcap_labels": PCAPS["pcap_labels"]},
+     "pcap_labels: not allowed without pcap_dir"),
+])
+def test_sweep_with_fields_of_the_other_source_exits_two_naming_the_field(
+        source, message, tmp_path, capsys):
+    for name in ("a.pcap", "b.pcap"):
+        (tmp_path / name).write_bytes(b"")
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({**source, "burst_sizes": [5], "classifiers": [{"kind": "knn"}]}))
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_over_pcaps_names_the_run_by_its_scenario(tmp_path, monkeypatch):
+    """`sweep.csv`'s scenario column is the config's `scenario` ("custom" when
+    left out), which with `pcap_dir` only names the run."""
+    for name, protocol, window in (("a.pcap", Protocol.TCP, 100), ("b.pcap", Protocol.UDP, 0)):
+        frame = ipv4_frame(protocol, 1, 2, 80, 81, tcp_window=window)
+        (tmp_path / name).write_bytes(build_pcap([(i * 0.25, frame) for i in range(40)]))
+    monkeypatch.setenv("TPB_WORKERS", "1")
+    path = tmp_path / "exp.json"
+    for out, named, scenario in (("a", {"scenario": "lab_capture"}, "lab_capture"),
+                                 ("b", {}, "custom")):
+        path.write_text(json.dumps({**PCAPS, **named, "burst_sizes": [5], "output_dir": out,
+                                    "classifiers": [{"kind": "knn", "k": 1}]}))
+        assert main(["sweep", "--config", str(path)]) == 0
+        with open(tmp_path / out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["status"], row["scenario"]) for row in rows] == [("ok", scenario)]
+
+
+def _features_csv(tmp_path):
+    """A burst-200 feature CSV of a small synthetic mic_onoff dataset."""
     data = tmp_path / "data"
     main(["synth", "--scenario", "mic_onoff", "--traces-per-class", "2",
           "--duration", "8.0", "--seed", "3", "--out", str(data)])
     csv_path = tmp_path / "f.csv"
     main(["extract", "--traces", str(data), "--burst", "200", "--out", str(csv_path)])
-    model_path = tmp_path / "model.json"
+    return csv_path
+
+
+def test_attack_prints_the_accuracy_of_its_one_fit(tmp_path, capsys, monkeypatch):
+    """`attack` fits once, and prints what `evaluate` gives for the model of
+    the cell's split and train seeds."""
+    csv_path = _features_csv(tmp_path)
     fits = []
     real_train = attackers.train
     monkeypatch.setattr(attackers, "train", lambda *a, **k: fits.append(a[0]) or real_train(*a, **k))
     capsys.readouterr()
-    code = main(["attack", "--features", str(csv_path), "--classifier", "tree",
-                 "--save-model", str(model_path)])
+    code = main(["attack", "--features", str(csv_path), "--classifier", "tree"])
     assert code == 0
     assert fits == ["tree"]
-    doc = json.loads(model_path.read_text())
-    assert doc["kind"] == "tree"
     X, y, _ = stack_series(load_features_csv(csv_path))
-    _, test_idx = attackers.split(y, 0.7, cell_seeds(0)[0])
-    accuracy = attackers.evaluate(attackers.load_model(model_path), X[test_idx], y[test_idx])
+    split_seed, train_seed = cell_seeds(0)
+    train_idx, test_idx = attackers.split(y, 0.7, split_seed)
+    model = ClassifierSpec("tree").train(X[train_idx], y[train_idx], train_seed)
+    accuracy = attackers.evaluate(model, X[test_idx], y[test_idx])
     assert f"accuracy={accuracy!r} " in capsys.readouterr().out
+
+
+def test_attack_has_no_save_model_flag(tmp_path, capsys):
+    csv_path = _features_csv(tmp_path)
+    model_path = tmp_path / "m.json"
+    code = main(["attack", "--features", str(csv_path), "--classifier", "tree",
+                 "--save-model", str(model_path)])
+    assert code == 1
+    assert "--save-model" in capsys.readouterr().err
+    assert not model_path.exists()

@@ -1,7 +1,13 @@
 """The README's documented entry points run as written."""
 
+import argparse
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from tpbench import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,3 +19,26 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, f"{README.name} (## Library)", "exec"), {})
     accuracy = float(capsys.readouterr().out)
     assert 0.0 <= accuracy <= 1.0
+
+
+def _cli_block() -> str:
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    (block,) = re.findall(r"```sh\n(.*?)```", section.split("\n## ", 1)[0], re.S)
+    return block
+
+
+(_COMMANDS,) = [action.choices for action in cli._build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)]
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_readme_cli_flags_exist(command):
+    """Every `--flag` of a `tpbench <command>` line in the `## CLI` block is
+    an option of that command's parser, and each command has such a line."""
+    options = {flag for action in _COMMANDS[command]._actions for flag in action.option_strings}
+    flags = [word.split("=", 1)[0] for line in _cli_block().splitlines()
+             if (words := shlex.split(line))[:2] == ["tpbench", command]
+             for word in words[2:] if word.startswith("--")]
+    assert flags, f"README: no `tpbench {command}` line with a flag"
+    for flag in flags:
+        assert flag in options, f"README: `tpbench {command}` has no {flag}"

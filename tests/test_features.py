@@ -355,7 +355,7 @@ ORACLE_SPECS = (
     [Scenario.MIC_ONOFF, Scenario.MIC_ON_NOISE, Scenario.UTILITY_MEDIA_TRAVEL],
 )
 def test_extract_series_matches_oracle_on_generated_traces(scenario):
-    traces = generate_dataset(builtin_profiles(scenario), 1, 2.5, seed=17, scenario=scenario)
+    traces = generate_dataset(builtin_profiles(scenario), 1, 2.5, seed=17)
     for trace in traces:
         for spec in ORACLE_SPECS:
             assert_series_matches_oracle(trace, spec)

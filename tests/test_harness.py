@@ -122,7 +122,7 @@ def test_pool_never_outnumbers_runnable_cells(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_JOBS", jobs)
     results = harness._run_jobs(64)
     assert made == [(3, "fork")]
-    expected = [fit_cell(*job)[1] for job in jobs]
+    expected = [fit_cell(*job) for job in jobs]
     assert len(results) == len(expected)
     assert all(np.array_equal(got, want) and reason == ""
                for (got, reason), want in zip(results, expected))
@@ -259,7 +259,7 @@ def test_split_forest_equals_unsplit_forest():
         train_idx, test_idx = attackers.split(y, 0.7, split_seed)
         model = clf.train(X[train_idx], y[train_idx], train_seed)
         labels = attackers.predict(model, X[test_idx])
-        assert np.array_equal(fit_cell(X, y, clf, train_idx, test_idx, 17)[1], labels)
+        assert np.array_equal(fit_cell(X, y, clf, train_idx, test_idx, 17), labels)
         cell = (attackers.accuracy(labels, y[test_idx]), train_idx.size, test_idx.size)
         for parts in range(1, n_trees + 2):
             ranges = harness._tree_ranges(clf, parts)
@@ -270,7 +270,7 @@ def test_split_forest_equals_unsplit_forest():
             grown = [tree for r in ranges
                      for tree in fit_forest(X, codes, 3, n_trees=n_trees, seed=11, trees=r).trees]
             assert grown == whole.trees
-            votes = sum(fit_cell(X, y, clf, train_idx, test_idx, 17, r)[1] for r in ranges)
+            votes = sum(fit_cell(X, y, clf, train_idx, test_idx, 17, r) for r in ranges)
             assert np.array_equal(np.array(model.classes, dtype=object)[votes.argmax(axis=1)],
                                   labels)
             assert (attackers.accuracy(votes.argmax(axis=1), codes[test_idx]),
@@ -543,12 +543,19 @@ def test_config_field_errors_are_named(tmp_path):
     for name in ("a.pcap", "b.pcap"):
         (tmp_path / name).write_bytes(b"")
     other = asdict(builtin_profiles(Scenario.MIC_ONOFF)[1])
+    pcaps = {"pcap_dir": str(tmp_path), "pcap_labels": {"a.pcap": "x", "b.pcap": "y"}}
     for source, named in (  # fewer than two classes
         ({"profiles": [profile, other, {**other, "label": profile["label"]}]},
          rf"^profiles\[2\]: label '{profile['label']}' duplicates profiles\[0\]$"),
         ({"profiles": [profile]}, r"^profiles: need at least 2 class profiles, got 1$"),
         ({"pcap_dir": str(tmp_path), "pcap_labels": {"a.pcap": "x", "b.pcap": "x"}},
          r"^pcap_labels: every file has label 'x'; need at least 2 distinct labels$"),
+        # fields of the other data source, which would be read and never used
+        ({**pcaps, "profiles": [profile, other]}, r"^profiles: not allowed with pcap_dir$"),
+        ({**pcaps, "traces_per_class": 9, "duration": 5.0},
+         r"^traces_per_class: not allowed with pcap_dir$"),
+        ({**pcaps, "duration": 5.0}, r"^duration: not allowed with pcap_dir$"),
+        ({"pcap_labels": pcaps["pcap_labels"]}, r"^pcap_labels: not allowed without pcap_dir$"),
     ):
         with pytest.raises(ConfigError, match=named):
             config_from_dict({**base, "classifiers": [{"kind": "knn"}], **source})
@@ -642,6 +649,21 @@ def test_config_missing_pcap_file_fails_at_load(tmp_path):
         load_config(path)
 
 
+def test_validate_rejects_a_config_built_with_both_data_sources(tmp_path):
+    """A config built in code holds one data source too: the sweep would load
+    the pcaps and never run the profiles."""
+    config = load_config(small_config(tmp_path))
+    assert config.profiles and not config.pcap_files
+    config.validate()
+    config.pcap_files = [(tmp_path / "a.pcap", "x"), (tmp_path / "b.pcap", "y")]
+    with pytest.raises(ConfigError, match=r"^profiles: not allowed with pcap_dir$"):
+        config.validate()
+    with pytest.raises(ConfigError, match=r"^profiles: not allowed with pcap_dir$"):
+        run_experiment(config)
+    config.profiles = []
+    config.validate()
+
+
 def test_timespan_windows_run(tmp_path):
     path = small_config(tmp_path, burst_sizes=[], timespans=[0.5])
     report = run_experiment(load_config(path))
@@ -665,7 +687,6 @@ def test_sweep_equals_manual_stage_chain(tmp_path):
         config.traces_per_class,
         config.duration,
         derive_seed(config.seed, "dataset"),
-        Scenario.MIC_ONOFF,
     )
     wspec = WindowSpec.burst(200)
     X, y, _ = stack_series([extract_series(t, wspec) for t in traces])
@@ -674,7 +695,7 @@ def test_sweep_equals_manual_stage_chain(tmp_path):
     clf = ClassifierSpec.from_dict({"kind": "forest", "n_trees": 10})
     cell_seed = derive_seed(config.seed, "cell", wspec.key(), tspec.key(), clf.key())
     train_idx, test_idx = attackers.split(y, 0.7, harness.cell_seeds(cell_seed)[0])
-    _, predicted = fit_cell(Xt, y, clf, train_idx, test_idx, cell_seed)
+    predicted = fit_cell(Xt, y, clf, train_idx, test_idx, cell_seed)
     accuracy = attackers.accuracy(predicted, y[test_idx])
     n_train, n_test = train_idx.size, test_idx.size
 

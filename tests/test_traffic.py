@@ -148,15 +148,20 @@ def test_builtin_profiles_shapes():
 
 def test_trace_text_round_trip(tmp_path):
     trace = generate_trace(profile(), 2.0, seed=5)
-    trace.scenario = Scenario.MIC_ONOFF
     trace.trace_id = "a-0"
     path = tmp_path / "t.trace"
     save_trace(trace, path)
     back = load_trace(path)
     assert back.packets == trace.packets
     assert back.label == trace.label
-    assert back.scenario == trace.scenario
     assert back.trace_id == trace.trace_id
+    # Older files carry a `# scenario:` header line; it is skipped.
+    old = tmp_path / "old.trace"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    old.write_text(lines[0] + "# scenario: mic_onoff\n" + "".join(lines[1:]), encoding="utf-8")
+    again = load_trace(old)
+    assert again.packets == trace.packets
+    assert (again.label, again.trace_id) == (trace.label, trace.trace_id)
 
 
 def test_load_trace_reports_bad_line(tmp_path):
@@ -212,7 +217,7 @@ def test_row_view_round_trip():
     ])
     parsed, _ = parse_pcap_with_stats(pcap, label="q")
     for trace in (generate_trace(profile(), 2.0, seed=5), parsed):
-        back = Trace.from_packets(trace.packets, trace.label, trace.scenario, trace.trace_id)
+        back = Trace.from_packets(trace.packets, trace.label, trace.trace_id)
         for name in ("timestamps", "lengths", "protocols", "src_ip", "dst_ip",
                      "src_port", "dst_port", "tcp_window"):
             column, again = getattr(trace, name), getattr(back, name)
