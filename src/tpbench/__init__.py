@@ -17,10 +17,10 @@ from tpbench.harness import (
 )
 from tpbench.pcap import parse_pcap_with_stats
 from tpbench.traffic import (
+    PRESETS,
     ClassProfile,
     PacketRecord,
     Protocol,
-    Scenario,
     Trace,
     builtin_profiles,
     generate_dataset,

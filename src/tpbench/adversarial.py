@@ -18,13 +18,12 @@ reports print, and `TransformSpec.apply(X, seed)` is the one way to run it.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from tpbench.features import COUNT_FEATURES, FEATURE_INDEX, N_FEATURES
+from tpbench.rules import BOOL, POSITIVE, check, is_int
 
 # Realistic-mode treatment map: which feature gets which treatment.
 REALISTIC_AWGN_FEATURES: tuple[str, ...] = (
@@ -57,10 +56,6 @@ class NonFiniteOutputError(ValueError):
     """A transform's output holds NaN or +-inf, e.g. noise scaled by a huge nu."""
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class TransformSpec:
     """One defense transform: a mode and the parameters it reads.
@@ -82,28 +77,14 @@ class TransformSpec:
                 f"transform mode {self.mode!r} unknown; expected one of {list(TRANSFORM_PARAMS)}"
             )
         if self.mode == "smooth":
-            if not _is_int(self.window) or self.window < 3 or self.window % 2 == 0:
-                raise ValueError(
-                    f"transform smooth: window must be an odd integer >= 3, got {self.window!r}"
-                )
-            if not _is_int(self.degree) or not 0 <= self.degree < self.window:
-                raise ValueError(
-                    "transform smooth: degree must be an integer in [0, window - 1], "
-                    f"got {self.degree!r}"
-                )
+            check(self.window, (lambda v: is_int(v) and v >= 3 and v % 2 == 1,
+                                "an odd integer >= 3"), "transform smooth: window")
+            check(self.degree, (lambda v: is_int(v) and 0 <= v < self.window,
+                                "an integer in [0, window - 1]"), "transform smooth: degree")
         if self.mode in ("awgn", "realistic"):
-            nu = self.nu
-            if not (isinstance(nu, numbers.Real) and not isinstance(nu, bool)
-                    and math.isfinite(nu) and nu > 0):
-                raise ValueError(
-                    f"transform {self.mode}: nu must be a finite number > 0, got {nu!r}"
-                )
-            object.__setattr__(self, "nu", float(nu))  # an integer nu prints as nu=2.0
-            if not isinstance(self.clamp_counts, bool):
-                raise ValueError(
-                    f"transform {self.mode}: clamp_counts must be true or false, "
-                    f"got {self.clamp_counts!r}"
-                )
+            check(self.nu, POSITIVE, f"transform {self.mode}: nu")
+            object.__setattr__(self, "nu", float(self.nu))  # an integer nu prints as nu=2.0
+            check(self.clamp_counts, BOOL, f"transform {self.mode}: clamp_counts")
 
     def params_repr(self) -> str:
         if self.mode == "smooth":

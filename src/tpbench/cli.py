@@ -36,7 +36,7 @@ from tpbench.harness import (
 )
 from tpbench.pcap import load_pcap
 from tpbench.traffic import (
-    Scenario,
+    PRESETS,
     builtin_profiles,
     generate_dataset,
     load_dataset,
@@ -61,8 +61,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("synth", help="generate and save a synthetic labeled dataset")
-    p.add_argument("--scenario", default="mic_onoff",
-                   choices=[s.value for s in Scenario if s is not Scenario.CUSTOM])
+    p.add_argument("--scenario", default="mic_onoff", choices=list(PRESETS))
     p.add_argument("--traces-per-class", type=int, default=3)
     p.add_argument("--duration", type=float, default=60.0)
     p.add_argument("--seed", type=int, default=0)
@@ -103,12 +102,11 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_synth(args) -> int:
-    scenario = Scenario(args.scenario)
-    profiles = builtin_profiles(scenario)
+    profiles = builtin_profiles(args.scenario)
     traces = generate_dataset(profiles, args.traces_per_class, args.duration, args.seed)
     paths = save_dataset(traces, args.out)
     manifest = {
-        "scenario": scenario.value,
+        "scenario": args.scenario,
         "seed": args.seed,
         "traces_per_class": args.traces_per_class,
         "duration": args.duration,

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
+from tpbench.rules import POSITIVE, check, integer_at_least
 from tpbench.traffic import Protocol, Trace
 
 _TCP, _UDP, _ICMP = Protocol.TCP.code, Protocol.UDP.code, Protocol.ICMP.code
@@ -69,15 +69,10 @@ class WindowSpec:
 
     def __post_init__(self):
         if self.mode == "burst":
-            n = self.burst_size
-            if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 2:
-                raise ValueError(f"burst size must be an integer >= 2, got {n!r}")
+            check(self.burst_size, integer_at_least(2), "burst size")
         elif self.mode == "timespan":
-            dt = self.timespan
-            if not (isinstance(dt, numbers.Real) and not isinstance(dt, bool)
-                    and math.isfinite(dt) and dt > 0):
-                raise ValueError(f"timespan must be a finite number > 0, got {dt!r}")
-            object.__setattr__(self, "timespan", float(dt))
+            check(self.timespan, POSITIVE, "timespan")
+            object.__setattr__(self, "timespan", float(self.timespan))
         else:
             raise ValueError(f"unknown window mode {self.mode!r}")
 

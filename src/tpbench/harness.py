@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +30,19 @@ from tpbench import attackers
 from tpbench.adversarial import TRANSFORM_PARAMS, TransformSpec
 from tpbench.features import EmptySeriesError, WindowSpec, extract_series, stack_series
 from tpbench.pcap import load_pcap
-from tpbench.seeding import derive_seed
-from tpbench.traffic import (
-    ClassProfile,
-    Scenario,
-    Trace,
-    builtin_profiles,
-    generate_dataset,
+from tpbench.rules import (
+    BOOL,
+    COUNT,
+    FRACTION,
+    OPTIONAL_COUNT,
+    POSITIVE,
+    SEED,
+    STRING,
+    ConfigError,
+    check,
 )
+from tpbench.seeding import derive_seed
+from tpbench.traffic import ClassProfile, Trace, builtin_profiles, generate_dataset
 
 DEFAULT_BURST_SIZES = (250, 500, 750, 1000, 1250, 1500)
 
@@ -68,61 +72,21 @@ _ROOT_KEYS = frozenset({
 _TRANSFORM_KEYS = frozenset({"mode"}.union(*TRANSFORM_PARAMS.values()))
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration; message names the offending field."""
-
-
-def _is_number(value) -> bool:
-    """A finite int or float: JSON gives no other numeric types, and a bool
-    or a numeric string is not a number here."""
-    return type(value) in (int, float) and math.isfinite(value)
-
-
-# Config field rules: (test, what a valid value is). No value is coerced.
-_COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
-_OPTIONAL_COUNT = (lambda v: v is None or _COUNT[0](v), "an integer >= 1 or null")
-_SEED = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
-_POSITIVE = (lambda v: _is_number(v) and v > 0, "a finite number > 0")
-_NUMBER = (_is_number, "a finite number")
-_FRACTION = (lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)")
-_BOOL = (lambda v: type(v) is bool, "true or false")
-_STRING = (lambda v: type(v) is str, "a string")
-
 _CLASSIFIER_RULES = {
-    **dict.fromkeys(("epochs", "batch_size", "k", "n_trees", "rounds", "min_leaf"), _COUNT),
-    **dict.fromkeys(("max_depth", "features_per_split"), _OPTIONAL_COUNT),
-    "seed": _SEED,
-    "bootstrap": _BOOL,
-    "learning_rate": _POSITIVE,
+    **dict.fromkeys(("epochs", "batch_size", "k", "n_trees", "rounds", "min_leaf"), COUNT),
+    **dict.fromkeys(("max_depth", "features_per_split"), OPTIONAL_COUNT),
+    "seed": SEED,
+    "bootstrap": BOOL,
+    "learning_rate": POSITIVE,
 }
-_ROOT_RULES = {
-    "scenario": _STRING,
-    "traces_per_class": _COUNT,
-    "duration": _POSITIVE,
-    "train_fraction": _FRACTION,
-    "seed": _SEED,
-    "output_dir": _STRING,
-    "pcap_dir": _STRING,
+# The fields of an ExperimentConfig that hold a config value as given.
+_CONFIG_RULES = {
+    "scenario": STRING,
+    "traces_per_class": COUNT,
+    "duration": POSITIVE,
+    "train_fraction": FRACTION,
+    "seed": SEED,
 }
-_PROFILE_RULES = {
-    "label": _STRING,
-    "protocol_mix": (lambda v: type(v) in (list, tuple) and all(map(_is_number, v)),
-                     "a list of finite numbers"),
-    **dict.fromkeys(("rate", "length_mean", "length_std", "window_mean", "window_std",
-                     "jitter_std"), _NUMBER),
-    **dict.fromkeys(("ip_pool_size", "port_pool_size"), _COUNT),
-}
-
-
-def _check(value, rule, field: str) -> None:
-    """Raise a ConfigError naming `field` unless `rule` holds for value."""
-    test, described = rule
-    try:
-        valid = test(value)
-    except OverflowError:  # an integer too large to be a float
-        valid = False
-    if not valid:
-        raise ConfigError(f"{field} must be {described}, got {value!r}")
 
 
 def _reject_duplicates(name: str, specs) -> None:
@@ -157,14 +121,14 @@ class ClassifierSpec:
         params = dict(self.params)
         _check_keys(params, attackers.HYPERPARAMETERS[self.kind], f"classifier {self.kind!r}")
         hidden = params.get("hidden", ())
-        if not (isinstance(hidden, tuple) and all(type(w) is int and w > 0 for w in hidden)):
+        if not (isinstance(hidden, tuple) and all(COUNT[0](w) for w in hidden)):
             raise ConfigError(
                 f"classifier {self.kind!r}: hidden must be a list of positive layer "
                 f"widths, got {hidden!r}"
             )
         for name, value in params.items():
             if name in _CLASSIFIER_RULES:
-                _check(value, _CLASSIFIER_RULES[name], f"classifier {self.kind!r}: {name}")
+                check(value, _CLASSIFIER_RULES[name], f"classifier {self.kind!r}: {name}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ClassifierSpec":
@@ -195,7 +159,7 @@ class ClassifierSpec:
 
 @dataclass
 class ExperimentConfig:
-    scenario: str  # preset name, or "custom" with explicit profiles
+    scenario: str  # a PRESETS name, or the run's name with profiles or pcaps
     profiles: list[ClassProfile] = field(default_factory=list)
     traces_per_class: int = 3
     duration: float = 60.0
@@ -208,6 +172,10 @@ class ExperimentConfig:
     output_dir: Path = Path("out")
 
     def validate(self) -> None:
+        for name, rule in _CONFIG_RULES.items():
+            check(getattr(self, name), rule, name)
+        for path, label in self.pcap_files:
+            check(label, STRING, f"pcap_labels[{path.name}]")
         if not self.window_specs:
             raise ConfigError("window sweep is empty (burst_sizes / timespans)")
         if not self.transforms:
@@ -218,8 +186,6 @@ class ExperimentConfig:
             raise ConfigError("no data source: give scenario/profiles or pcap_dir")
         if self.pcap_files and self.profiles:  # the sweep would run only the pcaps
             raise ConfigError("profiles: not allowed with pcap_dir")
-        if not 0 < self.train_fraction < 1:
-            raise ConfigError("train_fraction must lie strictly between 0 and 1")
         # With one class every cell scores 1.0 or fails; profiles sharing a
         # label would run as one class whose traces repeat their ids and seeds.
         if self.pcap_files:
@@ -237,44 +203,26 @@ class ExperimentConfig:
 
 
 def _parse_profile(doc: dict, where: str) -> ClassProfile:
-    required = {
-        "label", "rate", "protocol_mix", "length_mean", "length_std",
-        "window_mean", "window_std", "ip_pool_size", "port_pool_size",
-    }
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: must be a profile object")
-    missing = required - set(doc)
+    missing = {f.name for f in fields(ClassProfile) if f.default is MISSING} - set(doc)
     if missing:
         raise ConfigError(f"{where}: missing profile fields {sorted(missing)}")
-    _check_keys(doc, required | {"jitter_std"}, where)
-    for name, value in doc.items():
-        _check(value, _PROFILE_RULES[name], f"{where}: {name}")
+    _check_keys(doc, {f.name for f in fields(ClassProfile)}, where)
     try:
-        profile = ClassProfile(
-            label=doc["label"],
-            rate=float(doc["rate"]),
-            protocol_mix=tuple(float(p) for p in doc["protocol_mix"]),
-            length_mean=float(doc["length_mean"]),
-            length_std=float(doc["length_std"]),
-            window_mean=float(doc["window_mean"]),
-            window_std=float(doc["window_std"]),
-            ip_pool_size=doc["ip_pool_size"],
-            port_pool_size=doc["port_pool_size"],
-            jitter_std=float(doc.get("jitter_std", 0.0)),
-        )
-        profile.validate()
+        return ClassProfile(**doc)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    return profile
 
 
 def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     _check_keys(doc, _ROOT_KEYS, "config")
-    for name, rule in _ROOT_RULES.items():
+    # Read before validate() runs: a preset name, and the two paths
+    for name in ("scenario", "pcap_dir", "output_dir"):
         if name in doc:
-            _check(doc[name], rule, name)
+            check(doc[name], STRING, name)
 
     # One data source: pcap_dir with pcap_labels, or profiles (given or the
     # scenario's preset) with traces_per_class and duration.
@@ -290,7 +238,7 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
         if not isinstance(labels, dict) or not labels:
             raise ConfigError("pcap_labels: required with pcap_dir (file -> label)")
         for name, label in labels.items():
-            _check(label, _STRING, f"pcap_labels[{name}]")
+            check(label, STRING, f"pcap_labels[{name}]")
             path = pcap_dir / name
             if not path.is_file():
                 raise ConfigError(f"pcap_labels: file not found: {path}")
@@ -305,7 +253,7 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
         ]
     else:
         try:
-            profiles = builtin_profiles(Scenario(scenario))
+            profiles = builtin_profiles(scenario)
         except ValueError as exc:
             raise ConfigError(f"scenario: {exc}") from exc
 
@@ -356,12 +304,12 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
         scenario=scenario,
         profiles=profiles,
         traces_per_class=doc.get("traces_per_class", 3),
-        duration=float(doc.get("duration", 60.0)),
+        duration=doc.get("duration", 60.0),
         pcap_files=pcap_files,
         window_specs=window_specs,
         transforms=transforms,
         classifiers=classifiers,
-        train_fraction=float(doc.get("train_fraction", 0.7)),
+        train_fraction=doc.get("train_fraction", 0.7),
         seed=doc.get("seed", 0),
         output_dir=base_dir / doc.get("output_dir", "out"),
     )

@@ -48,10 +48,6 @@ class PcapFormatError(ValueError):
 class PcapHeader:
     byte_order: str  # '<' or '>'
     nanosecond: bool
-    version_major: int
-    version_minor: int
-    snaplen: int
-    linktype: int
 
 
 @dataclass
@@ -70,19 +66,10 @@ def parse_global_header(data: bytes) -> PcapHeader:
     for order in ("<", ">"):
         magic = struct.unpack(order + "I", data[:4])[0]
         if magic in (MAGIC_MICROS_BE, MAGIC_NANOS_BE):
-            vmaj, vmin, _zone, _sigfigs, snaplen, linktype = struct.unpack(
-                order + "HHiIII", data[4:_GLOBAL_HEADER_LEN]
-            )
+            (linktype,) = struct.unpack(order + "I", data[20:_GLOBAL_HEADER_LEN])
             if linktype != LINKTYPE_ETHERNET:
                 raise PcapFormatError(f"unsupported link type {linktype}; only Ethernet")
-            return PcapHeader(
-                byte_order=order,
-                nanosecond=(magic == MAGIC_NANOS_BE),
-                version_major=vmaj,
-                version_minor=vmin,
-                snaplen=snaplen,
-                linktype=linktype,
-            )
+            return PcapHeader(byte_order=order, nanosecond=(magic == MAGIC_NANOS_BE))
     raise PcapFormatError(f"bad pcap magic 0x{data[:4].hex()}")
 
 

@@ -1,0 +1,56 @@
+"""Field value rules: the one test and the one description of each kind of value.
+
+A rule is a pair (test, what a valid value is). `check` applies one to a
+field and raises a `ConfigError` reading "{field} must be {what}, got
+{value!r}". Every config object (window and transform specs, class
+profiles, classifier specs, the experiment config) checks its fields
+through these rules, so a config read from JSON and one built in code meet
+the same tests and messages. No value is coerced: a bool is never a number
+and a numeric string is not one either.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+
+
+class ConfigError(ValueError):
+    """Invalid experiment configuration; message names the offending field."""
+
+
+def is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A finite real number; raises OverflowError for an integer too large
+    to be a float, which `check` reads as invalid."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def integer_at_least(low: int):
+    return (lambda v: is_int(v) and v >= low, f"an integer >= {low}")
+
+
+COUNT = integer_at_least(1)
+OPTIONAL_COUNT = (lambda v: v is None or COUNT[0](v), "an integer >= 1 or null")
+SEED = integer_at_least(0)
+POSITIVE = (lambda v: is_number(v) and v > 0, "a finite number > 0")
+NUMBER = (is_number, "a finite number")
+NUMBER_LIST = (lambda v: isinstance(v, (list, tuple)) and all(map(is_number, v)),
+               "a list of finite numbers")
+FRACTION = (lambda v: is_number(v) and 0 < v < 1, "a number in (0, 1)")
+BOOL = (lambda v: isinstance(v, bool), "true or false")
+STRING = (lambda v: isinstance(v, str), "a string")
+
+
+def check(value, rule, field: str) -> None:
+    """Raise a ConfigError naming `field` unless `rule` holds for value."""
+    test, described = rule
+    try:
+        valid = test(value)
+    except OverflowError:  # an integer too large to be a float
+        valid = False
+    if not valid:
+        raise ConfigError(f"{field} must be {described}, got {value!r}")

@@ -12,13 +12,13 @@ Everything is a pure function of (profile, duration, seed).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
+from tpbench.rules import COUNT, NUMBER, NUMBER_LIST, POSITIVE, STRING, check
 from tpbench.seeding import derive_seed
 
 MIN_PACKET_LEN = 40
@@ -43,13 +43,6 @@ class Protocol(Enum):
 
 
 PROTOCOLS = tuple(Protocol)
-
-
-class Scenario(Enum):
-    MIC_ONOFF = "mic_onoff"
-    MIC_ON_NOISE = "mic_on_noise"
-    UTILITY_MEDIA_TRAVEL = "utility_media_travel"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,7 +142,12 @@ class Trace:
 
 @dataclass(frozen=True)
 class ClassProfile:
-    """Generative parameters for one traffic class."""
+    """Generative parameters for one traffic class, checked at construction.
+
+    The real-valued fields are stored as floats and `protocol_mix` as a
+    tuple of floats, so a profile read from JSON and one built in code
+    with integer values generate the same trace.
+    """
 
     label: str
     rate: float  # packets per second
@@ -162,24 +160,24 @@ class ClassProfile:
     port_pool_size: int
     jitter_std: float = 0.0  # Gaussian jitter on inter-packet gaps, seconds
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        check(self.label, STRING, "label")
+        check(self.protocol_mix, NUMBER_LIST, "protocol_mix")
+        object.__setattr__(self, "protocol_mix", tuple(map(float, self.protocol_mix)))
         for name in ("rate", "length_mean", "length_std", "window_mean", "window_std",
                      "jitter_std"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            check(getattr(self, name), NUMBER, name)
+            object.__setattr__(self, name, float(getattr(self, name)))
+        check(self.ip_pool_size, COUNT, "ip_pool_size")
+        check(self.port_pool_size, COUNT, "port_pool_size")
         if self.rate <= 0:
             raise ValueError("rate must be positive")
         if self.length_mean <= 0:
             raise ValueError("length_mean must be positive")
-        if len(self.protocol_mix) != 3 or not all(
-            math.isfinite(p) and p >= 0 for p in self.protocol_mix
-        ):
+        if len(self.protocol_mix) != 3 or min(self.protocol_mix) < 0:
             raise ValueError("protocol_mix must be three non-negative probabilities")
         if abs(sum(self.protocol_mix) - 1.0) > 1e-9:
             raise ValueError("protocol_mix must sum to 1")
-        if self.ip_pool_size < 1 or self.port_pool_size < 1:
-            raise ValueError("pool sizes must be >= 1")
         if self.port_pool_size > 65535:  # more would never fill with distinct ports
             raise ValueError("port_pool_size must be <= 65535")
         if min(self.length_std, self.window_mean, self.window_std, self.jitter_std) < 0:
@@ -215,9 +213,7 @@ def _draw_gaps(rng: np.random.Generator, profile: ClassProfile, duration: float)
 
 def generate_trace(profile: ClassProfile, duration: float, seed: int) -> Trace:
     """Generate one synthetic trace. Fully determined by (profile, duration, seed)."""
-    if not (math.isfinite(duration) and duration > 0):
-        raise ValueError(f"duration must be a finite number > 0, got {duration!r}")
-    profile.validate()
+    check(duration, POSITIVE, "duration")
     if duration * profile.rate > MAX_TRACE_PACKETS:
         raise ValueError(
             f"profile {profile.label!r}: duration {duration!r} s at rate {profile.rate!r} pkt/s "
@@ -265,8 +261,7 @@ def generate_dataset(
     """Balanced labeled corpus; per-trace seeds derived from the master seed."""
     if len(profiles) < 2:
         raise ValueError("need at least 2 class profiles")
-    if traces_per_class < 1:
-        raise ValueError("traces_per_class must be >= 1")
+    check(traces_per_class, COUNT, "traces_per_class")
     traces = []
     for profile in profiles:
         for k in range(traces_per_class):
@@ -277,57 +272,59 @@ def generate_dataset(
     return traces
 
 
-def builtin_profiles(scenario: Scenario) -> list[ClassProfile]:
-    """Preset class profiles for the named capture scenarios.
+# Preset class profiles by scenario name. The presets are tuned so that classes
+# are separated in several windowed features at once (rate, protocol mix,
+# packet length, TCP window, pools).
+PRESETS: dict[str, tuple[ClassProfile, ...]] = {
+    "mic_onoff": (
+        ClassProfile(
+            label="mic_off", rate=600.0, protocol_mix=(0.70, 0.25, 0.05),
+            length_mean=220.0, length_std=80.0, window_mean=4000.0,
+            window_std=1200.0, ip_pool_size=3, port_pool_size=6,
+        ),
+        ClassProfile(
+            label="mic_on", rate=1100.0, protocol_mix=(0.85, 0.12, 0.03),
+            length_mean=760.0, length_std=210.0, window_mean=14000.0,
+            window_std=4200.0, ip_pool_size=8, port_pool_size=16,
+        ),
+    ),
+    "mic_on_noise": (
+        ClassProfile(
+            label="mic_quiet", rate=800.0, protocol_mix=(0.80, 0.15, 0.05),
+            length_mean=420.0, length_std=140.0, window_mean=8000.0,
+            window_std=2500.0, ip_pool_size=5, port_pool_size=10,
+        ),
+        ClassProfile(
+            label="mic_noise", rate=1250.0, protocol_mix=(0.88, 0.09, 0.03),
+            length_mean=900.0, length_std=260.0, window_mean=18000.0,
+            window_std=5200.0, ip_pool_size=10, port_pool_size=20,
+        ),
+    ),
+    "utility_media_travel": (
+        ClassProfile(
+            label="utility", rate=900.0, protocol_mix=(0.45, 0.35, 0.20),
+            length_mean=300.0, length_std=100.0, window_mean=5000.0,
+            window_std=1800.0, ip_pool_size=3, port_pool_size=6,
+        ),
+        ClassProfile(
+            label="media", rate=1200.0, protocol_mix=(0.85, 0.10, 0.05),
+            length_mean=1000.0, length_std=250.0, window_mean=20000.0,
+            window_std=5000.0, ip_pool_size=12, port_pool_size=24,
+        ),
+        ClassProfile(
+            label="travel", rate=750.0, protocol_mix=(0.60, 0.35, 0.05),
+            length_mean=520.0, length_std=150.0, window_mean=10000.0,
+            window_std=3000.0, ip_pool_size=6, port_pool_size=12,
+        ),
+    ),
+}
 
-    The presets are tuned so that classes are separated in several windowed
-    features at once (rate, protocol mix, packet length, TCP window, pools).
-    """
-    if scenario is Scenario.MIC_ONOFF:
-        return [
-            ClassProfile(
-                label="mic_off", rate=600.0, protocol_mix=(0.70, 0.25, 0.05),
-                length_mean=220.0, length_std=80.0, window_mean=4000.0,
-                window_std=1200.0, ip_pool_size=3, port_pool_size=6,
-            ),
-            ClassProfile(
-                label="mic_on", rate=1100.0, protocol_mix=(0.85, 0.12, 0.03),
-                length_mean=760.0, length_std=210.0, window_mean=14000.0,
-                window_std=4200.0, ip_pool_size=8, port_pool_size=16,
-            ),
-        ]
-    if scenario is Scenario.MIC_ON_NOISE:
-        return [
-            ClassProfile(
-                label="mic_quiet", rate=800.0, protocol_mix=(0.80, 0.15, 0.05),
-                length_mean=420.0, length_std=140.0, window_mean=8000.0,
-                window_std=2500.0, ip_pool_size=5, port_pool_size=10,
-            ),
-            ClassProfile(
-                label="mic_noise", rate=1250.0, protocol_mix=(0.88, 0.09, 0.03),
-                length_mean=900.0, length_std=260.0, window_mean=18000.0,
-                window_std=5200.0, ip_pool_size=10, port_pool_size=20,
-            ),
-        ]
-    if scenario is Scenario.UTILITY_MEDIA_TRAVEL:
-        return [
-            ClassProfile(
-                label="utility", rate=900.0, protocol_mix=(0.45, 0.35, 0.20),
-                length_mean=300.0, length_std=100.0, window_mean=5000.0,
-                window_std=1800.0, ip_pool_size=3, port_pool_size=6,
-            ),
-            ClassProfile(
-                label="media", rate=1200.0, protocol_mix=(0.85, 0.10, 0.05),
-                length_mean=1000.0, length_std=250.0, window_mean=20000.0,
-                window_std=5000.0, ip_pool_size=12, port_pool_size=24,
-            ),
-            ClassProfile(
-                label="travel", rate=750.0, protocol_mix=(0.60, 0.35, 0.05),
-                length_mean=520.0, length_std=150.0, window_mean=10000.0,
-                window_std=3000.0, ip_pool_size=6, port_pool_size=12,
-            ),
-        ]
-    raise ValueError(f"no built-in profiles for scenario {scenario.value!r}")
+
+def builtin_profiles(name: str) -> list[ClassProfile]:
+    """The preset class profiles `PRESETS` holds under `name`."""
+    if name not in PRESETS:
+        raise ValueError(f"no built-in profiles for {name!r}; expected one of {list(PRESETS)}")
+    return list(PRESETS[name])
 
 
 # --- line-delimited trace serialization (test fixtures, CLI datasets) ------
@@ -347,7 +344,7 @@ def save_trace(trace: Trace, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_trace(path: str | Path, label: str | None = None) -> Trace:
+def load_trace(path: str | Path) -> Trace:
     meta = {"label": "", "trace_id": ""}
     rows = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -373,7 +370,7 @@ def load_trace(path: str | Path, label: str | None = None) -> Trace:
     try:
         trace = Trace(
             *(zip(*rows) if rows else [()] * len(_COLUMN_DTYPES)),
-            label=label if label is not None else meta["label"],
+            label=meta["label"],
             trace_id=meta["trace_id"],
         )
         trace.validate()

@@ -43,7 +43,6 @@ from tpbench.seeding import derive_seed
 from tpbench.traffic import (
     ClassProfile,
     Protocol,
-    Scenario,
     builtin_profiles,
     generate_dataset,
 )
@@ -220,7 +219,7 @@ def test_criterion_5_classifier_sanity():
 
     # all five classifiers >= 0.95 on separable 2-class data at burst 500
     traces = generate_dataset(
-        builtin_profiles(Scenario.MIC_ONOFF), 3, 60.0,
+        builtin_profiles("mic_onoff"), 3, 60.0,
         derive_seed(5, "dataset"),
     )
     X5, y5, _ = stack_series([extract_series(t, WindowSpec.burst(500)) for t in traces])
@@ -257,7 +256,7 @@ def baseline_3class():
     """Utility/media/travel analogue: ~60k packets per trace, 3 traces/class;
     features cached per burst size, traces freed on return."""
     traces = generate_dataset(
-        builtin_profiles(Scenario.UTILITY_MEDIA_TRAVEL), 3, 60.0,
+        builtin_profiles("utility_media_travel"), 3, 60.0,
         derive_seed(2024, "dataset"),
     )
     return {

@@ -354,6 +354,8 @@ PCAPS = {"pcap_dir": ".", "pcap_labels": {"a.pcap": "x", "b.pcap": "y"}}
     ({**PCAPS, "duration": 5.0}, "duration: not allowed with pcap_dir"),
     ({"scenario": "mic_onoff", "pcap_labels": PCAPS["pcap_labels"]},
      "pcap_labels: not allowed without pcap_dir"),
+    ({"scenario": "mic_onoff", "timespans": [10**400]},
+     "timespans[0]: timespan must be a finite number > 0, got 1000"),
 ])
 def test_sweep_with_fields_of_the_other_source_exits_two_naming_the_field(
         source, message, tmp_path, capsys):

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from tpbench import cli
+from tpbench import cli, harness
+from tpbench.traffic import PRESETS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,3 +43,19 @@ def test_readme_cli_flags_exist(command):
     assert flags, f"README: no `tpbench {command}` line with a flag"
     for flag in flags:
         assert flag in options, f"README: `tpbench {command}` has no {flag}"
+
+
+def _config_table() -> dict[str, str]:
+    """The `## Sweep configs` field table: each row's field cell -> its meaning cell."""
+    section = README.read_text(encoding="utf-8").split("\n## Sweep configs\n", 1)[1]
+    rows = re.findall(r"^\| (.+?) \| (.+?) \|$", section.split("\n## ", 1)[0], re.M)
+    return {field: meaning for field, meaning in rows if field not in ("field", "---")}
+
+
+def test_readme_config_table_names_every_root_key():
+    named = [key for field in _config_table() for key in re.findall(r"`(\w+)`", field)]
+    assert sorted(named) == sorted(harness._ROOT_KEYS)
+
+
+def test_readme_scenario_row_lists_the_presets():
+    assert re.findall(r"`(\w+)`", _config_table()["`scenario`"]) == list(PRESETS)

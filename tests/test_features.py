@@ -27,10 +27,10 @@ from tpbench.features import (
 )
 from tpbench.pcap import parse_pcap_with_stats
 from tpbench.traffic import (
+    PRESETS,
     ClassProfile,
     PacketRecord,
     Protocol,
-    Scenario,
     Trace,
     builtin_profiles,
     generate_dataset,
@@ -350,10 +350,7 @@ ORACLE_SPECS = (
 )
 
 
-@pytest.mark.parametrize(
-    "scenario",
-    [Scenario.MIC_ONOFF, Scenario.MIC_ON_NOISE, Scenario.UTILITY_MEDIA_TRAVEL],
-)
+@pytest.mark.parametrize("scenario", list(PRESETS))
 def test_extract_series_matches_oracle_on_generated_traces(scenario):
     traces = generate_dataset(builtin_profiles(scenario), 1, 2.5, seed=17)
     for trace in traces:

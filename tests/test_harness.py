@@ -3,7 +3,7 @@ import csv
 import json
 import multiprocessing
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from tpbench.harness import (
     run_experiment,
 )
 from tpbench.seeding import derive_seed
-from tpbench.traffic import Scenario, builtin_profiles, generate_dataset
+from tpbench.traffic import builtin_profiles, generate_dataset
 
 
 def small_config(tmp_path, **overrides):
@@ -489,6 +489,7 @@ def test_config_field_errors_are_named(tmp_path):
         ({"mode": "awgn", "nu": float("nan")}, "nu must be a finite number > 0, got nan"),
         ({"mode": "realistic", "nu": float("inf")}, "nu must be a finite number > 0, got inf"),
         ({"mode": "awgn", "nu": 0}, "nu must be a finite number > 0, got 0"),
+        ({"mode": "awgn", "nu": 10**400}, "nu must be a finite number > 0, got 1000"),
         ({"mode": "awgn"}, "nu must be a finite number > 0"),
         ({"mode": "none", "nu": 2.0}, r"\(mode 'none'\): unknown key\(s\) \['nu'\]"),
         ({"mode": "smooth", "nu": 2.0}, r"\(mode 'smooth'\): unknown key\(s\) \['nu'\]"),
@@ -506,6 +507,7 @@ def test_config_field_errors_are_named(tmp_path):
         ({"timespans": ["nan"]}, r"timespans\[0\]: timespan must be a finite number > 0, got 'nan'"),
         ({"timespans": [0.5, float("inf")]}, r"timespans\[1\]: timespan must be .* got inf"),
         ({"timespans": [True]}, r"timespans\[0\]: timespan must be"),
+        ({"timespans": [10**400]}, r"timespans\[0\]: timespan must be a finite number > 0, got 1000"),
         ({"burst_sizes": [250.7]}, r"burst_sizes\[0\]: burst size must be an integer >= 2, got 250\.7"),
         ({"burst_sizes": [100, "250"]}, r"burst_sizes\[1\]: burst size must be an integer"),
         ({"burst_sizes": 250}, r"burst_sizes: must be a list"),
@@ -515,7 +517,7 @@ def test_config_field_errors_are_named(tmp_path):
     config = config_from_dict({**base, "burst_sizes": [], "timespans": [1],
                                "classifiers": [{"kind": "knn"}]})
     assert config.window_specs[0].key() == "timespan:1.0"
-    profile = asdict(builtin_profiles(Scenario.MIC_ONOFF)[0])
+    profile = asdict(builtin_profiles("mic_onoff")[0])
     with pytest.raises(ConfigError, match=r"profiles\[0\].*'jiter_std'"):
         config_from_dict({**base, "classifiers": [{"kind": "knn"}],
                           "profiles": [{**profile, "jiter_std": 0.1}]})
@@ -535,14 +537,14 @@ def test_config_field_errors_are_named(tmp_path):
         ({"protocol_mix": [0.5, "0.5", 0.0]}, "protocol_mix must be a list of finite numbers"),
         ({"protocol_mix": [0.5, float("nan"), 0.5]}, "protocol_mix must be a list of finite"),
     ):
-        profiles = [{**profile, **field}, asdict(builtin_profiles(Scenario.MIC_ONOFF)[1])]
+        profiles = [{**profile, **field}, asdict(builtin_profiles("mic_onoff")[1])]
         with pytest.raises(ConfigError, match=rf"profiles\[0\]: .*{named}"):
             config_from_dict({**base, "classifiers": [{"kind": "knn"}], "profiles": profiles})
     with pytest.raises(ConfigError, match=r"profiles\[0\]: must be a profile object"):
         config_from_dict({**base, "classifiers": [{"kind": "knn"}], "profiles": [3]})
     for name in ("a.pcap", "b.pcap"):
         (tmp_path / name).write_bytes(b"")
-    other = asdict(builtin_profiles(Scenario.MIC_ONOFF)[1])
+    other = asdict(builtin_profiles("mic_onoff")[1])
     pcaps = {"pcap_dir": str(tmp_path), "pcap_labels": {"a.pcap": "x", "b.pcap": "y"}}
     for source, named in (  # fewer than two classes
         ({"profiles": [profile, other, {**other, "label": profile["label"]}]},
@@ -579,6 +581,8 @@ def test_config_field_errors_are_named(tmp_path):
         ({"output_dir": 3}, "output_dir must be a string, got 3"),
         ({"pcap_dir": ["."]}, r"pcap_dir must be a string, got \['\.'\]"),
         ({"scenario": 7}, "scenario must be a string, got 7"),
+        ({"scenario": "foo"}, r"scenario: no built-in profiles for 'foo'; expected one of "
+                              r"\['mic_onoff', 'mic_on_noise', 'utility_media_travel'\]$"),
         ({"pcap_dir": ".", "pcap_labels": {"a.pcap": 5}},
          r"pcap_labels\[a\.pcap\] must be a string, got 5"),
     ):
@@ -651,10 +655,25 @@ def test_config_missing_pcap_file_fails_at_load(tmp_path):
 
 def test_validate_rejects_a_config_built_with_both_data_sources(tmp_path):
     """A config built in code holds one data source too: the sweep would load
-    the pcaps and never run the profiles."""
+    the pcaps and never run the profiles. Its fields meet the rules a JSON
+    config's do."""
     config = load_config(small_config(tmp_path))
     assert config.profiles and not config.pcap_files
     config.validate()
+    for field, named in (
+        ({"seed": 1.5}, r"seed must be an integer >= 0, got 1\.5"),
+        ({"seed": True}, "seed must be an integer >= 0, got True"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"traces_per_class": 2.5}, r"traces_per_class must be an integer >= 1, got 2\.5"),
+        ({"duration": "5"}, "duration must be a finite number > 0, got '5'"),
+        ({"train_fraction": "0.7"}, r"train_fraction must be a number in \(0, 1\), got '0\.7'"),
+        ({"profiles": [], "pcap_files": [(tmp_path / "a.pcap", 5), (tmp_path / "b.pcap", "y")]},
+         r"pcap_labels\[a\.pcap\] must be a string, got 5"),
+    ):
+        bad = replace(config, **field)
+        for call in (bad.validate, lambda: run_experiment(bad)):
+            with pytest.raises(ConfigError, match=f"^{named}$"):
+                call()
     config.pcap_files = [(tmp_path / "a.pcap", "x"), (tmp_path / "b.pcap", "y")]
     with pytest.raises(ConfigError, match=r"^profiles: not allowed with pcap_dir$"):
         config.validate()
@@ -683,7 +702,7 @@ def test_sweep_equals_manual_stage_chain(tmp_path):
 
     # chain the stages manually with the same derived seeds
     traces = generate_dataset(
-        builtin_profiles(Scenario.MIC_ONOFF),
+        builtin_profiles("mic_onoff"),
         config.traces_per_class,
         config.duration,
         derive_seed(config.seed, "dataset"),

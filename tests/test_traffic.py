@@ -11,7 +11,6 @@ from tpbench.traffic import (
     ClassProfile,
     PacketRecord,
     Protocol,
-    Scenario,
     Trace,
     builtin_profiles,
     generate_dataset,
@@ -73,13 +72,16 @@ def test_rejects_bad_inputs():
         with pytest.raises(ValueError, match=f"duration must be a finite number > 0, got {duration}"):
             generate_trace(profile(), duration, seed=1)
     for field, named in (
-        ({"length_mean": float("nan")}, "length_mean must be finite, got nan"),
-        ({"rate": float("inf")}, "rate must be finite, got inf"),
-        ({"protocol_mix": (0.5, float("nan"), 0.5)}, "protocol_mix must be three non-negative"),
+        ({"length_mean": float("nan")}, "length_mean must be a finite number, got nan"),
+        ({"rate": float("inf")}, "rate must be a finite number, got inf"),
+        ({"protocol_mix": (0.5, float("nan"), 0.5)}, "protocol_mix must be a list of finite"),
         ({"port_pool_size": 65536}, "port_pool_size must be <= 65535"),
+        ({"ip_pool_size": 2.5}, r"ip_pool_size must be an integer >= 1, got 2\.5"),
+        ({"label": 5}, "label must be a string, got 5"),
+        ({"rate": "600"}, "rate must be a finite number, got '600'"),
     ):
         with pytest.raises(ValueError, match=named):
-            generate_trace(profile(**field), 5.0, seed=1)
+            profile(**field)  # a profile checks itself at construction
     busy = profile(label="busy")
     with pytest.raises(ValueError, match=r"profile 'busy': duration .* s at rate .* pkt/s expects"):
         generate_trace(busy, 1.01 * MAX_TRACE_PACKETS / busy.rate, seed=1)
@@ -139,11 +141,11 @@ def test_generated_traces_satisfy_invariants_random_profiles():
 
 
 def test_builtin_profiles_shapes():
-    assert len(builtin_profiles(Scenario.MIC_ONOFF)) == 2
-    assert len(builtin_profiles(Scenario.MIC_ON_NOISE)) == 2
-    assert len(builtin_profiles(Scenario.UTILITY_MEDIA_TRAVEL)) == 3
+    assert len(builtin_profiles("mic_onoff")) == 2
+    assert len(builtin_profiles("mic_on_noise")) == 2
+    assert len(builtin_profiles("utility_media_travel")) == 3
     with pytest.raises(ValueError):
-        builtin_profiles(Scenario.CUSTOM)
+        builtin_profiles("custom")
 
 
 def test_trace_text_round_trip(tmp_path):
