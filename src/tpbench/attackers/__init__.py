@@ -1,10 +1,13 @@
 """Five from-scratch classifiers behind one train/predict/evaluate contract.
 
-`train(kind, X, y, **params)` fits a Standardizer on the training rows,
-encodes the labels as codes into their sorted distinct values
-(`np.unique(y, return_inverse=True)`), and fits the kind's model on the
-codes; `HYPERPARAMETERS` lists each kind's parameters and defaults. The
-returned TrainedModel predicts raw (unscaled) feature rows as labels.
+`train(kind, X, y, **params)` checks `params` with `check_params`, fits a
+Standardizer on the training rows, encodes the labels as codes into their
+sorted distinct values (`np.unique(y, return_inverse=True)`), and fits the
+kind's model on the codes; `HYPERPARAMETERS` lists each kind's parameters
+and defaults, and `HYPERPARAMETER_RULES` the one rule each must meet. The
+kernels trust their inputs: standardized float64 rows, int64 codes and
+checked hyperparameters. The returned TrainedModel predicts raw (unscaled)
+feature rows as labels.
 """
 
 from __future__ import annotations
@@ -26,6 +29,17 @@ from tpbench.attackers.mlp import (
 )
 from tpbench.attackers.prep import Standardizer, split
 from tpbench.attackers.tree import fit_tree, predict_tree
+from tpbench.rules import (
+    BOOL,
+    COUNT,
+    COUNT_LIST,
+    OPTIONAL_COUNT,
+    POSITIVE,
+    SEED,
+    ConfigError,
+    check,
+    check_keys,
+)
 
 # kind -> (fit(Xs, codes, n_classes, **params), predict(params, Xs) -> codes)
 _KINDS = {
@@ -50,25 +64,53 @@ HYPERPARAMETERS = {
     for kind, (fit, _) in _KINDS.items()
 }
 
+# hyperparameter -> its rule, whichever kinds take it
+HYPERPARAMETER_RULES = {
+    **dict.fromkeys(("epochs", "batch_size", "k", "n_trees", "rounds", "min_leaf"), COUNT),
+    **dict.fromkeys(("max_depth", "features_per_split"), OPTIONAL_COUNT),
+    "hidden": COUNT_LIST,
+    "seed": SEED,
+    "bootstrap": BOOL,
+    "learning_rate": POSITIVE,
+}
+
+
+def check_params(kind: str, params: dict) -> None:
+    """Raise a ConfigError unless `kind` is a classifier kind and `params`
+    are some of its hyperparameters, each meeting its rule; the message
+    reads "classifier '<kind>': <name> must be ...". A config's classifier
+    specs and `train` both check here."""
+    if kind not in _KINDS:
+        raise ConfigError(f"unknown classifier kind {kind!r}; expected one of {CLASSIFIER_KINDS}")
+    where = f"classifier {kind!r}"
+    check_keys(params, HYPERPARAMETERS[kind], where)
+    for name, value in params.items():
+        check(value, HYPERPARAMETER_RULES[name], f"{where}: {name}")
+
 
 @dataclass
 class TrainedModel:
     kind: str
     params: object
     standardizer: Standardizer
-    classes: list  # sorted distinct training labels; code i predicts classes[i]
+    classes: np.ndarray  # sorted distinct training labels; code i predicts classes[i]
 
 
-def train(kind: str, X, y, **params) -> TrainedModel:
+def train(kind: str, X, y, *, trees: range | None = None, **params) -> TrainedModel:
     """Fit a `kind` model on raw rows X and labels y (strings, integers or
-    any sortable values) with `params` from HYPERPARAMETERS[kind]."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown classifier kind {kind!r}; expected one of {CLASSIFIER_KINDS}")
+    any sortable values) with `params` from HYPERPARAMETERS[kind]. `trees`,
+    a package hook and no hyperparameter, grows only those tree indices of a
+    forest."""
+    check_params(kind, params)
     fit, _ = _KINDS[kind]
     classes, codes = np.unique(y, return_inverse=True)
+    if codes.size == 0:
+        raise ValueError("training set must be non-empty")
+    if trees is not None:
+        params["trees"] = trees
     standardizer = Standardizer.fit(X)
     fitted = fit(standardizer.transform(X), codes, len(classes), **params)
-    return TrainedModel(kind, fitted, standardizer, classes.tolist())
+    return TrainedModel(kind, fitted, standardizer, classes)
 
 
 def predict(model: TrainedModel, X) -> np.ndarray:
@@ -80,9 +122,7 @@ def predict(model: TrainedModel, X) -> np.ndarray:
     if single:
         X = X[None, :]
     _, predict_codes = _KINDS[model.kind]
-    labels = np.array(model.classes, dtype=object)[
-        predict_codes(model.params, model.standardizer.transform(X))
-    ]
+    labels = model.classes[predict_codes(model.params, model.standardizer.transform(X))]
     return labels[0] if single else labels
 
 

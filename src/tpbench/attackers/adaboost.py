@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from tpbench.attackers.tree import cut_threshold
+
 EPS_FLOOR = 1e-10
 
 
@@ -59,9 +61,7 @@ class _Cuts:
         orders = np.argsort(X.T, axis=1, kind="stable")
         xs = np.take_along_axis(X.T, orders, axis=1)
         features, positions = np.nonzero(xs[:, 1:] > xs[:, :-1])
-        low, high = xs[features, positions], xs[features, positions + 1]
-        thresholds = (low + high) / 2.0
-        thresholds = np.where(thresholds >= high, low, thresholds)
+        thresholds = cut_threshold(xs[features, positions], xs[features, positions + 1])
         sorted_y = y[orders]
         return cls(
             orders=orders,
@@ -105,14 +105,8 @@ def _best_stump(cuts: _Cuts, y: np.ndarray, w: np.ndarray, n_classes: int) -> St
 def fit_adaboost(
     X: np.ndarray, y: np.ndarray, n_classes: int, rounds: int = 50
 ) -> AdaBoostParams:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if y.size == 0:
-        raise ValueError("training set must be non-empty")
     if n_classes < 2:
         raise ValueError("boosting needs at least 2 classes")
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
 
     n = y.size
     w = np.full(n, 1.0 / n)
@@ -143,7 +137,6 @@ def fit_adaboost(
 
 
 def predict_adaboost(params: AdaBoostParams, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
     if not params.stumps:
         return np.full(X.shape[0], params.fallback_class, dtype=np.int64)
     scores = np.zeros((X.shape[0], params.n_classes))

@@ -37,12 +37,6 @@ def fit_forest(
     (`forest_votes`).
     bootstrap=False is a test hook: one tree on the full sample reduces to
     plain CART."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if y.size == 0:
-        raise ValueError("training set must be non-empty")
-    if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
     if trees is None:
         trees = range(n_trees)
     elif trees.step != 1 or not 0 <= trees.start < trees.stop <= n_trees:
@@ -74,7 +68,6 @@ def fit_forest(
 
 def forest_votes(params: ForestParams, X: np.ndarray) -> np.ndarray:
     """(rows, classes) int64 count of the trees that vote for each class."""
-    X = np.asarray(X, dtype=np.float64)
     votes = np.zeros((X.shape[0], params.n_classes), dtype=np.int64)
     for tree in params.trees:
         pred = predict_tree(tree, X)

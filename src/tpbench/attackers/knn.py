@@ -22,16 +22,9 @@ class KnnParams:
 
 
 def fit_knn(X: np.ndarray, y: np.ndarray, n_classes: int, k: int = 5) -> KnnParams:
-    if k <= 0:
-        raise ValueError("k must be positive")
     if k > X.shape[0]:
         raise ValueError(f"k={k} exceeds training size {X.shape[0]}")
-    return KnnParams(
-        train_x=np.asarray(X, dtype=np.float64),
-        train_y=np.asarray(y, dtype=np.int64),
-        k=k,
-        n_classes=n_classes,
-    )
+    return KnnParams(train_x=X, train_y=y, k=k, n_classes=n_classes)
 
 
 # Multiply-adds of one query block's screen matmul. OpenBLAS runs a gemm this
@@ -65,7 +58,6 @@ def predict_knn(params: KnnParams, X: np.ndarray) -> np.ndarray:
     the reference's expression, and sort by (query, distance, training row).
     A query whose S is not below _SCALE_LIMIT (huge, infinite or nan
     entries) takes every training row as a candidate."""
-    X = np.asarray(X, dtype=np.float64)
     train_x, k = params.train_x, params.k
     n_train, n_features = train_x.shape
     slack = 4 * n_features + 16

@@ -113,15 +113,6 @@ def fit_mlp(
     learning_rate: float = 1e-3,
     seed: int = 0,
 ) -> MlpParams:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if y.size == 0:
-        raise ValueError("training set must be non-empty")
-    if epochs < 1 or batch_size < 1:
-        raise ValueError("epochs and batch_size must be >= 1")
-    if not (np.isfinite(learning_rate) and learning_rate > 0):
-        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate!r}")
-
     rng = np.random.default_rng(seed)
     sizes = [X.shape[1], *hidden, n_classes]
     # weights, gradients and both Adam moments each live in one flat buffer,
@@ -186,6 +177,5 @@ def fit_mlp(
 
 
 def predict_mlp(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
     logits = _forward(params.weights, params.biases, X, _hidden_buffers(X.shape[0], params.weights))
     return np.argmax(logits, axis=1)  # softmax is monotone in the logits

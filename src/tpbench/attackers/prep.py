@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from tpbench.rules import FRACTION, check
+
 STD_FLOOR = 1e-9
 
 
@@ -36,8 +38,7 @@ def split(y, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     the classes in value order, so the split is a pure function of (labels,
     train_fraction, seed), and labels and their `np.unique` codes split alike.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie strictly between 0 and 1")
+    check(train_fraction, FRACTION, "train_fraction")
     classes, codes = np.unique(y, return_inverse=True)
     rng = np.random.default_rng(seed)
     train_parts, test_parts = [], []

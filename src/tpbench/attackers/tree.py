@@ -33,6 +33,14 @@ class TreeParams:
     n_classes: int
 
 
+def cut_threshold(low, high):
+    """The threshold between sorted values low < high (elementwise): their
+    midpoint, or low where the float midpoint rounds onto high, so that
+    low <= threshold < high."""
+    mid = (low + high) / 2.0
+    return np.where(mid >= high, low, mid)
+
+
 def _best_split(XT, idx, onehot, counts, feature_ids, min_leaf):
     """Best split of the rows `idx`, or None.
 
@@ -65,11 +73,8 @@ def _best_split(XT, idx, onehot, counts, feature_ids, min_leaf):
     if gains[j] <= _MIN_GAIN:
         return None
     f, p = col[j], row[j] + 1
-    low, high = xs[f, p - 1], xs[f, p]
-    threshold = (low + high) / 2.0
-    if threshold >= high:  # float midpoint collapsed onto the upper value
-        threshold = low
-    # low <= threshold < high, so the left child is exactly the first p rows.
+    threshold = cut_threshold(xs[f, p - 1], xs[f, p])
+    # xs[f, p - 1] <= threshold < xs[f, p], so the left child is exactly the first p rows.
     # Row order inside a node does not matter: the class counts at a cut
     # between distinct values are the same for any order of tied rows.
     return int(feature_ids[f]), float(threshold), rows[f, :p], rows[f, p:], left_counts[j]
@@ -88,10 +93,6 @@ def fit_tree(
     """Grow a tree on encoded labels. The keyword-only rng and
     features_per_split, no config keys, enable the per-split random feature
     subsets used by the forest."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if y.size == 0:
-        raise ValueError("training set must be non-empty")
     n_features = X.shape[1]
     XT = np.ascontiguousarray(X.T)
     onehot = np.zeros((y.size, n_classes))
@@ -130,7 +131,6 @@ def fit_tree(
 
 
 def predict_tree(params: TreeParams, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
     out = np.empty(X.shape[0], dtype=np.int64)
     stack = [(params.root, np.arange(X.shape[0]))]
     while stack:

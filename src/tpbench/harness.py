@@ -30,17 +30,7 @@ from tpbench import attackers
 from tpbench.adversarial import TRANSFORM_PARAMS, TransformSpec
 from tpbench.features import EmptySeriesError, WindowSpec, extract_series, stack_series
 from tpbench.pcap import load_pcap
-from tpbench.rules import (
-    BOOL,
-    COUNT,
-    FRACTION,
-    OPTIONAL_COUNT,
-    POSITIVE,
-    SEED,
-    STRING,
-    ConfigError,
-    check,
-)
+from tpbench.rules import COUNT, FRACTION, POSITIVE, SEED, STRING, ConfigError, check, check_keys
 from tpbench.seeding import derive_seed
 from tpbench.traffic import ClassProfile, Trace, builtin_profiles, generate_dataset
 
@@ -72,13 +62,6 @@ _ROOT_KEYS = frozenset({
 _TRANSFORM_KEYS = frozenset({"mode"}.union(*TRANSFORM_PARAMS.values()))
 
 
-_CLASSIFIER_RULES = {
-    **dict.fromkeys(("epochs", "batch_size", "k", "n_trees", "rounds", "min_leaf"), COUNT),
-    **dict.fromkeys(("max_depth", "features_per_split"), OPTIONAL_COUNT),
-    "seed": SEED,
-    "bootstrap": BOOL,
-    "learning_rate": POSITIVE,
-}
 # The fields of an ExperimentConfig that hold a config value as given.
 _CONFIG_RULES = {
     "scenario": STRING,
@@ -99,36 +82,17 @@ def _reject_duplicates(name: str, specs) -> None:
             raise ConfigError(f"{name}[{i}]: duplicates {name}[{j}] ({spec.key()})")
 
 
-def _check_keys(doc: dict, allowed, where: str) -> None:
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ConfigError(
-            f"{where}: unknown key(s) {unknown}; expected some of {sorted(allowed)}"
-        )
-
-
 @dataclass(frozen=True)
 class ClassifierSpec:
     kind: str
     params: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self):
-        if self.kind not in attackers.CLASSIFIER_KINDS:
-            raise ConfigError(
-                f"classifier kind {self.kind!r} unknown; expected one of "
-                f"{attackers.CLASSIFIER_KINDS}"
-            )
         params = dict(self.params)
-        _check_keys(params, attackers.HYPERPARAMETERS[self.kind], f"classifier {self.kind!r}")
-        hidden = params.get("hidden", ())
-        if not (isinstance(hidden, tuple) and all(COUNT[0](w) for w in hidden)):
-            raise ConfigError(
-                f"classifier {self.kind!r}: hidden must be a list of positive layer "
-                f"widths, got {hidden!r}"
-            )
-        for name, value in params.items():
-            if name in _CLASSIFIER_RULES:
-                check(value, _CLASSIFIER_RULES[name], f"classifier {self.kind!r}: {name}")
+        if isinstance(params.get("hidden"), list):  # JSON's list; the key prints a tuple
+            params["hidden"] = tuple(params["hidden"])
+            object.__setattr__(self, "params", tuple(params.items()))
+        attackers.check_params(self.kind, params)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ClassifierSpec":
@@ -137,8 +101,6 @@ class ClassifierSpec:
 
     @classmethod
     def from_params(cls, kind: str, params: dict) -> "ClassifierSpec":
-        if isinstance(params.get("hidden"), list):
-            params = {**params, "hidden": tuple(params["hidden"])}
         return cls(kind=kind, params=tuple(sorted(params.items())))
 
     def params_repr(self) -> str:
@@ -152,9 +114,7 @@ class ClassifierSpec:
         params = dict(self.params)
         if "seed" in attackers.HYPERPARAMETERS[self.kind]:
             params.setdefault("seed", seed)
-        if trees is not None:
-            params["trees"] = trees
-        return attackers.train(self.kind, X, y, **params)
+        return attackers.train(self.kind, X, y, trees=trees, **params)
 
 
 @dataclass
@@ -182,6 +142,13 @@ class ExperimentConfig:
             raise ConfigError("transforms list is empty")
         if not self.classifiers:
             raise ConfigError("classifiers list is empty")
+        for name, specs in (
+            ("burst_sizes", [w for w in self.window_specs if w.mode == "burst"]),
+            ("timespans", [w for w in self.window_specs if w.mode == "timespan"]),
+            ("transforms", self.transforms),
+            ("classifiers", self.classifiers),
+        ):
+            _reject_duplicates(name, specs)
         if not self.pcap_files and not self.profiles:
             raise ConfigError("no data source: give scenario/profiles or pcap_dir")
         if self.pcap_files and self.profiles:  # the sweep would run only the pcaps
@@ -208,7 +175,7 @@ def _parse_profile(doc: dict, where: str) -> ClassProfile:
     missing = {f.name for f in fields(ClassProfile) if f.default is MISSING} - set(doc)
     if missing:
         raise ConfigError(f"{where}: missing profile fields {sorted(missing)}")
-    _check_keys(doc, {f.name for f in fields(ClassProfile)}, where)
+    check_keys(doc, {f.name for f in fields(ClassProfile)}, where)
     try:
         return ClassProfile(**doc)
     except ValueError as exc:
@@ -218,7 +185,7 @@ def _parse_profile(doc: dict, where: str) -> ClassProfile:
 def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(doc, _ROOT_KEYS, "config")
+    check_keys(doc, _ROOT_KEYS, "config")
     # Read before validate() runs: a preset name, and the two paths
     for name in ("scenario", "pcap_dir", "output_dir"):
         if name in doc:
@@ -267,28 +234,24 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
     ):
         if sizes is not None and not isinstance(sizes, list):
             raise ConfigError(f"{name}: must be a list of window sizes")
-        specs = []
         for i, size in enumerate(sizes or []):
             try:
-                specs.append(make(size))
+                window_specs.append(make(size))
             except ValueError as exc:
                 raise ConfigError(f"{name}[{i}]: {exc}") from exc
-        _reject_duplicates(name, specs)
-        window_specs.extend(specs)
 
     transforms = []
     for i, tdoc in enumerate(doc.get("transforms", [{"mode": "none"}])):
         where = f"transforms[{i}]"
         if not isinstance(tdoc, dict):
             raise ConfigError(f"{where}: must be an object with a mode")
-        _check_keys(tdoc, _TRANSFORM_KEYS, where)
+        check_keys(tdoc, _TRANSFORM_KEYS, where)
         try:
             spec = TransformSpec(**{"mode": "none", **tdoc})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-        _check_keys(tdoc, {"mode", *TRANSFORM_PARAMS[spec.mode]}, f"{where} (mode {spec.mode!r})")
+        check_keys(tdoc, {"mode", *TRANSFORM_PARAMS[spec.mode]}, f"{where} (mode {spec.mode!r})")
         transforms.append(spec)
-    _reject_duplicates("transforms", transforms)
 
     classifiers = []
     for i, cdoc in enumerate(doc.get("classifiers", [])):
@@ -298,7 +261,6 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
             classifiers.append(ClassifierSpec.from_dict(cdoc))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"classifiers[{i}]: {exc}") from exc
-    _reject_duplicates("classifiers", classifiers)
 
     config = ExperimentConfig(
         scenario=scenario,
@@ -399,7 +361,7 @@ def fit_cell(X, y, clf, train_idx, test_idx, cell_seed, trees=None):
     `trees` of its forest on them."""
     model = clf.train(X[train_idx], y[train_idx], cell_seeds(cell_seed)[1], trees)
     if trees is None:
-        return attackers.predict(model, X[test_idx]).astype(y.dtype)
+        return attackers.predict(model, X[test_idx])
     return attackers.forest_votes(model, X[test_idx])
 
 

@@ -2,11 +2,12 @@
 
 A rule is a pair (test, what a valid value is). `check` applies one to a
 field and raises a `ConfigError` reading "{field} must be {what}, got
-{value!r}". Every config object (window and transform specs, class
-profiles, classifier specs, the experiment config) checks its fields
-through these rules, so a config read from JSON and one built in code meet
-the same tests and messages. No value is coerced: a bool is never a number
-and a numeric string is not one either.
+{value!r}"; `check_keys` rejects the keys of a mapping that name no field.
+Every config object (window and transform specs, class profiles,
+classifier specs, the experiment config) and `attackers.train` check their
+fields through these rules, so a config read from JSON and one built in
+code meet the same tests and messages. No value is coerced: a bool is never
+a number and a numeric string is not one either.
 """
 
 from __future__ import annotations
@@ -33,8 +34,14 @@ def integer_at_least(low: int):
     return (lambda v: is_int(v) and v >= low, f"an integer >= {low}")
 
 
+def integer_in(low: int, high: int):
+    return (lambda v: is_int(v) and low <= v <= high, f"an integer in [{low}, {high}]")
+
+
 COUNT = integer_at_least(1)
 OPTIONAL_COUNT = (lambda v: v is None or COUNT[0](v), "an integer >= 1 or null")
+COUNT_LIST = (lambda v: isinstance(v, (list, tuple)) and all(map(COUNT[0], v)),
+              "a list of integers >= 1")
 SEED = integer_at_least(0)
 POSITIVE = (lambda v: is_number(v) and v > 0, "a finite number > 0")
 NUMBER = (is_number, "a finite number")
@@ -54,3 +61,12 @@ def check(value, rule, field: str) -> None:
         valid = False
     if not valid:
         raise ConfigError(f"{field} must be {described}, got {value!r}")
+
+
+def check_keys(doc: dict, allowed, where: str) -> None:
+    """Raise a ConfigError naming `where` unless every key of doc is allowed."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown key(s) {unknown}; expected some of {sorted(allowed)}"
+        )

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tpbench.rules import COUNT, NUMBER, NUMBER_LIST, POSITIVE, STRING, check
+from tpbench.rules import COUNT, NUMBER, NUMBER_LIST, POSITIVE, STRING, check, integer_in
 from tpbench.seeding import derive_seed
 
 MIN_PACKET_LEN = 40
@@ -168,8 +168,11 @@ class ClassProfile:
                      "jitter_std"):
             check(getattr(self, name), NUMBER, name)
             object.__setattr__(self, name, float(getattr(self, name)))
-        check(self.ip_pool_size, COUNT, "ip_pool_size")
-        check(self.port_pool_size, COUNT, "port_pool_size")
+        # The pools are drawn as distinct tokens before the first packet: a
+        # port pool above 65535 would never fill, and an address pool stays
+        # within a trace's packet bound.
+        check(self.ip_pool_size, integer_in(1, MAX_TRACE_PACKETS), "ip_pool_size")
+        check(self.port_pool_size, integer_in(1, 65535), "port_pool_size")
         if self.rate <= 0:
             raise ValueError("rate must be positive")
         if self.length_mean <= 0:
@@ -178,8 +181,6 @@ class ClassProfile:
             raise ValueError("protocol_mix must be three non-negative probabilities")
         if abs(sum(self.protocol_mix) - 1.0) > 1e-9:
             raise ValueError("protocol_mix must sum to 1")
-        if self.port_pool_size > 65535:  # more would never fill with distinct ports
-            raise ValueError("port_pool_size must be <= 65535")
         if min(self.length_std, self.window_mean, self.window_std, self.jitter_std) < 0:
             raise ValueError("window_mean and standard deviations must be >= 0")
 

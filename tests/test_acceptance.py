@@ -187,7 +187,7 @@ def test_criterion_5_classifier_sanity():
     Xs = model.standardizer.transform(X)
     Qs = model.standardizer.transform(queries)
     for q, predicted in zip(Qs, predictions):
-        assert predicted == knn_oracle(Xs, y, model.classes, 5, q)
+        assert predicted == knn_oracle(Xs, y, model.classes.tolist(), 5, q)
 
     # MLP analytic gradients vs central finite differences
     rng = np.random.default_rng(77)

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -24,7 +26,8 @@ from tpbench.attackers.mlp import (
     loss_and_gradients,
 )
 from tpbench.attackers.tree import fit_tree
-from tpbench.harness import ClassifierSpec, cell_seeds, fit_cell
+from tpbench.harness import ClassifierSpec, cell_seeds, fit_cell, load_config
+from tpbench.rules import ConfigError
 from tpbench.seeding import derive_seed
 
 
@@ -69,9 +72,11 @@ def test_split_small_class_named_in_error():
         split(["big"] * 10 + ["tiny"], 0.7, 0)
 
 
-@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, float("nan")])
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, float("nan"), True, "0.7"])
 def test_split_rejects_a_fraction_outside_the_open_unit_interval(fraction):
-    with pytest.raises(ValueError, match="train_fraction must lie strictly between 0 and 1"):
+    """The rule and message of a config's `train_fraction`."""
+    named = rf"^train_fraction must be a number in \(0, 1\), got {re.escape(repr(fraction))}$"
+    with pytest.raises(ConfigError, match=named):
         split(["a"] * 5 + ["b"] * 5, fraction, 0)
 
 
@@ -110,7 +115,7 @@ def test_knn_matches_exhaustive_oracle():
     Xs = model.standardizer.transform(np.hstack([X, np.zeros((30, 6))]))
     Qs = model.standardizer.transform(queries_full)
     for q, predicted in zip(Qs, got):
-        assert predicted == knn_oracle(Xs, y, model.classes, 5, q)
+        assert predicted == knn_oracle(Xs, y, model.classes.tolist(), 5, q)
 
 
 def _knn_case(rng, n_classes, n_features):
@@ -511,8 +516,8 @@ def test_fit_mlp_rejects_bad_learning_rate():
     X = np.random.default_rng(6).normal(size=(10, 12))
     y = np.arange(10) % 2
     for rate in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="learning_rate"):
-            fit_mlp(X, y, 2, epochs=1, learning_rate=rate)
+        with pytest.raises(ConfigError, match="learning_rate must be a finite number > 0"):
+            attackers.train("mlp", X, y, epochs=1, learning_rate=rate)
 
 
 def test_mlp_divergence_names_epoch():
@@ -583,6 +588,48 @@ def test_train_dispatch_rejects_unknown_kind():
         attackers.train("svm", np.zeros((4, 12)), ["a", "a", "b", "b"])
 
 
+def test_every_hyperparameter_has_one_rule():
+    """The rule table covers every key a kind takes, and only those."""
+    keys = {key for params in attackers.HYPERPARAMETERS.values() for key in params}
+    assert set(attackers.HYPERPARAMETER_RULES) == keys
+    for kind, params in attackers.HYPERPARAMETERS.items():
+        attackers.check_params(kind, params)  # every default meets its rule
+
+
+BAD_HYPERPARAMETERS = [  # (kind, params, message after "classifier '<kind>': ")
+    ("knn", {"k": True}, "k must be an integer >= 1, got True"),
+    ("knn", {"k": 2.5}, r"k must be an integer >= 1, got 2\.5"),
+    ("forest", {"n_trees": 2.5}, r"n_trees must be an integer >= 1, got 2\.5"),
+    ("mlp", {"epochs": True}, "epochs must be an integer >= 1, got True"),
+    ("mlp", {"learning_rate": True}, "learning_rate must be a finite number > 0, got True"),
+    ("adaboost", {"rounds": True}, "rounds must be an integer >= 1, got True"),
+    ("tree", {"min_leaf": 0}, "min_leaf must be an integer >= 1, got 0"),
+    ("tree", {"max_depth": 0}, "max_depth must be an integer >= 1 or null, got 0"),
+    ("forest", {"features_per_split": 0},
+     "features_per_split must be an integer >= 1 or null, got 0"),
+    ("mlp", {"hidden": (0,)}, r"hidden must be a list of integers >= 1, got \(0,\)"),
+    ("knn", {"kk": 3}, r"unknown key\(s\) \['kk'\]; expected some of \['k'\]"),
+]
+
+
+@pytest.mark.parametrize("kind, params, named", BAD_HYPERPARAMETERS,
+                         ids=[f"{kind}-{name}={value!r}" for kind, params, _ in BAD_HYPERPARAMETERS
+                              for name, value in params.items()])
+def test_train_and_a_config_reject_a_bad_hyperparameter_alike(tmp_path, kind, params, named):
+    """`attackers.train` and a config's `classifiers[i]` meet one rule per
+    hyperparameter and raise one message; no value reaches a kernel."""
+    rng = np.random.default_rng(25)
+    X, y = rng.normal(size=(40, 12)), np.repeat(["a", "b"], 20)
+    with pytest.raises(ConfigError, match=rf"^classifier '{kind}': {named}$") as direct:
+        attackers.train(kind, X, y, **params)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": "mic_onoff", "burst_sizes": [100],
+                                "classifiers": [{"kind": "knn"}, {"kind": kind, **params}]}))
+    with pytest.raises(ConfigError) as loaded:
+        load_config(path)
+    assert str(loaded.value) == f"classifiers[1]: {direct.value}"
+
+
 @pytest.mark.parametrize("n_classes", [3, 12])
 def test_labels_and_their_codes_split_and_train_alike(n_classes):
     """Class order is the labels' value order, one `np.unique` for split and
@@ -600,8 +647,8 @@ def test_labels_and_their_codes_split_and_train_alike(n_classes):
                          ("adaboost", {"rounds": 5}), ("mlp", {"epochs": 3, "seed": 1})):
         by_label = attackers.train(kind, X[train_idx], labels[train_idx], **params)
         by_code = attackers.train(kind, X[train_idx], codes[train_idx], **params)
-        assert by_label.classes == classes.tolist()
-        assert by_code.classes == list(range(n_classes))
+        assert np.array_equal(by_label.classes, classes)
+        assert np.array_equal(by_code.classes, np.arange(n_classes))
         predicted = attackers.predict(by_code, X[test_idx])
         assert list(attackers.predict(by_label, X[test_idx])) == [classes[c] for c in predicted]
         assert attackers.evaluate(by_label, X[test_idx], labels[test_idx]) == attackers.evaluate(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tpbench import cli, harness
+from tpbench import attackers, cli, harness
 from tpbench.traffic import PRESETS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -59,3 +59,12 @@ def test_readme_config_table_names_every_root_key():
 
 def test_readme_scenario_row_lists_the_presets():
     assert re.findall(r"`(\w+)`", _config_table()["`scenario`"]) == list(PRESETS)
+
+
+def test_readme_names_every_hyperparameter_rule():
+    """The README's hyperparameter-rules sentence names each key of
+    `attackers.HYPERPARAMETER_RULES`, and no other."""
+    (sentence,) = re.findall(r"So does a bad hyperparameter value:(.*?)\.\s",
+                             README.read_text(encoding="utf-8"), re.S)
+    named = set(re.findall(r"`(\w+)`", sentence)) - {"true", "false"}
+    assert named == set(attackers.HYPERPARAMETER_RULES)

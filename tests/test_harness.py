@@ -522,9 +522,10 @@ def test_config_field_errors_are_named(tmp_path):
         config_from_dict({**base, "classifiers": [{"kind": "knn"}],
                           "profiles": [{**profile, "jiter_std": 0.1}]})
     for field, named in (
-        ({"ip_pool_size": 2.9}, r"ip_pool_size must be an integer >= 1, got 2\.9"),
-        ({"port_pool_size": 0}, "port_pool_size must be an integer >= 1, got 0"),
-        ({"port_pool_size": 70000}, "port_pool_size must be <= 65535"),
+        ({"ip_pool_size": 2.9}, r"ip_pool_size must be an integer in \[1, 16777216\], got 2\.9"),
+        ({"ip_pool_size": 10**400}, r"ip_pool_size must be an integer in \[1, 16777216\], got 1000"),
+        ({"port_pool_size": 0}, r"port_pool_size must be an integer in \[1, 65535\], got 0"),
+        ({"port_pool_size": 70000}, r"port_pool_size must be an integer in \[1, 65535\], got 70000"),
         ({"label": 5}, "label must be a string, got 5"),
         ({"rate": "600"}, "rate must be a finite number, got '600'"),
         ({"rate": float("inf")}, "rate must be a finite number, got inf"),
@@ -656,7 +657,8 @@ def test_config_missing_pcap_file_fails_at_load(tmp_path):
 def test_validate_rejects_a_config_built_with_both_data_sources(tmp_path):
     """A config built in code holds one data source too: the sweep would load
     the pcaps and never run the profiles. Its fields meet the rules a JSON
-    config's do."""
+    config's do, and a repeated grid entry, which would rerun its cells with
+    the same seeds, fails as in a JSON config."""
     config = load_config(small_config(tmp_path))
     assert config.profiles and not config.pcap_files
     config.validate()
@@ -669,6 +671,17 @@ def test_validate_rejects_a_config_built_with_both_data_sources(tmp_path):
         ({"train_fraction": "0.7"}, r"train_fraction must be a number in \(0, 1\), got '0\.7'"),
         ({"profiles": [], "pcap_files": [(tmp_path / "a.pcap", 5), (tmp_path / "b.pcap", "y")]},
          r"pcap_labels\[a\.pcap\] must be a string, got 5"),
+        # a repeated grid entry, named by its list in a JSON config
+        ({"window_specs": [WindowSpec.burst(250), WindowSpec.time_span(0.5),
+                           WindowSpec.burst(250)]},
+         r"burst_sizes\[1\]: duplicates burst_sizes\[0\] \(burst:250\)"),
+        ({"window_specs": [WindowSpec.burst(250), WindowSpec.time_span(0.5),
+                           WindowSpec.time_span(0.5)]},
+         r"timespans\[1\]: duplicates timespans\[0\] \(timespan:0\.5\)"),
+        ({"transforms": [TransformSpec("none"), TransformSpec("none")]},
+         r"transforms\[1\]: duplicates transforms\[0\] \(none\(\)\)"),
+        ({"classifiers": [ClassifierSpec("knn"), ClassifierSpec("knn")]},
+         r"classifiers\[1\]: duplicates classifiers\[0\] \(knn\(\)\)"),
     ):
         bad = replace(config, **field)
         for call in (bad.validate, lambda: run_experiment(bad)):

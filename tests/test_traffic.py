@@ -75,8 +75,10 @@ def test_rejects_bad_inputs():
         ({"length_mean": float("nan")}, "length_mean must be a finite number, got nan"),
         ({"rate": float("inf")}, "rate must be a finite number, got inf"),
         ({"protocol_mix": (0.5, float("nan"), 0.5)}, "protocol_mix must be a list of finite"),
-        ({"port_pool_size": 65536}, "port_pool_size must be <= 65535"),
-        ({"ip_pool_size": 2.5}, r"ip_pool_size must be an integer >= 1, got 2\.5"),
+        ({"port_pool_size": 65536}, r"port_pool_size must be an integer in \[1, 65535\], got 65536"),
+        ({"ip_pool_size": 2.5}, r"ip_pool_size must be an integer in \[1, 16777216\], got 2\.5"),
+        ({"ip_pool_size": 2**24 + 1}, r"ip_pool_size must be an integer in \[1, 16777216\], got 16777217"),
+        ({"ip_pool_size": 10**400}, r"ip_pool_size must be an integer in \[1, 16777216\], got 1000"),
         ({"label": 5}, "label must be a string, got 5"),
         ({"rate": "600"}, "rate must be a finite number, got '600'"),
     ):
