@@ -65,14 +65,14 @@ class TransformSpec:
     derives each cell's seed from the key.
     """
 
-    mode: str  # none | smooth | awgn | realistic
+    mode: str = "none"  # none | smooth | awgn | realistic
     window: int = 51
     degree: int = 1
     nu: float = 0.0
     clamp_counts: bool = False
 
     def __post_init__(self):
-        if self.mode not in TRANSFORM_PARAMS:
+        if not isinstance(self.mode, str) or self.mode not in TRANSFORM_PARAMS:
             raise ValueError(
                 f"transform mode {self.mode!r} unknown; expected one of {list(TRANSFORM_PARAMS)}"
             )

@@ -39,6 +39,7 @@ from tpbench.rules import (
     ConfigError,
     check,
     check_keys,
+    named,
 )
 
 # kind -> (fit(Xs, codes, n_classes, **params), predict(params, Xs) -> codes)
@@ -80,12 +81,12 @@ def check_params(kind: str, params: dict) -> None:
     are some of its hyperparameters, each meeting its rule; the message
     reads "classifier '<kind>': <name> must be ...". A config's classifier
     specs and `train` both check here."""
-    if kind not in _KINDS:
+    if kind not in CLASSIFIER_KINDS:  # a tuple: an unhashable kind is not in it either
         raise ConfigError(f"unknown classifier kind {kind!r}; expected one of {CLASSIFIER_KINDS}")
-    where = f"classifier {kind!r}"
-    check_keys(params, HYPERPARAMETERS[kind], where)
-    for name, value in params.items():
-        check(value, HYPERPARAMETER_RULES[name], f"{where}: {name}")
+    with named(f"classifier {kind!r}"):
+        check_keys(params, HYPERPARAMETERS[kind])
+        for name, value in params.items():
+            check(value, HYPERPARAMETER_RULES[name], name)
 
 
 @dataclass

@@ -35,6 +35,7 @@ from tpbench.harness import (
     run_experiment,
 )
 from tpbench.pcap import load_pcap
+from tpbench.rules import named
 from tpbench.traffic import (
     PRESETS,
     builtin_profiles,
@@ -128,6 +129,8 @@ def _cmd_extract(args) -> int:
         if not args.label:
             raise ValueError("--label is required with --pcap")
         traces = [load_pcap(args.pcap, args.label)]
+    elif args.label is not None:  # trace files carry their own labels
+        raise ValueError("--label is only for --pcap input, not --traces")
     else:
         traces = load_dataset(args.traces)
     series = [extract_series(t, spec) for t in traces]
@@ -159,13 +162,11 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    try:
+    with named("--params"):
         params = json.loads(args.params)
         if not isinstance(params, dict):
             raise ValueError(f"expected a JSON object, got {args.params!r}")
         clf = ClassifierSpec.from_params(args.classifier, params)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"--params: {exc}") from exc
     series_list = load_features_csv(args.features)
     X, y, _ = stack_series(series_list)
     train_idx, test_idx = attackers.split(y, args.train_fraction, cell_seeds(args.seed)[0])

@@ -30,11 +30,19 @@ from tpbench import attackers
 from tpbench.adversarial import TRANSFORM_PARAMS, TransformSpec
 from tpbench.features import EmptySeriesError, WindowSpec, extract_series, stack_series
 from tpbench.pcap import load_pcap
-from tpbench.rules import COUNT, FRACTION, POSITIVE, SEED, STRING, ConfigError, check, check_keys
+from tpbench.rules import (
+    COUNT,
+    FRACTION,
+    POSITIVE,
+    SEED,
+    STRING,
+    ConfigError,
+    check,
+    check_keys,
+    named,
+)
 from tpbench.seeding import derive_seed
 from tpbench.traffic import ClassProfile, Trace, builtin_profiles, generate_dataset
-
-DEFAULT_BURST_SIZES = (250, 500, 750, 1000, 1250, 1500)
 
 REPORT_COLUMNS = (
     "scenario",
@@ -52,14 +60,6 @@ REPORT_COLUMNS = (
     "status",
     "reason",
 )
-
-
-_ROOT_KEYS = frozenset({
-    "scenario", "profiles", "pcap_dir", "pcap_labels", "burst_sizes", "timespans",
-    "transforms", "classifiers", "traces_per_class", "duration", "train_fraction",
-    "seed", "output_dir",
-})
-_TRANSFORM_KEYS = frozenset({"mode"}.union(*TRANSFORM_PARAMS.values()))
 
 
 # The fields of an ExperimentConfig that hold a config value as given.
@@ -95,11 +95,6 @@ class ClassifierSpec:
         attackers.check_params(self.kind, params)
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ClassifierSpec":
-        params = {k: v for k, v in doc.items() if k != "kind"}
-        return cls.from_params(doc.get("kind", ""), params)
-
-    @classmethod
     def from_params(cls, kind: str, params: dict) -> "ClassifierSpec":
         return cls(kind=kind, params=tuple(sorted(params.items())))
 
@@ -109,23 +104,20 @@ class ClassifierSpec:
     def key(self) -> str:
         return f"{self.kind}({self.params_repr()})"
 
-    def train(self, X, y, seed: int, trees: range | None = None) -> attackers.TrainedModel:
-        """`trees`, for a forest, grows only those tree indices."""
-        params = dict(self.params)
-        if "seed" in attackers.HYPERPARAMETERS[self.kind]:
-            params.setdefault("seed", seed)
-        return attackers.train(self.kind, X, y, trees=trees, **params)
-
 
 @dataclass
 class ExperimentConfig:
-    scenario: str  # a PRESETS name, or the run's name with profiles or pcaps
+    """A sweep's data source and grid. These defaults are the only ones:
+    `config_from_dict` passes only the keys a document gives."""
+
+    scenario: str = "custom"  # a PRESETS name, or the run's name with profiles or pcaps
     profiles: list[ClassProfile] = field(default_factory=list)
     traces_per_class: int = 3
     duration: float = 60.0
     pcap_files: list[tuple[Path, str]] = field(default_factory=list)  # (path, label)
-    window_specs: list[WindowSpec] = field(default_factory=list)
-    transforms: list[TransformSpec] = field(default_factory=list)
+    window_specs: list[WindowSpec] = field(
+        default_factory=lambda: [WindowSpec.burst(n) for n in (250, 500, 750, 1000, 1250, 1500)])
+    transforms: list[TransformSpec] = field(default_factory=lambda: [TransformSpec("none")])
     classifiers: list[ClassifierSpec] = field(default_factory=list)
     train_fraction: float = 0.7
     seed: int = 0
@@ -169,33 +161,77 @@ class ExperimentConfig:
                 raise ConfigError("profiles: need at least 2 class profiles, got 1")
 
 
-def _parse_profile(doc: dict, where: str) -> ClassProfile:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: must be a profile object")
-    missing = {f.name for f in fields(ClassProfile) if f.default is MISSING} - set(doc)
+def _read_list(doc: dict, name: str, read_entry) -> list:
+    """doc[name], which must be a JSON list, with each entry read by
+    `read_entry`; entry i's error is named `<name>[i]: ...`."""
+    entries = doc[name]
+    if not isinstance(entries, list):
+        raise ConfigError(f"{name}: must be a list, got {entries!r}")
+    read = []
+    for i, entry in enumerate(entries):
+        with named(f"{name}[{i}]"):
+            read.append(read_entry(entry))
+    return read
+
+
+def _read_object(value, keys=None) -> dict:
+    """value, which must be a JSON object with only `keys` (any keys when
+    None, for a reader that checks them itself)."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"must be an object, got {value!r}")
+    if keys is not None:
+        check_keys(value, keys)
+    return value
+
+
+def _read_profile(entry) -> ClassProfile:
+    entry = _read_object(entry, {f.name for f in fields(ClassProfile)})
+    missing = [f.name for f in fields(ClassProfile) if f.default is MISSING and f.name not in entry]
     if missing:
-        raise ConfigError(f"{where}: missing profile fields {sorted(missing)}")
-    check_keys(doc, {f.name for f in fields(ClassProfile)}, where)
-    try:
-        return ClassProfile(**doc)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"missing profile fields {sorted(missing)}")
+    return ClassProfile(**entry)
+
+
+def _read_transform(entry) -> TransformSpec:
+    spec = TransformSpec(**_read_object(entry, {f.name for f in fields(TransformSpec)}))
+    with named(f"transform {spec.mode}"):
+        check_keys(entry, {"mode", *TRANSFORM_PARAMS[spec.mode]})
+    return spec
+
+
+def _read_classifier(entry) -> ClassifierSpec:
+    params = dict(_read_object(entry))  # ClassifierSpec checks the keys of its kind
+    return ClassifierSpec.from_params(params.pop("kind", ""), params)
+
+
+# Root key -> the reader of its list's entries; a list key names an
+# ExperimentConfig field, but burst_sizes and timespans share window_specs.
+_LIST_READERS = {
+    "burst_sizes": WindowSpec.burst,
+    "timespans": WindowSpec.time_span,
+    "profiles": _read_profile,
+    "transforms": _read_transform,
+    "classifiers": _read_classifier,
+}
+# Root keys whose value is an ExperimentConfig field's as given.
+_VALUE_KEYS = (*_CONFIG_RULES, "output_dir")
+_ROOT_KEYS = frozenset({*_VALUE_KEYS, *_LIST_READERS, "pcap_dir", "pcap_labels"})
 
 
 def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    check_keys(doc, _ROOT_KEYS, "config")
+    """The config a JSON document describes. A key the document omits keeps
+    ExperimentConfig's default; `output_dir` and `pcap_dir` are read
+    relative to base_dir."""
+    with named("config"):
+        _read_object(doc, _ROOT_KEYS)
     # Read before validate() runs: a preset name, and the two paths
     for name in ("scenario", "pcap_dir", "output_dir"):
         if name in doc:
             check(doc[name], STRING, name)
+    given = {name: doc[name] for name in _VALUE_KEYS if name in doc}
 
     # One data source: pcap_dir with pcap_labels, or profiles (given or the
     # scenario's preset) with traces_per_class and duration.
-    scenario = doc.get("scenario", "custom")
-    profiles: list[ClassProfile] = []
-    pcap_files: list[tuple[Path, str]] = []
     if "pcap_dir" in doc:
         for name in ("profiles", "traces_per_class", "duration"):
             if name in doc:
@@ -204,77 +240,25 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
         labels = doc.get("pcap_labels")
         if not isinstance(labels, dict) or not labels:
             raise ConfigError("pcap_labels: required with pcap_dir (file -> label)")
+        given["pcap_files"] = []
         for name, label in labels.items():
             check(label, STRING, f"pcap_labels[{name}]")
             path = pcap_dir / name
             if not path.is_file():
                 raise ConfigError(f"pcap_labels: file not found: {path}")
-            pcap_files.append((path, label))
+            given["pcap_files"].append((path, label))
     elif "pcap_labels" in doc:
         raise ConfigError("pcap_labels: not allowed without pcap_dir")
-    elif "profiles" in doc:
-        if not isinstance(doc["profiles"], list):
-            raise ConfigError("profiles: must be a list of profile objects")
-        profiles = [
-            _parse_profile(p, f"profiles[{i}]") for i, p in enumerate(doc["profiles"])
-        ]
-    else:
-        try:
-            profiles = builtin_profiles(scenario)
-        except ValueError as exc:
-            raise ConfigError(f"scenario: {exc}") from exc
 
-    bursts = doc.get("burst_sizes")
-    if bursts is None and "timespans" not in doc:
-        bursts = list(DEFAULT_BURST_SIZES)
-    window_specs: list[WindowSpec] = []
-    for name, sizes, make in (
-        ("burst_sizes", bursts, WindowSpec.burst),
-        ("timespans", doc.get("timespans"), WindowSpec.time_span),
-    ):
-        if sizes is not None and not isinstance(sizes, list):
-            raise ConfigError(f"{name}: must be a list of window sizes")
-        for i, size in enumerate(sizes or []):
-            try:
-                window_specs.append(make(size))
-            except ValueError as exc:
-                raise ConfigError(f"{name}[{i}]: {exc}") from exc
-
-    transforms = []
-    for i, tdoc in enumerate(doc.get("transforms", [{"mode": "none"}])):
-        where = f"transforms[{i}]"
-        if not isinstance(tdoc, dict):
-            raise ConfigError(f"{where}: must be an object with a mode")
-        check_keys(tdoc, _TRANSFORM_KEYS, where)
-        try:
-            spec = TransformSpec(**{"mode": "none", **tdoc})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-        check_keys(tdoc, {"mode", *TRANSFORM_PARAMS[spec.mode]}, f"{where} (mode {spec.mode!r})")
-        transforms.append(spec)
-
-    classifiers = []
-    for i, cdoc in enumerate(doc.get("classifiers", [])):
-        if not isinstance(cdoc, dict):
-            raise ConfigError(f"classifiers[{i}]: must be an object with a kind")
-        try:
-            classifiers.append(ClassifierSpec.from_dict(cdoc))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"classifiers[{i}]: {exc}") from exc
-
-    config = ExperimentConfig(
-        scenario=scenario,
-        profiles=profiles,
-        traces_per_class=doc.get("traces_per_class", 3),
-        duration=doc.get("duration", 60.0),
-        pcap_files=pcap_files,
-        window_specs=window_specs,
-        transforms=transforms,
-        classifiers=classifiers,
-        train_fraction=doc.get("train_fraction", 0.7),
-        seed=doc.get("seed", 0),
-        output_dir=base_dir / doc.get("output_dir", "out"),
-    )
+    lists = {name: _read_list(doc, name, read)
+             for name, read in _LIST_READERS.items() if name in doc}
+    if "burst_sizes" in lists or "timespans" in lists:
+        given["window_specs"] = lists.pop("burst_sizes", []) + lists.pop("timespans", [])
+    config = ExperimentConfig(**given, **lists)
+    if "pcap_dir" not in doc and "profiles" not in doc:
+        with named("scenario"):
+            config.profiles = builtin_profiles(config.scenario)
+    config.output_dir = base_dir / config.output_dir
     config.validate()
     return config
 
@@ -359,7 +343,10 @@ def fit_cell(X, y, clf, train_idx, test_idx, cell_seed, trees=None):
     its predictions on the test rows, not the model: their labels, in `y`'s
     dtype, for a whole cell (`trees` None), else the vote matrix of trees
     `trees` of its forest on them."""
-    model = clf.train(X[train_idx], y[train_idx], cell_seeds(cell_seed)[1], trees)
+    params = dict(clf.params)
+    if "seed" in attackers.HYPERPARAMETERS[clf.kind]:
+        params.setdefault("seed", cell_seeds(cell_seed)[1])
+    model = attackers.train(clf.kind, X[train_idx], y[train_idx], trees=trees, **params)
     if trees is None:
         return attackers.predict(model, X[test_idx])
     return attackers.forest_votes(model, X[test_idx])

@@ -2,7 +2,9 @@
 
 A rule is a pair (test, what a valid value is). `check` applies one to a
 field and raises a `ConfigError` reading "{field} must be {what}, got
-{value!r}"; `check_keys` rejects the keys of a mapping that name no field.
+{value!r}"; `check_keys` rejects the keys of a mapping that name no field,
+and `named(where)` prefixes the message of a ValueError raised within it
+with where the value sits, as in `classifiers[0]: ...`.
 Every config object (window and transform specs, class profiles,
 classifier specs, the experiment config) and `attackers.train` check their
 fields through these rules, so a config read from JSON and one built in
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from contextlib import contextmanager
 
 
 class ConfigError(ValueError):
@@ -44,9 +47,7 @@ COUNT_LIST = (lambda v: isinstance(v, (list, tuple)) and all(map(COUNT[0], v)),
               "a list of integers >= 1")
 SEED = integer_at_least(0)
 POSITIVE = (lambda v: is_number(v) and v > 0, "a finite number > 0")
-NUMBER = (is_number, "a finite number")
-NUMBER_LIST = (lambda v: isinstance(v, (list, tuple)) and all(map(is_number, v)),
-               "a list of finite numbers")
+NON_NEGATIVE = (lambda v: is_number(v) and v >= 0, "a finite number >= 0")
 FRACTION = (lambda v: is_number(v) and 0 < v < 1, "a number in (0, 1)")
 BOOL = (lambda v: isinstance(v, bool), "true or false")
 STRING = (lambda v: isinstance(v, str), "a string")
@@ -63,10 +64,18 @@ def check(value, rule, field: str) -> None:
         raise ConfigError(f"{field} must be {described}, got {value!r}")
 
 
-def check_keys(doc: dict, allowed, where: str) -> None:
-    """Raise a ConfigError naming `where` unless every key of doc is allowed."""
+def check_keys(doc: dict, allowed) -> None:
+    """Raise a ConfigError naming the keys of doc that are not allowed."""
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
-        raise ConfigError(
-            f"{where}: unknown key(s) {unknown}; expected some of {sorted(allowed)}"
-        )
+        raise ConfigError(f"unknown key(s) {unknown}; expected some of {sorted(allowed)}")
+
+
+@contextmanager
+def named(where: str):
+    """Re-raise a ValueError from the block as a ConfigError reading
+    "{where}: {message}"."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc

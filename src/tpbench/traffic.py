@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tpbench.rules import COUNT, NUMBER, NUMBER_LIST, POSITIVE, STRING, check, integer_in
+from tpbench.rules import COUNT, NON_NEGATIVE, POSITIVE, STRING, check, integer_in
 from tpbench.seeding import derive_seed
 
 MIN_PACKET_LEN = 40
@@ -140,6 +140,23 @@ class Trace:
                 raise ValueError(f"packet {int(np.argmax(bad))}: {message}")
 
 
+PROTOCOL_MIX = (lambda v: isinstance(v, (list, tuple)) and len(v) == 3
+                and all(map(NON_NEGATIVE[0], v)) and abs(sum(v) - 1.0) <= 1e-9,
+                "three finite numbers >= 0 summing to 1")
+
+# ClassProfile field -> its rule. The pools are drawn as distinct tokens
+# before the first packet: a port pool above 65535 would never fill, and an
+# address pool stays within a trace's packet bound.
+_PROFILE_RULES = {
+    "label": STRING,
+    "protocol_mix": PROTOCOL_MIX,
+    **dict.fromkeys(("rate", "length_mean"), POSITIVE),
+    **dict.fromkeys(("length_std", "window_mean", "window_std", "jitter_std"), NON_NEGATIVE),
+    "ip_pool_size": integer_in(1, MAX_TRACE_PACKETS),
+    "port_pool_size": integer_in(1, 65535),
+}
+
+
 @dataclass(frozen=True)
 class ClassProfile:
     """Generative parameters for one traffic class, checked at construction.
@@ -161,28 +178,11 @@ class ClassProfile:
     jitter_std: float = 0.0  # Gaussian jitter on inter-packet gaps, seconds
 
     def __post_init__(self):
-        check(self.label, STRING, "label")
-        check(self.protocol_mix, NUMBER_LIST, "protocol_mix")
+        for name, rule in _PROFILE_RULES.items():
+            check(getattr(self, name), rule, name)
+            if rule in (POSITIVE, NON_NEGATIVE):  # a real-valued field
+                object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "protocol_mix", tuple(map(float, self.protocol_mix)))
-        for name in ("rate", "length_mean", "length_std", "window_mean", "window_std",
-                     "jitter_std"):
-            check(getattr(self, name), NUMBER, name)
-            object.__setattr__(self, name, float(getattr(self, name)))
-        # The pools are drawn as distinct tokens before the first packet: a
-        # port pool above 65535 would never fill, and an address pool stays
-        # within a trace's packet bound.
-        check(self.ip_pool_size, integer_in(1, MAX_TRACE_PACKETS), "ip_pool_size")
-        check(self.port_pool_size, integer_in(1, 65535), "port_pool_size")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
-        if self.length_mean <= 0:
-            raise ValueError("length_mean must be positive")
-        if len(self.protocol_mix) != 3 or min(self.protocol_mix) < 0:
-            raise ValueError("protocol_mix must be three non-negative probabilities")
-        if abs(sum(self.protocol_mix) - 1.0) > 1e-9:
-            raise ValueError("protocol_mix must sum to 1")
-        if min(self.length_std, self.window_mean, self.window_std, self.jitter_std) < 0:
-            raise ValueError("window_mean and standard deviations must be >= 0")
 
 
 def _distinct_tokens(rng: np.random.Generator, count: int, high: int) -> np.ndarray:

@@ -688,6 +688,7 @@ def test_fit_cell_returns_the_predictions_of_its_one_fit(kind, monkeypatch):
         monkeypatch.setattr(attackers, "train", real_train)
         seeded = "seed" in attackers.HYPERPARAMETERS[kind]
         assert fits == [(kind, train_seed if seeded else None)]
-        model = spec.train(X[train_idx], y[train_idx], train_seed)
+        model = attackers.train(kind, X[train_idx], y[train_idx], **CELL_PARAMS.get(kind, {}),
+                                **({"seed": train_seed} if seeded else {}))
         assert got.dtype == y.dtype
         assert np.array_equal(got, attackers.predict(model, X[test_idx]))

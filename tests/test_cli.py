@@ -18,7 +18,7 @@ from tpbench.features import (
     stack_series,
 )
 from tpbench.adversarial import REALISTIC_UNTOUCHED_FEATURES, TransformSpec
-from tpbench.harness import ClassifierSpec, cell_seeds
+from tpbench.harness import cell_seeds
 from tpbench.seeding import derive_seed
 from tpbench.traffic import Protocol
 
@@ -182,6 +182,21 @@ def test_extract_missing_pcap_exits_two(tmp_path, capsys):
                  "--label", "x", "--burst", "100", "--out", str(tmp_path / "o.csv")])
     assert code == 2
     assert "missing.pcap" in capsys.readouterr().err
+
+
+def test_extract_label_with_traces_exits_two_naming_the_flag(tmp_path, capsys):
+    """A trace file carries its own label, so `--label` is for `--pcap` only."""
+    data = tmp_path / "data"
+    main(["synth", "--traces-per-class", "1", "--duration", "5.0", "--out", str(data)])
+    capsys.readouterr()
+    out = tmp_path / "o.csv"
+    code = main(["extract", "--traces", str(data), "--label", "x", "--burst", "100",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--label is only for --pcap input" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_extract_burst_zero_names_the_burst_size(tmp_path, capsys):
@@ -368,6 +383,22 @@ def test_sweep_with_fields_of_the_other_source_exits_two_naming_the_field(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("transforms", 5), ("classifiers", None), ("burst_sizes", None),
+])
+def test_sweep_with_a_non_list_field_exits_two_naming_it(field, value, tmp_path, capsys):
+    """A list field given as anything but a JSON list fails the load; null is
+    no way to ask for the default."""
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"scenario": "mic_onoff", "duration": 5.0, "burst_sizes": [100],
+                                "classifiers": [{"kind": "knn"}], field: value}))
+    assert main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"tpbench sweep: {field}: must be a list, got {value!r}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_over_pcaps_names_the_run_by_its_scenario(tmp_path, monkeypatch):
     """`sweep.csv`'s scenario column is the config's `scenario` ("custom" when
     left out), which with `pcap_dir` only names the run."""
@@ -410,7 +441,7 @@ def test_attack_prints_the_accuracy_of_its_one_fit(tmp_path, capsys, monkeypatch
     X, y, _ = stack_series(load_features_csv(csv_path))
     split_seed, train_seed = cell_seeds(0)
     train_idx, test_idx = attackers.split(y, 0.7, split_seed)
-    model = ClassifierSpec("tree").train(X[train_idx], y[train_idx], train_seed)
+    model = attackers.train("tree", X[train_idx], y[train_idx])
     accuracy = attackers.evaluate(model, X[test_idx], y[test_idx])
     assert f"accuracy={accuracy!r} " in capsys.readouterr().out
 

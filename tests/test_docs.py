@@ -1,14 +1,16 @@
 """The README's documented entry points run as written."""
 
 import argparse
+import json
 import re
 import shlex
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from tpbench import attackers, cli, harness
-from tpbench.traffic import PRESETS
+from tpbench.traffic import PRESETS, builtin_profiles
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -45,11 +47,12 @@ def test_readme_cli_flags_exist(command):
         assert flag in options, f"README: `tpbench {command}` has no {flag}"
 
 
-def _config_table() -> dict[str, str]:
-    """The `## Sweep configs` field table: each row's field cell -> its meaning cell."""
+def _config_table() -> dict[str, tuple[str, str]]:
+    """The `## Sweep configs` field table: each row's field cell -> its
+    meaning and default cells."""
     section = README.read_text(encoding="utf-8").split("\n## Sweep configs\n", 1)[1]
-    rows = re.findall(r"^\| (.+?) \| (.+?) \|$", section.split("\n## ", 1)[0], re.M)
-    return {field: meaning for field, meaning in rows if field not in ("field", "---")}
+    rows = re.findall(r"^\| (.+?) \| (.+?) \| (.+?) \|$", section.split("\n## ", 1)[0], re.M)
+    return {field: cells for field, *cells in rows if field not in ("field", "---")}
 
 
 def test_readme_config_table_names_every_root_key():
@@ -58,7 +61,28 @@ def test_readme_config_table_names_every_root_key():
 
 
 def test_readme_scenario_row_lists_the_presets():
-    assert re.findall(r"`(\w+)`", _config_table()["`scenario`"]) == list(PRESETS)
+    meaning, _ = _config_table()["`scenario`"]
+    assert re.findall(r"`(\w+)`", meaning) == list(PRESETS)
+
+
+def test_readme_config_table_states_the_experiment_config_defaults():
+    """A default cell holds one JSON value per key of its row, or none; a
+    config that gives every stated default, plus profiles and classifiers,
+    reads as an ExperimentConfig built in code with those two alone."""
+    stated = {}
+    for field, (_, default) in _config_table().items():
+        values = re.findall(r"`([^`]+)`", default)
+        if values:
+            keys = re.findall(r"`(\w+)`", field)
+            assert len(values) == len(keys), f"README: {field} states {len(values)} defaults"
+            stated.update(zip(keys, map(json.loads, values)))
+    assert set(stated) == harness._ROOT_KEYS - {"profiles", "pcap_dir", "pcap_labels",
+                                                 "classifiers"}
+    profiles = builtin_profiles("mic_onoff")
+    read = harness.config_from_dict({**stated, "profiles": [asdict(p) for p in profiles],
+                                     "classifiers": [{"kind": "knn"}]})
+    assert read == harness.ExperimentConfig(profiles=profiles,
+                                            classifiers=[harness.ClassifierSpec("knn")])
 
 
 def test_readme_names_every_hyperparameter_rule():

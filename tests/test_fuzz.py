@@ -1,15 +1,18 @@
-"""Property-based fuzzing of the three input readers.
+"""Property-based fuzzing of the four input readers.
 
 Whatever the input, `parse_pcap_with_stats`, `load_trace` and
 `load_features_csv` either return a result or raise `PcapFormatError` or
-`ValueError` (`PcapFormatError` is a `ValueError`). Any other exception is a
-crash on bad input. A returned trace must pass `Trace.validate`, and on
+`ValueError` (`PcapFormatError` is a `ValueError`), and `config_from_dict`
+returns a config or raises `ConfigError`. Any other exception is a crash on
+bad input. A returned trace must pass `Trace.validate`, and on
 captures with in-range sub-second fields the pcap parser must agree with the
 per-record reference parser bit for bit. Examples are derandomized and few,
 so the suite stays deterministic and quick.
 """
 
+import json
 import struct
+from dataclasses import asdict
 
 import pytest
 
@@ -26,8 +29,9 @@ from helpers import (  # noqa: E402
     reference_parse_pcap_with_stats,
 )
 from tpbench.features import FEATURE_NAMES, load_features_csv  # noqa: E402
+from tpbench.harness import _ROOT_KEYS, ConfigError, config_from_dict  # noqa: E402
 from tpbench.pcap import PcapFormatError, parse_pcap_with_stats  # noqa: E402
-from tpbench.traffic import PROTOCOLS, Protocol, load_trace  # noqa: E402
+from tpbench.traffic import PROTOCOLS, Protocol, builtin_profiles, load_trace  # noqa: E402
 
 FUZZ = settings(
     derandomize=True,
@@ -223,3 +227,52 @@ def test_load_features_csv_fuzz(tmp_path, text):
     except ValueError:
         return
     assert series and all(len(s) > 0 for s in series)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+_CONFIG = {
+    "scenario": "run", "traces_per_class": 2, "duration": 5.0, "train_fraction": 0.7,
+    "seed": 0, "output_dir": "out", "burst_sizes": [100], "timespans": [0.5],
+    "profiles": [asdict(p) for p in builtin_profiles("mic_onoff")],
+    "transforms": [{"mode": "smooth", "window": 5}, {"mode": "awgn", "nu": 2.0}],
+    "classifiers": [{"kind": "knn", "k": 3}, {"kind": "mlp", "hidden": [4]}],
+}
+
+
+@st.composite
+def config_docs(draw):
+    """A valid config with one to three places set to a random JSON value: a
+    root key, a list entry or a field of an object entry."""
+    doc = json.loads(json.dumps(_CONFIG))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(_ROOT_KEYS | {"x"})))
+        value = draw(json_values)
+        entries = doc.get(key)
+        if not isinstance(entries, list) or not entries or draw(st.booleans()):
+            doc[key] = value
+            continue
+        i = draw(st.integers(0, len(entries) - 1))
+        if isinstance(entries[i], dict) and draw(st.booleans()):
+            entries[i][draw(st.sampled_from(sorted(entries[i]) + ["x"]))] = value
+        else:
+            entries[i] = value
+    return doc
+
+
+@settings(FUZZ, max_examples=300)
+@given(st.one_of(config_docs(), json_values))
+@example({**_CONFIG, "transforms": 5})
+@example({**_CONFIG, "classifiers": None})
+@example({**_CONFIG, "transforms": [{"mode": ["smooth"]}]})
+@example({**_CONFIG, "classifiers": [{"kind": ["knn"]}]})
+def test_config_from_dict_fuzz(doc):
+    try:
+        config = config_from_dict(doc)
+    except ConfigError:
+        return
+    config.validate()

@@ -3,6 +3,7 @@ import csv
 import json
 import multiprocessing
 import os
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from tpbench.features import WindowSpec, extract_series, stack_series
 from tpbench.harness import (
     ConfigError,
     ClassifierSpec,
+    ExperimentConfig,
     TransformSpec,
     config_from_dict,
     emit_report,
@@ -253,11 +255,12 @@ def test_split_forest_equals_unsplit_forest():
     codes = np.repeat(np.arange(3), 30)
     X[:, 0] += rng.normal(scale=2.0, size=90)  # noisy enough that trees disagree
     for n_trees in (1, 2, 5, 7):
-        clf = ClassifierSpec.from_dict({"kind": "forest", "n_trees": n_trees})
+        clf = ClassifierSpec.from_params("forest", {"n_trees": n_trees})
         whole = fit_forest(X, codes, 3, n_trees=n_trees, seed=11)
         split_seed, train_seed = harness.cell_seeds(17)
         train_idx, test_idx = attackers.split(y, 0.7, split_seed)
-        model = clf.train(X[train_idx], y[train_idx], train_seed)
+        model = attackers.train("forest", X[train_idx], y[train_idx], n_trees=n_trees,
+                                seed=train_seed)
         labels = attackers.predict(model, X[test_idx])
         assert np.array_equal(fit_cell(X, y, clf, train_idx, test_idx, 17), labels)
         cell = (attackers.accuracy(labels, y[test_idx]), train_idx.size, test_idx.size)
@@ -491,10 +494,10 @@ def test_config_field_errors_are_named(tmp_path):
         ({"mode": "awgn", "nu": 0}, "nu must be a finite number > 0, got 0"),
         ({"mode": "awgn", "nu": 10**400}, "nu must be a finite number > 0, got 1000"),
         ({"mode": "awgn"}, "nu must be a finite number > 0"),
-        ({"mode": "none", "nu": 2.0}, r"\(mode 'none'\): unknown key\(s\) \['nu'\]"),
-        ({"mode": "smooth", "nu": 2.0}, r"\(mode 'smooth'\): unknown key\(s\) \['nu'\]"),
+        ({"mode": "none", "nu": 2.0}, r"transform none: unknown key\(s\) \['nu'\]"),
+        ({"mode": "smooth", "nu": 2.0}, r"transform smooth: unknown key\(s\) \['nu'\]"),
         ({"mode": "smooth", "clamp_counts": True}, r"unknown key\(s\) \['clamp_counts'\]"),
-        ({"mode": "awgn", "nu": 2.0, "window": 51}, r"\(mode 'awgn'\): unknown key\(s\) \['window'\]"),
+        ({"mode": "awgn", "nu": 2.0, "window": 51}, r"transform awgn: unknown key\(s\) \['window'\]"),
         ({"mode": "realistic", "nu": 2.0, "degree": 1}, r"unknown key\(s\) \['degree'\]"),
     ):
         with pytest.raises(ConfigError, match=rf"transforms\[1\].*{named}"):
@@ -527,21 +530,25 @@ def test_config_field_errors_are_named(tmp_path):
         ({"port_pool_size": 0}, r"port_pool_size must be an integer in \[1, 65535\], got 0"),
         ({"port_pool_size": 70000}, r"port_pool_size must be an integer in \[1, 65535\], got 70000"),
         ({"label": 5}, "label must be a string, got 5"),
-        ({"rate": "600"}, "rate must be a finite number, got '600'"),
-        ({"rate": float("inf")}, "rate must be a finite number, got inf"),
-        ({"rate": float("nan")}, "rate must be a finite number, got nan"),
-        ({"rate": 0}, "rate must be positive"),
-        ({"length_mean": float("nan")}, "length_mean must be a finite number, got nan"),
-        ({"length_mean": -5.0}, "length_mean must be positive"),
-        ({"window_std": True}, "window_std must be a finite number, got True"),
-        ({"jitter_std": -0.1}, "standard deviations must be >= 0"),
-        ({"protocol_mix": [0.5, "0.5", 0.0]}, "protocol_mix must be a list of finite numbers"),
-        ({"protocol_mix": [0.5, float("nan"), 0.5]}, "protocol_mix must be a list of finite"),
+        ({"rate": "600"}, "rate must be a finite number > 0, got '600'"),
+        ({"rate": float("inf")}, "rate must be a finite number > 0, got inf"),
+        ({"rate": float("nan")}, "rate must be a finite number > 0, got nan"),
+        ({"rate": 0}, "rate must be a finite number > 0, got 0"),
+        ({"length_mean": float("nan")}, "length_mean must be a finite number > 0, got nan"),
+        ({"length_mean": -5.0}, r"length_mean must be a finite number > 0, got -5\.0"),
+        ({"window_std": True}, "window_std must be a finite number >= 0, got True"),
+        ({"jitter_std": -0.1}, r"jitter_std must be a finite number >= 0, got -0\.1"),
+        ({"protocol_mix": [0.5, "0.5", 0.0]},
+         r"protocol_mix must be three finite numbers >= 0 summing to 1, got \[0\.5, '0\.5', 0\.0\]"),
+        ({"protocol_mix": [0.5, float("nan"), 0.5]}, "protocol_mix must be three finite numbers"),
+        ({"protocol_mix": [0.5, 0.5]}, r"protocol_mix must be three .* got \[0\.5, 0\.5\]"),
+        ({"protocol_mix": [0.9, 0.2, -0.1]}, r"protocol_mix must be three .* got \[0\.9, 0\.2, -0\.1\]"),
+        ({"protocol_mix": [0.5, 0.2, 0.2]}, r"protocol_mix must be three .* got \[0\.5, 0\.2, 0\.2\]"),
     ):
         profiles = [{**profile, **field}, asdict(builtin_profiles("mic_onoff")[1])]
         with pytest.raises(ConfigError, match=rf"profiles\[0\]: .*{named}"):
             config_from_dict({**base, "classifiers": [{"kind": "knn"}], "profiles": profiles})
-    with pytest.raises(ConfigError, match=r"profiles\[0\]: must be a profile object"):
+    with pytest.raises(ConfigError, match=r"^profiles\[0\]: must be an object, got 3$"):
         config_from_dict({**base, "classifiers": [{"kind": "knn"}], "profiles": [3]})
     for name in ("a.pcap", "b.pcap"):
         (tmp_path / name).write_bytes(b"")
@@ -654,6 +661,33 @@ def test_config_missing_pcap_file_fails_at_load(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("name", ["burst_sizes", "timespans", "profiles", "transforms",
+                                  "classifiers"])
+def test_a_list_field_that_is_no_json_list_fails_naming_the_field(name):
+    """null is no way to ask for the default, and an object is not a list of one."""
+    base = {"scenario": "mic_onoff", "classifiers": [{"kind": "knn"}]}
+    for value in (5, 2.5, True, None, "none", {"mode": "none"}, {}):
+        with pytest.raises(ConfigError, match=f"^{name}: must be a list, got {re.escape(repr(value))}$"):
+            config_from_dict({**base, name: value})
+
+
+def test_a_config_built_in_code_gets_the_defaults_of_a_json_config():
+    """ExperimentConfig's defaults are the only ones: a config built in code
+    with profiles and classifiers alone equals the JSON config that gives
+    just those, and runs the default grid, six burst sizes untransformed."""
+    profiles = builtin_profiles("mic_onoff")
+    built = ExperimentConfig(profiles=profiles, classifiers=[ClassifierSpec("knn")])
+    built.validate()
+    read = config_from_dict({"profiles": [asdict(p) for p in profiles],
+                             "classifiers": [{"kind": "knn"}]})
+    assert read == built
+    assert config_from_dict({"scenario": "mic_onoff", "classifiers": [{"kind": "knn"}]}) == replace(
+        built, scenario="mic_onoff")
+    report = run_experiment(replace(built, duration=10.0))
+    assert [(r.window.key(), r.transform.key(), r.status) for r in report.rows] == [
+        (f"burst:{n}", "none()", "ok") for n in (250, 500, 750, 1000, 1250, 1500)]
+
+
 def test_validate_rejects_a_config_built_with_both_data_sources(tmp_path):
     """A config built in code holds one data source too: the sweep would load
     the pcaps and never run the profiles. Its fields meet the rules a JSON
@@ -724,7 +758,7 @@ def test_sweep_equals_manual_stage_chain(tmp_path):
     X, y, _ = stack_series([extract_series(t, wspec) for t in traces])
     tspec = TransformSpec(mode="realistic", nu=2.0)
     Xt = tspec.apply(X, derive_seed(config.seed, "transform", wspec.key(), tspec.key()))
-    clf = ClassifierSpec.from_dict({"kind": "forest", "n_trees": 10})
+    clf = ClassifierSpec.from_params("forest", {"n_trees": 10})
     cell_seed = derive_seed(config.seed, "cell", wspec.key(), tspec.key(), clf.key())
     train_idx, test_idx = attackers.split(y, 0.7, harness.cell_seeds(cell_seed)[0])
     predicted = fit_cell(Xt, y, clf, train_idx, test_idx, cell_seed)
@@ -769,11 +803,11 @@ def test_each_kind_accepts_its_hyperparameters_and_defaults(kind, defaults):
     class count and the keyword-only hooks (`trees`; a tree's `rng` and
     `features_per_split`) are no config keys."""
     assert attackers.HYPERPARAMETERS[kind] == defaults
-    assert dict(ClassifierSpec.from_dict({"kind": kind, **defaults}).params) == defaults
+    assert dict(ClassifierSpec.from_params(kind, defaults).params) == defaults
     hooks = {"n_classes", "trees"} | ({"rng", "features_per_split"} if kind == "tree" else set())
     for key in hooks:
         with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['{key}'\]"):
-            ClassifierSpec.from_dict({"kind": kind, key: 1})
+            ClassifierSpec.from_params(kind, {key: 1})
     rng = np.random.default_rng(2)
     X, y = rng.normal(size=(30, 4)), np.repeat(["a", "b"], 15)
     implicit = attackers.train(kind, X, y)

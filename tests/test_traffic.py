@@ -72,15 +72,21 @@ def test_rejects_bad_inputs():
         with pytest.raises(ValueError, match=f"duration must be a finite number > 0, got {duration}"):
             generate_trace(profile(), duration, seed=1)
     for field, named in (
-        ({"length_mean": float("nan")}, "length_mean must be a finite number, got nan"),
-        ({"rate": float("inf")}, "rate must be a finite number, got inf"),
-        ({"protocol_mix": (0.5, float("nan"), 0.5)}, "protocol_mix must be a list of finite"),
+        ({"length_mean": float("nan")}, "length_mean must be a finite number > 0, got nan"),
+        ({"rate": float("inf")}, "rate must be a finite number > 0, got inf"),
+        ({"protocol_mix": (0.5, float("nan"), 0.5)},
+         r"protocol_mix must be three finite numbers >= 0 summing to 1, got \(0\.5, nan, 0\.5\)"),
+        ({"protocol_mix": (0.5, 0.5)}, r"protocol_mix must be three .* got \(0\.5, 0\.5\)"),
+        ({"protocol_mix": (1.1, -0.1, 0.0)}, r"protocol_mix must be three .* got \(1\.1, -0\.1, 0\.0\)"),
+        ({"protocol_mix": (0.5, 0.2, 0.2)}, r"protocol_mix must be three .* got \(0\.5, 0\.2, 0\.2\)"),
+        ({"length_std": -1.0}, r"length_std must be a finite number >= 0, got -1\.0"),
         ({"port_pool_size": 65536}, r"port_pool_size must be an integer in \[1, 65535\], got 65536"),
         ({"ip_pool_size": 2.5}, r"ip_pool_size must be an integer in \[1, 16777216\], got 2\.5"),
         ({"ip_pool_size": 2**24 + 1}, r"ip_pool_size must be an integer in \[1, 16777216\], got 16777217"),
         ({"ip_pool_size": 10**400}, r"ip_pool_size must be an integer in \[1, 16777216\], got 1000"),
         ({"label": 5}, "label must be a string, got 5"),
-        ({"rate": "600"}, "rate must be a finite number, got '600'"),
+        ({"rate": "600"}, "rate must be a finite number > 0, got '600'"),
+        ({"rate": 0}, "rate must be a finite number > 0, got 0"),
     ):
         with pytest.raises(ValueError, match=named):
             profile(**field)  # a profile checks itself at construction
