@@ -1,8 +1,10 @@
-"""Command-line pipeline: synth, extract, perturb, attack, sweep.
+"""Command-line pipeline: extract, perturb, attack, sweep.
 
 Exit codes: 0 success, 1 usage error, 2 data error. The stages share the
 feature-CSV interchange format, so a sweep cell can be rerun by chaining
-`synth` / `extract` / `perturb` / `attack` with the seeds the README names.
+`extract --config` / `perturb` / `attack` with the seeds the README names:
+`extract --config` draws or loads a sweep config's traces with the sweep's
+own code.
 The invariant checks live in the test suite: `pytest tests/test_acceptance.py`
 runs one check per acceptance criterion.
 """
@@ -13,7 +15,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -27,22 +28,18 @@ from tpbench.features import (
 )
 from tpbench.harness import (
     ClassifierSpec,
-    TransformSpec,
+    ExperimentConfig,
     cell_seeds,
     emit_report,
     fit_cell,
     load_config,
+    load_traces,
+    read_transform,
     run_experiment,
+    window_series,
 )
 from tpbench.pcap import load_pcap
 from tpbench.rules import named
-from tpbench.traffic import (
-    PRESETS,
-    builtin_profiles,
-    generate_dataset,
-    load_dataset,
-    save_dataset,
-)
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -61,17 +58,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tpbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("synth", help="generate and save a synthetic labeled dataset")
-    p.add_argument("--scenario", default="mic_onoff", choices=list(PRESETS))
-    p.add_argument("--traces-per-class", type=int, default=3)
-    p.add_argument("--duration", type=float, default=60.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output directory for .trace files")
-
-    p = sub.add_parser("extract", help="trace dir or pcap file -> feature CSV")
+    p = sub.add_parser("extract", help="a sweep config's traces or a pcap file -> feature CSV")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--pcap", help="single classic pcap file")
-    src.add_argument("--traces", help="directory of .trace files (from synth)")
+    src.add_argument("--config", help="sweep config whose traces to extract, as the sweep does")
     p.add_argument("--label", help="class label for --pcap input")
     win = p.add_mutually_exclusive_group(required=True)
     win.add_argument("--burst", type=int, help="burst window size in packets")
@@ -81,11 +71,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("perturb", help="apply a defense transform to a feature CSV")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--mode", required=True, choices=["smooth", "awgn", "realistic"])
-    p.add_argument("--window", type=int, default=51)
-    p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--nu", type=float, default=1.0)
+    p.add_argument("--window", type=int)
+    p.add_argument("--degree", type=int)
+    p.add_argument("--nu", type=float)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clamp-counts", action="store_true",
+    p.add_argument("--clamp-counts", action="store_true", default=None,
                    help="floor count features at 0 after noise injection")
     p.add_argument("--out", required=True)
 
@@ -93,31 +83,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--features", required=True)
     p.add_argument("--classifier", required=True, choices=list(attackers.CLASSIFIER_KINDS))
     p.add_argument("--params", default="{}", help="hyperparameters as a JSON object")
-    p.add_argument("--train-fraction", type=float, default=0.7)
+    p.add_argument("--train-fraction", type=float, default=ExperimentConfig.train_fraction)
     p.add_argument("--seed", type=int, default=0,
                    help="cell seed; split/training seeds are derived from it")
 
     p = sub.add_parser("sweep", help="run the full experiment grid from a config")
     p.add_argument("--config", required=True)
     return parser
-
-
-def _cmd_synth(args) -> int:
-    profiles = builtin_profiles(args.scenario)
-    traces = generate_dataset(profiles, args.traces_per_class, args.duration, args.seed)
-    paths = save_dataset(traces, args.out)
-    manifest = {
-        "scenario": args.scenario,
-        "seed": args.seed,
-        "traces_per_class": args.traces_per_class,
-        "duration": args.duration,
-        "labels": sorted({t.label for t in traces}),
-    }
-    (Path(args.out) / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
-    print(f"wrote {len(paths)} traces to {args.out}")
-    return 0
 
 
 def _cmd_extract(args) -> int:
@@ -128,12 +100,14 @@ def _cmd_extract(args) -> int:
     if args.pcap:
         if not args.label:
             raise ValueError("--label is required with --pcap")
-        traces = [load_pcap(args.pcap, args.label)]
-    elif args.label is not None:  # trace files carry their own labels
-        raise ValueError("--label is only for --pcap input, not --traces")
-    else:
-        traces = load_dataset(args.traces)
-    series = [extract_series(t, spec) for t in traces]
+        series = [extract_series(load_pcap(args.pcap, args.label), spec)]
+    elif args.label is not None:  # a config labels its own traces
+        raise ValueError("--label is only for --pcap input, not --config")
+    else:  # the sweep's traces and windows, without the traces it drops
+        series, _ = window_series(load_traces(load_config(args.config)), spec)
+        if not series:
+            raise ValueError(f"{args.config}: no trace gives a window with >= 2 packets "
+                             f"under {spec.key()}")
     save_features_csv(series, args.out)
     total = sum(len(s) for s in series)
     print(f"wrote {total} windows from {len(series)} traces to {args.out}")
@@ -142,13 +116,9 @@ def _cmd_extract(args) -> int:
 
 def _cmd_perturb(args) -> int:
     series_list = load_features_csv(args.infile)
-    tspec = TransformSpec(
-        mode=args.mode,
-        window=args.window,
-        degree=args.degree,
-        nu=args.nu,
-        clamp_counts=args.clamp_counts,
-    )
+    # the flags given, read as a config's transform entry: same defaults and rules
+    flags = ("mode", "window", "degree", "nu", "clamp_counts")
+    tspec = read_transform({k: getattr(args, k) for k in flags if getattr(args, k) is not None})
     # transform the stacked dataset (like the sweep does), then cut the
     # matrix back into the per-trace series by each row's trace index
     X, _, trace = stack_series(series_list)
@@ -196,7 +166,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # usage error (1) or --help (0)
         return int(exc.code or 0)
     handlers = {
-        "synth": _cmd_synth,
         "extract": _cmd_extract,
         "perturb": _cmd_perturb,
         "attack": _cmd_attack,

@@ -28,7 +28,13 @@ import numpy as np
 
 from tpbench import attackers
 from tpbench.adversarial import TRANSFORM_PARAMS, TransformSpec
-from tpbench.features import EmptySeriesError, WindowSpec, extract_series, stack_series
+from tpbench.features import (
+    EmptySeriesError,
+    FeatureSeries,
+    WindowSpec,
+    extract_series,
+    stack_series,
+)
 from tpbench.pcap import load_pcap
 from tpbench.rules import (
     COUNT,
@@ -128,6 +134,8 @@ class ExperimentConfig:
             check(getattr(self, name), rule, name)
         for path, label in self.pcap_files:
             check(label, STRING, f"pcap_labels[{path.name}]")
+            if not path.is_file():
+                raise ConfigError(f"pcap_labels[{path.name}]: file not found: {path}")
         if not self.window_specs:
             raise ConfigError("window sweep is empty (burst_sizes / timespans)")
         if not self.transforms:
@@ -192,7 +200,7 @@ def _read_profile(entry) -> ClassProfile:
     return ClassProfile(**entry)
 
 
-def _read_transform(entry) -> TransformSpec:
+def read_transform(entry) -> TransformSpec:
     spec = TransformSpec(**_read_object(entry, {f.name for f in fields(TransformSpec)}))
     with named(f"transform {spec.mode}"):
         check_keys(entry, {"mode", *TRANSFORM_PARAMS[spec.mode]})
@@ -210,7 +218,7 @@ _LIST_READERS = {
     "burst_sizes": WindowSpec.burst,
     "timespans": WindowSpec.time_span,
     "profiles": _read_profile,
-    "transforms": _read_transform,
+    "transforms": read_transform,
     "classifiers": _read_classifier,
 }
 # Root keys whose value is an ExperimentConfig field's as given.
@@ -240,13 +248,7 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
         labels = doc.get("pcap_labels")
         if not isinstance(labels, dict) or not labels:
             raise ConfigError("pcap_labels: required with pcap_dir (file -> label)")
-        given["pcap_files"] = []
-        for name, label in labels.items():
-            check(label, STRING, f"pcap_labels[{name}]")
-            path = pcap_dir / name
-            if not path.is_file():
-                raise ConfigError(f"pcap_labels: file not found: {path}")
-            given["pcap_files"].append((path, label))
+        given["pcap_files"] = [(pcap_dir / name, label) for name, label in labels.items()]
     elif "pcap_labels" in doc:
         raise ConfigError("pcap_labels: not allowed without pcap_dir")
 
@@ -322,7 +324,9 @@ class SweepReport:
         return [r for r in self.rows if r.status != "ok"]
 
 
-def _load_traces(config: ExperimentConfig) -> list[Trace]:
+def load_traces(config: ExperimentConfig) -> list[Trace]:
+    """The traces of a config's data source, in the sweep's order: the
+    captures in `pcap_files` order, else profile order, then trace index."""
     if config.pcap_files:
         return [load_pcap(path, label) for path, label in config.pcap_files]
     return generate_dataset(
@@ -331,6 +335,23 @@ def _load_traces(config: ExperimentConfig) -> list[Trace]:
         config.duration,
         derive_seed(config.seed, "dataset"),
     )
+
+
+def window_series(traces: list[Trace], wspec: WindowSpec) -> tuple[list[FeatureSeries], int]:
+    """The feature series of `traces` under `wspec`, leaving out each trace
+    that gives no window, and the windows dropped: those of each series, plus
+    one per trace left out."""
+    series_list = []
+    dropped = 0
+    for trace in traces:
+        try:
+            series = extract_series(trace, wspec)
+        except EmptySeriesError:
+            dropped += 1
+            continue
+        series_list.append(series)
+        dropped += series.dropped_windows
+    return series_list, dropped
 
 
 def cell_seeds(cell_seed: int) -> tuple[int, int]:
@@ -418,23 +439,14 @@ def _run_jobs(workers: int) -> list[tuple[object, str]]:
 def run_experiment(config: ExperimentConfig) -> SweepReport:
     config.validate()
     workers = _worker_count()
-    traces = _load_traces(config)
+    traces = load_traces(config)
 
     rows: list[SweepRow] = []
     jobs = []
     # each queued cell's row, n_train, test rows' class codes and job indices
     cells: list[tuple[SweepRow, int, np.ndarray, slice]] = []
     for wspec in config.window_specs:
-        series_list = []
-        dropped = 0
-        for trace in traces:
-            try:
-                series = extract_series(trace, wspec)
-            except EmptySeriesError:
-                dropped += 1
-                continue
-            series_list.append(series)
-            dropped += series.dropped_windows
+        series_list, dropped = window_series(traces, wspec)
         if series_list:
             X, labels, _ = stack_series(series_list)
             y = np.unique(labels, return_inverse=True)[1]  # class codes, labels in sorted order

@@ -7,14 +7,16 @@ hand and to inspect them. The generator draws inter-packet gaps from an
 exponential distribution (plus optional Gaussian jitter, floored at 1
 microsecond) and per-packet fields from per-class distributions, so classes
 can be separated in any chosen subset of the windowed features downstream.
-Everything is a pure function of (profile, duration, seed).
+Everything is a pure function of (profile, duration, seed). A trace has no
+file format of its own: it is drawn here or parsed from a pcap
+(`tpbench.pcap`), and the sweep and `tpbench extract --config` both draw
+theirs through `harness.load_traces`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -326,78 +328,3 @@ def builtin_profiles(name: str) -> list[ClassProfile]:
     if name not in PRESETS:
         raise ValueError(f"no built-in profiles for {name!r}; expected one of {list(PRESETS)}")
     return list(PRESETS[name])
-
-
-# --- line-delimited trace serialization (test fixtures, CLI datasets) ------
-
-_TRACE_FIELDS = "timestamp,length,protocol,src_ip,dst_ip,src_port,dst_port,tcp_window"
-
-
-def save_trace(trace: Trace, path: str | Path) -> None:
-    lines = [f"# label: {trace.label}"]
-    if trace.trace_id:
-        lines.append(f"# trace_id: {trace.trace_id}")
-    lines.append(f"# fields: {_TRACE_FIELDS}")
-    columns = [getattr(trace, name).tolist() for name in _COLUMN_DTYPES]
-    columns[0] = [repr(t) for t in columns[0]]
-    columns[2] = [PROTOCOLS[code].value for code in columns[2]]
-    lines.extend(",".join(map(str, row)) for row in zip(*columns))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_trace(path: str | Path) -> Trace:
-    meta = {"label": "", "trace_id": ""}
-    rows = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            key, _, value = body.partition(":")
-            if key.strip() in meta:
-                meta[key.strip()] = value.strip()
-            continue
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise ValueError(f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
-        try:
-            rows.append(
-                (float(parts[0]), int(parts[1]), Protocol(parts[2]).code,
-                 *(int(part) for part in parts[3:]))
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    try:
-        trace = Trace(
-            *(zip(*rows) if rows else [()] * len(_COLUMN_DTYPES)),
-            label=meta["label"],
-            trace_id=meta["trace_id"],
-        )
-        trace.validate()
-    except (OverflowError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return trace
-
-
-def save_dataset(traces: list[Trace], directory: str | Path) -> list[Path]:
-    """One .trace file per trace, named by its zero-padded position in
-    `traces` and its trace_id (`03-media-0.trace`), so that file-name order,
-    which `load_dataset` reads, is the order given here."""
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    width = len(str(len(traces) - 1))
-    paths = []
-    for k, trace in enumerate(traces):
-        path = out / f"{k:0{width}d}-{trace.trace_id or 'trace'}.trace"
-        save_trace(trace, path)
-        paths.append(path)
-    return paths
-
-
-def load_dataset(directory: str | Path) -> list[Trace]:
-    """Every .trace file of `directory`, in file-name order."""
-    paths = sorted(Path(directory).glob("*.trace"))
-    if not paths:
-        raise ValueError(f"no .trace files in {directory}")
-    return [load_trace(p) for p in paths]

@@ -32,63 +32,69 @@ def test_unknown_command_exits_one(capsys):
     assert main(["frobnicate"]) == 1
 
 
-def test_synth_writes_dataset(tmp_path, capsys):
-    out = tmp_path / "data"
-    code = main([
-        "synth", "--scenario", "mic_onoff", "--traces-per-class", "2",
-        "--duration", "5.0", "--seed", "3", "--out", str(out),
-    ])
-    assert code == 0
-    traces = sorted(out.glob("*.trace"))
-    assert len(traces) == 4
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["labels"] == ["mic_off", "mic_on"]
-    assert manifest["scenario"] == "mic_onoff"
+@pytest.fixture
+def small_config(tmp_path):
+    """A small mic_onoff sweep config: 2 traces per class of 8 s."""
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"scenario": "mic_onoff", "traces_per_class": 2, "duration": 8.0,
+                                "classifiers": [{"kind": "knn"}], "seed": 3}))
+    return path
 
 
-def test_synth_non_finite_duration_exits_two(tmp_path, capsys):
-    too_many = r"profile 'mic_off': duration {} s at rate 600\.0 pkt/s expects .* packets"
-    for duration, named in (
-        ("inf", "duration must be a finite number > 0, got inf"),
-        ("nan", "duration must be a finite number > 0, got nan"),
-        ("1e12", too_many.format(r"1000000000000\.0")),
-        ("1e300", too_many.format(r"1e\+300")),
-    ):
-        code = main(["synth", "--duration", duration, "--out", str(tmp_path / "d")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert re.search(named, err)
-        assert "Traceback" not in err
-
-
-def test_extract_from_traces_then_attack(tmp_path, capsys):
-    data = tmp_path / "data"
-    main(["synth", "--scenario", "mic_onoff", "--traces-per-class", "2",
-          "--duration", "8.0", "--seed", "3", "--out", str(data)])
+@pytest.fixture
+def features_csv(small_config, tmp_path):
+    """The burst-200 feature CSV of `small_config`'s traces."""
     csv_path = tmp_path / "f.csv"
-    code = main(["extract", "--traces", str(data), "--burst", "200",
-                 "--out", str(csv_path)])
-    assert code == 0
-    assert csv_path.exists()
+    assert main(["extract", "--config", str(small_config), "--burst", "200",
+                 "--out", str(csv_path)]) == 0
+    return csv_path
 
-    code = main(["attack", "--features", str(csv_path), "--classifier", "knn",
+
+def test_extract_from_traces_then_attack(features_csv, capsys):
+    code = main(["attack", "--features", str(features_csv), "--classifier", "knn",
                  "--params", '{"k": 3}', "--seed", "9"])
     assert code == 0
     out = capsys.readouterr().out
     assert "accuracy=" in out and "n_train=" in out
 
 
-def test_cli_chain_reproduces_a_sweep_cell(tmp_path, capsys):
-    """synth -> extract --traces -> perturb -> attack, with the seeds the
-    README names, gives the sweep's accuracy for an awgn cell. The profiles
-    (utility, media, travel) are not in name order and each class has 11
-    traces (`-10` sorts before `-2`), so only the stacking order `synth`
-    saved makes the chain draw the sweep's noise for each row."""
-    seed, burst, tspec = 42, 250, TransformSpec("awgn", nu=2.0)
-    config = tmp_path / "umt.json"
+def _write_pcaps(directory):
+    """Two captures of 200 packets each, of distinct but overlapping traffic."""
+    rng = np.random.default_rng(11)
+    for name, protocols, gap in (("a.pcap", (Protocol.TCP, Protocol.UDP), 0.01),
+                                 ("b.pcap", (Protocol.UDP, Protocol.TCP), 0.012)):
+        times = np.cumsum(rng.exponential(gap, 200))
+        frames = [ipv4_frame(protocols[int(rng.random() < 0.3)], 1, int(rng.integers(2, 6)),
+                             80, int(rng.integers(1000, 1004)),
+                             tcp_window=int(rng.integers(1, 900)),
+                             payload=bytes(int(rng.integers(0, 400))))
+                  for _ in times]
+        (directory / name).write_bytes(build_pcap(list(zip(times.tolist(), frames))))
+
+
+CHAIN_CASES = {
+    # profiles not in label order, and 11 traces per class (`-10` sorts before `-2`)
+    "preset": ({"scenario": "utility_media_travel", "traces_per_class": 11, "duration": 3.0},
+               250),
+    # captures not in name order
+    "pcap": ({"pcap_dir": ".", "pcap_labels": {"b.pcap": "y", "a.pcap": "x"}}, 10),
+    # mic_off-2, -4 and -5 have no 600-packet window at 1 s: the sweep drops them
+    "dropped": ({"scenario": "mic_onoff", "traces_per_class": 6, "duration": 1.0}, 600),
+}
+
+
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_cli_chain_reproduces_a_sweep_cell(case, tmp_path, capsys):
+    """extract --config -> perturb -> attack, with the seeds the README names,
+    gives the sweep's accuracy, n_train and n_test for an awgn cell: only the
+    sweep's trace order makes the chain draw the sweep's noise for each row,
+    and only the sweep's drops give it the sweep's rows."""
+    source, burst = CHAIN_CASES[case]
+    seed, tspec = 42, TransformSpec("awgn", nu=2.0)
+    _write_pcaps(tmp_path)
+    config = tmp_path / "sweep.json"
     config.write_text(json.dumps({
-        "scenario": "utility_media_travel", "traces_per_class": 11, "duration": 3.0,
-        "burst_sizes": [burst], "transforms": [{"mode": "awgn", "nu": 2.0}],
+        **source, "burst_sizes": [burst], "transforms": [{"mode": "awgn", "nu": 2.0}],
         "classifiers": [{"kind": "knn", "k": 5}], "train_fraction": 0.7,
         "seed": seed, "output_dir": "out",
     }))
@@ -96,13 +102,12 @@ def test_cli_chain_reproduces_a_sweep_cell(tmp_path, capsys):
     with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
         (cell,) = csv.DictReader(fh)
     assert cell["status"] == "ok"
+    assert (int(cell["dropped_windows"]) > 0) == (case == "dropped")
 
-    data, features, noisy = tmp_path / "data", tmp_path / "f.csv", tmp_path / "n.csv"
+    features, noisy = tmp_path / "f.csv", tmp_path / "n.csv"
     transform_seed = derive_seed(seed, "transform", WindowSpec.burst(burst).key(), tspec.key())
     for argv in (
-        ["synth", "--scenario", "utility_media_travel", "--traces-per-class", "11",
-         "--duration", "3.0", "--seed", str(derive_seed(seed, "dataset")), "--out", str(data)],
-        ["extract", "--traces", str(data), "--burst", str(burst), "--out", str(features)],
+        ["extract", "--config", str(config), "--burst", str(burst), "--out", str(features)],
         ["perturb", "--in", str(features), "--mode", "awgn", "--nu", "2.0",
          "--seed", str(transform_seed), "--out", str(noisy)],
     ):
@@ -116,12 +121,7 @@ def test_cli_chain_reproduces_a_sweep_cell(tmp_path, capsys):
     assert f"n_train={cell['n_train']} n_test={cell['n_test']}" in out
 
 
-def test_attack_bad_params_exit_two(tmp_path, capsys):
-    data = tmp_path / "data"
-    main(["synth", "--scenario", "mic_onoff", "--traces-per-class", "2",
-          "--duration", "8.0", "--seed", "3", "--out", str(data)])
-    csv_path = tmp_path / "f.csv"
-    main(["extract", "--traces", str(data), "--burst", "200", "--out", str(csv_path)])
+def test_attack_bad_params_exit_two(features_csv, capsys):
     for classifier, params, named in (
         ("knn", '{"epochs": 5}', "epochs"),
         ("knn", "[1]", "JSON object"),
@@ -132,46 +132,36 @@ def test_attack_bad_params_exit_two(tmp_path, capsys):
         ("mlp", '{"learning_rate": -1}', "learning_rate must be a finite number > 0"),
         ("knn", '{"k": 0}', "k must be an integer >= 1"),
     ):
-        code = main(["attack", "--features", str(csv_path), "--classifier", classifier,
+        code = main(["attack", "--features", str(features_csv), "--classifier", classifier,
                      "--params", params])
         assert code == 2
         err = capsys.readouterr().err
         assert "--params" in err and named in err
 
 
-def test_attack_diverged_mlp_exits_two(tmp_path, capsys):
-    data = tmp_path / "data"
-    main(["synth", "--scenario", "mic_onoff", "--traces-per-class", "2",
-          "--duration", "8.0", "--seed", "3", "--out", str(data)])
-    csv_path = tmp_path / "f.csv"
-    main(["extract", "--traces", str(data), "--burst", "200", "--out", str(csv_path)])
+def test_attack_diverged_mlp_exits_two(features_csv, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["attack", "--features", str(csv_path), "--classifier", "mlp",
+        code = main(["attack", "--features", str(features_csv), "--classifier", "mlp",
                      "--params", '{"epochs": 3, "learning_rate": 1e300}'])
     assert code == 2
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "non-finite training loss" in capsys.readouterr().err
 
 
-def test_non_finite_feature_csv_exits_two(tmp_path, capsys):
-    data = tmp_path / "data"
-    main(["synth", "--scenario", "mic_onoff", "--traces-per-class", "2",
-          "--duration", "8.0", "--seed", "3", "--out", str(data)])
-    csv_path = tmp_path / "f.csv"
-    main(["extract", "--traces", str(data), "--burst", "200", "--out", str(csv_path)])
+def test_non_finite_feature_csv_exits_two(features_csv, tmp_path, capsys):
     # a transform that overflows fails before anything is written
-    assert main(["perturb", "--in", str(csv_path), "--mode", "awgn", "--nu", "1e308",
+    assert main(["perturb", "--in", str(features_csv), "--mode", "awgn", "--nu", "1e308",
                  "--out", str(tmp_path / "g.csv")]) == 2
     assert "transform awgn(nu=1e+308) produced non-finite values" in capsys.readouterr().err
     assert not (tmp_path / "g.csv").exists()
-    lines = csv_path.read_text().splitlines()
+    lines = features_csv.read_text().splitlines()
     cells = lines[3].split(",")
     cells[FEATURE_NAMES.index("std_ipt")] = "nan"
     lines[3] = ",".join(cells)
-    csv_path.write_text("\n".join(lines) + "\n")
-    for argv in (["attack", "--features", str(csv_path), "--classifier", "knn"],
-                 ["perturb", "--in", str(csv_path), "--mode", "awgn",
+    features_csv.write_text("\n".join(lines) + "\n")
+    for argv in (["attack", "--features", str(features_csv), "--classifier", "knn"],
+                 ["perturb", "--in", str(features_csv), "--mode", "awgn",
                   "--out", str(tmp_path / "g.csv")]):
         assert main(argv) == 2
         assert f"f.csv:4: std_ipt is 'nan'" in capsys.readouterr().err
@@ -184,17 +174,14 @@ def test_extract_missing_pcap_exits_two(tmp_path, capsys):
     assert "missing.pcap" in capsys.readouterr().err
 
 
-def test_extract_label_with_traces_exits_two_naming_the_flag(tmp_path, capsys):
-    """A trace file carries its own label, so `--label` is for `--pcap` only."""
-    data = tmp_path / "data"
-    main(["synth", "--traces-per-class", "1", "--duration", "5.0", "--out", str(data)])
-    capsys.readouterr()
+def test_extract_label_with_traces_exits_two_naming_the_flag(small_config, tmp_path, capsys):
+    """A config labels its own traces, so `--label` is for `--pcap` only."""
     out = tmp_path / "o.csv"
-    code = main(["extract", "--traces", str(data), "--label", "x", "--burst", "100",
+    code = main(["extract", "--config", str(small_config), "--label", "x", "--burst", "100",
                  "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "--label is only for --pcap input" in err
+    assert "--label is only for --pcap input, not --config" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -206,20 +193,20 @@ def test_extract_burst_zero_names_the_burst_size(tmp_path, capsys):
     assert "burst size must be an integer >= 2, got 0" in capsys.readouterr().err
 
 
-def test_extract_tiny_timespan_exits_two_naming_trace_and_span(tmp_path, capsys):
-    data = tmp_path / "data"
-    main(["synth", "--scenario", "mic_onoff", "--traces-per-class", "1",
-          "--duration", "5.0", "--seed", "3", "--out", str(data)])
-    capsys.readouterr()
-    for timespan, span, message in (
-        ("1e-9", "timespan:1e-09", "no window with >= 2 packets"),
-        ("1e-300", "time span 1e-300", "more than 2**52 intervals"),
+def test_extract_tiny_timespan_exits_two_naming_trace_and_span(small_config, tmp_path, capsys):
+    """A span too small for two packets per window drops every trace, which
+    fails `extract --config` naming the config (the sweep skips that cell);
+    one past exact float64 interval indices fails naming a trace."""
+    for timespan, named, span, message in (
+        ("1e-9", re.escape(str(small_config)), "timespan:1e-09",
+         "no trace gives a window with >= 2 packets"),
+        ("1e-300", "trace '[^']+'", "time span 1e-300", "more than 2**52 intervals"),
     ):
-        code = main(["extract", "--traces", str(data), "--timespan", timespan,
+        code = main(["extract", "--config", str(small_config), "--timespan", timespan,
                      "--out", str(tmp_path / "o.csv")])
         err = capsys.readouterr().err
         assert code == 2, timespan
-        assert re.fullmatch(r"tpbench extract: trace '[^']+'.*\n", err), err
+        assert re.fullmatch(f"tpbench extract: {named}: .*\n", err), err
         assert span in err and message in err, err
         assert "Traceback" not in err
 
@@ -272,17 +259,12 @@ def test_extract_pcap_roundtrip(tmp_path):
     assert len(series[0]) == 2
 
 
-def test_perturb_realistic_keeps_untouched_columns(tmp_path):
-    data = tmp_path / "data"
-    main(["synth", "--scenario", "mic_onoff", "--traces-per-class", "2",
-          "--duration", "8.0", "--seed", "3", "--out", str(data)])
-    plain = tmp_path / "f.csv"
-    main(["extract", "--traces", str(data), "--burst", "200", "--out", str(plain)])
+def test_perturb_realistic_keeps_untouched_columns(features_csv, tmp_path):
     shifted = tmp_path / "g.csv"
-    code = main(["perturb", "--in", str(plain), "--mode", "realistic",
+    code = main(["perturb", "--in", str(features_csv), "--mode", "realistic",
                  "--nu", "2", "--seed", "7", "--out", str(shifted)])
     assert code == 0
-    X, _, _ = stack_series(load_features_csv(plain))
+    X, _, _ = stack_series(load_features_csv(features_csv))
     Xt, _, _ = stack_series(load_features_csv(shifted))
     for name in REALISTIC_UNTOUCHED_FEATURES:
         idx = FEATURE_NAMES.index(name)
@@ -310,16 +292,31 @@ def test_perturb_awgn_keeps_each_trace_of_unequal_length(tmp_path):
     assert np.array_equal(np.concatenate([s.values for s in back]), expected)
 
 
-def test_perturb_smooth_too_short_exits_two(tmp_path, capsys):
-    data = tmp_path / "data"
-    main(["synth", "--scenario", "mic_onoff", "--traces-per-class", "2",
-          "--duration", "5.0", "--seed", "3", "--out", str(data)])
+def test_perturb_smooth_too_short_exits_two(small_config, tmp_path, capsys):
     plain = tmp_path / "f.csv"
-    main(["extract", "--traces", str(data), "--burst", "900", "--out", str(plain)])
+    assert main(["extract", "--config", str(small_config), "--burst", "900",
+                 "--out", str(plain)]) == 0
     code = main(["perturb", "--in", str(plain), "--mode", "smooth",
                  "--window", "51", "--degree", "1", "--out", str(tmp_path / "g.csv")])
     assert code == 2
     assert "< window 51; reduce window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--mode", "awgn", "--nu", "2.0", "--window", "8"],
+     "transform awgn: unknown key(s) ['window']"),
+    (["--mode", "awgn"], "transform awgn: nu must be a finite number > 0, got 0.0"),
+    (["--mode", "smooth", "--clamp-counts"], "transform smooth: unknown key(s) ['clamp_counts']"),
+])
+def test_perturb_reads_its_flags_as_a_config_transform(flags, message, features_csv, tmp_path,
+                                                       capsys):
+    """A flag the mode does not read fails, and a flag left out takes the
+    value a config's transform entry gets without it: `awgn` has no default nu."""
+    out = tmp_path / "g.csv"
+    assert main(["perturb", "--in", str(features_csv), *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"tpbench perturb: {message}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_sweep_and_selftest(tmp_path, capsys, monkeypatch):
@@ -417,28 +414,17 @@ def test_sweep_over_pcaps_names_the_run_by_its_scenario(tmp_path, monkeypatch):
         assert [(row["status"], row["scenario"]) for row in rows] == [("ok", scenario)]
 
 
-def _features_csv(tmp_path):
-    """A burst-200 feature CSV of a small synthetic mic_onoff dataset."""
-    data = tmp_path / "data"
-    main(["synth", "--scenario", "mic_onoff", "--traces-per-class", "2",
-          "--duration", "8.0", "--seed", "3", "--out", str(data)])
-    csv_path = tmp_path / "f.csv"
-    main(["extract", "--traces", str(data), "--burst", "200", "--out", str(csv_path)])
-    return csv_path
-
-
-def test_attack_prints_the_accuracy_of_its_one_fit(tmp_path, capsys, monkeypatch):
+def test_attack_prints_the_accuracy_of_its_one_fit(features_csv, capsys, monkeypatch):
     """`attack` fits once, and prints what `evaluate` gives for the model of
     the cell's split and train seeds."""
-    csv_path = _features_csv(tmp_path)
     fits = []
     real_train = attackers.train
     monkeypatch.setattr(attackers, "train", lambda *a, **k: fits.append(a[0]) or real_train(*a, **k))
     capsys.readouterr()
-    code = main(["attack", "--features", str(csv_path), "--classifier", "tree"])
+    code = main(["attack", "--features", str(features_csv), "--classifier", "tree"])
     assert code == 0
     assert fits == ["tree"]
-    X, y, _ = stack_series(load_features_csv(csv_path))
+    X, y, _ = stack_series(load_features_csv(features_csv))
     split_seed, train_seed = cell_seeds(0)
     train_idx, test_idx = attackers.split(y, 0.7, split_seed)
     model = attackers.train("tree", X[train_idx], y[train_idx])
@@ -446,10 +432,9 @@ def test_attack_prints_the_accuracy_of_its_one_fit(tmp_path, capsys, monkeypatch
     assert f"accuracy={accuracy!r} " in capsys.readouterr().out
 
 
-def test_attack_has_no_save_model_flag(tmp_path, capsys):
-    csv_path = _features_csv(tmp_path)
+def test_attack_has_no_save_model_flag(features_csv, tmp_path, capsys):
     model_path = tmp_path / "m.json"
-    code = main(["attack", "--features", str(csv_path), "--classifier", "tree",
+    code = main(["attack", "--features", str(features_csv), "--classifier", "tree",
                  "--save-model", str(model_path)])
     assert code == 1
     assert "--save-model" in capsys.readouterr().err

@@ -47,6 +47,15 @@ def test_readme_cli_flags_exist(command):
         assert flag in options, f"README: `tpbench {command}` has no {flag}"
 
 
+def test_readme_names_only_existing_commands():
+    """The commands the README names anywhere, as `tpbench <command>` or
+    `<command> --flag`, are the parser's subcommands: a removed one fails."""
+    text = README.read_text(encoding="utf-8")
+    named = re.findall(r"(?:^|`)tpbench\s+([a-z]\w*)", text, re.M)
+    named += re.findall(r"`([a-z]\w*)\s+--\w", text)
+    assert set(named) == set(_COMMANDS), f"README names {sorted(set(named))}"
+
+
 def _config_table() -> dict[str, tuple[str, str]]:
     """The `## Sweep configs` field table: each row's field cell -> its
     meaning and default cells."""

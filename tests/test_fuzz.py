@@ -1,10 +1,10 @@
-"""Property-based fuzzing of the four input readers.
+"""Property-based fuzzing of the three input readers.
 
-Whatever the input, `parse_pcap_with_stats`, `load_trace` and
-`load_features_csv` either return a result or raise `PcapFormatError` or
-`ValueError` (`PcapFormatError` is a `ValueError`), and `config_from_dict`
-returns a config or raises `ConfigError`. Any other exception is a crash on
-bad input. A returned trace must pass `Trace.validate`, and on
+Whatever the input, `parse_pcap_with_stats` and `load_features_csv` either
+return a result or raise `PcapFormatError` or `ValueError`
+(`PcapFormatError` is a `ValueError`), and `config_from_dict` returns a
+config or raises `ConfigError`. Any other exception is a crash on bad
+input. A returned trace must pass `Trace.validate`, and on
 captures with in-range sub-second fields the pcap parser must agree with the
 per-record reference parser bit for bit. Examples are derandomized and few,
 so the suite stays deterministic and quick.
@@ -31,7 +31,7 @@ from helpers import (  # noqa: E402
 from tpbench.features import FEATURE_NAMES, load_features_csv  # noqa: E402
 from tpbench.harness import _ROOT_KEYS, ConfigError, config_from_dict  # noqa: E402
 from tpbench.pcap import PcapFormatError, parse_pcap_with_stats  # noqa: E402
-from tpbench.traffic import PROTOCOLS, Protocol, builtin_profiles, load_trace  # noqa: E402
+from tpbench.traffic import Protocol, builtin_profiles  # noqa: E402
 
 FUZZ = settings(
     derandomize=True,
@@ -157,42 +157,6 @@ numbers = st.one_of(
     st.sampled_from(["", " ", "nan", "-inf", "1e999", "0x10", "1_0", "७", "--1"]),
     st.text(max_size=6),
 )
-text_lines = st.text(
-    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"), max_size=40
-)
-
-
-@st.composite
-def trace_text(draw):
-    """The `save_trace` layout with header lines and rows of fuzzed fields."""
-    lines = []
-    for key in draw(st.lists(st.sampled_from(["label", "scenario", "trace_id", "x"]), max_size=3)):
-        value = draw(st.one_of(st.sampled_from(["mic_onoff", "custom", "a"]), text_lines))
-        lines.append(f"# {key}: {value}")
-    protocols = st.one_of(st.sampled_from([p.value for p in PROTOCOLS]), text_lines)
-    for _ in range(draw(st.integers(0, 6))):
-        if draw(st.integers(0, 5)) == 0:
-            lines.append(draw(text_lines))
-            continue
-        cell = draw(st.sampled_from([clean, numbers]))
-        fields = [draw(cell), draw(cell), draw(protocols)]
-        fields += [draw(cell) for _ in range(draw(st.sampled_from([5, 5, 5, 4, 6])))]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
-
-
-@FUZZ
-@given(trace_text())
-def test_load_trace_fuzz(tmp_path, text):
-    path = tmp_path / "fuzz.trace"
-    path.write_text(text, encoding="utf-8")
-    try:
-        trace = load_trace(path)
-    except ValueError:
-        return
-    trace.validate()
-
-
 _CSV_COLUMNS = list(FEATURE_NAMES) + ["label", "window_index", "trace_id", "transform"]
 
 

@@ -691,8 +691,10 @@ def test_a_config_built_in_code_gets_the_defaults_of_a_json_config():
 def test_validate_rejects_a_config_built_with_both_data_sources(tmp_path):
     """A config built in code holds one data source too: the sweep would load
     the pcaps and never run the profiles. Its fields meet the rules a JSON
-    config's do, and a repeated grid entry, which would rerun its cells with
-    the same seeds, fails as in a JSON config."""
+    config's do, its captures must exist, and a repeated grid entry, which
+    would rerun its cells with the same seeds, fails as in a JSON config."""
+    for name in ("a.pcap", "b.pcap"):
+        (tmp_path / name).write_bytes(b"")
     config = load_config(small_config(tmp_path))
     assert config.profiles and not config.pcap_files
     config.validate()
@@ -705,6 +707,9 @@ def test_validate_rejects_a_config_built_with_both_data_sources(tmp_path):
         ({"train_fraction": "0.7"}, r"train_fraction must be a number in \(0, 1\), got '0\.7'"),
         ({"profiles": [], "pcap_files": [(tmp_path / "a.pcap", 5), (tmp_path / "b.pcap", "y")]},
          r"pcap_labels\[a\.pcap\] must be a string, got 5"),
+        ({"profiles": [],
+          "pcap_files": [(tmp_path / "a.pcap", "x"), (tmp_path / "nope.pcap", "y")]},
+         rf"pcap_labels\[nope\.pcap\]: file not found: {re.escape(str(tmp_path / 'nope.pcap'))}"),
         # a repeated grid entry, named by its list in a JSON config
         ({"window_specs": [WindowSpec.burst(250), WindowSpec.time_span(0.5),
                            WindowSpec.burst(250)]},

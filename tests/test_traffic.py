@@ -15,8 +15,6 @@ from tpbench.traffic import (
     builtin_profiles,
     generate_dataset,
     generate_trace,
-    load_trace,
-    save_trace,
 )
 
 
@@ -156,31 +154,6 @@ def test_builtin_profiles_shapes():
         builtin_profiles("custom")
 
 
-def test_trace_text_round_trip(tmp_path):
-    trace = generate_trace(profile(), 2.0, seed=5)
-    trace.trace_id = "a-0"
-    path = tmp_path / "t.trace"
-    save_trace(trace, path)
-    back = load_trace(path)
-    assert back.packets == trace.packets
-    assert back.label == trace.label
-    assert back.trace_id == trace.trace_id
-    # Older files carry a `# scenario:` header line; it is skipped.
-    old = tmp_path / "old.trace"
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    old.write_text(lines[0] + "# scenario: mic_onoff\n" + "".join(lines[1:]), encoding="utf-8")
-    again = load_trace(old)
-    assert again.packets == trace.packets
-    assert (again.label, again.trace_id) == (trace.label, trace.trace_id)
-
-
-def test_load_trace_reports_bad_line(tmp_path):
-    path = tmp_path / "bad.trace"
-    path.write_text("0.1,100,TCP,1,2,5,6\n")  # 7 fields
-    with pytest.raises(ValueError, match="bad.trace:1"):
-        load_trace(path)
-
-
 def test_packet_record_invariants():
     bad_rows = [
         (PacketRecord(0.0, 100, Protocol.UDP, 1, 2, 5, 6, tcp_window=9), "non-TCP"),
@@ -202,20 +175,6 @@ def test_packet_record_invariants():
         Trace.from_packets([replace(good, timestamp=1.0), good], label="x").validate()
     with pytest.raises(ValueError):
         Trace.from_packets([], label="x").validate()
-
-
-@pytest.mark.parametrize("row, message", [
-    ("nan,100,TCP,1,2,5,6,9", "packet 1: timestamp is not finite"),
-    ("inf,100,TCP,1,2,5,6,9", "packet 1: timestamp is not finite"),
-    ("0.5,100,TCP,-7,2,5,6,9", "packet 1: IP token outside"),
-    (f"0.5,100,TCP,{2**70},2,5,6,9", ""),  # overflows int64; wording is numpy's
-    ("0.1,100,TCP,1,2,5,6,9", "packet 1: packet timestamps must be non-decreasing"),
-])
-def test_load_trace_validation_names_file(tmp_path, row, message):
-    path = tmp_path / "bad.trace"
-    path.write_text(f"0.2,100,TCP,1,2,5,6,9\n{row}\n")
-    with pytest.raises(ValueError, match=f"bad.trace: {message}"):
-        load_trace(path)
 
 
 def test_row_view_round_trip():
