@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 data error. The stages share the
 feature-CSV interchange format, so a sweep cell can be rerun by chaining
 `extract --config` / `perturb` / `attack` with the seeds the README names:
-`extract --config` draws or loads a sweep config's traces with the sweep's
-own code.
+`extract --config` draws or loads and windows a sweep config's traces with
+the sweep's own code, `harness.source_series`, on the sweep's worker pool.
 The invariant checks live in the test suite: `pytest tests/test_acceptance.py`
 runs one check per acceptance criterion.
 """
@@ -33,10 +33,9 @@ from tpbench.harness import (
     emit_report,
     fit_cell,
     load_config,
-    load_traces,
     read_transform,
     run_experiment,
-    window_series,
+    source_series,
 )
 from tpbench.pcap import load_pcap
 from tpbench.rules import named
@@ -61,7 +60,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("extract", help="a sweep config's traces or a pcap file -> feature CSV")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--pcap", help="single classic pcap file")
-    src.add_argument("--config", help="sweep config whose traces to extract, as the sweep does")
+    src.add_argument("--config", help="sweep config whose traces to extract, on the sweep's "
+                     "path: captures decoded and profiles drawn in its workers")
     p.add_argument("--label", help="class label for --pcap input")
     win = p.add_mutually_exclusive_group(required=True)
     win.add_argument("--burst", type=int, help="burst window size in packets")
@@ -104,7 +104,8 @@ def _cmd_extract(args) -> int:
     elif args.label is not None:  # a config labels its own traces
         raise ValueError("--label is only for --pcap input, not --config")
     else:  # the sweep's traces and windows, without the traces it drops
-        series, _ = window_series(load_traces(load_config(args.config)), spec)
+        config = replace(load_config(args.config), window_specs=[spec])
+        series, _ = source_series(config)[0]
         if not series:
             raise ValueError(f"{args.config}: no trace gives a window with >= 2 packets "
                              f"under {spec.key()}")

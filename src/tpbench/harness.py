@@ -5,15 +5,20 @@ adversarial grid and the classifier suite. Every grid cell is evaluated on a
 transform of the full concatenated window dataset (transforms run before the
 train/test split: the attacker trains after the defense is already deployed)
 and gets its own seed derived from the master seed and the cell coordinates,
-so cells can run in any order without changing the report. `run_experiment`
-encodes each window's labels once as class codes (the labels' sorted order),
-draws each cell's split itself and runs `fit_cell` jobs on a fork process
-pool of `_worker_count` workers: a whole cell's job returns its predicted codes
-on the test rows. With more than one worker, a forest cell runs as one job per
-contiguous range of its tree indices, returning its vote matrix: each tree draws
-from its own seed whichever job grows it, so the summed votes' argmax is one
-job's prediction. No job returns its model: a model lives only in the process
-that fit it. The parent scores every cell with `attackers.accuracy`.
+so cells can run in any order without changing the report. A sweep runs in
+two phases on a fork process pool of `_worker_count` workers, through one
+`_run_jobs`. First `source_series` runs one job per capture, which decodes it,
+or per class profile, which draws its traces; the job windows its traces under
+every window spec and returns only their feature series, so no trace reaches
+the parent. Then `run_experiment` encodes each window's labels once as class
+codes (the labels' sorted order), draws each cell's split itself and runs
+`fit_cell` jobs: a whole cell's job returns its predicted codes on the test
+rows. With more than one worker, a forest cell runs as one job per contiguous
+range of its tree indices, returning its vote matrix: each tree draws from its
+own seed whichever job grows it, so the summed votes' argmax is one job's
+prediction. No job returns its model: a model lives only in the process that
+fit it. The parent scores every cell with `attackers.accuracy`. With one
+worker every job of both phases runs in the calling process.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from tpbench.rules import (
     named,
 )
 from tpbench.seeding import derive_seed
-from tpbench.traffic import ClassProfile, Trace, builtin_profiles, generate_dataset
+from tpbench.traffic import ClassProfile, builtin_profiles, generate_dataset
 
 REPORT_COLUMNS = (
     "scenario",
@@ -324,34 +329,45 @@ class SweepReport:
         return [r for r in self.rows if r.status != "ok"]
 
 
-def load_traces(config: ExperimentConfig) -> list[Trace]:
-    """The traces of a config's data source, in the sweep's order: the
-    captures in `pcap_files` order, else profile order, then trace index."""
+def _unit_series(config: ExperimentConfig, i: int) -> list[list[FeatureSeries | None]]:
+    """Source unit i of a config, its i-th capture or the traces of its i-th
+    profile, as one list per trace of its series under each window spec
+    (None where the trace gives no window). A profile's traces are those it
+    has in the whole dataset: each trace's seed comes from its label and index."""
     if config.pcap_files:
-        return [load_pcap(path, label) for path, label in config.pcap_files]
-    return generate_dataset(
-        config.profiles,
-        config.traces_per_class,
-        config.duration,
-        derive_seed(config.seed, "dataset"),
-    )
-
-
-def window_series(traces: list[Trace], wspec: WindowSpec) -> tuple[list[FeatureSeries], int]:
-    """The feature series of `traces` under `wspec`, leaving out each trace
-    that gives no window, and the windows dropped: those of each series, plus
-    one per trace left out."""
-    series_list = []
-    dropped = 0
+        traces = [load_pcap(*config.pcap_files[i])]
+    else:
+        traces = generate_dataset([config.profiles[i]], config.traces_per_class,
+                                  config.duration, derive_seed(config.seed, "dataset"))
+    out = []
     for trace in traces:
-        try:
-            series = extract_series(trace, wspec)
-        except EmptySeriesError:
-            dropped += 1
-            continue
-        series_list.append(series)
-        dropped += series.dropped_windows
-    return series_list, dropped
+        out.append([])
+        for wspec in config.window_specs:
+            try:
+                out[-1].append(extract_series(trace, wspec))
+            except EmptySeriesError:
+                out[-1].append(None)
+    return out
+
+
+def source_series(config: ExperimentConfig, workers: int | None = None
+                  ) -> list[tuple[list[FeatureSeries], int]]:
+    """(series_list, dropped) for each of `config.window_specs`: the feature
+    series of the config's traces in the sweep's order (the captures in
+    `pcap_files` order, else profile order, then trace index), leaving out
+    each trace that gives no window, and the windows dropped: those of each
+    series, plus one per trace left out. Each capture is loaded, or each
+    profile's traces drawn, and windowed in one job on `workers` processes
+    (default `_worker_count()`); only the series come back."""
+    jobs = [(config, i) for i in range(len(config.pcap_files) or len(config.profiles))]
+    per_trace = [row for unit in _run_jobs(_unit_series, jobs, workers or _worker_count())
+                 for row in unit]
+    per_spec = []
+    for j in range(len(config.window_specs)):
+        series_list = [row[j] for row in per_trace if row[j] is not None]
+        dropped = len(per_trace) - len(series_list) + sum(s.dropped_windows for s in series_list)
+        per_spec.append((series_list, dropped))
+    return per_spec
 
 
 def cell_seeds(cell_seed: int) -> tuple[int, int]:
@@ -386,23 +402,16 @@ def _tree_ranges(clf: ClassifierSpec, workers: int) -> list[range | None]:
     return [range(n_trees * p // parts, n_trees * (p + 1) // parts) for p in range(parts)]
 
 
-# The `fit_cell` arguments (Xt, y, classifier, train_idx, test_idx, cell_seed,
-# trees) of every job of the sweep in progress: a whole cell when trees is
-# None, else one tree range of a forest cell. Filled before the pool forks, so
-# its workers inherit the matrices and are sent only indices.
-_JOBS: list[tuple] = []
-
-
-def _run_job(i: int) -> tuple[np.ndarray | None, str]:
-    """(`fit_cell(*_JOBS[i])`, "") or, when it raised, (None, the skip reason)."""
+def _cell_job(*job) -> tuple[np.ndarray | None, str]:
+    """(`fit_cell(*job)`, "") or, when it raised, (None, the skip reason)."""
     try:
-        return fit_cell(*_JOBS[i]), ""
+        return fit_cell(*job), ""
     except Exception as exc:  # captured per cell, sweep continues
         return None, f"{type(exc).__name__}: {exc}"
 
 
 def _worker_count() -> int:
-    """Processes for a sweep's cells: `TPB_WORKERS` when set, else every CPU
+    """Processes for a sweep's pools: `TPB_WORKERS` when set, else every CPU
     in this process's affinity mask, or 1 where `fork` is not available."""
     value = os.environ.get("TPB_WORKERS")
     if value is not None:
@@ -422,31 +431,43 @@ def _worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run_jobs(workers: int) -> list[tuple[object, str]]:
-    """Every `_run_job` result in job order, on at most `workers` forked
+# The job function and argument tuples of the pool in progress. Set before
+# the pool forks, so its workers inherit them and are sent only indices.
+_PHASE: list = []
+
+
+def _run_job(i: int):
+    fn, jobs = _PHASE
+    return fn(*jobs[i])
+
+
+def _run_jobs(fn, jobs: list[tuple], workers: int) -> list:
+    """`fn(*job)` of every job in job order, on at most `workers` forked
     processes; in this process when one would do. A worker that dies raises
-    `BrokenProcessPool`."""
-    workers = min(workers, len(_JOBS))
+    `BrokenProcessPool`; an exception `fn` raises is raised here."""
+    workers = min(workers, len(jobs))
     if workers <= 1:
-        return [_run_job(i) for i in range(len(_JOBS))]
+        return [fn(*job) for job in jobs]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_run_job, range(len(_JOBS)), chunksize=1))
+    _PHASE[:] = fn, jobs
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_run_job, range(len(jobs)), chunksize=1))
+    finally:
+        _PHASE.clear()
 
 
 def run_experiment(config: ExperimentConfig) -> SweepReport:
     config.validate()
     workers = _worker_count()
-    traces = load_traces(config)
 
     rows: list[SweepRow] = []
     jobs = []
     # each queued cell's row, n_train, test rows' class codes and job indices
     cells: list[tuple[SweepRow, int, np.ndarray, slice]] = []
-    for wspec in config.window_specs:
-        series_list, dropped = window_series(traces, wspec)
+    for wspec, (series_list, dropped) in zip(config.window_specs, source_series(config, workers)):
         if series_list:
             X, labels, _ = stack_series(series_list)
             y = np.unique(labels, return_inverse=True)[1]  # class codes, labels in sorted order
@@ -498,11 +519,7 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
                             for trees in _tree_ranges(clf, workers))
                 cells.append((row, train_idx.size, y[test_idx], slice(first, len(jobs))))
 
-    _JOBS.extend(jobs)
-    try:
-        results = _run_jobs(workers)
-    finally:
-        _JOBS.clear()
+    results = _run_jobs(_cell_job, jobs, workers)
     for row, n_train, truth, cell_jobs in cells:
         outcomes = results[cell_jobs]
         reasons = [reason for _, reason in outcomes if reason]

@@ -10,7 +10,7 @@ can be separated in any chosen subset of the windowed features downstream.
 Everything is a pure function of (profile, duration, seed). A trace has no
 file format of its own: it is drawn here or parsed from a pcap
 (`tpbench.pcap`), and the sweep and `tpbench extract --config` both draw
-theirs through `harness.load_traces`.
+theirs through `harness.source_series`, one profile per job.
 """
 
 from __future__ import annotations
@@ -261,9 +261,9 @@ def generate_trace(profile: ClassProfile, duration: float, seed: int) -> Trace:
 def generate_dataset(
     profiles: list[ClassProfile], traces_per_class: int, duration: float, seed: int
 ) -> list[Trace]:
-    """Balanced labeled corpus; per-trace seeds derived from the master seed."""
-    if len(profiles) < 2:
-        raise ValueError("need at least 2 class profiles")
+    """Balanced labeled corpus; per-trace seeds derived from the master seed
+    and the trace's (label, index) only, so one profile's traces do not
+    depend on the other profiles."""
     check(traces_per_class, COUNT, "traces_per_class")
     traces = []
     for profile in profiles:

@@ -396,6 +396,25 @@ def test_sweep_with_a_non_list_field_exits_two_naming_it(field, value, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_over_a_bad_second_capture_exits_two_naming_it(tmp_path, capsys, monkeypatch):
+    """A capture decoded in a worker fails the sweep as it does serially:
+    exit 2, naming the file, and no report."""
+    _write_pcaps(tmp_path)
+    (tmp_path / "c.pcap").write_bytes((tmp_path / "a.pcap").read_bytes())
+    bad = tmp_path / "b.pcap"
+    bad.write_bytes(b"garbage" + bad.read_bytes()[7:])
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"pcap_dir": ".", "burst_sizes": [5],
+                                "pcap_labels": {"a.pcap": "x", "b.pcap": "y", "c.pcap": "y"},
+                                "classifiers": [{"kind": "knn"}]}))
+    monkeypatch.setenv("TPB_WORKERS", "2")
+    assert main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"tpbench sweep: {bad}: bad pcap magic" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_over_pcaps_names_the_run_by_its_scenario(tmp_path, monkeypatch):
     """`sweep.csv`'s scenario column is the config's `scenario` ("custom" when
     left out), which with `pcap_dir` only names the run."""

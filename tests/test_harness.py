@@ -9,6 +9,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from helpers import build_pcap, ipv4_frame
 from tpbench import attackers, harness
 from tpbench.attackers import knn
 from tpbench.features import WindowSpec, extract_series, stack_series
@@ -24,7 +25,7 @@ from tpbench.harness import (
     run_experiment,
 )
 from tpbench.seeding import derive_seed
-from tpbench.traffic import builtin_profiles, generate_dataset
+from tpbench.traffic import Protocol, builtin_profiles, generate_dataset
 
 
 def small_config(tmp_path, **overrides):
@@ -121,8 +122,7 @@ def test_pool_never_outnumbers_runnable_cells(tmp_path, monkeypatch):
     y = np.repeat(["a", "b"], 10)
     jobs = [(X, y, ClassifierSpec("knn"), *attackers.split(y, 0.7, s),
              s, None) for s in (1, 2, 3)]
-    monkeypatch.setattr(harness, "_JOBS", jobs)
-    results = harness._run_jobs(64)
+    results = harness._run_jobs(harness._cell_job, jobs, 64)
     assert made == [(3, "fork")]
     expected = [fit_cell(*job) for job in jobs]
     assert len(results) == len(expected)
@@ -132,11 +132,13 @@ def test_pool_never_outnumbers_runnable_cells(tmp_path, monkeypatch):
     monkeypatch.undo()
     made = record_pools(monkeypatch, fork=False)
     path = small_config(tmp_path, classifiers=[{"kind": "knn"}, {"kind": "forest", "n_trees": 5}])
-    # 3 workers: 1 + 3 jobs; 64 workers: 1 knn job + one per tree
+    # set-up: one job per class profile, 2; cells at 3 workers: 1 + 3 jobs,
+    # at 64 workers: 1 knn job + one per tree
     for workers, pool in (("3", 3), ("64", 1 + 5)):
         monkeypatch.setenv("TPB_WORKERS", workers)
         assert [r.status for r in run_experiment(load_config(path)).rows] == ["ok", "ok"]
-        assert made.pop() == (pool, "fork")
+        assert made == [(2, "fork"), (pool, "fork")]
+        made.clear()
 
 
 def die_in_worker(*args):
@@ -151,11 +153,9 @@ def test_dead_worker_fails_the_sweep(monkeypatch):
     monkeypatch.setattr(harness, "fit_cell", die_in_worker)
     X = np.zeros((4, 2))
     rows = np.arange(4)
-    monkeypatch.setattr(harness, "_JOBS",
-                        [(X, X[:, 0], ClassifierSpec("knn"), rows[:2], rows[2:], s, None)
-                         for s in (1, 2)])
+    jobs = [(X, X[:, 0], ClassifierSpec("knn"), rows[:2], rows[2:], s, None) for s in (1, 2)]
     with pytest.raises(BrokenProcessPool):
-        harness._run_jobs(2)
+        harness._run_jobs(harness._cell_job, jobs, 2)
 
 
 def test_dead_worker_in_a_forest_part_fails_the_sweep(tmp_path, monkeypatch):
@@ -168,6 +168,84 @@ def test_dead_worker_in_a_forest_part_fails_the_sweep(tmp_path, monkeypatch):
         tmp_path, classifiers=[{"kind": "knn"}, {"kind": "forest", "n_trees": 4}]))
     with pytest.raises(BrokenProcessPool):
         run_experiment(config)
+
+
+def test_dead_worker_in_a_set_up_job_fails_the_sweep(tmp_path, monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    monkeypatch.setattr(harness, "generate_dataset", die_in_worker)
+    monkeypatch.setenv("TPB_WORKERS", "2")
+    with pytest.raises(BrokenProcessPool):
+        run_experiment(load_config(small_config(tmp_path)))
+
+
+def write_captures(directory, names):
+    """One capture per name, 40 packets 0.05 s apart; odd captures are UDP
+    with a smaller gap, so the two labels' windows differ."""
+    for i, name in enumerate(names):
+        protocol, window = (Protocol.UDP, 0) if i % 2 else (Protocol.TCP, 100 + i)
+        frame = ipv4_frame(protocol, 1, 2 + i, 80, 81, tcp_window=window)
+        gap = 0.04 if i % 2 else 0.05
+        (directory / name).write_bytes(build_pcap([(k * gap, frame) for k in range(40)]))
+
+
+SOURCES = {
+    "pcap": {"pcap_dir": ".",
+             "pcap_labels": {"c.pcap": "x", "a.pcap": "y", "d.pcap": "x", "b.pcap": "y"},
+             "burst_sizes": [5, 10], "timespans": [0.5]},
+    "profiles": {"scenario": "utility_media_travel", "traces_per_class": 2, "duration": 3.0,
+                 "burst_sizes": [100, 250]},
+}
+
+
+@pytest.mark.parametrize("source", list(SOURCES))
+def test_traces_never_reach_the_parent_with_a_pool(source, tmp_path, monkeypatch):
+    """With a pool, every capture is decoded and every profile's traces drawn
+    in a worker, and the sweep writes the serial bytes; at one worker each
+    runs once in the calling process, through the harness names a tracer wraps."""
+    write_captures(tmp_path, ["a.pcap", "b.pcap", "c.pcap", "d.pcap"])
+    doc = {**SOURCES[source], "transforms": [{"mode": "none"}, {"mode": "awgn", "nu": 2.0}],
+           "classifiers": [{"kind": "knn", "k": 3}], "seed": 5}
+    calls = []
+
+    def in_worker(name, real):
+        def wrapped(*args):
+            if multiprocessing.parent_process() is None:
+                if os.environ["TPB_WORKERS"] != "1":
+                    raise AssertionError(f"{name} ran in the parent")
+                calls.append((name, args[0]))
+            return real(*args)
+        return wrapped
+
+    for name in ("load_pcap", "generate_dataset"):
+        monkeypatch.setattr(harness, name, in_worker(name, getattr(harness, name)))
+    out = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TPB_WORKERS", workers)
+        path = tmp_path / f"{workers}.json"
+        path.write_text(json.dumps({**doc, "output_dir": workers}))
+        config = load_config(path)
+        report = run_experiment(config)
+        assert len(report.ok_rows()) == len(report.rows) == 2 * len(config.window_specs)
+        emit_report(report, config.output_dir)
+        out[workers] = (config.output_dir / "sweep.csv").read_bytes()
+    assert out["2"] == out["1"]
+    if source == "pcap":
+        assert calls == [("load_pcap", tmp_path / name) for name in SOURCES["pcap"]["pcap_labels"]]
+    else:
+        assert calls == [("generate_dataset", [p]) for p in builtin_profiles("utility_media_travel")]
+
+
+def test_a_trace_without_a_window_drops_alike_in_the_pool(tmp_path, monkeypatch):
+    """mic_off-2, -4 and -5 give no 600-packet window in 1 s; each counts as
+    one dropped window at one worker and at two."""
+    path = small_config(tmp_path, traces_per_class=6, duration=1.0, burst_sizes=[200, 600])
+    dropped = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TPB_WORKERS", workers)
+        dropped[workers] = [r.dropped_windows for r in run_experiment(load_config(path)).rows]
+    assert dropped["1"] == dropped["2"]
+    assert dropped["1"][1] == 3
 
 
 def pool_config(tmp_path, name):
@@ -205,7 +283,7 @@ def test_pool_rows_equal_serial_rows_including_captured_failures(tmp_path, monke
     monkeypatch.delenv("TPB_WORKERS")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     pool_report, pool = sweep_bytes(tmp_path, "pool")
-    assert made == [(2, "fork"), (2, "fork")]
+    assert made == [(2, "fork")] * 4  # a set-up pool and a cell pool per sweep
     assert pool == serial
 
     reasons = {r.reason for r in pool_report.skipped_rows()}
@@ -236,7 +314,7 @@ def test_knn_sweep_over_many_query_blocks_is_byte_identical_in_the_pool(tmp_path
         report = run_experiment(load_config(path))
         emit_report(report, tmp_path / workers)
         out[workers] = (tmp_path / workers / "sweep.csv").read_bytes()
-    assert made == [(2, "fork")]
+    assert made == [(2, "fork"), (2, "fork")]
     assert out["1"] == out["2"]
     rows = report.ok_rows()
     assert len(rows) == 8
@@ -301,7 +379,7 @@ def test_a_cell_whose_split_fails_gets_the_serial_row_and_no_job(tmp_path, monke
     made = record_pools(monkeypatch, fork=False)
     monkeypatch.setenv("TPB_WORKERS", "2")
     pooled = run_experiment(load_config(path)).rows
-    assert made == [] and jobs == []
+    assert made == [(2, "fork")] and jobs == []  # the set-up pool only
     assert [r.as_record() for r in pooled] == [r.as_record() for r in serial]
     assert [r.status for r in pooled] == ["skipped", "skipped"]
     for row in pooled:
@@ -323,7 +401,7 @@ def test_split_runs_once_per_runnable_cell(tmp_path, monkeypatch):
         transforms=[{"mode": "none"}, {"mode": "smooth", "window": 51, "degree": 1}],
         classifiers=[{"kind": "knn"}, {"kind": "forest", "n_trees": 5}])
     report = run_experiment(load_config(path))
-    assert made == [(2, "fork")]
+    assert made == [(2, "fork"), (2, "fork")]
     assert len(report.skipped_rows()) == 2  # smoothing at burst 2000
     assert len(calls) == len(report.ok_rows()) == 6
 

@@ -109,9 +109,18 @@ def test_dataset_cardinality_three_classes():
         assert sum(t.label == c for t in traces) == 5
 
 
-def test_dataset_rejects_single_profile():
-    with pytest.raises(ValueError):
-        generate_dataset([profile()], 3, 10.0, seed=1)
+def test_one_profile_draws_its_traces_of_the_whole_dataset():
+    """A profile's traces do not depend on the other profiles, bit for bit:
+    this lets the sweep draw each profile's traces in its own job."""
+    profiles = [profile(label=c, rate=r) for c, r in (("b", 90.0), ("a", 120.0), ("c", 60.0))]
+    whole = generate_dataset(profiles, 3, 5.0, seed=7)
+    alone = [t for p in profiles for t in generate_dataset([p], 3, 5.0, seed=7)]
+    assert [(t.label, t.trace_id) for t in alone] == [(t.label, t.trace_id) for t in whole]
+    for got, want in zip(alone, whole):
+        for name in ("timestamps", "lengths", "protocols", "src_ip", "dst_ip", "src_port",
+                     "dst_port", "tcp_window"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (got.trace_id, name)
 
 
 def test_master_seed_changes_contents_not_shape():
