@@ -1,4 +1,7 @@
-"""Random forest: bagged CART trees with per-split random feature subsets."""
+"""Random forest: bagged CART trees with per-split random feature subsets.
+
+Each tree grows on the distinct rows of its bootstrap draw (Breiman 2001),
+weighted by multiplicity: node for node the tree of the drawn rows."""
 
 from __future__ import annotations
 
@@ -49,9 +52,10 @@ def fit_forest(
     for t in trees:
         rng = np.random.default_rng(derive_seed(seed, "tree", t))
         if bootstrap:
-            rows = rng.integers(0, y.size, size=y.size)
+            weights = np.bincount(rng.integers(0, y.size, size=y.size), minlength=y.size)
         else:
-            rows = np.arange(y.size)
+            weights = np.ones(y.size, dtype=np.int64)
+        rows = np.flatnonzero(weights)
         grown.append(
             fit_tree(
                 X[rows],
@@ -61,6 +65,7 @@ def fit_forest(
                 min_leaf=min_leaf,
                 rng=rng,
                 features_per_split=features_per_split,
+                weights=weights[rows],
             )
         )
     return ForestParams(trees=grown, n_classes=n_classes)

@@ -71,15 +71,15 @@ def _backprop(weights, biases, X, targets_onehot, hidden, deltas, grad_w, grad_b
     grad_w and grad_b, and `hidden` and `deltas` are work buffers with at least X's rows."""
     n = X.shape[0]
     logits = _forward(weights, biases, X, hidden)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    loss = -float(np.sum(targets_onehot * log_probs)) / n
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    loss = -float(np.add.reduce(targets_onehot * log_probs, axis=None)) / n
 
     delta = (np.exp(log_probs) - targets_onehot) / n
     for layer in range(len(weights) - 1, -1, -1):
         a = hidden[layer - 1][:n] if layer > 0 else X
         np.matmul(a.T, delta, out=grad_w[layer])
-        np.sum(delta, axis=0, out=grad_b[layer])
+        np.add.reduce(delta, axis=0, out=grad_b[layer])
         if layer > 0:
             below = deltas[layer - 1][:n]
             np.matmul(delta, weights[layer].T, out=below)

@@ -3,6 +3,9 @@
 Candidate thresholds are midpoints of sorted distinct feature values. All
 ties break deterministically: lowest feature index, then lowest threshold,
 and leaf majorities fall back to the lowest class index.
+A forest tree grows on the distinct rows of its bootstrap draw, weighted by
+multiplicity; one cumsum per node gives both the class counts and the sizes
+of every cut, and the tree is node for node the one of the repeated rows.
 """
 
 from __future__ import annotations
@@ -41,43 +44,44 @@ def cut_threshold(low, high):
     return np.where(mid >= high, low, mid)
 
 
-def _best_split(XT, idx, onehot, counts, feature_ids, min_leaf):
-    """Best split of the rows `idx`, or None.
+def _best_split(XT, idx, tally, counts, gini, feature_ids, min_leaf):
+    """Best split of the rows `idx` of a node with class weights and size
+    `counts` and Gini impurity `gini`, or None.
 
     One pass over all candidate features: a stable sort of the (k, n)
-    candidate matrix and one cumulative sum of the one-hot labels taken in
-    that order give the left class counts at every cut. Gains are evaluated
-    only where the sorted value steps up and both sides keep min_leaf rows.
-    Returns (feature, threshold, left rows, right rows, left class counts).
+    candidate matrix and one cumulative sum of the tally in that order give
+    every cut's left class counts and size. Gains are scored on the whole
+    (k, n - 1) cut grid; a cut counts only where the sorted value steps up and
+    both sides weigh min_leaf. Returns (feature, threshold, (left, right)),
+    each child as (rows, counts, gini).
     """
-    n = idx.size
-    parent_gini = 1.0 - float(np.add.reduce((counts / n) ** 2))
     features = feature_ids[:, None]
     rows = idx[XT[features, idx].argsort(axis=1, kind="stable")]
     xs = XT[features, rows]
-    valid = xs[:, 1:] > xs[:, :-1]  # column p-1 is the cut before sorted row p
-    valid[:, : min_leaf - 1] = False
-    valid[:, n - min_leaf :] = False
-    col, row = np.nonzero(valid)  # feature-major, positions ascending
-    if col.size == 0:
-        return None
-    left_counts = onehot[rows].cumsum(axis=1)[col, row]
-    n_left = row + 1.0
+    left = tally.take(rows[:, :-1], axis=0).cumsum(axis=1)  # [f, c]: cut after sorted row c
+    left_counts, n_left = left[..., :-1], left[..., -1]
+    n = counts[-1]
     n_right = n - n_left
-    gini_left = 1.0 - np.add.reduce((left_counts / n_left[:, None]) ** 2, axis=1)
+    gini_left = 1.0 - np.add.reduce((left_counts / n_left[..., None]) ** 2, axis=-1)
     gini_right = 1.0 - np.add.reduce(
-        ((counts - left_counts) / n_right[:, None]) ** 2, axis=1
+        ((counts[:-1] - left_counts) / n_right[..., None]) ** 2, axis=-1
     )
-    gains = parent_gini - (n_left * gini_left + n_right * gini_right) / n
-    j = gains.argmax()  # first max = lowest feature, then lowest threshold
-    if gains[j] <= _MIN_GAIN:
+    gains = gini - (n_left * gini_left + n_right * gini_right) / n
+    # not-greater rather than <=, so that a NaN value never opens a cut
+    shut = ~(xs[:, 1:] > xs[:, :-1]) | (np.minimum(n_left, n_right) < min_leaf)
+    np.putmask(gains, shut, -np.inf)
+    f, c = divmod(int(gains.argmax()), gains.shape[1])  # first max: lowest feature, then cut
+    if gains[f, c] <= _MIN_GAIN:
         return None
-    f, p = col[j], row[j] + 1
-    threshold = cut_threshold(xs[f, p - 1], xs[f, p])
-    # xs[f, p - 1] <= threshold < xs[f, p], so the left child is exactly the first p rows.
+    low, high = float(xs[f, c]), float(xs[f, c + 1])
+    mid = (low + high) / 2.0  # cut_threshold's rule, on Python floats
+    # low <= threshold < high, so the left child is exactly the first c + 1 rows.
     # Row order inside a node does not matter: the class counts at a cut
     # between distinct values are the same for any order of tied rows.
-    return int(feature_ids[f]), float(threshold), rows[f, :p], rows[f, p:], left_counts[j]
+    return int(feature_ids[f]), low if mid >= high else mid, (
+        (rows[f, : c + 1], left[f, c], float(gini_left[f, c])),
+        (rows[f, c + 1 :], counts - left[f, c], float(gini_right[f, c])),
+    )
 
 
 def fit_tree(
@@ -89,25 +93,30 @@ def fit_tree(
     *,
     rng: np.random.Generator | None = None,
     features_per_split: int | None = None,
+    weights: np.ndarray | None = None,
 ) -> TreeParams:
     """Grow a tree on encoded labels. The keyword-only rng and
     features_per_split, no config keys, enable the per-split random feature
-    subsets used by the forest."""
+    subsets used by the forest; `weights` (default all ones), also no config
+    key, are positive integer row multiplicities."""
     n_features = X.shape[1]
     XT = np.ascontiguousarray(X.T)
-    onehot = np.zeros((y.size, n_classes))
-    onehot[np.arange(y.size), y] = 1.0
+    tally = np.zeros((y.size, n_classes + 1))  # weighted one-hot labels, then the weight
+    tally[:, -1] = 1.0 if weights is None else weights
+    tally[np.arange(y.size), y] = tally[:, -1]
     all_features = np.arange(n_features)
     root = TreeNode()
-    counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    stack = [(root, np.arange(y.size), counts, 0)]
+    counts = tally.sum(axis=0)
+    gini = 1.0 - float(np.add.reduce((counts[:-1] / counts[-1]) ** 2))
+    stack = [(root, np.arange(y.size), counts, gini, 0)]
     while stack:
-        node, idx, counts, depth = stack.pop()
-        majority = int(counts.argmax())
+        node, idx, counts, gini, depth = stack.pop()
+        *class_counts, size = counts.tolist()
+        majority = class_counts.index(max(class_counts))
         if (
-            counts[majority] == idx.size  # pure
+            class_counts[majority] == size  # pure
             or (max_depth is not None and depth >= max_depth)
-            or idx.size < 2 * min_leaf
+            or size < 2 * min_leaf
         ):
             node.klass = majority
             continue
@@ -116,17 +125,17 @@ def fit_tree(
             feature_ids.sort()
         else:
             feature_ids = all_features
-        found = _best_split(XT, idx, onehot, counts, feature_ids, min_leaf)
+        found = _best_split(XT, idx, tally, counts, gini, feature_ids, min_leaf)
         if found is None:
             node.klass = majority
             continue
-        node.feature, node.threshold, left, right, left_counts = found
+        node.feature, node.threshold, (left, right) = found
         node.left = TreeNode()
         node.right = TreeNode()
         # push right first so the left child is expanded first (keeps the
         # rng consumption order deterministic for forest trees)
-        stack.append((node.right, right, counts - left_counts, depth + 1))
-        stack.append((node.left, left, left_counts, depth + 1))
+        stack.append((node.right, *right, depth + 1))
+        stack.append((node.left, *left, depth + 1))
     return TreeParams(root=root, n_classes=n_classes)
 
 

@@ -300,16 +300,50 @@ def test_tree_split_search_matches_per_feature_oracle():
         assert tree_nodes(got.root) == tree_nodes(want), (case, kwargs)
 
 
+def test_tree_row_weights_match_the_oracle_on_repeated_rows():
+    rng = np.random.default_rng(42)
+    for case in range(270):
+        X, y, n_classes = _oracle_case(rng)
+        w = rng.integers(1, 5, size=y.size)
+        kwargs = {
+            "max_depth": [None, 2, 5][case % 3],
+            "features_per_split": [None, 2, 3][(case // 3) % 3],
+            "min_leaf": 1 + (case // 9) % 3,
+        }
+        seed = int(rng.integers(2**32))
+        got = fit_tree(X, y, n_classes, rng=np.random.default_rng(seed), weights=w, **kwargs)
+        want = reference_fit_tree(
+            np.repeat(X, w, axis=0), np.repeat(y, w), n_classes,
+            rng=np.random.default_rng(seed), **kwargs,
+        )
+        assert tree_nodes(got.root) == tree_nodes(want), (case, kwargs)
+
+
+def test_a_nan_feature_value_never_opens_a_cut():
+    # sorted, the NaNs follow 1.0; a cut there would split the right child's classes
+    X = np.array([[0.0], [0.0], [1.0], [np.nan], [np.nan], [np.nan]])
+    y = np.array([0, 0, 0, 1, 1, 1])
+    want = [(0, 0.5, -1), (-1, 0.0, 0), (-1, 0.0, 1)]
+    assert tree_nodes(reference_fit_tree(X, y, 2)) == want
+    assert tree_nodes(fit_tree(X, y, 2).root) == want
+    assert tree_nodes(fit_tree(X, y, 2, weights=np.array([1, 2, 1, 3, 1, 1])).root) == want
+
+
 def test_forest_matches_per_feature_oracle():
     rng = np.random.default_rng(41)
     X = np.column_stack([rng.normal(size=90), rng.integers(0, 4, size=90), rng.normal(size=90)])
     y = rng.integers(0, 3, size=90)
-    forest = fit_forest(X, y, 3, n_trees=12, features_per_split=2, seed=5)
-    for t, tree in enumerate(forest.trees):
-        tree_rng = np.random.default_rng(derive_seed(5, "tree", t))
-        rows = tree_rng.integers(0, y.size, size=y.size)
-        want = reference_fit_tree(X[rows], y[rows], 3, rng=tree_rng, features_per_split=2)
-        assert tree_nodes(tree.root) == tree_nodes(want), t
+    # the defaults, then the growth limits, where sizes summed from weights
+    # must stop a tree exactly where counts of repeated rows would
+    for kwargs in [{}, {"min_leaf": 2}, {"max_depth": 3}]:
+        forest = fit_forest(X, y, 3, n_trees=12, features_per_split=2, seed=5, **kwargs)
+        for t, tree in enumerate(forest.trees):
+            tree_rng = np.random.default_rng(derive_seed(5, "tree", t))
+            rows = tree_rng.integers(0, y.size, size=y.size)
+            want = reference_fit_tree(
+                X[rows], y[rows], 3, rng=tree_rng, features_per_split=2, **kwargs
+            )
+            assert tree_nodes(tree.root) == tree_nodes(want), (t, kwargs)
 
 
 # --- random forest ----------------------------------------------------------------
