@@ -11,8 +11,12 @@ whose sub-second field is a whole second or more is a format error.
 
 Decoding is vectorised: one Python loop reads only each record header's
 `incl_len` to find where the frames start (and whether the stream is cut
-short); every other field of every record is then gathered from one numpy
-view of the bytes, a frame field only where that frame's length allows it.
+short); the 16 header bytes of every record are then gathered at once, and
+every frame field from one numpy view of the bytes, only where that frame's
+length allows it. A timestamp is the difference of the exact integer stamps
+(seconds times the unit, plus the sub-second field) divided once by the
+unit; Python's `round` of the float difference is kept only for nanosecond
+captures spanning 2**23 s or more, past the bound where the two agree.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ LINKTYPE_ETHERNET = 1
 
 _GLOBAL_HEADER_LEN = 24
 _RECORD_HEADER_LEN = 16
+
+# A nanosecond capture's span, in ticks, from which timestamps keep `round`
+_NS_EXACT_TICKS = 2**23 * 1_000_000_000
 
 _ETHERTYPE_IPV4 = 0x0800
 _VLAN_ETHERTYPES = (0x8100, 0x88A8)
@@ -164,10 +171,8 @@ def parse_pcap_with_stats(data: bytes, label: str, trace_id: str = "") -> tuple[
 
     buf = np.frombuffer(data, dtype=np.uint8)
     start = np.array(starts, dtype=np.int64)
-    ts_sec, ts_sub, incl_len, orig_len = (
-        _gather(buf, start - _RECORD_HEADER_LEN + 4 * k, header.byte_order + "u4")
-        for k in range(4)
-    )
+    headers = buf[start[:, None] - _RECORD_HEADER_LEN + np.arange(_RECORD_HEADER_LEN)]
+    ts_sec, ts_sub, incl_len, orig_len = headers.view(header.byte_order + "u4").astype(np.int64).T
     subsec_unit = 1_000_000_000 if header.nanosecond else 1_000_000
     bad = np.flatnonzero(ts_sub >= subsec_unit)
     if bad.size:
@@ -182,12 +187,24 @@ def parse_pcap_with_stats(data: bytes, label: str, trace_id: str = "") -> tuple[
     key = ts_sec * subsec_unit + ts_sub  # orders as (ts_sec, ts_sub); below 2**63
     reordered = np.count_nonzero(key[1:] < np.maximum.accumulate(key)[:-1])
     order = np.argsort(key, kind="stable")  # equal stamps keep capture order
-    ts_sec, ts_sub = ts_sec[order], ts_sub[order]
-    rel = (ts_sec - ts_sec[0]) + (ts_sub - ts_sub[0]) / subsec_unit
-    digits = 9 if header.nanosecond else 6
-    # round(), not np.round: np.round scales by 10**digits first, which can
-    # land one ulp away from the correctly rounded value.
-    timestamps = [round(t, digits) for t in rel.tolist()]
+    ticks = key[order] - key[order[0]]
+    if not header.nanosecond or ticks[-1] < _NS_EXACT_TICKS:
+        # One correctly rounded division, equal to the `round` below: while
+        # the span is under 2**32 s in microseconds or 2**23 s in
+        # nanoseconds, `rel` is within half a unit of the last digit of the
+        # exact ticks / unit, so `round` gives that value's nearest float;
+        # and ticks stay below 2**53, so the division gives it too.
+        timestamps = ticks / subsec_unit
+    else:
+        # A nanosecond capture spanning 2**23 s or more: here the float
+        # error of `rel` can reach half a nanosecond, so `round` may land on
+        # the neighbouring digit. The division would not follow it, so the
+        # parse keeps this expression, which defines the timestamps.
+        ts_sec, ts_sub = ts_sec[order], ts_sub[order]
+        rel = (ts_sec - ts_sec[0]) + (ts_sub - ts_sub[0]) / subsec_unit
+        # round(), not np.round: np.round scales by 10**9 first, which can
+        # land one ulp away from the correctly rounded value.
+        timestamps = [round(t, 9) for t in rel.tolist()]
     stats = PcapStats(
         packets=len(starts),
         truncated_records=int(truncated),

@@ -23,6 +23,7 @@ from tpbench.features import (
     load_features_csv,
     save_features_csv,
     stack_series,
+    _mean_std,
     _window_bounds,
 )
 from tpbench.pcap import parse_pcap_with_stats
@@ -312,6 +313,24 @@ def test_counts_monotone_when_window_grows():
         for idx in count_idx:
             assert cur[idx] >= prev[idx]
         prev = cur
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_mean_std_matches_numpy_bit_for_bit(dtype):
+    # Widths 1-300 cross numpy's pairwise-summation edges at 8 and 128.
+    rng = np.random.default_rng(3)
+    for w in range(1, 301):
+        if dtype is np.float64:
+            x = rng.normal(size=(6, w)) * 10.0 ** rng.integers(-9, 9, size=(6, 1))
+        else:
+            x = rng.integers(-(2**40), 2**40, size=(6, w))
+        x[0] = 0
+        x[1] = x[1, 0]  # a constant row
+        x[2] = np.abs(x[2])
+        x[3] = -np.abs(x[3])
+        mean, std = _mean_std(x)
+        assert mean.tobytes() == np.mean(x, axis=1).tobytes(), w
+        assert std.tobytes() == np.std(x, axis=1).tobytes(), w
 
 
 def test_oracle_equivalence_small_traces():

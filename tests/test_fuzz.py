@@ -132,8 +132,18 @@ def stamped_pcap_bytes(draw):
     return blob
 
 
+# Nanosecond stamps (0 s, 0) and (2**24 s, 687 ns), past the 2**23 s span
+# up to which the parse divides integer ticks by the unit: the division gives
+# 16777216.00000069, the reference's `round` 16777216.000000685.
+_NS_PAST_EXACT_SPAN = struct.pack("<IHHiIII", MAGIC_NANOS, 2, 4, 0, 0, 65535, 1) + b"".join(
+    struct.pack("<IIII", sec, sub, len(_TCP), len(_TCP)) + _TCP
+    for sec, sub in [(0, 0), (2**24, 687)]
+)
+
+
 @FUZZ
 @given(stamped_pcap_bytes())
+@example(_NS_PAST_EXACT_SPAN)
 def test_parse_pcap_matches_reference_fuzz(data):
     try:
         expected = reference_parse_pcap_with_stats(data, label="fuzz")

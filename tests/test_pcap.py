@@ -160,6 +160,29 @@ def test_out_of_range_sub_second_field_is_fatal(nanos):
         parse_pcap_with_stats(blob, label="q")
 
 
+@pytest.mark.parametrize(
+    "nanos, span, division_matches",
+    [(True, 2**23 - 1, True), (True, 2**24, False), (False, 2**32 - 1, True)],
+)
+def test_timestamps_match_reference_at_long_spans(nanos, span, division_matches):
+    # The parse divides integer ticks by the unit, except for nanosecond
+    # spans of 2**23 s or more, where it keeps the reference's `round`; at
+    # 2**24 s the division alone would differ on some of these stamps.
+    unit = 10**9 if nanos else 10**6
+    rng = np.random.default_rng(span)
+    secs = [0, span, *rng.integers(span - 2**12, span, 200).tolist()]
+    subs = [0, unit - 1, *rng.integers(0, unit, 200).tolist()]
+    frame = ipv4_frame(Protocol.UDP, 1, 2, 53, 53)
+    blob = struct.pack("<IHHiIII", MAGIC_NANOS if nanos else MAGIC_MICROS, 2, 4, 0, 0, 65535, 1)
+    for sec, sub in zip(secs, subs):
+        blob += struct.pack("<IIII", sec, sub, len(frame), len(frame)) + frame
+    expected = reference_parse_pcap_with_stats(blob, label="q")
+    assert_same_parse(parse_pcap_with_stats(blob, label="q"), expected)
+    ticks = np.array(secs) * unit + np.array(subs)
+    divided = np.sort(ticks) / unit
+    assert (divided == expected[0].timestamps).all() == division_matches
+
+
 # --- vectorised decode against the per-record oracle -------------------------
 
 MACS = b"\x02" * 6 + b"\x04" * 6
