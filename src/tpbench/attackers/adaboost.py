@@ -8,7 +8,7 @@ halts early when the best stump is no better than random guessing
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class AdaBoostParams:
     alphas: list[float]
     fallback_class: int
     n_classes: int
-    train_errors: list[float] = field(default_factory=list)
 
 
 def _predict_stump(stump: Stump, X: np.ndarray) -> np.ndarray:
@@ -114,7 +113,6 @@ def fit_adaboost(
     params = AdaBoostParams(
         stumps=[], alphas=[], fallback_class=fallback, n_classes=n_classes
     )
-    scores = np.zeros((n, n_classes))
     cuts = _Cuts.of(X, y, n_classes)  # X is fixed across rounds; only the weights change
     for _ in range(rounds):
         stump = _best_stump(cuts, y, w, n_classes)
@@ -127,8 +125,6 @@ def fit_adaboost(
         alpha = float(np.log((1.0 - eps_floored) / eps_floored) + np.log(n_classes - 1))
         params.stumps.append(stump)
         params.alphas.append(alpha)
-        scores[np.arange(n), pred] += alpha
-        params.train_errors.append(float(np.mean(np.argmax(scores, axis=1) != y)))
         if eps <= EPS_FLOOR:
             break  # perfect stump: nothing left to reweight
         w = w * np.exp(alpha * incorrect)

@@ -129,11 +129,11 @@ def _window_bounds(trace: Trace, spec: WindowSpec) -> tuple[np.ndarray, np.ndarr
     """Start and stop packet indices of each non-empty window, half open.
 
     Burst mode yields consecutive ranges of exactly N packets and discards the
-    trailing partial group. Time-span mode cuts [k*dt, (k+1)*dt) intervals and
-    discards empty ones (windows with a single packet are kept here; the
-    extractor drops them with its dropped-window counter). Only the bounds
-    around each packet's interval are made, so memory follows the packets,
-    not the intervals.
+    trailing partial group. Time-span mode gives each packet the interval k
+    with k*dt <= t < (k+1)*dt, as those float64 products round, and cuts a
+    window wherever k changes, so empty intervals give no window (windows
+    with a single packet are kept here; the extractor drops them with its
+    dropped-window counter). Memory follows the packets, not the intervals.
     """
     times = trace.timestamps
     if times.size == 0:
@@ -142,29 +142,19 @@ def _window_bounds(trace: Trace, spec: WindowSpec) -> tuple[np.ndarray, np.ndarr
         starts = np.arange(times.size // spec.burst_size, dtype=np.int64) * spec.burst_size
         return starts, starts + spec.burst_size
     dt = spec.timespan
-    # The last interval cut. `//` rounds a last packet on a bound down (t = 1.0
-    # at dt = 0.1: 1.0 // 0.1 is 9, but 10 * 0.1 is 1.0), so that packet
-    # opens the next interval.
-    last = times[-1] // dt
-    if (last + 1) * dt <= times[-1]:
-        last += 1
-    if not last < MAX_INTERVALS:
+    k = np.floor(times / dt)
+    if not k[-1] < MAX_INTERVALS:
         raise ValueError(
             f"trace {trace.trace_id or trace.label!r}: time span {dt!r} cuts its "
             f"{float(times[-1])!r} s into more than 2**52 intervals, past exact float64 indices"
         )
-    # A packet's interval k, with k*dt <= t < (k+1)*dt as the bounds round,
-    # is within one of its estimate floor(t / dt) while k < 2**52. So the
-    # bounds of the estimates and of their neighbours hold the start of every
-    # packet's interval, bound last + 1 ends the last one, and no window is
-    # split or cut short.
-    k = np.floor(times / dt)
-    k = k[np.concatenate(([True], k[1:] != k[:-1]))]  # each estimate once; times are sorted
-    ks = np.clip((k[:, None] + (-1.0, 0.0, 1.0)).ravel(), 0.0, last + 1)
-    ks = np.unique(np.append(ks, last + 1))
-    cuts = np.searchsorted(times, ks * dt, side="left")
-    nonempty = cuts[1:] > cuts[:-1]
-    return cuts[:-1][nonempty], cuts[1:][nonempty]
+    # Rounding leaves the estimate within one of k (at dt = 0.1, floor(1.7 / dt)
+    # is 17 but 17 * dt > 1.7, and floor(4.3 / dt) is 42 but 43 * dt == 4.3),
+    # so one step down and one step up correct it.
+    k -= k * dt > times
+    k += (k + 1) * dt <= times
+    cuts = np.flatnonzero(k[1:] != k[:-1]) + 1
+    return np.concatenate(([0], cuts)), np.append(cuts, times.size)
 
 
 def extract_series(trace: Trace, spec: WindowSpec) -> FeatureSeries:

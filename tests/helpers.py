@@ -133,7 +133,7 @@ class FeatureVector(NamedTuple):
 def reference_timespan_bounds(trace: Trace, spec: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
     """The (start, stop) packet indices of a time-span spec's non-empty windows,
     cut with one float64 bound k * dt per interval: the windows
-    `_window_bounds` must match while making bounds only around packets."""
+    `_window_bounds` must match with memory per packet, not per interval."""
     times = trace.timestamps
     last = int(times[-1] // spec.timespan)
     if (last + 1) * spec.timespan <= times[-1]:  # a last packet on a bound `//` rounds down

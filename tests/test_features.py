@@ -116,6 +116,44 @@ def test_timespan_windows_match_the_bound_per_interval_cut():
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), (trial, dt)
 
 
+def oracle_timespan_bounds(times: np.ndarray, dt: float) -> tuple[list[int], list[int]]:
+    """Windows as runs of equal interval k, each packet's k found on its own:
+    from int(t // dt), stepped until k*dt <= t < (k+1)*dt."""
+    ks = []
+    for t in times.tolist():
+        k = int(t // dt)
+        while k * dt > t:
+            k -= 1
+        while (k + 1) * dt <= t:
+            k += 1
+        ks.append(k)
+    cuts = [i for i in range(1, len(ks)) if ks[i] != ks[i - 1]]
+    return [0] + cuts, cuts + [len(ks)]
+
+
+def test_timespan_windows_at_large_interval_indices_match_a_per_packet_oracle():
+    """Stamps on k*dt and one ulp either side, k up to about 2**50, where
+    floor(t / dt) is one above or one below the interval of thousands of
+    packets: too many intervals for `reference_timespan_bounds`."""
+    rng = np.random.default_rng(50)
+    too_high = too_low = 0
+    for dt in (0.1, 0.3, 1 / 3, 0.7, 1e-3):
+        ks = np.concatenate(
+            [rng.integers(2**e, 2**(e + 1), size=400) for e in range(40, 50)]
+            + [k0 + np.arange(40) for k0 in rng.integers(2**49, 2**50, size=5)]  # neighbours
+        )
+        on_bound = np.unique(ks).astype(np.float64) * dt
+        times = np.sort(np.concatenate([
+            on_bound, np.nextafter(on_bound, np.inf), np.nextafter(on_bound, 0.0),
+        ]))
+        estimate = np.floor(times / dt)
+        too_high += int(np.count_nonzero(estimate * dt > times))
+        too_low += int(np.count_nonzero((estimate + 1) * dt <= times))
+        starts, stops = _window_bounds(times_trace(times), WindowSpec.time_span(dt))
+        assert (starts.tolist(), stops.tolist()) == oracle_timespan_bounds(times, dt), dt
+    assert too_high > 1000 and too_low > 1000
+
+
 def test_timespan_last_packet_on_a_rounded_down_bound_is_in_the_last_window():
     # 1.0 // 0.1 is 9.0, but 10 * 0.1 == 1.0: the packet at 1.0 opens the
     # interval [1.0, 1.1)
