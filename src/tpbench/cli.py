@@ -1,10 +1,13 @@
 """Command-line pipeline: extract, perturb, attack, sweep.
 
 Exit codes: 0 success, 1 usage error, 2 data error. The stages share the
-feature-CSV interchange format, so a sweep cell can be rerun by chaining
+feature-CSV interchange format, which holds one window table
+(`features.WindowTable`), so a sweep cell can be rerun by chaining
 `extract --config` / `perturb` / `attack` with the seeds the README names:
-`extract --config` draws or loads and windows a sweep config's traces with
-the sweep's own code, `harness.source_series`, on the sweep's worker pool.
+`extract --config` writes the table the sweep builds for its window spec,
+with the sweep's own code, `harness.source_series`, on the sweep's worker
+pool; `perturb` transforms the table's matrix, as the sweep does, and
+`attack` splits its rows.
 The invariant checks live in the test suite: `pytest tests/test_acceptance.py`
 runs one check per acceptance criterion.
 """
@@ -15,8 +18,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from tpbench import attackers
 from tpbench.features import (
@@ -38,7 +39,7 @@ from tpbench.harness import (
     source_series,
 )
 from tpbench.pcap import load_pcap
-from tpbench.rules import named
+from tpbench.rules import SEED, check, named
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -100,35 +101,28 @@ def _cmd_extract(args) -> int:
     if args.pcap:
         if not args.label:
             raise ValueError("--label is required with --pcap")
-        series = [extract_series(load_pcap(args.pcap, args.label), spec)]
+        table = stack_series([extract_series(load_pcap(args.pcap, args.label), spec)])
     elif args.label is not None:  # a config labels its own traces
         raise ValueError("--label is only for --pcap input, not --config")
     else:  # the sweep's traces and windows, without the traces it drops
-        config = replace(load_config(args.config), window_specs=[spec])
-        series, _ = source_series(config)[0]
-        if not series:
+        (table,) = source_series(replace(load_config(args.config), window_specs=[spec]))
+        if not table.trace_ids:
             raise ValueError(f"{args.config}: no trace gives a window with >= 2 packets "
                              f"under {spec.key()}")
-    save_features_csv(series, args.out)
-    total = sum(len(s) for s in series)
-    print(f"wrote {total} windows from {len(series)} traces to {args.out}")
+    save_features_csv(table, args.out)
+    print(f"wrote {len(table.X)} windows from {len(table.trace_ids)} traces to {args.out}")
     return 0
 
 
 def _cmd_perturb(args) -> int:
-    series_list = load_features_csv(args.infile)
+    table = load_features_csv(args.infile)
     # the flags given, read as a config's transform entry: same defaults and rules
     flags = ("mode", "window", "degree", "nu", "clamp_counts")
     tspec = read_transform({k: getattr(args, k) for k in flags if getattr(args, k) is not None})
-    # transform the stacked dataset (like the sweep does), then cut the
-    # matrix back into the per-trace series by each row's trace index
-    X, _, trace = stack_series(series_list)
-    Xt = tspec.apply(X, args.seed)
-    parts = np.split(Xt, np.searchsorted(trace, np.arange(1, len(series_list))))
-    out = [replace(series, values=part, transform=tspec.key())
-           for series, part in zip(series_list, parts)]
-    save_features_csv(out, args.out)
-    print(f"wrote {len(Xt)} transformed windows to {args.out}")
+    # the whole stacked matrix, as the sweep transforms it
+    table = table._replace(X=tspec.apply(table.X, args.seed))
+    save_features_csv(table, args.out, transform=tspec.key())
+    print(f"wrote {len(table.X)} transformed windows to {args.out}")
     return 0
 
 
@@ -138,8 +132,7 @@ def _cmd_attack(args) -> int:
         if not isinstance(params, dict):
             raise ValueError(f"expected a JSON object, got {args.params!r}")
         clf = ClassifierSpec.from_params(args.classifier, params)
-    series_list = load_features_csv(args.features)
-    X, y, _ = stack_series(series_list)
+    X, y, *_ = load_features_csv(args.features)
     train_idx, test_idx = attackers.split(y, args.train_fraction, cell_seeds(args.seed)[0])
     predicted = fit_cell(X, y, clf, train_idx, test_idx, args.seed)
     accuracy = attackers.accuracy(predicted, y[test_idx])
@@ -173,6 +166,9 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": _cmd_sweep,
     }
     try:
+        if "seed" in args:  # perturb's transform seed, attack's cell seed
+            with named("--seed"):
+                check(args.seed, SEED, "seed")
         return handlers[args.command](args)
     except (ValueError, OSError, attackers.TrainingDivergedError) as exc:
         print(f"tpbench {args.command}: {exc}", file=sys.stderr)

@@ -11,6 +11,9 @@ windows at a time, each feature as the same reduction in the same order as
 a one-window-at-a-time loop would take it. Block means and standard
 deviations call numpy's reductions directly, the same operations `np.mean`
 and `np.std` run, without those functions' per-call Python overhead.
+A `FeatureSeries` is one trace's result; `stack_series` stacks the series of
+many traces into a `WindowTable`, the one shape the sweep, the feature CSV
+and the CLI share, which keeps each row's trace.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,13 +103,13 @@ class WindowSpec:
 
 @dataclass
 class FeatureSeries:
-    """Per-trace feature time series: one row per retained window."""
+    """One trace's windows, as `extract_series` gives them: one row per
+    retained window."""
 
     values: np.ndarray  # shape (n_windows, 12), float64
     label: str
     trace_id: str = ""
     dropped_windows: int = 0
-    transform: str | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -251,34 +254,57 @@ def _window_matrix(trace: Trace, starts: np.ndarray, stops: np.ndarray) -> np.nd
     return out
 
 
+class WindowTable(NamedTuple):
+    """The windows of several traces, stacked: the one shape the sweep, the
+    feature CSV and the CLI share."""
+
+    X: np.ndarray  # (n_rows, 12) float64, each trace's rows together in window order
+    labels: np.ndarray  # each row's class label (object)
+    trace: np.ndarray  # each row's trace, as its position in trace_ids (int64, non-decreasing)
+    trace_ids: list[str]  # the traces that give a window, in row order
+    dropped: int  # windows of fewer than 2 packets, plus one per trace that gives none
+
+
+def stack_series(series_list: list[FeatureSeries | None]) -> WindowTable:
+    """The table of one series per trace, in order; None marks a trace that
+    gives no window, which keeps no row and counts as one dropped window."""
+    kept = [s for s in series_list if s is not None]
+    trace = np.repeat(np.arange(len(kept), dtype=np.int64), [len(s) for s in kept])
+    return WindowTable(
+        X=np.concatenate([np.zeros((0, N_FEATURES)), *(s.values for s in kept)]),
+        labels=np.array([s.label for s in kept], dtype=object)[trace],
+        trace=trace,
+        trace_ids=[s.trace_id for s in kept],
+        dropped=len(series_list) - len(kept) + sum(s.dropped_windows for s in kept),
+    )
+
+
 # --- CSV interchange --------------------------------------------------------
 
 _BASE_COLUMNS = list(FEATURE_NAMES) + ["label", "window_index", "trace_id"]
 
 
-def save_features_csv(series_list: Iterable[FeatureSeries], path: str | Path) -> None:
-    """Stacked per-window rows; a `transform` column is added when any series
-    carries transform metadata."""
-    series_list = list(series_list)
-    if not series_list:
+def save_features_csv(table: WindowTable, path: str | Path, transform: str | None = None) -> None:
+    """One line per row of `table`: its features, label, index within its
+    trace and trace id, then `transform` in a last column when given."""
+    if not table.trace.size:
         raise ValueError("nothing to write")
-    with_transform = any(s.transform is not None for s in series_list)
-    columns = _BASE_COLUMNS + (["transform"] if with_transform else [])
+    columns = _BASE_COLUMNS + ([] if transform is None else ["transform"])
+    tail = [] if transform is None else [transform]
+    window_index = np.arange(table.trace.size) - np.searchsorted(table.trace, table.trace)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for series in series_list:
-            for k, row in enumerate(series.values):
-                record = [repr(float(v)) for v in row]
-                record += [series.label, str(k), series.trace_id]
-                if with_transform:
-                    record.append(series.transform or "none")
-                writer.writerow(record)
+        for row, label, k, t in zip(table.X.tolist(), table.labels, window_index.tolist(),
+                                    table.trace.tolist()):
+            writer.writerow([*map(repr, row), label, k, table.trace_ids[t], *tail])
 
 
-def load_features_csv(path: str | Path) -> list[FeatureSeries]:
-    """Read back one FeatureSeries per trace_id, in first-appearance order."""
-    groups: dict[str, dict] = {}
+def load_features_csv(path: str | Path) -> WindowTable:
+    """The table of a feature CSV, with each trace_id's rows together in file
+    order, the traces in order of first appearance. The file keeps no
+    dropped count, so `dropped` is 0, and a `transform` column is not read."""
+    rows, trace, traces = [], [], {}  # traces: trace_id -> (position, label)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or any(
@@ -299,34 +325,16 @@ def load_features_csv(path: str | Path) -> list[FeatureSeries]:
             for name, value in zip(FEATURE_NAMES, vec):
                 if not math.isfinite(value):
                     raise ValueError(f"{path}:{lineno}: {name} is {row[name]!r}, not finite")
-            group = groups.setdefault(
-                row["trace_id"],
-                {"label": row["label"], "rows": [], "transform": row.get("transform")},
-            )
-            if group["label"] != row["label"]:
+            position, label = traces.setdefault(row["trace_id"], (len(traces), row["label"]))
+            if label != row["label"]:
                 raise ValueError(
                     f"{path}:{lineno}: trace {row['trace_id']!r} has conflicting labels"
                 )
-            group["rows"].append(vec)
-    if not groups:
+            rows.append(vec)
+            trace.append(position)
+    if not rows:
         raise ValueError(f"{path}: no feature rows")
-    return [
-        FeatureSeries(
-            values=np.array(g["rows"], dtype=np.float64),
-            label=g["label"],
-            trace_id=tid,
-            transform=g["transform"] if g["transform"] not in (None, "none") else None,
-        )
-        for tid, g in groups.items()
-    ]
-
-
-def stack_series(series_list: list[FeatureSeries]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate series into one (X, labels, trace) dataset, preserving
-    order; `trace` holds each row's series position in `series_list` (int64)."""
-    if not series_list:
-        raise ValueError("no series to stack")
-    X = np.concatenate([s.values for s in series_list], axis=0)
-    y = np.concatenate([np.full(len(s), s.label, dtype=object) for s in series_list])
-    trace = np.repeat(np.arange(len(series_list), dtype=np.int64), [len(s) for s in series_list])
-    return X, y, trace
+    order = np.argsort(trace, kind="stable")
+    trace = np.array(trace, dtype=np.int64)[order]
+    labels = np.array([label for _, label in traces.values()], dtype=object)
+    return WindowTable(np.array(rows)[order], labels[trace], trace, list(traces), dropped=0)

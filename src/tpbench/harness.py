@@ -10,8 +10,9 @@ two phases on a fork process pool of `_worker_count` workers, through one
 `_run_jobs`. First `source_series` runs one job per capture, which decodes it,
 or per class profile, which draws its traces; the job windows its traces under
 every window spec and returns only their feature series, so no trace reaches
-the parent. Then `run_experiment` encodes each window's labels once as class
-codes (the labels' sorted order), draws each cell's split itself and runs
+the parent, which stacks each spec's series once into a window table. Then
+`run_experiment` encodes each table's labels once as class codes (the
+labels' sorted order), draws each cell's split itself and runs
 `fit_cell` jobs: a whole cell's job returns its predicted codes on the test
 rows. With more than one worker, a forest cell runs as one job per contiguous
 range of its tree indices, returning its vote matrix: each tree draws from its
@@ -37,6 +38,7 @@ from tpbench.features import (
     EmptySeriesError,
     FeatureSeries,
     WindowSpec,
+    WindowTable,
     extract_series,
     stack_series,
 )
@@ -350,24 +352,17 @@ def _unit_series(config: ExperimentConfig, i: int) -> list[list[FeatureSeries | 
     return out
 
 
-def source_series(config: ExperimentConfig, workers: int | None = None
-                  ) -> list[tuple[list[FeatureSeries], int]]:
-    """(series_list, dropped) for each of `config.window_specs`: the feature
-    series of the config's traces in the sweep's order (the captures in
-    `pcap_files` order, else profile order, then trace index), leaving out
-    each trace that gives no window, and the windows dropped: those of each
-    series, plus one per trace left out. Each capture is loaded, or each
-    profile's traces drawn, and windowed in one job on `workers` processes
-    (default `_worker_count()`); only the series come back."""
+def source_series(config: ExperimentConfig, workers: int | None = None) -> list[WindowTable]:
+    """The window table of each of `config.window_specs`, stacked once by
+    `stack_series` from the config's traces in the sweep's order: the
+    captures in `pcap_files` order, else profile order, then trace index.
+    Each capture is loaded, or each profile's traces drawn, and windowed in
+    one job on `workers` processes (default `_worker_count()`); only the
+    series come back."""
     jobs = [(config, i) for i in range(len(config.pcap_files) or len(config.profiles))]
     per_trace = [row for unit in _run_jobs(_unit_series, jobs, workers or _worker_count())
                  for row in unit]
-    per_spec = []
-    for j in range(len(config.window_specs)):
-        series_list = [row[j] for row in per_trace if row[j] is not None]
-        dropped = len(per_trace) - len(series_list) + sum(s.dropped_windows for s in series_list)
-        per_spec.append((series_list, dropped))
-    return per_spec
+    return [stack_series([row[j] for row in per_trace]) for j in range(len(config.window_specs))]
 
 
 def cell_seeds(cell_seed: int) -> tuple[int, int]:
@@ -467,22 +462,17 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
     jobs = []
     # each queued cell's row, n_train, test rows' class codes and job indices
     cells: list[tuple[SweepRow, int, np.ndarray, slice]] = []
-    for wspec, (series_list, dropped) in zip(config.window_specs, source_series(config, workers)):
-        if series_list:
-            X, labels, _ = stack_series(series_list)
-            y = np.unique(labels, return_inverse=True)[1]  # class codes, labels in sorted order
-        else:
-            X = y = None
-
+    for wspec, table in zip(config.window_specs, source_series(config, workers)):
+        y = np.unique(table.labels, return_inverse=True)[1]  # class codes, labels in sorted order
         for tspec in config.transforms:
             transform_seed = derive_seed(config.seed, "transform", wspec.key(), tspec.key())
             Xt = None
             skip_reason = ""
-            if X is None:
+            if not y.size:
                 skip_reason = "no trace produced a usable window at this size"
             else:
                 try:
-                    Xt = tspec.apply(X, transform_seed)
+                    Xt = tspec.apply(table.X, transform_seed)
                 except ValueError as exc:
                     skip_reason = str(exc)
 
@@ -499,7 +489,7 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
                     n_train=0,
                     n_test=0,
                     seed=cell_seed,
-                    dropped_windows=dropped,
+                    dropped_windows=table.dropped,
                 )
                 rows.append(row)
                 reason = skip_reason

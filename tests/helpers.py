@@ -719,3 +719,18 @@ def build_pcap(
         blob += struct.pack(byte_order + "IIII", sec, sub, len(frame), orig)
         blob += frame
     return blob
+
+
+# Three traces of unequal length, in neither id nor label order, as
+# `save_features_csv` writes them: the header, `repr` floats, and
+# `window_index` counting from 0 in each trace.
+GOLDEN_FEATURES_CSV = (
+    "n_ip_unique,n_port_unique,n_pack_tcp,n_pack_udp,n_pack_icmp,max_diff_time,mean_window,"
+    "std_window,mean_ipt,std_ipt,mean_len_pack,std_len_pack,label,window_index,trace_id\n"
+    "3.0,4.0,10.0,2.0,0.0,0.1,4000.5,12.25,0.30000000000000004,1e-05,220.0,80.125,b,0,z-1\n"
+    "2.0,5.0,9.0,3.0,1.0,0.25,3999.0,0.0,0.0625,2.5e-06,1514.0,0.0,b,1,z-1\n"
+    "1.0,1.0,0.0,12.0,0.0,1.5,0.0,0.0,0.125,0.03125,60.0,1.0,a,0,a-0\n"
+    "4.0,2.0,7.0,6.0,0.0,1e+20,65535.0,1.0,0.1,0.2,1000.0,123.456,a,1,a-0\n"
+    "2.0,3.0,8.0,4.0,0.0,0.7,2048.0,3.5,0.3333333333333333,0.05,512.0,7.0,a,2,a-0\n"
+    "5.0,6.0,1.0,11.0,1.0,2.0,100.0,0.5,0.002,0.001,90.0,30.0,b,0,m-2\n"
+)

@@ -222,7 +222,7 @@ def test_criterion_5_classifier_sanity():
         builtin_profiles("mic_onoff"), 3, 60.0,
         derive_seed(5, "dataset"),
     )
-    X5, y5, _ = stack_series([extract_series(t, WindowSpec.burst(500)) for t in traces])
+    X5, y5, *_ = stack_series([extract_series(t, WindowSpec.burst(500)) for t in traces])
     train_idx, test_idx = attackers.split(y5, 0.7, derive_seed(5, "split"))
     scores = {}
     trainers = {
@@ -268,7 +268,7 @@ def baseline_3class():
 def test_criterion_6a_baseline_accuracy(baseline_3class):
     start = time.perf_counter()
     floors = {}
-    for n, (X, y, _) in baseline_3class.items():
+    for n, (X, y, *_) in baseline_3class.items():
         train_idx, test_idx = attackers.split(
             y, 0.7, derive_seed(5, "6a", n, "split")
         )
@@ -308,7 +308,7 @@ def _smoothing_attack(class_fields, tag):
         ALTERNATING_BASE, class_fields, traces_per_class=3,
         n_segments=120, seg_packets=500, seed=777,
     )
-    X, y, _ = stack_series([extract_series(t, WindowSpec.burst(500)) for t in traces])
+    X, y, *_ = stack_series([extract_series(t, WindowSpec.burst(500)) for t in traces])
     smoothed = TransformSpec("smooth", window=51, degree=1).apply(X, 0)
     train_idx, test_idx = attackers.split(
         y, 0.7, derive_seed(1, tag, "post", "split")
@@ -346,7 +346,7 @@ def test_criterion_6b_smoothing_defeats_high_frequency_signal():
 
 def test_criterion_6c_awgn_dose_response(baseline_3class):
     start = time.perf_counter()
-    X, y, _ = baseline_3class[500]
+    X, y, *_ = baseline_3class[500]
     accuracy = {}
     for nu in (2.0, 64.0):
         noised = TransformSpec("awgn", nu=nu).apply(X, derive_seed(9, "6c", nu))
@@ -383,7 +383,7 @@ def test_criterion_6d_realistic_preserves_untouched_signal():
         window_profile("whigh", 24000.0, 3000.0),
     ]
     traces = generate_dataset(profiles, 3, 60.0, derive_seed(13, "6d"))
-    X, y, _ = stack_series([extract_series(t, WindowSpec.burst(500)) for t in traces])
+    X, y, *_ = stack_series([extract_series(t, WindowSpec.burst(500)) for t in traces])
     accuracy = {}
     for nu in (2.0, 64.0):
         transformed = TransformSpec("realistic", nu=nu).apply(X, derive_seed(13, "6d", nu))

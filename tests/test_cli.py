@@ -6,16 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import build_pcap, ipv4_frame
+from helpers import GOLDEN_FEATURES_CSV, build_pcap, ipv4_frame
 from tpbench import attackers
 from tpbench.cli import main
 from tpbench.features import (
     FEATURE_NAMES,
-    FeatureSeries,
     WindowSpec,
     load_features_csv,
-    save_features_csv,
-    stack_series,
 )
 from tpbench.adversarial import REALISTIC_UNTOUCHED_FEATURES, TransformSpec
 from tpbench.harness import cell_seeds
@@ -254,9 +251,8 @@ def test_extract_pcap_roundtrip(tmp_path):
     code = main(["extract", "--pcap", str(pcap_path), "--label", "cap",
                  "--burst", "5", "--out", str(out)])
     assert code == 0
-    series = load_features_csv(out)
-    assert len(series) == 1 and series[0].label == "cap"
-    assert len(series[0]) == 2
+    table = load_features_csv(out)
+    assert table.trace_ids == ["c"] and table.labels.tolist() == ["cap", "cap"]
 
 
 def test_perturb_realistic_keeps_untouched_columns(features_csv, tmp_path):
@@ -264,8 +260,8 @@ def test_perturb_realistic_keeps_untouched_columns(features_csv, tmp_path):
     code = main(["perturb", "--in", str(features_csv), "--mode", "realistic",
                  "--nu", "2", "--seed", "7", "--out", str(shifted)])
     assert code == 0
-    X, _, _ = stack_series(load_features_csv(features_csv))
-    Xt, _, _ = stack_series(load_features_csv(shifted))
+    X = load_features_csv(features_csv).X
+    Xt = load_features_csv(shifted).X
     for name in REALISTIC_UNTOUCHED_FEATURES:
         idx = FEATURE_NAMES.index(name)
         assert np.array_equal(X[:, idx], Xt[:, idx]), name
@@ -273,23 +269,35 @@ def test_perturb_realistic_keeps_untouched_columns(features_csv, tmp_path):
     assert np.all(Xt[:, pad_idx] == X[:, pad_idx].max())
 
 
-def test_perturb_awgn_keeps_each_trace_of_unequal_length(tmp_path):
-    """`perturb` cuts the transformed stacked matrix back into the traces it
-    read: each keeps its id, label, row count and place, and its rows are
-    those of `TransformSpec.apply` on the stacked matrix."""
-    rng = np.random.default_rng(5)
-    traces = (("z-1", "b", 3), ("a-0", "a", 7), ("m-2", "b", 1))
+def test_perturb_writes_the_pinned_csv_text_with_a_transform_column(tmp_path):
+    """`perturb` writes every row it read, in place, with its label, window
+    index and trace id, the rows of `TransformSpec.apply` on the stacked
+    matrix as `repr` floats, and the spec's key in a last `transform`
+    column: three traces of unequal length, in neither id nor label order."""
     plain, noisy = tmp_path / "f.csv", tmp_path / "n.csv"
-    save_features_csv([FeatureSeries(rng.uniform(0.0, 100.0, size=(n, 12)), label, trace_id)
-                       for trace_id, label, n in traces], plain)
+    plain.write_text(GOLDEN_FEATURES_CSV, encoding="utf-8")
     assert main(["perturb", "--in", str(plain), "--mode", "awgn", "--nu", "2.0",
                  "--seed", "4", "--out", str(noisy)]) == 0
-    back = load_features_csv(noisy)
-    assert [(s.trace_id, s.label, len(s)) for s in back] == list(traces)
-    assert {s.transform for s in back} == {"awgn(nu=2.0)"}
-    X, _, _ = stack_series(load_features_csv(plain))
-    expected = TransformSpec("awgn", nu=2.0).apply(X, 4)
-    assert np.array_equal(np.concatenate([s.values for s in back]), expected)
+    header, *lines = GOLDEN_FEATURES_CSV.splitlines()
+    cells = [line.split(",") for line in lines]
+    Xt = TransformSpec("awgn", nu=2.0).apply(np.array([c[:12] for c in cells], dtype=float), 4)
+    expected = [f"{header},transform"] + [",".join([*map(repr, row), *c[12:], "awgn(nu=2.0)"])
+                                          for row, c in zip(Xt.tolist(), cells)]
+    assert noisy.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("command", ["perturb", "attack"])
+def test_a_negative_seed_exits_two_naming_the_flag(command, features_csv, tmp_path, capsys):
+    """A seed below 0 is no transform seed and no cell seed a sweep makes."""
+    out = tmp_path / "g.csv"
+    argv = {"perturb": ["perturb", "--in", str(features_csv), "--mode", "awgn", "--nu", "2.0",
+                        "--out", str(out)],
+            "attack": ["attack", "--features", str(features_csv), "--classifier", "knn"]}
+    capsys.readouterr()
+    assert main([*argv[command], "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert f"tpbench {command}: --seed: seed must be an integer >= 0, got -1" in captured.err
+    assert "accuracy=" not in captured.out and not out.exists()
 
 
 def test_perturb_smooth_too_short_exits_two(small_config, tmp_path, capsys):
@@ -443,7 +451,7 @@ def test_attack_prints_the_accuracy_of_its_one_fit(features_csv, capsys, monkeyp
     code = main(["attack", "--features", str(features_csv), "--classifier", "tree"])
     assert code == 0
     assert fits == ["tree"]
-    X, y, _ = stack_series(load_features_csv(features_csv))
+    X, y, *_ = load_features_csv(features_csv)
     split_seed, train_seed = cell_seeds(0)
     train_idx, test_idx = attackers.split(y, 0.7, split_seed)
     model = attackers.train("tree", X[train_idx], y[train_idx])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    GOLDEN_FEATURES_CSV,
     brute_force_features,
     build_pcap,
     compute_features,
@@ -88,10 +89,10 @@ def times_trace(times) -> Trace:
 
 
 def test_timespan_windows_match_the_bound_per_interval_cut():
-    """Bounds made only around the packets give the same windows as one
-    float64 bound per interval, also for times on a bound, one ulp either
-    side of it, and a last packet on a bound `times[-1] // dt` rounds
-    down."""
+    """Each packet's own interval, floor(t / dt) stepped one down or up where
+    float64 rounding puts it off, gives the same windows as one float64 bound
+    per interval, also for times on a bound, one ulp either side of it, and a
+    last packet on a bound `times[-1] // dt` rounds down."""
     rng = np.random.default_rng(2024)
     for trial in range(400):
         dt = float(rng.choice([0.1, 0.3, 1 / 3, 0.7, 1e-3]) if trial % 2
@@ -298,7 +299,7 @@ def test_class_means_differ_on_separated_dimensions():
     )
     traces = generate_dataset([low, high], 2, 20.0, seed=11)
     series = [extract_series(t, WindowSpec.burst(100)) for t in traces]
-    X, y, trace = stack_series(series)
+    X, y, trace, *_ = stack_series(series)
     assert trace.dtype == np.int64
     assert np.array_equal(trace, np.repeat(np.arange(len(series)), [len(s) for s in series]))
     mean_low = X[y == "low"].mean(axis=0)
@@ -487,23 +488,52 @@ def test_csv_round_trip(tmp_path):
         s.label = f"class{k % 2}"
         series.append(s)
     path = tmp_path / "f.csv"
-    save_features_csv(series, path)
+    table = stack_series(series)
+    save_features_csv(table, path)
     back = load_features_csv(path)
-    assert [s.trace_id for s in back] == ["t-0", "t-1", "t-2"]
-    for original, loaded in zip(series, back):
-        assert np.array_equal(original.values, loaded.values)
-        assert original.label == loaded.label
+    assert back.trace_ids == ["t-0", "t-1", "t-2"]
+    for name in ("X", "labels", "trace"):
+        assert np.array_equal(getattr(back, name), getattr(table, name)), name
 
 
 def test_csv_transform_column(tmp_path):
+    """A transform key given to `save_features_csv` fills a last column,
+    which `load_features_csv` reads past."""
     values = np.arange(24, dtype=float).reshape(2, 12)
-    series = FeatureSeries(values, label="x", trace_id="t", transform="awgn(nu=2.0)")
+    table = stack_series([FeatureSeries(values, label="x", trace_id="t")])
     path = tmp_path / "t.csv"
-    save_features_csv([series], path)
-    header = path.read_text().splitlines()[0]
-    assert header.endswith(",transform")
+    save_features_csv(table, path, transform="awgn(nu=2.0)")
+    header, *lines = path.read_text().splitlines()
+    assert header.endswith(",window_index,trace_id,transform")
+    assert [line.rsplit(",", 3)[1:] for line in lines] == [["0", "t", "awgn(nu=2.0)"],
+                                                           ["1", "t", "awgn(nu=2.0)"]]
     back = load_features_csv(path)
-    assert back[0].transform == "awgn(nu=2.0)"
+    assert np.array_equal(back.X, values) and back.trace_ids == ["t"]
+
+
+def test_csv_text_is_pinned(tmp_path):
+    """`save_features_csv` writes what `load_features_csv` read back as the
+    same text: the header, `repr` floats, and `window_index` counting from
+    0 in each of three traces of unequal length."""
+    plain, back = tmp_path / "f.csv", tmp_path / "g.csv"
+    plain.write_text(GOLDEN_FEATURES_CSV, encoding="utf-8")
+    save_features_csv(load_features_csv(plain), back)
+    assert back.read_text(encoding="utf-8") == GOLDEN_FEATURES_CSV
+
+
+def test_csv_load_groups_interleaved_rows_by_first_appearance(tmp_path):
+    """Rows of traces t1, t2, t1 come back as t1's two rows, in file order,
+    then t2's: the values read 1, 3, 2."""
+    header = ",".join(list(FEATURE_NAMES) + ["label", "window_index", "trace_id"])
+    rows = [(1.0, "a", "t1"), (2.0, "b", "t2"), (3.0, "a", "t1")]
+    path, back = tmp_path / "f.csv", tmp_path / "g.csv"
+    path.write_text(header + "\n" + "".join(f"{','.join([repr(v)] * 12)},{label},0,{tid}\n"
+                                            for v, label, tid in rows), encoding="utf-8")
+    save_features_csv(load_features_csv(path), back)
+    assert back.read_text(encoding="utf-8").splitlines()[1:] == [
+        f"{','.join([repr(v)] * 12)},{label},{k},{tid}"
+        for v, label, k, tid in ((1.0, "a", 0, "t1"), (3.0, "a", 1, "t1"), (2.0, "b", 0, "t2"))
+    ]
 
 
 def test_csv_rejects_conflicting_labels(tmp_path):

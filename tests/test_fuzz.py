@@ -14,6 +14,7 @@ import json
 import struct
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -197,10 +198,11 @@ def test_load_features_csv_fuzz(tmp_path, text):
     path = tmp_path / "fuzz.csv"
     path.write_text(text, encoding="utf-8")
     try:
-        series = load_features_csv(path)
+        table = load_features_csv(path)
     except ValueError:
         return
-    assert series and all(len(s) > 0 for s in series)
+    assert table.X.shape == (table.trace.size, len(FEATURE_NAMES)) and table.trace.size
+    assert np.array_equal(np.unique(table.trace), np.arange(len(table.trace_ids)))
 
 
 json_values = st.recursive(

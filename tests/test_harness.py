@@ -12,7 +12,7 @@ import pytest
 from helpers import build_pcap, ipv4_frame
 from tpbench import attackers, harness
 from tpbench.attackers import knn
-from tpbench.features import WindowSpec, extract_series, stack_series
+from tpbench.features import EmptySeriesError, WindowSpec, extract_series, stack_series
 from tpbench.harness import (
     ConfigError,
     ClassifierSpec,
@@ -248,6 +248,42 @@ def test_a_trace_without_a_window_drops_alike_in_the_pool(tmp_path, monkeypatch)
     assert dropped["1"][1] == 3
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_window_spec_gets_one_table_of_its_traces_in_source_order(workers, tmp_path,
+                                                                         monkeypatch):
+    """Each spec's table holds the rows of the traces that give a window, in
+    profile then trace index order, each row with its own trace's id and
+    label; its `dropped` is what `sweep.csv` reports at that spec. A sweep
+    stacks once per spec."""
+    monkeypatch.setenv("TPB_WORKERS", str(workers))
+    config = load_config(small_config(tmp_path, traces_per_class=6, duration=1.0,
+                                      burst_sizes=[200, 600]))
+    stacked = []
+    real_stack = harness.stack_series
+    monkeypatch.setattr(harness, "stack_series", lambda s: stacked.append(1) or real_stack(s))
+    emit_report(run_experiment(config), config.output_dir)
+    assert len(stacked) == len(config.window_specs)
+    with open(config.output_dir / "sweep.csv", newline="") as fh:
+        reported = {row["window_size"]: int(row["dropped_windows"]) for row in csv.DictReader(fh)}
+    traces = generate_dataset(config.profiles, 6, 1.0, derive_seed(config.seed, "dataset"))
+    for wspec, table in zip(config.window_specs, harness.source_series(config, workers)):
+        kept = []
+        for trace in traces:
+            try:
+                kept.append((trace, extract_series(trace, wspec)))
+            except EmptySeriesError:
+                pass
+        assert table.trace_ids == [trace.trace_id for trace, _ in kept]
+        assert [table.trace_ids[t] for t in table.trace] == [
+            trace.trace_id for trace, series in kept for _ in range(len(series))]
+        assert table.labels.tolist() == [trace.label for trace, series in kept
+                                         for _ in range(len(series))]
+        assert np.array_equal(table.X, np.concatenate([series.values for _, series in kept]))
+        assert table.dropped == reported[wspec.size_repr()] == (
+            len(traces) - len(kept) + sum(series.dropped_windows for _, series in kept))
+    assert len(kept) == len(traces) - 3  # three traces give no 600-packet window
+
+
 def pool_config(tmp_path, name):
     """All five classifiers, smoothing skipped at burst 2000 (too few rows for
     its window) and an MLP whose loss diverges."""
@@ -364,10 +400,10 @@ def test_a_cell_whose_split_fails_gets_the_serial_row_and_no_job(tmp_path, monke
     real_stack = harness.stack_series
 
     def one_row_in_last_class(series):
-        X, y, trace = real_stack(series)
-        keep = np.ones(y.size, dtype=bool)
-        keep[np.flatnonzero(y == y[-1])[1:]] = False
-        return X[keep], y[keep], trace[keep]
+        table = real_stack(series)
+        keep = np.ones(table.labels.size, dtype=bool)
+        keep[np.flatnonzero(table.labels == table.labels[-1])[1:]] = False
+        return table._replace(X=table.X[keep], labels=table.labels[keep], trace=table.trace[keep])
 
     monkeypatch.setattr(harness, "stack_series", one_row_in_last_class)
     path = small_config(tmp_path, classifiers=[{"kind": "knn"}, {"kind": "forest", "n_trees": 5}])
@@ -838,7 +874,7 @@ def test_sweep_equals_manual_stage_chain(tmp_path):
         derive_seed(config.seed, "dataset"),
     )
     wspec = WindowSpec.burst(200)
-    X, y, _ = stack_series([extract_series(t, wspec) for t in traces])
+    X, y, *_ = stack_series([extract_series(t, wspec) for t in traces])
     tspec = TransformSpec(mode="realistic", nu=2.0)
     Xt = tspec.apply(X, derive_seed(config.seed, "transform", wspec.key(), tspec.key()))
     clf = ClassifierSpec.from_params("forest", {"n_trees": 10})
