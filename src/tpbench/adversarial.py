@@ -5,7 +5,8 @@ Three operators over a feature matrix, all shape-preserving:
 * least-squares polynomial smoothing through a centered moving window
   (mirror-reflected at the edges so output length equals input length);
 * zero-mean Gaussian noise scaled to a multiple of each column's own
-  variance;
+  variance (nothing floors or rounds the result, so a count can turn
+  fractional or negative);
 * the constrained "realistic" mode: constant padding of the mean packet
   length (column max), zeroing of the length std, noise on the five
   egress-falsifiable features, everything else untouched.
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tpbench.features import COUNT_FEATURES, FEATURE_INDEX, N_FEATURES
-from tpbench.rules import BOOL, POSITIVE, check, is_int
+from tpbench.features import FEATURE_INDEX, N_FEATURES
+from tpbench.rules import POSITIVE, check, is_int
 
 # Realistic-mode treatment map: which feature gets which treatment.
 REALISTIC_AWGN_FEATURES: tuple[str, ...] = (
@@ -47,9 +48,17 @@ REALISTIC_UNTOUCHED_FEATURES: tuple[str, ...] = (
 TRANSFORM_PARAMS: dict[str, tuple[str, ...]] = {
     "none": (),
     "smooth": ("window", "degree"),
-    "awgn": ("nu", "clamp_counts"),
-    "realistic": ("nu", "clamp_counts"),
+    "awgn": ("nu",),
+    "realistic": ("nu",),
 }
+
+
+def mode_params(mode) -> tuple[str, ...]:
+    """The parameters `mode` reads; an unknown mode raises a ValueError
+    naming the known ones."""
+    if not isinstance(mode, str) or mode not in TRANSFORM_PARAMS:
+        raise ValueError(f"transform mode {mode!r} unknown; expected one of {[*TRANSFORM_PARAMS]}")
+    return TRANSFORM_PARAMS[mode]
 
 
 class NonFiniteOutputError(ValueError):
@@ -69,13 +78,9 @@ class TransformSpec:
     window: int = 51
     degree: int = 1
     nu: float = 0.0
-    clamp_counts: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.mode, str) or self.mode not in TRANSFORM_PARAMS:
-            raise ValueError(
-                f"transform mode {self.mode!r} unknown; expected one of {list(TRANSFORM_PARAMS)}"
-            )
+        mode_params(self.mode)
         if self.mode == "smooth":
             check(self.window, (lambda v: is_int(v) and v >= 3 and v % 2 == 1,
                                 "an odd integer >= 3"), "transform smooth: window")
@@ -84,14 +89,12 @@ class TransformSpec:
         if self.mode in ("awgn", "realistic"):
             check(self.nu, POSITIVE, f"transform {self.mode}: nu")
             object.__setattr__(self, "nu", float(self.nu))  # an integer nu prints as nu=2.0
-            check(self.clamp_counts, BOOL, f"transform {self.mode}: clamp_counts")
 
     def params_repr(self) -> str:
         if self.mode == "smooth":
             return f"window={self.window},degree={self.degree}"
         if self.mode in ("awgn", "realistic"):
-            extra = ",clamp_counts=true" if self.clamp_counts else ""
-            return f"nu={self.nu!r}{extra}"
+            return f"nu={self.nu!r}"
         return ""
 
     def key(self) -> str:
@@ -102,7 +105,7 @@ class TransformSpec:
 
         Distinct specs get distinct labels: `deg3` (or `w31deg3` off the
         default window), `nu2` (or the full repr where `:g` would round,
-        as in `nu0.1234567`), with `+clamp` when counts are clamped.
+        as in `nu0.1234567`).
         """
         if self.mode == "smooth":
             degree = f"deg{self.degree}"
@@ -111,7 +114,7 @@ class TransformSpec:
             return ""
         short = f"{self.nu:g}"
         nu = short if float(short) == self.nu else repr(self.nu)
-        return f"nu{nu}" + ("+clamp" if self.clamp_counts else "")
+        return f"nu{nu}"
 
     def apply(self, X: np.ndarray, seed: int) -> np.ndarray:
         """The transformed copy of X, noise drawn with `seed`. Raises
@@ -167,7 +170,6 @@ def _smooth_columns(X: np.ndarray, spec: TransformSpec, seed: int) -> np.ndarray
     return out
 
 
-_COUNT_COLUMNS = frozenset(FEATURE_INDEX[name] for name in COUNT_FEATURES)
 _REALISTIC_AWGN_COLUMNS = tuple(FEATURE_INDEX[name] for name in REALISTIC_AWGN_FEATURES)
 
 
@@ -175,8 +177,7 @@ def _add_noise(
     X: np.ndarray, spec: TransformSpec, seed: int, columns=range(N_FEATURES)
 ) -> np.ndarray:
     """X with N(0, nu * var(column)) noise added to each of `columns` (all
-    of them for the awgn mode), drawn in ascending column order, and counts
-    floored at 0 if the spec clamps.
+    of them for the awgn mode), drawn in ascending column order.
 
     Column variance is the population variance over the full series being
     transformed. Zero-variance columns are left unchanged: no noise can be
@@ -191,8 +192,6 @@ def _add_noise(
         if sigma2 == 0.0:
             continue
         out[:, idx] += rng.normal(0.0, np.sqrt(spec.nu * sigma2), size=X.shape[0])
-        if spec.clamp_counts and idx in _COUNT_COLUMNS:
-            np.maximum(out[:, idx], 0.0, out=out[:, idx])
     return out
 
 

@@ -30,7 +30,6 @@ from tpbench.attackers.mlp import (
 from tpbench.attackers.prep import Standardizer, split
 from tpbench.attackers.tree import fit_tree, predict_tree
 from tpbench.rules import (
-    BOOL,
     COUNT,
     COUNT_LIST,
     OPTIONAL_COUNT,
@@ -71,7 +70,6 @@ HYPERPARAMETER_RULES = {
     **dict.fromkeys(("max_depth", "features_per_split"), OPTIONAL_COUNT),
     "hidden": COUNT_LIST,
     "seed": SEED,
-    "bootstrap": BOOL,
     "learning_rate": POSITIVE,
 }
 
@@ -115,16 +113,14 @@ def train(kind: str, X, y, *, trees: range | None = None, **params) -> TrainedMo
 
 
 def predict(model: TrainedModel, X) -> np.ndarray:
-    """Predicted labels for raw feature rows (single row or matrix)."""
+    """Predicted labels, one per row of the raw feature matrix X."""
     if model.kind not in _KINDS:
         raise ValueError(f"unknown classifier kind {model.kind!r}")
     X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
+    if X.ndim != 2:
+        raise ValueError(f"expected a (rows, features) matrix, got shape {X.shape}")
     _, predict_codes = _KINDS[model.kind]
-    labels = model.classes[predict_codes(model.params, model.standardizer.transform(X))]
-    return labels[0] if single else labels
+    return model.classes[predict_codes(model.params, model.standardizer.transform(X))]
 
 
 def forest_votes(model: TrainedModel, X) -> np.ndarray:

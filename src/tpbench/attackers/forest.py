@@ -1,7 +1,8 @@
 """Random forest: bagged CART trees with per-split random feature subsets.
 
-Each tree grows on the distinct rows of its bootstrap draw (Breiman 2001),
-weighted by multiplicity: node for node the tree of the drawn rows."""
+Every tree grows on its own bootstrap draw, as in Breiman (2001): on the
+distinct rows of the draw, weighted by multiplicity, which is node for node
+the tree of the drawn rows."""
 
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ def fit_forest(
     n_trees: int = 100,
     features_per_split: int | None = None,
     seed: int = 0,
-    bootstrap: bool = True,
     max_depth: int | None = None,
     min_leaf: int = 1,
     *,
@@ -37,9 +37,7 @@ def fit_forest(
     `trees`, keyword-only and so no config key, grows only those tree
     indices of the n_trees (default all); as a forest's votes are the sum of
     its trees' votes, forests grown on disjoint ranges sum to the whole one
-    (`forest_votes`).
-    bootstrap=False is a test hook: one tree on the full sample reduces to
-    plain CART."""
+    (`forest_votes`)."""
     if trees is None:
         trees = range(n_trees)
     elif trees.step != 1 or not 0 <= trees.start < trees.stop <= n_trees:
@@ -51,10 +49,7 @@ def fit_forest(
     grown = []
     for t in trees:
         rng = np.random.default_rng(derive_seed(seed, "tree", t))
-        if bootstrap:
-            weights = np.bincount(rng.integers(0, y.size, size=y.size), minlength=y.size)
-        else:
-            weights = np.ones(y.size, dtype=np.int64)
+        weights = np.bincount(rng.integers(0, y.size, size=y.size), minlength=y.size)
         rows = np.flatnonzero(weights)
         grown.append(
             fit_tree(

@@ -76,8 +76,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--degree", type=int)
     p.add_argument("--nu", type=float)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clamp-counts", action="store_true", default=None,
-                   help="floor count features at 0 after noise injection")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("attack", help="train one classifier on a feature CSV")
@@ -117,7 +115,7 @@ def _cmd_extract(args) -> int:
 def _cmd_perturb(args) -> int:
     table = load_features_csv(args.infile)
     # the flags given, read as a config's transform entry: same defaults and rules
-    flags = ("mode", "window", "degree", "nu", "clamp_counts")
+    flags = ("mode", "window", "degree", "nu")
     tspec = read_transform({k: getattr(args, k) for k in flags if getattr(args, k) is not None})
     # the whole stacked matrix, as the sweep transforms it
     table = table._replace(X=tspec.apply(table.X, args.seed))

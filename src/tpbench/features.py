@@ -49,16 +49,6 @@ FEATURE_NAMES: tuple[str, ...] = (
 FEATURE_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 N_FEATURES = len(FEATURE_NAMES)
 
-# Features that are integer counts at extraction time (transforms may break
-# integrality; the optional clamp floors these at zero).
-COUNT_FEATURES: tuple[str, ...] = (
-    "n_ip_unique",
-    "n_port_unique",
-    "n_pack_tcp",
-    "n_pack_udp",
-    "n_pack_icmp",
-)
-
 
 class EmptySeriesError(ValueError):
     """Raised when windowing a trace yields no usable window."""
@@ -199,7 +189,7 @@ def _blocks(sizes: np.ndarray):
 
 def _distinct(rows: np.ndarray) -> np.ndarray:
     """Distinct values per row of a row-wise sorted matrix."""
-    return 1 + np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
+    return 1 + np.add.reduce(rows[:, 1:] != rows[:, :-1], axis=1)
 
 
 def _mean_std(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,15 +218,15 @@ def _window_matrix(trace: Trace, starts: np.ndarray, stops: np.ndarray) -> np.nd
         ips = np.concatenate([trace.src_ip[packets], trace.dst_ip[packets]], axis=1)
         ips.sort(axis=1)
         ports = np.concatenate([trace.src_port[packets], trace.dst_port[packets]], axis=1)
-        ports[~np.tile(tcp | udp, 2)] = 0  # port 0 means "no port"
+        ports[~np.concatenate([tcp | udp] * 2, axis=1)] = 0  # port 0 means "no port"
         ports.sort(axis=1)
         gaps = np.diff(trace.timestamps[packets], axis=1)
         lengths = trace.lengths[packets]
         out[rows, f["n_ip_unique"]] = _distinct(ips)
         out[rows, f["n_port_unique"]] = _distinct(ports) - (ports == 0).any(axis=1)
-        out[rows, f["n_pack_tcp"]] = np.count_nonzero(tcp, axis=1)
-        out[rows, f["n_pack_udp"]] = np.count_nonzero(udp, axis=1)
-        out[rows, f["n_pack_icmp"]] = np.count_nonzero(proto == _ICMP, axis=1)
+        out[rows, f["n_pack_tcp"]] = np.add.reduce(tcp, axis=1)
+        out[rows, f["n_pack_udp"]] = np.add.reduce(udp, axis=1)
+        out[rows, f["n_pack_icmp"]] = np.add.reduce(proto == _ICMP, axis=1)
         out[rows, f["max_diff_time"]] = gaps.max(axis=1)
         out[rows, f["mean_ipt"]], out[rows, f["std_ipt"]] = _mean_std(gaps)
         out[rows, f["mean_len_pack"]], out[rows, f["std_len_pack"]] = _mean_std(lengths)

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from tpbench import attackers
-from tpbench.adversarial import TRANSFORM_PARAMS, TransformSpec
+from tpbench.adversarial import TransformSpec, mode_params
 from tpbench.features import (
     EmptySeriesError,
     FeatureSeries,
@@ -208,10 +208,11 @@ def _read_profile(entry) -> ClassProfile:
 
 
 def read_transform(entry) -> TransformSpec:
-    spec = TransformSpec(**_read_object(entry, {f.name for f in fields(TransformSpec)}))
-    with named(f"transform {spec.mode}"):
-        check_keys(entry, {"mode", *TRANSFORM_PARAMS[spec.mode]})
-    return spec
+    mode = _read_object(entry).get("mode", "none")
+    params = mode_params(mode)
+    with named(f"transform {mode}"):
+        check_keys(entry, {"mode", *params})
+    return TransformSpec(**entry)
 
 
 def _read_classifier(entry) -> ClassifierSpec:

@@ -49,7 +49,6 @@ SEED = integer_at_least(0)
 POSITIVE = (lambda v: is_number(v) and v > 0, "a finite number > 0")
 NON_NEGATIVE = (lambda v: is_number(v) and v >= 0, "a finite number >= 0")
 FRACTION = (lambda v: is_number(v) and 0 < v < 1, "a number in (0, 1)")
-BOOL = (lambda v: isinstance(v, bool), "true or false")
 STRING = (lambda v: isinstance(v, str), "a string")
 
 

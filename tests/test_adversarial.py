@@ -91,8 +91,6 @@ def test_kernels_check_their_arguments_through_the_spec():
         for nu in (0.0, -1, float("nan"), float("inf"), "2", True):
             with pytest.raises(ValueError, match=r"transform awgn: nu must be a finite number > 0"):
                 TransformSpec("awgn", nu=nu)
-    with pytest.raises(ValueError, match="clamp_counts must be true or false"):
-        TransformSpec("awgn", nu=1.0, clamp_counts="false")
     with pytest.raises(ValueError, match="transform realistic: nu must be"):
         TransformSpec("realistic", nu=-1.0)
     for window, degree in ((4, 1), (1, 0), (51.0, 1), (True, 0), (5, 5), (5, -1), (5, 1.5)):
@@ -101,9 +99,12 @@ def test_kernels_check_their_arguments_through_the_spec():
     # the weights of another mode's spec are refused instead of read from defaults
     with pytest.raises(ValueError, match=r"smoothing weights asked of transform awgn\(nu=2.0\)"):
         savgol_coefficients(TransformSpec("awgn", nu=2.0))
-    # the noise seed is an argument of apply, not a spec field
+    # the noise seed is an argument of apply, not a spec field, and no flag
+    # floors the noisy counts
     with pytest.raises(TypeError):
         TransformSpec("awgn", nu=2.0, seed=5)
+    with pytest.raises(TypeError):
+        TransformSpec("awgn", nu=1.0, clamp_counts=True)
 
 
 def test_one_spec_class_with_stable_keys_and_distinct_labels():
@@ -115,8 +116,6 @@ def test_one_spec_class_with_stable_keys_and_distinct_labels():
         smooth(): ("smooth(window=51,degree=1)", "deg1"),
         smooth(31, 3): ("smooth(window=31,degree=3)", "w31deg3"),
         TransformSpec("awgn", nu=2): ("awgn(nu=2.0)", "nu2"),
-        TransformSpec("awgn", nu=2.0, clamp_counts=True):
-            ("awgn(nu=2.0,clamp_counts=true)", "nu2+clamp"),
         TransformSpec("awgn", nu=0.1234567): ("awgn(nu=0.1234567)", "nu0.1234567"),
         TransformSpec("awgn", nu=0.12345678): ("awgn(nu=0.12345678)", "nu0.12345678"),
         TransformSpec("realistic", nu=1e308): ("realistic(nu=1e+308)", "nu1e+308"),
@@ -209,20 +208,6 @@ def test_awgn_statistics_match_request():
     assert abs(np.var(noise) / (nu * sigma2) - 1.0) < 0.05
 
 
-def test_clamp_counts_floors_only_count_features():
-    values = np.full((50, 12), 0.5)
-    values[:, :] += np.linspace(0, 1, 50)[:, None]  # give every column variance
-    out = TransformSpec("awgn", nu=500.0, clamp_counts=True).apply(values, 1)
-    for name in ("n_ip_unique", "n_port_unique", "n_pack_tcp", "n_pack_udp",
-                 "n_pack_icmp"):
-        assert out[:, FEATURE_INDEX[name]].min() >= 0.0
-    # non-count columns are allowed to go negative
-    rest = [FEATURE_INDEX[n] for n in FEATURE_NAMES
-            if n not in ("n_ip_unique", "n_port_unique", "n_pack_tcp",
-                         "n_pack_udp", "n_pack_icmp")]
-    assert out[:, rest].min() < 0.0
-
-
 def test_awgn_needs_two_rows():
     for mode in ("awgn", "realistic"):
         spec = TransformSpec(mode, nu=1.0)
@@ -286,8 +271,6 @@ def test_library_transforms_reject_non_finite_output():
     X = rng.normal(50.0, 12.0, size=(60, len(FEATURE_NAMES)))
     with pytest.raises(NonFiniteOutputError, match=r"awgn\(nu=1e\+308\) produced non-finite"):
         TransformSpec("awgn", nu=1e308).apply(X, 1)
-    with pytest.raises(NonFiniteOutputError, match=r"awgn\(nu=1e\+308,clamp_counts=true\) produced"):
-        TransformSpec("awgn", nu=1e308, clamp_counts=True).apply(X, 1)
     with pytest.raises(NonFiniteOutputError, match=r"realistic\(nu=1e\+308\) produced"):
         TransformSpec("realistic", nu=1e308).apply(X, 1)
     for bad in (np.nan, np.inf, -np.inf):

@@ -18,7 +18,7 @@ from helpers import (
 from tpbench import attackers
 from tpbench.attackers import adaboost, split
 from tpbench.attackers.adaboost import fit_adaboost, predict_adaboost
-from tpbench.attackers.forest import fit_forest
+from tpbench.attackers.forest import fit_forest, predict_forest
 from tpbench.attackers.knn import block_rows, fit_knn, predict_knn
 from tpbench.attackers.mlp import (
     TrainingDivergedError,
@@ -26,7 +26,7 @@ from tpbench.attackers.mlp import (
     fit_mlp,
     loss_and_gradients,
 )
-from tpbench.attackers.tree import fit_tree
+from tpbench.attackers.tree import fit_tree, predict_tree
 from tpbench.harness import ClassifierSpec, cell_seeds, fit_cell, load_config
 from tpbench.rules import ConfigError
 from tpbench.seeding import derive_seed
@@ -95,14 +95,14 @@ def test_knn_training_row_is_its_own_neighbor():
     rng = np.random.default_rng(1)
     X, y = blobs(rng, 10, [("a", 0.0), ("b", 5.0)])
     model = attackers.train("knn", X, y, k=1)
-    assert attackers.predict(model, X[3]) == y[3]
+    assert attackers.predict(model, X[3:4])[0] == y[3]
 
 
 def test_knn_two_clusters():
     rng = np.random.default_rng(2)
     X, y = blobs(rng, 20, [("origin", 0.0), ("far", 10.0)], spread=0.5)
     model = attackers.train("knn", X, y, k=5)
-    assert attackers.predict(model, np.full(12, 0.2)) == "origin"
+    assert attackers.predict(model, np.full((1, 12), 0.2))[0] == "origin"
 
 
 def test_knn_matches_exhaustive_oracle():
@@ -349,15 +349,23 @@ def test_forest_matches_per_feature_oracle():
 
 # --- random forest ----------------------------------------------------------------
 
-def test_forest_single_tree_no_bootstrap_reduces_to_cart():
+def test_forest_single_tree_reduces_to_cart_on_its_bootstrap_draw():
+    """A one-tree forest that sees every feature at each split predicts as
+    plain CART grown on the tree's bootstrap draw, each row repeated as often
+    as it was drawn: not as CART on the distinct drawn rows (seed 6)."""
     rng = np.random.default_rng(8)
-    X, y = blobs(rng, 25, [("a", 0.0), ("b", 2.0)], spread=1.5)
+    X, labels = blobs(rng, 25, [("a", 0.0), ("b", 2.0)], spread=1.5)
+    y = (labels == "b").astype(np.int64)
     queries = rng.normal(1.0, 1.5, size=(40, 12))
-    forest = attackers.train(
-        "forest", X, y, n_trees=1, bootstrap=False, features_per_split=12, seed=3
-    )
-    tree = attackers.train("tree", X, y)
-    assert np.array_equal(attackers.predict(forest, queries), attackers.predict(tree, queries))
+    for seed in range(10):
+        forest = fit_forest(X, y, 2, n_trees=1, features_per_split=12, seed=seed)
+        rows = np.random.default_rng(derive_seed(seed, "tree", 0)).integers(0, y.size, y.size)
+        predicted = predict_forest(forest, queries)
+        assert np.array_equal(predicted, predict_tree(fit_tree(X[rows], y[rows], 2), queries))
+        if seed == 6:
+            distinct = np.unique(rows)
+            unweighted = fit_tree(X[distinct], y[distinct], 2)
+            assert not np.array_equal(predicted, predict_tree(unweighted, queries))
 
 
 def test_forest_deterministic_per_seed():

@@ -314,7 +314,7 @@ def test_perturb_smooth_too_short_exits_two(small_config, tmp_path, capsys):
     (["--mode", "awgn", "--nu", "2.0", "--window", "8"],
      "transform awgn: unknown key(s) ['window']"),
     (["--mode", "awgn"], "transform awgn: nu must be a finite number > 0, got 0.0"),
-    (["--mode", "smooth", "--clamp-counts"], "transform smooth: unknown key(s) ['clamp_counts']"),
+    (["--mode", "smooth", "--nu", "2.0"], "transform smooth: unknown key(s) ['nu']"),
 ])
 def test_perturb_reads_its_flags_as_a_config_transform(flags, message, features_csv, tmp_path,
                                                        capsys):
@@ -324,6 +324,15 @@ def test_perturb_reads_its_flags_as_a_config_transform(flags, message, features_
     assert main(["perturb", "--in", str(features_csv), *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"tpbench perturb: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_perturb_has_no_clamp_counts_flag(features_csv, tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    code = main(["perturb", "--in", str(features_csv), "--mode", "awgn", "--nu", "2.0",
+                 "--clamp-counts", "--out", str(out)])
+    assert code == 1
+    assert "unrecognized arguments: --clamp-counts" in capsys.readouterr().err
     assert not out.exists()
 
 

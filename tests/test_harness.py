@@ -529,20 +529,17 @@ def test_pivot_columns_keep_distinct_specs_apart(tmp_path):
             return list(csv.DictReader(fh))
 
     transforms = [{"mode": "awgn", "nu": 2.0},
-                  {"mode": "awgn", "nu": 2.0, "clamp_counts": True},
                   {"mode": "awgn", "nu": 0.1234567},
                   {"mode": "awgn", "nu": 0.12345678}]
     config = load_config(small_config(tmp_path, burst_sizes=[150, 300], transforms=transforms,
                                       classifiers=[{"kind": "tree"}]))
     emit_report(run_experiment(config), tmp_path / "nu")
     header, records = pivot(tmp_path / "nu", "awgn")
-    assert header == ["window_size", "nu2", "nu2+clamp", "nu0.1234567", "nu0.12345678"]
+    assert header == ["window_size", "nu2", "nu0.1234567", "nu0.12345678"]
     rows = cells(tmp_path / "nu")
-    assert len(rows) == 8 and all(r["status"] == "ok" for r in rows)
+    assert len(rows) == 6 and all(r["status"] == "ok" for r in rows)
     for record in records:
-        for params, value in zip(
-            ("nu=2.0", "nu=2.0,clamp_counts=true", "nu=0.1234567", "nu=0.12345678"), record[1:]
-        ):
+        for params, value in zip(("nu=2.0", "nu=0.1234567", "nu=0.12345678"), record[1:]):
             want = [r["accuracy"] for r in rows
                     if r["window_size"] == record[0] and r["transform_params"] == params]
             assert want == [value]
@@ -600,8 +597,8 @@ def test_config_field_errors_are_named(tmp_path):
     for transform, named in (
         ({"mode": "smooth", "window": 51.9}, r"window must be an odd integer >= 3, got 51\.9"),
         ({"mode": "smooth", "degree": "3"}, r"degree must be an integer in \[0, window - 1\]"),
-        ({"mode": "awgn", "nu": 2.0, "clamp_counts": "false"},
-         "clamp_counts must be true or false, got 'false'"),
+        ({"mode": "awgn", "nu": 2.0, "clamp_counts": True},
+         r"transform awgn: unknown key\(s\) \['clamp_counts'\]"),
         ({"mode": "awgn", "nu": "nan"}, "nu must be a finite number > 0, got 'nan'"),
         ({"mode": "awgn", "nu": float("nan")}, "nu must be a finite number > 0, got nan"),
         ({"mode": "realistic", "nu": float("inf")}, "nu must be a finite number > 0, got inf"),
@@ -725,8 +722,7 @@ def test_config_field_errors_are_named(tmp_path):
         ({"kind": "mlp", "learning_rate": 0}, "learning_rate must be a finite number > 0"),
         ({"kind": "mlp", "learning_rate": float("inf")}, "learning_rate must be"),
         ({"kind": "mlp", "learning_rate": True}, "learning_rate must be"),
-        ({"kind": "forest", "bootstrap": "no"}, "bootstrap must be true or false, got 'no'"),
-        ({"kind": "forest", "bootstrap": 0}, "bootstrap must be true or false, got 0"),
+        ({"kind": "forest", "bootstrap": False}, r"unknown key\(s\) \['bootstrap'\]"),
         ({"kind": "mlp", "seed": 1.5}, r"seed must be an integer >= 0, got 1\.5"),
         ({"kind": "forest", "seed": 1.5}, r"seed must be an integer >= 0, got 1\.5"),
         ({"kind": "forest", "seed": -1}, "seed must be an integer >= 0, got -1"),
@@ -739,7 +735,7 @@ def test_config_field_errors_are_named(tmp_path):
                               "classifiers": [classifier]})
     config_from_dict({**base, "transforms": [{"mode": "none"}],
                       "classifiers": [{"kind": "tree", "max_depth": None},
-                                      {"kind": "forest", "seed": 0, "bootstrap": False},
+                                      {"kind": "forest", "seed": 0},
                                       {"kind": "mlp", "seed": 2**64}]})
     for grid, named in (
         ({"transforms": [{"mode": "awgn", "nu": 2.0}, {"mode": "awgn", "nu": 2}]},
@@ -911,8 +907,8 @@ def test_emit_report_unwritable_path_fails(tmp_path):
 @pytest.mark.parametrize("kind, defaults", [
     ("knn", {"k": 5}),
     ("tree", {"max_depth": None, "min_leaf": 1}),
-    ("forest", {"n_trees": 100, "features_per_split": None, "seed": 0, "bootstrap": True,
-                "max_depth": None, "min_leaf": 1}),
+    ("forest", {"n_trees": 100, "features_per_split": None, "seed": 0, "max_depth": None,
+                "min_leaf": 1}),
     ("adaboost", {"rounds": 50}),
     ("mlp", {"hidden": (64, 64), "epochs": 200, "batch_size": 32, "learning_rate": 1e-3,
              "seed": 0}),
@@ -932,3 +928,6 @@ def test_each_kind_accepts_its_hyperparameters_and_defaults(kind, defaults):
     implicit = attackers.train(kind, X, y)
     explicit = attackers.train(kind, X, y, **defaults)
     assert np.array_equal(attackers.predict(implicit, X), attackers.predict(explicit, X))
+    # one row is a (1, features) matrix: a bare row fails instead of being read as columns
+    with pytest.raises(ValueError, match=r"expected a \(rows, features\) matrix, got shape \(4,\)"):
+        attackers.predict(implicit, X[0])
