@@ -37,9 +37,13 @@ def split(y, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     splits stay non-empty); the per-class shuffle is drawn from `seed` with
     the classes in value order, so the split is a pure function of (labels,
     train_fraction, seed), and labels and their `np.unique` codes split alike.
+    Fewer than 2 classes, or a class of fewer than 2 rows, raises ValueError:
+    with one class every prediction would score 1.0.
     """
     check(train_fraction, FRACTION, "train_fraction")
     classes, codes = np.unique(y, return_inverse=True)
+    if classes.size < 2:
+        raise ValueError(f"only class(es) {classes.tolist()} present; need at least 2 classes")
     rng = np.random.default_rng(seed)
     train_parts, test_parts = [], []
     for c, cls in enumerate(classes.tolist()):

@@ -6,7 +6,8 @@ feature-CSV interchange format, which holds one window table
 `extract --config` / `perturb` / `attack` with the seeds the README names:
 `extract --config` writes the table the sweep builds for its window spec,
 with the sweep's own code, `harness.source_series`, on the sweep's worker
-pool; `perturb` transforms the table's matrix, as the sweep does, and
+pool (`extract --pcap` runs a one-capture config through the same call);
+`perturb` transforms the table's matrix, as the sweep does, and
 `attack` splits its rows.
 The invariant checks live in the test suite: `pytest tests/test_acceptance.py`
 runs one check per acceptance criterion.
@@ -18,15 +19,10 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from tpbench import attackers
-from tpbench.features import (
-    WindowSpec,
-    extract_series,
-    load_features_csv,
-    save_features_csv,
-    stack_series,
-)
+from tpbench.features import WindowSpec, load_features_csv, save_features_csv
 from tpbench.harness import (
     ClassifierSpec,
     ExperimentConfig,
@@ -38,7 +34,6 @@ from tpbench.harness import (
     run_experiment,
     source_series,
 )
-from tpbench.pcap import load_pcap
 from tpbench.rules import SEED, check, named
 
 USAGE_ERROR = 1
@@ -99,14 +94,16 @@ def _cmd_extract(args) -> int:
     if args.pcap:
         if not args.label:
             raise ValueError("--label is required with --pcap")
-        table = stack_series([extract_series(load_pcap(args.pcap, args.label), spec)])
+        config = ExperimentConfig(pcap_files=[(Path(args.pcap), args.label)])
     elif args.label is not None:  # a config labels its own traces
         raise ValueError("--label is only for --pcap input, not --config")
-    else:  # the sweep's traces and windows, without the traces it drops
-        (table,) = source_series(replace(load_config(args.config), window_specs=[spec]))
-        if not table.trace_ids:
-            raise ValueError(f"{args.config}: no trace gives a window with >= 2 packets "
-                             f"under {spec.key()}")
+    else:
+        config = load_config(args.config)
+    # the sweep's traces and windows, without the traces it drops
+    (table,) = source_series(replace(config, window_specs=[spec]))
+    if not table.trace_ids:
+        raise ValueError(f"{args.pcap or args.config}: no trace gives a window with >= 2 "
+                         f"packets under {spec.key()}")
     save_features_csv(table, args.out)
     print(f"wrote {len(table.X)} windows from {len(table.trace_ids)} traces to {args.out}")
     return 0

@@ -11,9 +11,10 @@ windows at a time, each feature as the same reduction in the same order as
 a one-window-at-a-time loop would take it. Block means and standard
 deviations call numpy's reductions directly, the same operations `np.mean`
 and `np.std` run, without those functions' per-call Python overhead.
-A `FeatureSeries` is one trace's result; `stack_series` stacks the series of
-many traces into a `WindowTable`, the one shape the sweep, the feature CSV
-and the CLI share, which keeps each row's trace.
+A `FeatureSeries` is one trace's result, with no row when no window holds
+2 packets; `stack_series` stacks the series of many traces into a
+`WindowTable`, the one shape the sweep, the feature CSV and the CLI share,
+which keeps each row's trace.
 """
 
 from __future__ import annotations
@@ -48,10 +49,6 @@ FEATURE_NAMES: tuple[str, ...] = (
 
 FEATURE_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 N_FEATURES = len(FEATURE_NAMES)
-
-
-class EmptySeriesError(ValueError):
-    """Raised when windowing a trace yields no usable window."""
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,7 @@ class WindowSpec:
 @dataclass
 class FeatureSeries:
     """One trace's windows, as `extract_series` gives them: one row per
-    retained window."""
+    retained window, none when the trace keeps no window."""
 
     values: np.ndarray  # shape (n_windows, 12), float64
     label: str
@@ -105,8 +102,6 @@ class FeatureSeries:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.shape[1] != N_FEATURES:
             raise ValueError(f"feature matrix must be (n, {N_FEATURES})")
-        if self.values.shape[0] == 0:
-            raise EmptySeriesError("feature series must be non-empty")
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -153,16 +148,11 @@ def _window_bounds(trace: Trace, spec: WindowSpec) -> tuple[np.ndarray, np.ndarr
 def extract_series(trace: Trace, spec: WindowSpec) -> FeatureSeries:
     """One row of the 12 features per retained window, in window order.
 
-    Windows with fewer than 2 packets are dropped and counted. Raises
-    EmptySeriesError when no window survives.
+    Windows with fewer than 2 packets are dropped and counted; a trace that
+    keeps none gives a series of no row.
     """
     starts, stops = _window_bounds(trace, spec)
     kept = stops - starts >= 2
-    if not kept.any():
-        raise EmptySeriesError(
-            f"trace {trace.trace_id or trace.label!r}: no window with >= 2 packets "
-            f"under {spec.key()}"
-        )
     return FeatureSeries(
         values=_window_matrix(trace, starts[kept], stops[kept]),
         label=trace.label,
@@ -178,9 +168,9 @@ BLOCK_ELEMENTS = 1 << 13
 
 def _blocks(sizes: np.ndarray):
     """(rows, size): indices of windows that share one size, in window order,
-    at most BLOCK_ELEMENTS // size of them at a time."""
+    at most BLOCK_ELEMENTS // size of them at a time; nothing for no window."""
     order = np.argsort(sizes, kind="stable")
-    for rows in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
+    for rows in filter(len, np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1)):
         size = int(sizes[rows[0]])
         step = max(1, BLOCK_ELEMENTS // max(1, size))
         for lo in range(0, rows.size, step):
@@ -252,20 +242,21 @@ class WindowTable(NamedTuple):
     labels: np.ndarray  # each row's class label (object)
     trace: np.ndarray  # each row's trace, as its position in trace_ids (int64, non-decreasing)
     trace_ids: list[str]  # the traces that give a window, in row order
-    dropped: int  # windows of fewer than 2 packets, plus one per trace that gives none
+    dropped: int  # windows of fewer than 2 packets, but one per trace that gives none
 
 
-def stack_series(series_list: list[FeatureSeries | None]) -> WindowTable:
-    """The table of one series per trace, in order; None marks a trace that
-    gives no window, which keeps no row and counts as one dropped window."""
-    kept = [s for s in series_list if s is not None]
+def stack_series(series_list: list[FeatureSeries]) -> WindowTable:
+    """The table of one series per trace, in order. A series of no row
+    keeps no trace id and counts as one dropped window, however many its
+    trace lost."""
+    kept = [s for s in series_list if len(s)]
     trace = np.repeat(np.arange(len(kept), dtype=np.int64), [len(s) for s in kept])
     return WindowTable(
         X=np.concatenate([np.zeros((0, N_FEATURES)), *(s.values for s in kept)]),
         labels=np.array([s.label for s in kept], dtype=object)[trace],
         trace=trace,
         trace_ids=[s.trace_id for s in kept],
-        dropped=len(series_list) - len(kept) + sum(s.dropped_windows for s in kept),
+        dropped=sum(s.dropped_windows if len(s) else 1 for s in series_list),
     )
 
 

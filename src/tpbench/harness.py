@@ -34,14 +34,7 @@ import numpy as np
 
 from tpbench import attackers
 from tpbench.adversarial import TransformSpec, mode_params
-from tpbench.features import (
-    EmptySeriesError,
-    FeatureSeries,
-    WindowSpec,
-    WindowTable,
-    extract_series,
-    stack_series,
-)
+from tpbench.features import FeatureSeries, WindowSpec, WindowTable, extract_series, stack_series
 from tpbench.pcap import load_pcap
 from tpbench.rules import (
     COUNT,
@@ -332,25 +325,17 @@ class SweepReport:
         return [r for r in self.rows if r.status != "ok"]
 
 
-def _unit_series(config: ExperimentConfig, i: int) -> list[list[FeatureSeries | None]]:
+def _unit_series(config: ExperimentConfig, i: int) -> list[list[FeatureSeries]]:
     """Source unit i of a config, its i-th capture or the traces of its i-th
-    profile, as one list per trace of its series under each window spec
-    (None where the trace gives no window). A profile's traces are those it
+    profile, as one list per trace of its series under each window spec (of
+    no row where the trace gives no window). A profile's traces are those it
     has in the whole dataset: each trace's seed comes from its label and index."""
     if config.pcap_files:
         traces = [load_pcap(*config.pcap_files[i])]
     else:
         traces = generate_dataset([config.profiles[i]], config.traces_per_class,
                                   config.duration, derive_seed(config.seed, "dataset"))
-    out = []
-    for trace in traces:
-        out.append([])
-        for wspec in config.window_specs:
-            try:
-                out[-1].append(extract_series(trace, wspec))
-            except EmptySeriesError:
-                out[-1].append(None)
-    return out
+    return [[extract_series(trace, wspec) for wspec in config.window_specs] for trace in traces]
 
 
 def source_series(config: ExperimentConfig, workers: int | None = None) -> list[WindowTable]:
@@ -499,7 +484,7 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
                         train_idx, test_idx = attackers.split(
                             y, config.train_fraction, cell_seeds(cell_seed)[0]
                         )
-                    except ValueError as exc:  # a class with one row, as a job reports it
+                    except ValueError as exc:  # too few classes or rows, as a job reports it
                         reason = f"{type(exc).__name__}: {exc}"
                 if reason:
                     row.status = "skipped"

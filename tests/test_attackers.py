@@ -71,6 +71,8 @@ def test_split_deterministic():
 def test_split_small_class_named_in_error():
     with pytest.raises(ValueError, match="'tiny'"):
         split(["big"] * 10 + ["tiny"], 0.7, 0)
+    with pytest.raises(ValueError, match=r"^only class\(es\) \['big'\] present"):
+        split(["big"] * 10, 0.7, 0)
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, float("nan"), True, "0.7"])

@@ -136,6 +136,20 @@ def test_attack_bad_params_exit_two(features_csv, capsys):
         assert "--params" in err and named in err
 
 
+def test_attack_on_one_class_exits_two_naming_it(tmp_path, capsys):
+    """A feature CSV of one label would score 1.0 with any attacker."""
+    capture, features = tmp_path / "c.pcap", tmp_path / "f.csv"
+    frame = ipv4_frame(Protocol.TCP, 1, 2, 80, 81, tcp_window=100)
+    capture.write_bytes(build_pcap([(i * 0.25, frame) for i in range(40)]))
+    assert main(["extract", "--pcap", str(capture), "--label", "cap", "--burst", "5",
+                 "--out", str(features)]) == 0
+    capsys.readouterr()
+    assert main(["attack", "--features", str(features), "--classifier", "knn"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "tpbench attack: only class(es) ['cap'] present; need at least 2 classes\n"
+
+
 def test_attack_diverged_mlp_exits_two(features_csv, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -192,14 +206,21 @@ def test_extract_burst_zero_names_the_burst_size(tmp_path, capsys):
 
 def test_extract_tiny_timespan_exits_two_naming_trace_and_span(small_config, tmp_path, capsys):
     """A span too small for two packets per window drops every trace, which
-    fails `extract --config` naming the config (the sweep skips that cell);
-    one past exact float64 interval indices fails naming a trace."""
-    for timespan, named, span, message in (
-        ("1e-9", re.escape(str(small_config)), "timespan:1e-09",
+    fails `extract --config` naming the config and `extract --pcap` naming
+    the capture (the sweep skips that cell); one past exact float64 interval
+    indices fails naming a trace."""
+    capture = tmp_path / "c.pcap"
+    frame = ipv4_frame(Protocol.TCP, 1, 2, 80, 81, tcp_window=100)
+    capture.write_bytes(build_pcap([(i * 0.25, frame) for i in range(10)]))
+    config = ["--config", str(small_config)]
+    for source, timespan, named, span, message in (
+        (config, "1e-9", re.escape(str(small_config)), "timespan:1e-09",
          "no trace gives a window with >= 2 packets"),
-        ("1e-300", "trace '[^']+'", "time span 1e-300", "more than 2**52 intervals"),
+        (["--pcap", str(capture), "--label", "cap"], "1e-9", re.escape(str(capture)),
+         "timespan:1e-09", "no trace gives a window with >= 2 packets"),
+        (config, "1e-300", "trace '[^']+'", "time span 1e-300", "more than 2**52 intervals"),
     ):
-        code = main(["extract", "--config", str(small_config), "--timespan", timespan,
+        code = main(["extract", *source, "--timespan", timespan,
                      "--out", str(tmp_path / "o.csv")])
         err = capsys.readouterr().err
         assert code == 2, timespan

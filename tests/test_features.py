@@ -17,7 +17,7 @@ from helpers import (
 from tpbench.features import (
     FEATURE_NAMES,
     MAX_INTERVALS,
-    EmptySeriesError,
+    N_FEATURES,
     FeatureSeries,
     WindowSpec,
     extract_series,
@@ -278,12 +278,24 @@ def test_dropped_single_packet_windows_counted():
     assert series.dropped_windows == 1
 
 
-def test_empty_series_raises():
-    with pytest.raises(EmptySeriesError):
-        extract_series(uniform_trace(3), WindowSpec.burst(5))
+def test_a_trace_without_a_window_gives_an_empty_series():
+    """A trace that keeps no window of 2 packets gives a series of no row
+    with its true count of short windows: none for a burst trace shorter
+    than N, two for two lone packets. Stacked, it gives no row and no trace
+    id, and counts as one dropped window."""
     lonely = Trace.from_packets([packet(0.0), packet(5.0)], label="l")
-    with pytest.raises(EmptySeriesError):
-        extract_series(lonely, WindowSpec.time_span(1.0))
+    full = extract_series(uniform_trace(12), WindowSpec.burst(5))
+    for trace, spec, dropped in ((uniform_trace(3), WindowSpec.burst(5), 0),
+                                 (lonely, WindowSpec.time_span(1.0), 2)):
+        series = extract_series(trace, spec)
+        assert series.values.shape == (0, N_FEATURES) and len(series) == 0
+        assert series.dropped_windows == dropped
+        table = stack_series([series])
+        assert table.X.shape == (0, N_FEATURES) and table.labels.size == table.trace.size == 0
+        assert table.trace_ids == [] and table.dropped == 1
+        table = stack_series([series, full])
+        assert np.array_equal(table.X, full.values) and table.trace.tolist() == [0, 0]
+        assert table.trace_ids == [full.trace_id] and table.dropped == 1
 
 
 def test_class_means_differ_on_separated_dimensions():
@@ -470,10 +482,12 @@ def test_extract_series_matches_oracle_on_edge_windows():
         trace = random_small_trace(rng, max_packets=80)
         for spec in (WindowSpec.burst(2), WindowSpec.burst(5), WindowSpec.time_span(0.7),
                      WindowSpec.time_span(3.0)):
-            try:
+            series, ranges = extract_series(trace, spec), window_packets(trace, spec)
+            if len(series):
                 assert_series_matches_oracle(trace, spec)
-            except EmptySeriesError:
-                assert all(b - a < 2 for a, b in window_packets(trace, spec))
+            else:
+                assert all(b - a < 2 for a, b in ranges)
+                assert series.dropped_windows == len(ranges)
 
 
 # --- CSV interchange ------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from helpers import build_pcap, ipv4_frame
 from tpbench import attackers, harness
 from tpbench.attackers import knn
-from tpbench.features import EmptySeriesError, WindowSpec, extract_series, stack_series
+from tpbench.features import WindowSpec, extract_series, stack_series
 from tpbench.harness import (
     ConfigError,
     ClassifierSpec,
@@ -267,12 +267,8 @@ def test_each_window_spec_gets_one_table_of_its_traces_in_source_order(workers, 
         reported = {row["window_size"]: int(row["dropped_windows"]) for row in csv.DictReader(fh)}
     traces = generate_dataset(config.profiles, 6, 1.0, derive_seed(config.seed, "dataset"))
     for wspec, table in zip(config.window_specs, harness.source_series(config, workers)):
-        kept = []
-        for trace in traces:
-            try:
-                kept.append((trace, extract_series(trace, wspec)))
-            except EmptySeriesError:
-                pass
+        kept = [(trace, series) for trace in traces
+                if len(series := extract_series(trace, wspec))]
         assert table.trace_ids == [trace.trace_id for trace, _ in kept]
         assert [table.trace_ids[t] for t in table.trace] == [
             trace.trace_id for trace, series in kept for _ in range(len(series))]
@@ -395,33 +391,37 @@ def test_split_forest_equals_unsplit_forest():
 
 
 def test_a_cell_whose_split_fails_gets_the_serial_row_and_no_job(tmp_path, monkeypatch):
-    """With one row left in a class, every cell's split raises in the parent:
-    each cell gets one row with the serial reason, and no job is queued."""
+    """With one row left in a class, or no row of a class (a class whose
+    traces all give no window), every cell's split raises in the parent:
+    each cell gets one row with the serial reason, naming the class by its
+    code, and no job is queued. One class would score every cell 1.0."""
     real_stack = harness.stack_series
-
-    def one_row_in_last_class(series):
-        table = real_stack(series)
-        keep = np.ones(table.labels.size, dtype=bool)
-        keep[np.flatnonzero(table.labels == table.labels[-1])[1:]] = False
-        return table._replace(X=table.X[keep], labels=table.labels[keep], trace=table.trace[keep])
-
-    monkeypatch.setattr(harness, "stack_series", one_row_in_last_class)
     path = small_config(tmp_path, classifiers=[{"kind": "knn"}, {"kind": "forest", "n_trees": 5}])
-    monkeypatch.setenv("TPB_WORKERS", "1")
-    serial = run_experiment(load_config(path)).rows
+    for rows_left, reason in ((1, "class 1 has 1 row(s); need at least 2"),
+                              (0, "only class(es) [0] present; need at least 2 classes")):
+        def keep_in_last_class(series):
+            table = real_stack(series)
+            keep = np.ones(table.labels.size, dtype=bool)
+            keep[np.flatnonzero(table.labels == table.labels[-1])[rows_left:]] = False
+            return table._replace(X=table.X[keep], labels=table.labels[keep],
+                                  trace=table.trace[keep])
 
-    jobs = []
-    monkeypatch.setattr(harness, "fit_cell", lambda *job: jobs.append(job) or fit_cell(*job))
-    made = record_pools(monkeypatch, fork=False)
-    monkeypatch.setenv("TPB_WORKERS", "2")
-    pooled = run_experiment(load_config(path)).rows
-    assert made == [(2, "fork")] and jobs == []  # the set-up pool only
-    assert [r.as_record() for r in pooled] == [r.as_record() for r in serial]
-    assert [r.status for r in pooled] == ["skipped", "skipped"]
-    for row in pooled:
-        assert row.reason.startswith("ValueError: class ") and row.reason.endswith(
-            "has 1 row(s); need at least 2")
-        assert (row.n_train, row.n_test) == (0, 0)
+        monkeypatch.setattr(harness, "stack_series", keep_in_last_class)
+        monkeypatch.setenv("TPB_WORKERS", "1")
+        serial = run_experiment(load_config(path)).rows
+
+        jobs = []
+        monkeypatch.setattr(harness, "fit_cell", lambda *job: jobs.append(job) or fit_cell(*job))
+        made = record_pools(monkeypatch, fork=False)
+        monkeypatch.setenv("TPB_WORKERS", "2")
+        pooled = run_experiment(load_config(path)).rows
+        monkeypatch.undo()
+        assert made == [(2, "fork")] and jobs == []  # the set-up pool only
+        assert [r.as_record() for r in pooled] == [r.as_record() for r in serial]
+        assert [r.status for r in pooled] == ["skipped", "skipped"]
+        for row in pooled:
+            assert row.reason == f"ValueError: {reason}"
+            assert (row.n_train, row.n_test) == (0, 0)
 
 
 def test_split_runs_once_per_runnable_cell(tmp_path, monkeypatch):
