@@ -7,7 +7,7 @@ sweep reports.
 """
 
 from tpbench.adversarial import TransformSpec, savgol_coefficients
-from tpbench.features import FEATURE_NAMES, FeatureSeries, WindowSpec, extract_series
+from tpbench.features import FEATURE_NAMES, WindowSpec, WindowTable, extract_series
 from tpbench.harness import (
     ExperimentConfig,
     SweepReport,

@@ -1,14 +1,15 @@
 """Command-line pipeline: extract, perturb, attack, sweep.
 
 Exit codes: 0 success, 1 usage error, 2 data error. The stages share the
-feature-CSV interchange format, which holds one window table
-(`features.WindowTable`), so a sweep cell can be rerun by chaining
-`extract --config` / `perturb` / `attack` with the seeds the README names:
+feature-CSV interchange format, which holds one window table (a
+`features.WindowTable`, stacked from `extract_series`' one-trace tables),
+so a sweep cell can be rerun by chaining `extract --config` / `perturb` /
+`attack` with the seeds the README names:
 `extract --config` writes the table the sweep builds for its window spec,
 with the sweep's own code, `harness.source_series`, on the sweep's worker
 pool (`extract --pcap` runs a one-capture config through the same call);
-`perturb` transforms the table's matrix, as the sweep does, and
-`attack` splits its rows.
+`perturb` transforms the table's `X`, as the sweep does, and `attack`
+splits its rows by their `labels`.
 The invariant checks live in the test suite: `pytest tests/test_acceptance.py`
 runs one check per acceptance criterion.
 """
@@ -105,7 +106,7 @@ def _cmd_extract(args) -> int:
         raise ValueError(f"{args.pcap or args.config}: no trace gives a window with >= 2 "
                          f"packets under {spec.key()}")
     save_features_csv(table, args.out)
-    print(f"wrote {len(table.X)} windows from {len(table.trace_ids)} traces to {args.out}")
+    print(f"wrote {len(table)} windows from {len(table.trace_ids)} traces to {args.out}")
     return 0
 
 
@@ -115,9 +116,9 @@ def _cmd_perturb(args) -> int:
     flags = ("mode", "window", "degree", "nu")
     tspec = read_transform({k: getattr(args, k) for k in flags if getattr(args, k) is not None})
     # the whole stacked matrix, as the sweep transforms it
-    table = table._replace(X=tspec.apply(table.X, args.seed))
+    table = replace(table, X=tspec.apply(table.X, args.seed))
     save_features_csv(table, args.out, transform=tspec.key())
-    print(f"wrote {len(table.X)} transformed windows to {args.out}")
+    print(f"wrote {len(table)} transformed windows to {args.out}")
     return 0
 
 
@@ -127,7 +128,8 @@ def _cmd_attack(args) -> int:
         if not isinstance(params, dict):
             raise ValueError(f"expected a JSON object, got {args.params!r}")
         clf = ClassifierSpec.from_params(args.classifier, params)
-    X, y, *_ = load_features_csv(args.features)
+    table = load_features_csv(args.features)
+    X, y = table.X, table.labels
     train_idx, test_idx = attackers.split(y, args.train_fraction, cell_seeds(args.seed)[0])
     predicted = fit_cell(X, y, clf, train_idx, test_idx, args.seed)
     accuracy = attackers.accuracy(predicted, y[test_idx])

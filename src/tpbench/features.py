@@ -11,10 +11,10 @@ windows at a time, each feature as the same reduction in the same order as
 a one-window-at-a-time loop would take it. Block means and standard
 deviations call numpy's reductions directly, the same operations `np.mean`
 and `np.std` run, without those functions' per-call Python overhead.
-A `FeatureSeries` is one trace's result, with no row when no window holds
-2 packets; `stack_series` stacks the series of many traces into a
-`WindowTable`, the one shape the sweep, the feature CSV and the CLI share,
-which keeps each row's trace.
+`extract_series` returns one trace's `WindowTable`, with no row when no
+window holds 2 packets; `stack_series` concatenates such tables, so many
+traces' windows take the same shape, the one the sweep, the feature CSV
+and the CLI share, which keeps each row's trace.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -88,23 +87,19 @@ class WindowSpec:
         return f"{self.mode}:{self.size_repr()}"
 
 
-@dataclass
-class FeatureSeries:
-    """One trace's windows, as `extract_series` gives them: one row per
-    retained window, none when the trace keeps no window."""
+@dataclass(frozen=True, eq=False)  # numpy fields: compare them one by one
+class WindowTable:
+    """The windows of one trace or of several: the one shape
+    `extract_series`, the sweep, the feature CSV and the CLI share."""
 
-    values: np.ndarray  # shape (n_windows, 12), float64
-    label: str
-    trace_id: str = ""
-    dropped_windows: int = 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[1] != N_FEATURES:
-            raise ValueError(f"feature matrix must be (n, {N_FEATURES})")
+    X: np.ndarray  # (n_rows, 12) float64, each trace's rows together in window order
+    labels: np.ndarray  # each row's class label (object)
+    trace: np.ndarray  # each row's trace, as its position in trace_ids (int64, non-decreasing)
+    trace_ids: list[str]  # the traces that keep a window, in row order
+    dropped_windows: int  # windows of fewer than 2 packets, by `extract_series`' rule
 
     def __len__(self) -> int:
-        return self.values.shape[0]
+        return self.trace.size
 
 
 # Time-span windows estimate each packet's interval as floor(t / dt) in
@@ -145,19 +140,21 @@ def _window_bounds(trace: Trace, spec: WindowSpec) -> tuple[np.ndarray, np.ndarr
     return np.concatenate(([0], cuts)), np.append(cuts, times.size)
 
 
-def extract_series(trace: Trace, spec: WindowSpec) -> FeatureSeries:
-    """One row of the 12 features per retained window, in window order.
-
-    Windows with fewer than 2 packets are dropped and counted; a trace that
-    keeps none gives a series of no row.
-    """
+def extract_series(trace: Trace, spec: WindowSpec) -> WindowTable:
+    """The table of one trace: a row of the 12 features per retained window,
+    in window order, each of trace position 0. Windows of fewer than 2
+    packets are dropped and counted, at least one when none is kept (a burst
+    trace shorter than N drops its one group); a longer burst trace's
+    trailing partial group is not a window and is not counted."""
     starts, stops = _window_bounds(trace, spec)
     kept = stops - starts >= 2
-    return FeatureSeries(
-        values=_window_matrix(trace, starts[kept], stops[kept]),
-        label=trace.label,
-        trace_id=trace.trace_id,
-        dropped_windows=int(np.count_nonzero(~kept)),
+    n = int(np.count_nonzero(kept))
+    return WindowTable(
+        X=_window_matrix(trace, starts[kept], stops[kept]),
+        labels=np.full(n, trace.label, dtype=object),
+        trace=np.zeros(n, dtype=np.int64),
+        trace_ids=[trace.trace_id] if n else [],
+        dropped_windows=max(starts.size - n, 0 if n else 1),
     )
 
 
@@ -234,29 +231,17 @@ def _window_matrix(trace: Trace, starts: np.ndarray, stops: np.ndarray) -> np.nd
     return out
 
 
-class WindowTable(NamedTuple):
-    """The windows of several traces, stacked: the one shape the sweep, the
-    feature CSV and the CLI share."""
-
-    X: np.ndarray  # (n_rows, 12) float64, each trace's rows together in window order
-    labels: np.ndarray  # each row's class label (object)
-    trace: np.ndarray  # each row's trace, as its position in trace_ids (int64, non-decreasing)
-    trace_ids: list[str]  # the traces that give a window, in row order
-    dropped: int  # windows of fewer than 2 packets, but one per trace that gives none
-
-
-def stack_series(series_list: list[FeatureSeries]) -> WindowTable:
-    """The table of one series per trace, in order. A series of no row
-    keeps no trace id and counts as one dropped window, however many its
-    trace lost."""
-    kept = [s for s in series_list if len(s)]
-    trace = np.repeat(np.arange(len(kept), dtype=np.int64), [len(s) for s in kept])
+def stack_series(tables: list[WindowTable]) -> WindowTable:
+    """The tables concatenated in order: each table's trace positions shift
+    by the number of traces before it, and the dropped windows add up."""
+    offsets = np.cumsum([0, *(len(t.trace_ids) for t in tables)])
     return WindowTable(
-        X=np.concatenate([np.zeros((0, N_FEATURES)), *(s.values for s in kept)]),
-        labels=np.array([s.label for s in kept], dtype=object)[trace],
-        trace=trace,
-        trace_ids=[s.trace_id for s in kept],
-        dropped=sum(s.dropped_windows if len(s) else 1 for s in series_list),
+        X=np.concatenate([np.zeros((0, N_FEATURES)), *(t.X for t in tables)]),
+        labels=np.concatenate([np.zeros(0, dtype=object), *(t.labels for t in tables)]),
+        trace=np.concatenate([np.zeros(0, dtype=np.int64),
+                              *(t.trace + k for t, k in zip(tables, offsets))]),
+        trace_ids=[trace_id for t in tables for trace_id in t.trace_ids],
+        dropped_windows=sum(t.dropped_windows for t in tables),
     )
 
 
@@ -283,8 +268,8 @@ def save_features_csv(table: WindowTable, path: str | Path, transform: str | Non
 
 def load_features_csv(path: str | Path) -> WindowTable:
     """The table of a feature CSV, with each trace_id's rows together in file
-    order, the traces in order of first appearance. The file keeps no
-    dropped count, so `dropped` is 0, and a `transform` column is not read."""
+    order, the traces in order of first appearance, `dropped_windows` 0 (the
+    file keeps no count) and a `transform` column left unread."""
     rows, trace, traces = [], [], {}  # traces: trace_id -> (position, label)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -318,4 +303,4 @@ def load_features_csv(path: str | Path) -> WindowTable:
     order = np.argsort(trace, kind="stable")
     trace = np.array(trace, dtype=np.int64)[order]
     labels = np.array([label for _, label in traces.values()], dtype=object)
-    return WindowTable(np.array(rows)[order], labels[trace], trace, list(traces), dropped=0)
+    return WindowTable(np.array(rows)[order], labels[trace], trace, list(traces), dropped_windows=0)

@@ -9,8 +9,8 @@ so cells can run in any order without changing the report. A sweep runs in
 two phases on a fork process pool of `_worker_count` workers, through one
 `_run_jobs`. First `source_series` runs one job per capture, which decodes it,
 or per class profile, which draws its traces; the job windows its traces under
-every window spec and returns only their feature series, so no trace reaches
-the parent, which stacks each spec's series once into a window table. Then
+every window spec and returns only each trace's window table, so no trace
+reaches the parent, which stacks each spec's tables once. Then
 `run_experiment` encodes each table's labels once as class codes (the
 labels' sorted order), draws each cell's split itself and runs
 `fit_cell` jobs: a whole cell's job returns its predicted codes on the test
@@ -34,7 +34,7 @@ import numpy as np
 
 from tpbench import attackers
 from tpbench.adversarial import TransformSpec, mode_params
-from tpbench.features import FeatureSeries, WindowSpec, WindowTable, extract_series, stack_series
+from tpbench.features import WindowSpec, WindowTable, extract_series, stack_series
 from tpbench.pcap import load_pcap
 from tpbench.rules import (
     COUNT,
@@ -325,9 +325,9 @@ class SweepReport:
         return [r for r in self.rows if r.status != "ok"]
 
 
-def _unit_series(config: ExperimentConfig, i: int) -> list[list[FeatureSeries]]:
+def _unit_series(config: ExperimentConfig, i: int) -> list[list[WindowTable]]:
     """Source unit i of a config, its i-th capture or the traces of its i-th
-    profile, as one list per trace of its series under each window spec (of
+    profile, as one list per trace of its table under each window spec (of
     no row where the trace gives no window). A profile's traces are those it
     has in the whole dataset: each trace's seed comes from its label and index."""
     if config.pcap_files:
@@ -344,7 +344,7 @@ def source_series(config: ExperimentConfig, workers: int | None = None) -> list[
     captures in `pcap_files` order, else profile order, then trace index.
     Each capture is loaded, or each profile's traces drawn, and windowed in
     one job on `workers` processes (default `_worker_count()`); only the
-    series come back."""
+    per-trace tables come back."""
     jobs = [(config, i) for i in range(len(config.pcap_files) or len(config.profiles))]
     per_trace = [row for unit in _run_jobs(_unit_series, jobs, workers or _worker_count())
                  for row in unit]
@@ -368,6 +368,16 @@ def fit_cell(X, y, clf, train_idx, test_idx, cell_seed, trees=None):
     if trees is None:
         return attackers.predict(model, X[test_idx])
     return attackers.forest_votes(model, X[test_idx])
+
+
+def _split_codes(y, labels, train_fraction: float, seed: int):
+    """`attackers.split` of the class codes `y`. When that raises, the error
+    is that of splitting `labels`, which split alike, so it names the class."""
+    try:
+        return attackers.split(y, train_fraction, seed)
+    except ValueError:
+        attackers.split(labels, train_fraction, seed)
+        raise
 
 
 def _tree_ranges(clf: ClassifierSpec, workers: int) -> list[range | None]:
@@ -475,14 +485,14 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
                     n_train=0,
                     n_test=0,
                     seed=cell_seed,
-                    dropped_windows=table.dropped,
+                    dropped_windows=table.dropped_windows,
                 )
                 rows.append(row)
                 reason = skip_reason
                 if not reason:
                     try:
-                        train_idx, test_idx = attackers.split(
-                            y, config.train_fraction, cell_seeds(cell_seed)[0]
+                        train_idx, test_idx = _split_codes(
+                            y, table.labels, config.train_fraction, cell_seeds(cell_seed)[0]
                         )
                     except ValueError as exc:  # too few classes or rows, as a job reports it
                         reason = f"{type(exc).__name__}: {exc}"

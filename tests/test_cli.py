@@ -481,7 +481,8 @@ def test_attack_prints_the_accuracy_of_its_one_fit(features_csv, capsys, monkeyp
     code = main(["attack", "--features", str(features_csv), "--classifier", "tree"])
     assert code == 0
     assert fits == ["tree"]
-    X, y, *_ = load_features_csv(features_csv)
+    table = load_features_csv(features_csv)
+    X, y = table.X, table.labels
     split_seed, train_seed = cell_seeds(0)
     train_idx, test_idx = attackers.split(y, 0.7, split_seed)
     model = attackers.train("tree", X[train_idx], y[train_idx])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from tpbench.features import (
     FEATURE_NAMES,
     MAX_INTERVALS,
     N_FEATURES,
-    FeatureSeries,
     WindowSpec,
+    WindowTable,
     extract_series,
     load_features_csv,
     save_features_csv,
@@ -265,7 +266,7 @@ def test_series_length_and_composition():
     assert len(series) == 3
     for k, (start, stop) in enumerate(window_packets(trace, WindowSpec.burst(500))):
         expect = compute_features(trace, (start, stop))
-        assert np.array_equal(series.values[k], expect.as_array())
+        assert np.array_equal(series.X[k], expect.as_array())
 
 
 def test_dropped_single_packet_windows_counted():
@@ -279,23 +280,65 @@ def test_dropped_single_packet_windows_counted():
 
 
 def test_a_trace_without_a_window_gives_an_empty_series():
-    """A trace that keeps no window of 2 packets gives a series of no row
-    with its true count of short windows: none for a burst trace shorter
-    than N, two for two lone packets. Stacked, it gives no row and no trace
-    id, and counts as one dropped window."""
+    """A trace that keeps no window of 2 packets gives a table of no row and
+    no trace id that counts its short windows, and at least one: one for a
+    burst trace shorter than N, two for two lone packets. Stacked, it adds
+    no row and no trace id, only that count."""
     lonely = Trace.from_packets([packet(0.0), packet(5.0)], label="l")
     full = extract_series(uniform_trace(12), WindowSpec.burst(5))
-    for trace, spec, dropped in ((uniform_trace(3), WindowSpec.burst(5), 0),
+    for trace, spec, dropped in ((uniform_trace(3), WindowSpec.burst(5), 1),
                                  (lonely, WindowSpec.time_span(1.0), 2)):
-        series = extract_series(trace, spec)
-        assert series.values.shape == (0, N_FEATURES) and len(series) == 0
-        assert series.dropped_windows == dropped
-        table = stack_series([series])
-        assert table.X.shape == (0, N_FEATURES) and table.labels.size == table.trace.size == 0
-        assert table.trace_ids == [] and table.dropped == 1
-        table = stack_series([series, full])
-        assert np.array_equal(table.X, full.values) and table.trace.tolist() == [0, 0]
-        assert table.trace_ids == [full.trace_id] and table.dropped == 1
+        table = extract_series(trace, spec)
+        assert table.X.shape == (0, N_FEATURES) and len(table) == 0
+        assert table.labels.size == table.trace.size == 0 and table.trace_ids == []
+        assert table.dropped_windows == dropped
+        table = stack_series([table, full])
+        assert np.array_equal(table.X, full.X) and table.trace.tolist() == [0, 0]
+        assert table.trace_ids == [full.trace_ids[0]] and table.dropped_windows == dropped
+
+
+def assert_same_table(got, want):
+    for field in fields(WindowTable):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+def test_stacking_is_concatenation():
+    """Stacking one-trace tables, empty ones included (a trace shorter than
+    its burst, lone packets under a short time span), keeps each row's trace
+    id and sums the dropped windows; `stack_series([t])` is `t` field for
+    field, and stacking is associative."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    specs = (WindowSpec.burst(2), WindowSpec.burst(5), WindowSpec.burst(30),
+             WindowSpec.time_span(0.05), WindowSpec.time_span(3.0))
+
+    @st.composite
+    def tables(draw):
+        seed = draw(st.integers(0, 2**32 - 1))
+        trace = random_small_trace(np.random.default_rng(seed), max_packets=40, min_packets=1)
+        trace.label, trace.trace_id = draw(st.sampled_from(["a", "b"])), f"t{seed}"
+        return extract_series(trace, draw(st.sampled_from(specs)))
+
+    @hypothesis.settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @hypothesis.given(st.lists(tables(), max_size=6), st.integers(0, 6), st.integers(0, 6))
+    def check(parts, i, j):
+        i, j = sorted((min(i, len(parts)), min(j, len(parts))))
+        whole = stack_series(parts)
+        assert [whole.trace_ids[t] for t in whole.trace] == [
+            part.trace_ids[0] for part in parts for _ in range(len(part))]
+        assert whole.dropped_windows == sum(part.dropped_windows for part in parts)
+        for table in (*parts, whole):
+            assert_same_table(stack_series([table]), table)
+        assert_same_table(stack_series([stack_series(parts[:i]), stack_series(parts[i:])]), whole)
+        nested = [stack_series(parts[:i]), stack_series(parts[i:j]), stack_series(parts[j:])]
+        assert_same_table(stack_series([stack_series(nested[:2]), nested[2]]),
+                          stack_series([nested[0], stack_series(nested[1:])]))
+
+    check()
 
 
 def test_class_means_differ_on_separated_dimensions():
@@ -311,7 +354,8 @@ def test_class_means_differ_on_separated_dimensions():
     )
     traces = generate_dataset([low, high], 2, 20.0, seed=11)
     series = [extract_series(t, WindowSpec.burst(100)) for t in traces]
-    X, y, trace, *_ = stack_series(series)
+    table = stack_series(series)
+    X, y, trace = table.X, table.labels, table.trace
     assert trace.dtype == np.int64
     assert np.array_equal(trace, np.repeat(np.arange(len(series)), [len(s) for s in series]))
     mean_low = X[y == "low"].mean(axis=0)
@@ -405,8 +449,8 @@ def assert_series_matches_oracle(trace, spec):
     kept = [r for r in ranges if r[1] - r[0] >= 2]
     series = extract_series(trace, spec)
     want = np.array([compute_features(trace, r).as_array() for r in kept])
-    assert series.values.shape == want.shape, spec.key()
-    assert np.array_equal(series.values.view(np.int64), want.view(np.int64)), spec.key()
+    assert series.X.shape == want.shape, spec.key()
+    assert np.array_equal(series.X.view(np.int64), want.view(np.int64)), spec.key()
     assert series.dropped_windows == len(ranges) - len(kept), spec.key()
 
 
@@ -487,7 +531,7 @@ def test_extract_series_matches_oracle_on_edge_windows():
                 assert_series_matches_oracle(trace, spec)
             else:
                 assert all(b - a < 2 for a, b in ranges)
-                assert series.dropped_windows == len(ranges)
+                assert series.dropped_windows == max(len(ranges), 1)
 
 
 # --- CSV interchange ------------------------------------------------------------
@@ -495,14 +539,11 @@ def test_extract_series_matches_oracle_on_edge_windows():
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     traces = [random_small_trace(rng, max_packets=30, min_packets=10) for _ in range(3)]
-    series = []
     for k, trace in enumerate(traces):
-        s = extract_series(trace, WindowSpec.burst(5))
-        s.trace_id = f"t-{k}"
-        s.label = f"class{k % 2}"
-        series.append(s)
+        trace.trace_id = f"t-{k}"
+        trace.label = f"class{k % 2}"
     path = tmp_path / "f.csv"
-    table = stack_series(series)
+    table = stack_series([extract_series(trace, WindowSpec.burst(5)) for trace in traces])
     save_features_csv(table, path)
     back = load_features_csv(path)
     assert back.trace_ids == ["t-0", "t-1", "t-2"]
@@ -514,7 +555,8 @@ def test_csv_transform_column(tmp_path):
     """A transform key given to `save_features_csv` fills a last column,
     which `load_features_csv` reads past."""
     values = np.arange(24, dtype=float).reshape(2, 12)
-    table = stack_series([FeatureSeries(values, label="x", trace_id="t")])
+    table = WindowTable(values, np.array(["x", "x"], dtype=object), np.zeros(2, dtype=np.int64),
+                        ["t"], dropped_windows=0)
     path = tmp_path / "t.csv"
     save_features_csv(table, path, transform="awgn(nu=2.0)")
     header, *lines = path.read_text().splitlines()

@@ -24,6 +24,7 @@ from tpbench.harness import (
     load_config,
     run_experiment,
 )
+from tpbench.pcap import load_pcap
 from tpbench.seeding import derive_seed
 from tpbench.traffic import Protocol, builtin_profiles, generate_dataset
 
@@ -248,13 +249,37 @@ def test_a_trace_without_a_window_drops_alike_in_the_pool(tmp_path, monkeypatch)
     assert dropped["1"][1] == 3
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_capture_without_a_window_counts_every_window_it_lost(workers, tmp_path, monkeypatch):
+    """Under a time span, a capture of four lone packets keeps no window and
+    adds all four to `sweep.csv`'s `dropped_windows`, beside the short
+    windows of the captures that keep some."""
+    write_captures(tmp_path, ["a.pcap", "b.pcap"])
+    lone = ipv4_frame(Protocol.TCP, 1, 9, 80, 81, tcp_window=7)
+    (tmp_path / "c.pcap").write_bytes(build_pcap([(k * 3.0, lone) for k in range(4)]))
+    labels = {"a.pcap": "x", "b.pcap": "y", "c.pcap": "y"}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"pcap_dir": ".", "pcap_labels": labels, "timespans": [0.06],
+                                "classifiers": [{"kind": "knn", "k": 3}], "output_dir": "out"}))
+    monkeypatch.setenv("TPB_WORKERS", workers)
+    config = load_config(path)
+    emit_report(run_experiment(config), config.output_dir)
+    with open(config.output_dir / "sweep.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    short = sum(extract_series(load_pcap(tmp_path / name, labels[name]),
+                               WindowSpec.time_span(0.06)).dropped_windows
+                for name in ("a.pcap", "b.pcap"))
+    assert short > 0
+    assert int(row["dropped_windows"]) == 4 + short
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_each_window_spec_gets_one_table_of_its_traces_in_source_order(workers, tmp_path,
                                                                          monkeypatch):
     """Each spec's table holds the rows of the traces that give a window, in
     profile then trace index order, each row with its own trace's id and
-    label; its `dropped` is what `sweep.csv` reports at that spec. A sweep
-    stacks once per spec."""
+    label; its `dropped_windows` is what `sweep.csv` reports at that spec,
+    the sum of its traces' counts. A sweep stacks once per spec."""
     monkeypatch.setenv("TPB_WORKERS", str(workers))
     config = load_config(small_config(tmp_path, traces_per_class=6, duration=1.0,
                                       burst_sizes=[200, 600]))
@@ -274,9 +299,9 @@ def test_each_window_spec_gets_one_table_of_its_traces_in_source_order(workers, 
             trace.trace_id for trace, series in kept for _ in range(len(series))]
         assert table.labels.tolist() == [trace.label for trace, series in kept
                                          for _ in range(len(series))]
-        assert np.array_equal(table.X, np.concatenate([series.values for _, series in kept]))
-        assert table.dropped == reported[wspec.size_repr()] == (
-            len(traces) - len(kept) + sum(series.dropped_windows for _, series in kept))
+        assert np.array_equal(table.X, np.concatenate([series.X for _, series in kept]))
+        assert table.dropped_windows == reported[wspec.size_repr()] == sum(
+            extract_series(trace, wspec).dropped_windows for trace in traces)
     assert len(kept) == len(traces) - 3  # three traces give no 600-packet window
 
 
@@ -394,17 +419,17 @@ def test_a_cell_whose_split_fails_gets_the_serial_row_and_no_job(tmp_path, monke
     """With one row left in a class, or no row of a class (a class whose
     traces all give no window), every cell's split raises in the parent:
     each cell gets one row with the serial reason, naming the class by its
-    code, and no job is queued. One class would score every cell 1.0."""
+    label, and no job is queued. One class would score every cell 1.0."""
     real_stack = harness.stack_series
     path = small_config(tmp_path, classifiers=[{"kind": "knn"}, {"kind": "forest", "n_trees": 5}])
-    for rows_left, reason in ((1, "class 1 has 1 row(s); need at least 2"),
-                              (0, "only class(es) [0] present; need at least 2 classes")):
+    for rows_left, reason in ((1, "class 'mic_on' has 1 row(s); need at least 2"),
+                              (0, "only class(es) ['mic_off'] present; need at least 2 classes")):
         def keep_in_last_class(series):
             table = real_stack(series)
             keep = np.ones(table.labels.size, dtype=bool)
             keep[np.flatnonzero(table.labels == table.labels[-1])[rows_left:]] = False
-            return table._replace(X=table.X[keep], labels=table.labels[keep],
-                                  trace=table.trace[keep])
+            return replace(table, X=table.X[keep], labels=table.labels[keep],
+                           trace=table.trace[keep])
 
         monkeypatch.setattr(harness, "stack_series", keep_in_last_class)
         monkeypatch.setenv("TPB_WORKERS", "1")
@@ -422,6 +447,18 @@ def test_a_cell_whose_split_fails_gets_the_serial_row_and_no_job(tmp_path, monke
         for row in pooled:
             assert row.reason == f"ValueError: {reason}"
             assert (row.n_train, row.n_test) == (0, 0)
+
+
+def test_a_sweep_left_with_one_class_names_its_label(tmp_path, monkeypatch):
+    """No mic_off trace of 1 s gives an 800-packet window, so every cell's
+    split fails on the one class left, and its reason names that class's
+    label, not its code."""
+    monkeypatch.setenv("TPB_WORKERS", "1")
+    path = small_config(tmp_path, traces_per_class=6, duration=1.0, burst_sizes=[800], seed=3,
+                        classifiers=[{"kind": "knn", "k": 3}, {"kind": "adaboost", "rounds": 5}])
+    rows = run_experiment(load_config(path)).rows
+    assert [(r.status, r.reason) for r in rows] == [(
+        "skipped", "ValueError: only class(es) ['mic_on'] present; need at least 2 classes")] * 2
 
 
 def test_split_runs_once_per_runnable_cell(tmp_path, monkeypatch):
@@ -870,7 +907,8 @@ def test_sweep_equals_manual_stage_chain(tmp_path):
         derive_seed(config.seed, "dataset"),
     )
     wspec = WindowSpec.burst(200)
-    X, y, *_ = stack_series([extract_series(t, wspec) for t in traces])
+    table = stack_series([extract_series(t, wspec) for t in traces])
+    X, y = table.X, table.labels
     tspec = TransformSpec(mode="realistic", nu=2.0)
     Xt = tspec.apply(X, derive_seed(config.seed, "transform", wspec.key(), tspec.key()))
     clf = ClassifierSpec.from_params("forest", {"n_trees": 10})
