@@ -32,7 +32,6 @@ from tpbench.attackers.tree import fit_tree, predict_tree
 from tpbench.rules import (
     COUNT,
     COUNT_LIST,
-    OPTIONAL_COUNT,
     POSITIVE,
     SEED,
     ConfigError,
@@ -66,8 +65,7 @@ HYPERPARAMETERS = {
 
 # hyperparameter -> its rule, whichever kinds take it
 HYPERPARAMETER_RULES = {
-    **dict.fromkeys(("epochs", "batch_size", "k", "n_trees", "rounds", "min_leaf"), COUNT),
-    **dict.fromkeys(("max_depth", "features_per_split"), OPTIONAL_COUNT),
+    **dict.fromkeys(("epochs", "batch_size", "k", "n_trees", "rounds"), COUNT),
     "hidden": COUNT_LIST,
     "seed": SEED,
     "learning_rate": POSITIVE,

@@ -1,8 +1,9 @@
 """Random forest: bagged CART trees with per-split random feature subsets.
 
-Every tree grows on its own bootstrap draw, as in Breiman (2001): on the
-distinct rows of the draw, weighted by multiplicity, which is node for node
-the tree of the drawn rows."""
+As in Breiman (2001), every tree grows to purity on its own bootstrap draw
+and each split picks among ceil(sqrt(F)) of the F features, drawn afresh.
+A tree grows on the distinct rows of its draw, weighted by multiplicity,
+which is node for node the tree of the drawn rows."""
 
 from __future__ import annotations
 
@@ -25,10 +26,7 @@ def fit_forest(
     y: np.ndarray,
     n_classes: int,
     n_trees: int = 100,
-    features_per_split: int | None = None,
     seed: int = 0,
-    max_depth: int | None = None,
-    min_leaf: int = 1,
     *,
     trees: range | None = None,
 ) -> ForestParams:
@@ -44,25 +42,14 @@ def fit_forest(
         raise ValueError(
             f"trees must be a non-empty contiguous part of range({n_trees}), got {trees}"
         )
-    if features_per_split is None:
-        features_per_split = int(np.ceil(np.sqrt(X.shape[1])))
+    features_per_split = int(np.ceil(np.sqrt(X.shape[1])))
     grown = []
     for t in trees:
         rng = np.random.default_rng(derive_seed(seed, "tree", t))
         weights = np.bincount(rng.integers(0, y.size, size=y.size), minlength=y.size)
         rows = np.flatnonzero(weights)
-        grown.append(
-            fit_tree(
-                X[rows],
-                y[rows],
-                n_classes,
-                max_depth=max_depth,
-                min_leaf=min_leaf,
-                rng=rng,
-                features_per_split=features_per_split,
-                weights=weights[rows],
-            )
-        )
+        grown.append(fit_tree(X[rows], y[rows], n_classes, rng=rng,
+                              features_per_split=features_per_split, weights=weights[rows]))
     return ForestParams(trees=grown, n_classes=n_classes)
 
 

@@ -1,5 +1,7 @@
 """CART decision tree: binary axis-aligned splits maximizing Gini decrease.
 
+A tree grows until every leaf is pure or no cut of its rows gains: it has
+no depth limit and no minimum leaf size, and so no hyperparameters.
 Candidate thresholds are midpoints of sorted distinct feature values. All
 ties break deterministically: lowest feature index, then lowest threshold,
 and leaf majorities fall back to the lowest class index.
@@ -44,16 +46,17 @@ def cut_threshold(low, high):
     return np.where(mid >= high, low, mid)
 
 
-def _best_split(XT, idx, tally, counts, gini, feature_ids, min_leaf):
+def _best_split(XT, idx, tally, counts, gini, feature_ids):
     """Best split of the rows `idx` of a node with class weights and size
     `counts` and Gini impurity `gini`, or None.
 
     One pass over all candidate features: a stable sort of the (k, n)
     candidate matrix and one cumulative sum of the tally in that order give
     every cut's left class counts and size. Gains are scored on the whole
-    (k, n - 1) cut grid; a cut counts only where the sorted value steps up and
-    both sides weigh min_leaf. Returns (feature, threshold, (left, right)),
-    each child as (rows, counts, gini).
+    (k, n - 1) cut grid; a cut counts only where the sorted value steps up.
+    Row weights are positive integers, so each side of a cut weighs at least
+    1. Returns (feature, threshold, (left, right)), each child as
+    (rows, counts, gini).
     """
     features = feature_ids[:, None]
     rows = idx[XT[features, idx].argsort(axis=1, kind="stable")]
@@ -68,8 +71,7 @@ def _best_split(XT, idx, tally, counts, gini, feature_ids, min_leaf):
     )
     gains = gini - (n_left * gini_left + n_right * gini_right) / n
     # not-greater rather than <=, so that a NaN value never opens a cut
-    shut = ~(xs[:, 1:] > xs[:, :-1]) | (np.minimum(n_left, n_right) < min_leaf)
-    np.putmask(gains, shut, -np.inf)
+    np.putmask(gains, ~(xs[:, 1:] > xs[:, :-1]), -np.inf)
     f, c = divmod(int(gains.argmax()), gains.shape[1])  # first max: lowest feature, then cut
     if gains[f, c] <= _MIN_GAIN:
         return None
@@ -88,17 +90,16 @@ def fit_tree(
     X: np.ndarray,
     y: np.ndarray,
     n_classes: int,
-    max_depth: int | None = None,
-    min_leaf: int = 1,
     *,
     rng: np.random.Generator | None = None,
     features_per_split: int | None = None,
     weights: np.ndarray | None = None,
 ) -> TreeParams:
-    """Grow a tree on encoded labels. The keyword-only rng and
-    features_per_split, no config keys, enable the per-split random feature
-    subsets used by the forest; `weights` (default all ones), also no config
-    key, are positive integer row multiplicities."""
+    """Grow a tree on encoded labels until its leaves are pure or no cut
+    gains. The keyword-only rng and features_per_split, no config keys,
+    enable the per-split random feature subsets used by the forest; `weights`
+    (default all ones), also no config key, are positive integer row
+    multiplicities."""
     n_features = X.shape[1]
     XT = np.ascontiguousarray(X.T)
     tally = np.zeros((y.size, n_classes + 1))  # weighted one-hot labels, then the weight
@@ -108,16 +109,12 @@ def fit_tree(
     root = TreeNode()
     counts = tally.sum(axis=0)
     gini = 1.0 - float(np.add.reduce((counts[:-1] / counts[-1]) ** 2))
-    stack = [(root, np.arange(y.size), counts, gini, 0)]
+    stack = [(root, np.arange(y.size), counts, gini)]
     while stack:
-        node, idx, counts, gini, depth = stack.pop()
+        node, idx, counts, gini = stack.pop()
         *class_counts, size = counts.tolist()
         majority = class_counts.index(max(class_counts))
-        if (
-            class_counts[majority] == size  # pure
-            or (max_depth is not None and depth >= max_depth)
-            or size < 2 * min_leaf
-        ):
+        if class_counts[majority] == size:  # pure, as a node of one row is
             node.klass = majority
             continue
         if rng is not None and features_per_split and features_per_split < n_features:
@@ -125,7 +122,7 @@ def fit_tree(
             feature_ids.sort()
         else:
             feature_ids = all_features
-        found = _best_split(XT, idx, tally, counts, gini, feature_ids, min_leaf)
+        found = _best_split(XT, idx, tally, counts, gini, feature_ids)
         if found is None:
             node.klass = majority
             continue
@@ -134,8 +131,8 @@ def fit_tree(
         node.right = TreeNode()
         # push right first so the left child is expanded first (keeps the
         # rng consumption order deterministic for forest trees)
-        stack.append((node.right, *right, depth + 1))
-        stack.append((node.left, *left, depth + 1))
+        stack.append((node.right, *right))
+        stack.append((node.left, *left))
     return TreeParams(root=root, n_classes=n_classes)
 
 

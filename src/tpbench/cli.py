@@ -35,7 +35,7 @@ from tpbench.harness import (
     run_experiment,
     source_series,
 )
-from tpbench.rules import SEED, check, named
+from tpbench.rules import FRACTION, SEED, check, named
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -166,6 +166,9 @@ def main(argv: list[str] | None = None) -> int:
         if "seed" in args:  # perturb's transform seed, attack's cell seed
             with named("--seed"):
                 check(args.seed, SEED, "seed")
+        if "train_fraction" in args:
+            with named("--train-fraction"):
+                check(args.train_fraction, FRACTION, "train_fraction")
         return handlers[args.command](args)
     except (ValueError, OSError, attackers.TrainingDivergedError) as exc:
         print(f"tpbench {args.command}: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ and the CLI share, which keeps each row's trace.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -269,10 +270,15 @@ def save_features_csv(table: WindowTable, path: str | Path, transform: str | Non
 def load_features_csv(path: str | Path) -> WindowTable:
     """The table of a feature CSV, with each trace_id's rows together in file
     order, the traces in order of first appearance, `dropped_windows` 0 (the
-    file keeps no count) and a `transform` column left unread."""
+    file keeps no count) and a `transform` column left unread. Text that is
+    not UTF-8 or not CSV fails as a ValueError naming the file."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     rows, trace, traces = [], [], {}  # traces: trace_id -> (position, label)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    try:
         if reader.fieldnames is None or any(
             name not in reader.fieldnames for name in _BASE_COLUMNS
         ):
@@ -298,6 +304,9 @@ def load_features_csv(path: str | Path) -> WindowTable:
                 )
             rows.append(vec)
             trace.append(position)
+    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+        # the inner reader's count: DictReader's own lags a row behind a failed read
+        raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no feature rows")
     order = np.argsort(trace, kind="stable")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -194,7 +194,7 @@ def _read_object(value, keys=None) -> dict:
 
 def _read_profile(entry) -> ClassProfile:
     entry = _read_object(entry, {f.name for f in fields(ClassProfile)})
-    missing = [f.name for f in fields(ClassProfile) if f.default is MISSING and f.name not in entry]
+    missing = [f.name for f in fields(ClassProfile) if f.name not in entry]
     if missing:
         raise ConfigError(f"missing profile fields {sorted(missing)}")
     return ClassProfile(**entry)
@@ -276,6 +276,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         ) from exc
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return config_from_dict(doc, base_dir=path.parent)
 
 

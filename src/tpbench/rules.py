@@ -42,7 +42,6 @@ def integer_in(low: int, high: int):
 
 
 COUNT = integer_at_least(1)
-OPTIONAL_COUNT = (lambda v: v is None or COUNT[0](v), "an integer >= 1 or null")
 COUNT_LIST = (lambda v: isinstance(v, (list, tuple)) and all(map(COUNT[0], v)),
               "a list of integers >= 1")
 SEED = integer_at_least(0)
@@ -67,7 +66,8 @@ def check_keys(doc: dict, allowed) -> None:
     """Raise a ConfigError naming the keys of doc that are not allowed."""
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
-        raise ConfigError(f"unknown key(s) {unknown}; expected some of {sorted(allowed)}")
+        expected = f"some of {sorted(allowed)}" if allowed else "none"
+        raise ConfigError(f"unknown key(s) {unknown}; expected {expected}")
 
 
 @contextmanager

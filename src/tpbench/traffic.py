@@ -4,9 +4,9 @@ A Trace holds its packets as numpy columns, one array per packet field, so
 windowing and feature extraction read them without a per-packet loop.
 PacketRecord is the row view of one packet, used to build small traces by
 hand and to inspect them. The generator draws inter-packet gaps from an
-exponential distribution (plus optional Gaussian jitter, floored at 1
-microsecond) and per-packet fields from per-class distributions, so classes
-can be separated in any chosen subset of the windowed features downstream.
+exponential distribution, floored at 1 microsecond, and per-packet fields
+from per-class distributions, so classes can be separated in any chosen
+subset of the windowed features downstream.
 Everything is a pure function of (profile, duration, seed). A trace has no
 file format of its own: it is drawn here or parsed from a pcap
 (`tpbench.pcap`), and the sweep and `tpbench extract --config` both draw
@@ -153,7 +153,7 @@ _PROFILE_RULES = {
     "label": STRING,
     "protocol_mix": PROTOCOL_MIX,
     **dict.fromkeys(("rate", "length_mean"), POSITIVE),
-    **dict.fromkeys(("length_std", "window_mean", "window_std", "jitter_std"), NON_NEGATIVE),
+    **dict.fromkeys(("length_std", "window_mean", "window_std"), NON_NEGATIVE),
     "ip_pool_size": integer_in(1, MAX_TRACE_PACKETS),
     "port_pool_size": integer_in(1, 65535),
 }
@@ -177,7 +177,6 @@ class ClassProfile:
     window_std: float
     ip_pool_size: int
     port_pool_size: int
-    jitter_std: float = 0.0  # Gaussian jitter on inter-packet gaps, seconds
 
     def __post_init__(self):
         for name, rule in _PROFILE_RULES.items():
@@ -197,16 +196,13 @@ def _distinct_tokens(rng: np.random.Generator, count: int, high: int) -> np.ndar
 
 
 def _draw_gaps(rng: np.random.Generator, profile: ClassProfile, duration: float) -> np.ndarray:
-    """Arrival times in [0, duration): exponential gaps plus jitter, floored."""
+    """Arrival times in [0, duration): exponential gaps, floored."""
     mean_gap = 1.0 / profile.rate
     chunk = max(int(duration * profile.rate * 1.2) + 16, 64)
     times: list[np.ndarray] = []
     total = 0.0
     while total < duration:
-        gaps = rng.exponential(mean_gap, size=chunk)
-        if profile.jitter_std > 0:
-            gaps = gaps + rng.normal(0.0, profile.jitter_std, size=chunk)
-        gaps = np.maximum(gaps, MIN_GAP_SECONDS)
+        gaps = np.maximum(rng.exponential(mean_gap, size=chunk), MIN_GAP_SECONDS)
         stamps = total + np.cumsum(gaps)
         times.append(stamps)
         total = stamps[-1]

@@ -251,27 +251,6 @@ def test_tree_unlimited_depth_memorizes_consistent_data():
     assert attackers.evaluate(model, np.hstack([X, np.zeros((20, 8))]), y) == 1.0
 
 
-def test_tree_max_depth_and_min_leaf_limit_growth():
-    rng = np.random.default_rng(7)
-    X, y = blobs(rng, 30, [("a", 0.0), ("b", 1.0)], spread=2.0)
-    stump = attackers.train("tree", X, y, max_depth=1)
-    root = stump.params.root
-    assert root.left.is_leaf and root.right.is_leaf
-    chunky = attackers.train("tree", X, y, min_leaf=25)
-    # no split may produce a child smaller than min_leaf = 25 of the 60 rows
-    def leaf_sizes(node, idx, X):
-        if node.is_leaf:
-            return [idx.size]
-        mask = X[idx, node.feature] <= node.threshold
-        return leaf_sizes(node.left, idx[mask], X) + leaf_sizes(
-            node.right, idx[~mask], X
-        )
-    sizes = leaf_sizes(
-        chunky.params.root, np.arange(60), chunky.standardizer.transform(X)
-    )
-    assert min(sizes) >= 25
-
-
 def _oracle_case(rng):
     """Random rows with continuous, heavily tied integer, constant and
     adjacent-float columns (whose midpoint rounds onto the upper value)."""
@@ -292,11 +271,7 @@ def test_tree_split_search_matches_per_feature_oracle():
     rng = np.random.default_rng(40)
     for case in range(240):
         X, y, n_classes = _oracle_case(rng)
-        kwargs = {
-            "max_depth": [None, 2, 5][case % 3],
-            "min_leaf": int(rng.integers(1, 4)),
-            "features_per_split": [None, 2, 3][(case // 3) % 3],
-        }
+        kwargs = {"features_per_split": [None, 2, 3][case % 3]}
         seed = int(rng.integers(2**32))
         got = fit_tree(X, y, n_classes, rng=np.random.default_rng(seed), **kwargs)
         want = reference_fit_tree(X, y, n_classes, rng=np.random.default_rng(seed), **kwargs)
@@ -308,11 +283,7 @@ def test_tree_row_weights_match_the_oracle_on_repeated_rows():
     for case in range(270):
         X, y, n_classes = _oracle_case(rng)
         w = rng.integers(1, 5, size=y.size)
-        kwargs = {
-            "max_depth": [None, 2, 5][case % 3],
-            "features_per_split": [None, 2, 3][(case // 3) % 3],
-            "min_leaf": 1 + (case // 9) % 3,
-        }
+        kwargs = {"features_per_split": [None, 2, 3][case % 3]}
         seed = int(rng.integers(2**32))
         got = fit_tree(X, y, n_classes, rng=np.random.default_rng(seed), weights=w, **kwargs)
         want = reference_fit_tree(
@@ -336,31 +307,29 @@ def test_forest_matches_per_feature_oracle():
     rng = np.random.default_rng(41)
     X = np.column_stack([rng.normal(size=90), rng.integers(0, 4, size=90), rng.normal(size=90)])
     y = rng.integers(0, 3, size=90)
-    # the defaults, then the growth limits, where sizes summed from weights
-    # must stop a tree exactly where counts of repeated rows would
-    for kwargs in [{}, {"min_leaf": 2}, {"max_depth": 3}]:
-        forest = fit_forest(X, y, 3, n_trees=12, features_per_split=2, seed=5, **kwargs)
+    # ceil(sqrt(3)) = 2 features per split
+    for seed in (5, 6, 7):
+        forest = fit_forest(X, y, 3, n_trees=12, seed=seed)
         for t, tree in enumerate(forest.trees):
-            tree_rng = np.random.default_rng(derive_seed(5, "tree", t))
+            tree_rng = np.random.default_rng(derive_seed(seed, "tree", t))
             rows = tree_rng.integers(0, y.size, size=y.size)
-            want = reference_fit_tree(
-                X[rows], y[rows], 3, rng=tree_rng, features_per_split=2, **kwargs
-            )
-            assert tree_nodes(tree.root) == tree_nodes(want), (t, kwargs)
+            want = reference_fit_tree(X[rows], y[rows], 3, rng=tree_rng, features_per_split=2)
+            assert tree_nodes(tree.root) == tree_nodes(want), (seed, t)
 
 
 # --- random forest ----------------------------------------------------------------
 
 def test_forest_single_tree_reduces_to_cart_on_its_bootstrap_draw():
-    """A one-tree forest that sees every feature at each split predicts as
-    plain CART grown on the tree's bootstrap draw, each row repeated as often
-    as it was drawn: not as CART on the distinct drawn rows (seed 6)."""
+    """A one-tree forest on two features, which at ceil(sqrt(2)) = 2 per
+    split sees every feature, predicts as plain CART grown on the tree's
+    bootstrap draw, each row repeated as often as it was drawn: not as CART
+    on the distinct drawn rows (seed 6)."""
     rng = np.random.default_rng(8)
-    X, labels = blobs(rng, 25, [("a", 0.0), ("b", 2.0)], spread=1.5)
+    X, labels = blobs(rng, 25, [("a", 0.0), ("b", 2.0)], spread=1.5, dims=2)
     y = (labels == "b").astype(np.int64)
-    queries = rng.normal(1.0, 1.5, size=(40, 12))
+    queries = rng.normal(1.0, 1.5, size=(40, 2))
     for seed in range(10):
-        forest = fit_forest(X, y, 2, n_trees=1, features_per_split=12, seed=seed)
+        forest = fit_forest(X, y, 2, n_trees=1, seed=seed)
         rows = np.random.default_rng(derive_seed(seed, "tree", 0)).integers(0, y.size, y.size)
         predicted = predict_forest(forest, queries)
         assert np.array_equal(predicted, predict_tree(fit_tree(X[rows], y[rows], 2), queries))
@@ -368,6 +337,20 @@ def test_forest_single_tree_reduces_to_cart_on_its_bootstrap_draw():
             distinct = np.unique(rows)
             unweighted = fit_tree(X[distinct], y[distinct], 2)
             assert not np.array_equal(predicted, predict_tree(unweighted, queries))
+
+
+@pytest.mark.parametrize("trees", [range(0), range(3, 3), range(0, 4, 2), range(-1, 2),
+                                   range(2, 5)], ids=str)
+def test_forest_refuses_a_trees_range_that_is_no_contiguous_part_of_its_trees(trees):
+    """Empty, strided or outside range(n_trees): refused by the kernel and by
+    `train`, whose `trees` hook passes through to it."""
+    X, y = np.random.default_rng(3).normal(size=(12, 4)), np.repeat(["a", "b"], 6)
+    message = rf"^trees must be a non-empty contiguous part of range\(4\), got {re.escape(str(trees))}$"
+    with pytest.raises(ValueError, match=message):
+        fit_forest(X, np.repeat([0, 1], 6), 2, n_trees=4, trees=trees)
+    with pytest.raises(ValueError, match=message):
+        attackers.train("forest", X, y, n_trees=4, trees=trees)
+    assert len(attackers.train("forest", X, y, n_trees=4, trees=range(1, 4)).params.trees) == 3
 
 
 def test_forest_deterministic_per_seed():
@@ -661,10 +644,16 @@ BAD_HYPERPARAMETERS = [  # (kind, params, message after "classifier '<kind>': ")
     ("mlp", {"epochs": True}, "epochs must be an integer >= 1, got True"),
     ("mlp", {"learning_rate": True}, "learning_rate must be a finite number > 0, got True"),
     ("adaboost", {"rounds": True}, "rounds must be an integer >= 1, got True"),
-    ("tree", {"min_leaf": 0}, "min_leaf must be an integer >= 1, got 0"),
-    ("tree", {"max_depth": 0}, "max_depth must be an integer >= 1 or null, got 0"),
+    # the removed growth knobs fail by name whatever their value: a tree
+    # grows to purity and a forest draws ceil(sqrt(F)) features per split
+    ("tree", {"min_leaf": 0}, r"unknown key\(s\) \['min_leaf'\]; expected none"),
+    ("tree", {"max_depth": 0}, r"unknown key\(s\) \['max_depth'\]; expected none"),
     ("forest", {"features_per_split": 0},
-     "features_per_split must be an integer >= 1 or null, got 0"),
+     r"unknown key\(s\) \['features_per_split'\]; expected some of \['n_trees', 'seed'\]"),
+    ("forest", {"max_depth": None},
+     r"unknown key\(s\) \['max_depth'\]; expected some of \['n_trees', 'seed'\]"),
+    ("forest", {"min_leaf": 1},
+     r"unknown key\(s\) \['min_leaf'\]; expected some of \['n_trees', 'seed'\]"),
     ("mlp", {"hidden": (0,)}, r"hidden must be a list of integers >= 1, got \(0,\)"),
     ("knn", {"kk": 3}, r"unknown key\(s\) \['kk'\]; expected some of \['k'\]"),
 ]
@@ -719,7 +708,6 @@ def test_labels_and_their_codes_split_and_train_alike(n_classes):
 
 CELL_PARAMS = {
     "knn": {"k": 3},
-    "tree": {"max_depth": 4},
     "forest": {"n_trees": 6},
     "adaboost": {"rounds": 6},
     "mlp": {"epochs": 5},

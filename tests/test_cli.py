@@ -321,6 +321,72 @@ def test_a_negative_seed_exits_two_naming_the_flag(command, features_csv, tmp_pa
     assert "accuracy=" not in captured.out and not out.exists()
 
 
+@pytest.mark.parametrize("fraction", ["1.5", "0", "nan"])
+def test_a_train_fraction_outside_zero_one_exits_two_naming_the_flag(fraction, tmp_path, capsys):
+    features = tmp_path / "f.csv"
+    features.write_text(GOLDEN_FEATURES_CSV, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["attack", "--features", str(features), "--classifier", "knn",
+                 "--train-fraction", fraction]) == 2
+    captured = capsys.readouterr()
+    assert (f"tpbench attack: --train-fraction: train_fraction must be a number in (0, 1), "
+            f"got {float(fraction)!r}") in captured.err
+    assert "accuracy=" not in captured.out
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("tree", "max_depth", 3), ("tree", "min_leaf", 1), ("forest", "max_depth", None),
+    ("forest", "min_leaf", 2), ("forest", "features_per_split", 3),
+])
+def test_attack_params_setting_a_removed_growth_knob_exits_two_naming_it(
+        kind, key, value, tmp_path, capsys):
+    """Trees grow to purity and forests draw ceil(sqrt(F)) features per
+    split: the knobs that once changed that are unknown keys, at any value."""
+    features = tmp_path / "f.csv"
+    features.write_text(GOLDEN_FEATURES_CSV, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["attack", "--features", str(features), "--classifier", kind,
+                 "--params", json.dumps({key: value})]) == 2
+    expected = "none" if kind == "tree" else "some of ['n_trees', 'seed']"
+    assert (f"tpbench attack: --params: classifier '{kind}': unknown key(s) ['{key}']; "
+            f"expected {expected}\n") in capsys.readouterr().err
+
+
+def test_input_that_is_not_utf8_exits_two_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xd4 is no UTF-8 lead byte here\n")
+    late = tmp_path / "late.csv"  # a good header, then a bad byte
+    late.write_bytes(GOLDEN_FEATURES_CSV.splitlines()[0].encode() + b"\n\xd4\n")
+    out = str(tmp_path / "o.csv")
+    for argv, position in ((["sweep", "--config", str(bad)], 0),
+                           (["extract", "--config", str(bad), "--burst", "200", "--out", out], 0),
+                           (["attack", "--features", str(bad), "--classifier", "knn"], 0),
+                           (["perturb", "--in", str(bad), "--mode", "awgn", "--out", out], 0),
+                           (["attack", "--features", str(late), "--classifier", "knn"],
+                            late.read_bytes().index(b"\xd4"))):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"tpbench {argv[0]}: {argv[2]}: 'utf-8' codec can't decode byte 0xd4 in position "
+            f"{position}: "), argv
+
+
+def test_a_feature_csv_field_over_the_csv_limit_exits_two_naming_the_line(tmp_path, capsys):
+    header, first, *rest = GOLDEN_FEATURES_CSV.splitlines()
+    cells = first.split(",")
+    cells[len(FEATURE_NAMES)] = "x" * (csv.field_size_limit() + 1)  # the label
+    features = tmp_path / "f.csv"
+    features.write_text("\n".join([header, ",".join(cells), *rest]) + "\n", encoding="utf-8")
+    for argv in (["attack", "--features", str(features), "--classifier", "knn"],
+                 ["perturb", "--in", str(features), "--mode", "awgn",
+                  "--out", str(tmp_path / "g.csv")]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert (f"tpbench {argv[0]}: {features}:2: field larger than field limit "
+                f"({csv.field_size_limit()})") in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_perturb_smooth_too_short_exits_two(small_config, tmp_path, capsys):
     plain = tmp_path / "f.csv"
     assert main(["extract", "--config", str(small_config), "--burst", "900",

@@ -672,6 +672,11 @@ def test_config_field_errors_are_named(tmp_path):
     with pytest.raises(ConfigError, match=r"profiles\[0\].*'jiter_std'"):
         config_from_dict({**base, "classifiers": [{"kind": "knn"}],
                           "profiles": [{**profile, "jiter_std": 0.1}]})
+    # a removed field fails by name: inter-packet gaps are plain exponential draws
+    with pytest.raises(ConfigError, match=r"^profiles\[0\]: unknown key\(s\) \['jitter_std'\]; "
+                                          r"expected some of \['ip_pool_size', 'label', "):
+        config_from_dict({**base, "classifiers": [{"kind": "knn"}],
+                          "profiles": [{**profile, "jitter_std": 0.0}]})
     for field, named in (
         ({"ip_pool_size": 2.9}, r"ip_pool_size must be an integer in \[1, 16777216\], got 2\.9"),
         ({"ip_pool_size": 10**400}, r"ip_pool_size must be an integer in \[1, 16777216\], got 1000"),
@@ -685,7 +690,6 @@ def test_config_field_errors_are_named(tmp_path):
         ({"length_mean": float("nan")}, "length_mean must be a finite number > 0, got nan"),
         ({"length_mean": -5.0}, r"length_mean must be a finite number > 0, got -5\.0"),
         ({"window_std": True}, "window_std must be a finite number >= 0, got True"),
-        ({"jitter_std": -0.1}, r"jitter_std must be a finite number >= 0, got -0\.1"),
         ({"protocol_mix": [0.5, "0.5", 0.0]},
          r"protocol_mix must be three finite numbers >= 0 summing to 1, got \[0\.5, '0\.5', 0\.0\]"),
         ({"protocol_mix": [0.5, float("nan"), 0.5]}, "protocol_mix must be three finite numbers"),
@@ -752,9 +756,6 @@ def test_config_field_errors_are_named(tmp_path):
         ({"kind": "knn", "k": True}, "k must be an integer >= 1"),
         ({"kind": "forest", "n_trees": 0}, "n_trees must be an integer >= 1"),
         ({"kind": "adaboost", "rounds": "50"}, "rounds must be an integer >= 1"),
-        ({"kind": "tree", "min_leaf": 0}, "min_leaf must be an integer >= 1"),
-        ({"kind": "tree", "max_depth": 0}, "max_depth must be an integer >= 1 or null"),
-        ({"kind": "forest", "features_per_split": 1.5}, "features_per_split must be"),
         ({"kind": "mlp", "learning_rate": -1}, "learning_rate must be a finite number > 0"),
         ({"kind": "mlp", "learning_rate": 0}, "learning_rate must be a finite number > 0"),
         ({"kind": "mlp", "learning_rate": float("inf")}, "learning_rate must be"),
@@ -771,7 +772,7 @@ def test_config_field_errors_are_named(tmp_path):
             config_from_dict({**base, "transforms": [{"mode": "none"}],
                               "classifiers": [classifier]})
     config_from_dict({**base, "transforms": [{"mode": "none"}],
-                      "classifiers": [{"kind": "tree", "max_depth": None},
+                      "classifiers": [{"kind": "tree"},
                                       {"kind": "forest", "seed": 0},
                                       {"kind": "mlp", "seed": 2**64}]})
     for grid, named in (
@@ -944,9 +945,8 @@ def test_emit_report_unwritable_path_fails(tmp_path):
 
 @pytest.mark.parametrize("kind, defaults", [
     ("knn", {"k": 5}),
-    ("tree", {"max_depth": None, "min_leaf": 1}),
-    ("forest", {"n_trees": 100, "features_per_split": None, "seed": 0, "max_depth": None,
-                "min_leaf": 1}),
+    ("tree", {}),
+    ("forest", {"n_trees": 100, "seed": 0}),
     ("adaboost", {"rounds": 50}),
     ("mlp", {"hidden": (64, 64), "epochs": 200, "batch_size": 32, "learning_rate": 1e-3,
              "seed": 0}),

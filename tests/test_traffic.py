@@ -145,7 +145,6 @@ def test_generated_traces_satisfy_invariants_random_profiles():
             window_std=float(rng.uniform(0, 9000)),
             ip_pool_size=int(rng.integers(1, 20)),
             port_pool_size=int(rng.integers(1, 40)),
-            jitter_std=float(rng.uniform(0, 0.001)),
         )
         trace = generate_trace(prof, 3.0, seed=int(rng.integers(0, 2**63)))
         trace.validate()
