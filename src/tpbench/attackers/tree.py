@@ -6,8 +6,11 @@ Candidate thresholds are midpoints of sorted distinct feature values. All
 ties break deterministically: lowest feature index, then lowest threshold,
 and leaf majorities fall back to the lowest class index.
 A forest tree grows on the distinct rows of its bootstrap draw, weighted by
-multiplicity; one cumsum per node gives both the class counts and the sizes
-of every cut, and the tree is node for node the one of the repeated rows.
+multiplicity, and is node for node the tree of the repeated rows.
+
+The split search cumsums a class-major tally, (classes + 1, rows), into one
+buffer for both sides of every cut; its gains keep the bits of a
+cut-by-cut search, which sums classes over a trailing axis (`_best_split`).
 """
 
 from __future__ import annotations
@@ -50,28 +53,47 @@ def _best_split(XT, idx, tally, counts, gini, feature_ids):
     """Best split of the rows `idx` of a node with class weights and size
     `counts` and Gini impurity `gini`, or None.
 
-    One pass over all candidate features: a stable sort of the (k, n)
-    candidate matrix and one cumulative sum of the tally in that order give
-    every cut's left class counts and size. Gains are scored on the whole
-    (k, n - 1) cut grid; a cut counts only where the sorted value steps up.
-    Row weights are positive integers, so each side of a cut weighs at least
-    1. Returns (feature, threshold, (left, right)), each child as
-    (rows, counts, gini).
+    One pass over all candidate features: a sort of the (k, n) candidate
+    matrix, then the class-major tally `tally` (C + 1, rows) taken in that
+    order and its cumulative sum give every cut's left class counts and
+    size. Both sides of every cut share one (2, C + 1, k, n - 1) buffer, the
+    right side as `counts` less the left in one subtract, so one divide, one
+    square and one class sum give both sides' Gini. Gains are scored on the
+    whole (k, n - 1) cut grid; a cut counts only where the sorted value steps
+    up. Row weights are positive integers, so each side of a cut weighs at
+    least 1. Returns (feature, threshold, (left, right)), each child as
+    (rows, counts, gini), its counts a copy.
+
+    The gains have the bits of a sum over a trailing class axis. Below 8
+    classes numpy adds a trailing class axis left to right, and so does the
+    sum over the leading class axis here. From 8 classes on numpy adds a
+    trailing axis pairwise, so the squares are first copied to a trailing
+    class axis. The sort need not be stable: tied rows never straddle a
+    cut, and counts of integer weights are exact in any order.
     """
     features = feature_ids[:, None]
-    rows = idx[XT[features, idx].argsort(axis=1, kind="stable")]
+    rows = idx[XT[features, idx].argsort(axis=1)]
     xs = XT[features, rows]
-    left = tally.take(rows[:, :-1], axis=0).cumsum(axis=1)  # [f, c]: cut after sorted row c
-    left_counts, n_left = left[..., :-1], left[..., -1]
-    n = counts[-1]
-    n_right = n - n_left
-    gini_left = 1.0 - np.add.reduce((left_counts / n_left[..., None]) ** 2, axis=-1)
-    gini_right = 1.0 - np.add.reduce(
-        ((counts[:-1] - left_counts) / n_right[..., None]) ** 2, axis=-1
-    )
-    gains = gini - (n_left * gini_left + n_right * gini_right) / n
+    # [side, class then size, f, c]: cut after sorted row c
+    sides = np.empty((2, counts.size, rows.shape[0], rows.shape[1] - 1))
+    left = sides[0]
+    tally.take(rows[:, :-1], axis=1, out=left)
+    np.add.accumulate(left, axis=-1, out=left)
+    np.subtract(counts[:, None, None], left, out=sides[1])
+    sizes = sides[:, -1]
+    squares = sides[:, :-1] / sides[:, -1:]
+    squares *= squares
+    if squares.shape[1] < 8:
+        gini_sides = np.add.reduce(squares, axis=1)
+    else:
+        gini_sides = np.add.reduce(np.moveaxis(squares, 1, -1).copy(), axis=-1)
+    np.subtract(1.0, gini_sides, out=gini_sides)
+    weighted = sizes * gini_sides
+    gains = weighted[0] + weighted[1]
+    gains /= counts[-1]
+    np.subtract(gini, gains, out=gains)
     # not-greater rather than <=, so that a NaN value never opens a cut
-    np.putmask(gains, ~(xs[:, 1:] > xs[:, :-1]), -np.inf)
+    gains[~(xs[:, 1:] > xs[:, :-1])] = -np.inf
     f, c = divmod(int(gains.argmax()), gains.shape[1])  # first max: lowest feature, then cut
     if gains[f, c] <= _MIN_GAIN:
         return None
@@ -81,8 +103,8 @@ def _best_split(XT, idx, tally, counts, gini, feature_ids):
     # Row order inside a node does not matter: the class counts at a cut
     # between distinct values are the same for any order of tied rows.
     return int(feature_ids[f]), low if mid >= high else mid, (
-        (rows[f, : c + 1], left[f, c], float(gini_left[f, c])),
-        (rows[f, c + 1 :], counts - left[f, c], float(gini_right[f, c])),
+        (rows[f, : c + 1], left[:, f, c].copy(), float(gini_sides[0, f, c])),
+        (rows[f, c + 1 :], sides[1, :, f, c].copy(), float(gini_sides[1, f, c])),
     )
 
 
@@ -102,12 +124,13 @@ def fit_tree(
     multiplicities."""
     n_features = X.shape[1]
     XT = np.ascontiguousarray(X.T)
-    tally = np.zeros((y.size, n_classes + 1))  # weighted one-hot labels, then the weight
-    tally[:, -1] = 1.0 if weights is None else weights
-    tally[np.arange(y.size), y] = tally[:, -1]
+    tally = np.zeros((n_classes + 1, y.size))  # weighted one-hot labels, then the weight
+    tally[-1] = 1.0 if weights is None else weights
+    tally[y, np.arange(y.size)] = tally[-1]
     all_features = np.arange(n_features)
+    draws = rng is not None and bool(features_per_split) and features_per_split < n_features
     root = TreeNode()
-    counts = tally.sum(axis=0)
+    counts = tally.sum(axis=1)
     gini = 1.0 - float(np.add.reduce((counts[:-1] / counts[-1]) ** 2))
     stack = [(root, np.arange(y.size), counts, gini)]
     while stack:
@@ -117,7 +140,7 @@ def fit_tree(
         if class_counts[majority] == size:  # pure, as a node of one row is
             node.klass = majority
             continue
-        if rng is not None and features_per_split and features_per_split < n_features:
+        if draws:
             feature_ids = rng.choice(n_features, size=features_per_split, replace=False)
             feature_ids.sort()
         else:

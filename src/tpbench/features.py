@@ -270,10 +270,12 @@ def save_features_csv(table: WindowTable, path: str | Path, transform: str | Non
 def load_features_csv(path: str | Path) -> WindowTable:
     """The table of a feature CSV, with each trace_id's rows together in file
     order, the traces in order of first appearance, `dropped_windows` 0 (the
-    file keeps no count) and a `transform` column left unread. Text that is
-    not UTF-8 or not CSV fails as a ValueError naming the file."""
+    file keeps no count) and a `transform` column left unread. A leading
+    UTF-8 byte-order mark, as spreadsheet tools write it, is skipped. Text
+    that is not UTF-8 or not CSV fails as a ValueError naming the file."""
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        # not "utf-8-sig", which would count a bad byte's position from after the mark
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     rows, trace, traces = [], [], {}  # traces: trace_id -> (position, label)

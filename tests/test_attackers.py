@@ -263,13 +263,13 @@ def _oracle_case(rng):
     }
     kinds = rng.choice(list(columns), size=int(rng.integers(1, 6)))
     X = np.column_stack([columns[kind]() for kind in kinds])
-    n_classes = int(rng.integers(2, 5))
+    n_classes = int(rng.integers(2, 13))  # from 8 on, numpy sums a class axis pairwise
     return X, rng.integers(0, n_classes, size=n), n_classes
 
 
 def test_tree_split_search_matches_per_feature_oracle():
     rng = np.random.default_rng(40)
-    for case in range(240):
+    for case in range(300):
         X, y, n_classes = _oracle_case(rng)
         kwargs = {"features_per_split": [None, 2, 3][case % 3]}
         seed = int(rng.integers(2**32))
@@ -315,6 +315,30 @@ def test_forest_matches_per_feature_oracle():
             rows = tree_rng.integers(0, y.size, size=y.size)
             want = reference_fit_tree(X[rows], y[rows], 3, rng=tree_rng, features_per_split=2)
             assert tree_nodes(tree.root) == tree_nodes(want), (seed, t)
+
+
+@pytest.mark.parametrize("n_classes", [3, 7, 8, 12])
+def test_forest_matches_the_oracle_tree_by_tree_below_and_from_8_classes(n_classes):
+    """numpy adds a trailing axis of 8 or more classes pairwise, not left to
+    right; the split kernel's Gini must keep the per-cut sum's bits on both
+    sides of that line. Noisy, heavily tied data grows deep trees with many
+    near-equal gains."""
+    rng = np.random.default_rng(43)
+    y = rng.integers(0, n_classes, size=150)
+    X = np.column_stack([
+        y + rng.normal(scale=3.0, size=y.size),
+        np.round(y / 3 + rng.normal(size=y.size)),
+        rng.integers(0, 3, size=y.size),
+        rng.normal(size=y.size),
+        np.round(rng.normal(size=y.size), 1),
+    ])
+    # ceil(sqrt(5)) = 3 features per split
+    forest = fit_forest(X, y, n_classes, n_trees=24, seed=n_classes)
+    for t, tree in enumerate(forest.trees):
+        tree_rng = np.random.default_rng(derive_seed(n_classes, "tree", t))
+        rows = tree_rng.integers(0, y.size, size=y.size)
+        want = reference_fit_tree(X[rows], y[rows], n_classes, rng=tree_rng, features_per_split=3)
+        assert tree_nodes(tree.root) == tree_nodes(want), t
 
 
 # --- random forest ----------------------------------------------------------------

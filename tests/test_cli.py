@@ -357,13 +357,17 @@ def test_input_that_is_not_utf8_exits_two_naming_the_file(tmp_path, capsys):
     bad.write_bytes(b"\xd4 is no UTF-8 lead byte here\n")
     late = tmp_path / "late.csv"  # a good header, then a bad byte
     late.write_bytes(GOLDEN_FEATURES_CSV.splitlines()[0].encode() + b"\n\xd4\n")
+    marked = tmp_path / "marked.csv"  # the position counts the byte-order mark
+    marked.write_bytes(b"\xef\xbb\xbf" + late.read_bytes())
     out = str(tmp_path / "o.csv")
     for argv, position in ((["sweep", "--config", str(bad)], 0),
                            (["extract", "--config", str(bad), "--burst", "200", "--out", out], 0),
                            (["attack", "--features", str(bad), "--classifier", "knn"], 0),
                            (["perturb", "--in", str(bad), "--mode", "awgn", "--out", out], 0),
                            (["attack", "--features", str(late), "--classifier", "knn"],
-                            late.read_bytes().index(b"\xd4"))):
+                            late.read_bytes().index(b"\xd4")),
+                           (["attack", "--features", str(marked), "--classifier", "knn"],
+                            marked.read_bytes().index(b"\xd4"))):
         capsys.readouterr()
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(
@@ -385,6 +389,21 @@ def test_a_feature_csv_field_over_the_csv_limit_exits_two_naming_the_line(tmp_pa
         assert (f"tpbench {argv[0]}: {features}:2: field larger than field limit "
                 f"({csv.field_size_limit()})") in capsys.readouterr().err
     assert not (tmp_path / "g.csv").exists()
+
+
+def test_a_feature_csv_with_a_byte_order_mark_attacks_as_the_plain_file(
+        features_csv, tmp_path, capsys):
+    """Spreadsheet tools may start a UTF-8 CSV with EF BB BF; the mark is no
+    part of the first column's name."""
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + features_csv.read_bytes())
+    lines = []
+    for path in (features_csv, marked):
+        capsys.readouterr()
+        assert main(["attack", "--features", str(path), "--classifier", "knn"]) == 0
+        lines.append([line for line in capsys.readouterr().out.splitlines()
+                      if "accuracy=" in line])
+    assert len(lines[0]) == 1 and lines[1] == lines[0]
 
 
 def test_perturb_smooth_too_short_exits_two(small_config, tmp_path, capsys):
