@@ -8,9 +8,10 @@ and gets its own seed derived from the master seed and the cell coordinates,
 so cells can run in any order without changing the report. A sweep runs in
 two phases on a fork process pool of `_worker_count` workers, through one
 `_run_jobs`. First `source_series` runs one job per capture, which decodes it,
-or per class profile, which draws its traces; the job windows its traces under
-every window spec and returns only each trace's window table, so no trace
-reaches the parent, which stacks each spec's tables once. Then
+or per trace of a class profile, which draws that trace alone; the job windows
+its trace under every window spec and returns only its window tables, so a
+worker holds one trace at a time and no trace reaches the parent, which stacks
+each spec's tables once. Then
 `run_experiment` encodes each table's labels once as class codes (the
 labels' sorted order), draws each cell's split itself and runs
 `fit_cell` jobs: a whole cell's job returns its predicted codes on the test
@@ -267,9 +268,12 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    """The config of the JSON file at `path`. A leading UTF-8 byte-order
+    mark, as some editors write it, is skipped."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        # not "utf-8-sig", which would count a bad byte's position from after the mark
+        doc = json.loads(path.read_bytes().decode("utf-8").removeprefix("\ufeff"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -327,29 +331,31 @@ class SweepReport:
         return [r for r in self.rows if r.status != "ok"]
 
 
-def _unit_series(config: ExperimentConfig, i: int) -> list[list[WindowTable]]:
-    """Source unit i of a config, its i-th capture or the traces of its i-th
-    profile, as one list per trace of its table under each window spec (of
-    no row where the trace gives no window). A profile's traces are those it
-    has in the whole dataset: each trace's seed comes from its label and index."""
+def _unit_series(config: ExperimentConfig, i: int) -> list[WindowTable]:
+    """Source unit i of a config, its i-th capture or, with k traces per
+    class, trace i % k of profile i // k, as its table under each window
+    spec (of no row where the trace gives no window). A trace's seed comes
+    from its label and index, so it is the trace the whole dataset holds."""
     if config.pcap_files:
-        traces = [load_pcap(*config.pcap_files[i])]
+        trace = load_pcap(*config.pcap_files[i])
     else:
-        traces = generate_dataset([config.profiles[i]], config.traces_per_class,
-                                  config.duration, derive_seed(config.seed, "dataset"))
-    return [[extract_series(trace, wspec) for wspec in config.window_specs] for trace in traces]
+        p, k = divmod(i, config.traces_per_class)
+        (trace,) = generate_dataset([config.profiles[p]], config.traces_per_class,
+                                    config.duration, derive_seed(config.seed, "dataset"),
+                                    indices=range(k, k + 1))
+    return [extract_series(trace, wspec) for wspec in config.window_specs]
 
 
 def source_series(config: ExperimentConfig, workers: int | None = None) -> list[WindowTable]:
     """The window table of each of `config.window_specs`, stacked once by
     `stack_series` from the config's traces in the sweep's order: the
     captures in `pcap_files` order, else profile order, then trace index.
-    Each capture is loaded, or each profile's traces drawn, and windowed in
-    one job on `workers` processes (default `_worker_count()`); only the
-    per-trace tables come back."""
-    jobs = [(config, i) for i in range(len(config.pcap_files) or len(config.profiles))]
-    per_trace = [row for unit in _run_jobs(_unit_series, jobs, workers or _worker_count())
-                 for row in unit]
+    Each capture is loaded, or each trace drawn, and windowed in its own job
+    on `workers` processes (default `_worker_count()`), so a worker holds
+    one trace at a time; only the per-trace tables come back."""
+    units = len(config.pcap_files) or len(config.profiles) * config.traces_per_class
+    per_trace = _run_jobs(_unit_series, [(config, i) for i in range(units)],
+                          workers or _worker_count())
     return [stack_series([row[j] for row in per_trace]) for j in range(len(config.window_specs))]
 
 

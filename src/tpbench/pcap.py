@@ -11,17 +11,20 @@ whose sub-second field is a whole second or more is a format error.
 
 Decoding is vectorised: one Python loop reads only each record header's
 `incl_len` to find where the frames start (and whether the stream is cut
-short); the 16 header bytes of every record are then gathered at once, and
-every frame field from one numpy view of the bytes, only where that frame's
-length allows it. A timestamp is the difference of the exact integer stamps
-(seconds times the unit, plus the sub-second field) divided once by the
-unit; Python's `round` of the float difference is kept only for nanosecond
+short), collecting the offsets in an `array`; the 16 header bytes of every
+record are then gathered at once, as rows of a sliding view of the bytes,
+and every frame field through one view of the bytes as an integer starting
+at every byte, only where that frame's length allows it, so no gather
+builds an index matrix. A timestamp is the difference of the exact integer
+stamps (seconds times the unit, plus the sub-second field) divided once by
+the unit; Python's `round` of the float difference is kept only for nanosecond
 captures spanning 2**23 s or more, past the bound where the two agree.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,24 +84,30 @@ def parse_global_header(data: bytes) -> PcapHeader:
 
 
 def _gather(buf: np.ndarray, at: np.ndarray, dtype: str) -> np.ndarray:
-    """The `dtype` integer stored at each byte offset in `at`, as int64."""
-    width = np.dtype(dtype).itemsize
-    return buf[at[:, None] + np.arange(width)].view(dtype)[:, 0].astype(np.int64)
+    """The `dtype` integer stored at each byte offset in `at`, as int64, read
+    through a view of `buf` as one `dtype` integer starting at every byte."""
+    dtype = np.dtype(dtype)
+    every_byte = np.ndarray(buf.size - dtype.itemsize + 1, dtype, buf, strides=(1,))
+    return every_byte[at].astype(np.int64)
 
 
-def _record_starts(data: bytes, byte_order: str) -> tuple[list[int], bool]:
-    """Byte offset of every complete record's frame, and whether the stream
-    ends inside a record. Reads only `incl_len` from each record header."""
-    incl_len_at = struct.Struct(byte_order + "I").unpack_from
-    size = len(data)
-    starts = []
+def _record_starts(data: bytes, byte_order: str) -> tuple[array, bool]:
+    """Byte offset of every complete record's frame, as 64-bit integers, and
+    whether the stream ends inside a record. Reads only `incl_len` from
+    each record header."""
+    incl_len_at = struct.Struct(byte_order + "8xI").unpack_from  # at a record header
+    size, header = len(data), _RECORD_HEADER_LEN
+    last_header = size - header
+    starts = array("q")
+    add = starts.append
     pos = _GLOBAL_HEADER_LEN
-    while pos + _RECORD_HEADER_LEN <= size:
-        frame_start = pos + _RECORD_HEADER_LEN
-        pos = frame_start + incl_len_at(data, pos + 8)[0]
-        if pos > size:
-            break
-        starts.append(frame_start)
+    while pos <= last_header:
+        (incl_len,) = incl_len_at(data, pos)
+        pos += header
+        add(pos)
+        pos += incl_len
+    if pos > size:  # the last frame runs past the end
+        starts.pop()
     return starts, pos != size
 
 
@@ -170,8 +179,9 @@ def parse_pcap_with_stats(data: bytes, label: str, trace_id: str = "") -> tuple[
         raise PcapFormatError("capture contains no decodable packets")
 
     buf = np.frombuffer(data, dtype=np.uint8)
-    start = np.array(starts, dtype=np.int64)
-    headers = buf[start[:, None] - _RECORD_HEADER_LEN + np.arange(_RECORD_HEADER_LEN)]
+    start = np.frombuffer(starts, dtype=np.int64)
+    headers = np.lib.stride_tricks.sliding_window_view(buf, _RECORD_HEADER_LEN)[
+        start - _RECORD_HEADER_LEN]
     ts_sec, ts_sub, incl_len, orig_len = headers.view(header.byte_order + "u4").astype(np.int64).T
     subsec_unit = 1_000_000_000 if header.nanosecond else 1_000_000
     bad = np.flatnonzero(ts_sub >= subsec_unit)

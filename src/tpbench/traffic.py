@@ -10,7 +10,7 @@ subset of the windowed features downstream.
 Everything is a pure function of (profile, duration, seed). A trace has no
 file format of its own: it is drawn here or parsed from a pcap
 (`tpbench.pcap`), and the sweep and `tpbench extract --config` both draw
-theirs through `harness.source_series`, one profile per job.
+theirs through `harness.source_series`, one trace per job.
 """
 
 from __future__ import annotations
@@ -255,15 +255,27 @@ def generate_trace(profile: ClassProfile, duration: float, seed: int) -> Trace:
 
 
 def generate_dataset(
-    profiles: list[ClassProfile], traces_per_class: int, duration: float, seed: int
+    profiles: list[ClassProfile],
+    traces_per_class: int,
+    duration: float,
+    seed: int,
+    *,
+    indices: range | None = None,
 ) -> list[Trace]:
     """Balanced labeled corpus; per-trace seeds derived from the master seed
     and the trace's (label, index) only, so one profile's traces do not
-    depend on the other profiles."""
+    depend on the other profiles. `indices`, keyword-only and so no config
+    key, draws only those trace indices of each profile (default all of
+    range(traces_per_class)); trace k is the same whichever range draws it."""
     check(traces_per_class, COUNT, "traces_per_class")
+    if indices is None:
+        indices = range(traces_per_class)
+    elif indices.step != 1 or not 0 <= indices.start < indices.stop <= traces_per_class:
+        raise ValueError(f"indices must be a non-empty contiguous part of "
+                         f"range({traces_per_class}), got {indices}")
     traces = []
     for profile in profiles:
-        for k in range(traces_per_class):
+        for k in indices:
             sub = derive_seed(seed, "trace", profile.label, k)
             trace = generate_trace(profile, duration, sub)
             trace.trace_id = f"{profile.label}-{k}"

@@ -291,6 +291,18 @@ def test_tree_row_weights_match_the_oracle_on_repeated_rows():
             rng=np.random.default_rng(seed), **kwargs,
         )
         assert tree_nodes(got.root) == tree_nodes(want), (case, kwargs)
+    # One row per class along a feature, with mirror-symmetric weights: a cut
+    # and its mirror leave the same class weights on swapped sides, so their
+    # gains tie exactly and only the bits of the class sum choose between
+    # them. From 8 classes on numpy adds a trailing class axis pairwise.
+    for case in range(500):
+        n_classes = 8 + case % 5
+        half = rng.integers(1, 7, size=(n_classes + 1) // 2)
+        w = np.concatenate([half, half[: n_classes // 2][::-1]])
+        X, y = np.arange(n_classes, dtype=np.float64)[:, None], np.arange(n_classes)
+        got = fit_tree(X, y, n_classes, weights=w)
+        want = reference_fit_tree(np.repeat(X, w, axis=0), np.repeat(y, w), n_classes)
+        assert tree_nodes(got.root) == tree_nodes(want), (case, w.tolist())
 
 
 def test_a_nan_feature_value_never_opens_a_cut():

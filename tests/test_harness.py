@@ -133,16 +133,16 @@ def test_pool_never_outnumbers_runnable_cells(tmp_path, monkeypatch):
     monkeypatch.undo()
     made = record_pools(monkeypatch, fork=False)
     path = small_config(tmp_path, classifiers=[{"kind": "knn"}, {"kind": "forest", "n_trees": 5}])
-    # set-up: one job per class profile, 2; cells at 3 workers: 1 + 3 jobs,
-    # at 64 workers: 1 knn job + one per tree
-    for workers, pool in (("3", 3), ("64", 1 + 5)):
+    # set-up: one job per trace, 2 profiles x 2 traces; cells at 3 workers:
+    # 1 + 3 jobs, at 64 workers: 1 knn job + one per tree
+    for workers, setup, pool in (("3", 3, 3), ("64", 2 * 2, 1 + 5)):
         monkeypatch.setenv("TPB_WORKERS", workers)
         assert [r.status for r in run_experiment(load_config(path)).rows] == ["ok", "ok"]
-        assert made == [(2, "fork"), (pool, "fork")]
+        assert made == [(setup, "fork"), (pool, "fork")]
         made.clear()
 
 
-def die_in_worker(*args):
+def die_in_worker(*args, **kwargs):
     if multiprocessing.parent_process() is None:
         raise AssertionError("the job ran in the calling process")
     os._exit(1)
@@ -180,6 +180,35 @@ def test_dead_worker_in_a_set_up_job_fails_the_sweep(tmp_path, monkeypatch):
         run_experiment(load_config(small_config(tmp_path)))
 
 
+def test_a_set_up_job_of_a_profile_config_windows_one_trace(tmp_path, monkeypatch):
+    """Job i draws trace i % k of profile i // k alone, and returns its
+    table under each window spec: the one `extract_series` makes of that
+    trace of the whole dataset, with no row where it gives no window."""
+    config = load_config(small_config(tmp_path, traces_per_class=3, duration=1.0,
+                                      burst_sizes=[200, 600]))
+    traces = generate_dataset(config.profiles, 3, 1.0, derive_seed(config.seed, "dataset"))
+    drawn = []
+    real = harness.generate_dataset
+
+    def recording(*args, **kwargs):
+        drawn.append(real(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(harness, "generate_dataset", recording)
+    for i, trace in enumerate(traces):
+        tables = harness._unit_series(config, i)
+        assert [t.trace_id for t in drawn.pop()] == [trace.trace_id]
+        assert len(tables) == len(config.window_specs)
+        for wspec, table in zip(config.window_specs, tables):
+            want = extract_series(trace, wspec)
+            assert table.trace_ids == want.trace_ids == ([trace.trace_id] if len(want) else [])
+            assert table.labels.tolist() == want.labels.tolist()
+            assert np.array_equal(table.trace, want.trace)
+            assert table.X.tobytes() == want.X.tobytes()
+            assert table.dropped_windows == want.dropped_windows
+    assert not all(len(extract_series(t, config.window_specs[1])) for t in traces)
+
+
 def write_captures(directory, names):
     """One capture per name, 40 packets 0.05 s apart; odd captures are UDP
     with a smaller gap, so the two labels' windows differ."""
@@ -201,21 +230,22 @@ SOURCES = {
 
 @pytest.mark.parametrize("source", list(SOURCES))
 def test_traces_never_reach_the_parent_with_a_pool(source, tmp_path, monkeypatch):
-    """With a pool, every capture is decoded and every profile's traces drawn
-    in a worker, and the sweep writes the serial bytes; at one worker each
-    runs once in the calling process, through the harness names a tracer wraps."""
+    """With a pool, every capture is decoded and every trace drawn in a
+    worker, and the sweep writes the serial bytes; at one worker each runs
+    once in the calling process, one trace per call, through the harness
+    names a tracer wraps."""
     write_captures(tmp_path, ["a.pcap", "b.pcap", "c.pcap", "d.pcap"])
     doc = {**SOURCES[source], "transforms": [{"mode": "none"}, {"mode": "awgn", "nu": 2.0}],
            "classifiers": [{"kind": "knn", "k": 3}], "seed": 5}
     calls = []
 
     def in_worker(name, real):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             if multiprocessing.parent_process() is None:
                 if os.environ["TPB_WORKERS"] != "1":
                     raise AssertionError(f"{name} ran in the parent")
-                calls.append((name, args[0]))
-            return real(*args)
+                calls.append((name, args[0], *kwargs.values()))
+            return real(*args, **kwargs)
         return wrapped
 
     for name in ("load_pcap", "generate_dataset"):
@@ -234,7 +264,8 @@ def test_traces_never_reach_the_parent_with_a_pool(source, tmp_path, monkeypatch
     if source == "pcap":
         assert calls == [("load_pcap", tmp_path / name) for name in SOURCES["pcap"]["pcap_labels"]]
     else:
-        assert calls == [("generate_dataset", [p]) for p in builtin_profiles("utility_media_travel")]
+        assert calls == [("generate_dataset", [p], range(k, k + 1))
+                         for p in builtin_profiles("utility_media_travel") for k in range(2)]
 
 
 def test_a_trace_without_a_window_drops_alike_in_the_pool(tmp_path, monkeypatch):
@@ -595,6 +626,18 @@ def test_config_json_error_reports_position(tmp_path):
     path.write_text('{"scenario": "mic_onoff",\n  "seed": }')
     with pytest.raises(ConfigError, match=r"line 2"):
         load_config(path)
+
+
+def test_a_config_with_a_byte_order_mark_loads_as_the_plain_file(tmp_path):
+    """Some editors start a UTF-8 file with EF BB BF; the mark is no part of
+    the JSON, and an error's line and column are those of the plain file."""
+    plain = small_config(tmp_path)
+    marked = tmp_path / "bom.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_config(marked) == load_config(plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + b'{"scenario": "mic_onoff",\n  "seed": }')
+    with pytest.raises(ConfigError, match=r"bom.json: line 2, column 11: Expecting value"):
+        load_config(marked)
 
 
 def test_config_field_errors_are_named(tmp_path):

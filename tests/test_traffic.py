@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -109,18 +110,46 @@ def test_dataset_cardinality_three_classes():
         assert sum(t.label == c for t in traces) == 5
 
 
-def test_one_profile_draws_its_traces_of_the_whole_dataset():
-    """A profile's traces do not depend on the other profiles, bit for bit:
-    this lets the sweep draw each profile's traces in its own job."""
-    profiles = [profile(label=c, rate=r) for c, r in (("b", 90.0), ("a", 120.0), ("c", 60.0))]
-    whole = generate_dataset(profiles, 3, 5.0, seed=7)
-    alone = [t for p in profiles for t in generate_dataset([p], 3, 5.0, seed=7)]
-    assert [(t.label, t.trace_id) for t in alone] == [(t.label, t.trace_id) for t in whole]
-    for got, want in zip(alone, whole):
+def assert_same_traces(got: list[Trace], want: list[Trace]) -> None:
+    """Equal labels, ids and columns, bit for bit and dtype for dtype."""
+    assert [(t.label, t.trace_id) for t in got] == [(t.label, t.trace_id) for t in want]
+    for a, b in zip(got, want):
         for name in ("timestamps", "lengths", "protocols", "src_ip", "dst_ip", "src_port",
                      "dst_port", "tcp_window"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (got.trace_id, name)
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (a.trace_id, name)
+
+
+THREE_PROFILES = [profile(label=c, rate=r) for c, r in (("b", 90.0), ("a", 120.0), ("c", 60.0))]
+
+
+def test_one_profile_draws_its_traces_of_the_whole_dataset():
+    """A profile's traces do not depend on the other profiles, bit for bit."""
+    whole = generate_dataset(THREE_PROFILES, 3, 5.0, seed=7)
+    assert_same_traces([t for p in THREE_PROFILES for t in generate_dataset([p], 3, 5.0, seed=7)],
+                       whole)
+
+
+def test_a_range_of_indices_draws_those_traces_of_the_whole_dataset():
+    """Trace k drawn alone is trace k of the whole dataset, bit for bit, and
+    a range draws its traces in profile then index order: this lets the
+    sweep draw each trace in its own job."""
+    whole = generate_dataset(THREE_PROFILES, 3, 5.0, seed=7)
+    for p, prof in enumerate(THREE_PROFILES):
+        for k in range(3):
+            assert_same_traces(
+                generate_dataset([prof], 3, 5.0, seed=7, indices=range(k, k + 1)),
+                [whole[3 * p + k]])
+    assert_same_traces(generate_dataset(THREE_PROFILES, 3, 5.0, seed=7, indices=range(1, 3)),
+                       [t for i, t in enumerate(whole) if i % 3])
+
+
+@pytest.mark.parametrize("indices", [range(0), range(2, 1), range(0, 3, 2), range(-1, 1),
+                                     range(2, 4), range(3, 4)])
+def test_a_range_of_indices_must_be_a_contiguous_part_of_each_profile_s_traces(indices):
+    with pytest.raises(ValueError, match=re.escape(
+            f"indices must be a non-empty contiguous part of range(3), got {indices}")):
+        generate_dataset(THREE_PROFILES, 3, 5.0, seed=7, indices=indices)
 
 
 def test_master_seed_changes_contents_not_shape():
