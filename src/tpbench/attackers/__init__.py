@@ -6,8 +6,10 @@ sorted distinct values (`np.unique(y, return_inverse=True)`), and fits the
 kind's model on the codes; `HYPERPARAMETERS` lists each kind's parameters
 and defaults, and `HYPERPARAMETER_RULES` the one rule each must meet. The
 kernels trust their inputs: standardized float64 rows, int64 codes and
-checked hyperparameters. The returned TrainedModel predicts raw (unscaled)
-feature rows as labels.
+checked hyperparameters. A TrainedModel's one output on raw (unscaled)
+feature rows is `votes`: a (rows, classes) int64 matrix, columns in
+`model.classes` order, of a forest's tree votes or the one-hot of another
+kind's predicted class; `predict` returns each row's first-max column.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tpbench.attackers.adaboost import fit_adaboost, predict_adaboost
-from tpbench.attackers.forest import fit_forest, predict_forest
-from tpbench.attackers.forest import forest_votes as _forest_votes
+from tpbench.attackers.forest import fit_forest, forest_votes as _forest_votes
 from tpbench.attackers.knn import fit_knn, predict_knn
 from tpbench.attackers.mlp import (
     TrainingDivergedError,
@@ -40,11 +41,11 @@ from tpbench.rules import (
     named,
 )
 
-# kind -> (fit(Xs, codes, n_classes, **params), predict(params, Xs) -> codes)
+# kind -> (fit(Xs, codes, n_classes, **params), predict(params, Xs) -> codes or a forest's votes)
 _KINDS = {
     "knn": (fit_knn, predict_knn),
     "tree": (fit_tree, predict_tree),
-    "forest": (fit_forest, predict_forest),
+    "forest": (fit_forest, _forest_votes),
     "adaboost": (fit_adaboost, predict_adaboost),
     "mlp": (fit_mlp, predict_mlp),
 }
@@ -110,23 +111,27 @@ def train(kind: str, X, y, *, trees: range | None = None, **params) -> TrainedMo
     return TrainedModel(kind, fitted, standardizer, classes)
 
 
-def predict(model: TrainedModel, X) -> np.ndarray:
-    """Predicted labels, one per row of the raw feature matrix X."""
+def votes(model: TrainedModel, X) -> np.ndarray:
+    """(rows, classes) int64 votes on the raw feature matrix X, classes in
+    `model.classes` order: a forest's tree votes, else the one-hot of the
+    kind's predicted class (for kNN, after its distance tie rule)."""
     if model.kind not in _KINDS:
         raise ValueError(f"unknown classifier kind {model.kind!r}")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"expected a (rows, features) matrix, got shape {X.shape}")
-    _, predict_codes = _KINDS[model.kind]
-    return model.classes[predict_codes(model.params, model.standardizer.transform(X))]
+    n_features = model.standardizer.mean.size
+    if X.shape[1] != n_features:  # one column would broadcast against the standardizer
+        raise ValueError(f"expected {n_features} feature columns, got {X.shape[1]}")
+    _, kind_predict = _KINDS[model.kind]
+    out = kind_predict(model.params, model.standardizer.transform(X))
+    return out if model.kind == "forest" else np.eye(model.classes.size, dtype=np.int64)[out]
 
 
-def forest_votes(model: TrainedModel, X) -> np.ndarray:
-    """(rows, classes) int64 tree votes of a forest model on raw feature rows,
-    classes in `model.classes` order; `predict` takes the first-max column."""
-    if model.kind != "forest":
-        raise ValueError(f"expected a forest model, got {model.kind!r}")
-    return _forest_votes(model.params, model.standardizer.transform(X))
+def predict(model: TrainedModel, X) -> np.ndarray:
+    """Predicted labels, one per row of the raw feature matrix X: the
+    first-max column of `votes` (a forest's vote tie goes to the lowest class)."""
+    return model.classes[np.argmax(votes(model, X), axis=1)]
 
 
 def accuracy(predicted: np.ndarray, truth: np.ndarray) -> float:

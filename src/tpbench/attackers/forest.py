@@ -60,7 +60,3 @@ def forest_votes(params: ForestParams, X: np.ndarray) -> np.ndarray:
         pred = predict_tree(tree, X)
         votes[np.arange(X.shape[0]), pred] += 1
     return votes
-
-
-def predict_forest(params: ForestParams, X: np.ndarray) -> np.ndarray:
-    return np.argmax(forest_votes(params, X), axis=1)  # vote ties go to the lowest class index

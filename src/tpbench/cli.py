@@ -9,7 +9,7 @@ so a sweep cell can be rerun by chaining `extract --config` / `perturb` /
 with the sweep's own code, `harness.source_series`, on the sweep's worker
 pool (`extract --pcap` runs a one-capture config through the same call);
 `perturb` transforms the table's `X`, as the sweep does, and `attack`
-splits its rows by their `labels`.
+splits its rows by their `labels` and scores them by `harness.score_cell`.
 The invariant checks live in the test suite: `pytest tests/test_acceptance.py`
 runs one check per acceptance criterion.
 """
@@ -22,6 +22,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from tpbench import attackers
 from tpbench.features import WindowSpec, load_features_csv, save_features_csv
 from tpbench.harness import (
@@ -33,6 +35,7 @@ from tpbench.harness import (
     load_config,
     read_transform,
     run_experiment,
+    score_cell,
     source_series,
 )
 from tpbench.rules import FRACTION, SEED, check, named
@@ -130,9 +133,10 @@ def _cmd_attack(args) -> int:
         clf = ClassifierSpec.from_params(args.classifier, params)
     table = load_features_csv(args.features)
     X, y = table.X, table.labels
+    codes = np.unique(y, return_inverse=True)[1]  # as the sweep encodes them
     train_idx, test_idx = attackers.split(y, args.train_fraction, cell_seeds(args.seed)[0])
-    predicted = fit_cell(X, y, clf, train_idx, test_idx, args.seed)
-    accuracy = attackers.accuracy(predicted, y[test_idx])
+    votes = fit_cell(X, codes, clf, train_idx, test_idx, args.seed)
+    accuracy = score_cell([votes], codes[test_idx])
     print(
         f"classifier={args.classifier} accuracy={accuracy!r} "
         f"n_train={train_idx.size} n_test={test_idx.size}"

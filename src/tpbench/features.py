@@ -281,10 +281,9 @@ def load_features_csv(path: str | Path) -> WindowTable:
     rows, trace, traces = [], [], {}  # traces: trace_id -> (position, label)
     reader = csv.DictReader(io.StringIO(text, newline=""))
     try:
-        if reader.fieldnames is None or any(
-            name not in reader.fieldnames for name in _BASE_COLUMNS
-        ):
-            raise ValueError(f"{path}: missing feature CSV columns")
+        missing = [name for name in _BASE_COLUMNS if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing feature CSV columns {missing}")
         for lineno, row in enumerate(reader, 2):
             if None in row or None in row.values():  # DictReader's marks of a ragged row
                 side = "many" if None in row else "few"

@@ -13,14 +13,15 @@ its trace under every window spec and returns only its window tables, so a
 worker holds one trace at a time and no trace reaches the parent, which stacks
 each spec's tables once. Then
 `run_experiment` encodes each table's labels once as class codes (the
-labels' sorted order), draws each cell's split itself and runs
-`fit_cell` jobs: a whole cell's job returns its predicted codes on the test
-rows. With more than one worker, a forest cell runs as one job per contiguous
-range of its tree indices, returning its vote matrix: each tree draws from its
-own seed whichever job grows it, so the summed votes' argmax is one job's
-prediction. No job returns its model: a model lives only in the process that
-fit it. The parent scores every cell with `attackers.accuracy`. With one
-worker every job of both phases runs in the calling process.
+labels' sorted order), splits each cell's labels itself and runs `fit_cell`
+jobs. Every job returns `attackers.votes` on the test rows, a (test rows,
+classes) int64 matrix. With more than one worker, a forest cell runs as one
+job per contiguous range of its tree indices: each tree draws from its own
+seed whichever job grows it, so the ranges' votes sum to the whole forest's.
+No job returns its model: a model lives only in the process that fit it.
+The parent sums each cell's matrices and scores them in one place,
+`score_cell`. With one worker every job of both phases runs in the calling
+process.
 """
 
 from __future__ import annotations
@@ -366,26 +367,20 @@ def cell_seeds(cell_seed: int) -> tuple[int, int]:
 
 def fit_cell(X, y, clf, train_idx, test_idx, cell_seed, trees=None):
     """Train a cell on its train rows with `cell_seeds(cell_seed)[1]` and return
-    its predictions on the test rows, not the model: their labels, in `y`'s
-    dtype, for a whole cell (`trees` None), else the vote matrix of trees
-    `trees` of its forest on them."""
+    the model's `attackers.votes` on the test rows, not the model; with
+    `trees`, a range of a forest's tree indices, the votes of those trees."""
     params = dict(clf.params)
     if "seed" in attackers.HYPERPARAMETERS[clf.kind]:
         params.setdefault("seed", cell_seeds(cell_seed)[1])
     model = attackers.train(clf.kind, X[train_idx], y[train_idx], trees=trees, **params)
-    if trees is None:
-        return attackers.predict(model, X[test_idx])
-    return attackers.forest_votes(model, X[test_idx])
+    return attackers.votes(model, X[test_idx])
 
 
-def _split_codes(y, labels, train_fraction: float, seed: int):
-    """`attackers.split` of the class codes `y`. When that raises, the error
-    is that of splitting `labels`, which split alike, so it names the class."""
-    try:
-        return attackers.split(y, train_fraction, seed)
-    except ValueError:
-        attackers.split(labels, train_fraction, seed)
-        raise
+def score_cell(votes: list[np.ndarray], truth: np.ndarray) -> float:
+    """A cell's accuracy: the first-max column of its jobs' summed vote
+    matrices, a class code as every class has a train row, against the test
+    rows' class codes `truth`."""
+    return attackers.accuracy(np.argmax(sum(votes), axis=1), truth)
 
 
 def _tree_ranges(clf: ClassifierSpec, workers: int) -> list[range | None]:
@@ -499,8 +494,8 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
                 reason = skip_reason
                 if not reason:
                     try:
-                        train_idx, test_idx = _split_codes(
-                            y, table.labels, config.train_fraction, cell_seeds(cell_seed)[0]
+                        train_idx, test_idx = attackers.split(
+                            table.labels, config.train_fraction, cell_seeds(cell_seed)[0]
                         )
                     except ValueError as exc:  # too few classes or rows, as a job reports it
                         reason = f"{type(exc).__name__}: {exc}"
@@ -523,10 +518,7 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
             row.status = "skipped"
             row.reason = reasons[0]
             continue
-        predicted = outcomes[0][0]
-        if predicted.ndim == 2:  # a forest's tree ranges: its vote matrices
-            predicted = np.argmax(sum(votes for votes, _ in outcomes), axis=1)
-        row.accuracy = attackers.accuracy(predicted, truth)
+        row.accuracy = score_cell([votes for votes, _ in outcomes], truth)
         row.n_train, row.n_test = n_train, truth.size
     return SweepReport(rows=rows)
 

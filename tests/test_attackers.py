@@ -18,16 +18,17 @@ from helpers import (
 from tpbench import attackers
 from tpbench.attackers import adaboost, split
 from tpbench.attackers.adaboost import fit_adaboost, predict_adaboost
-from tpbench.attackers.forest import fit_forest, predict_forest
+from tpbench.attackers.forest import fit_forest, forest_votes
 from tpbench.attackers.knn import block_rows, fit_knn, predict_knn
 from tpbench.attackers.mlp import (
     TrainingDivergedError,
     _init_params,
     fit_mlp,
     loss_and_gradients,
+    predict_mlp,
 )
 from tpbench.attackers.tree import fit_tree, predict_tree
-from tpbench.harness import ClassifierSpec, cell_seeds, fit_cell, load_config
+from tpbench.harness import ClassifierSpec, cell_seeds, fit_cell, load_config, score_cell
 from tpbench.rules import ConfigError
 from tpbench.seeding import derive_seed
 
@@ -367,7 +368,7 @@ def test_forest_single_tree_reduces_to_cart_on_its_bootstrap_draw():
     for seed in range(10):
         forest = fit_forest(X, y, 2, n_trees=1, seed=seed)
         rows = np.random.default_rng(derive_seed(seed, "tree", 0)).integers(0, y.size, y.size)
-        predicted = predict_forest(forest, queries)
+        predicted = np.argmax(forest_votes(forest, queries), axis=1)
         assert np.array_equal(predicted, predict_tree(fit_tree(X[rows], y[rows], 2), queries))
         if seed == 6:
             distinct = np.unique(rows)
@@ -736,9 +737,10 @@ def test_labels_and_their_codes_split_and_train_alike(n_classes):
         assert list(attackers.predict(by_label, X[test_idx])) == [classes[c] for c in predicted]
         assert attackers.evaluate(by_label, X[test_idx], labels[test_idx]) == attackers.evaluate(
             by_code, X[test_idx], codes[test_idx])
-        cell_codes = fit_cell(X, codes, ClassifierSpec.from_params(kind, params),
-                              train_idx, test_idx, 0)
-        assert attackers.accuracy(cell_codes, codes[test_idx]) == attackers.evaluate(
+        spec = ClassifierSpec.from_params(kind, params)
+        cell_votes = fit_cell(X, codes, spec, train_idx, test_idx, 0)
+        assert np.array_equal(fit_cell(X, labels, spec, train_idx, test_idx, 0), cell_votes)
+        assert score_cell([cell_votes], codes[test_idx]) == attackers.evaluate(
             by_label, X[test_idx], labels[test_idx])
 
 
@@ -750,11 +752,19 @@ CELL_PARAMS = {
 }
 
 
+# each kind's own predicted codes, which its one-hot votes must hold
+KERNEL_PREDICT = {"knn": predict_knn, "tree": predict_tree, "adaboost": predict_adaboost,
+                  "mlp": predict_mlp}
+
+
 @pytest.mark.parametrize("kind", attackers.CLASSIFIER_KINDS)
 def test_fit_cell_returns_the_predictions_of_its_one_fit(kind, monkeypatch):
     """Every kind in the table: `fit_cell` fits once on the train rows, a
     seeded kind with `cell_seeds(cell_seed)[1]`, and returns that model's
-    predictions on the test rows in `y`'s dtype, for labels and codes alike."""
+    votes on the test rows, for labels and codes alike: a (test rows,
+    classes) int64 matrix whose rows are the one-hot of the kind's own
+    prediction, or sum to a forest's tree count, and whose first-max column
+    is `attackers.predict`'s class."""
     rng = np.random.default_rng(24)
     X, labels = blobs(rng, 20, [("a", 0.0), ("b", 1.5), ("c", 3.0)], spread=1.0)
     codes = np.unique(labels, return_inverse=True)[1].astype(np.int64)
@@ -772,5 +782,13 @@ def test_fit_cell_returns_the_predictions_of_its_one_fit(kind, monkeypatch):
         assert fits == [(kind, train_seed if seeded else None)]
         model = attackers.train(kind, X[train_idx], y[train_idx], **CELL_PARAMS.get(kind, {}),
                                 **({"seed": train_seed} if seeded else {}))
-        assert got.dtype == y.dtype
-        assert np.array_equal(got, attackers.predict(model, X[test_idx]))
+        assert got.dtype == np.int64 and got.shape == (test_idx.size, 3)
+        assert np.array_equal(got, attackers.votes(model, X[test_idx]))
+        if kind == "forest":
+            assert np.all(got.sum(axis=1) == CELL_PARAMS["forest"]["n_trees"])
+        else:
+            codes_of_kind = KERNEL_PREDICT[kind](model.params,
+                                                 model.standardizer.transform(X[test_idx]))
+            assert np.array_equal(got, np.eye(3, dtype=np.int64)[codes_of_kind])
+        assert np.array_equal(model.classes[got.argmax(axis=1)],
+                              attackers.predict(model, X[test_idx]))

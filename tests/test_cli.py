@@ -150,6 +150,21 @@ def test_attack_on_one_class_exits_two_naming_it(tmp_path, capsys):
     assert err == "tpbench attack: only class(es) ['cap'] present; need at least 2 classes\n"
 
 
+def test_attack_on_a_csv_missing_a_column_exits_two_naming_it(features_csv, tmp_path, capsys):
+    """A feature CSV whose `trace_id` column was cut names that column."""
+    cut = tmp_path / "g.csv"
+    with open(features_csv, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    at = rows[0].index("trace_id")
+    rows = [row[:at] + row[at + 1:] for row in rows]
+    with open(cut, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    assert main(["attack", "--features", str(cut), "--classifier", "knn"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"tpbench attack: {cut}: missing feature CSV columns ['trace_id']\n"
+
+
 def test_attack_diverged_mlp_exits_two(features_csv, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -23,6 +23,7 @@ from tpbench.harness import (
     fit_cell,
     load_config,
     run_experiment,
+    score_cell,
 )
 from tpbench.pcap import load_pcap
 from tpbench.seeding import derive_seed
@@ -428,7 +429,9 @@ def test_split_forest_equals_unsplit_forest():
         model = attackers.train("forest", X[train_idx], y[train_idx], n_trees=n_trees,
                                 seed=train_seed)
         labels = attackers.predict(model, X[test_idx])
-        assert np.array_equal(fit_cell(X, y, clf, train_idx, test_idx, 17), labels)
+        whole_votes = fit_cell(X, y, clf, train_idx, test_idx, 17)
+        assert np.array_equal(whole_votes, attackers.votes(model, X[test_idx]))
+        assert np.array_equal(model.classes[whole_votes.argmax(axis=1)], labels)
         cell = (attackers.accuracy(labels, y[test_idx]), train_idx.size, test_idx.size)
         for parts in range(1, n_trees + 2):
             ranges = harness._tree_ranges(clf, parts)
@@ -439,10 +442,10 @@ def test_split_forest_equals_unsplit_forest():
             grown = [tree for r in ranges
                      for tree in fit_forest(X, codes, 3, n_trees=n_trees, seed=11, trees=r).trees]
             assert grown == whole.trees
-            votes = sum(fit_cell(X, y, clf, train_idx, test_idx, 17, r) for r in ranges)
-            assert np.array_equal(np.array(model.classes, dtype=object)[votes.argmax(axis=1)],
-                                  labels)
-            assert (attackers.accuracy(votes.argmax(axis=1), codes[test_idx]),
+            range_votes = [fit_cell(X, y, clf, train_idx, test_idx, 17, r) for r in ranges]
+            assert all(votes.dtype == np.int64 for votes in range_votes)
+            assert np.array_equal(sum(range_votes), whole_votes)  # exact integer counts
+            assert (score_cell(range_votes, codes[test_idx]),
                     train_idx.size, test_idx.size) == cell
 
 
@@ -958,8 +961,8 @@ def test_sweep_equals_manual_stage_chain(tmp_path):
     clf = ClassifierSpec.from_params("forest", {"n_trees": 10})
     cell_seed = derive_seed(config.seed, "cell", wspec.key(), tspec.key(), clf.key())
     train_idx, test_idx = attackers.split(y, 0.7, harness.cell_seeds(cell_seed)[0])
-    predicted = fit_cell(Xt, y, clf, train_idx, test_idx, cell_seed)
-    accuracy = attackers.accuracy(predicted, y[test_idx])
+    votes = fit_cell(Xt, y, clf, train_idx, test_idx, cell_seed)
+    accuracy = score_cell([votes], np.unique(y, return_inverse=True)[1][test_idx])
     n_train, n_test = train_idx.size, test_idx.size
 
     assert accuracy == row.accuracy
@@ -1012,3 +1015,9 @@ def test_each_kind_accepts_its_hyperparameters_and_defaults(kind, defaults):
     # one row is a (1, features) matrix: a bare row fails instead of being read as columns
     with pytest.raises(ValueError, match=r"expected a \(rows, features\) matrix, got shape \(4,\)"):
         attackers.predict(implicit, X[0])
+    # as does another column count: one column would broadcast against the
+    # training rows' standardizer, 11 would fail inside it
+    for columns in (1, 11):
+        for entry in (attackers.predict, attackers.votes):
+            with pytest.raises(ValueError, match=rf"^expected 4 feature columns, got {columns}$"):
+                entry(implicit, np.zeros((20, columns)))
