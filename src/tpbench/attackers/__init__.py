@@ -1,12 +1,12 @@
 """Five from-scratch classifiers behind one train/predict/evaluate contract.
 
-`train(kind, X, y, **params)` checks `params` with `check_params`, fits a
-Standardizer on the training rows, encodes the labels as codes into their
-sorted distinct values (`np.unique(y, return_inverse=True)`), and fits the
-kind's model on the codes; `HYPERPARAMETERS` lists each kind's parameters
-and defaults, and `HYPERPARAMETER_RULES` the one rule each must meet. The
-kernels trust their inputs: standardized float64 rows, int64 codes and
-checked hyperparameters. A TrainedModel's one output on raw (unscaled)
+`train(kind, X, y, *, seed=0, trees=None, **params)` checks `params` with
+`check_params`, fits a Standardizer on the training rows, encodes the labels
+as codes into their sorted distinct values (`np.unique(y, return_inverse=True)`),
+and fits the kind's model on the codes; `HYPERPARAMETERS` lists each kind's
+parameters and defaults, and `HYPERPARAMETER_RULES` the one rule each must
+meet. The kernels trust their inputs: standardized float64 rows, int64 codes
+and checked hyperparameters. A TrainedModel's one output on raw (unscaled)
 feature rows is `votes`: a (rows, classes) int64 matrix, columns in
 `model.classes` order, of a forest's tree votes or the one-hot of another
 kind's predicted class; `predict` returns each row's first-max column.
@@ -53,8 +53,8 @@ _KINDS = {
 CLASSIFIER_KINDS = tuple(_KINDS)
 
 # kind -> {hyperparameter: default}: the fit's parameters after the class
-# count that are not keyword-only. Keyword-only ones (a forest's `trees`, a
-# tree's `rng`) are hooks for callers in the package, not config keys.
+# count that are not keyword-only. Keyword-only ones (`seed`, a forest's
+# `trees`, a tree's `rng`) are hooks for callers in the package, not config keys.
 HYPERPARAMETERS = {
     kind: {
         name: p.default
@@ -66,9 +66,8 @@ HYPERPARAMETERS = {
 
 # hyperparameter -> its rule, whichever kinds take it
 HYPERPARAMETER_RULES = {
-    **dict.fromkeys(("epochs", "batch_size", "k", "n_trees", "rounds"), COUNT),
+    **dict.fromkeys(("epochs", "k", "n_trees", "rounds"), COUNT),
     "hidden": COUNT_LIST,
-    "seed": SEED,
     "learning_rate": POSITIVE,
 }
 
@@ -94,18 +93,20 @@ class TrainedModel:
     classes: np.ndarray  # sorted distinct training labels; code i predicts classes[i]
 
 
-def train(kind: str, X, y, *, trees: range | None = None, **params) -> TrainedModel:
+def train(kind: str, X, y, *, seed: int = 0, trees: range | None = None, **params) -> TrainedModel:
     """Fit a `kind` model on raw rows X and labels y (strings, integers or
-    any sortable values) with `params` from HYPERPARAMETERS[kind]. `trees`,
-    a package hook and no hyperparameter, grows only those tree indices of a
-    forest."""
+    any sortable values) with `params` from HYPERPARAMETERS[kind]. The hooks
+    reach only the fits that declare them: `seed`, checked for every kind,
+    seeds a forest's or MLP's draws (knn, tree and adaboost ignore it), and
+    `trees` grows only those tree indices of a forest."""
     check_params(kind, params)
+    check(seed, SEED, "seed")
     fit, _ = _KINDS[kind]
     classes, codes = np.unique(y, return_inverse=True)
     if codes.size == 0:
         raise ValueError("training set must be non-empty")
-    if trees is not None:
-        params["trees"] = trees
+    hooks = {"seed": seed, "trees": trees}  # each to the fits that declare it
+    params.update((k, v) for k, v in hooks.items() if k in inspect.signature(fit).parameters)
     standardizer = Standardizer.fit(X)
     fitted = fit(standardizer.transform(X), codes, len(classes), **params)
     return TrainedModel(kind, fitted, standardizer, classes)

@@ -26,16 +26,16 @@ def fit_forest(
     y: np.ndarray,
     n_classes: int,
     n_trees: int = 100,
-    seed: int = 0,
     *,
+    seed: int = 0,
     trees: range | None = None,
 ) -> ForestParams:
-    """Each tree gets a derived seed for its bootstrap resample and feature
-    subsets, so the forest is reproducible and trees are order-independent.
-    `trees`, keyword-only and so no config key, grows only those tree
-    indices of the n_trees (default all); as a forest's votes are the sum of
-    its trees' votes, forests grown on disjoint ranges sum to the whole one
-    (`forest_votes`)."""
+    """Each tree gets a seed derived from `seed` for its bootstrap resample
+    and feature subsets, so the forest is reproducible and trees are
+    order-independent. `trees`, like `seed` keyword-only and so no config
+    key, grows only those tree indices of the n_trees (default all); as a
+    forest's votes are the sum of its trees' votes, forests grown on
+    disjoint ranges sum to the whole one (`forest_votes`)."""
     if trees is None:
         trees = range(n_trees)
     elif trees.step != 1 or not 0 <= trees.start < trees.stop <= n_trees:

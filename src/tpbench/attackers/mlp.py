@@ -109,8 +109,9 @@ def fit_mlp(
     n_classes: int,
     hidden: tuple[int, ...] = (64, 64),
     epochs: int = 200,
-    batch_size: int = 32,
     learning_rate: float = 1e-3,
+    *,
+    batch_size: int = 32,
     seed: int = 0,
 ) -> MlpParams:
     rng = np.random.default_rng(seed)

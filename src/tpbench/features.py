@@ -272,7 +272,8 @@ def load_features_csv(path: str | Path) -> WindowTable:
     order, the traces in order of first appearance, `dropped_windows` 0 (the
     file keeps no count) and a `transform` column left unread. A leading
     UTF-8 byte-order mark, as spreadsheet tools write it, is skipped. Text
-    that is not UTF-8 or not CSV fails as a ValueError naming the file."""
+    that is not UTF-8 or not CSV, or a header naming a column twice, fails
+    as a ValueError naming the file."""
     try:
         # not "utf-8-sig", which would count a bad byte's position from after the mark
         text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
@@ -281,9 +282,13 @@ def load_features_csv(path: str | Path) -> WindowTable:
     rows, trace, traces = [], [], {}  # traces: trace_id -> (position, label)
     reader = csv.DictReader(io.StringIO(text, newline=""))
     try:
-        missing = [name for name in _BASE_COLUMNS if name not in (reader.fieldnames or ())]
+        header = reader.fieldnames or []
+        missing = [name for name in _BASE_COLUMNS if name not in header]
         if missing:
             raise ValueError(f"{path}: missing feature CSV columns {missing}")
+        repeated = sorted({name for name in header if header.count(name) > 1})
+        if repeated:  # DictReader would keep the last of them
+            raise ValueError(f"{path}: feature CSV header repeats columns {repeated}")
         for lineno, row in enumerate(reader, 2):
             if None in row or None in row.values():  # DictReader's marks of a ragged row
                 side = "many" if None in row else "few"

@@ -366,13 +366,11 @@ def cell_seeds(cell_seed: int) -> tuple[int, int]:
 
 
 def fit_cell(X, y, clf, train_idx, test_idx, cell_seed, trees=None):
-    """Train a cell on its train rows with `cell_seeds(cell_seed)[1]` and return
-    the model's `attackers.votes` on the test rows, not the model; with
-    `trees`, a range of a forest's tree indices, the votes of those trees."""
-    params = dict(clf.params)
-    if "seed" in attackers.HYPERPARAMETERS[clf.kind]:
-        params.setdefault("seed", cell_seeds(cell_seed)[1])
-    model = attackers.train(clf.kind, X[train_idx], y[train_idx], trees=trees, **params)
+    """Train a cell on its train rows with `cell_seeds(cell_seed)[1]`, every fit's one
+    seed, and return the model's `attackers.votes` on the test rows, not the model;
+    with `trees`, a range of a forest's tree indices, the votes of those trees."""
+    model = attackers.train(clf.kind, X[train_idx], y[train_idx], seed=cell_seeds(cell_seed)[1],
+                            trees=trees, **dict(clf.params))
     return attackers.votes(model, X[test_idx])
 
 

@@ -226,7 +226,8 @@ def generate_trace(profile: ClassProfile, duration: float, seed: int) -> Trace:
     times = np.round(_draw_gaps(rng, profile, duration), 6)
     n = times.size
     if n == 0:
-        raise ValueError("profile rate too low for the requested duration: empty trace")
+        raise ValueError(f"profile {profile.label!r}: duration {duration!r} s at rate "
+                         f"{profile.rate!r} pkt/s drew no packet")
 
     # Protocol codes: the mix is ordered TCP, UDP, ICMP, as PROTOCOLS is.
     proto_codes = rng.choice(3, size=n, p=np.asarray(profile.protocol_mix, dtype=float))

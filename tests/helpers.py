@@ -275,7 +275,7 @@ def reference_predict_knn(params, X) -> np.ndarray:
 
 # --- per-feature CART oracle -------------------------------------------------
 
-def reference_best_split(X, y, parent_counts, feature_ids, min_leaf):
+def reference_best_split(X, y, parent_counts, feature_ids):
     """The split search one feature at a time: sort, cumulative class counts,
     Gini gain at every cut between distinct values. Ties go to the first
     feature searched, then the lowest threshold."""
@@ -291,7 +291,6 @@ def reference_best_split(X, y, parent_counts, feature_ids, min_leaf):
         order = np.argsort(x, kind="stable")
         xs = x[order]
         positions = np.nonzero(xs[1:] > xs[:-1])[0] + 1
-        positions = positions[(positions >= min_leaf) & (n - positions >= min_leaf)]
         if positions.size == 0:
             continue
         cum = np.cumsum(onehot[order], axis=0)
@@ -315,34 +314,27 @@ def reference_best_split(X, y, parent_counts, feature_ids, min_leaf):
     return best
 
 
-def reference_fit_tree(
-    X, y, n_classes, max_depth=None, min_leaf=1, rng=None, features_per_split=None
-) -> TreeNode:
-    """Depth-first CART growth that recounts classes at every node and draws
-    the forest's feature subset (if any) before each split search."""
+def reference_fit_tree(X, y, n_classes, *, rng=None, features_per_split=None) -> TreeNode:
+    """Depth-first CART growth to purity that recounts classes at every node
+    and draws the forest's feature subset (if any) before each split search:
+    a node is a leaf when its rows are one class or no cut gains."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n_features = X.shape[1]
     root = TreeNode()
-    stack = [(root, np.arange(y.size), 0)]
+    stack = [(root, np.arange(y.size))]
     while stack:
-        node, idx, depth = stack.pop()
+        node, idx = stack.pop()
         counts = np.bincount(y[idx], minlength=n_classes)
         majority = int(np.argmax(counts))
-        if (
-            counts[majority] == idx.size
-            or (max_depth is not None and depth >= max_depth)
-            or idx.size < 2 * min_leaf
-        ):
+        if counts[majority] == idx.size:
             node.klass = majority
             continue
         if rng is not None and features_per_split and features_per_split < n_features:
             feature_ids = np.sort(rng.choice(n_features, size=features_per_split, replace=False))
         else:
             feature_ids = np.arange(n_features)
-        found = reference_best_split(
-            X[idx], y[idx], counts.astype(np.float64), feature_ids, min_leaf
-        )
+        found = reference_best_split(X[idx], y[idx], counts.astype(np.float64), feature_ids)
         if found is None:
             node.klass = majority
             continue
@@ -350,8 +342,8 @@ def reference_fit_tree(
         goes_left = X[idx, node.feature] <= node.threshold
         node.left = TreeNode()
         node.right = TreeNode()
-        stack.append((node.right, idx[~goes_left], depth + 1))
-        stack.append((node.left, idx[goes_left], depth + 1))
+        stack.append((node.right, idx[~goes_left]))
+        stack.append((node.left, idx[goes_left]))
     return root
 
 

@@ -1,8 +1,10 @@
+import functools
 import json
 import math
 import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -674,6 +676,26 @@ def test_every_hyperparameter_has_one_rule():
         attackers.check_params(kind, params)  # every default meets its rule
 
 
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+def test_every_hyperparameter_is_set_by_a_shipped_config():
+    """A config key that no shipped config sets is a knob kept for no run:
+    each key of `HYPERPARAMETERS` is set by some classifier entry of
+    `configs/*.json`. `learning_rate` alone is kept unset: it is the one key
+    through which an MLP can diverge, and `TrainingDivergedError` must stay
+    reachable, also once the MLP stops early on a slice of its train rows
+    (ROADMAP, "The MLP stops on a held-out slice")."""
+    assert SHIPPED_CONFIGS
+    set_keys = {(entry["kind"], key)
+                for path in SHIPPED_CONFIGS
+                for entry in json.loads(path.read_text(encoding="utf-8"))["classifiers"]
+                for key in entry if key != "kind"}
+    unset = {(kind, key) for kind, params in attackers.HYPERPARAMETERS.items()
+             for key in params} - set_keys
+    assert unset == {("mlp", "learning_rate")}
+
+
 BAD_HYPERPARAMETERS = [  # (kind, params, message after "classifier '<kind>': ")
     ("knn", {"k": True}, "k must be an integer >= 1, got True"),
     ("knn", {"k": 2.5}, r"k must be an integer >= 1, got 2\.5"),
@@ -686,11 +708,14 @@ BAD_HYPERPARAMETERS = [  # (kind, params, message after "classifier '<kind>': ")
     ("tree", {"min_leaf": 0}, r"unknown key\(s\) \['min_leaf'\]; expected none"),
     ("tree", {"max_depth": 0}, r"unknown key\(s\) \['max_depth'\]; expected none"),
     ("forest", {"features_per_split": 0},
-     r"unknown key\(s\) \['features_per_split'\]; expected some of \['n_trees', 'seed'\]"),
+     r"unknown key\(s\) \['features_per_split'\]; expected some of \['n_trees'\]"),
     ("forest", {"max_depth": None},
-     r"unknown key\(s\) \['max_depth'\]; expected some of \['n_trees', 'seed'\]"),
+     r"unknown key\(s\) \['max_depth'\]; expected some of \['n_trees'\]"),
     ("forest", {"min_leaf": 1},
-     r"unknown key\(s\) \['min_leaf'\]; expected some of \['n_trees', 'seed'\]"),
+     r"unknown key\(s\) \['min_leaf'\]; expected some of \['n_trees'\]"),
+    # the MLP's batch size is its kernel's, no config key
+    ("mlp", {"batch_size": 32},
+     r"unknown key\(s\) \['batch_size'\]; expected some of \['epochs', 'hidden', 'learning_rate'\]"),
     ("mlp", {"hidden": (0,)}, r"hidden must be a list of integers >= 1, got \(0,\)"),
     ("knn", {"kk": 3}, r"unknown key\(s\) \['kk'\]; expected some of \['k'\]"),
 ]
@@ -714,6 +739,31 @@ def test_train_and_a_config_reject_a_bad_hyperparameter_alike(tmp_path, kind, pa
     assert str(loaded.value) == f"classifiers[1]: {direct.value}"
 
 
+@pytest.mark.parametrize("kind", attackers.CLASSIFIER_KINDS)
+def test_train_checks_its_seed_and_hands_it_only_to_fits_that_draw(kind, monkeypatch):
+    """`seed` is a hook of `train`, no hyperparameter: every kind checks it,
+    a forest's and an MLP's fit get it, and the others' fits never see it;
+    as a config key it is unknown."""
+    rng = np.random.default_rng(26)
+    X, y = rng.normal(size=(40, 12)), np.repeat(["a", "b"], 20)
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ConfigError, match=rf"^seed must be an integer >= 0, got {bad!r}$"):
+            attackers.train(kind, X, y, seed=bad)
+    fit, predict = attackers._KINDS[kind]
+    seen = []
+
+    @functools.wraps(fit)  # keeps the signature `train` reads its hooks off
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("seed"))
+        return fit(*args, **kwargs)
+
+    monkeypatch.setitem(attackers._KINDS, kind, (spy, predict))
+    attackers.train(kind, X, y, seed=9)
+    assert seen == [9 if kind in ("forest", "mlp") else None]
+    with pytest.raises(ConfigError, match=r"^classifier '\w+': unknown key\(s\) \['seed'\]"):
+        ClassifierSpec.from_params(kind, {"seed": 9})
+
+
 @pytest.mark.parametrize("n_classes", [3, 12])
 def test_labels_and_their_codes_split_and_train_alike(n_classes):
     """Class order is the labels' value order, one `np.unique` for split and
@@ -727,10 +777,11 @@ def test_labels_and_their_codes_split_and_train_alike(n_classes):
     train_idx, test_idx = split(labels, 0.7, 4)
     for by_label, by_code in zip((train_idx, test_idx), split(codes, 0.7, 4)):
         assert np.array_equal(by_label, by_code)
-    for kind, params in (("knn", {}), ("tree", {}), ("forest", {"n_trees": 5, "seed": 1}),
-                         ("adaboost", {"rounds": 5}), ("mlp", {"epochs": 3, "seed": 1})):
-        by_label = attackers.train(kind, X[train_idx], labels[train_idx], **params)
-        by_code = attackers.train(kind, X[train_idx], codes[train_idx], **params)
+    train_seed = cell_seeds(0)[1]  # fit_cell's seed of cell 0
+    for kind, params in (("knn", {}), ("tree", {}), ("forest", {"n_trees": 5}),
+                         ("adaboost", {"rounds": 5}), ("mlp", {"epochs": 3})):
+        by_label = attackers.train(kind, X[train_idx], labels[train_idx], seed=train_seed, **params)
+        by_code = attackers.train(kind, X[train_idx], codes[train_idx], seed=train_seed, **params)
         assert np.array_equal(by_label.classes, classes)
         assert np.array_equal(by_code.classes, np.arange(n_classes))
         predicted = attackers.predict(by_code, X[test_idx])
@@ -759,8 +810,8 @@ KERNEL_PREDICT = {"knn": predict_knn, "tree": predict_tree, "adaboost": predict_
 
 @pytest.mark.parametrize("kind", attackers.CLASSIFIER_KINDS)
 def test_fit_cell_returns_the_predictions_of_its_one_fit(kind, monkeypatch):
-    """Every kind in the table: `fit_cell` fits once on the train rows, a
-    seeded kind with `cell_seeds(cell_seed)[1]`, and returns that model's
+    """Every kind in the table: `fit_cell` fits once on the train rows, with
+    the train seed `cell_seeds(cell_seed)[1]`, and returns that model's
     votes on the test rows, for labels and codes alike: a (test rows,
     classes) int64 matrix whose rows are the one-hot of the kind's own
     prediction, or sum to a forest's tree count, and whose first-max column
@@ -778,10 +829,9 @@ def test_fit_cell_returns_the_predictions_of_its_one_fit(kind, monkeypatch):
             fits.append((a[0], k.get("seed"))) or real_train(*a, **k)))
         got = fit_cell(X, y, spec, train_idx, test_idx, 31)
         monkeypatch.setattr(attackers, "train", real_train)
-        seeded = "seed" in attackers.HYPERPARAMETERS[kind]
-        assert fits == [(kind, train_seed if seeded else None)]
-        model = attackers.train(kind, X[train_idx], y[train_idx], **CELL_PARAMS.get(kind, {}),
-                                **({"seed": train_seed} if seeded else {}))
+        assert fits == [(kind, train_seed)]
+        model = attackers.train(kind, X[train_idx], y[train_idx], seed=train_seed,
+                                **CELL_PARAMS.get(kind, {}))
         assert got.dtype == np.int64 and got.shape == (test_idx.size, 3)
         assert np.array_equal(got, attackers.votes(model, X[test_idx]))
         if kind == "forest":

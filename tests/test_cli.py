@@ -352,17 +352,21 @@ def test_a_train_fraction_outside_zero_one_exits_two_naming_the_flag(fraction, t
 @pytest.mark.parametrize("kind, key, value", [
     ("tree", "max_depth", 3), ("tree", "min_leaf", 1), ("forest", "max_depth", None),
     ("forest", "min_leaf", 2), ("forest", "features_per_split", 3),
+    ("forest", "seed", 7), ("mlp", "seed", 7), ("mlp", "batch_size", 32),
 ])
 def test_attack_params_setting_a_removed_growth_knob_exits_two_naming_it(
         kind, key, value, tmp_path, capsys):
     """Trees grow to purity and forests draw ceil(sqrt(F)) features per
-    split: the knobs that once changed that are unknown keys, at any value."""
+    split: the knobs that once changed that are unknown keys, at any value.
+    So are a fit's seed, which comes from `--seed` alone, and the MLP's
+    batch size."""
     features = tmp_path / "f.csv"
     features.write_text(GOLDEN_FEATURES_CSV, encoding="utf-8")
     capsys.readouterr()
     assert main(["attack", "--features", str(features), "--classifier", kind,
                  "--params", json.dumps({key: value})]) == 2
-    expected = "none" if kind == "tree" else "some of ['n_trees', 'seed']"
+    expected = {"tree": "none", "forest": "some of ['n_trees']",
+                "mlp": "some of ['epochs', 'hidden', 'learning_rate']"}[kind]
     assert (f"tpbench attack: --params: classifier '{kind}': unknown key(s) ['{key}']; "
             f"expected {expected}\n") in capsys.readouterr().err
 

@@ -611,6 +611,18 @@ def test_csv_rejects_ragged_rows(tmp_path):
             load_features_csv(path)
 
 
+def test_csv_rejects_a_header_that_names_a_column_twice(tmp_path):
+    """A repeated column would silently win over the first one of its name:
+    a second `mean_ipt` of 999 would replace every row's own."""
+    header = ",".join(list(FEATURE_NAMES) + ["label", "window_index", "trace_id"])
+    full = ",".join(["1.0"] * len(FEATURE_NAMES) + ["a", "0", "t0"])
+    path = tmp_path / "twice.csv"
+    path.write_text(f"{header},mean_ipt,label\n{full},999,b\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^\S*twice\.csv: feature CSV header repeats columns "
+                                         r"\['label', 'mean_ipt'\]$"):
+        load_features_csv(path)
+
+
 def test_csv_rejects_non_finite_values(tmp_path):
     path = tmp_path / "bad.csv"
     header = ",".join(list(FEATURE_NAMES) + ["label", "window_index", "trace_id"])

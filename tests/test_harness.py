@@ -796,7 +796,6 @@ def test_config_field_errors_are_named(tmp_path):
             config_from_dict({**base, "classifiers": [{"kind": "knn"}], **root})
     for classifier, named in (
         ({"kind": "mlp", "epochs": 0}, "epochs must be an integer >= 1"),
-        ({"kind": "mlp", "batch_size": 0}, "batch_size must be an integer >= 1"),
         ({"kind": "mlp", "epochs": 2.5}, "epochs must be an integer >= 1"),
         ({"kind": "knn", "k": 0}, "k must be an integer >= 1"),
         ({"kind": "knn", "k": True}, "k must be an integer >= 1"),
@@ -807,11 +806,13 @@ def test_config_field_errors_are_named(tmp_path):
         ({"kind": "mlp", "learning_rate": float("inf")}, "learning_rate must be"),
         ({"kind": "mlp", "learning_rate": True}, "learning_rate must be"),
         ({"kind": "forest", "bootstrap": False}, r"unknown key\(s\) \['bootstrap'\]"),
-        ({"kind": "mlp", "seed": 1.5}, r"seed must be an integer >= 0, got 1\.5"),
-        ({"kind": "forest", "seed": 1.5}, r"seed must be an integer >= 0, got 1\.5"),
-        ({"kind": "forest", "seed": -1}, "seed must be an integer >= 0, got -1"),
-        ({"kind": "mlp", "seed": True}, "seed must be an integer >= 0, got True"),
-        ({"kind": "forest", "seed": "3"}, "seed must be an integer >= 0, got '3'"),
+        # a fit's seed is its cell's, and the MLP's batch size its kernel's
+        ({"kind": "forest", "seed": 0},
+         r"unknown key\(s\) \['seed'\]; expected some of \['n_trees'\]$"),
+        ({"kind": "mlp", "seed": 0}, r"unknown key\(s\) \['seed'\]"),
+        ({"kind": "mlp", "batch_size": 32},
+         r"unknown key\(s\) \['batch_size'\]; expected some of "
+         r"\['epochs', 'hidden', 'learning_rate'\]$"),
         ({"kind": "forest", "trees": [0, 1]}, r"unknown key\(s\) \['trees'\]"),
     ):
         with pytest.raises(ConfigError, match=rf"classifiers\[0\]: classifier '{classifier['kind']}': {named}"):
@@ -819,8 +820,8 @@ def test_config_field_errors_are_named(tmp_path):
                               "classifiers": [classifier]})
     config_from_dict({**base, "transforms": [{"mode": "none"}],
                       "classifiers": [{"kind": "tree"},
-                                      {"kind": "forest", "seed": 0},
-                                      {"kind": "mlp", "seed": 2**64}]})
+                                      {"kind": "forest", "n_trees": 1},
+                                      {"kind": "mlp", "epochs": 1}]})
     for grid, named in (
         ({"transforms": [{"mode": "awgn", "nu": 2.0}, {"mode": "awgn", "nu": 2}]},
          r"transforms\[1\]: duplicates transforms\[0\] \(awgn\(nu=2\.0\)\)"),
@@ -992,18 +993,18 @@ def test_emit_report_unwritable_path_fails(tmp_path):
 @pytest.mark.parametrize("kind, defaults", [
     ("knn", {"k": 5}),
     ("tree", {}),
-    ("forest", {"n_trees": 100, "seed": 0}),
+    ("forest", {"n_trees": 100}),
     ("adaboost", {"rounds": 50}),
-    ("mlp", {"hidden": (64, 64), "epochs": 200, "batch_size": 32, "learning_rate": 1e-3,
-             "seed": 0}),
+    ("mlp", {"hidden": (64, 64), "epochs": 200, "learning_rate": 1e-3}),
 ])
 def test_each_kind_accepts_its_hyperparameters_and_defaults(kind, defaults):
     """A kind's config keys and defaults are its fit's, and nothing else: the
-    class count and the keyword-only hooks (`trees`; a tree's `rng` and
-    `features_per_split`) are no config keys."""
+    class count and the keyword-only hooks (`seed` and `trees`; a tree's
+    `rng` and `features_per_split`; the MLP's `batch_size`) are no config keys."""
     assert attackers.HYPERPARAMETERS[kind] == defaults
     assert dict(ClassifierSpec.from_params(kind, defaults).params) == defaults
-    hooks = {"n_classes", "trees"} | ({"rng", "features_per_split"} if kind == "tree" else set())
+    hooks = {"n_classes", "seed", "trees"} | {"tree": {"rng", "features_per_split"},
+                                              "mlp": {"batch_size"}}.get(kind, set())
     for key in hooks:
         with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['{key}'\]"):
             ClassifierSpec.from_params(kind, {key: 1})

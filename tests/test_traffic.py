@@ -92,6 +92,10 @@ def test_rejects_bad_inputs():
     busy = profile(label="busy")
     with pytest.raises(ValueError, match=r"profile 'busy': duration .* s at rate .* pkt/s expects"):
         generate_trace(busy, 1.01 * MAX_TRACE_PACKETS / busy.rate, seed=1)
+    sparse = profile(label="sparse", rate=600.0)
+    with pytest.raises(ValueError, match=r"^profile 'sparse': duration 0\.0005 s at rate 600\.0 "
+                                         r"pkt/s drew no packet$"):
+        generate_trace(sparse, 0.0005, seed=1)
 
 
 def test_dataset_cardinality_two_classes():
