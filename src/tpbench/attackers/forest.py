@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tpbench.attackers.tree import TreeParams, fit_tree, predict_tree
+from tpbench.rules import check, part_of_range
 from tpbench.seeding import derive_seed
 
 
@@ -36,12 +37,8 @@ def fit_forest(
     key, grows only those tree indices of the n_trees (default all); as a
     forest's votes are the sum of its trees' votes, forests grown on
     disjoint ranges sum to the whole one (`forest_votes`)."""
-    if trees is None:
-        trees = range(n_trees)
-    elif trees.step != 1 or not 0 <= trees.start < trees.stop <= n_trees:
-        raise ValueError(
-            f"trees must be a non-empty contiguous part of range({n_trees}), got {trees}"
-        )
+    trees = range(n_trees) if trees is None else trees
+    check(trees, part_of_range(n_trees), "trees")
     features_per_split = int(np.ceil(np.sqrt(X.shape[1])))
     grown = []
     for t in trees:

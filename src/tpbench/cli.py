@@ -7,9 +7,10 @@ so a sweep cell can be rerun by chaining `extract --config` / `perturb` /
 `attack` with the seeds the README names:
 `extract --config` writes the table the sweep builds for its window spec,
 with the sweep's own code, `harness.source_series`, on the sweep's worker
-pool (`extract --pcap` runs a one-capture config through the same call);
-`perturb` transforms the table's `X`, as the sweep does, and `attack`
-splits its rows by their `labels` and scores them by `harness.score_cell`.
+pool (`extract --pcap` makes its two calls for one capture, `load_pcap`
+and `extract_series`); `perturb` transforms the table's `X`, as the sweep
+does, and `attack` splits its rows by their `labels` and scores them by
+`harness.score_cell`.
 The invariant checks live in the test suite: `pytest tests/test_acceptance.py`
 runs one check per acceptance criterion.
 """
@@ -20,12 +21,11 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
 from tpbench import attackers
-from tpbench.features import WindowSpec, load_features_csv, save_features_csv
+from tpbench.features import WindowSpec, extract_series, load_features_csv, save_features_csv
 from tpbench.harness import (
     ClassifierSpec,
     ExperimentConfig,
@@ -38,6 +38,7 @@ from tpbench.harness import (
     score_cell,
     source_series,
 )
+from tpbench.pcap import load_pcap
 from tpbench.rules import FRACTION, SEED, check, named
 
 USAGE_ERROR = 1
@@ -98,13 +99,12 @@ def _cmd_extract(args) -> int:
     if args.pcap:
         if not args.label:
             raise ValueError("--label is required with --pcap")
-        config = ExperimentConfig(pcap_files=[(Path(args.pcap), args.label)])
+        table = extract_series(load_pcap(args.pcap, args.label), spec)
     elif args.label is not None:  # a config labels its own traces
         raise ValueError("--label is only for --pcap input, not --config")
     else:
-        config = load_config(args.config)
-    # the sweep's traces and windows, without the traces it drops
-    (table,) = source_series(replace(config, window_specs=[spec]))
+        # the sweep's traces and windows, without the traces it drops
+        (table,) = source_series(replace(load_config(args.config), window_specs=[spec]))
     if not table.trace_ids:
         raise ValueError(f"{args.pcap or args.config}: no trace gives a window with >= 2 "
                          f"packets under {spec.key()}")

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tpbench.rules import POSITIVE, check, integer_at_least
+from tpbench.rules import POSITIVE, check, integer_at_least, read_text
 from tpbench.traffic import Protocol, Trace
 
 _TCP, _UDP, _ICMP = Protocol.TCP.code, Protocol.UDP.code, Protocol.ICMP.code
@@ -120,8 +120,6 @@ def _window_bounds(trace: Trace, spec: WindowSpec) -> tuple[np.ndarray, np.ndarr
     dropped-window counter). Memory follows the packets, not the intervals.
     """
     times = trace.timestamps
-    if times.size == 0:
-        raise ValueError("cannot window an empty trace")
     if spec.mode == "burst":
         starts = np.arange(times.size // spec.burst_size, dtype=np.int64) * spec.burst_size
         return starts, starts + spec.burst_size
@@ -206,12 +204,11 @@ def _window_matrix(trace: Trace, starts: np.ndarray, stops: np.ndarray) -> np.nd
         ips = np.concatenate([trace.src_ip[packets], trace.dst_ip[packets]], axis=1)
         ips.sort(axis=1)
         ports = np.concatenate([trace.src_port[packets], trace.dst_port[packets]], axis=1)
-        ports[~np.concatenate([tcp | udp] * 2, axis=1)] = 0  # port 0 means "no port"
         ports.sort(axis=1)
         gaps = np.diff(trace.timestamps[packets], axis=1)
         lengths = trace.lengths[packets]
         out[rows, f["n_ip_unique"]] = _distinct(ips)
-        out[rows, f["n_port_unique"]] = _distinct(ports) - (ports == 0).any(axis=1)
+        out[rows, f["n_port_unique"]] = _distinct(ports) - (ports == 0).any(axis=1)  # 0 is no port
         out[rows, f["n_pack_tcp"]] = np.add.reduce(tcp, axis=1)
         out[rows, f["n_pack_udp"]] = np.add.reduce(udp, axis=1)
         out[rows, f["n_pack_icmp"]] = np.add.reduce(proto == _ICMP, axis=1)
@@ -270,17 +267,11 @@ def save_features_csv(table: WindowTable, path: str | Path, transform: str | Non
 def load_features_csv(path: str | Path) -> WindowTable:
     """The table of a feature CSV, with each trace_id's rows together in file
     order, the traces in order of first appearance, `dropped_windows` 0 (the
-    file keeps no count) and a `transform` column left unread. A leading
-    UTF-8 byte-order mark, as spreadsheet tools write it, is skipped. Text
-    that is not UTF-8 or not CSV, or a header naming a column twice, fails
-    as a ValueError naming the file."""
-    try:
-        # not "utf-8-sig", which would count a bad byte's position from after the mark
-        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    file keeps no count) and a `transform` column left unread. Text that
+    `read_text` refuses or that is not CSV, or a header naming a column
+    twice, fails as a ValueError naming the file."""
     rows, trace, traces = [], [], {}  # traces: trace_id -> (position, label)
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     try:
         header = reader.fieldnames or []
         missing = [name for name in _BASE_COLUMNS if name not in header]

@@ -21,7 +21,8 @@ seed whichever job grows it, so the ranges' votes sum to the whole forest's.
 No job returns its model: a model lives only in the process that fit it.
 The parent sums each cell's matrices and scores them in one place,
 `score_cell`. With one worker every job of both phases runs in the calling
-process.
+process. An `ExperimentConfig` is frozen and checks itself once, when
+built, and `run_experiment` runs it as built.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,7 @@ from tpbench.rules import (
     check,
     check_keys,
     named,
+    read_text,
 )
 from tpbench.seeding import derive_seed
 from tpbench.traffic import ClassProfile, builtin_profiles, generate_dataset
@@ -113,25 +115,28 @@ class ClassifierSpec:
         return f"{self.kind}({self.params_repr()})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """A sweep's data source and grid. These defaults are the only ones:
-    `config_from_dict` passes only the keys a document gives."""
+    """A sweep's data source and grid, checked when built and then fixed, its
+    lists held as tuples (`dataclasses.replace` builds a changed one). These
+    defaults are the only ones: `config_from_dict` passes only a document's keys."""
 
     scenario: str = "custom"  # a PRESETS name, or the run's name with profiles or pcaps
-    profiles: list[ClassProfile] = field(default_factory=list)
+    profiles: tuple[ClassProfile, ...] = ()
     traces_per_class: int = 3
     duration: float = 60.0
-    pcap_files: list[tuple[Path, str]] = field(default_factory=list)  # (path, label)
-    window_specs: list[WindowSpec] = field(
-        default_factory=lambda: [WindowSpec.burst(n) for n in (250, 500, 750, 1000, 1250, 1500)])
-    transforms: list[TransformSpec] = field(default_factory=lambda: [TransformSpec("none")])
-    classifiers: list[ClassifierSpec] = field(default_factory=list)
+    pcap_files: tuple[tuple[Path, str], ...] = ()  # (path, label)
+    window_specs: tuple[WindowSpec, ...] = tuple(
+        WindowSpec.burst(n) for n in (250, 500, 750, 1000, 1250, 1500))
+    transforms: tuple[TransformSpec, ...] = (TransformSpec("none"),)
+    classifiers: tuple[ClassifierSpec, ...] = ()
     train_fraction: float = 0.7
     seed: int = 0
     output_dir: Path = Path("out")
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        for name in ("profiles", "pcap_files", "window_specs", "transforms", "classifiers"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name, rule in _CONFIG_RULES.items():
             check(getattr(self, name), rule, name)
         for path, label in self.pcap_files:
@@ -157,18 +162,16 @@ class ExperimentConfig:
             raise ConfigError("profiles: not allowed with pcap_dir")
         # With one class every cell scores 1.0 or fails; profiles sharing a
         # label would run as one class whose traces repeat their ids and seeds.
-        if self.pcap_files:
-            if len({label for _, label in self.pcap_files}) < 2:
-                raise ConfigError(f"pcap_labels: every file has label {self.pcap_files[0][1]!r}; "
-                                  "need at least 2 distinct labels")
-        else:
-            first: dict[str, int] = {}
-            for i, profile in enumerate(self.profiles):
-                if (j := first.setdefault(profile.label, i)) < i:
-                    raise ConfigError(
-                        f"profiles[{i}]: label {profile.label!r} duplicates profiles[{j}]")
-            if len(self.profiles) == 1:
-                raise ConfigError("profiles: need at least 2 class profiles, got 1")
+        if self.pcap_files and len({label for _, label in self.pcap_files}) < 2:
+            raise ConfigError(f"pcap_labels: every file has label {self.pcap_files[0][1]!r}; "
+                              "need at least 2 distinct labels")
+        first: dict[str, int] = {}
+        for i, profile in enumerate(self.profiles):  # none with pcap_files
+            if (j := first.setdefault(profile.label, i)) < i:
+                raise ConfigError(
+                    f"profiles[{i}]: label {profile.label!r} duplicates profiles[{j}]")
+        if len(self.profiles) == 1:
+            raise ConfigError("profiles: need at least 2 class profiles, got 1")
 
 
 def _read_list(doc: dict, name: str, read_entry) -> list:
@@ -235,7 +238,7 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
     relative to base_dir."""
     with named("config"):
         _read_object(doc, _ROOT_KEYS)
-    # Read before validate() runs: a preset name, and the two paths
+    # Read before the config is built: a preset name, and the two paths
     for name in ("scenario", "pcap_dir", "output_dir"):
         if name in doc:
             check(doc[name], STRING, name)
@@ -259,30 +262,26 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
              for name, read in _LIST_READERS.items() if name in doc}
     if "burst_sizes" in lists or "timespans" in lists:
         given["window_specs"] = lists.pop("burst_sizes", []) + lists.pop("timespans", [])
-    config = ExperimentConfig(**given, **lists)
     if "pcap_dir" not in doc and "profiles" not in doc:
         with named("scenario"):
-            config.profiles = builtin_profiles(config.scenario)
-    config.output_dir = base_dir / config.output_dir
-    config.validate()
-    return config
+            lists["profiles"] = builtin_profiles(given.get("scenario", ExperimentConfig.scenario))
+    given["output_dir"] = base_dir / given.get("output_dir", ExperimentConfig.output_dir)
+    return ExperimentConfig(**given, **lists)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """The config of the JSON file at `path`. A leading UTF-8 byte-order
-    mark, as some editors write it, is skipped."""
+    """The config of the JSON file at `path`, whose text `read_text` reads."""
     path = Path(path)
     try:
-        # not "utf-8-sig", which would count a bad byte's position from after the mark
-        doc = json.loads(path.read_bytes().decode("utf-8").removeprefix("\ufeff"))
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, named by read_text
+        raise ConfigError(str(exc)) from exc
     return config_from_dict(doc, base_dir=path.parent)
 
 
@@ -452,7 +451,6 @@ def _run_jobs(fn, jobs: list[tuple], workers: int) -> list:
 
 
 def run_experiment(config: ExperimentConfig) -> SweepReport:
-    config.validate()
     workers = _worker_count()
 
     rows: list[SweepRow] = []

@@ -9,7 +9,8 @@ Every config object (window and transform specs, class profiles,
 classifier specs, the experiment config) and `attackers.train` check their
 fields through these rules, so a config read from JSON and one built in
 code meet the same tests and messages. No value is coerced: a bool is never
-a number and a numeric string is not one either.
+a number and a numeric string is not one either. `read_text` reads the
+text of a JSON config and of a feature CSV.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from contextlib import contextmanager
+from pathlib import Path
 
 
 class ConfigError(ValueError):
@@ -39,6 +41,11 @@ def integer_at_least(low: int):
 
 def integer_in(low: int, high: int):
     return (lambda v: is_int(v) and low <= v <= high, f"an integer in [{low}, {high}]")
+
+
+def part_of_range(n: int):
+    return (lambda v: isinstance(v, range) and v.step == 1 and 0 <= v.start < v.stop <= n,
+            f"a non-empty contiguous part of range({n})")
 
 
 COUNT = integer_at_least(1)
@@ -78,3 +85,13 @@ def named(where: str):
         yield
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def read_text(path: str | Path) -> str:
+    """The text of the UTF-8 file at `path` less a leading byte-order mark,
+    which some editors write; a non-UTF-8 byte fails naming the file."""
+    try:
+        # not "utf-8-sig", which would count a bad byte's position from after the mark
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -10,7 +10,9 @@ subset of the windowed features downstream.
 Everything is a pure function of (profile, duration, seed). A trace has no
 file format of its own: it is drawn here or parsed from a pcap
 (`tpbench.pcap`), and the sweep and `tpbench extract --config` both draw
-theirs through `harness.source_series`, one trace per job.
+theirs through `harness.source_series`, one trace per job. The row views
+(PacketRecord, `Trace.packets`, `Trace.from_packets`) serve tests, and stay
+for the sweep benchmark's `traffic.packets` count and round-trip test.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from tpbench.rules import COUNT, NON_NEGATIVE, POSITIVE, STRING, check, integer_in
+from tpbench.rules import COUNT, NON_NEGATIVE, POSITIVE, STRING, check, integer_in, part_of_range
 from tpbench.seeding import derive_seed
 
 MIN_PACKET_LEN = 40
@@ -80,7 +82,7 @@ class Trace:
 
     `timestamps` are float64 seconds since trace start, `protocols` int8
     `Protocol.code`s and the other columns int64. The constructor coerces
-    each column to its dtype; all columns must have the same length.
+    each column to its dtype and checks every packet, naming the first bad one.
     """
 
     timestamps: np.ndarray
@@ -99,24 +101,6 @@ class Trace:
             setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=dtype))
         if self.timestamps.ndim != 1 or len({getattr(self, n).shape for n in _COLUMN_DTYPES}) > 1:
             raise ValueError("trace columns must be 1-D and of equal length")
-
-    @classmethod
-    def from_packets(cls, packets: list[PacketRecord], label: str, trace_id: str = "") -> "Trace":
-        columns = {
-            name: [getattr(p, field.name) for p in packets]
-            for name, field in zip(_COLUMN_DTYPES, fields(PacketRecord))
-        }
-        columns["protocols"] = [protocol.code for protocol in columns["protocols"]]
-        return cls(**columns, label=label, trace_id=trace_id)
-
-    @property
-    def packets(self) -> list[PacketRecord]:
-        """The packets as PacketRecord rows of Python scalars, built per call."""
-        columns = [getattr(self, name).tolist() for name in _COLUMN_DTYPES]
-        columns[2] = [PROTOCOLS[code] for code in columns[2]]
-        return [PacketRecord(*row) for row in zip(*columns)]
-
-    def validate(self) -> None:
         if self.timestamps.size == 0:
             raise ValueError("trace must contain at least one packet")
         ts, proto, window = self.timestamps, self.protocols, self.tcp_window
@@ -140,6 +124,22 @@ class Trace:
         for bad, message in checks:
             if bad.any():
                 raise ValueError(f"packet {int(np.argmax(bad))}: {message}")
+
+    @classmethod
+    def from_packets(cls, packets: list[PacketRecord], label: str, trace_id: str = "") -> "Trace":
+        columns = {
+            name: [getattr(p, field.name) for p in packets]
+            for name, field in zip(_COLUMN_DTYPES, fields(PacketRecord))
+        }
+        columns["protocols"] = [protocol.code for protocol in columns["protocols"]]
+        return cls(**columns, label=label, trace_id=trace_id)
+
+    @property
+    def packets(self) -> list[PacketRecord]:
+        """The packets as PacketRecord rows of Python scalars, built per call."""
+        columns = [getattr(self, name).tolist() for name in _COLUMN_DTYPES]
+        columns[2] = [PROTOCOLS[code] for code in columns[2]]
+        return [PacketRecord(*row) for row in zip(*columns)]
 
 
 PROTOCOL_MIX = (lambda v: isinstance(v, (list, tuple)) and len(v) == 3
@@ -269,11 +269,8 @@ def generate_dataset(
     key, draws only those trace indices of each profile (default all of
     range(traces_per_class)); trace k is the same whichever range draws it."""
     check(traces_per_class, COUNT, "traces_per_class")
-    if indices is None:
-        indices = range(traces_per_class)
-    elif indices.step != 1 or not 0 <= indices.start < indices.stop <= traces_per_class:
-        raise ValueError(f"indices must be a non-empty contiguous part of "
-                         f"range({traces_per_class}), got {indices}")
+    indices = range(traces_per_class) if indices is None else indices
+    check(indices, part_of_range(traces_per_class), "indices")
     traces = []
     for profile in profiles:
         for k in indices:

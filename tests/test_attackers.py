@@ -379,9 +379,9 @@ def test_forest_single_tree_reduces_to_cart_on_its_bootstrap_draw():
 
 
 @pytest.mark.parametrize("trees", [range(0), range(3, 3), range(0, 4, 2), range(-1, 2),
-                                   range(2, 5)], ids=str)
+                                   range(2, 5), [0, 1]], ids=str)
 def test_forest_refuses_a_trees_range_that_is_no_contiguous_part_of_its_trees(trees):
-    """Empty, strided or outside range(n_trees): refused by the kernel and by
+    """Empty, strided, outside range(n_trees) or no range: refused by the kernel and by
     `train`, whose `trees` hook passes through to it."""
     X, y = np.random.default_rng(3).normal(size=(12, 4)), np.repeat(["a", "b"], 6)
     message = rf"^trees must be a non-empty contiguous part of range\(4\), got {re.escape(str(trees))}$"

@@ -510,17 +510,6 @@ def test_extract_series_matches_oracle_on_edge_windows():
     for spec in (WindowSpec.burst(2), WindowSpec.burst(3), WindowSpec.burst(6),
                  WindowSpec.time_span(0.25), WindowSpec.time_span(1.0)):
         assert_series_matches_oracle(trace, spec)
-    # Not a valid trace: its ICMP and OTHER packets carry ports (and TCP
-    # windows), which the port count and the window statistics must ignore.
-    codes = [p.code for p in (Protocol.ICMP, Protocol.OTHER, Protocol.TCP, Protocol.UDP)]
-    n = 24
-    odd = Trace(
-        timestamps=np.arange(n) * 0.1, lengths=np.full(n, 60), protocols=codes * (n // 4),
-        src_ip=np.arange(n) % 3, dst_ip=np.ones(n), src_port=np.arange(n) + 7,
-        dst_port=np.arange(n) % 4, tcp_window=np.arange(n) * 11, label="odd",
-    )
-    for spec in (WindowSpec.burst(2), WindowSpec.burst(5), WindowSpec.time_span(0.45)):
-        assert_series_matches_oracle(odd, spec)
     rng = np.random.default_rng(23)
     for _ in range(60):
         trace = random_small_trace(rng, max_packets=80)

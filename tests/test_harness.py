@@ -4,7 +4,7 @@ import json
 import multiprocessing
 import os
 import re
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -872,7 +872,6 @@ def test_a_config_built_in_code_gets_the_defaults_of_a_json_config():
     just those, and runs the default grid, six burst sizes untransformed."""
     profiles = builtin_profiles("mic_onoff")
     built = ExperimentConfig(profiles=profiles, classifiers=[ClassifierSpec("knn")])
-    built.validate()
     read = config_from_dict({"profiles": [asdict(p) for p in profiles],
                              "classifiers": [{"kind": "knn"}]})
     assert read == built
@@ -884,15 +883,15 @@ def test_a_config_built_in_code_gets_the_defaults_of_a_json_config():
 
 
 def test_validate_rejects_a_config_built_with_both_data_sources(tmp_path):
-    """A config built in code holds one data source too: the sweep would load
-    the pcaps and never run the profiles. Its fields meet the rules a JSON
-    config's do, its captures must exist, and a repeated grid entry, which
-    would rerun its cells with the same seeds, fails as in a JSON config."""
+    """A config built in code, here by `replace`, holds one data source too:
+    the sweep would load the pcaps and never run the profiles. Its fields
+    meet the rules a JSON config's do, its captures must exist, and a
+    repeated grid entry, which would rerun its cells with the same seeds,
+    fails as in a JSON config; each fails as the config is built."""
     for name in ("a.pcap", "b.pcap"):
         (tmp_path / name).write_bytes(b"")
     config = load_config(small_config(tmp_path))
     assert config.profiles and not config.pcap_files
-    config.validate()
     for field, named in (
         ({"seed": 1.5}, r"seed must be an integer >= 0, got 1\.5"),
         ({"seed": True}, "seed must be an integer >= 0, got True"),
@@ -917,17 +916,35 @@ def test_validate_rejects_a_config_built_with_both_data_sources(tmp_path):
         ({"classifiers": [ClassifierSpec("knn"), ClassifierSpec("knn")]},
          r"classifiers\[1\]: duplicates classifiers\[0\] \(knn\(\)\)"),
     ):
-        bad = replace(config, **field)
-        for call in (bad.validate, lambda: run_experiment(bad)):
-            with pytest.raises(ConfigError, match=f"^{named}$"):
-                call()
-    config.pcap_files = [(tmp_path / "a.pcap", "x"), (tmp_path / "b.pcap", "y")]
+        with pytest.raises(ConfigError, match=f"^{named}$"):
+            replace(config, **field)
+    pcaps = [(tmp_path / "a.pcap", "x"), (tmp_path / "b.pcap", "y")]
     with pytest.raises(ConfigError, match=r"^profiles: not allowed with pcap_dir$"):
-        config.validate()
-    with pytest.raises(ConfigError, match=r"^profiles: not allowed with pcap_dir$"):
-        run_experiment(config)
-    config.profiles = []
-    config.validate()
+        replace(config, pcap_files=pcaps)
+    assert replace(config, pcap_files=pcaps, profiles=[]).pcap_files == tuple(pcaps)
+
+
+def test_a_built_config_object_is_fixed_and_a_changed_one_is_checked(tmp_path):
+    """Each of the five config types is frozen, so none changes after its
+    check, and `replace`, the way to change one, checks the new object as
+    its constructor does; a config's list fields are held as tuples."""
+    config = load_config(small_config(tmp_path))
+    profile = config.profiles[0]
+    for built, field, bad, message in (
+        (WindowSpec.burst(250), "burst_size", 1, "burst size must be an integer >= 2, got 1"),
+        (TransformSpec("awgn", nu=2.0), "nu", 0,
+         "transform awgn: nu must be a finite number > 0, got 0"),
+        (profile, "rate", -1.0, r"rate must be a finite number > 0, got -1\.0"),
+        (ClassifierSpec("knn"), "params", (("k", 0),),
+         "classifier 'knn': k must be an integer >= 1, got 0"),
+        (config, "seed", -1, "seed must be an integer >= 0, got -1"),
+    ):
+        with pytest.raises(FrozenInstanceError):
+            setattr(built, field, bad)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            replace(built, **{field: bad})
+    assert all(isinstance(getattr(config, name), tuple) for name in
+               ("profiles", "pcap_files", "window_specs", "transforms", "classifiers"))
 
 
 def test_timespan_windows_run(tmp_path):
