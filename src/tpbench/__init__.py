@@ -19,7 +19,6 @@ from tpbench.pcap import parse_pcap_with_stats
 from tpbench.traffic import (
     PRESETS,
     ClassProfile,
-    PacketRecord,
     Protocol,
     Trace,
     builtin_profiles,

@@ -104,7 +104,7 @@ def _cmd_extract(args) -> int:
         raise ValueError("--label is only for --pcap input, not --config")
     else:
         # the sweep's traces and windows, without the traces it drops
-        (table,) = source_series(replace(load_config(args.config), window_specs=[spec]))
+        (table,) = source_series(load_config(args.config), [spec])
     if not table.trace_ids:
         raise ValueError(f"{args.pcap or args.config}: no trace gives a window with >= 2 "
                          f"packets under {spec.key()}")
@@ -130,7 +130,7 @@ def _cmd_attack(args) -> int:
         params = json.loads(args.params)
         if not isinstance(params, dict):
             raise ValueError(f"expected a JSON object, got {args.params!r}")
-        clf = ClassifierSpec.from_params(args.classifier, params)
+        clf = ClassifierSpec(args.classifier, params)
     table = load_features_csv(args.features)
     X, y = table.X, table.labels
     codes = np.unique(y, return_inverse=True)[1]  # as the sweep encodes them

@@ -9,9 +9,10 @@ so cells can run in any order without changing the report. A sweep runs in
 two phases on a fork process pool of `_worker_count` workers, through one
 `_run_jobs`. First `source_series` runs one job per capture, which decodes it,
 or per trace of a class profile, which draws that trace alone; the job windows
-its trace under every window spec and returns only its window tables, so a
-worker holds one trace at a time and no trace reaches the parent, which stacks
-each spec's tables once. Then
+its trace under every window spec it is given (the sweep gives the config's,
+`extract --config` its one) and returns only its window tables, so a worker
+holds one trace at a time and no trace reaches the parent, which stacks each
+spec's tables once. Then
 `run_experiment` encodes each table's labels once as class codes (the
 labels' sorted order), splits each cell's labels itself and runs `fit_cell`
 jobs. Every job returns `attackers.votes` on the test rows, a (test rows,
@@ -22,7 +23,8 @@ No job returns its model: a model lives only in the process that fit it.
 The parent sums each cell's matrices and scores them in one place,
 `score_cell`. With one worker every job of both phases runs in the calling
 process. An `ExperimentConfig` is frozen and checks itself once, when
-built, and `run_experiment` runs it as built.
+built, and `run_experiment` runs it as built. A `ClassifierSpec` holds its
+params in one form, sorted by name, so one classifier has one key and seed.
 """
 
 from __future__ import annotations
@@ -94,6 +96,10 @@ def _reject_duplicates(name: str, specs) -> None:
 
 @dataclass(frozen=True)
 class ClassifierSpec:
+    """A classifier kind and its hyperparameters, checked when built. `params`,
+    given as a dict or as (name, value) pairs, is held as pairs sorted by name,
+    `hidden` as a tuple, so one classifier has one key and one cell seed."""
+
     kind: str
     params: tuple[tuple[str, object], ...] = ()
 
@@ -101,12 +107,8 @@ class ClassifierSpec:
         params = dict(self.params)
         if isinstance(params.get("hidden"), list):  # JSON's list; the key prints a tuple
             params["hidden"] = tuple(params["hidden"])
-            object.__setattr__(self, "params", tuple(params.items()))
         attackers.check_params(self.kind, params)
-
-    @classmethod
-    def from_params(cls, kind: str, params: dict) -> "ClassifierSpec":
-        return cls(kind=kind, params=tuple(sorted(params.items())))
+        object.__setattr__(self, "params", tuple(sorted(params.items())))
 
     def params_repr(self) -> str:
         return ",".join(f"{k}={v}" for k, v in self.params)
@@ -215,7 +217,7 @@ def read_transform(entry) -> TransformSpec:
 
 def _read_classifier(entry) -> ClassifierSpec:
     params = dict(_read_object(entry))  # ClassifierSpec checks the keys of its kind
-    return ClassifierSpec.from_params(params.pop("kind", ""), params)
+    return ClassifierSpec(params.pop("kind", ""), params)
 
 
 # Root key -> the reader of its list's entries; a list key names an
@@ -331,11 +333,11 @@ class SweepReport:
         return [r for r in self.rows if r.status != "ok"]
 
 
-def _unit_series(config: ExperimentConfig, i: int) -> list[WindowTable]:
+def _unit_series(config: ExperimentConfig, wspecs, i: int) -> list[WindowTable]:
     """Source unit i of a config, its i-th capture or, with k traces per
-    class, trace i % k of profile i // k, as its table under each window
-    spec (of no row where the trace gives no window). A trace's seed comes
-    from its label and index, so it is the trace the whole dataset holds."""
+    class, trace i % k of profile i // k, as its table under each of
+    `wspecs` (of no row where the trace gives no window). A trace's seed
+    comes from its label and index, so it is the trace the whole dataset holds."""
     if config.pcap_files:
         trace = load_pcap(*config.pcap_files[i])
     else:
@@ -343,20 +345,21 @@ def _unit_series(config: ExperimentConfig, i: int) -> list[WindowTable]:
         (trace,) = generate_dataset([config.profiles[p]], config.traces_per_class,
                                     config.duration, derive_seed(config.seed, "dataset"),
                                     indices=range(k, k + 1))
-    return [extract_series(trace, wspec) for wspec in config.window_specs]
+    return [extract_series(trace, wspec) for wspec in wspecs]
 
 
-def source_series(config: ExperimentConfig, workers: int | None = None) -> list[WindowTable]:
-    """The window table of each of `config.window_specs`, stacked once by
-    `stack_series` from the config's traces in the sweep's order: the
-    captures in `pcap_files` order, else profile order, then trace index.
-    Each capture is loaded, or each trace drawn, and windowed in its own job
-    on `workers` processes (default `_worker_count()`), so a worker holds
-    one trace at a time; only the per-trace tables come back."""
+def source_series(config: ExperimentConfig, wspecs,
+                  workers: int | None = None) -> list[WindowTable]:
+    """The window table of each of `wspecs` (the sweep's are the config's),
+    stacked once by `stack_series` from the config's traces in the sweep's
+    order: the captures in `pcap_files` order, else profile order, then
+    trace index. Each capture is loaded, or each trace drawn, and windowed
+    in its own job on `workers` processes (default `_worker_count()`), so a
+    worker holds one trace at a time; only the per-trace tables come back."""
     units = len(config.pcap_files) or len(config.profiles) * config.traces_per_class
-    per_trace = _run_jobs(_unit_series, [(config, i) for i in range(units)],
+    per_trace = _run_jobs(_unit_series, [(config, wspecs, i) for i in range(units)],
                           workers or _worker_count())
-    return [stack_series([row[j] for row in per_trace]) for j in range(len(config.window_specs))]
+    return [stack_series([row[j] for row in per_trace]) for j in range(len(wspecs))]
 
 
 def cell_seeds(cell_seed: int) -> tuple[int, int]:
@@ -457,7 +460,8 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
     jobs = []
     # each queued cell's row, n_train, test rows' class codes and job indices
     cells: list[tuple[SweepRow, int, np.ndarray, slice]] = []
-    for wspec, table in zip(config.window_specs, source_series(config, workers)):
+    for wspec, table in zip(config.window_specs,
+                            source_series(config, config.window_specs, workers)):
         y = np.unique(table.labels, return_inverse=True)[1]  # class codes, labels in sorted order
         for tspec in config.transforms:
             transform_seed = derive_seed(config.seed, "transform", wspec.key(), tspec.key())

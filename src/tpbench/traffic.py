@@ -1,23 +1,23 @@
 """Packet-level domain types and the synthetic labeled-trace generator.
 
 A Trace holds its packets as numpy columns, one array per packet field, so
-windowing and feature extraction read them without a per-packet loop.
-PacketRecord is the row view of one packet, used to build small traces by
-hand and to inspect them. The generator draws inter-packet gaps from an
-exponential distribution, floored at 1 microsecond, and per-packet fields
-from per-class distributions, so classes can be separated in any chosen
-subset of the windowed features downstream.
-Everything is a pure function of (profile, duration, seed). A trace has no
+windowing and feature extraction read them without a per-packet loop. It is
+frozen and checks every packet when built; `dataclasses.replace` builds a
+changed trace and checks it again. The generator draws inter-packet gaps
+from an exponential distribution, floored at 1 microsecond, and per-packet
+fields from per-class distributions, so classes can be separated in any
+chosen subset of the windowed features downstream. A drawn trace is a pure
+function of (profile, duration, seed), named when drawn. A trace has no
 file format of its own: it is drawn here or parsed from a pcap
 (`tpbench.pcap`), and the sweep and `tpbench extract --config` both draw
-theirs through `harness.source_series`, one trace per job. The row views
-(PacketRecord, `Trace.packets`, `Trace.from_packets`) serve tests, and stay
-for the sweep benchmark's `traffic.packets` count and round-trip test.
+theirs through `harness.source_series`, one trace per job. No code of the
+package reads PacketRecord, a packet's row view, or `Trace.packets`; they
+stay for the sweep benchmark's packet counts and pcap round-trip test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -76,7 +76,7 @@ _COLUMN_DTYPES = {
 }
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Trace:
     """An ordered, labeled packet capture: element i of each column is packet i.
 
@@ -98,7 +98,7 @@ class Trace:
 
     def __post_init__(self):
         for name, dtype in _COLUMN_DTYPES.items():
-            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=dtype))
+            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype=dtype))
         if self.timestamps.ndim != 1 or len({getattr(self, n).shape for n in _COLUMN_DTYPES}) > 1:
             raise ValueError("trace columns must be 1-D and of equal length")
         if self.timestamps.size == 0:
@@ -124,15 +124,6 @@ class Trace:
         for bad, message in checks:
             if bad.any():
                 raise ValueError(f"packet {int(np.argmax(bad))}: {message}")
-
-    @classmethod
-    def from_packets(cls, packets: list[PacketRecord], label: str, trace_id: str = "") -> "Trace":
-        columns = {
-            name: [getattr(p, field.name) for p in packets]
-            for name, field in zip(_COLUMN_DTYPES, fields(PacketRecord))
-        }
-        columns["protocols"] = [protocol.code for protocol in columns["protocols"]]
-        return cls(**columns, label=label, trace_id=trace_id)
 
     @property
     def packets(self) -> list[PacketRecord]:
@@ -210,8 +201,10 @@ def _draw_gaps(rng: np.random.Generator, profile: ClassProfile, duration: float)
     return merged[merged < duration]
 
 
-def generate_trace(profile: ClassProfile, duration: float, seed: int) -> Trace:
-    """Generate one synthetic trace. Fully determined by (profile, duration, seed)."""
+def generate_trace(profile: ClassProfile, duration: float, seed: int, *,
+                   trace_id: str | None = None) -> Trace:
+    """Generate one synthetic trace, named `trace_id` (default `<label>-0`).
+    Its packets are fully determined by (profile, duration, seed)."""
     check(duration, POSITIVE, "duration")
     if duration * profile.rate > MAX_TRACE_PACKETS:
         raise ValueError(
@@ -252,7 +245,8 @@ def generate_trace(profile: ClassProfile, duration: float, seed: int) -> Trace:
     dst_port = np.where(has_ports, dst_port, 0)
 
     return Trace(times, lengths, proto_codes, src_ip, dst_ip, src_port, dst_port, windows,
-                 label=profile.label, trace_id=f"{profile.label}-0")
+                 label=profile.label,
+                 trace_id=f"{profile.label}-0" if trace_id is None else trace_id)
 
 
 def generate_dataset(
@@ -271,14 +265,9 @@ def generate_dataset(
     check(traces_per_class, COUNT, "traces_per_class")
     indices = range(traces_per_class) if indices is None else indices
     check(indices, part_of_range(traces_per_class), "indices")
-    traces = []
-    for profile in profiles:
-        for k in indices:
-            sub = derive_seed(seed, "trace", profile.label, k)
-            trace = generate_trace(profile, duration, sub)
-            trace.trace_id = f"{profile.label}-{k}"
-            traces.append(trace)
-    return traces
+    return [generate_trace(profile, duration, derive_seed(seed, "trace", profile.label, k),
+                           trace_id=f"{profile.label}-{k}")
+            for profile in profiles for k in indices]
 
 
 # Preset class profiles by scenario name. The presets are tuned so that classes

@@ -1,4 +1,5 @@
-"""Shared test utilities: independent oracles and byte-level pcap builders.
+"""Shared test utilities: independent oracles, byte-level pcap builders and
+`trace_from_packets`, which builds a trace from its `PacketRecord` rows.
 
 The oracles here deliberately avoid the library's code paths: smoothing
 weights come from exact rational arithmetic on the normal equations, feature
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -200,6 +201,16 @@ def compute_features(trace: Trace, index_range: tuple[int, int]) -> FeatureVecto
     )
 
 
+def trace_from_packets(packets: list[PacketRecord], label: str, trace_id: str = "") -> Trace:
+    """A trace built from its rows, each column in PacketRecord field order."""
+    columns = {
+        name: [getattr(p, field.name) for p in packets]
+        for name, field in zip(_COLUMN_DTYPES, fields(PacketRecord))
+    }
+    columns["protocols"] = [protocol.code for protocol in columns["protocols"]]
+    return Trace(**columns, label=label, trace_id=trace_id)
+
+
 def random_small_trace(
     rng: np.random.Generator, max_packets: int = 50, min_packets: int = 2
 ) -> Trace:
@@ -225,7 +236,7 @@ def random_small_trace(
                 tcp_window=int(rng.integers(0, 65536)) if proto is Protocol.TCP else 0,
             )
         )
-    return Trace.from_packets(packets, label="rand")
+    return trace_from_packets(packets, label="rand")
 
 
 # --- exhaustive kNN oracle ---------------------------------------------------
@@ -481,10 +492,10 @@ def reference_fit_mlp(
 def exact_count_trace(profile: ClassProfile, n_packets: int, seed: int) -> Trace:
     duration = (n_packets + 6.0 * math.sqrt(n_packets) + 10.0) / profile.rate
     trace = generate_trace(profile, duration, seed)
-    while len(trace.packets) < n_packets:
+    while trace.timestamps.size < n_packets:
         duration *= 1.5
         trace = generate_trace(profile, duration, seed)
-    return Trace.from_packets(trace.packets[:n_packets], profile.label, trace.trace_id)
+    return replace(trace, **{name: getattr(trace, name)[:n_packets] for name in _COLUMN_DTYPES})
 
 
 def apply_alternation(
@@ -517,10 +528,9 @@ def alternating_burst_dataset(
     """One alternating-burst dataset: class -> (field, delta) spec."""
     traces = []
     for k in range(traces_per_class):
-        base = exact_count_trace(
+        base = replace(exact_count_trace(
             base_profile, n_segments * seg_packets, derive_seed(seed, "base", k)
-        )
-        base.trace_id = f"base-{k}"
+        ), trace_id=f"base-{k}")
         for label, (field, delta) in class_fields.items():
             traces.append(apply_alternation(base, seg_packets, field, delta, label))
     return traces

@@ -761,7 +761,7 @@ def test_train_checks_its_seed_and_hands_it_only_to_fits_that_draw(kind, monkeyp
     attackers.train(kind, X, y, seed=9)
     assert seen == [9 if kind in ("forest", "mlp") else None]
     with pytest.raises(ConfigError, match=r"^classifier '\w+': unknown key\(s\) \['seed'\]"):
-        ClassifierSpec.from_params(kind, {"seed": 9})
+        ClassifierSpec(kind, {"seed": 9})
 
 
 @pytest.mark.parametrize("n_classes", [3, 12])
@@ -788,7 +788,7 @@ def test_labels_and_their_codes_split_and_train_alike(n_classes):
         assert list(attackers.predict(by_label, X[test_idx])) == [classes[c] for c in predicted]
         assert attackers.evaluate(by_label, X[test_idx], labels[test_idx]) == attackers.evaluate(
             by_code, X[test_idx], codes[test_idx])
-        spec = ClassifierSpec.from_params(kind, params)
+        spec = ClassifierSpec(kind, params)
         cell_votes = fit_cell(X, codes, spec, train_idx, test_idx, 0)
         assert np.array_equal(fit_cell(X, labels, spec, train_idx, test_idx, 0), cell_votes)
         assert score_cell([cell_votes], codes[test_idx]) == attackers.evaluate(
@@ -819,7 +819,7 @@ def test_fit_cell_returns_the_predictions_of_its_one_fit(kind, monkeypatch):
     rng = np.random.default_rng(24)
     X, labels = blobs(rng, 20, [("a", 0.0), ("b", 1.5), ("c", 3.0)], spread=1.0)
     codes = np.unique(labels, return_inverse=True)[1].astype(np.int64)
-    spec = ClassifierSpec.from_params(kind, CELL_PARAMS.get(kind, {}))
+    spec = ClassifierSpec(kind, CELL_PARAMS.get(kind, {}))
     split_seed, train_seed = cell_seeds(31)
     train_idx, test_idx = split(codes, 0.7, split_seed)
     real_train = attackers.train

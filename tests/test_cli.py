@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -536,6 +537,20 @@ def test_sweep_with_a_non_list_field_exits_two_naming_it(field, value, tmp_path,
     assert f"tpbench sweep: {field}: must be a list, got {value!r}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_extract_config_builds_its_config_once(tmp_path, monkeypatch):
+    """`extract --config` windows the config it loaded under its one window
+    spec: no second config is built, so each capture's file check runs once."""
+    _write_pcaps(tmp_path)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({**PCAPS, "classifiers": [{"kind": "knn"}]}))
+    checked, is_file = [], Path.is_file
+    monkeypatch.setattr(Path, "is_file", lambda self: checked.append(self.name) or is_file(self))
+    monkeypatch.setenv("TPB_WORKERS", "1")
+    assert main(["extract", "--config", str(path), "--burst", "5",
+                 "--out", str(tmp_path / "f.csv")]) == 0
+    assert checked == ["a.pcap", "b.pcap"]
 
 
 def test_sweep_over_a_bad_second_capture_exits_two_naming_it(tmp_path, capsys, monkeypatch):

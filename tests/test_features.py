@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from helpers import (
     random_small_trace,
     raw_frame,
     reference_timespan_bounds,
+    trace_from_packets,
     window_packets,
 )
 from tpbench.features import (
@@ -56,7 +57,7 @@ def packet(t, proto=Protocol.TCP, length=100, src=1, dst=2, sport=1000, dport=80
 
 
 def uniform_trace(n, spacing=0.1):
-    return Trace.from_packets([packet(round(i * spacing, 6)) for i in range(n)], label="u")
+    return trace_from_packets([packet(round(i * spacing, 6)) for i in range(n)], label="u")
 
 
 # --- windowing ---------------------------------------------------------------
@@ -71,13 +72,13 @@ def test_burst_exact_fit():
 
 
 def test_timespan_discards_empty_intervals():
-    trace = Trace.from_packets([packet(0.1), packet(0.2), packet(5.1)], label="t")
+    trace = trace_from_packets([packet(0.1), packet(0.2), packet(5.1)], label="t")
     ranges = window_packets(trace, WindowSpec.time_span(1.0))
     assert ranges == [(0, 2), (2, 3)]  # [1,5) intervals are empty and dropped
 
 
 def test_timespan_boundaries_are_half_open():
-    trace = Trace.from_packets([packet(0.0), packet(1.0), packet(1.5)], label="t")
+    trace = trace_from_packets([packet(0.0), packet(1.0), packet(1.5)], label="t")
     ranges = window_packets(trace, WindowSpec.time_span(1.0))
     assert ranges == [(0, 1), (1, 3)]  # t=1.0 belongs to the second interval
 
@@ -187,7 +188,7 @@ def test_window_spec_validation():
 # --- the worked three-packet example -----------------------------------------
 
 def test_three_packet_example():
-    trace = Trace.from_packets(
+    trace = trace_from_packets(
         [
             packet(0.0, Protocol.TCP, length=100, src=1, dst=2, sport=4000,
                    dport=443, window=512),
@@ -224,7 +225,7 @@ def test_identical_packets_zero_stds():
 
 
 def test_no_tcp_window_stats_zero():
-    trace = Trace.from_packets(
+    trace = trace_from_packets(
         [packet(0.0, Protocol.UDP), packet(0.2, Protocol.ICMP)], label="n"
     )
     got = compute_features(trace, (0, 2))
@@ -234,7 +235,7 @@ def test_no_tcp_window_stats_zero():
 
 
 def test_port_zero_and_icmp_ports_excluded():
-    trace = Trace.from_packets(
+    trace = trace_from_packets(
         [
             packet(0.0, Protocol.TCP, sport=1000, dport=80),
             packet(0.1, Protocol.ICMP),  # no ports at all
@@ -270,7 +271,7 @@ def test_series_length_and_composition():
 
 
 def test_dropped_single_packet_windows_counted():
-    trace = Trace.from_packets(
+    trace = trace_from_packets(
         [packet(0.0), packet(0.1), packet(1.05), packet(2.0), packet(2.2)],
         label="d",
     )
@@ -284,7 +285,7 @@ def test_a_trace_without_a_window_gives_an_empty_series():
     no trace id that counts its short windows, and at least one: one for a
     burst trace shorter than N, two for two lone packets. Stacked, it adds
     no row and no trace id, only that count."""
-    lonely = Trace.from_packets([packet(0.0), packet(5.0)], label="l")
+    lonely = trace_from_packets([packet(0.0), packet(5.0)], label="l")
     full = extract_series(uniform_trace(12), WindowSpec.burst(5))
     for trace, spec, dropped in ((uniform_trace(3), WindowSpec.burst(5), 1),
                                  (lonely, WindowSpec.time_span(1.0), 2)):
@@ -319,8 +320,9 @@ def test_stacking_is_concatenation():
     @st.composite
     def tables(draw):
         seed = draw(st.integers(0, 2**32 - 1))
-        trace = random_small_trace(np.random.default_rng(seed), max_packets=40, min_packets=1)
-        trace.label, trace.trace_id = draw(st.sampled_from(["a", "b"])), f"t{seed}"
+        rng = np.random.default_rng(seed)
+        trace = replace(random_small_trace(rng, max_packets=40, min_packets=1),
+                        label=draw(st.sampled_from(["a", "b"])), trace_id=f"t{seed}")
         return extract_series(trace, draw(st.sampled_from(specs)))
 
     @hypothesis.settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -380,7 +382,7 @@ def test_features_invariant_under_ip_port_relabeling():
         port_map = {old: int(new) for old, new in
                     zip(ports, rng.permutation(len(ports)) + 10000)}
         port_map[0] = 0  # "no port" stays the sentinel
-        relabeled = Trace.from_packets(
+        relabeled = trace_from_packets(
             [
                 PacketRecord(
                     p.timestamp, p.length, p.protocol,
@@ -506,7 +508,7 @@ def test_extract_series_matches_oracle_on_edge_windows():
     icmp = [packet(0.1 * i, Protocol.ICMP) for i in range(6)]
     udp_only = [packet(1.0 + 0.1 * i, Protocol.UDP, sport=0 if i % 2 else 53) for i in range(6)]
     port0 = [packet(2.0 + 0.1 * i, sport=0, dport=0 if i % 3 else 80) for i in range(6)]
-    trace = Trace.from_packets(icmp + udp_only + port0 + [packet(9.5)], label="e")
+    trace = trace_from_packets(icmp + udp_only + port0 + [packet(9.5)], label="e")
     for spec in (WindowSpec.burst(2), WindowSpec.burst(3), WindowSpec.burst(6),
                  WindowSpec.time_span(0.25), WindowSpec.time_span(1.0)):
         assert_series_matches_oracle(trace, spec)
@@ -527,10 +529,8 @@ def test_extract_series_matches_oracle_on_edge_windows():
 
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-    traces = [random_small_trace(rng, max_packets=30, min_packets=10) for _ in range(3)]
-    for k, trace in enumerate(traces):
-        trace.trace_id = f"t-{k}"
-        trace.label = f"class{k % 2}"
+    traces = [replace(random_small_trace(rng, max_packets=30, min_packets=10),
+                      label=f"class{k % 2}", trace_id=f"t-{k}") for k in range(3)]
     path = tmp_path / "f.csv"
     table = stack_series([extract_series(trace, WindowSpec.burst(5)) for trace in traces])
     save_features_csv(table, path)

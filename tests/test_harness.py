@@ -27,7 +27,7 @@ from tpbench.harness import (
 )
 from tpbench.pcap import load_pcap
 from tpbench.seeding import derive_seed
-from tpbench.traffic import Protocol, builtin_profiles, generate_dataset
+from tpbench.traffic import Protocol, builtin_profiles, generate_dataset, generate_trace
 
 
 def small_config(tmp_path, **overrides):
@@ -197,7 +197,7 @@ def test_a_set_up_job_of_a_profile_config_windows_one_trace(tmp_path, monkeypatc
 
     monkeypatch.setattr(harness, "generate_dataset", recording)
     for i, trace in enumerate(traces):
-        tables = harness._unit_series(config, i)
+        tables = harness._unit_series(config, config.window_specs, i)
         assert [t.trace_id for t in drawn.pop()] == [trace.trace_id]
         assert len(tables) == len(config.window_specs)
         for wspec, table in zip(config.window_specs, tables):
@@ -323,7 +323,8 @@ def test_each_window_spec_gets_one_table_of_its_traces_in_source_order(workers, 
     with open(config.output_dir / "sweep.csv", newline="") as fh:
         reported = {row["window_size"]: int(row["dropped_windows"]) for row in csv.DictReader(fh)}
     traces = generate_dataset(config.profiles, 6, 1.0, derive_seed(config.seed, "dataset"))
-    for wspec, table in zip(config.window_specs, harness.source_series(config, workers)):
+    tables = harness.source_series(config, config.window_specs, workers)
+    for wspec, table in zip(config.window_specs, tables):
         kept = [(trace, series) for trace in traces
                 if len(series := extract_series(trace, wspec))]
         assert table.trace_ids == [trace.trace_id for trace, _ in kept]
@@ -422,7 +423,7 @@ def test_split_forest_equals_unsplit_forest():
     codes = np.repeat(np.arange(3), 30)
     X[:, 0] += rng.normal(scale=2.0, size=90)  # noisy enough that trees disagree
     for n_trees in (1, 2, 5, 7):
-        clf = ClassifierSpec.from_params("forest", {"n_trees": n_trees})
+        clf = ClassifierSpec("forest", {"n_trees": n_trees})
         whole = fit_forest(X, codes, 3, n_trees=n_trees, seed=11)
         split_seed, train_seed = harness.cell_seeds(17)
         train_idx, test_idx = attackers.split(y, 0.7, split_seed)
@@ -925,11 +926,14 @@ def test_validate_rejects_a_config_built_with_both_data_sources(tmp_path):
 
 
 def test_a_built_config_object_is_fixed_and_a_changed_one_is_checked(tmp_path):
-    """Each of the five config types is frozen, so none changes after its
-    check, and `replace`, the way to change one, checks the new object as
-    its constructor does; a config's list fields are held as tuples."""
+    """Each of the five config types, and a trace, is frozen, so none changes
+    after its check, and `replace`, the way to change one, checks the new
+    object as its constructor does; a config's list fields are held as
+    tuples. A trace's packets are data, not config: they fail as a
+    ValueError that names the packet."""
     config = load_config(small_config(tmp_path))
     profile = config.profiles[0]
+    trace = generate_trace(profile, 1.0, seed=0)
     for built, field, bad, message in (
         (WindowSpec.burst(250), "burst_size", 1, "burst size must be an integer >= 2, got 1"),
         (TransformSpec("awgn", nu=2.0), "nu", 0,
@@ -938,13 +942,27 @@ def test_a_built_config_object_is_fixed_and_a_changed_one_is_checked(tmp_path):
         (ClassifierSpec("knn"), "params", (("k", 0),),
          "classifier 'knn': k must be an integer >= 1, got 0"),
         (config, "seed", -1, "seed must be an integer >= 0, got -1"),
+        (trace, "lengths", -trace.lengths, "packet 0: negative length"),
     ):
         with pytest.raises(FrozenInstanceError):
             setattr(built, field, bad)
-        with pytest.raises(ConfigError, match=f"^{message}$"):
+        with pytest.raises(ValueError if built is trace else ConfigError, match=f"^{message}$"):
             replace(built, **{field: bad})
     assert all(isinstance(getattr(config, name), tuple) for name in
                ("profiles", "pcap_files", "window_specs", "transforms", "classifiers"))
+
+
+def test_a_classifier_spec_holds_its_params_in_one_form():
+    """Params given in either order, as pairs or as a dict, with `hidden` a
+    list or a tuple, build one spec, so one key and one cell seed; a config
+    holding two orders of one classifier fails as a duplicate."""
+    pairs = ClassifierSpec("mlp", (("hidden", (8,)), ("epochs", 5)))
+    built = ClassifierSpec("mlp", {"epochs": 5, "hidden": [8]})
+    assert pairs == built and pairs.params == (("epochs", 5), ("hidden", (8,)))
+    assert pairs.key() == built.key() == "mlp(epochs=5,hidden=(8,))"
+    with pytest.raises(ConfigError, match=r"^classifiers\[1\]: duplicates classifiers\[0\] "
+                                          r"\(mlp\(epochs=5,hidden=\(8,\)\)\)$"):
+        ExperimentConfig(profiles=builtin_profiles("mic_onoff"), classifiers=[pairs, built])
 
 
 def test_timespan_windows_run(tmp_path):
@@ -976,7 +994,7 @@ def test_sweep_equals_manual_stage_chain(tmp_path):
     X, y = table.X, table.labels
     tspec = TransformSpec(mode="realistic", nu=2.0)
     Xt = tspec.apply(X, derive_seed(config.seed, "transform", wspec.key(), tspec.key()))
-    clf = ClassifierSpec.from_params("forest", {"n_trees": 10})
+    clf = ClassifierSpec("forest", {"n_trees": 10})
     cell_seed = derive_seed(config.seed, "cell", wspec.key(), tspec.key(), clf.key())
     train_idx, test_idx = attackers.split(y, 0.7, harness.cell_seeds(cell_seed)[0])
     votes = fit_cell(Xt, y, clf, train_idx, test_idx, cell_seed)
@@ -1019,12 +1037,12 @@ def test_each_kind_accepts_its_hyperparameters_and_defaults(kind, defaults):
     class count and the keyword-only hooks (`seed` and `trees`; a tree's
     `rng` and `features_per_split`; the MLP's `batch_size`) are no config keys."""
     assert attackers.HYPERPARAMETERS[kind] == defaults
-    assert dict(ClassifierSpec.from_params(kind, defaults).params) == defaults
+    assert dict(ClassifierSpec(kind, defaults).params) == defaults
     hooks = {"n_classes", "seed", "trees"} | {"tree": {"rng", "features_per_split"},
                                               "mlp": {"batch_size"}}.get(kind, set())
     for key in hooks:
         with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['{key}'\]"):
-            ClassifierSpec.from_params(kind, {key: 1})
+            ClassifierSpec(kind, {key: 1})
     rng = np.random.default_rng(2)
     X, y = rng.normal(size=(30, 4)), np.repeat(["a", "b"], 15)
     implicit = attackers.train(kind, X, y)

@@ -1,9 +1,10 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package or of its tests imports a name it never uses.
 
 The package has no linter, so this test is its unused-import check. It
 parses each module of `src/tpbench` except the package `__init__.py` files,
-which import names to re-export them, and reports every imported name that
-no expression of the module reads. `from __future__` imports are no names.
+which import names to re-export them, and each module of `tests`, and
+reports every imported name that no expression of the module reads.
+`from __future__` imports are no names.
 """
 
 import ast
@@ -11,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tpbench"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "tpbench"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,6 +34,11 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_every_imported_name_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
+def test_every_name_a_test_module_imports_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 

@@ -1,11 +1,11 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
-from helpers import build_pcap, ipv4_frame, raw_frame
+from helpers import build_pcap, ipv4_frame, raw_frame, trace_from_packets
 from tpbench.pcap import parse_pcap_with_stats
 from tpbench.traffic import (
     MAX_TRACE_PACKETS,
@@ -210,14 +210,40 @@ def test_packet_record_invariants():
     good = PacketRecord(0.0, 100, Protocol.TCP, 1, 2, 5, 6, tcp_window=9)
     for row, message in bad_rows:
         with pytest.raises(ValueError, match=f"packet 1: .*{message}"):
-            Trace.from_packets([good, row], label="x")
+            trace_from_packets([good, row], label="x")
     with pytest.raises(ValueError, match="non-decreasing"):
-        Trace.from_packets([replace(good, timestamp=1.0), good], label="x")
+        trace_from_packets([replace(good, timestamp=1.0), good], label="x")
     with pytest.raises(ValueError):
-        Trace.from_packets([], label="x")
+        trace_from_packets([], label="x")
     with pytest.raises(ValueError, match="^packet 0: ICMP and OTHER packets carry no ports$"):
-        replace(Trace.from_packets([good], label="x"), protocols=[Protocol.ICMP.code],
+        replace(trace_from_packets([good], label="x"), protocols=[Protocol.ICMP.code],
                 tcp_window=[0])
+
+
+def test_no_field_of_a_trace_can_be_assigned():
+    """A trace is frozen. Giving a TCP trace with ports ICMP protocols by
+    assignment would skip the packet checks and leave the extractor counting
+    an ICMP packet's ports; it raises, as assigning any field does."""
+    good = PacketRecord(0.0, 100, Protocol.TCP, 1, 2, 5, 6)
+    trace = trace_from_packets([good, replace(good, timestamp=0.1, src_port=7),
+                                replace(good, timestamp=0.2)], label="x")
+    with pytest.raises(FrozenInstanceError):
+        trace.protocols = np.full(3, Protocol.ICMP.code, dtype=np.int8)
+    for field in fields(Trace):
+        with pytest.raises(FrozenInstanceError):
+            setattr(trace, field.name, getattr(trace, field.name))
+    assert np.all(trace.protocols == Protocol.TCP.code)
+
+
+def test_a_trace_is_named_when_drawn():
+    """A lone trace is `<label>-0` unless named; a dataset's trace k of a
+    profile is `<label>-k`, with the packets of the lone trace of its seed."""
+    assert generate_trace(profile(), 1.0, seed=5).trace_id == "a-0"
+    named = generate_trace(profile(), 1.0, seed=5, trace_id="a-7")
+    assert named.trace_id == "a-7"
+    assert_same_traces([replace(named, trace_id="a-0")], [generate_trace(profile(), 1.0, seed=5)])
+    traces = generate_dataset([profile(label="a"), profile(label="b")], 2, 1.0, seed=3)
+    assert [t.trace_id for t in traces] == ["a-0", "a-1", "b-0", "b-1"]
 
 
 def test_row_view_round_trip():
@@ -229,7 +255,7 @@ def test_row_view_round_trip():
     ])
     parsed, _ = parse_pcap_with_stats(pcap, label="q")
     for trace in (generate_trace(profile(), 2.0, seed=5), parsed):
-        back = Trace.from_packets(trace.packets, trace.label, trace.trace_id)
+        back = trace_from_packets(trace.packets, trace.label, trace.trace_id)
         for name in ("timestamps", "lengths", "protocols", "src_ip", "dst_ip",
                      "src_port", "dst_port", "tcp_window"):
             column, again = getattr(trace, name), getattr(back, name)
