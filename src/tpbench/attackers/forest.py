@@ -54,6 +54,5 @@ def forest_votes(params: ForestParams, X: np.ndarray) -> np.ndarray:
     """(rows, classes) int64 count of the trees that vote for each class."""
     votes = np.zeros((X.shape[0], params.n_classes), dtype=np.int64)
     for tree in params.trees:
-        pred = predict_tree(tree, X)
-        votes[np.arange(X.shape[0]), pred] += 1
+        votes[np.arange(X.shape[0]), predict_tree(tree, X)] += 1
     return votes

@@ -11,6 +11,10 @@ multiplicity, and is node for node the tree of the repeated rows.
 The split search cumsums a class-major tally, (classes + 1, rows), into one
 buffer for both sides of every cut; its gains keep the bits of a
 cut-by-cut search, which sums classes over a trailing axis (`_best_split`).
+
+A fitted tree is five flat node arrays (`TreeParams`), root first; a node
+that splits gives its children the next two free ids, left then right.
+`predict_tree` moves all rows still on a split node down one level per step.
 """
 
 from __future__ import annotations
@@ -23,22 +27,12 @@ _MIN_GAIN = 1e-12  # guards against float-noise splits
 
 
 @dataclass
-class TreeNode:
-    feature: int = -1  # -1 marks a leaf
-    threshold: float = 0.0
-    klass: int = -1
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-
-@dataclass
 class TreeParams:
-    root: TreeNode
-    n_classes: int
+    feature: np.ndarray  # per node id; -1 marks a leaf
+    threshold: np.ndarray  # a row whose feature value is <= threshold goes left
+    klass: np.ndarray  # a leaf's class; -1 at a split node
+    left: np.ndarray  # child node ids; -1 at a leaf
+    right: np.ndarray
 
 
 def cut_threshold(low, high):
@@ -129,16 +123,17 @@ def fit_tree(
     tally[y, np.arange(y.size)] = tally[-1]
     all_features = np.arange(n_features)
     draws = rng is not None and bool(features_per_split) and features_per_split < n_features
-    root = TreeNode()
+    blank = (-1, 0.0, -1, -1, -1)  # a new node: a leaf keeps its split blank, a split its class
+    columns = feature, threshold, klass, left, right = [[value] for value in blank]
     counts = tally.sum(axis=1)
     gini = 1.0 - float(np.add.reduce((counts[:-1] / counts[-1]) ** 2))
-    stack = [(root, np.arange(y.size), counts, gini)]
+    stack = [(0, np.arange(y.size), counts, gini)]
     while stack:
         node, idx, counts, gini = stack.pop()
         *class_counts, size = counts.tolist()
         majority = class_counts.index(max(class_counts))
         if class_counts[majority] == size:  # pure, as a node of one row is
-            node.klass = majority
+            klass[node] = majority
             continue
         if draws:
             feature_ids = rng.choice(n_features, size=features_per_split, replace=False)
@@ -147,29 +142,24 @@ def fit_tree(
             feature_ids = all_features
         found = _best_split(XT, idx, tally, counts, gini, feature_ids)
         if found is None:
-            node.klass = majority
+            klass[node] = majority
             continue
-        node.feature, node.threshold, (left, right) = found
-        node.left = TreeNode()
-        node.right = TreeNode()
+        feature[node], threshold[node], (left_rows, right_rows) = found
+        left[node], right[node] = len(feature), len(feature) + 1
+        for column, value in zip(columns, blank):
+            column += (value, value)
         # push right first so the left child is expanded first (keeps the
         # rng consumption order deterministic for forest trees)
-        stack.append((node.right, *right))
-        stack.append((node.left, *left))
-    return TreeParams(root=root, n_classes=n_classes)
+        stack.append((right[node], *right_rows))
+        stack.append((left[node], *left_rows))
+    return TreeParams(*map(np.array, columns))
 
 
 def predict_tree(params: TreeParams, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0], dtype=np.int64)
-    stack = [(params.root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.klass
-            continue
-        goes_left = X[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[goes_left]))
-        stack.append((node.right, idx[~goes_left]))
-    return out
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    rows = np.arange(X.shape[0])
+    while (rows := rows[params.feature[node[rows]] >= 0]).size:  # rows still on a split node
+        at = node[rows]
+        goes_left = X[rows, params.feature[at]] <= params.threshold[at]
+        node[rows] = np.where(goes_left, params.left[at], params.right[at])
+    return params.klass[node]

@@ -9,8 +9,8 @@ so a sweep cell can be rerun by chaining `extract --config` / `perturb` /
 with the sweep's own code, `harness.source_series`, on the sweep's worker
 pool (`extract --pcap` makes its two calls for one capture, `load_pcap`
 and `extract_series`); `perturb` transforms the table's `X`, as the sweep
-does, and `attack` splits its rows by their `labels` and scores them by
-`harness.score_cell`.
+does, and `attack` splits its rows by `harness.split_cell` on their
+labels' class codes and scores them by `harness.score_cell`.
 The invariant checks live in the test suite: `pytest tests/test_acceptance.py`
 runs one check per acceptance criterion.
 """
@@ -29,7 +29,6 @@ from tpbench.features import WindowSpec, extract_series, load_features_csv, save
 from tpbench.harness import (
     ClassifierSpec,
     ExperimentConfig,
-    cell_seeds,
     emit_report,
     fit_cell,
     load_config,
@@ -37,6 +36,7 @@ from tpbench.harness import (
     run_experiment,
     score_cell,
     source_series,
+    split_cell,
 )
 from tpbench.pcap import load_pcap
 from tpbench.rules import FRACTION, SEED, check, named
@@ -132,10 +132,9 @@ def _cmd_attack(args) -> int:
             raise ValueError(f"expected a JSON object, got {args.params!r}")
         clf = ClassifierSpec(args.classifier, params)
     table = load_features_csv(args.features)
-    X, y = table.X, table.labels
-    codes = np.unique(y, return_inverse=True)[1]  # as the sweep encodes them
-    train_idx, test_idx = attackers.split(y, args.train_fraction, cell_seeds(args.seed)[0])
-    votes = fit_cell(X, codes, clf, train_idx, test_idx, args.seed)
+    codes = np.unique(table.labels, return_inverse=True)[1]  # as the sweep encodes them
+    train_idx, test_idx = split_cell(codes, table.labels, args.train_fraction, args.seed)
+    votes = fit_cell(table.X, codes, clf, train_idx, test_idx, args.seed)
     accuracy = score_cell([votes], codes[test_idx])
     print(
         f"classifier={args.classifier} accuracy={accuracy!r} "

@@ -14,11 +14,11 @@ its trace under every window spec it is given (the sweep gives the config's,
 holds one trace at a time and no trace reaches the parent, which stacks each
 spec's tables once. Then
 `run_experiment` encodes each table's labels once as class codes (the
-labels' sorted order), splits each cell's labels itself and runs `fit_cell`
-jobs. Every job returns `attackers.votes` on the test rows, a (test rows,
-classes) int64 matrix. With more than one worker, a forest cell runs as one
-job per contiguous range of its tree indices: each tree draws from its own
-seed whichever job grows it, so the ranges' votes sum to the whole forest's.
+labels' sorted order), splits each cell's codes itself (`split_cell`) and
+runs `fit_cell` jobs, each returning `attackers.votes` on the test rows, a
+(test rows, classes) int64 matrix. A forest cell runs as a job per worker,
+each growing a contiguous range of its tree indices from each tree's own
+seed, so the ranges' votes sum to the whole forest's.
 No job returns its model: a model lives only in the process that fit it.
 The parent sums each cell's matrices and scores them in one place,
 `score_cell`. With one worker every job of both phases runs in the calling
@@ -367,6 +367,16 @@ def cell_seeds(cell_seed: int) -> tuple[int, int]:
     return derive_seed(cell_seed, "split"), derive_seed(cell_seed, "train")
 
 
+def split_cell(codes, labels, train_fraction: float, cell_seed: int):
+    """A cell's (train, test) rows, drawn from `cell_seeds(cell_seed)[0]`: the split of
+    the class codes, which split as their `labels` do and faster. Where that raises,
+    the labels' split raises instead, so the reason names a label, not a code."""
+    try:
+        return attackers.split(codes, train_fraction, cell_seeds(cell_seed)[0])
+    except ValueError:
+        return attackers.split(labels, train_fraction, cell_seeds(cell_seed)[0])
+
+
 def fit_cell(X, y, clf, train_idx, test_idx, cell_seed, trees=None):
     """Train a cell on its train rows with `cell_seeds(cell_seed)[1]`, every fit's one
     seed, and return the model's `attackers.votes` on the test rows, not the model;
@@ -385,14 +395,12 @@ def score_cell(votes: list[np.ndarray], truth: np.ndarray) -> float:
 
 def _tree_ranges(clf: ClassifierSpec, workers: int) -> list[range | None]:
     """The jobs one cell of `clf` runs as on `workers` processes: a forest's
-    tree indices cut into min(workers, n_trees) contiguous ranges when that
-    is 2 or more, else [None], the whole cell as one job."""
+    tree indices cut into min(workers, n_trees) contiguous ranges, else
+    [None], the whole cell as one job."""
     if clf.kind != "forest":
         return [None]
     n_trees = dict(clf.params).get("n_trees", attackers.HYPERPARAMETERS["forest"]["n_trees"])
     parts = min(workers, n_trees)
-    if parts < 2:
-        return [None]
     return [range(n_trees * p // parts, n_trees * (p + 1) // parts) for p in range(parts)]
 
 
@@ -494,9 +502,8 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
                 reason = skip_reason
                 if not reason:
                     try:
-                        train_idx, test_idx = attackers.split(
-                            table.labels, config.train_fraction, cell_seeds(cell_seed)[0]
-                        )
+                        train_idx, test_idx = split_cell(y, table.labels,
+                                                         config.train_fraction, cell_seed)
                     except ValueError as exc:  # too few classes or rows, as a job reports it
                         reason = f"{type(exc).__name__}: {exc}"
                 if reason:

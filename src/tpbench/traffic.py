@@ -83,6 +83,7 @@ class Trace:
     `timestamps` are float64 seconds since trace start, `protocols` int8
     `Protocol.code`s and the other columns int64. The constructor coerces
     each column to its dtype and checks every packet, naming the first bad one.
+    It takes over the arrays it is given, keeping a read-only view of each.
     """
 
     timestamps: np.ndarray
@@ -98,7 +99,9 @@ class Trace:
 
     def __post_init__(self):
         for name, dtype in _COLUMN_DTYPES.items():
-            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype=dtype))
+            column = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
         if self.timestamps.ndim != 1 or len({getattr(self, n).shape for n in _COLUMN_DTYPES}) > 1:
             raise ValueError("trace columns must be 1-D and of equal length")
         if self.timestamps.size == 0:

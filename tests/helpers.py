@@ -6,7 +6,8 @@ weights come from exact rational arithmetic on the normal equations, feature
 statistics from plain Python loops or from one window at a time (the
 bit-exact oracle of the blocked extractor), nearest-neighbor votes from an
 exhaustive scan or one query at a time, tree splits and boosting stumps from
-a search over one feature at a time, MLP training from a loop that
+a search over one feature at a time, tree predictions from a walk of one
+node and its row subset at a time, MLP training from a loop that
 allocates every array and updates each weight and bias array on its own, and
 pcap parsing from a loop that decodes one record at a time.
 """
@@ -30,7 +31,7 @@ from tpbench.attackers.mlp import (
     TrainingDivergedError,
     _init_params,
 )
-from tpbench.attackers.tree import TreeNode
+from tpbench.attackers.tree import TreeParams
 from tpbench.features import WindowSpec, _window_bounds
 from tpbench.pcap import PcapFormatError, PcapStats, parse_global_header
 from tpbench.seeding import derive_seed
@@ -325,21 +326,27 @@ def reference_best_split(X, y, parent_counts, feature_ids):
     return best
 
 
-def reference_fit_tree(X, y, n_classes, *, rng=None, features_per_split=None) -> TreeNode:
+def reference_fit_tree(X, y, n_classes, *, rng=None, features_per_split=None) -> TreeParams:
     """Depth-first CART growth to purity that recounts classes at every node
     and draws the forest's feature subset (if any) before each split search:
-    a node is a leaf when its rows are one class or no cut gains."""
+    a node is a leaf when its rows are one class or no cut gains. Node rows
+    are dicts; a split node's children take the next two ids, left then right."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n_features = X.shape[1]
-    root = TreeNode()
-    stack = [(root, np.arange(y.size))]
+
+    def new_node():
+        return {"feature": -1, "threshold": 0.0, "klass": -1, "left": -1, "right": -1}
+
+    nodes = [new_node()]
+    stack = [(0, np.arange(y.size))]
     while stack:
-        node, idx = stack.pop()
+        i, idx = stack.pop()
+        node = nodes[i]
         counts = np.bincount(y[idx], minlength=n_classes)
         majority = int(np.argmax(counts))
         if counts[majority] == idx.size:
-            node.klass = majority
+            node["klass"] = majority
             continue
         if rng is not None and features_per_split and features_per_split < n_features:
             feature_ids = np.sort(rng.choice(n_features, size=features_per_split, replace=False))
@@ -347,23 +354,37 @@ def reference_fit_tree(X, y, n_classes, *, rng=None, features_per_split=None) ->
             feature_ids = np.arange(n_features)
         found = reference_best_split(X[idx], y[idx], counts.astype(np.float64), feature_ids)
         if found is None:
-            node.klass = majority
+            node["klass"] = majority
             continue
-        _, node.feature, node.threshold = found
-        goes_left = X[idx, node.feature] <= node.threshold
-        node.left = TreeNode()
-        node.right = TreeNode()
-        stack.append((node.right, idx[~goes_left]))
-        stack.append((node.left, idx[goes_left]))
-    return root
+        _, node["feature"], node["threshold"] = found
+        goes_left = X[idx, node["feature"]] <= node["threshold"]
+        node["left"], node["right"] = len(nodes), len(nodes) + 1
+        nodes += [new_node(), new_node()]
+        stack.append((node["right"], idx[~goes_left]))
+        stack.append((node["left"], idx[goes_left]))
+    return TreeParams(**{key: np.array([node[key] for node in nodes]) for key in nodes[0]})
 
 
-def tree_nodes(node: TreeNode) -> list[tuple]:
-    """Preorder (feature, threshold, class) of every node."""
-    out = [(node.feature, node.threshold, node.klass)]
-    if not node.is_leaf:
-        out += tree_nodes(node.left) + tree_nodes(node.right)
+def reference_predict_tree(params: TreeParams, X) -> np.ndarray:
+    """Each row's leaf class by a walk of one node and its row subset at a time."""
+    out = np.empty(X.shape[0], dtype=np.int64)
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if params.feature[node] < 0:
+            out[idx] = params.klass[node]
+            continue
+        goes_left = X[idx, params.feature[node]] <= params.threshold[node]
+        stack.append((params.left[node], idx[goes_left]))
+        stack.append((params.right[node], idx[~goes_left]))
     return out
+
+
+def tree_arrays(params: TreeParams) -> list:
+    """A tree's five node arrays as lists, which compare with ==."""
+    return [array.tolist() for array in vars(params).values()]
 
 
 # --- per-feature boosting stump oracle ---------------------------------------

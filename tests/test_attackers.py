@@ -15,7 +15,8 @@ from helpers import (
     reference_fit_mlp,
     reference_fit_tree,
     reference_predict_knn,
-    tree_nodes,
+    reference_predict_tree,
+    tree_arrays,
 )
 from tpbench import attackers
 from tpbench.attackers import adaboost, split
@@ -228,7 +229,7 @@ def test_tree_pure_class_single_leaf():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(12, 12))
     model = attackers.train("tree", X, ["only"] * 12)
-    assert model.params.root.is_leaf
+    assert tree_arrays(model.params) == [[-1], [0.0], [0], [-1], [-1]]
     assert all(attackers.predict(model, rng.normal(size=(5, 12))) == "only")
 
 
@@ -237,11 +238,11 @@ def test_tree_separable_1d_threshold():
     X[:, 0] = [0.0, 1.0, 10.0, 11.0]
     y = ["a", "a", "b", "b"]
     model = attackers.train("tree", X, y)
-    root = model.params.root
-    assert root.feature == 0
+    tree = model.params
+    assert tree.feature.tolist() == [0, -1, -1]
     # threshold lives strictly between the clusters (standardized space)
     standardized = model.standardizer.transform(X)[:, 0]
-    assert standardized[1] <= root.threshold < standardized[2]
+    assert standardized[1] <= tree.threshold[0] < standardized[2]
     assert attackers.evaluate(model, X, y) == 1.0
 
 
@@ -278,7 +279,7 @@ def test_tree_split_search_matches_per_feature_oracle():
         seed = int(rng.integers(2**32))
         got = fit_tree(X, y, n_classes, rng=np.random.default_rng(seed), **kwargs)
         want = reference_fit_tree(X, y, n_classes, rng=np.random.default_rng(seed), **kwargs)
-        assert tree_nodes(got.root) == tree_nodes(want), (case, kwargs)
+        assert tree_arrays(got) == tree_arrays(want), (case, kwargs)
 
 
 def test_tree_row_weights_match_the_oracle_on_repeated_rows():
@@ -293,7 +294,7 @@ def test_tree_row_weights_match_the_oracle_on_repeated_rows():
             np.repeat(X, w, axis=0), np.repeat(y, w), n_classes,
             rng=np.random.default_rng(seed), **kwargs,
         )
-        assert tree_nodes(got.root) == tree_nodes(want), (case, kwargs)
+        assert tree_arrays(got) == tree_arrays(want), (case, kwargs)
     # One row per class along a feature, with mirror-symmetric weights: a cut
     # and its mirror leave the same class weights on swapped sides, so their
     # gains tie exactly and only the bits of the class sum choose between
@@ -305,17 +306,17 @@ def test_tree_row_weights_match_the_oracle_on_repeated_rows():
         X, y = np.arange(n_classes, dtype=np.float64)[:, None], np.arange(n_classes)
         got = fit_tree(X, y, n_classes, weights=w)
         want = reference_fit_tree(np.repeat(X, w, axis=0), np.repeat(y, w), n_classes)
-        assert tree_nodes(got.root) == tree_nodes(want), (case, w.tolist())
+        assert tree_arrays(got) == tree_arrays(want), (case, w.tolist())
 
 
 def test_a_nan_feature_value_never_opens_a_cut():
     # sorted, the NaNs follow 1.0; a cut there would split the right child's classes
     X = np.array([[0.0], [0.0], [1.0], [np.nan], [np.nan], [np.nan]])
     y = np.array([0, 0, 0, 1, 1, 1])
-    want = [(0, 0.5, -1), (-1, 0.0, 0), (-1, 0.0, 1)]
-    assert tree_nodes(reference_fit_tree(X, y, 2)) == want
-    assert tree_nodes(fit_tree(X, y, 2).root) == want
-    assert tree_nodes(fit_tree(X, y, 2, weights=np.array([1, 2, 1, 3, 1, 1])).root) == want
+    want = [[0, -1, -1], [0.5, 0.0, 0.0], [-1, 0, 1], [1, -1, -1], [2, -1, -1]]
+    assert tree_arrays(reference_fit_tree(X, y, 2)) == want
+    assert tree_arrays(fit_tree(X, y, 2)) == want
+    assert tree_arrays(fit_tree(X, y, 2, weights=np.array([1, 2, 1, 3, 1, 1]))) == want
 
 
 def test_forest_matches_per_feature_oracle():
@@ -329,7 +330,7 @@ def test_forest_matches_per_feature_oracle():
             tree_rng = np.random.default_rng(derive_seed(seed, "tree", t))
             rows = tree_rng.integers(0, y.size, size=y.size)
             want = reference_fit_tree(X[rows], y[rows], 3, rng=tree_rng, features_per_split=2)
-            assert tree_nodes(tree.root) == tree_nodes(want), (seed, t)
+            assert tree_arrays(tree) == tree_arrays(want), (seed, t)
 
 
 @pytest.mark.parametrize("n_classes", [3, 7, 8, 12])
@@ -353,7 +354,74 @@ def test_forest_matches_the_oracle_tree_by_tree_below_and_from_8_classes(n_class
         tree_rng = np.random.default_rng(derive_seed(n_classes, "tree", t))
         rows = tree_rng.integers(0, y.size, size=y.size)
         want = reference_fit_tree(X[rows], y[rows], n_classes, rng=tree_rng, features_per_split=3)
-        assert tree_nodes(tree.root) == tree_nodes(want), t
+        assert tree_arrays(tree) == tree_arrays(want), t
+
+
+def _tree_depth(tree) -> int:
+    """Levels below the root of a tree's deepest leaf; a child's id exceeds its parent's."""
+    depth = np.zeros(tree.feature.size, dtype=np.int64)
+    for node in np.flatnonzero(tree.feature >= 0):
+        depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
+    return int(depth.max())
+
+
+def _threshold_queries(tree, rng, n_rows, n_features):
+    """Rows whose every value is one of the tree's thresholds on that
+    feature (or noise where it has none), so many meet a cut with equality."""
+    queries = rng.normal(size=(n_rows, n_features))
+    for f in range(n_features):
+        cuts = tree.threshold[tree.feature == f]
+        if cuts.size:
+            queries[:, f] = rng.choice(cuts, size=n_rows)
+    return queries
+
+
+def test_tree_predict_descends_as_the_node_by_node_walk():
+    """Level by level, every row reaches the leaf a walk of one node and its
+    row subset at a time reaches: on noisy rows that grow trees more than 20
+    levels deep, on rows equal to a threshold (which go left), on no rows,
+    and on a tree of one leaf."""
+    rng = np.random.default_rng(44)
+    depths = []
+    for n_rows, n_features, n_classes in ((300, 2, 3), (500, 3, 3), (200, 5, 9)):
+        X = rng.normal(size=(n_rows, n_features))
+        X[:, 0] = np.round(X[:, 0], 1)  # ties
+        tree = fit_tree(X, rng.integers(0, n_classes, size=n_rows), n_classes)
+        depths.append(_tree_depth(tree))
+        for queries in (X, rng.normal(size=(400, n_features)),
+                        _threshold_queries(tree, rng, 400, n_features), X[:0]):
+            got = predict_tree(tree, queries)
+            assert got.dtype == np.int64 and got.shape == (queries.shape[0],)
+            assert np.array_equal(got, reference_predict_tree(tree, queries))
+    assert max(depths) > 20, depths
+
+    X = np.array([[0.0], [1.0], [10.0], [11.0]])
+    tree = fit_tree(X, np.array([0, 0, 1, 1]), 2)
+    at = tree.threshold[0]
+    queries = np.array([[at], [np.nextafter(at, np.inf)], [np.nextafter(at, -np.inf)]])
+    assert predict_tree(tree, queries).tolist() == [0, 1, 0]
+
+    leaf = fit_tree(X, np.array([2, 2, 2, 2]), 3)
+    assert tree_arrays(leaf) == [[-1], [0.0], [2], [-1], [-1]]
+    assert predict_tree(leaf, rng.normal(size=(5, 1))).tolist() == [2] * 5
+    assert predict_tree(leaf, X[:0]).tolist() == []
+
+
+def test_forest_votes_count_the_node_by_node_walk_of_every_tree():
+    """A forest's `attackers.votes` are, per row and class, the count of its
+    trees whose node-by-node walk of the standardized row ends at that class."""
+    rng = np.random.default_rng(45)
+    X = rng.normal(size=(240, 5))
+    X[:, 1] = np.round(X[:, 1])
+    y = np.array(list("abcd"), dtype=object)[rng.integers(0, 4, size=240)]
+    model = attackers.train("forest", X, y, n_trees=9, seed=3)
+    queries = np.vstack([X[:60], rng.normal(size=(60, 5))])
+    standardized = model.standardizer.transform(queries)
+    want = np.zeros((queries.shape[0], 4), dtype=np.int64)
+    for tree in model.params.trees:
+        want[np.arange(queries.shape[0]), reference_predict_tree(tree, standardized)] += 1
+    assert np.array_equal(attackers.votes(model, queries), want)
+    assert np.array_equal(attackers.votes(model, queries[:0]), want[:0])
 
 
 # --- random forest ----------------------------------------------------------------
@@ -402,7 +470,7 @@ def test_forest_deterministic_per_seed():
     assert np.array_equal(attackers.predict(a, queries), attackers.predict(b, queries))
 
     def nodes(model):
-        return [tree_nodes(tree.root) for tree in model.params.trees]
+        return [tree_arrays(tree) for tree in model.params.trees]
 
     assert nodes(a) == nodes(b)
     # every tree differs: each one draws its bootstrap and feature subsets

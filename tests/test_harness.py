@@ -9,7 +9,7 @@ from dataclasses import FrozenInstanceError, asdict, replace
 import numpy as np
 import pytest
 
-from helpers import build_pcap, ipv4_frame
+from helpers import build_pcap, ipv4_frame, tree_arrays
 from tpbench import attackers, harness
 from tpbench.attackers import knn
 from tpbench.features import WindowSpec, extract_series, stack_series
@@ -436,18 +436,17 @@ def test_split_forest_equals_unsplit_forest():
         cell = (attackers.accuracy(labels, y[test_idx]), train_idx.size, test_idx.size)
         for parts in range(1, n_trees + 2):
             ranges = harness._tree_ranges(clf, parts)
-            assert len(ranges) == (1 if min(parts, n_trees) < 2 else min(parts, n_trees))
-            if ranges == [None]:
-                continue
+            assert len(ranges) == min(parts, n_trees)  # one range, not None, at one part
             assert [t for r in ranges for t in r] == list(range(n_trees))
             grown = [tree for r in ranges
                      for tree in fit_forest(X, codes, 3, n_trees=n_trees, seed=11, trees=r).trees]
-            assert grown == whole.trees
+            assert list(map(tree_arrays, grown)) == list(map(tree_arrays, whole.trees))
             range_votes = [fit_cell(X, y, clf, train_idx, test_idx, 17, r) for r in ranges]
             assert all(votes.dtype == np.int64 for votes in range_votes)
             assert np.array_equal(sum(range_votes), whole_votes)  # exact integer counts
             assert (score_cell(range_votes, codes[test_idx]),
                     train_idx.size, test_idx.size) == cell
+    assert harness._tree_ranges(ClassifierSpec("tree"), 4) == [None]  # the other kinds' one job
 
 
 def test_a_cell_whose_split_fails_gets_the_serial_row_and_no_job(tmp_path, monkeypatch):
@@ -497,8 +496,9 @@ def test_a_sweep_left_with_one_class_names_its_label(tmp_path, monkeypatch):
 
 
 def test_split_runs_once_per_runnable_cell(tmp_path, monkeypatch):
-    """The parent draws each cell's split once, however many tree ranges its
-    forest runs as; a cell skipped before its split draws none."""
+    """The parent draws each cell's split once, of the class codes, however
+    many tree ranges its forest runs as; a cell skipped before its split
+    draws none."""
     calls = []
     real_split = attackers.split
     monkeypatch.setattr(attackers, "split", lambda *a: calls.append(a) or real_split(*a))
@@ -512,6 +512,7 @@ def test_split_runs_once_per_runnable_cell(tmp_path, monkeypatch):
     assert made == [(2, "fork"), (2, "fork")]
     assert len(report.skipped_rows()) == 2  # smoothing at burst 2000
     assert len(calls) == len(report.ok_rows()) == 6
+    assert all(codes.dtype == np.int64 for codes, *_ in calls)
 
 
 def test_one_cpu_or_no_fork_runs_serially_without_a_pool(tmp_path, monkeypatch):

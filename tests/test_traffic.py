@@ -8,6 +8,7 @@ import pytest
 from helpers import build_pcap, ipv4_frame, raw_frame, trace_from_packets
 from tpbench.pcap import parse_pcap_with_stats
 from tpbench.traffic import (
+    _COLUMN_DTYPES,
     MAX_TRACE_PACKETS,
     ClassProfile,
     PacketRecord,
@@ -233,6 +234,28 @@ def test_no_field_of_a_trace_can_be_assigned():
         with pytest.raises(FrozenInstanceError):
             setattr(trace, field.name, getattr(trace, field.name))
     assert np.all(trace.protocols == Protocol.TCP.code)
+
+
+def test_no_column_of_a_trace_can_be_written_in_place():
+    """A trace keeps a read-only view of each column it is given: writing
+    ICMP protocols into a TCP trace with ports raises, as any in-place write
+    through a column does. The given array is taken over, not copied, and
+    `dataclasses.replace` still builds a checked trace."""
+    good = PacketRecord(0.0, 100, Protocol.TCP, 1, 2, 5, 6)
+    trace = trace_from_packets([good, replace(good, timestamp=0.1)], label="x")
+    with pytest.raises(ValueError, match="read-only"):
+        trace.protocols[:] = Protocol.ICMP.code
+    for name in _COLUMN_DTYPES:
+        column = getattr(trace, name)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[0]
+    assert np.all(trace.protocols == Protocol.TCP.code)
+    timestamps = np.array([0.0, 0.5])
+    moved = replace(trace, timestamps=timestamps, label="y")
+    assert np.shares_memory(moved.timestamps, timestamps) and not moved.timestamps.flags.writeable
+    assert (moved.label, moved.timestamps.tolist()) == ("y", [0.0, 0.5])
+    with pytest.raises(ValueError, match="^packet 0: ICMP and OTHER packets carry no ports$"):
+        replace(trace, protocols=np.full(2, Protocol.ICMP.code))
 
 
 def test_a_trace_is_named_when_drawn():
