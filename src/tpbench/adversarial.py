@@ -14,6 +14,8 @@ Three operators over a feature matrix, all shape-preserving:
 `TransformSpec` is the one description of a transform: it alone checks a
 mode's parameters and formats the key, parameters and pivot label the
 reports print, and `TransformSpec.apply(X, seed)` is the one way to run it.
+`TRANSFORM_PARAMS` is the one list of the modes and of the parameters each
+reads: a config's keys, the printed parameters and `perturb --mode` follow it.
 `savgol_coefficients` exposes the smoothing weights for inspection.
 """
 
@@ -91,11 +93,8 @@ class TransformSpec:
             object.__setattr__(self, "nu", float(self.nu))  # an integer nu prints as nu=2.0
 
     def params_repr(self) -> str:
-        if self.mode == "smooth":
-            return f"window={self.window},degree={self.degree}"
-        if self.mode in ("awgn", "realistic"):
-            return f"nu={self.nu!r}"
-        return ""
+        """The parameters the mode reads, as `name=value` in TRANSFORM_PARAMS order."""
+        return ",".join(f"{name}={getattr(self, name)}" for name in TRANSFORM_PARAMS[self.mode])
 
     def key(self) -> str:
         return f"{self.mode}({self.params_repr()})"

@@ -1,8 +1,9 @@
 """Fully connected net: ReLU hidden layers, softmax output, cross-entropy loss.
 
 Training uses mini-batch Adam (per-parameter first/second moment estimates
-with bias correction). Weights start from a fan-in-scaled uniform draw, so a
-fixed seed fixes the whole run, including the per-epoch loss curve.
+with bias correction) over batches of `BATCH_SIZE` rows. Weights start from
+a fan-in-scaled uniform draw, so a fixed seed fixes the whole run, including
+the per-epoch loss curve.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+BATCH_SIZE = 32  # rows per Adam step; the last batch of an epoch holds the rest
 
 
 class TrainingDivergedError(RuntimeError):
@@ -111,7 +113,6 @@ def fit_mlp(
     epochs: int = 200,
     learning_rate: float = 1e-3,
     *,
-    batch_size: int = 32,
     seed: int = 0,
 ) -> MlpParams:
     rng = np.random.default_rng(seed)
@@ -127,7 +128,7 @@ def fit_mlp(
     v = np.zeros_like(theta)
     update = np.empty_like(theta)
     tmp = np.empty_like(theta)
-    batch_rows = min(batch_size, y.size)
+    batch_rows = min(BATCH_SIZE, y.size)
     hidden_out = _hidden_buffers(batch_rows, weights)
     deltas = _hidden_buffers(batch_rows, weights)
     onehot = np.zeros((y.size, n_classes))
@@ -142,9 +143,9 @@ def fit_mlp(
             perm = rng.permutation(y.size)
             X_epoch, targets_epoch = X[perm], onehot[perm]
             epoch_loss = 0.0
-            for start in range(0, y.size, batch_size):
-                X_batch = X_epoch[start : start + batch_size]
-                targets = targets_epoch[start : start + batch_size]
+            for start in range(0, y.size, BATCH_SIZE):
+                X_batch = X_epoch[start : start + BATCH_SIZE]
+                targets = targets_epoch[start : start + BATCH_SIZE]
                 loss = _backprop(
                     weights, biases, X_batch, targets, hidden_out, deltas, grad_w, grad_b
                 )

@@ -25,6 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from tpbench import attackers
+from tpbench.adversarial import TRANSFORM_PARAMS
 from tpbench.features import WindowSpec, extract_series, load_features_csv, save_features_csv
 from tpbench.harness import (
     ClassifierSpec,
@@ -71,7 +72,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("perturb", help="apply a defense transform to a feature CSV")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--mode", required=True, choices=["smooth", "awgn", "realistic"])
+    p.add_argument("--mode", required=True, choices=[m for m in TRANSFORM_PARAMS if m != "none"])
     p.add_argument("--window", type=int)
     p.add_argument("--degree", type=int)
     p.add_argument("--nu", type=float)

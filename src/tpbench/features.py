@@ -1,11 +1,13 @@
 """Windowing and the 12 per-window statistical traffic indicators.
 
 Packets are grouped either into bursts of exactly N packets or into
-half-open time spans of width dt. For each retained window the extractor
-computes endpoint/port uniqueness counts, protocol counts, inter-packet-time
-statistics, TCP window statistics and packet length statistics. All standard
-deviations use the population convention (divide by count), so single-value
-subsets are well defined and oracle tests can agree bit-for-bit.
+half-open time spans of width dt: a `WindowSpec` is a mode and one `size`,
+N as an int or dt as a float, which its key and the reports print. For
+each retained window the extractor computes endpoint/port uniqueness
+counts, protocol counts, inter-packet-time statistics, TCP window
+statistics and packet length statistics. All standard deviations use the
+population convention (divide by count), so single-value subsets are well
+defined and oracle tests can agree bit-for-bit.
 `extract_series` is the one extractor: it computes a block of equal-sized
 windows at a time, each feature as the same reduction in the same order as
 a one-window-at-a-time loop would take it. Block means and standard
@@ -14,7 +16,8 @@ and `np.std` run, without those functions' per-call Python overhead.
 `extract_series` returns one trace's `WindowTable`, with no row when no
 window holds 2 packets; `stack_series` concatenates such tables, so many
 traces' windows take the same shape, the one the sweep, the feature CSV
-and the CLI share, which keeps each row's trace.
+and the CLI share, which keeps each row's trace. The feature CSV is written
+by `rules.write_csv`, in the dialect of every CSV the package writes.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tpbench.rules import POSITIVE, check, integer_at_least, read_text
+from tpbench.rules import POSITIVE, check, integer_at_least, read_text, write_csv
 from tpbench.traffic import Protocol, Trace
 
 _TCP, _UDP, _ICMP = Protocol.TCP.code, Protocol.UDP.code, Protocol.ICMP.code
@@ -53,36 +56,34 @@ N_FEATURES = len(FEATURE_NAMES)
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Packet grouping rule: bursts of N packets or time spans of dt seconds."""
+    """Packet grouping rule: bursts of `size` packets or time spans of `size`
+    seconds. `size` is held as an int for a burst and as a float for a time
+    span, so one window has one spec, one key and one printed size."""
 
     mode: str  # "burst" | "timespan"
-    burst_size: int = 0
-    timespan: float = 0.0
+    size: int | float
 
     def __post_init__(self):
         if self.mode == "burst":
-            check(self.burst_size, integer_at_least(2), "burst size")
+            check(self.size, integer_at_least(2), "burst size")
+            object.__setattr__(self, "size", int(self.size))
         elif self.mode == "timespan":
-            check(self.timespan, POSITIVE, "timespan")
-            object.__setattr__(self, "timespan", float(self.timespan))
+            check(self.size, POSITIVE, "timespan")
+            object.__setattr__(self, "size", float(self.size))
         else:
             raise ValueError(f"unknown window mode {self.mode!r}")
 
     @classmethod
     def burst(cls, n: int) -> "WindowSpec":
-        return cls(mode="burst", burst_size=n)
+        return cls("burst", n)
 
     @classmethod
     def time_span(cls, dt: float) -> "WindowSpec":
-        return cls(mode="timespan", timespan=dt)
-
-    @property
-    def size(self) -> float:
-        return self.burst_size if self.mode == "burst" else self.timespan
+        return cls("timespan", dt)
 
     def size_repr(self) -> str:
         """The window size as keys and report CSVs print it."""
-        return str(self.burst_size) if self.mode == "burst" else repr(self.timespan)
+        return repr(self.size)
 
     def key(self) -> str:
         return f"{self.mode}:{self.size_repr()}"
@@ -121,9 +122,9 @@ def _window_bounds(trace: Trace, spec: WindowSpec) -> tuple[np.ndarray, np.ndarr
     """
     times = trace.timestamps
     if spec.mode == "burst":
-        starts = np.arange(times.size // spec.burst_size, dtype=np.int64) * spec.burst_size
-        return starts, starts + spec.burst_size
-    dt = spec.timespan
+        starts = np.arange(times.size // spec.size, dtype=np.int64) * spec.size
+        return starts, starts + spec.size
+    dt = spec.size
     k = np.floor(times / dt)
     if not k[-1] < MAX_INTERVALS:
         raise ValueError(
@@ -256,12 +257,9 @@ def save_features_csv(table: WindowTable, path: str | Path, transform: str | Non
     columns = _BASE_COLUMNS + ([] if transform is None else ["transform"])
     tail = [] if transform is None else [transform]
     window_index = np.arange(table.trace.size) - np.searchsorted(table.trace, table.trace)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row, label, k, t in zip(table.X.tolist(), table.labels, window_index.tolist(),
-                                    table.trace.tolist()):
-            writer.writerow([*map(repr, row), label, k, table.trace_ids[t], *tail])
+    rows = zip(table.X.tolist(), table.labels, window_index.tolist(), table.trace.tolist())
+    write_csv(path, columns, ([*map(repr, x), label, k, table.trace_ids[t], *tail]
+                              for x, label, k, t in rows))
 
 
 def load_features_csv(path: str | Path) -> WindowTable:

@@ -25,11 +25,12 @@ The parent sums each cell's matrices and scores them in one place,
 process. An `ExperimentConfig` is frozen and checks itself once, when
 built, and `run_experiment` runs it as built. A `ClassifierSpec` holds its
 params in one form, sorted by name, so one classifier has one key and seed.
+`SweepRow.as_record` is the one statement of `sweep.csv`'s columns: its keys,
+in file order, are the header `emit_report` writes through `rules.write_csv`.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass, fields
@@ -52,27 +53,10 @@ from tpbench.rules import (
     check_keys,
     named,
     read_text,
+    write_csv,
 )
 from tpbench.seeding import derive_seed
 from tpbench.traffic import ClassProfile, builtin_profiles, generate_dataset
-
-REPORT_COLUMNS = (
-    "scenario",
-    "classifier",
-    "classifier_params",
-    "window_mode",
-    "window_size",
-    "transform",
-    "transform_params",
-    "accuracy",
-    "n_train",
-    "n_test",
-    "seed",
-    "dropped_windows",
-    "status",
-    "reason",
-)
-
 
 # The fields of an ExperimentConfig that hold a config value as given.
 _CONFIG_RULES = {
@@ -303,23 +287,24 @@ class SweepRow:
     status: str = "ok"
     reason: str = ""
 
-    def as_record(self) -> list[str]:
-        return [
-            self.scenario,
-            self.classifier.kind,
-            self.classifier.params_repr(),
-            self.window.mode,
-            self.window.size_repr(),
-            self.transform.mode,
-            self.transform.params_repr(),
-            "" if self.accuracy is None else repr(self.accuracy),
-            str(self.n_train),
-            str(self.n_test),
-            str(self.seed),
-            str(self.dropped_windows),
-            self.status,
-            self.reason,
-        ]
+    def as_record(self) -> dict[str, str]:
+        """The cell's `sweep.csv` line: column name -> text, in file order."""
+        return {
+            "scenario": self.scenario,
+            "classifier": self.classifier.kind,
+            "classifier_params": self.classifier.params_repr(),
+            "window_mode": self.window.mode,
+            "window_size": self.window.size_repr(),
+            "transform": self.transform.mode,
+            "transform_params": self.transform.params_repr(),
+            "accuracy": "" if self.accuracy is None else repr(self.accuracy),
+            "n_train": str(self.n_train),
+            "n_test": str(self.n_test),
+            "seed": str(self.seed),
+            "dropped_windows": str(self.dropped_windows),
+            "status": self.status,
+            "reason": self.reason,
+        }
 
 
 @dataclass
@@ -348,17 +333,16 @@ def _unit_series(config: ExperimentConfig, wspecs, i: int) -> list[WindowTable]:
     return [extract_series(trace, wspec) for wspec in wspecs]
 
 
-def source_series(config: ExperimentConfig, wspecs,
-                  workers: int | None = None) -> list[WindowTable]:
+def source_series(config: ExperimentConfig, wspecs) -> list[WindowTable]:
     """The window table of each of `wspecs` (the sweep's are the config's),
     stacked once by `stack_series` from the config's traces in the sweep's
     order: the captures in `pcap_files` order, else profile order, then
     trace index. Each capture is loaded, or each trace drawn, and windowed
-    in its own job on `workers` processes (default `_worker_count()`), so a
-    worker holds one trace at a time; only the per-trace tables come back."""
+    in its own job on `_worker_count()` processes, so a worker holds one
+    trace at a time; only the per-trace tables come back."""
     units = len(config.pcap_files) or len(config.profiles) * config.traces_per_class
     per_trace = _run_jobs(_unit_series, [(config, wspecs, i) for i in range(units)],
-                          workers or _worker_count())
+                          _worker_count())
     return [stack_series([row[j] for row in per_trace]) for j in range(len(wspecs))]
 
 
@@ -469,7 +453,7 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
     # each queued cell's row, n_train, test rows' class codes and job indices
     cells: list[tuple[SweepRow, int, np.ndarray, slice]] = []
     for wspec, table in zip(config.window_specs,
-                            source_series(config, config.window_specs, workers)):
+                            source_series(config, config.window_specs)):
         y = np.unique(table.labels, return_inverse=True)[1]  # class codes, labels in sorted order
         for tspec in config.transforms:
             transform_seed = derive_seed(config.seed, "transform", wspec.key(), tspec.key())
@@ -530,13 +514,6 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
     return SweepReport(rows=rows)
 
 
-def _write_csv(path: Path, header: list[str], records: list[list[str]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(records)
-
-
 def _distinct(specs) -> list:
     """One spec per key, in order of first appearance."""
     seen = {}
@@ -548,9 +525,10 @@ def _distinct(specs) -> list:
 def emit_report(report: SweepReport, directory: str | Path) -> list[Path]:
     """Write sweep.csv plus one plot-ready pivot per transform mode.
 
-    Pivot files have one row per window size; columns are classifiers for the
-    untransformed runs and transform labels (per classifier, when several
-    ran) for parameterized transforms. A classifier column is named by its
+    sweep.csv has one line per row, `SweepRow.as_record`, under a header of
+    that record's keys. Pivot files have one row per window size; columns
+    are classifiers for the untransformed runs and transform labels (per
+    classifier, when several ran) for parameterized transforms. A classifier column is named by its
     kind, or by its key when specs of one kind differ.
     """
     if not report.rows:
@@ -560,7 +538,8 @@ def emit_report(report: SweepReport, directory: str | Path) -> list[Path]:
     paths = []
 
     sweep_path = directory / "sweep.csv"
-    _write_csv(sweep_path, list(REPORT_COLUMNS), [r.as_record() for r in report.rows])
+    lines = [r.as_record() for r in report.rows]
+    write_csv(sweep_path, lines[0], (line.values() for line in lines))
     paths.append(sweep_path)
 
     classifiers = _distinct(r.classifier for r in report.rows)
@@ -593,6 +572,6 @@ def emit_report(report: SweepReport, directory: str | Path) -> list[Path]:
                 )
             records.append(record)
         pivot_path = directory / f"accuracy_vs_window_{mode}.csv"
-        _write_csv(pivot_path, ["window_size", *names], records)
+        write_csv(pivot_path, ["window_size", *names], records)
         paths.append(pivot_path)
     return paths

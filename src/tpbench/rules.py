@@ -10,11 +10,14 @@ classifier specs, the experiment config) and `attackers.train` check their
 fields through these rules, so a config read from JSON and one built in
 code meet the same tests and messages. No value is coerced: a bool is never
 a number and a numeric string is not one either. `read_text` reads the
-text of a JSON config and of a feature CSV.
+text of a JSON config and of a feature CSV, and `write_csv` writes every
+CSV the package writes (`sweep.csv`, its pivots and the feature CSV) in one
+dialect: UTF-8, LF line ends, the `csv` module's minimal quoting.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import numbers
 from contextlib import contextmanager
@@ -95,3 +98,11 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """Write `header`, then each of `rows`, as lines of the CSV at `path`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -27,6 +27,7 @@ from tpbench.attackers.mlp import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    BATCH_SIZE,
     MlpParams,
     TrainingDivergedError,
     _init_params,
@@ -137,10 +138,10 @@ def reference_timespan_bounds(trace: Trace, spec: WindowSpec) -> tuple[np.ndarra
     cut with one float64 bound k * dt per interval: the windows
     `_window_bounds` must match with memory per packet, not per interval."""
     times = trace.timestamps
-    last = int(times[-1] // spec.timespan)
-    if (last + 1) * spec.timespan <= times[-1]:  # a last packet on a bound `//` rounds down
+    last = int(times[-1] // spec.size)
+    if (last + 1) * spec.size <= times[-1]:  # a last packet on a bound `//` rounds down
         last += 1
-    bounds = np.arange(last + 2, dtype=np.float64) * spec.timespan
+    bounds = np.arange(last + 2, dtype=np.float64) * spec.size
     cuts = np.searchsorted(times, bounds, side="left")
     nonempty = cuts[1:] > cuts[:-1]
     return cuts[:-1][nonempty], cuts[1:][nonempty]
@@ -452,7 +453,7 @@ def _reference_loss_and_gradients(weights, biases, X, targets_onehot):
 
 
 def reference_fit_mlp(
-    X, y, n_classes, hidden=(64, 64), epochs=200, batch_size=32, learning_rate=1e-3, seed=0
+    X, y, n_classes, hidden=(64, 64), epochs=200, learning_rate=1e-3, seed=0
 ) -> MlpParams:
     """Mini-batch Adam with a fresh gather per batch and one m/v/parameter
     update per weight and bias array."""
@@ -472,8 +473,8 @@ def reference_fit_mlp(
         for epoch in range(1, epochs + 1):
             perm = rng.permutation(y.size)
             epoch_loss = 0.0
-            for start in range(0, y.size, batch_size):
-                rows = perm[start : start + batch_size]
+            for start in range(0, y.size, BATCH_SIZE):
+                rows = perm[start : start + BATCH_SIZE]
                 loss, grad_w, grad_b = _reference_loss_and_gradients(
                     weights, biases, X[rows], onehot[rows]
                 )

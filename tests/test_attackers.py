@@ -24,6 +24,7 @@ from tpbench.attackers.adaboost import fit_adaboost, predict_adaboost
 from tpbench.attackers.forest import fit_forest, forest_votes
 from tpbench.attackers.knn import block_rows, fit_knn, predict_knn
 from tpbench.attackers.mlp import (
+    BATCH_SIZE,
     TrainingDivergedError,
     _init_params,
     fit_mlp,
@@ -632,19 +633,22 @@ def test_mlp_loss_curve_deterministic():
 
 
 def test_fit_mlp_matches_reference_loop():
-    cases = [  # (rows, batch_size, hidden, classes, epochs)
-        (7, 32, (5,), 2, 30),  # fewer rows than one batch
-        (45, 7, (8, 8, 8), 3, 10),  # partial last batch
-        (13, 1, (), 4, 5),  # one-row batches, no hidden layer
-        (130, 32, (64, 64), 3, 12),  # the sweep's default net
-        (1433, 32, (64, 64), 3, 1),
+    """`fit_mlp` trains as the plain loop does, bit for bit, in batches of
+    BATCH_SIZE rows; the row counts give fewer rows than a batch, a partial
+    last batch and a last batch of one row. A diverging run fails alike."""
+    assert BATCH_SIZE == 32
+    cases = [  # (rows, hidden, classes, epochs)
+        (7, (5,), 2, 30),  # fewer rows than one batch
+        (45, (8, 8, 8), 3, 10),  # partial last batch, of 13 rows
+        (33, (), 4, 5),  # a one-row last batch, no hidden layer
+        (130, (64, 64), 3, 12),  # the sweep's default net
+        (1433, (64, 64), 3, 1),
     ]
-    for rows, batch_size, hidden, n_classes, epochs in cases:
+    for rows, hidden, n_classes, epochs in cases:
         rng = np.random.default_rng(rows)
         y = np.arange(rows) % n_classes
         X = rng.normal(size=(rows, 12)) + y[:, None]
-        kwargs = dict(hidden=hidden, epochs=epochs, batch_size=batch_size,
-                      learning_rate=1e-2, seed=rows)
+        kwargs = dict(hidden=hidden, epochs=epochs, learning_rate=1e-2, seed=rows)
         got = fit_mlp(X, y, n_classes, **kwargs)
         want = reference_fit_mlp(X, y, n_classes, **kwargs)
         assert len(got.weights) == len(want.weights) == len(hidden) + 1
@@ -654,9 +658,9 @@ def test_fit_mlp_matches_reference_loop():
     y = np.arange(20) % 2
     X = np.random.default_rng(5).normal(size=(20, 12)) + y[:, None]
     with pytest.raises(TrainingDivergedError) as got:
-        fit_mlp(X, y, 2, hidden=(8,), epochs=5, batch_size=6, learning_rate=1e200)
+        fit_mlp(X, y, 2, hidden=(8,), epochs=5, learning_rate=1e200)
     with pytest.raises(TrainingDivergedError) as want:
-        reference_fit_mlp(X, y, 2, hidden=(8,), epochs=5, batch_size=6, learning_rate=1e200)
+        reference_fit_mlp(X, y, 2, hidden=(8,), epochs=5, learning_rate=1e200)
     assert str(got.value) == str(want.value)
 
 

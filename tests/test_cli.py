@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import re
@@ -9,13 +10,13 @@ import pytest
 
 from helpers import GOLDEN_FEATURES_CSV, build_pcap, ipv4_frame
 from tpbench import attackers
-from tpbench.cli import main
+from tpbench.cli import _build_parser, main
 from tpbench.features import (
     FEATURE_NAMES,
     WindowSpec,
     load_features_csv,
 )
-from tpbench.adversarial import REALISTIC_UNTOUCHED_FEATURES, TransformSpec
+from tpbench.adversarial import REALISTIC_UNTOUCHED_FEATURES, TRANSFORM_PARAMS, TransformSpec
 from tpbench.harness import cell_seeds
 from tpbench.seeding import derive_seed
 from tpbench.traffic import Protocol
@@ -321,6 +322,15 @@ def test_perturb_writes_the_pinned_csv_text_with_a_transform_column(tmp_path):
     expected = [f"{header},transform"] + [",".join([*map(repr, row), *c[12:], "awgn(nu=2.0)"])
                                           for row, c in zip(Xt.tolist(), cells)]
     assert noisy.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+
+def test_perturb_mode_choices_are_the_transform_modes_but_none():
+    """`perturb --mode` offers each mode of `TRANSFORM_PARAMS` but `none`,
+    in that table's order: a mode added there is a choice here."""
+    (perturb,) = [action.choices["perturb"] for action in _build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    (mode,) = [action for action in perturb._actions if action.dest == "mode"]
+    assert mode.choices == [m for m in TRANSFORM_PARAMS if m != "none"]
 
 
 @pytest.mark.parametrize("command", ["perturb", "attack"])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tpbench import attackers, cli, harness
+from tpbench import TransformSpec, WindowSpec, attackers, cli, harness
 from tpbench.traffic import PRESETS, builtin_profiles
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -101,3 +101,11 @@ def test_readme_names_every_hyperparameter_rule():
                              README.read_text(encoding="utf-8"), re.S)
     named = set(re.findall(r"`(\w+)`", sentence))
     assert named == set(attackers.HYPERPARAMETER_RULES)
+
+
+def test_readme_states_the_sweep_csv_header():
+    """The header the README spells out is the keys of a cell's record."""
+    (header,) = re.findall(r"`(scenario,[\w,]+)`", README.read_text(encoding="utf-8"))
+    row = harness.SweepRow("s", harness.ClassifierSpec("knn"), WindowSpec.burst(2),
+                           TransformSpec(), None, 0, 0, 0, 0)
+    assert header.split(",") == list(row.as_record())

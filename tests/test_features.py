@@ -182,7 +182,21 @@ def test_window_spec_validation():
     with pytest.raises(ValueError):
         WindowSpec.time_span(0.0)
     with pytest.raises(ValueError):
-        WindowSpec(mode="sliding")
+        WindowSpec("sliding", 5)
+
+
+def test_a_window_spec_has_one_size_in_one_form():
+    """A spec is its mode and one size, an int for a burst and a float for a
+    time span, so a spec built either way is one spec with one key."""
+    assert WindowSpec("burst", 250) == WindowSpec.burst(250)
+    assert hash(WindowSpec("burst", 250)) == hash(WindowSpec.burst(250))
+    assert WindowSpec.burst(np.int64(250)).key() == "burst:250"
+    assert type(WindowSpec.burst(np.int64(250)).size) is int
+    spec = WindowSpec.time_span(1)
+    assert spec.size == 1.0 and type(spec.size) is float
+    assert spec.key() == "timespan:1.0"
+    with pytest.raises(ValueError, match=r"^burst size must be an integer >= 2, got 2\.0$"):
+        WindowSpec("burst", 2.0)
 
 
 # --- the worked three-packet example -----------------------------------------

@@ -72,6 +72,22 @@ def test_sweep_csv_byte_identical_across_runs(tmp_path):
     ).read_bytes()
 
 
+def test_sweep_csv_header_is_the_record_keys(tmp_path):
+    """sweep.csv's header names its 14 columns in file order, and a cell's
+    line holds its values under them: an integer time span and nu print as
+    the floats they are held as."""
+    from tpbench.harness import SweepReport, SweepRow
+    row = SweepRow(scenario="s", classifier=ClassifierSpec("knn", {"k": 3}),
+                   window=WindowSpec.time_span(2), transform=TransformSpec("awgn", nu=2),
+                   accuracy=0.5, n_train=6, n_test=4, seed=7, dropped_windows=1)
+    emit_report(SweepReport(rows=[row]), tmp_path)
+    assert (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines() == [
+        "scenario,classifier,classifier_params,window_mode,window_size,transform,"
+        "transform_params,accuracy,n_train,n_test,seed,dropped_windows,status,reason",
+        "s,knn,k=3,timespan,2.0,awgn,nu=2.0,0.5,6,4,7,1,ok,",
+    ]
+
+
 def record_pools(monkeypatch, fork: bool):
     """Patch the process pool to note each pool's (max_workers, start method).
     With fork=False the pool forks nothing and runs its jobs in this process."""
@@ -323,7 +339,7 @@ def test_each_window_spec_gets_one_table_of_its_traces_in_source_order(workers, 
     with open(config.output_dir / "sweep.csv", newline="") as fh:
         reported = {row["window_size"]: int(row["dropped_windows"]) for row in csv.DictReader(fh)}
     traces = generate_dataset(config.profiles, 6, 1.0, derive_seed(config.seed, "dataset"))
-    tables = harness.source_series(config, config.window_specs, workers)
+    tables = harness.source_series(config, config.window_specs)
     for wspec, table in zip(config.window_specs, tables):
         kept = [(trace, series) for trace in traces
                 if len(series := extract_series(trace, wspec))]
@@ -936,7 +952,7 @@ def test_a_built_config_object_is_fixed_and_a_changed_one_is_checked(tmp_path):
     profile = config.profiles[0]
     trace = generate_trace(profile, 1.0, seed=0)
     for built, field, bad, message in (
-        (WindowSpec.burst(250), "burst_size", 1, "burst size must be an integer >= 2, got 1"),
+        (WindowSpec.burst(250), "size", 1, "burst size must be an integer >= 2, got 1"),
         (TransformSpec("awgn", nu=2.0), "nu", 0,
          "transform awgn: nu must be a finite number > 0, got 0"),
         (profile, "rate", -1.0, r"rate must be a finite number > 0, got -1\.0"),
@@ -1035,8 +1051,9 @@ def test_emit_report_unwritable_path_fails(tmp_path):
 ])
 def test_each_kind_accepts_its_hyperparameters_and_defaults(kind, defaults):
     """A kind's config keys and defaults are its fit's, and nothing else: the
-    class count and the keyword-only hooks (`seed` and `trees`; a tree's
-    `rng` and `features_per_split`; the MLP's `batch_size`) are no config keys."""
+    class count, the keyword-only hooks (`seed` and `trees`; a tree's `rng`
+    and `features_per_split`) and the MLP's `batch_size`, a constant, are no
+    config keys."""
     assert attackers.HYPERPARAMETERS[kind] == defaults
     assert dict(ClassifierSpec(kind, defaults).params) == defaults
     hooks = {"n_classes", "seed", "trees"} | {"tree": {"rng", "features_per_split"},
