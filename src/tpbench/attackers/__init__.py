@@ -10,6 +10,8 @@ and checked hyperparameters. A TrainedModel's one output on raw (unscaled)
 feature rows is `votes`: a (rows, classes) int64 matrix, columns in
 `model.classes` order, of a forest's tree votes or the one-hot of another
 kind's predicted class; `predict` returns each row's first-max column.
+A forest's and AdaBoost's `model.params` are a `TreeEnsemble`, read by
+`ensemble_votes`: a forest's votes, and AdaBoost's scores of its class.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tpbench.attackers.adaboost import fit_adaboost, predict_adaboost
-from tpbench.attackers.forest import fit_forest, forest_votes as _forest_votes
+from tpbench.attackers.forest import fit_forest
 from tpbench.attackers.knn import fit_knn, predict_knn
 from tpbench.attackers.mlp import (
     TrainingDivergedError,
@@ -29,7 +31,7 @@ from tpbench.attackers.mlp import (
     predict_mlp,
 )
 from tpbench.attackers.prep import Standardizer, split
-from tpbench.attackers.tree import fit_tree, predict_tree
+from tpbench.attackers.tree import ensemble_votes, fit_tree, predict_tree
 from tpbench.rules import (
     COUNT,
     COUNT_LIST,
@@ -45,7 +47,7 @@ from tpbench.rules import (
 _KINDS = {
     "knn": (fit_knn, predict_knn),
     "tree": (fit_tree, predict_tree),
-    "forest": (fit_forest, _forest_votes),
+    "forest": (fit_forest, ensemble_votes),
     "adaboost": (fit_adaboost, predict_adaboost),
     "mlp": (fit_mlp, predict_mlp),
 }

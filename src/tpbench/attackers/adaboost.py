@@ -3,7 +3,8 @@
 Round weight alpha = ln((1 - eps) / eps) + ln(K - 1); with K = 2 this is the
 classic two-class AdaBoost weight. eps is floored at 1e-10 and boosting
 halts early when the best stump is no better than random guessing
-(eps >= 1 - 1/K).
+(eps >= 1 - 1/K). The fit is a `TreeEnsemble` of each round's stump as a
+depth-1 tree at weight alpha, scored by `ensemble_votes` in round order.
 """
 
 from __future__ import annotations
@@ -12,32 +13,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tpbench.attackers.tree import cut_threshold
+from tpbench.attackers.tree import (
+    TreeEnsemble,
+    TreeParams,
+    cut_threshold,
+    ensemble_votes,
+    predict_tree,
+)
 
 EPS_FLOOR = 1e-10
 
 
-@dataclass
-class Stump:
-    feature: int  # -1 means a constant stump (no usable split existed)
-    threshold: float
-    left_class: int  # prediction for x[feature] <= threshold; also the
-    right_class: int  # constant prediction when feature == -1
+def _leaf(klass: int) -> TreeParams:
+    """The one-node tree predicting `klass` for every row."""
+    return TreeParams(*map(np.array, ([-1], [0.0], [klass], [-1], [-1])))
 
 
-@dataclass
-class AdaBoostParams:
-    stumps: list[Stump]
-    alphas: list[float]
-    fallback_class: int
-    n_classes: int
-
-
-def _predict_stump(stump: Stump, X: np.ndarray) -> np.ndarray:
-    if stump.feature < 0:
-        return np.full(X.shape[0], stump.left_class, dtype=np.int64)
-    goes_left = X[:, stump.feature] <= stump.threshold
-    return np.where(goes_left, stump.left_class, stump.right_class).astype(np.int64)
+def _stump(feature: int, threshold: float, left_class: int, right_class: int) -> TreeParams:
+    """The depth-1 tree predicting left_class where x[feature] <= threshold."""
+    return TreeParams(*map(np.array, ([feature, -1, -1], [threshold, 0.0, 0.0],
+                                      [-1, left_class, right_class], [1, -1, -1], [2, -1, -1])))
 
 
 @dataclass
@@ -72,7 +67,7 @@ class _Cuts:
         )
 
 
-def _best_stump(cuts: _Cuts, y: np.ndarray, w: np.ndarray, n_classes: int) -> Stump:
+def _best_stump(cuts: _Cuts, y: np.ndarray, w: np.ndarray, n_classes: int) -> TreeParams:
     """Stump minimizing weighted 0-1 error; ties break on lowest feature
     index, then lowest threshold. Leaf classes are weighted majorities."""
     totals = np.bincount(y, weights=w, minlength=n_classes)
@@ -91,52 +86,39 @@ def _best_stump(cuts: _Cuts, y: np.ndarray, w: np.ndarray, n_classes: int) -> St
             best_err = float(err[j])
             best = j
     if best < 0:  # every feature constant: predict the weighted majority
-        majority = int(np.argmax(totals))
-        return Stump(feature=-1, threshold=0.0, left_class=majority, right_class=majority)
-    return Stump(
-        feature=int(cuts.features[best]),
-        threshold=float(cuts.thresholds[best]),
-        left_class=int(np.argmax(left[:, best])),
-        right_class=int(np.argmax(right[:, best])),
-    )
+        return _leaf(int(np.argmax(totals)))
+    return _stump(int(cuts.features[best]), float(cuts.thresholds[best]),
+                  int(np.argmax(left[:, best])), int(np.argmax(right[:, best])))
 
 
 def fit_adaboost(
     X: np.ndarray, y: np.ndarray, n_classes: int, rounds: int = 50
-) -> AdaBoostParams:
+) -> TreeEnsemble:
     if n_classes < 2:
         raise ValueError("boosting needs at least 2 classes")
 
     n = y.size
     w = np.full(n, 1.0 / n)
-    fallback = int(np.argmax(np.bincount(y, minlength=n_classes)))
-    params = AdaBoostParams(
-        stumps=[], alphas=[], fallback_class=fallback, n_classes=n_classes
-    )
+    stumps, alphas = [], []
     cuts = _Cuts.of(X, y, n_classes)  # X is fixed across rounds; only the weights change
     for _ in range(rounds):
         stump = _best_stump(cuts, y, w, n_classes)
-        pred = _predict_stump(stump, X)
-        incorrect = pred != y
+        incorrect = predict_tree(stump, X) != y
         eps = float(w @ incorrect)
         if eps >= 1.0 - 1.0 / n_classes - 1e-12:
             break  # no better than random: halt without recording
         eps_floored = max(eps, EPS_FLOOR)
         alpha = float(np.log((1.0 - eps_floored) / eps_floored) + np.log(n_classes - 1))
-        params.stumps.append(stump)
-        params.alphas.append(alpha)
+        stumps.append(stump)
+        alphas.append(alpha)
         if eps <= EPS_FLOOR:
             break  # perfect stump: nothing left to reweight
         w = w * np.exp(alpha * incorrect)
         w /= w.sum()
-    return params
+    if not stumps:  # no round: the training majority (first-max) at weight 1.0
+        stumps, alphas = [_leaf(int(np.argmax(np.bincount(y, minlength=n_classes))))], [1.0]
+    return TreeEnsemble(stumps, np.array(alphas), n_classes)
 
 
-def predict_adaboost(params: AdaBoostParams, X: np.ndarray) -> np.ndarray:
-    if not params.stumps:
-        return np.full(X.shape[0], params.fallback_class, dtype=np.int64)
-    scores = np.zeros((X.shape[0], params.n_classes))
-    for stump, alpha in zip(params.stumps, params.alphas):
-        pred = _predict_stump(stump, X)
-        scores[np.arange(X.shape[0]), pred] += alpha
-    return np.argmax(scores, axis=1)
+def predict_adaboost(params: TreeEnsemble, X: np.ndarray) -> np.ndarray:
+    return np.argmax(ensemble_votes(params, X), axis=1)

@@ -15,6 +15,8 @@ cut-by-cut search, which sums classes over a trailing axis (`_best_split`).
 A fitted tree is five flat node arrays (`TreeParams`), root first; a node
 that splits gives its children the next two free ids, left then right.
 `predict_tree` moves all rows still on a split node down one level per step.
+A forest (int64 weights 1) and AdaBoost (float64 alphas, depth-1 trees) are
+each a `TreeEnsemble`, whose one vote loop is `ensemble_votes`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,13 @@ class TreeParams:
     klass: np.ndarray  # a leaf's class; -1 at a split node
     left: np.ndarray  # child node ids; -1 at a leaf
     right: np.ndarray
+
+
+@dataclass
+class TreeEnsemble:
+    trees: list[TreeParams]
+    weights: np.ndarray  # one per tree; its dtype is the votes'
+    n_classes: int
 
 
 def cut_threshold(low, high):
@@ -163,3 +172,12 @@ def predict_tree(params: TreeParams, X: np.ndarray) -> np.ndarray:
         goes_left = X[rows, params.feature[at]] <= params.threshold[at]
         node[rows] = np.where(goes_left, params.left[at], params.right[at])
     return params.klass[node]
+
+
+def ensemble_votes(params: TreeEnsemble, X: np.ndarray) -> np.ndarray:
+    """(rows, classes) sum, tree by tree, of each tree's weight at its class."""
+    votes = np.zeros((X.shape[0], params.n_classes), dtype=params.weights.dtype)
+    rows = np.arange(X.shape[0])
+    for tree, weight in zip(params.trees, params.weights):
+        votes[rows, predict_tree(tree, X)] += weight
+    return votes

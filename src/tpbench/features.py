@@ -263,12 +263,13 @@ def save_features_csv(table: WindowTable, path: str | Path, transform: str | Non
 
 
 def load_features_csv(path: str | Path) -> WindowTable:
-    """The table of a feature CSV, with each trace_id's rows together in file
-    order, the traces in order of first appearance, `dropped_windows` 0 (the
-    file keeps no count) and a `transform` column left unread. Text that
-    `read_text` refuses or that is not CSV, or a header naming a column
-    twice, fails as a ValueError naming the file."""
-    rows, trace, traces = [], [], {}  # traces: trace_id -> (position, label)
+    """The table of a feature CSV, with each trace_id's rows together in
+    `window_index` order (rows of one index in file order), the traces in
+    order of first appearance, `dropped_windows` 0 (the file keeps no count)
+    and a `transform` column left unread. Text that `read_text` refuses or
+    that is not CSV, or a header naming a column twice, fails as a
+    ValueError naming the file (and a bad window_index, its line)."""
+    rows, trace, window, traces = [], [], [], {}  # traces: trace_id -> (position, label)
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     try:
         header = reader.fieldnames or []
@@ -292,6 +293,10 @@ def load_features_csv(path: str | Path) -> WindowTable:
             for name, value in zip(FEATURE_NAMES, vec):
                 if not math.isfinite(value):
                     raise ValueError(f"{path}:{lineno}: {name} is {row[name]!r}, not finite")
+            index = row["window_index"]
+            if not (index.isascii() and index.isdigit() and len(index) <= 18):  # fits int64
+                raise ValueError(f"{path}:{lineno}: window_index is {index!r}, "
+                                 "not an integer >= 0 of at most 18 digits")
             position, label = traces.setdefault(row["trace_id"], (len(traces), row["label"]))
             if label != row["label"]:
                 raise ValueError(
@@ -299,12 +304,13 @@ def load_features_csv(path: str | Path) -> WindowTable:
                 )
             rows.append(vec)
             trace.append(position)
+            window.append(int(index))
     except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
         # the inner reader's count: DictReader's own lags a row behind a failed read
         raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no feature rows")
-    order = np.argsort(trace, kind="stable")
+    order = np.lexsort((window, trace))  # stable: rows of one trace and index keep file order
     trace = np.array(trace, dtype=np.int64)[order]
     labels = np.array([label for _, label in traces.values()], dtype=object)
     return WindowTable(np.array(rows)[order], labels[trace], trace, list(traces), dropped_windows=0)

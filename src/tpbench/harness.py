@@ -125,10 +125,15 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         for name, rule in _CONFIG_RULES.items():
             check(getattr(self, name), rule, name)
-        for path, label in self.pcap_files:
+        ids: dict[str, int] = {}  # trace id (a capture's file stem) -> its first entry
+        for i, (path, label) in enumerate(self.pcap_files):
             check(label, STRING, f"pcap_labels[{path.name}]")
             if not path.is_file():
                 raise ConfigError(f"pcap_labels[{path.name}]: file not found: {path}")
+            # a capture listed twice leaks across the split; a shared id merges two traces
+            if (j := ids.setdefault(path.stem, i)) < i:
+                raise ConfigError(f"pcap_labels[{path}]: trace id {path.stem!r} duplicates "
+                                  f"that of pcap_labels[{self.pcap_files[j][0]}]")
         if not self.window_specs:
             raise ConfigError("window sweep is empty (burst_sizes / timespans)")
         if not self.transforms:

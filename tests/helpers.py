@@ -7,7 +7,8 @@ statistics from plain Python loops or from one window at a time (the
 bit-exact oracle of the blocked extractor), nearest-neighbor votes from an
 exhaustive scan or one query at a time, tree splits and boosting stumps from
 a search over one feature at a time, tree predictions from a walk of one
-node and its row subset at a time, MLP training from a loop that
+node and its row subset at a time, AdaBoost scores from a loop over rounds
+that reads each stump's threshold itself, MLP training from a loop that
 allocates every array and updates each weight and bias array on its own, and
 pcap parsing from a loop that decodes one record at a time.
 """
@@ -22,7 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from tpbench.attackers.adaboost import Stump
 from tpbench.attackers.mlp import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -390,13 +390,15 @@ def tree_arrays(params: TreeParams) -> list:
 
 # --- per-feature boosting stump oracle ---------------------------------------
 
-def reference_best_stump(X, y, w, n_classes) -> Stump:
+def reference_best_stump(X, y, w, n_classes) -> TreeParams:
     """Stump minimizing weighted 0-1 error, sorting each feature on every
-    call; ties break on lowest feature index, then lowest threshold."""
+    call; ties break on lowest feature index, then lowest threshold. It is
+    a split node and two leaves, or one leaf of the weighted majority when
+    every feature is constant."""
     n = y.size
     totals = np.bincount(y, weights=w, minlength=n_classes)
     best_err = np.inf
-    best = None
+    best = TreeParams(*map(np.array, ([-1], [0.0], [int(np.argmax(totals))], [-1], [-1])))
     weighted = np.zeros((n, n_classes))
     weighted[np.arange(n), y] = w
     for f in range(X.shape[1]):
@@ -417,16 +419,30 @@ def reference_best_stump(X, y, w, n_classes) -> Stump:
             if threshold >= high:
                 threshold = low
             best_err = float(err[j])
-            best = Stump(
-                feature=f,
-                threshold=float(threshold),
-                left_class=int(np.argmax(left[j])),
-                right_class=int(np.argmax(right[j])),
+            best = TreeParams(
+                feature=np.array([f, -1, -1]),
+                threshold=np.array([float(threshold), 0.0, 0.0]),
+                klass=np.array([-1, int(np.argmax(left[j])), int(np.argmax(right[j]))]),
+                left=np.array([1, -1, -1]),
+                right=np.array([2, -1, -1]),
             )
-    if best is None:
-        majority = int(np.argmax(totals))
-        best = Stump(feature=-1, threshold=0.0, left_class=majority, right_class=majority)
     return best
+
+
+def reference_boosted_scores(params, X) -> np.ndarray:
+    """(rows, classes) float64 scores of a fitted AdaBoost model by the
+    per-round loop: each round's stump sends a row with X[:, f] <= t to its
+    left class, else to its right (a leaf to its one class), and that
+    class's score takes += alpha, round by round."""
+    scores = np.zeros((X.shape[0], params.n_classes))
+    for stump, alpha in zip(params.trees, params.weights.tolist()):
+        if stump.feature[0] < 0:
+            predicted = np.full(X.shape[0], stump.klass[0])
+        else:
+            goes_left = X[:, stump.feature[0]] <= stump.threshold[0]
+            predicted = np.where(goes_left, stump.klass[stump.left[0]], stump.klass[stump.right[0]])
+        scores[np.arange(X.shape[0]), predicted] += alpha
+    return scores
 
 
 # --- per-array MLP training oracle -------------------------------------------

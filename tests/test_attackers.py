@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     knn_oracle,
     reference_best_stump,
+    reference_boosted_scores,
     reference_fit_mlp,
     reference_fit_tree,
     reference_predict_knn,
@@ -21,7 +22,7 @@ from helpers import (
 from tpbench import attackers
 from tpbench.attackers import adaboost, split
 from tpbench.attackers.adaboost import fit_adaboost, predict_adaboost
-from tpbench.attackers.forest import fit_forest, forest_votes
+from tpbench.attackers.forest import fit_forest
 from tpbench.attackers.knn import block_rows, fit_knn, predict_knn
 from tpbench.attackers.mlp import (
     BATCH_SIZE,
@@ -31,7 +32,7 @@ from tpbench.attackers.mlp import (
     loss_and_gradients,
     predict_mlp,
 )
-from tpbench.attackers.tree import fit_tree, predict_tree
+from tpbench.attackers.tree import ensemble_votes, fit_tree, predict_tree
 from tpbench.harness import ClassifierSpec, cell_seeds, fit_cell, load_config, score_cell
 from tpbench.rules import ConfigError
 from tpbench.seeding import derive_seed
@@ -421,7 +422,8 @@ def test_forest_votes_count_the_node_by_node_walk_of_every_tree():
     want = np.zeros((queries.shape[0], 4), dtype=np.int64)
     for tree in model.params.trees:
         want[np.arange(queries.shape[0]), reference_predict_tree(tree, standardized)] += 1
-    assert np.array_equal(attackers.votes(model, queries), want)
+    got = attackers.votes(model, queries)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
     assert np.array_equal(attackers.votes(model, queries[:0]), want[:0])
 
 
@@ -439,7 +441,7 @@ def test_forest_single_tree_reduces_to_cart_on_its_bootstrap_draw():
     for seed in range(10):
         forest = fit_forest(X, y, 2, n_trees=1, seed=seed)
         rows = np.random.default_rng(derive_seed(seed, "tree", 0)).integers(0, y.size, y.size)
-        predicted = np.argmax(forest_votes(forest, queries), axis=1)
+        predicted = np.argmax(ensemble_votes(forest, queries), axis=1)
         assert np.array_equal(predicted, predict_tree(fit_tree(X[rows], y[rows], 2), queries))
         if seed == 6:
             distinct = np.unique(rows)
@@ -494,7 +496,7 @@ def test_adaboost_perfect_stump_halts_after_one_round():
     X[:, 2] = [0.0, 1.0, 10.0, 11.0]
     y = ["a", "a", "b", "b"]
     model = attackers.train("adaboost", X, y, rounds=50)
-    assert len(model.params.stumps) == 1
+    assert len(model.params.trees) == 1
     assert attackers.evaluate(model, X, y) == 1.0
 
 
@@ -505,7 +507,7 @@ def test_adaboost_two_class_alpha_reduces_to_classic():
     X[:, 0] = [0.0, 1.0, 2.0, 3.0]
     y = ["a", "b", "a", "a"]
     model = attackers.train("adaboost", X, y, rounds=1)
-    assert model.params.alphas[0] == pytest.approx(math.log(3.0), rel=1e-12)
+    assert model.params.weights[0] == pytest.approx(math.log(3.0), rel=1e-12)
 
 
 def adaboost_round_errors(model, X, y) -> list[float]:
@@ -516,9 +518,9 @@ def adaboost_round_errors(model, X, y) -> list[float]:
     codes = np.unique(y, return_inverse=True)[1]
     return [
         float(np.mean(predict_adaboost(
-            replace(params, stumps=params.stumps[:r], alphas=params.alphas[:r]), Xs
+            replace(params, trees=params.trees[:r], weights=params.weights[:r]), Xs
         ) != codes))
-        for r in range(1, len(params.stumps) + 1)
+        for r in range(1, len(params.trees) + 1)
     ]
 
 
@@ -527,7 +529,7 @@ def test_adaboost_xor_like_needs_multiple_rounds():
     X[:, 0] = [0.0, 1.0, 2.0, 3.0]
     y = ["a", "b", "b", "a"]  # no single threshold separates this
     model = attackers.train("adaboost", X, y, rounds=30)
-    assert len(model.params.stumps) >= 2
+    assert len(model.params.trees) >= 2
     errors = adaboost_round_errors(model, X, y)
     assert errors[0] >= 0.25  # one stump must err somewhere
     assert errors[-1] < errors[0]
@@ -578,10 +580,47 @@ def test_adaboost_presorted_search_matches_per_feature_reference(monkeypatch):
                 lambda cuts, y, w, n_classes, X=X: reference_best_stump(X, y, w, n_classes),
             )
             want = fit_adaboost(X, y, n_classes, rounds)
-        assert got.stumps == want.stumps
-        assert got.alphas == want.alphas
-        halted += len(got.stumps) < rounds
+        assert [tree_arrays(t) for t in got.trees] == [tree_arrays(t) for t in want.trees]
+        assert got.weights.tolist() == want.weights.tolist()
+        halted += len(got.trees) < rounds
     assert halted >= 2
+
+
+def test_adaboost_votes_are_the_per_round_score_loop():
+    """On noisy 3-5 class fits of many rounds, the ensemble's scores are, bit
+    for bit, the per-round loop's alpha sums, on query rows with NaN features
+    and rows equal to a stump's threshold, and `predict_adaboost` is their
+    first-max class."""
+    rng = np.random.default_rng(47)
+    for n_classes in (3, 4, 5):
+        y = np.arange(60 * n_classes) % n_classes
+        X = rng.normal(size=(y.size, 6)) + 0.5 * y[:, None]
+        X[:, 4] = np.round(X[:, 4])  # ties
+        params = fit_adaboost(X, y, n_classes, rounds=50)
+        assert len(params.trees) >= 30 and params.weights.dtype == np.float64
+        queries = rng.normal(size=(90, 6)) + rng.integers(0, n_classes, size=(90, 1))
+        queries[:30][rng.random((30, 6)) < 0.3] = np.nan
+        for row, tree in zip(queries[30:60], params.trees):  # one threshold hit per stump
+            row[tree.feature[0]] = tree.threshold[0]
+        want = reference_boosted_scores(params, queries)
+        assert np.array_equal(ensemble_votes(params, queries), want)
+        assert np.array_equal(predict_adaboost(params, queries), want.argmax(axis=1))
+
+
+def test_adaboost_that_records_no_round_predicts_the_training_majority():
+    """With every column constant and the classes equally common, no stump
+    beats guessing: the fit is one leaf at weight 1.0 of the first-max
+    majority, class 0 of the tied three (though class 2 comes first)."""
+    X = np.ones((9, 3))
+    y = np.array([2, 1, 2, 0, 1, 2, 0, 1, 0])
+    params = fit_adaboost(X, y, 3, rounds=10)
+    assert [tree_arrays(t) for t in params.trees] == [[[-1], [0.0], [0], [-1], [-1]]]
+    assert params.weights.tolist() == [1.0]
+    queries = np.array([[1.0, 1.0, 1.0], [np.nan, -5.0, 9.0]])
+    assert predict_adaboost(params, queries).tolist() == [0, 0]
+    assert np.array_equal(ensemble_votes(params, queries), [[1.0, 0.0, 0.0]] * 2)
+    model = attackers.train("adaboost", X, np.array(list("cbcabcaba")))
+    assert attackers.predict(model, queries).tolist() == ["a", "a"]
 
 
 # --- MLP -----------------------------------------------------------------------------
@@ -766,6 +805,16 @@ def test_every_hyperparameter_is_set_by_a_shipped_config():
     unset = {(kind, key) for kind, params in attackers.HYPERPARAMETERS.items()
              for key in params} - set_keys
     assert unset == {("mlp", "learning_rate")}
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+def test_every_shipped_config_builds(path):
+    """Each `configs/*.json` builds as the sweep builds it, so a rule that
+    refuses a shipped config fails here: 6 window specs, 13 transforms and
+    one classifier of each kind."""
+    config = load_config(path)
+    assert (len(config.window_specs), len(config.transforms)) == (6, 13)
+    assert sorted(clf.kind for clf in config.classifiers) == sorted(attackers.CLASSIFIER_KINDS)
 
 
 BAD_HYPERPARAMETERS = [  # (kind, params, message after "classifier '<kind>': ")

@@ -563,6 +563,28 @@ def test_extract_config_builds_its_config_once(tmp_path, monkeypatch):
     assert checked == ["a.pcap", "b.pcap"]
 
 
+@pytest.mark.parametrize("key, stem", [("./a.pcap", "a.pcap"), ("sub/a.pcap", "sub/a.pcap")],
+                         ids=["listed twice", "one trace id"])
+def test_captures_of_one_trace_id_exit_two_naming_both_entries(key, stem, tmp_path, capsys):
+    """A capture listed a second time (`./a.pcap` is `a.pcap`), or another
+    capture of the same file stem, would give two traces one id: `sweep` and
+    `extract --config` exit 2 naming both entries by path, and write nothing."""
+    _write_pcaps(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "a.pcap").write_bytes((tmp_path / "b.pcap").read_bytes())
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"pcap_dir": ".", "burst_sizes": [5],
+                                "pcap_labels": {"a.pcap": "x", "b.pcap": "y", key: "y"},
+                                "classifiers": [{"kind": "knn"}]}))
+    message = (f"pcap_labels[{tmp_path / stem}]: trace id 'a' duplicates "
+               f"that of pcap_labels[{tmp_path / 'a.pcap'}]")
+    for command in (["sweep"], ["extract", "--burst", "5", "--out", str(tmp_path / "f.csv")]):
+        assert main([*command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "f.csv").exists()
+
+
 def test_sweep_over_a_bad_second_capture_exits_two_naming_it(tmp_path, capsys, monkeypatch):
     """A capture decoded in a worker fails the sweep as it does serially:
     exit 2, naming the file, and no report."""

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -578,6 +579,33 @@ def test_csv_text_is_pinned(tmp_path):
     plain.write_text(GOLDEN_FEATURES_CSV, encoding="utf-8")
     save_features_csv(load_features_csv(plain), back)
     assert back.read_text(encoding="utf-8") == GOLDEN_FEATURES_CSV
+
+
+def test_csv_load_takes_each_traces_rows_in_window_index_order(tmp_path):
+    """A file whose rows run backwards within each trace, as a reversed
+    `extract --config` CSV's do, loads as the file in window order."""
+    header, *lines = GOLDEN_FEATURES_CSV.splitlines(keepends=True)
+    blocks: dict[str, list[str]] = {}
+    for line in lines:
+        blocks.setdefault(line.rsplit(",", 1)[1], []).append(line)
+    assert [len(block) for block in blocks.values()] == [2, 3, 1]
+    plain, backwards = tmp_path / "f.csv", tmp_path / "r.csv"
+    plain.write_text(GOLDEN_FEATURES_CSV, encoding="utf-8")
+    backwards.write_text(header + "".join(line for block in blocks.values()
+                                          for line in reversed(block)), encoding="utf-8")
+    want, got = load_features_csv(plain), load_features_csv(backwards)
+    assert np.array_equal(got.X, want.X) and np.array_equal(got.trace, want.trace)
+    assert got.labels.tolist() == want.labels.tolist() and got.trace_ids == want.trace_ids
+
+
+def test_csv_rejects_a_window_index_that_is_no_count(tmp_path):
+    path = tmp_path / "bad.csv"
+    header = ",".join(list(FEATURE_NAMES) + ["label", "window_index", "trace_id"])
+    row = ",".join(["1.0"] * 12)
+    for bad in ("-1", "1.0", "+1", " 1", "1_0", "\u0667", "", "x", "1" * 19):
+        path.write_text(f"{header}\n{row},a,0,t\n{row},a,{bad},t\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"bad.csv:3: window_index is {re.escape(repr(bad))}"):
+            load_features_csv(path)
 
 
 def test_csv_load_groups_interleaved_rows_by_first_appearance(tmp_path):

@@ -766,7 +766,8 @@ def test_config_field_errors_are_named(tmp_path):
             config_from_dict({**base, "classifiers": [{"kind": "knn"}], "profiles": profiles})
     with pytest.raises(ConfigError, match=r"^profiles\[0\]: must be an object, got 3$"):
         config_from_dict({**base, "classifiers": [{"kind": "knn"}], "profiles": [3]})
-    for name in ("a.pcap", "b.pcap"):
+    (tmp_path / "sub").mkdir()
+    for name in ("a.pcap", "b.pcap", "sub/a.pcap"):
         (tmp_path / name).write_bytes(b"")
     other = asdict(builtin_profiles("mic_onoff")[1])
     pcaps = {"pcap_dir": str(tmp_path), "pcap_labels": {"a.pcap": "x", "b.pcap": "y"}}
@@ -782,6 +783,13 @@ def test_config_field_errors_are_named(tmp_path):
          r"^traces_per_class: not allowed with pcap_dir$"),
         ({**pcaps, "duration": 5.0}, r"^duration: not allowed with pcap_dir$"),
         ({"pcap_labels": pcaps["pcap_labels"]}, r"^pcap_labels: not allowed without pcap_dir$"),
+        # one capture twice, or two captures of one trace id
+        ({"pcap_dir": str(tmp_path), "pcap_labels": {**pcaps["pcap_labels"], "./b.pcap": "x"}},
+         rf"^pcap_labels\[{re.escape(str(tmp_path / 'b.pcap'))}\]: trace id 'b' duplicates "
+         rf"that of pcap_labels\[{re.escape(str(tmp_path / 'b.pcap'))}\]$"),
+        ({"pcap_dir": str(tmp_path), "pcap_labels": {**pcaps["pcap_labels"], "sub/a.pcap": "y"}},
+         rf"^pcap_labels\[{re.escape(str(tmp_path / 'sub' / 'a.pcap'))}\]: trace id 'a' "
+         rf"duplicates that of pcap_labels\[{re.escape(str(tmp_path / 'a.pcap'))}\]$"),
     ):
         with pytest.raises(ConfigError, match=named):
             config_from_dict({**base, "classifiers": [{"kind": "knn"}], **source})
