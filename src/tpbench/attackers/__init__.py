@@ -30,7 +30,7 @@ from tpbench.attackers.mlp import (
     loss_and_gradients,
     predict_mlp,
 )
-from tpbench.attackers.prep import Standardizer, split
+from tpbench.attackers.prep import Standardizer, class_codes, split
 from tpbench.attackers.tree import ensemble_votes, fit_tree, predict_tree
 from tpbench.rules import (
     COUNT,

@@ -30,26 +30,36 @@ class Standardizer:
         return (np.asarray(X, dtype=np.float64) - self.mean) / self.std
 
 
+def class_codes(y) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(y, return_inverse=True)`: the sorted distinct labels and each
+    row's code into them. Fewer than 2 classes, or a class of fewer than 2
+    rows (the first in label order is named), raises ValueError: no
+    stratified split exists, and with one class every prediction would score 1.0."""
+    classes, codes = np.unique(y, return_inverse=True)
+    if classes.size < 2:
+        raise ValueError(f"only class(es) {classes.tolist()} present; need at least 2 classes")
+    counts = np.bincount(codes, minlength=classes.size)
+    if (short := np.flatnonzero(counts < 2)).size:
+        c = short[0]
+        raise ValueError(f"class {classes.tolist()[c]!r} has {counts[c]} row(s); need at least 2")
+    return classes, codes
+
+
 def split(y, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Stratified train/test row indices.
 
     Per class, round(train_fraction * n) rows go to train (clamped so both
     splits stay non-empty); the per-class shuffle is drawn from `seed` with
     the classes in value order, so the split is a pure function of (labels,
-    train_fraction, seed), and labels and their `np.unique` codes split alike.
-    Fewer than 2 classes, or a class of fewer than 2 rows, raises ValueError:
-    with one class every prediction would score 1.0.
+    train_fraction, seed), and labels and their `class_codes` split alike.
+    `class_codes` raises where the labels give no split.
     """
     check(train_fraction, FRACTION, "train_fraction")
-    classes, codes = np.unique(y, return_inverse=True)
-    if classes.size < 2:
-        raise ValueError(f"only class(es) {classes.tolist()} present; need at least 2 classes")
+    classes, codes = class_codes(y)
     rng = np.random.default_rng(seed)
     train_parts, test_parts = [], []
-    for c, cls in enumerate(classes.tolist()):
+    for c in range(classes.size):
         idx = np.flatnonzero(codes == c)
-        if idx.size < 2:
-            raise ValueError(f"class {cls!r} has {idx.size} row(s); need at least 2")
         perm = idx[rng.permutation(idx.size)]
         n_train = int(round(train_fraction * idx.size))
         n_train = min(max(n_train, 1), idx.size - 1)

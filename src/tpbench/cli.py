@@ -9,8 +9,9 @@ so a sweep cell can be rerun by chaining `extract --config` / `perturb` /
 with the sweep's own code, `harness.source_series`, on the sweep's worker
 pool (`extract --pcap` makes its two calls for one capture, `load_pcap`
 and `extract_series`); `perturb` transforms the table's `X`, as the sweep
-does, and `attack` splits its rows by `harness.split_cell` on their
-labels' class codes and scores them by `harness.score_cell`.
+does, and `attack` encodes and checks its labels once by
+`attackers.class_codes`, splits the codes by `attackers.split` and scores
+them by `harness.score_cell`.
 The invariant checks live in the test suite: `pytest tests/test_acceptance.py`
 runs one check per acceptance criterion.
 """
@@ -22,14 +23,13 @@ import json
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from tpbench import attackers
 from tpbench.adversarial import TRANSFORM_PARAMS
 from tpbench.features import WindowSpec, extract_series, load_features_csv, save_features_csv
 from tpbench.harness import (
     ClassifierSpec,
     ExperimentConfig,
+    cell_seeds,
     emit_report,
     fit_cell,
     load_config,
@@ -37,7 +37,6 @@ from tpbench.harness import (
     run_experiment,
     score_cell,
     source_series,
-    split_cell,
 )
 from tpbench.pcap import load_pcap
 from tpbench.rules import FRACTION, SEED, check, named
@@ -97,7 +96,7 @@ def _cmd_extract(args) -> int:
         spec = WindowSpec.burst(args.burst)
     else:
         spec = WindowSpec.time_span(args.timespan)
-    if args.pcap:
+    if args.pcap is not None:
         if not args.label:
             raise ValueError("--label is required with --pcap")
         table = extract_series(load_pcap(args.pcap, args.label), spec)
@@ -133,8 +132,8 @@ def _cmd_attack(args) -> int:
             raise ValueError(f"expected a JSON object, got {args.params!r}")
         clf = ClassifierSpec(args.classifier, params)
     table = load_features_csv(args.features)
-    codes = np.unique(table.labels, return_inverse=True)[1]  # as the sweep encodes them
-    train_idx, test_idx = split_cell(codes, table.labels, args.train_fraction, args.seed)
+    codes = attackers.class_codes(table.labels)[1]  # as the sweep encodes and checks them
+    train_idx, test_idx = attackers.split(codes, args.train_fraction, cell_seeds(args.seed)[0])
     votes = fit_cell(table.X, codes, clf, train_idx, test_idx, args.seed)
     accuracy = score_cell([votes], codes[test_idx])
     print(

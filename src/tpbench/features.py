@@ -33,8 +33,6 @@ import numpy as np
 from tpbench.rules import POSITIVE, check, integer_at_least, read_text, write_csv
 from tpbench.traffic import Protocol, Trace
 
-_TCP, _UDP, _ICMP = Protocol.TCP.code, Protocol.UDP.code, Protocol.ICMP.code
-
 FEATURE_NAMES: tuple[str, ...] = (
     "n_ip_unique",
     "n_port_unique",
@@ -125,7 +123,8 @@ def _window_bounds(trace: Trace, spec: WindowSpec) -> tuple[np.ndarray, np.ndarr
         starts = np.arange(times.size // spec.size, dtype=np.int64) * spec.size
         return starts, starts + spec.size
     dt = spec.size
-    k = np.floor(times / dt)
+    with np.errstate(over="ignore"):  # a subnormal dt: the inf is refused below
+        k = np.floor(times / dt)
     if not k[-1] < MAX_INTERVALS:
         raise ValueError(
             f"trace {trace.trace_id or trace.label!r}: time span {dt!r} cuts its "
@@ -201,7 +200,7 @@ def _window_matrix(trace: Trace, starts: np.ndarray, stops: np.ndarray) -> np.nd
     for rows, size in _blocks(stops - starts):
         packets = starts[rows, None] + np.arange(size)
         proto = trace.protocols[packets]
-        tcp, udp = proto == _TCP, proto == _UDP
+        tcp, udp = proto == Protocol.TCP.value, proto == Protocol.UDP.value
         ips = np.concatenate([trace.src_ip[packets], trace.dst_ip[packets]], axis=1)
         ips.sort(axis=1)
         ports = np.concatenate([trace.src_port[packets], trace.dst_port[packets]], axis=1)
@@ -212,14 +211,14 @@ def _window_matrix(trace: Trace, starts: np.ndarray, stops: np.ndarray) -> np.nd
         out[rows, f["n_port_unique"]] = _distinct(ports) - (ports == 0).any(axis=1)  # 0 is no port
         out[rows, f["n_pack_tcp"]] = np.add.reduce(tcp, axis=1)
         out[rows, f["n_pack_udp"]] = np.add.reduce(udp, axis=1)
-        out[rows, f["n_pack_icmp"]] = np.add.reduce(proto == _ICMP, axis=1)
+        out[rows, f["n_pack_icmp"]] = np.add.reduce(proto == Protocol.ICMP.value, axis=1)
         out[rows, f["max_diff_time"]] = gaps.max(axis=1)
         out[rows, f["mean_ipt"]], out[rows, f["std_ipt"]] = _mean_std(gaps)
         out[rows, f["mean_len_pack"]], out[rows, f["std_len_pack"]] = _mean_std(lengths)
 
     # TCP window statistics: each window's TCP packets, in packet order, are
     # a contiguous run of the TCP-only column.
-    tcp_at = np.flatnonzero(trace.protocols == _TCP)
+    tcp_at = np.flatnonzero(trace.protocols == Protocol.TCP.value)
     tcp_windows = trace.tcp_window[tcp_at]
     first_tcp = np.searchsorted(tcp_at, starts)
     for rows, size in _blocks(np.searchsorted(tcp_at, stops) - first_tcp):

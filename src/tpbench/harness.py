@@ -13,10 +13,11 @@ its trace under every window spec it is given (the sweep gives the config's,
 `extract --config` its one) and returns only its window tables, so a worker
 holds one trace at a time and no trace reaches the parent, which stacks each
 spec's tables once. Then
-`run_experiment` encodes each table's labels once as class codes (the
-labels' sorted order), splits each cell's codes itself (`split_cell`) and
-runs `fit_cell` jobs, each returning `attackers.votes` on the test rows, a
-(test rows, classes) int64 matrix. A forest cell runs as a job per worker,
+`run_experiment` encodes and checks each table's labels once as class codes
+(`attackers.class_codes`, the labels' sorted order; a window whose classes
+allow no split skips its cells with that one reason), splits each runnable
+cell's codes itself and runs `fit_cell` jobs, each returning
+`attackers.votes` on the test rows, a (test rows, classes) int64 matrix. A forest cell runs as a job per worker,
 each growing a contiguous range of its tree indices from each tree's own
 seed, so the ranges' votes sum to the whole forest's.
 No job returns its model: a model lives only in the process that fit it.
@@ -127,9 +128,9 @@ class ExperimentConfig:
             check(getattr(self, name), rule, name)
         ids: dict[str, int] = {}  # trace id (a capture's file stem) -> its first entry
         for i, (path, label) in enumerate(self.pcap_files):
-            check(label, STRING, f"pcap_labels[{path.name}]")
+            check(label, STRING, f"pcap_labels[{path}]")
             if not path.is_file():
-                raise ConfigError(f"pcap_labels[{path.name}]: file not found: {path}")
+                raise ConfigError(f"pcap_labels[{path}]: file not found")
             # a capture listed twice leaks across the split; a shared id merges two traces
             if (j := ids.setdefault(path.stem, i)) < i:
                 raise ConfigError(f"pcap_labels[{path}]: trace id {path.stem!r} duplicates "
@@ -356,16 +357,6 @@ def cell_seeds(cell_seed: int) -> tuple[int, int]:
     return derive_seed(cell_seed, "split"), derive_seed(cell_seed, "train")
 
 
-def split_cell(codes, labels, train_fraction: float, cell_seed: int):
-    """A cell's (train, test) rows, drawn from `cell_seeds(cell_seed)[0]`: the split of
-    the class codes, which split as their `labels` do and faster. Where that raises,
-    the labels' split raises instead, so the reason names a label, not a code."""
-    try:
-        return attackers.split(codes, train_fraction, cell_seeds(cell_seed)[0])
-    except ValueError:
-        return attackers.split(labels, train_fraction, cell_seeds(cell_seed)[0])
-
-
 def fit_cell(X, y, clf, train_idx, test_idx, cell_seed, trees=None):
     """Train a cell on its train rows with `cell_seeds(cell_seed)[1]`, every fit's one
     seed, and return the model's `attackers.votes` on the test rows, not the model;
@@ -459,18 +450,23 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
     cells: list[tuple[SweepRow, int, np.ndarray, slice]] = []
     for wspec, table in zip(config.window_specs,
                             source_series(config, config.window_specs)):
-        y = np.unique(table.labels, return_inverse=True)[1]  # class codes, labels in sorted order
+        class_reason = ""
+        try:  # class codes, labels in sorted order; a split of them cannot fail
+            y = attackers.class_codes(table.labels)[1]
+        except ValueError as exc:  # too few classes or rows, named by label
+            class_reason = f"{type(exc).__name__}: {exc}"
         for tspec in config.transforms:
             transform_seed = derive_seed(config.seed, "transform", wspec.key(), tspec.key())
             Xt = None
             skip_reason = ""
-            if not y.size:
+            if not table.labels.size:
                 skip_reason = "no trace produced a usable window at this size"
             else:
                 try:
                     Xt = tspec.apply(table.X, transform_seed)
                 except ValueError as exc:
                     skip_reason = str(exc)
+            skip_reason = skip_reason or class_reason
 
             for clf in config.classifiers:
                 cell_seed = derive_seed(
@@ -488,17 +484,12 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
                     dropped_windows=table.dropped_windows,
                 )
                 rows.append(row)
-                reason = skip_reason
-                if not reason:
-                    try:
-                        train_idx, test_idx = split_cell(y, table.labels,
-                                                         config.train_fraction, cell_seed)
-                    except ValueError as exc:  # too few classes or rows, as a job reports it
-                        reason = f"{type(exc).__name__}: {exc}"
-                if reason:
+                if skip_reason:
                     row.status = "skipped"
-                    row.reason = reason
+                    row.reason = skip_reason
                     continue
+                train_idx, test_idx = attackers.split(y, config.train_fraction,
+                                                      cell_seeds(cell_seed)[0])
                 first = len(jobs)
                 jobs.extend((Xt, y, clf, train_idx, test_idx, cell_seed, trees)
                             for trees in _tree_ranges(clf, workers))

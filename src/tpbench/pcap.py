@@ -45,9 +45,9 @@ _NS_EXACT_TICKS = 2**23 * 1_000_000_000
 _ETHERTYPE_IPV4 = 0x0800
 _VLAN_ETHERTYPES = (0x8100, 0x88A8)
 
-# IP protocol number -> Protocol.code; OTHER for numbers not decoded
-_IP_PROTO_CODES = np.full(256, Protocol.OTHER.code, dtype=np.int64)
-_IP_PROTO_CODES[[6, 17, 1]] = [Protocol.TCP.code, Protocol.UDP.code, Protocol.ICMP.code]
+# IP protocol number -> Protocol; OTHER for numbers not decoded
+_IP_PROTO_CODES = np.full(256, Protocol.OTHER, dtype=np.int64)
+_IP_PROTO_CODES[[6, 17, 1]] = [Protocol.TCP, Protocol.UDP, Protocol.ICMP]
 
 
 class PcapFormatError(ValueError):
@@ -117,7 +117,7 @@ def _decode_frames(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple
     a frame is not decodable IPv4. Every gather reads only bytes its frame's
     length check has shown to be inside that frame."""
     n = start.size
-    proto = np.full(n, Protocol.OTHER.code, dtype=np.int64)
+    proto = np.full(n, Protocol.OTHER, dtype=np.int64)
     src_ip, dst_ip, src_port, dst_port, window = (np.zeros(n, dtype=np.int64) for _ in range(5))
 
     # `pos` is each frame's current ethertype field; every VLAN tag moves it
@@ -143,7 +143,7 @@ def _decode_frames(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple
     code = _IP_PROTO_CODES[buf[ip + 9]]
     ok = (
         (version_ihl >> 4 == 4) & (header_len >= 20) & (end[i] - ip >= header_len)
-        & (code != Protocol.OTHER.code)
+        & (code != Protocol.OTHER)
     )
     i, ip, header_len, code = i[ok], ip[ok], header_len[ok], code[ok]
     proto[i] = code
@@ -155,8 +155,8 @@ def _decode_frames(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple
     first = _gather(buf, ip + 6, ">u2") & 0x1FFF == 0
     l4 = ip + header_len
     room = end[i] - l4
-    tcp = first & (code == Protocol.TCP.code) & (room >= 16)
-    ported = tcp | (first & (code == Protocol.UDP.code) & (room >= 4))
+    tcp = first & (code == Protocol.TCP) & (room >= 16)
+    ported = tcp | (first & (code == Protocol.UDP) & (room >= 4))
     src_port[i[ported]] = _gather(buf, l4[ported], ">u2")
     dst_port[i[ported]] = _gather(buf, l4[ported] + 2, ">u2")
     window[i[tcp]] = _gather(buf, l4[tcp] + 14, ">u2")
@@ -219,7 +219,7 @@ def parse_pcap_with_stats(data: bytes, label: str, trace_id: str = "") -> tuple[
         packets=len(starts),
         truncated_records=int(truncated),
         reordered_packets=int(reordered),
-        unrecognized_packets=int(np.count_nonzero(columns[0] == Protocol.OTHER.code)),
+        unrecognized_packets=int(np.count_nonzero(columns[0] == Protocol.OTHER)),
     )
     trace = Trace(
         timestamps, orig_len[order], *(column[order] for column in columns),

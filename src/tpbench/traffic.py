@@ -18,7 +18,7 @@ stay for the sweep benchmark's packet counts and pcap round-trip test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 
 import numpy as np
 
@@ -34,19 +34,15 @@ MIN_GAP_SECONDS = 1e-6  # floor for inter-packet gaps
 MAX_TRACE_PACKETS = 2**24
 
 
-class Protocol(Enum):
-    TCP = "TCP"
-    UDP = "UDP"
-    ICMP = "ICMP"
-    OTHER = "OTHER"
+class Protocol(IntEnum):
+    """A packet's protocol, whose value is its code in `Trace.protocols`.
+    Compare that int8 column with a member's `.value`, a plain int: numpy
+    casts the whole column to int64 to compare it with the member itself."""
 
-    @property
-    def code(self) -> int:
-        """This protocol's value in `Trace.protocols`: its index in Protocol."""
-        return PROTOCOLS.index(self)
-
-
-PROTOCOLS = tuple(Protocol)
+    TCP = 0
+    UDP = 1
+    ICMP = 2
+    OTHER = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,7 +63,7 @@ class PacketRecord:
 _COLUMN_DTYPES = {
     "timestamps": np.float64,
     "lengths": np.int64,
-    "protocols": np.int8,  # Protocol.code
+    "protocols": np.int8,  # a Protocol's value
     "src_ip": np.int64,
     "dst_ip": np.int64,
     "src_port": np.int64,
@@ -81,7 +77,7 @@ class Trace:
     """An ordered, labeled packet capture: element i of each column is packet i.
 
     `timestamps` are float64 seconds since trace start, `protocols` int8
-    `Protocol.code`s and the other columns int64. The constructor coerces
+    `Protocol` values and the other columns int64. The constructor coerces
     each column to its dtype and checks every packet, naming the first bad one.
     It takes over the arrays it is given, keeping a read-only view of each.
     """
@@ -113,15 +109,15 @@ class Trace:
             (ts < 0, "negative timestamp"),
             (np.diff(ts, prepend=ts[0]) < 0, "packet timestamps must be non-decreasing"),
             (self.lengths < 0, "negative length"),
-            ((proto < 0) | (proto >= len(PROTOCOLS)), "unknown protocol code"),
+            ((proto < 0) | (proto >= len(Protocol)), "unknown protocol code"),
             ((np.minimum(sip, dip) < 0) | (np.maximum(sip, dip) >= 2**32),
              "IP token outside [0, 2**32)"),
             ((np.minimum(sport, dport) < 0) | (np.maximum(sport, dport) > 65535),
              "port out of range"),
             ((window < 0) | (window > MAX_TCP_WINDOW), "tcp_window out of range"),
-            ((proto != Protocol.TCP.code) & (window != 0),
+            ((proto != Protocol.TCP.value) & (window != 0),
              "tcp_window must be 0 for non-TCP packets"),
-            ((proto >= Protocol.ICMP.code) & ((sport != 0) | (dport != 0)),
+            ((proto >= Protocol.ICMP.value) & ((sport != 0) | (dport != 0)),
              "ICMP and OTHER packets carry no ports"),
         )
         for bad, message in checks:
@@ -132,7 +128,8 @@ class Trace:
     def packets(self) -> list[PacketRecord]:
         """The packets as PacketRecord rows of Python scalars, built per call."""
         columns = [getattr(self, name).tolist() for name in _COLUMN_DTYPES]
-        columns[2] = [PROTOCOLS[code] for code in columns[2]]
+        # Protocol(code) of every packet in one gather: list(Protocol) is in code order
+        columns[2] = np.array(list(Protocol), dtype=object)[self.protocols].tolist()
         return [PacketRecord(*row) for row in zip(*columns)]
 
 
@@ -225,7 +222,7 @@ def generate_trace(profile: ClassProfile, duration: float, seed: int, *,
         raise ValueError(f"profile {profile.label!r}: duration {duration!r} s at rate "
                          f"{profile.rate!r} pkt/s drew no packet")
 
-    # Protocol codes: the mix is ordered TCP, UDP, ICMP, as PROTOCOLS is.
+    # Protocol codes: the mix is ordered TCP, UDP, ICMP, as Protocol's values are.
     proto_codes = rng.choice(3, size=n, p=np.asarray(profile.protocol_mix, dtype=float))
     lengths = np.clip(
         np.rint(rng.normal(profile.length_mean, profile.length_std, size=n)),
@@ -237,13 +234,13 @@ def generate_trace(profile: ClassProfile, duration: float, seed: int, *,
         0,
         MAX_TCP_WINDOW,
     ).astype(np.int64)
-    windows[proto_codes != 0] = 0
+    windows[proto_codes != Protocol.TCP] = 0
 
     src_ip = np.full(n, ip_pool[0], dtype=np.int64)  # the device itself
     dst_ip = ip_pool[rng.integers(0, profile.ip_pool_size, size=n)]
     src_port = port_pool[rng.integers(0, profile.port_pool_size, size=n)]
     dst_port = port_pool[rng.integers(0, profile.port_pool_size, size=n)]
-    has_ports = proto_codes <= 1  # TCP or UDP
+    has_ports = proto_codes <= Protocol.UDP
     src_port = np.where(has_ports, src_port, 0)
     dst_port = np.where(has_ports, dst_port, 0)
 

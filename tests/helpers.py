@@ -169,8 +169,8 @@ def compute_features(trace: Trace, index_range: tuple[int, int]) -> FeatureVecto
         raise ValueError("window must contain at least 2 packets")
     ts = trace.timestamps[start:stop]
     proto = trace.protocols[start:stop]
-    tcp = proto == Protocol.TCP.code
-    udp = proto == Protocol.UDP.code
+    tcp = proto == Protocol.TCP
+    udp = proto == Protocol.UDP
 
     ips = np.union1d(trace.src_ip[start:stop], trace.dst_ip[start:stop])
     ported = tcp | udp  # port 0 means "no port"
@@ -192,7 +192,7 @@ def compute_features(trace: Trace, index_range: tuple[int, int]) -> FeatureVecto
         n_port_unique=float(np.count_nonzero(ports)),  # drop port 0 if present
         n_pack_tcp=float(np.count_nonzero(tcp)),
         n_pack_udp=float(np.count_nonzero(udp)),
-        n_pack_icmp=float(np.count_nonzero(proto == Protocol.ICMP.code)),
+        n_pack_icmp=float(np.count_nonzero(proto == Protocol.ICMP)),
         max_diff_time=float(np.max(gaps)),
         mean_window=mean_window,
         std_window=std_window,
@@ -209,7 +209,6 @@ def trace_from_packets(packets: list[PacketRecord], label: str, trace_id: str = 
         name: [getattr(p, field.name) for p in packets]
         for name, field in zip(_COLUMN_DTYPES, fields(PacketRecord))
     }
-    columns["protocols"] = [protocol.code for protocol in columns["protocols"]]
     return Trace(**columns, label=label, trace_id=trace_id)
 
 
@@ -550,7 +549,7 @@ def apply_alternation(
         lengths = np.clip(lengths + sign * delta, 40, 1514).astype(np.int64)
     elif field == "window":
         shifted = np.clip(windows + sign * delta, 0, 65535).astype(np.int64)
-        windows = np.where(base.protocols == Protocol.TCP.code, shifted, windows)
+        windows = np.where(base.protocols == Protocol.TCP, shifted, windows)
     return replace(base, lengths=lengths, tcp_window=windows, label=label,
                    trace_id=f"{label}-{base.trace_id}")
 
@@ -660,7 +659,7 @@ def reference_parse_pcap_with_stats(
         if proto is Protocol.OTHER:
             stats.unrecognized_packets += 1
         raw.append(
-            (ts_sec, ts_sub, orig_len, proto.code, src_ip, dst_ip, src_port, dst_port, window)
+            (ts_sec, ts_sub, orig_len, proto, src_ip, dst_ip, src_port, dst_port, window)
         )
 
     if not raw:

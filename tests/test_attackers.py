@@ -20,7 +20,7 @@ from helpers import (
     tree_arrays,
 )
 from tpbench import attackers
-from tpbench.attackers import adaboost, split
+from tpbench.attackers import adaboost, class_codes, split
 from tpbench.attackers.adaboost import fit_adaboost, predict_adaboost
 from tpbench.attackers.forest import fit_forest
 from tpbench.attackers.knn import block_rows, fit_knn, predict_knn
@@ -75,10 +75,26 @@ def test_split_deterministic():
 
 
 def test_split_small_class_named_in_error():
-    with pytest.raises(ValueError, match="'tiny'"):
-        split(["big"] * 10 + ["tiny"], 0.7, 0)
-    with pytest.raises(ValueError, match=r"^only class\(es\) \['big'\] present"):
-        split(["big"] * 10, 0.7, 0)
+    """`class_codes` states both class checks, and `split` raises its
+    message: the first short class in label order is named, by its label."""
+    for y, message in (
+        (["big"] * 10 + ["tiny"], r"^class 'tiny' has 1 row\(s\); need at least 2$"),
+        (["big"] * 10, r"^only class\(es\) \['big'\] present; need at least 2 classes$"),
+        ([], r"^only class\(es\) \[\] present; need at least 2 classes$"),
+        (["z", "b", "z", "y", "a", "a"], r"^class 'b' has 1 row\(s\); need at least 2$"),
+        ([7, 3, 7, 5, 7, 3], r"^class 5 has 1 row\(s\); need at least 2$"),
+        ([4, 4, 4], r"^only class\(es\) \[4\] present; need at least 2 classes$"),
+    ):
+        for y_as in (y, np.array(y, dtype=object)):  # a window table's labels are objects
+            for check in (class_codes, lambda y: split(y, 0.7, 0)):
+                with pytest.raises(ValueError, match=message):
+                    check(y_as)
+    for y in (["b", "a", "b", "a", "c", "c"], [9, 2, 9, 2, 2, 5, 5]):
+        classes, codes = class_codes(y)
+        want_classes, want_codes = np.unique(y, return_inverse=True)
+        assert classes.tolist() == want_classes.tolist()
+        assert codes.tolist() == want_codes.tolist()
+        assert split(y, 0.7, 3)[0].tolist() == split(codes, 0.7, 3)[0].tolist()
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, float("nan"), True, "0.7"])

@@ -202,6 +202,18 @@ def test_extract_missing_pcap_exits_two(tmp_path, capsys):
     assert "missing.pcap" in capsys.readouterr().err
 
 
+def test_extract_empty_pcap_path_is_read_as_a_pcap_path(tmp_path, capsys):
+    """`--pcap ""` is given, so it needs `--label` and then names the path it
+    read (`Path("")` is the working directory), not a config's."""
+    out = tmp_path / "o.csv"
+    for label, message in (([], "--label is required with --pcap"), (["--label", "x"], "'.'")):
+        code = main(["extract", "--pcap", "", *label, "--burst", "10", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+
 def test_extract_label_with_traces_exits_two_naming_the_flag(small_config, tmp_path, capsys):
     """A config labels its own traces, so `--label` is for `--pcap` only."""
     out = tmp_path / "o.csv"

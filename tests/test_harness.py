@@ -467,10 +467,12 @@ def test_split_forest_equals_unsplit_forest():
 
 def test_a_cell_whose_split_fails_gets_the_serial_row_and_no_job(tmp_path, monkeypatch):
     """With one row left in a class, or no row of a class (a class whose
-    traces all give no window), every cell's split raises in the parent:
-    each cell gets one row with the serial reason, naming the class by its
-    label, and no job is queued. One class would score every cell 1.0."""
+    traces all give no window), the window's class check fails once in the
+    parent: each cell gets one row with the serial reason, naming the class
+    by its label, no split is drawn and no job is queued. One class would
+    score every cell 1.0."""
     real_stack = harness.stack_series
+    real_split = attackers.split
     path = small_config(tmp_path, classifiers=[{"kind": "knn"}, {"kind": "forest", "n_trees": 5}])
     for rows_left, reason in ((1, "class 'mic_on' has 1 row(s); need at least 2"),
                               (0, "only class(es) ['mic_off'] present; need at least 2 classes")):
@@ -485,13 +487,14 @@ def test_a_cell_whose_split_fails_gets_the_serial_row_and_no_job(tmp_path, monke
         monkeypatch.setenv("TPB_WORKERS", "1")
         serial = run_experiment(load_config(path)).rows
 
-        jobs = []
+        jobs, splits = [], []
         monkeypatch.setattr(harness, "fit_cell", lambda *job: jobs.append(job) or fit_cell(*job))
+        monkeypatch.setattr(attackers, "split", lambda *a: splits.append(a) or real_split(*a))
         made = record_pools(monkeypatch, fork=False)
         monkeypatch.setenv("TPB_WORKERS", "2")
         pooled = run_experiment(load_config(path)).rows
         monkeypatch.undo()
-        assert made == [(2, "fork")] and jobs == []  # the set-up pool only
+        assert made == [(2, "fork")] and jobs == [] and splits == []  # the set-up pool only
         assert [r.as_record() for r in pooled] == [r.as_record() for r in serial]
         assert [r.status for r in pooled] == ["skipped", "skipped"]
         for row in pooled:
@@ -817,6 +820,12 @@ def test_config_field_errors_are_named(tmp_path):
                               r"\['mic_onoff', 'mic_on_noise', 'utility_media_travel'\]$"),
         ({"pcap_dir": ".", "pcap_labels": {"a.pcap": 5}},
          r"pcap_labels\[a\.pcap\] must be a string, got 5"),
+        # an entry in a subdirectory is named by its path, not by another's file name
+        ({"pcap_dir": str(tmp_path),
+          "pcap_labels": {"a.pcap": "x", "b.pcap": "y", "sub/a.pcap": 5}},
+         rf"pcap_labels\[{re.escape(str(tmp_path / 'sub' / 'a.pcap'))}\] must be a string, got 5$"),
+        ({"pcap_dir": str(tmp_path), "pcap_labels": {"a.pcap": "x", "sub/c.pcap": "y"}},
+         rf"pcap_labels\[{re.escape(str(tmp_path / 'sub' / 'c.pcap'))}\]: file not found$"),
     ):
         with pytest.raises(ConfigError, match=f"^{named}"):
             config_from_dict({**base, "classifiers": [{"kind": "knn"}], **root})
@@ -926,10 +935,10 @@ def test_validate_rejects_a_config_built_with_both_data_sources(tmp_path):
         ({"duration": "5"}, "duration must be a finite number > 0, got '5'"),
         ({"train_fraction": "0.7"}, r"train_fraction must be a number in \(0, 1\), got '0\.7'"),
         ({"profiles": [], "pcap_files": [(tmp_path / "a.pcap", 5), (tmp_path / "b.pcap", "y")]},
-         r"pcap_labels\[a\.pcap\] must be a string, got 5"),
+         rf"pcap_labels\[{re.escape(str(tmp_path / 'a.pcap'))}\] must be a string, got 5"),
         ({"profiles": [],
           "pcap_files": [(tmp_path / "a.pcap", "x"), (tmp_path / "nope.pcap", "y")]},
-         rf"pcap_labels\[nope\.pcap\]: file not found: {re.escape(str(tmp_path / 'nope.pcap'))}"),
+         rf"pcap_labels\[{re.escape(str(tmp_path / 'nope.pcap'))}\]: file not found"),
         # a repeated grid entry, named by its list in a JSON config
         ({"window_specs": [WindowSpec.burst(250), WindowSpec.time_span(0.5),
                            WindowSpec.burst(250)]},

@@ -217,7 +217,7 @@ def test_packet_record_invariants():
     with pytest.raises(ValueError):
         trace_from_packets([], label="x")
     with pytest.raises(ValueError, match="^packet 0: ICMP and OTHER packets carry no ports$"):
-        replace(trace_from_packets([good], label="x"), protocols=[Protocol.ICMP.code],
+        replace(trace_from_packets([good], label="x"), protocols=[Protocol.ICMP],
                 tcp_window=[0])
 
 
@@ -229,11 +229,11 @@ def test_no_field_of_a_trace_can_be_assigned():
     trace = trace_from_packets([good, replace(good, timestamp=0.1, src_port=7),
                                 replace(good, timestamp=0.2)], label="x")
     with pytest.raises(FrozenInstanceError):
-        trace.protocols = np.full(3, Protocol.ICMP.code, dtype=np.int8)
+        trace.protocols = np.full(3, Protocol.ICMP, dtype=np.int8)
     for field in fields(Trace):
         with pytest.raises(FrozenInstanceError):
             setattr(trace, field.name, getattr(trace, field.name))
-    assert np.all(trace.protocols == Protocol.TCP.code)
+    assert np.all(trace.protocols == Protocol.TCP)
 
 
 def test_no_column_of_a_trace_can_be_written_in_place():
@@ -244,18 +244,18 @@ def test_no_column_of_a_trace_can_be_written_in_place():
     good = PacketRecord(0.0, 100, Protocol.TCP, 1, 2, 5, 6)
     trace = trace_from_packets([good, replace(good, timestamp=0.1)], label="x")
     with pytest.raises(ValueError, match="read-only"):
-        trace.protocols[:] = Protocol.ICMP.code
+        trace.protocols[:] = Protocol.ICMP
     for name in _COLUMN_DTYPES:
         column = getattr(trace, name)
         with pytest.raises(ValueError, match="read-only"):
             column[0] = column[0]
-    assert np.all(trace.protocols == Protocol.TCP.code)
+    assert np.all(trace.protocols == Protocol.TCP)
     timestamps = np.array([0.0, 0.5])
     moved = replace(trace, timestamps=timestamps, label="y")
     assert np.shares_memory(moved.timestamps, timestamps) and not moved.timestamps.flags.writeable
     assert (moved.label, moved.timestamps.tolist()) == ("y", [0.0, 0.5])
     with pytest.raises(ValueError, match="^packet 0: ICMP and OTHER packets carry no ports$"):
-        replace(trace, protocols=np.full(2, Protocol.ICMP.code))
+        replace(trace, protocols=np.full(2, Protocol.ICMP))
 
 
 def test_a_trace_is_named_when_drawn():
