@@ -24,12 +24,7 @@ import numpy as np
 from tpbench.attackers.adaboost import fit_adaboost, predict_adaboost
 from tpbench.attackers.forest import fit_forest
 from tpbench.attackers.knn import fit_knn, predict_knn
-from tpbench.attackers.mlp import (
-    TrainingDivergedError,
-    fit_mlp,
-    loss_and_gradients,
-    predict_mlp,
-)
+from tpbench.attackers.mlp import TrainingDivergedError, fit_mlp, predict_mlp
 from tpbench.attackers.prep import Standardizer, class_codes, split
 from tpbench.attackers.tree import ensemble_votes, fit_tree, predict_tree
 from tpbench.rules import (

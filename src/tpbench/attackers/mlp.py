@@ -90,21 +90,6 @@ def _backprop(weights, biases, X, targets_onehot, hidden, deltas, grad_w, grad_b
     return loss
 
 
-def loss_and_gradients(weights, biases, X, targets_onehot):
-    """Mean cross-entropy over the batch and its gradients.
-
-    Runs the training step's kernel with freshly allocated buffers; exposed
-    so the analytic gradients can be checked against finite differences.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    grad_w = [np.empty_like(W) for W in weights]
-    grad_b = [np.empty_like(b) for b in biases]
-    hidden = _hidden_buffers(X.shape[0], weights)
-    deltas = _hidden_buffers(X.shape[0], weights)
-    loss = _backprop(weights, biases, X, targets_onehot, hidden, deltas, grad_w, grad_b)
-    return loss, grad_w, grad_b
-
-
 def fit_mlp(
     X: np.ndarray,
     y: np.ndarray,

@@ -263,12 +263,14 @@ def save_features_csv(table: WindowTable, path: str | Path, transform: str | Non
 
 def load_features_csv(path: str | Path) -> WindowTable:
     """The table of a feature CSV, with each trace_id's rows together in
-    `window_index` order (rows of one index in file order), the traces in
-    order of first appearance, `dropped_windows` 0 (the file keeps no count)
-    and a `transform` column left unread. Text that `read_text` refuses or
-    that is not CSV, or a header naming a column twice, fails as a
-    ValueError naming the file (and a bad window_index, its line)."""
+    `window_index` order, the traces in order of first appearance,
+    `dropped_windows` 0 (the file keeps no count) and a `transform` column
+    left unread. Text that `read_text` refuses or that is not CSV, or a
+    header naming a column twice, fails as a ValueError naming the file (and
+    a bad window_index, or a trace's window_index given twice, its line): a
+    repeated window would sit on both sides of a split."""
     rows, trace, window, traces = [], [], [], {}  # traces: trace_id -> (position, label)
+    lines: dict[tuple[str, int], int] = {}  # (trace_id, window_index) -> its line
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     try:
         header = reader.fieldnames or []
@@ -301,15 +303,19 @@ def load_features_csv(path: str | Path) -> WindowTable:
                 raise ValueError(
                     f"{path}:{lineno}: trace {row['trace_id']!r} has conflicting labels"
                 )
+            key = (row["trace_id"], int(index))
+            if (first := lines.setdefault(key, lineno)) < lineno:
+                raise ValueError(f"{path}:{lineno}: trace {key[0]!r} repeats window_index "
+                                 f"{key[1]} of line {first}")
             rows.append(vec)
             trace.append(position)
-            window.append(int(index))
+            window.append(key[1])
     except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
         # the inner reader's count: DictReader's own lags a row behind a failed read
         raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no feature rows")
-    order = np.lexsort((window, trace))  # stable: rows of one trace and index keep file order
+    order = np.lexsort((window, trace))
     trace = np.array(trace, dtype=np.int64)[order]
     labels = np.array([label for _, label in traces.values()], dtype=object)
     return WindowTable(np.array(rows)[order], labels[trace], trace, list(traces), dropped_windows=0)

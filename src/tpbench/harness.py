@@ -13,10 +13,12 @@ its trace under every window spec it is given (the sweep gives the config's,
 `extract --config` its one) and returns only its window tables, so a worker
 holds one trace at a time and no trace reaches the parent, which stacks each
 spec's tables once. Then
-`run_experiment` encodes and checks each table's labels once as class codes
-(`attackers.class_codes`, the labels' sorted order; a window whose classes
-allow no split skips its cells with that one reason), splits each runnable
-cell's codes itself and runs `fit_cell` jobs, each returning
+`run_experiment` gives each window one reason, before any transform: an empty
+table has no usable window, and otherwise a failed check of its labels' class
+codes (`attackers.class_codes`, the labels' sorted order) names the class
+that allows no split. Every cell of a window with a reason is skipped with it;
+only a window without one runs its transforms. The parent splits each
+runnable cell's codes itself and runs `fit_cell` jobs, each returning
 `attackers.votes` on the test rows, a (test rows, classes) int64 matrix. A forest cell runs as a job per worker,
 each growing a contiguous range of its tree indices from each tree's own
 seed, so the ranges' votes sum to the whole forest's.
@@ -450,23 +452,22 @@ def run_experiment(config: ExperimentConfig) -> SweepReport:
     cells: list[tuple[SweepRow, int, np.ndarray, slice]] = []
     for wspec, table in zip(config.window_specs,
                             source_series(config, config.window_specs)):
-        class_reason = ""
-        try:  # class codes, labels in sorted order; a split of them cannot fail
-            y = attackers.class_codes(table.labels)[1]
-        except ValueError as exc:  # too few classes or rows, named by label
-            class_reason = f"{type(exc).__name__}: {exc}"
+        window_reason = ""  # a window that cannot be split gives no cell: no transform runs
+        if not table.labels.size:
+            window_reason = "no trace produced a usable window at this size"
+        else:
+            try:  # class codes, labels in sorted order; a split of them cannot fail
+                y = attackers.class_codes(table.labels)[1]
+            except ValueError as exc:  # too few classes or rows, named by label
+                window_reason = f"{type(exc).__name__}: {exc}"
         for tspec in config.transforms:
-            transform_seed = derive_seed(config.seed, "transform", wspec.key(), tspec.key())
-            Xt = None
-            skip_reason = ""
-            if not table.labels.size:
-                skip_reason = "no trace produced a usable window at this size"
-            else:
+            skip_reason = window_reason
+            if not skip_reason:
                 try:
-                    Xt = tspec.apply(table.X, transform_seed)
+                    Xt = tspec.apply(table.X, derive_seed(
+                        config.seed, "transform", wspec.key(), tspec.key()))
                 except ValueError as exc:
                     skip_reason = str(exc)
-            skip_reason = skip_reason or class_reason
 
             for clf in config.classifiers:
                 cell_seed = derive_seed(

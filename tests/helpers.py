@@ -1,5 +1,7 @@
-"""Shared test utilities: independent oracles, byte-level pcap builders and
-`trace_from_packets`, which builds a trace from its `PacketRecord` rows.
+"""Shared test utilities: independent oracles, byte-level pcap builders,
+`trace_from_packets`, which builds a trace from its `PacketRecord` rows, and
+`worst_gradient_error`, which checks the MLP kernel's analytic gradients
+(`loss_and_gradients`) against central finite differences.
 
 The oracles here deliberately avoid the library's code paths: smoothing
 weights come from exact rational arithmetic on the normal equations, feature
@@ -30,6 +32,8 @@ from tpbench.attackers.mlp import (
     BATCH_SIZE,
     MlpParams,
     TrainingDivergedError,
+    _backprop,
+    _hidden_buffers,
     _init_params,
 )
 from tpbench.attackers.tree import TreeParams
@@ -465,6 +469,45 @@ def _reference_loss_and_gradients(weights, biases, X, targets_onehot):
         if layer > 0:
             delta = (delta @ weights[layer].T) * (activations[layer] > 0.0)
     return loss, grad_w, grad_b
+
+
+def loss_and_gradients(weights, biases, X, targets_onehot):
+    """Mean cross-entropy over the batch and its gradients, by the training
+    step's own kernel (`_backprop`) with freshly allocated buffers."""
+    X = np.asarray(X, dtype=np.float64)
+    grad_w = [np.empty_like(W) for W in weights]
+    grad_b = [np.empty_like(b) for b in biases]
+    hidden = _hidden_buffers(X.shape[0], weights)
+    deltas = _hidden_buffers(X.shape[0], weights)
+    loss = _backprop(weights, biases, X, targets_onehot, hidden, deltas, grad_w, grad_b)
+    return loss, grad_w, grad_b
+
+
+def worst_gradient_error(weights, biases, X, targets_onehot, h: float) -> float:
+    """The largest relative gap between `loss_and_gradients`' analytic
+    gradient and the central difference (loss(w + h) - loss(w - h)) / 2h,
+    over every weight and bias whose larger side is at least 1e-7. Each
+    entry is moved in place and put back."""
+    _, grad_w, grad_b = loss_and_gradients(weights, biases, X, targets_onehot)
+    worst = 0.0
+    for arrays, grads in ((weights, grad_w), (biases, grad_b)):
+        for array, grad in zip(arrays, grads):
+            it = np.nditer(array, flags=["multi_index"])
+            for _ in it:
+                index = it.multi_index
+                saved = array[index]
+                array[index] = saved + h
+                up, _, _ = loss_and_gradients(weights, biases, X, targets_onehot)
+                array[index] = saved - h
+                down, _, _ = loss_and_gradients(weights, biases, X, targets_onehot)
+                array[index] = saved
+                numeric = (up - down) / (2 * h)
+                analytic = grad[index]
+                if max(abs(numeric), abs(analytic)) >= 1e-7:
+                    worst = max(
+                        worst, abs(numeric - analytic) / max(abs(numeric), abs(analytic))
+                    )
+    return worst
 
 
 def reference_fit_mlp(

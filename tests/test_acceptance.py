@@ -19,6 +19,7 @@ from helpers import (
     ipv4_frame,
     knn_oracle,
     random_small_trace,
+    worst_gradient_error,
 )
 from tpbench import attackers
 from tpbench.adversarial import (
@@ -29,7 +30,7 @@ from tpbench.adversarial import (
     TransformSpec,
     savgol_coefficients,
 )
-from tpbench.attackers.mlp import _init_params, loss_and_gradients
+from tpbench.attackers.mlp import _init_params
 from tpbench.features import (
     FEATURE_INDEX,
     FEATURE_NAMES,
@@ -195,26 +196,7 @@ def test_criterion_5_classifier_sanity():
     Xg = rng.normal(size=(3, 12))
     targets = np.zeros((3, 3))
     targets[np.arange(3), [0, 1, 2]] = 1.0
-    _, grad_w, grad_b = loss_and_gradients(weights, biases, Xg, targets)
-    h = 1e-5
-    worst = 0.0
-    for arrays, grads in ((weights, grad_w), (biases, grad_b)):
-        for array, grad in zip(arrays, grads):
-            it = np.nditer(array, flags=["multi_index"])
-            for _ in it:
-                index = it.multi_index
-                saved = array[index]
-                array[index] = saved + h
-                up, _, _ = loss_and_gradients(weights, biases, Xg, targets)
-                array[index] = saved - h
-                down, _, _ = loss_and_gradients(weights, biases, Xg, targets)
-                array[index] = saved
-                numeric = (up - down) / (2 * h)
-                analytic = grad[index]
-                if max(abs(numeric), abs(analytic)) >= 1e-7:
-                    worst = max(
-                        worst, abs(numeric - analytic) / max(abs(numeric), abs(analytic))
-                    )
+    worst = worst_gradient_error(weights, biases, Xg, targets, h=1e-5)
     assert worst < 1e-4, f"gradient check relative error {worst}"
 
     # all five classifiers >= 0.95 on separable 2-class data at burst 500

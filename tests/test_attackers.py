@@ -18,6 +18,7 @@ from helpers import (
     reference_predict_knn,
     reference_predict_tree,
     tree_arrays,
+    worst_gradient_error,
 )
 from tpbench import attackers
 from tpbench.attackers import adaboost, class_codes, split
@@ -29,7 +30,6 @@ from tpbench.attackers.mlp import (
     TrainingDivergedError,
     _init_params,
     fit_mlp,
-    loss_and_gradients,
     predict_mlp,
 )
 from tpbench.attackers.tree import ensemble_votes, fit_tree, predict_tree
@@ -655,28 +655,7 @@ def test_mlp_gradients_match_finite_differences():
     X = rng.normal(size=(3, 12))
     targets = np.zeros((3, 3))
     targets[np.arange(3), [0, 1, 2]] = 1.0
-    _, grad_w, grad_b = loss_and_gradients(weights, biases, X, targets)
-    h = 1e-5
-    worst = 0.0
-    for arrays, grads in ((weights, grad_w), (biases, grad_b)):
-        for array, grad in zip(arrays, grads):
-            it = np.nditer(array, flags=["multi_index"])
-            for _ in it:
-                index = it.multi_index
-                saved = array[index]
-                array[index] = saved + h
-                up, _, _ = loss_and_gradients(weights, biases, X, targets)
-                array[index] = saved - h
-                down, _, _ = loss_and_gradients(weights, biases, X, targets)
-                array[index] = saved
-                numeric = (up - down) / (2 * h)
-                analytic = grad[index]
-                if max(abs(numeric), abs(analytic)) >= 1e-7:
-                    worst = max(
-                        worst,
-                        abs(numeric - analytic) / max(abs(numeric), abs(analytic)),
-                    )
-    assert worst < 1e-4
+    assert worst_gradient_error(weights, biases, X, targets, h=1e-5) < 1e-4
 
 
 def test_mlp_loss_curve_deterministic():

@@ -195,6 +195,22 @@ def test_non_finite_feature_csv_exits_two(features_csv, tmp_path, capsys):
         assert f"f.csv:4: std_ipt is 'nan'" in capsys.readouterr().err
 
 
+def test_a_feature_csv_that_repeats_its_windows_exits_two(features_csv, tmp_path, capsys):
+    """Rows appended a second time would put each window on both sides of
+    the split; the first repeat's line is named."""
+    header, *rows = features_csv.read_text(encoding="utf-8").splitlines()
+    features_csv.write_text("\n".join([header, *rows, *rows]) + "\n", encoding="utf-8")
+    trace_id = rows[0].rsplit(",", 1)[1]
+    for argv in (["attack", "--features", str(features_csv), "--classifier", "knn"],
+                 ["perturb", "--in", str(features_csv), "--mode", "awgn",
+                  "--out", str(tmp_path / "g.csv")]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert (f"tpbench {argv[0]}: {features_csv}:{len(rows) + 2}: trace {trace_id!r} "
+                f"repeats window_index 0 of line 2") in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_extract_missing_pcap_exits_two(tmp_path, capsys):
     code = main(["extract", "--pcap", str(tmp_path / "missing.pcap"),
                  "--label", "x", "--burst", "100", "--out", str(tmp_path / "o.csv")])

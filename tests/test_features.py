@@ -611,18 +611,32 @@ def test_csv_rejects_a_window_index_that_is_no_count(tmp_path):
 
 
 def test_csv_load_groups_interleaved_rows_by_first_appearance(tmp_path):
-    """Rows of traces t1, t2, t1 come back as t1's two rows, in file order,
-    then t2's: the values read 1, 3, 2."""
+    """Rows of traces t1, t2, t1 come back as t1's two rows, in window
+    order, then t2's: the values read 1, 3, 2."""
     header = ",".join(list(FEATURE_NAMES) + ["label", "window_index", "trace_id"])
-    rows = [(1.0, "a", "t1"), (2.0, "b", "t2"), (3.0, "a", "t1")]
+    rows = [(1.0, "a", 0, "t1"), (2.0, "b", 0, "t2"), (3.0, "a", 1, "t1")]
     path, back = tmp_path / "f.csv", tmp_path / "g.csv"
-    path.write_text(header + "\n" + "".join(f"{','.join([repr(v)] * 12)},{label},0,{tid}\n"
-                                            for v, label, tid in rows), encoding="utf-8")
+    path.write_text(header + "\n" + "".join(f"{','.join([repr(v)] * 12)},{label},{k},{tid}\n"
+                                            for v, label, k, tid in rows), encoding="utf-8")
     save_features_csv(load_features_csv(path), back)
     assert back.read_text(encoding="utf-8").splitlines()[1:] == [
         f"{','.join([repr(v)] * 12)},{label},{k},{tid}"
         for v, label, k, tid in ((1.0, "a", 0, "t1"), (3.0, "a", 1, "t1"), (2.0, "b", 0, "t2"))
     ]
+
+
+def test_csv_rejects_a_window_a_trace_gives_twice(tmp_path):
+    """A repeated (trace_id, window_index) pair fails at its later copy's
+    line; the same index in another trace, or given as "01", is no repeat
+    of the first and a repeat of the second."""
+    header = ",".join(list(FEATURE_NAMES) + ["label", "window_index", "trace_id"])
+    row = ",".join(["1.0"] * 12)
+    path = tmp_path / "twice.csv"
+    path.write_text(f"{header}\n{row},a,0,t\n{row},b,0,u\n{row},a,1,t\n{row},a,01,t\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=r"twice.csv:5: trace 't' repeats window_index 1 "
+                                         r"of line 4$"):
+        load_features_csv(path)
 
 
 def test_csv_rejects_conflicting_labels(tmp_path):

@@ -468,12 +468,16 @@ def test_split_forest_equals_unsplit_forest():
 def test_a_cell_whose_split_fails_gets_the_serial_row_and_no_job(tmp_path, monkeypatch):
     """With one row left in a class, or no row of a class (a class whose
     traces all give no window), the window's class check fails once in the
-    parent: each cell gets one row with the serial reason, naming the class
-    by its label, no split is drawn and no job is queued. One class would
-    score every cell 1.0."""
+    parent, before any transform: each cell gets one row with the serial
+    reason, naming the class by its label, and no transform runs, no split
+    is drawn and no job is queued. The class reason wins over the awgn
+    transform's own non-finite error, which it would raise if it ran. One
+    class would score every cell 1.0."""
     real_stack = harness.stack_series
     real_split = attackers.split
-    path = small_config(tmp_path, classifiers=[{"kind": "knn"}, {"kind": "forest", "n_trees": 5}])
+    real_apply = TransformSpec.apply
+    path = small_config(tmp_path, classifiers=[{"kind": "knn"}, {"kind": "forest", "n_trees": 5}],
+                        transforms=[{"mode": "none"}, {"mode": "awgn", "nu": 1e308}])
     for rows_left, reason in ((1, "class 'mic_on' has 1 row(s); need at least 2"),
                               (0, "only class(es) ['mic_off'] present; need at least 2 classes")):
         def keep_in_last_class(series):
@@ -483,7 +487,10 @@ def test_a_cell_whose_split_fails_gets_the_serial_row_and_no_job(tmp_path, monke
             return replace(table, X=table.X[keep], labels=table.labels[keep],
                            trace=table.trace[keep])
 
+        applies = []
         monkeypatch.setattr(harness, "stack_series", keep_in_last_class)
+        monkeypatch.setattr(TransformSpec, "apply",
+                            lambda *a: applies.append(a) or real_apply(*a))
         monkeypatch.setenv("TPB_WORKERS", "1")
         serial = run_experiment(load_config(path)).rows
 
@@ -495,9 +502,10 @@ def test_a_cell_whose_split_fails_gets_the_serial_row_and_no_job(tmp_path, monke
         pooled = run_experiment(load_config(path)).rows
         monkeypatch.undo()
         assert made == [(2, "fork")] and jobs == [] and splits == []  # the set-up pool only
+        assert applies == []
         assert [r.as_record() for r in pooled] == [r.as_record() for r in serial]
-        assert [r.status for r in pooled] == ["skipped", "skipped"]
-        for row in pooled:
+        assert [r.status for r in pooled] == ["skipped"] * 4
+        for row in serial + pooled:
             assert row.reason == f"ValueError: {reason}"
             assert (row.n_train, row.n_test) == (0, 0)
 
