@@ -3,14 +3,20 @@
 As in Breiman (2001), every tree grows to purity on its own bootstrap draw
 and each split picks among ceil(sqrt(F)) of the F features, drawn afresh.
 A tree grows on the distinct rows of its draw, weighted by multiplicity,
-which is node for node the tree of the drawn rows. The forest is a
-`TreeEnsemble` of int64 weights 1: its `ensemble_votes` are tree counts."""
+which is node for node the tree of the drawn rows. The trees grow in
+lockstep (`grow_trees`), at most `GROUP_TREES` at once: at each step every
+tree pops the next node of its own depth-first order and draws its
+features from its own rng, so each tree's draws, node ids and splits are
+those of the tree grown alone. The step's nodes of at most
+`SMALL_NODE_ROWS` rows share one split search of at most
+`SEARCH_ELEMENTS` values; larger ones keep the per-row sort. The forest is
+a `TreeEnsemble` of int64 weights 1: its `ensemble_votes` are tree counts."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from tpbench.attackers.tree import TreeEnsemble, fit_tree
+from tpbench.attackers.tree import TreeEnsemble, grow_trees
 from tpbench.rules import check, part_of_range
 from tpbench.seeding import derive_seed
 
@@ -32,12 +38,10 @@ def fit_forest(
     disjoint ranges sum to the whole one (`ensemble_votes`)."""
     trees = range(n_trees) if trees is None else trees
     check(trees, part_of_range(n_trees), "trees")
-    features_per_split = int(np.ceil(np.sqrt(X.shape[1])))
-    grown = []
-    for t in trees:
-        rng = np.random.default_rng(derive_seed(seed, "tree", t))
-        weights = np.bincount(rng.integers(0, y.size, size=y.size), minlength=y.size)
-        rows = np.flatnonzero(weights)
-        grown.append(fit_tree(X[rows], y[rows], n_classes, rng=rng,
-                              features_per_split=features_per_split, weights=weights[rows]))
+
+    def bootstrap(i):
+        rng = np.random.default_rng(derive_seed(seed, "tree", trees[i]))
+        return np.bincount(rng.integers(0, y.size, size=y.size), minlength=y.size), rng
+
+    grown = grow_trees(X, y, n_classes, len(trees), bootstrap, int(np.ceil(np.sqrt(X.shape[1]))))
     return TreeEnsemble(grown, np.ones(len(grown), dtype=np.int64), n_classes)

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +21,7 @@ from helpers import (
     tree_arrays,
     worst_gradient_error,
 )
+import tpbench.attackers.tree as cart
 from tpbench import attackers
 from tpbench.attackers import adaboost, class_codes, split
 from tpbench.attackers.adaboost import fit_adaboost, predict_adaboost
@@ -504,6 +506,184 @@ def test_forest_separable_accuracy():
     model = attackers.train("forest", X, y, n_trees=30, seed=1)
     assert attackers.evaluate(model, Xt, yt) == 1.0
 
+
+
+# --- lockstep growth ---------------------------------------------------------------
+
+def _grown_alone(X, y, n_classes, n_trees, seed, t):
+    return fit_forest(X, y, n_classes, n_trees, seed=seed, trees=range(t, t + 1)).trees[0]
+
+
+def _spy_searches(monkeypatch):
+    """The row counts of the nodes of each shared search, call by call, and
+    whether any of their drawn feature values was NaN."""
+    calls, saw_nan = [], []
+    best_splits = cart._best_splits
+
+    def spy(XT, idx, *rest):
+        calls.append([rows.size for rows in idx])
+        saw_nan.append(any(np.isnan(XT[f][:, rows]).any() for rows, f in zip(idx, rest[-1])))
+        return best_splits(XT, idx, *rest)
+
+    monkeypatch.setattr(cart, "_best_splits", spy)
+    return calls, saw_nan
+
+
+def test_lockstep_trees_equal_the_trees_grown_alone():
+    """Every tree of a forest grown in lockstep is the tree grown alone
+    (`trees=range(t, t + 1)`), with more trees than one group holds: where a
+    tree that draws the separating feature stops after one split while
+    others grow deep on noise, and where every tree is one split, so that a
+    whole group finishes at one step."""
+    rng = np.random.default_rng(46)
+    y = rng.integers(0, 2, size=120)
+    X = np.column_stack([y + 0.1 * rng.normal(size=120), rng.normal(size=(120, 8))])
+    n_trees = cart.GROUP_TREES + 9
+    for features in (X, X[:, :1]):
+        forest = fit_forest(features, y, 2, n_trees, seed=5)
+        for t, tree in enumerate(forest.trees):
+            assert tree_arrays(tree) == tree_arrays(_grown_alone(features, y, 2, n_trees, 5, t)), t
+        sizes = [tree.feature.size for tree in forest.trees]
+        assert min(sizes) == 3 and (max(sizes) > 30 if features is X else max(sizes) == 3), sizes
+
+
+def test_a_step_whose_small_nodes_fill_more_than_one_search(monkeypatch):
+    """The roots of 40 trees, each at most SMALL_NODE_ROWS distinct rows and
+    searched on 6 of 36 features, hold more values than one shared search
+    takes: the first step runs them as two or more searches, each within the
+    budget, and every tree is still the per-feature oracle's."""
+    rng = np.random.default_rng(47)
+    y = rng.integers(0, 3, size=90)
+    X = np.round(rng.normal(size=(90, 36)), 1)
+    calls, _ = _spy_searches(monkeypatch)
+    forest = fit_forest(X, y, 3, 40, seed=6)
+    roots = []
+    for t, tree in enumerate(forest.trees):
+        tree_rng = np.random.default_rng(derive_seed(6, "tree", t))
+        rows = tree_rng.integers(0, y.size, size=y.size)
+        roots.append(np.unique(rows).size)
+        want = reference_fit_tree(X[rows], y[rows], 3, rng=tree_rng, features_per_split=6)
+        assert tree_arrays(tree) == tree_arrays(want), t
+    assert max(roots) <= cart.SMALL_NODE_ROWS and 6 * sum(roots) > cart.SEARCH_ELEMENTS
+    first_step = [size for call in calls[:2] for size in call]
+    assert first_step[: len(roots)] == roots and len(calls[0]) < len(roots)
+    assert all(6 * sum(call) <= cart.SEARCH_ELEMENTS for call in calls)
+
+
+@pytest.mark.parametrize("n_classes", [3, 12])
+def test_lockstep_search_matches_the_oracle_on_nan_and_tied_values(n_classes, monkeypatch):
+    """Small nodes with NaN values and heavily tied ones, among them two
+    equal columns whose cuts tie exactly, so only the first maximum (lowest
+    feature, then lowest cut) keeps the oracle's tree."""
+    rng = np.random.default_rng(48)
+    y = rng.integers(0, n_classes, size=110)
+    tied = np.round(y / 4 + rng.normal(size=y.size))
+    X = np.column_stack([
+        tied, tied, rng.integers(0, 3, size=y.size), y + rng.normal(scale=2.0, size=y.size),
+        np.round(rng.normal(size=y.size), 1),
+    ]).astype(np.float64)
+    X[rng.random(X.shape) < 0.15] = np.nan
+    calls, saw_nan = _spy_searches(monkeypatch)
+    forest = fit_forest(X, y, n_classes, 16, seed=n_classes)
+    for t, tree in enumerate(forest.trees):
+        tree_rng = np.random.default_rng(derive_seed(n_classes, "tree", t))
+        rows = tree_rng.integers(0, y.size, size=y.size)
+        want = reference_fit_tree(X[rows], y[rows], n_classes, rng=tree_rng, features_per_split=3)
+        assert tree_arrays(tree) == tree_arrays(want), t
+    assert len(calls) > 10 and sum(saw_nan) > 10
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_a_node_at_the_row_threshold_joins_the_shared_search(extra, monkeypatch):
+    """Two trees of one draw: roots of exactly SMALL_NODE_ROWS distinct rows
+    share the first step's search, and roots of a row more are each searched
+    alone; every tree is the oracle's, on distinct rows and on weighted
+    ones. A lone tree never shares a search: each of its steps has one node."""
+    rng = np.random.default_rng(49 + extra)
+    n_rows = cart.SMALL_NODE_ROWS + extra
+    X = np.round(rng.normal(size=(n_rows, 4)), 1)
+    y = rng.integers(0, 3, size=n_rows)
+    w = rng.integers(1, 4, size=n_rows)
+    alone = []
+    best_split = cart._best_split
+    monkeypatch.setattr(cart, "_best_split", lambda XT, idx, *rest: (
+        alone.append(idx.size), best_split(XT, idx, *rest))[1])
+    calls, _ = _spy_searches(monkeypatch)
+    for weights, (Xr, yr) in ((np.ones(n_rows), (X, y)), (w, (np.repeat(X, w, axis=0), np.repeat(y, w)))):
+        alone.clear(), calls.clear()
+        grown = cart.grow_trees(X, y, 3, 2, lambda _: (weights, np.random.default_rng(9)), 2)
+        want = reference_fit_tree(Xr, yr, 3, rng=np.random.default_rng(9), features_per_split=2)
+        assert [tree_arrays(tree) for tree in grown] == [tree_arrays(want)] * 2
+        assert (alone[:2] == [n_rows] * 2) == bool(extra)
+        assert (calls[0] == [n_rows] * 2) != bool(extra)
+        calls.clear()
+        got = fit_tree(X, y, 3, rng=np.random.default_rng(9), features_per_split=2, weights=weights)
+        assert tree_arrays(got) == tree_arrays(want) and not calls
+
+
+def test_huge_and_infinite_values_split_as_alone_without_a_warning():
+    """Cuts between values near the float maximum, whose sum overflows, take
+    the oracle's thresholds in the shared search; cuts between infinities
+    take those of the trees grown alone, one node per search (the oracle,
+    which splits rows by threshold, loops on the NaN midpoint of -inf and
+    inf). Neither raises a RuntimeWarning, an error under this suite's
+    filter."""
+    rng = np.random.default_rng(51)
+    y = rng.integers(0, 3, size=60)
+    X = rng.choice([1e308, 1.2e308, 1.5e308, 1.7e308], size=(60, 4))
+    forest = fit_forest(X, y, 3, 8, seed=2)
+    with np.errstate(over="ignore"):  # the oracle adds numpy scalars
+        for t, tree in enumerate(forest.trees):
+            tree_rng = np.random.default_rng(derive_seed(2, "tree", t))
+            rows = tree_rng.integers(0, y.size, size=y.size)
+            want = reference_fit_tree(X[rows], y[rows], 3, rng=tree_rng, features_per_split=2)
+            assert tree_arrays(tree) == tree_arrays(want), t
+    X[:, 0] = np.where(y == 0, -np.inf, np.inf)
+    forest = fit_forest(X, y, 3, 8, seed=2)
+    for t, tree in enumerate(forest.trees):  # bytes, since nan != nan
+        alone = _grown_alone(X, y, 3, 8, 2, t)
+        assert [a.tobytes() for a in vars(tree).values()] == [a.tobytes() for a in vars(alone).values()], t
+    assert any(np.isnan(tree.threshold).any() for tree in forest.trees)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (12, 4), (13, 4), (40, 40), (100, 7),
+                                  (20_000, 142)])
+def test_feature_draws_are_the_sorted_choice_draws_in_turn(n, k):
+    """A tree's feature draws, its first ones by choice and the rest a chunk
+    of nodes at a time, are the sorted `rng.choice` draws call after call,
+    across a chunk's end, from one feature to 20,000 features at the
+    forest's k = ceil(sqrt(n))."""
+    want, got = np.random.default_rng(n + k), np.random.default_rng(n + k)
+    draws = cart._feature_draws(got, n, k)
+    for _ in range(cart._CHOICE_DRAWS + cart._DRAW_NODES + 3):
+        assert np.array_equal(next(draws), np.sort(want.choice(n, size=k, replace=False)))
+
+
+def test_forest_fit_memory_does_not_grow_with_its_trees():
+    """The tracemalloc peak of a fit on 1,400 noisy rows of 12 features, less
+    the forest it returns, grows by at most 2 MB from 16 trees to 256 (about
+    1.3 MB on numpy 2.4): the trees share one transposed X and one class
+    tally, and at most GROUP_TREES grow at once, each holding its row
+    weights, a chunk of feature draws and its stack. A copy of each tree's
+    rows, as (features, rows), would add about 23 MB, and growing all 256
+    at once about 7 MB. The noise is mild, as tracing slows the fit about
+    eightfold."""
+    rng = np.random.default_rng(50)
+    y = rng.integers(0, 3, size=1400)
+    X = y[:, None] + rng.normal(scale=0.5, size=(1400, 12))
+
+    def working_peak(n_trees):
+        tracemalloc.start()
+        try:
+            forest = fit_forest(X, y, 3, n_trees, seed=8)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(forest.trees) == n_trees
+        return peak - current
+
+    small = working_peak(16)
+    assert working_peak(256) - small <= 2 * 2**20
 
 # --- AdaBoost ----------------------------------------------------------------------
 
