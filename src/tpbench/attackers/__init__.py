@@ -50,8 +50,8 @@ _KINDS = {
 CLASSIFIER_KINDS = tuple(_KINDS)
 
 # kind -> {hyperparameter: default}: the fit's parameters after the class
-# count that are not keyword-only. Keyword-only ones (`seed`, a forest's
-# `trees`, a tree's `rng`) are hooks for callers in the package, not config keys.
+# count that are not keyword-only. Keyword-only ones (`seed` and a forest's
+# `trees`) are hooks for callers in the package, not config keys.
 HYPERPARAMETERS = {
     kind: {
         name: p.default

@@ -18,9 +18,9 @@ alone (`_best_split`): one sort per feature row of its (features, rows)
 matrix beats a flat sort of all its values. The step's smaller nodes,
 which are most of a deep tree's nodes, share one search (`_best_splits`)
 of at most `SEARCH_ELEMENTS` (node, feature, row) values, so the numpy
-call overhead of a search is paid once per step, not once per node; a
-small node left alone in its search, as every node of a lone tree is,
-takes `_best_split`, which makes fewer numpy calls. At most `GROUP_TREES`
+call overhead of a search is paid once per step, not once per node. A
+node's size alone picks its search, however many nodes its step holds,
+so a lone tree's small nodes take `_best_splits` too. At most `GROUP_TREES`
 trees grow at once, all reading one transposed X and one class tally by
 row id, each holding only its row weights, its draws and its depth-first
 stack; so the memory of a fit does not grow with its number of trees. A
@@ -30,7 +30,10 @@ never pushed.
 Both searches cumsum a class-major tally, (classes + 1, values), into one
 buffer for both sides of every cut and score it with one helper (`_gains`);
 their gains keep the bits of a cut-by-cut search, which sums classes over a
-trailing axis.
+trailing axis. Both take a cut's threshold from `cut_threshold`: the
+midpoint of the values either side, or the lower value where the midpoint
+does not lie in [low, high), as where it rounds onto the upper value,
+overflows to an infinity, or is NaN between -inf and inf.
 
 A fitted tree is five flat node arrays (`TreeParams`), root first; a node
 that splits gives its children the next two free ids, left then right.
@@ -74,10 +77,13 @@ class TreeEnsemble:
 
 def cut_threshold(low, high):
     """The threshold between sorted values low < high (elementwise): their
-    midpoint, or low where the float midpoint rounds onto high, so that
-    low <= threshold < high."""
-    mid = (low + high) / 2.0
-    return np.where(mid >= high, low, mid)
+    midpoint where low <= midpoint < high, else low, so that a row at low
+    goes left and a row at high goes right. The midpoint misses that range
+    where it rounds onto high, where the sum overflows (an infinity) and
+    between -inf and inf (NaN); none of these warns."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = (low + high) / 2.0
+        return np.where((low <= mid) & (mid < high), mid, low)
 
 
 def _gains(sides, size, gini):
@@ -139,12 +145,10 @@ def _best_split(XT, idx, tally, weights, counts, gini, feature_ids):
     f, c = divmod(int(gains.argmax()), gains.shape[1])  # first max: lowest feature, then cut
     if gains[f, c] <= _MIN_GAIN:
         return None
-    low, high = float(xs[f, c]), float(xs[f, c + 1])
-    mid = (low + high) / 2.0  # cut_threshold's rule, on Python floats
     # low <= threshold < high, so the left child is exactly the first c + 1 rows.
     # Row order inside a node does not matter: the class counts at a cut
     # between distinct values are the same for any order of tied rows.
-    return int(feature_ids[f]), low if mid >= high else mid, (
+    return int(feature_ids[f]), float(cut_threshold(xs[f, c], xs[f, c + 1])), (
         (rows[f, : c + 1].copy(), left[:, f, c].copy(), float(gini_sides[0, f, c])),
         (rows[f, c + 1 :].copy(), sides[1, :, f, c].copy(), float(gini_sides[1, f, c])),
     )
@@ -172,10 +176,13 @@ def _best_splits(XT, idx, tally, weights, offsets, counts, ginis, feature_ids):
     seg_sizes = np.repeat(sizes, k)
     seg_ends = np.cumsum(seg_sizes)
     seg_starts = seg_ends - seg_sizes
-    seg = np.repeat(np.arange(seg_sizes.size, dtype=np.uint16), seg_sizes)
+    # the narrowest ids that hold the segment count, so k too (a lone tree's
+    # node has one segment per feature); up to 16 bits the stable sort is a radix sort
+    seg = np.repeat(np.arange(seg_sizes.size, dtype=np.min_scalar_type(seg_sizes.size)), seg_sizes)
     node = seg // k
     rows = np.concatenate([rows for rows in idx for _ in range(k)])
-    xs = XT.take(np.concatenate(feature_ids)[seg] * n + rows)
+    features = np.concatenate(feature_ids)[seg]
+    xs = XT.take(features * n + rows)
     order = xs.argsort()
     order = order[seg[order].argsort(kind="stable")]
     rows, xs = rows[order], xs[order]
@@ -199,13 +206,11 @@ def _best_splits(XT, idx, tally, weights, offsets, counts, ginis, feature_ids):
     at = np.where(gains == np.maximum.reduceat(gains, node_starts)[node], np.arange(seg.size), seg.size)
     at = np.minimum.reduceat(at, node_starts)  # first max: lowest feature, then cut
     splits = gains[at] > _MIN_GAIN
-    features = np.concatenate(feature_ids)[seg[at]]
-    with np.errstate(over="ignore", invalid="ignore"):  # as on floats: huge or infinite values
-        thresholds = cut_threshold(xs[at], xs[at + 1])
+    thresholds = cut_threshold(xs[at], xs[at + 1])
     left_counts, right_counts = left.T[at], sides[1].T[at]
     found = []
     for i, (split, f, threshold, start, cut, end, gini_left, gini_right) in enumerate(zip(
-            splits.tolist(), features.tolist(), thresholds.tolist(), seg_starts[seg[at]].tolist(),
+            splits.tolist(), features[at].tolist(), thresholds.tolist(), seg_starts[seg[at]].tolist(),
             (at + 1).tolist(), seg_ends[seg[at]].tolist(), *gini_sides[:, at].tolist())):
         found.append((f, threshold, (
             (rows[start:cut].copy(), left_counts[i], gini_left),
@@ -299,11 +304,6 @@ def grow_trees(X, y, n_classes, n_trees, start, features_per_split=None) -> list
     started, growing, grown = 0, {}, [None] * n_trees
 
     def search(batch):
-        if len(batch) == 1:  # one node alone: the per-row sort takes fewer numpy calls
-            tree, node, majority, idx, counts, gini, feature_ids = batch[0]
-            tree.settle(node, majority, _best_split(
-                XT, idx, tally, weights[tree.offset : tree.offset + n], counts, gini, feature_ids))
-            return
         trees, nodes, majorities, idx, counts, ginis, feature_ids = zip(*batch)
         offsets = [tree.offset for tree in trees]
         found = _best_splits(XT, idx, tally, weights, offsets, counts, ginis, feature_ids)
@@ -332,7 +332,8 @@ def grow_trees(X, y, n_classes, n_trees, start, features_per_split=None) -> list
             node, idx, counts, gini, majority = tree.stack.pop()
             feature_ids = next(tree.features)
             if idx.size > SMALL_NODE_ROWS:
-                search([(tree, node, majority, idx, counts, gini, feature_ids)])
+                tree.settle(node, majority, _best_split(
+                    XT, idx, tally, weights[tree.offset : tree.offset + n], counts, gini, feature_ids))
                 continue
             if batch and load + idx.size * feature_ids.size > SEARCH_ELEMENTS:
                 search(batch)
@@ -343,23 +344,10 @@ def grow_trees(X, y, n_classes, n_trees, start, features_per_split=None) -> list
             search(batch)
 
 
-def fit_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    *,
-    rng: np.random.Generator | None = None,
-    features_per_split: int | None = None,
-    weights: np.ndarray | None = None,
-) -> TreeParams:
-    """Grow a tree on encoded labels until its leaves are pure or no cut
-    gains. The keyword-only rng and features_per_split, no config keys,
-    enable the per-split random feature subsets used by the forest; `weights`
-    (default all ones), also no config key, are positive integer row
-    multiplicities."""
-    w = np.ones(y.size) if weights is None else weights
-    return grow_trees(X, y, n_classes, 1, lambda _: (w, rng),
-                      features_per_split if rng is not None else None)[0]
+def fit_tree(X: np.ndarray, y: np.ndarray, n_classes: int) -> TreeParams:
+    """Grow a tree on encoded labels, every split searching every feature,
+    until its leaves are pure or no cut gains."""
+    return grow_trees(X, y, n_classes, 1, lambda _: (np.ones(y.size), None))[0]
 
 
 def predict_tree(params: TreeParams, X: np.ndarray) -> np.ndarray:

@@ -320,10 +320,10 @@ def reference_best_split(X, y, parent_counts, feature_ids):
         gains = parent_gini - (n_left * gini_left + n_right * gini_right) / n
         j = int(np.argmax(gains))
         if gains[j] > best_gain:
-            low = xs[positions[j] - 1]
-            high = xs[positions[j]]
+            low, high = float(xs[positions[j] - 1]), float(xs[positions[j]])
             threshold = (low + high) / 2.0
-            if threshold >= high:
+            # a midpoint that rounds onto high, overflows or is nan (-inf to inf) gives low
+            if not low <= threshold < high:
                 threshold = low
             best_gain = float(gains[j])
             best = (best_gain, int(f), float(threshold))

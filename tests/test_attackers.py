@@ -275,6 +275,15 @@ def test_tree_unlimited_depth_memorizes_consistent_data():
     assert attackers.evaluate(model, np.hstack([X, np.zeros((20, 8))]), y) == 1.0
 
 
+def _grown(X, y, n_classes, seed=None, features_per_split=None, weights=None):
+    """One tree of `grow_trees` on row weights `weights` (default ones),
+    each split searching `features_per_split` features drawn from a
+    generator of `seed`, or all of them."""
+    w = np.ones(y.size) if weights is None else weights
+    rng = None if seed is None else np.random.default_rng(seed)
+    return cart.grow_trees(X, y, n_classes, 1, lambda _: (w, rng), features_per_split)[0]
+
+
 def _oracle_case(rng):
     """Random rows with continuous, heavily tied integer, constant and
     adjacent-float columns (whose midpoint rounds onto the upper value)."""
@@ -297,7 +306,7 @@ def test_tree_split_search_matches_per_feature_oracle():
         X, y, n_classes = _oracle_case(rng)
         kwargs = {"features_per_split": [None, 2, 3][case % 3]}
         seed = int(rng.integers(2**32))
-        got = fit_tree(X, y, n_classes, rng=np.random.default_rng(seed), **kwargs)
+        got = _grown(X, y, n_classes, seed, **kwargs)
         want = reference_fit_tree(X, y, n_classes, rng=np.random.default_rng(seed), **kwargs)
         assert tree_arrays(got) == tree_arrays(want), (case, kwargs)
 
@@ -309,7 +318,7 @@ def test_tree_row_weights_match_the_oracle_on_repeated_rows():
         w = rng.integers(1, 5, size=y.size)
         kwargs = {"features_per_split": [None, 2, 3][case % 3]}
         seed = int(rng.integers(2**32))
-        got = fit_tree(X, y, n_classes, rng=np.random.default_rng(seed), weights=w, **kwargs)
+        got = _grown(X, y, n_classes, seed, weights=w, **kwargs)
         want = reference_fit_tree(
             np.repeat(X, w, axis=0), np.repeat(y, w), n_classes,
             rng=np.random.default_rng(seed), **kwargs,
@@ -324,7 +333,7 @@ def test_tree_row_weights_match_the_oracle_on_repeated_rows():
         half = rng.integers(1, 7, size=(n_classes + 1) // 2)
         w = np.concatenate([half, half[: n_classes // 2][::-1]])
         X, y = np.arange(n_classes, dtype=np.float64)[:, None], np.arange(n_classes)
-        got = fit_tree(X, y, n_classes, weights=w)
+        got = _grown(X, y, n_classes, weights=w)
         want = reference_fit_tree(np.repeat(X, w, axis=0), np.repeat(y, w), n_classes)
         assert tree_arrays(got) == tree_arrays(want), (case, w.tolist())
 
@@ -336,7 +345,44 @@ def test_a_nan_feature_value_never_opens_a_cut():
     want = [[0, -1, -1], [0.5, 0.0, 0.0], [-1, 0, 1], [1, -1, -1], [2, -1, -1]]
     assert tree_arrays(reference_fit_tree(X, y, 2)) == want
     assert tree_arrays(fit_tree(X, y, 2)) == want
-    assert tree_arrays(fit_tree(X, y, 2, weights=np.array([1, 2, 1, 3, 1, 1]))) == want
+    assert tree_arrays(_grown(X, y, 2, weights=np.array([1, 2, 1, 3, 1, 1]))) == want
+
+
+@pytest.mark.parametrize("column", [[-1.5e308, -1.5e308, -1e308, -1e308],
+                                    [-np.inf, -np.inf, np.inf, np.inf]], ids=["overflow", "infinite"])
+@pytest.mark.parametrize("copies", [1, cart.SMALL_NODE_ROWS])
+def test_a_cut_at_the_float_edges_sends_the_low_rows_left(column, copies):
+    """Between two values whose midpoint overflows, or between -inf and inf
+    (a NaN midpoint), the threshold is the lower value, so the rows a fit
+    put left go left at predict: a tree, in the shared search and (from
+    SMALL_NODE_ROWS copies on) the per-row one, is the oracle's and
+    predicts its training rows, and so does AdaBoost. Nothing warns."""
+    X = np.repeat(np.array(column)[:, None], copies, axis=0)
+    y = np.repeat([0, 0, 1, 1], copies)
+    tree = fit_tree(X, y, 2)
+    assert tree_arrays(tree) == tree_arrays(reference_fit_tree(X, y, 2))
+    assert tree.threshold[0] == column[0]
+    assert np.array_equal(predict_tree(tree, X), y)
+    assert np.array_equal(predict_adaboost(fit_adaboost(X, y, 2), X), y)
+
+
+def test_cut_threshold_is_the_midpoint_inside_its_values_else_the_lower_value():
+    low = np.array([0.0, 1.0, 1e308, -1.5e308, -np.inf, -np.inf, 1.0])
+    high = np.array([1.0, np.nextafter(1.0, 2.0), 1.5e308, -1e308, -1.0, np.inf, np.inf])
+    want = [0.5, 1.0, 1e308, -1.5e308, -np.inf, -np.inf, 1.0]
+    assert cart.cut_threshold(low, high).tolist() == want
+    assert [float(cart.cut_threshold(a, b)) for a, b in zip(low, high)] == want
+
+
+def test_a_lone_tree_on_70000_features_splits_on_the_one_that_separates():
+    """A small node's shared search holds one segment of its rows per
+    feature, 70,000 here: more segment ids than 16 bits hold."""
+    y = np.repeat([0, 1], 5)
+    X = np.zeros((10, 70_000))
+    X[:, -1] = y
+    tree = fit_tree(X, y, 2)
+    assert tree.feature.tolist() == [69_999, -1, -1]
+    assert np.array_equal(predict_tree(tree, X), y)
 
 
 def test_forest_matches_per_feature_oracle():
@@ -595,10 +641,11 @@ def test_lockstep_search_matches_the_oracle_on_nan_and_tied_values(n_classes, mo
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_a_node_at_the_row_threshold_joins_the_shared_search(extra, monkeypatch):
-    """Two trees of one draw: roots of exactly SMALL_NODE_ROWS distinct rows
-    share the first step's search, and roots of a row more are each searched
-    alone; every tree is the oracle's, on distinct rows and on weighted
-    ones. A lone tree never shares a search: each of its steps has one node."""
+    """A node's size alone picks its search: roots of exactly
+    SMALL_NODE_ROWS distinct rows go to the shared search, two trees' roots
+    in one call and a lone tree's root alone in its call, and roots of a row
+    more each go to `_best_split`; every tree is the oracle's, on distinct
+    rows and on weighted ones."""
     rng = np.random.default_rng(49 + extra)
     n_rows = cart.SMALL_NODE_ROWS + extra
     X = np.round(rng.normal(size=(n_rows, 4)), 1)
@@ -610,40 +657,32 @@ def test_a_node_at_the_row_threshold_joins_the_shared_search(extra, monkeypatch)
         alone.append(idx.size), best_split(XT, idx, *rest))[1])
     calls, _ = _spy_searches(monkeypatch)
     for weights, (Xr, yr) in ((np.ones(n_rows), (X, y)), (w, (np.repeat(X, w, axis=0), np.repeat(y, w)))):
-        alone.clear(), calls.clear()
-        grown = cart.grow_trees(X, y, 3, 2, lambda _: (weights, np.random.default_rng(9)), 2)
         want = reference_fit_tree(Xr, yr, 3, rng=np.random.default_rng(9), features_per_split=2)
-        assert [tree_arrays(tree) for tree in grown] == [tree_arrays(want)] * 2
-        assert (alone[:2] == [n_rows] * 2) == bool(extra)
-        assert (calls[0] == [n_rows] * 2) != bool(extra)
-        calls.clear()
-        got = fit_tree(X, y, 3, rng=np.random.default_rng(9), features_per_split=2, weights=weights)
-        assert tree_arrays(got) == tree_arrays(want) and not calls
+        for n_trees in (2, 1):
+            alone.clear(), calls.clear()
+            grown = cart.grow_trees(X, y, 3, n_trees, lambda _: (weights, np.random.default_rng(9)), 2)
+            assert [tree_arrays(tree) for tree in grown] == [tree_arrays(want)] * n_trees
+            assert (alone[:n_trees] == [n_rows] * n_trees) == bool(extra)
+            assert (calls[0] == [n_rows] * n_trees) != bool(extra)
 
 
 def test_huge_and_infinite_values_split_as_alone_without_a_warning():
-    """Cuts between values near the float maximum, whose sum overflows, take
-    the oracle's thresholds in the shared search; cuts between infinities
-    take those of the trees grown alone, one node per search (the oracle,
-    which splits rows by threshold, loops on the NaN midpoint of -inf and
-    inf). Neither raises a RuntimeWarning, an error under this suite's
+    """Cuts between values near the float maximum, whose sum overflows, and
+    cuts between infinities take the oracle's thresholds in a forest's
+    searches. Neither raises a RuntimeWarning, an error under this suite's
     filter."""
     rng = np.random.default_rng(51)
     y = rng.integers(0, 3, size=60)
-    X = rng.choice([1e308, 1.2e308, 1.5e308, 1.7e308], size=(60, 4))
-    forest = fit_forest(X, y, 3, 8, seed=2)
-    with np.errstate(over="ignore"):  # the oracle adds numpy scalars
+    huge = rng.choice([1e308, 1.2e308, 1.5e308, 1.7e308], size=(60, 4))
+    infinite = huge.copy()
+    infinite[:, 0] = np.where(y == 0, -np.inf, np.inf)
+    for X in (huge, infinite):
+        forest = fit_forest(X, y, 3, 8, seed=2)
         for t, tree in enumerate(forest.trees):
             tree_rng = np.random.default_rng(derive_seed(2, "tree", t))
             rows = tree_rng.integers(0, y.size, size=y.size)
             want = reference_fit_tree(X[rows], y[rows], 3, rng=tree_rng, features_per_split=2)
             assert tree_arrays(tree) == tree_arrays(want), t
-    X[:, 0] = np.where(y == 0, -np.inf, np.inf)
-    forest = fit_forest(X, y, 3, 8, seed=2)
-    for t, tree in enumerate(forest.trees):  # bytes, since nan != nan
-        alone = _grown_alone(X, y, 3, 8, 2, t)
-        assert [a.tobytes() for a in vars(tree).values()] == [a.tobytes() for a in vars(alone).values()], t
-    assert any(np.isnan(tree.threshold).any() for tree in forest.trees)
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (12, 4), (13, 4), (40, 40), (100, 7),

@@ -1076,14 +1076,14 @@ def test_emit_report_unwritable_path_fails(tmp_path):
 ])
 def test_each_kind_accepts_its_hyperparameters_and_defaults(kind, defaults):
     """A kind's config keys and defaults are its fit's, and nothing else: the
-    class count, the keyword-only hooks (`seed` and `trees`; a tree's `rng`
-    and `features_per_split`) and the MLP's `batch_size`, a constant, are no
-    config keys."""
+    class count, the keyword-only hooks (`seed` and `trees`), the MLP's
+    `batch_size`, a constant, and the tree's removed `rng` and
+    `features_per_split` are no config keys."""
     assert attackers.HYPERPARAMETERS[kind] == defaults
     assert dict(ClassifierSpec(kind, defaults).params) == defaults
-    hooks = {"n_classes", "seed", "trees"} | {"tree": {"rng", "features_per_split"},
-                                              "mlp": {"batch_size"}}.get(kind, set())
-    for key in hooks:
+    hooks = {"n_classes", "seed", "trees"} | {"mlp": {"batch_size"}}.get(kind, set())
+    removed = {"tree": {"rng", "features_per_split"}}.get(kind, set())
+    for key in hooks | removed:
         with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['{key}'\]"):
             ClassifierSpec(kind, {key: 1})
     rng = np.random.default_rng(2)
