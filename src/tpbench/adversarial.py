@@ -38,13 +38,6 @@ REALISTIC_AWGN_FEATURES: tuple[str, ...] = (
 )
 REALISTIC_PADDED_FEATURE = "mean_len_pack"
 REALISTIC_ZEROED_FEATURE = "std_len_pack"
-REALISTIC_UNTOUCHED_FEATURES: tuple[str, ...] = (
-    "n_ip_unique",
-    "max_diff_time",
-    "mean_window",
-    "std_window",
-    "mean_ipt",
-)
 
 # The parameters each mode reads; a config may give only these.
 TRANSFORM_PARAMS: dict[str, tuple[str, ...]] = {

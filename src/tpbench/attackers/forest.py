@@ -2,18 +2,9 @@
 
 As in Breiman (2001), every tree grows to purity on its own bootstrap draw
 and each split picks among ceil(sqrt(F)) of the F features, drawn afresh.
-A tree grows on the distinct rows of its draw, weighted by multiplicity,
-which is node for node the tree of the drawn rows. The trees grow in
-lockstep (`grow_trees`), at most `GROUP_TREES` at once: at each step every
-tree pops the next node of its own depth-first order and draws its
-features from its own rng, so each tree's draws, node ids and splits are
-those of the tree grown alone. A node's size alone picks its search: the
-step's nodes of at most `SMALL_NODE_ROWS` rows share one split search of
-at most `SEARCH_ELEMENTS` values, and larger ones keep the per-row sort.
-A cut's threshold is the midpoint of the values either side, or the lower
-value where that midpoint rounds onto the upper one, overflows or is NaN
-(`cut_threshold`). The forest is a `TreeEnsemble` of int64 weights 1: its
-`ensemble_votes` are tree counts."""
+The trees grow through `grow_trees`; `tree.py` states how. The forest is
+a `TreeEnsemble` of int64 weights 1: its `ensemble_votes` are tree
+counts."""
 
 from __future__ import annotations
 

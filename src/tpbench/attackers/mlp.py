@@ -50,43 +50,32 @@ def _layer_views(flat: np.ndarray, sizes: list[int]):
     return weights, biases
 
 
-def _hidden_buffers(rows: int, weights) -> list[np.ndarray]:
-    """One (rows, width) buffer per hidden layer."""
-    return [np.empty((rows, W.shape[1])) for W in weights[:-1]]
-
-
-def _forward(weights, biases, X, hidden):
-    """Logits of X. Each hidden layer's ReLU output is written into the
-    leading rows of its buffer in `hidden`."""
-    a = X
-    for W, b, buf in zip(weights[:-1], biases[:-1], hidden):
-        z = buf[: X.shape[0]]
-        np.matmul(a, W, out=z)
+def _forward(weights, biases, X):
+    """Logits of X, and each layer's input: X, then each hidden layer's ReLU output."""
+    inputs = [X]
+    for W, b in zip(weights[:-1], biases[:-1]):
+        z = inputs[-1] @ W
         z += b
-        np.maximum(z, 0.0, out=z)
-        a = z
-    return a @ weights[-1] + biases[-1]
+        inputs.append(np.maximum(z, 0.0, out=z))
+    return inputs[-1] @ weights[-1] + biases[-1], inputs
 
 
-def _backprop(weights, biases, X, targets_onehot, hidden, deltas, grad_w, grad_b) -> float:
-    """Mean cross-entropy of the batch; its gradients are written into
-    grad_w and grad_b, and `hidden` and `deltas` are work buffers with at least X's rows."""
+def _backprop(weights, biases, X, targets_onehot, grad_w, grad_b) -> float:
+    """Mean cross-entropy of the batch; its gradients are written into grad_w and grad_b."""
     n = X.shape[0]
-    logits = _forward(weights, biases, X, hidden)
+    logits, inputs = _forward(weights, biases, X)
     shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     log_probs = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
     loss = -float(np.add.reduce(targets_onehot * log_probs, axis=None)) / n
 
     delta = (np.exp(log_probs) - targets_onehot) / n
     for layer in range(len(weights) - 1, -1, -1):
-        a = hidden[layer - 1][:n] if layer > 0 else X
+        a = inputs[layer]
         np.matmul(a.T, delta, out=grad_w[layer])
         np.add.reduce(delta, axis=0, out=grad_b[layer])
         if layer > 0:
-            below = deltas[layer - 1][:n]
-            np.matmul(delta, weights[layer].T, out=below)
-            below *= a > 0.0
-            delta = below
+            delta = delta @ weights[layer].T
+            delta *= a > 0.0
     return loss
 
 
@@ -113,9 +102,6 @@ def fit_mlp(
     v = np.zeros_like(theta)
     update = np.empty_like(theta)
     tmp = np.empty_like(theta)
-    batch_rows = min(BATCH_SIZE, y.size)
-    hidden_out = _hidden_buffers(batch_rows, weights)
-    deltas = _hidden_buffers(batch_rows, weights)
     onehot = np.zeros((y.size, n_classes))
     onehot[np.arange(y.size), y] = 1.0
 
@@ -131,9 +117,7 @@ def fit_mlp(
             for start in range(0, y.size, BATCH_SIZE):
                 X_batch = X_epoch[start : start + BATCH_SIZE]
                 targets = targets_epoch[start : start + BATCH_SIZE]
-                loss = _backprop(
-                    weights, biases, X_batch, targets, hidden_out, deltas, grad_w, grad_b
-                )
+                loss = _backprop(weights, biases, X_batch, targets, grad_w, grad_b)
                 epoch_loss += loss * X_batch.shape[0]
                 step += 1
                 correction1 = 1.0 - ADAM_BETA1**step
@@ -164,5 +148,5 @@ def fit_mlp(
 
 
 def predict_mlp(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    logits = _forward(params.weights, params.biases, X, _hidden_buffers(X.shape[0], params.weights))
+    logits, _ = _forward(params.weights, params.biases, X)
     return np.argmax(logits, axis=1)  # softmax is monotone in the logits

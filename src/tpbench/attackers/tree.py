@@ -19,8 +19,10 @@ matrix beats a flat sort of all its values. The step's smaller nodes,
 which are most of a deep tree's nodes, share one search (`_best_splits`)
 of at most `SEARCH_ELEMENTS` (node, feature, row) values, so the numpy
 call overhead of a search is paid once per step, not once per node. A
-node's size alone picks its search, however many nodes its step holds,
-so a lone tree's small nodes take `_best_splits` too. At most `GROUP_TREES`
+node of more than `SEARCH_ELEMENTS` (feature, row) values is searched alone
+too, so no shared search exceeds its budget. These two sizes alone pick a
+node's search, however many nodes its step holds, so a lone tree's small
+nodes take `_best_splits` too. At most `GROUP_TREES`
 trees grow at once, all reading one transposed X and one class tally by
 row id, each holding only its row weights, its draws and its depth-first
 stack; so the memory of a fit does not grow with its number of trees. A
@@ -51,7 +53,7 @@ from itertools import repeat
 import numpy as np
 
 _MIN_GAIN = 1e-12  # guards against float-noise splits
-SMALL_NODE_ROWS = 64  # a node of at most this many rows joins its step's shared search
+SMALL_NODE_ROWS = 64  # a node of more rows than this is searched alone
 SEARCH_ELEMENTS = 8192  # the most (node, feature, row) values one shared search takes
 GROUP_TREES = 64  # the most trees grown at once
 _CHOICE_DRAWS = 8  # a tree's first draws call choice: a chunk pays from about this many on
@@ -176,8 +178,8 @@ def _best_splits(XT, idx, tally, weights, offsets, counts, ginis, feature_ids):
     seg_sizes = np.repeat(sizes, k)
     seg_ends = np.cumsum(seg_sizes)
     seg_starts = seg_ends - seg_sizes
-    # the narrowest ids that hold the segment count, so k too (a lone tree's
-    # node has one segment per feature); up to 16 bits the stable sort is a radix sort
+    # the narrowest ids that hold the segment count, so k too; up to 16 bits,
+    # as every search of at most SEARCH_ELEMENTS values is, the stable sort is a radix sort
     seg = np.repeat(np.arange(seg_sizes.size, dtype=np.min_scalar_type(seg_sizes.size)), seg_sizes)
     node = seg // k
     rows = np.concatenate([rows for rows in idx for _ in range(k)])
@@ -331,15 +333,16 @@ def grow_trees(X, y, n_classes, n_trees, start, features_per_split=None) -> list
         for tree in growing.values():
             node, idx, counts, gini, majority = tree.stack.pop()
             feature_ids = next(tree.features)
-            if idx.size > SMALL_NODE_ROWS:
+            values = idx.size * feature_ids.size
+            if idx.size > SMALL_NODE_ROWS or values > SEARCH_ELEMENTS:
                 tree.settle(node, majority, _best_split(
                     XT, idx, tally, weights[tree.offset : tree.offset + n], counts, gini, feature_ids))
                 continue
-            if batch and load + idx.size * feature_ids.size > SEARCH_ELEMENTS:
+            if batch and load + values > SEARCH_ELEMENTS:
                 search(batch)
                 batch, load = [], 0
             batch.append((tree, node, majority, idx, counts, gini, feature_ids))
-            load += idx.size * feature_ids.size
+            load += values
         if batch:
             search(batch)
 

@@ -24,12 +24,7 @@ each growing a contiguous range of its tree indices from each tree's own
 seed, so the ranges' votes sum to the whole forest's.
 No job returns its model: a model lives only in the process that fit it.
 The parent sums each cell's matrices and scores them in one place,
-`score_cell`. With one worker every job of both phases runs in the calling
-process. An `ExperimentConfig` is frozen and checks itself once, when
-built, and `run_experiment` runs it as built. A `ClassifierSpec` holds its
-params in one form, sorted by name, so one classifier has one key and seed.
-`SweepRow.as_record` is the one statement of `sweep.csv`'s columns: its keys,
-in file order, are the header `emit_report` writes through `rules.write_csv`.
+`score_cell`.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from tpbench.attackers.mlp import (
     MlpParams,
     TrainingDivergedError,
     _backprop,
-    _hidden_buffers,
     _init_params,
 )
 from tpbench.attackers.tree import TreeParams
@@ -47,6 +46,13 @@ from tpbench.traffic import (
     Protocol,
     Trace,
     generate_trace,
+)
+
+
+# The realistic mode's untouched features, as documented: every feature it
+# neither noises, pads nor zeroes.
+REALISTIC_UNTOUCHED_FEATURES = (
+    "n_ip_unique", "max_diff_time", "mean_window", "std_window", "mean_ipt",
 )
 
 
@@ -473,13 +479,11 @@ def _reference_loss_and_gradients(weights, biases, X, targets_onehot):
 
 def loss_and_gradients(weights, biases, X, targets_onehot):
     """Mean cross-entropy over the batch and its gradients, by the training
-    step's own kernel (`_backprop`) with freshly allocated buffers."""
+    step's own kernel (`_backprop`)."""
     X = np.asarray(X, dtype=np.float64)
     grad_w = [np.empty_like(W) for W in weights]
     grad_b = [np.empty_like(b) for b in biases]
-    hidden = _hidden_buffers(X.shape[0], weights)
-    deltas = _hidden_buffers(X.shape[0], weights)
-    loss = _backprop(weights, biases, X, targets_onehot, hidden, deltas, grad_w, grad_b)
+    loss = _backprop(weights, biases, X, targets_onehot, grad_w, grad_b)
     return loss, grad_w, grad_b
 
 

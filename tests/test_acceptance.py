@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    REALISTIC_UNTOUCHED_FEATURES,
     alternating_burst_dataset,
     brute_force_features,
     build_pcap,
@@ -25,7 +26,6 @@ from tpbench import attackers
 from tpbench.adversarial import (
     REALISTIC_AWGN_FEATURES,
     REALISTIC_PADDED_FEATURE,
-    REALISTIC_UNTOUCHED_FEATURES,
     REALISTIC_ZEROED_FEATURE,
     TransformSpec,
     savgol_coefficients,

@@ -4,12 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import exact_savgol_weights
+from helpers import REALISTIC_UNTOUCHED_FEATURES, exact_savgol_weights
 from tpbench import harness
 from tpbench.adversarial import (
     REALISTIC_AWGN_FEATURES,
     REALISTIC_PADDED_FEATURE,
-    REALISTIC_UNTOUCHED_FEATURES,
     REALISTIC_ZEROED_FEATURE,
     NonFiniteOutputError,
     TransformSpec,

@@ -375,8 +375,8 @@ def test_cut_threshold_is_the_midpoint_inside_its_values_else_the_lower_value():
 
 
 def test_a_lone_tree_on_70000_features_splits_on_the_one_that_separates():
-    """A small node's shared search holds one segment of its rows per
-    feature, 70,000 here: more segment ids than 16 bits hold."""
+    """A 10-row root over 70,000 features, whose values no shared search
+    takes, is searched alone on its (features, rows) matrix."""
     y = np.repeat([0, 1], 5)
     X = np.zeros((10, 70_000))
     X[:, -1] = y
@@ -561,18 +561,20 @@ def _grown_alone(X, y, n_classes, n_trees, seed, t):
 
 
 def _spy_searches(monkeypatch):
-    """The row counts of the nodes of each shared search, call by call, and
-    whether any of their drawn feature values was NaN."""
-    calls, saw_nan = [], []
+    """The row counts of the nodes of each shared search, call by call,
+    whether any of their drawn feature values was NaN, and the (node,
+    feature, row) values each call searched."""
+    calls, saw_nan, values = [], [], []
     best_splits = cart._best_splits
 
     def spy(XT, idx, *rest):
         calls.append([rows.size for rows in idx])
         saw_nan.append(any(np.isnan(XT[f][:, rows]).any() for rows, f in zip(idx, rest[-1])))
+        values.append(sum(rows.size * f.size for rows, f in zip(idx, rest[-1])))
         return best_splits(XT, idx, *rest)
 
     monkeypatch.setattr(cart, "_best_splits", spy)
-    return calls, saw_nan
+    return calls, saw_nan, values
 
 
 def test_lockstep_trees_equal_the_trees_grown_alone():
@@ -601,7 +603,7 @@ def test_a_step_whose_small_nodes_fill_more_than_one_search(monkeypatch):
     rng = np.random.default_rng(47)
     y = rng.integers(0, 3, size=90)
     X = np.round(rng.normal(size=(90, 36)), 1)
-    calls, _ = _spy_searches(monkeypatch)
+    calls, _, values = _spy_searches(monkeypatch)
     forest = fit_forest(X, y, 3, 40, seed=6)
     roots = []
     for t, tree in enumerate(forest.trees):
@@ -613,7 +615,21 @@ def test_a_step_whose_small_nodes_fill_more_than_one_search(monkeypatch):
     assert max(roots) <= cart.SMALL_NODE_ROWS and 6 * sum(roots) > cart.SEARCH_ELEMENTS
     first_step = [size for call in calls[:2] for size in call]
     assert first_step[: len(roots)] == roots and len(calls[0]) < len(roots)
-    assert all(6 * sum(call) <= cart.SEARCH_ELEMENTS for call in calls)
+    assert max(values) <= cart.SEARCH_ELEMENTS
+
+
+def test_a_small_node_of_more_values_than_a_search_takes_is_searched_alone(monkeypatch):
+    """A lone tree's 20-row root over 1,000 features holds 20,000 values,
+    more than one shared search takes: it goes to `_best_split`, as its
+    children of more than SEARCH_ELEMENTS values do, so every shared search
+    keeps the budget, and the tree is the oracle's."""
+    rng = np.random.default_rng(52)
+    y = rng.integers(0, 3, size=20)
+    X = np.round(rng.normal(size=(20, 1000)), 1)
+    calls, _, values = _spy_searches(monkeypatch)
+    tree = fit_tree(X, y, 3)
+    assert tree_arrays(tree) == tree_arrays(reference_fit_tree(X, y, 3))
+    assert calls and max(values) <= cart.SEARCH_ELEMENTS
 
 
 @pytest.mark.parametrize("n_classes", [3, 12])
@@ -629,7 +645,7 @@ def test_lockstep_search_matches_the_oracle_on_nan_and_tied_values(n_classes, mo
         np.round(rng.normal(size=y.size), 1),
     ]).astype(np.float64)
     X[rng.random(X.shape) < 0.15] = np.nan
-    calls, saw_nan = _spy_searches(monkeypatch)
+    calls, saw_nan, _ = _spy_searches(monkeypatch)
     forest = fit_forest(X, y, n_classes, 16, seed=n_classes)
     for t, tree in enumerate(forest.trees):
         tree_rng = np.random.default_rng(derive_seed(n_classes, "tree", t))
@@ -655,7 +671,7 @@ def test_a_node_at_the_row_threshold_joins_the_shared_search(extra, monkeypatch)
     best_split = cart._best_split
     monkeypatch.setattr(cart, "_best_split", lambda XT, idx, *rest: (
         alone.append(idx.size), best_split(XT, idx, *rest))[1])
-    calls, _ = _spy_searches(monkeypatch)
+    calls, _, _ = _spy_searches(monkeypatch)
     for weights, (Xr, yr) in ((np.ones(n_rows), (X, y)), (w, (np.repeat(X, w, axis=0), np.repeat(y, w)))):
         want = reference_fit_tree(Xr, yr, 3, rng=np.random.default_rng(9), features_per_split=2)
         for n_trees in (2, 1):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import GOLDEN_FEATURES_CSV, build_pcap, ipv4_frame
+from helpers import GOLDEN_FEATURES_CSV, REALISTIC_UNTOUCHED_FEATURES, build_pcap, ipv4_frame
 from tpbench import attackers
 from tpbench.cli import _build_parser, main
 from tpbench.features import (
@@ -16,7 +16,7 @@ from tpbench.features import (
     WindowSpec,
     load_features_csv,
 )
-from tpbench.adversarial import REALISTIC_UNTOUCHED_FEATURES, TRANSFORM_PARAMS, TransformSpec
+from tpbench.adversarial import TRANSFORM_PARAMS, TransformSpec
 from tpbench.harness import cell_seeds
 from tpbench.seeding import derive_seed
 from tpbench.traffic import Protocol
